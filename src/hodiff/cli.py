@@ -312,7 +312,6 @@ def rankone_cases(config: CampaignConfig):
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     result = CampaignResult()
-    tasks = []
 
     if "pieri" in config.suites or "eigen" in config.suites:
         pieri_results = pieri_cases(config)
@@ -370,8 +369,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         result.add("rankone/bc1-crosscheck", bc1_ok)
         result.add("rankone/highprec-spot", spot_ok)
 
-    # deterministic order regardless of how tasks executed
-    del tasks
     return result
 
 

@@ -39,12 +39,10 @@ def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi,
     """Product of (z+g)/z over roots with positive pairing against nu,
     times (1+z+g)/(1+z) over roots pairing exactly 2, with z = <xi,a^vee>."""
     total = Q(1)
-    for alpha in datum.roots:
-        k = datum.pairing(nu, alpha)
+    for alpha, k, z, g in zip(datum.roots, datum.pairings(nu), datum.pairings(xi),
+                              mults.root_values):
         if k <= 0:
             continue
-        z = datum.pairing(xi, alpha)
-        g = mults.of(alpha)
         if z == 0:
             raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
         total *= (z + g) / z
@@ -60,12 +58,10 @@ def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi
     """Like coeff_V but over the stabilizer subsystem of nu, with the sign of
     g flipped in the pairing-2 factor."""
     total = Q(1)
-    for alpha in datum.stabilizer_roots(nu):
-        k = datum.pairing(eta, alpha)
-        if k <= 0:
+    for alpha, kn, k, z, g in zip(datum.roots, datum.pairings(nu), datum.pairings(eta),
+                                  datum.pairings(xi), mults.root_values):
+        if kn != 0 or k <= 0:
             continue
-        z = datum.pairing(xi, alpha)
-        g = mults.of(alpha)
         if z == 0:
             raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
         total *= (z + g) / z
@@ -112,12 +108,13 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
     """
     lam = datum.check_dominant(lam)
     xi = vadd(datum.rho(mults), lam)
+    lam_labels = datum.labels(lam)
     out = []
     for entry in pieri_index(datum, omega):
         v = coeff_V(datum, mults, entry.nu, xi, perturb=perturb)
         us = [coeff_U(datum, mults, entry.nu, eta, xi, perturb=perturb)
               for eta in entry.etas]
-        if datum.is_dominant(vadd(lam, entry.nu)):
+        if all(a + b >= 0 for a, b in zip(lam_labels, datum.labels(entry.nu))):
             out.extend((entry.nu, eta, u * v) for eta, u in zip(entry.etas, us))
         elif v != 0 and perturb is None:
             raise InternalConsistencyError(
@@ -267,7 +264,7 @@ def sample_spectral_point(datum: RootDatum, rng, max_tries: int = 200):
         for w in datum.fundamental_weights:
             c = Q(rng.randint(-24, 24), rng.randint(2, 9))
             xi = vadd(xi, tuple(c * x for x in w))
-        if all(datum.pairing(xi, a) not in (0, -1) for a in datum.roots):
+        if all(z not in (0, -1) for z in datum.pairings(xi)):
             return xi
     raise RuntimeError("could not sample a pole-free spectral point")
 
@@ -283,21 +280,19 @@ def symbolic_factors(datum: RootDatum, entry: PieriTermIndex):
         return {"alpha": [_q_str(x) for x in alpha], "shift": shift,
                 "g_sign": g_sign}
 
+    nu_pairs = datum.pairings(entry.nu)
     v_factors = []
-    for alpha in datum.roots:
-        k = datum.pairing(entry.nu, alpha)
+    for alpha, k in zip(datum.roots, nu_pairs):
         if k <= 0:
             continue
         v_factors.append(affine(alpha, 0, 1))
         if k == 2:
             v_factors.append(affine(alpha, 1, 1))
     per_eta = []
-    stab = datum.stabilizer_roots(entry.nu)
     for eta in entry.etas:
         u_factors = []
-        for alpha in stab:
-            k = datum.pairing(eta, alpha)
-            if k <= 0:
+        for alpha, kn, k in zip(datum.roots, nu_pairs, datum.pairings(eta)):
+            if kn != 0 or k <= 0:
                 continue
             u_factors.append(affine(alpha, 0, 1))
             if k == 2:

@@ -13,20 +13,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .rootsys import Multiplicities, RootDatum, Vector, vadd, vscale
-from .weylalg import ExpPoly, apply_L, eigenvalue_E, exp_to_json, orbit_sum
+from .weylalg import ExpPoly, apply_L, eigenvalue_E, exp_to_json
 
 
 class JacobiPolynomial:
     """Triangular expansion of P_lambda in orbit sums, normalized P(0) = 1."""
 
     def __init__(self, datum: RootDatum, mults: Multiplicities, lam: Vector,
-                 coeffs: dict, monic_coeffs: dict):
+                 coeffs: dict):
         self.datum = datum
         self.mults = mults
         self.lam = lam
         self.coeffs = coeffs              # dominant mu <= lam -> coefficient
-        self.monic_coeffs = monic_coeffs  # same, with c_lambda = 1
-        self.normalization = "unit_at_zero"
         self._expansion = None
 
     def coefficient(self, mu: Vector) -> Q:
@@ -38,10 +36,9 @@ class JacobiPolynomial:
     def exp_poly(self) -> ExpPoly:
         """The polynomial as an explicit sum over its saturated support."""
         if self._expansion is None:
-            acc = ExpPoly.zero()
-            for mu, c in self.coeffs.items():
-                acc = acc + orbit_sum(self.datum, mu).scale(c)
-            self._expansion = acc
+            # the orbits are disjoint, so each term is one coefficient
+            self._expansion = ExpPoly({nu: c for mu, c in self.coeffs.items()
+                                       for nu in self.datum.weyl_orbit(mu)})
         return self._expansion
 
     def to_json(self):
@@ -68,12 +65,17 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
     j-sum is finite because c~ vanishes outside the saturated set.
     """
     lam = datum.check_dominant(lam)
-    sat = datum.saturated_map(lam)
+    sat = datum.saturated_label_map(lam)
     doms = sorted(datum.dominant_below(lam),
                   key=lambda mu: (-datum.height(mu), mu))
     assert doms[0] == lam or datum.height(doms[0]) == datum.height(lam)
     rho = datum.rho(mults)
     e_top = eigenvalue_E(datum, mults, vadd(rho, lam))
+    # per positive root: labels, and g_alpha |alpha|^2, since
+    # 2 g <mu + j alpha, alpha> = g |alpha|^2 (<mu, alpha^vee> + 2j)
+    positive = [(i, datum.root_labels[i],
+                 mults.root_values[i] * datum.norm_sq(datum.roots[i]))
+                for i in datum.positive_indices]
 
     monic: dict[Vector, Q] = {}
     for mu in doms:
@@ -81,18 +83,17 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
             monic[mu] = Q(1)
             continue
         rhs = Q(0)
-        for alpha in datum.positive_roots:
-            g = mults.of(alpha)
-            j = 1
-            while True:
-                nu = vadd(mu, vscale(j, alpha))
-                rep = sat.get(nu)
-                if rep is None:
-                    break
+        mu_labels = datum.labels(mu)
+        pairs = datum.pairings(mu)
+        for i, lab, weight in positive:
+            k = pairs[i] + 2
+            nu = tuple(a + b for a, b in zip(mu_labels, lab))
+            while (rep := sat.get(nu)) is not None:
                 c = monic.get(rep)
                 if c:
-                    rhs += 2 * g * datum.inner(nu, alpha) * c
-                j += 1
+                    rhs += weight * k * c
+                k += 2
+                nu = tuple(a + b for a, b in zip(nu, lab))
         denom = e_top - eigenvalue_E(datum, mults, vadd(rho, mu))
         if denom == 0:
             raise ArithmeticError(
@@ -100,12 +101,11 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
                 "impossible for positive multiplicities")
         monic[mu] = rhs / denom
 
-    orbit_sizes = {mu: sum(1 for rep in sat.values() if rep == mu) for mu in doms}
-    z = sum(c * orbit_sizes[mu] for mu, c in monic.items())
+    z = sum(c * len(datum.weyl_orbit(mu)) for mu, c in monic.items())
     if z == 0:
         raise ArithmeticError("vanishing value at the origin; cannot normalize")
     coeffs = {mu: c / z for mu, c in monic.items()}
-    return JacobiPolynomial(datum, mults, lam, coeffs, monic)
+    return JacobiPolynomial(datum, mults, lam, coeffs)
 
 
 def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
@@ -117,18 +117,18 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
     with g_{a/2} = 0 when a/2 is not a root.  Empty product for lam = 0.
     """
     lam = datum.check_dominant(lam)
-    rho = datum.rho(mults)
+    rho_pairs = datum.pairings(datum.rho(mults))
+    lam_pairs = datum.pairings(lam)
     total = Q(1)
-    root_set = set(datum.roots)
-    for alpha in datum.positive_roots:
-        top = datum.pairing(lam, alpha)
+    for i in datum.positive_indices:
+        top = lam_pairs[i]
         if top <= 0:
             continue
-        half = vscale(Q(1, 2), alpha)
-        g_half = mults.of(half) if half in root_set else Q(0)
-        base = datum.pairing(rho, alpha) + Q(1, 2) * g_half
-        g = mults.of(alpha)
-        for j in range(int(top)):
+        half = datum.root_index.get(vscale(Q(1, 2), datum.roots[i]))
+        g_half = mults.root_values[half] if half is not None else Q(0)
+        base = rho_pairs[i] + Q(1, 2) * g_half
+        g = mults.root_values[i]
+        for j in range(top):
             den = base + g + j
             if den == 0:
                 raise ArithmeticError("vanishing factor in the leading product")

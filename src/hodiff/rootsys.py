@@ -4,13 +4,23 @@ Weights are plain tuples of ``fractions.Fraction`` in the coordinates of a
 fixed realization space.  Classical families (and the nonreduced family BC)
 live in the orthonormal basis of R^n (R^{n+1} for type A); the exceptional
 types use rational Gram matrices with long roots normalized to squared
-length 2.  Every pairing, reflection and orbit below is exact.
+length 2.
+
+Inside, the combinatorics runs on Dynkin labels l = (<v, alpha_i^vee>)_i,
+which are integer tuples for weights.  Three tables are built once per
+datum: the Cartan rows (the labels of the simple roots), the labels of every
+root, and every root's coroot coefficients c_i(alpha) = <omega_i, alpha^vee>.
+Then <v, alpha^vee> = sum_i c_i l_i and s_alpha(l) = l - <v, alpha^vee>
+labels(alpha).  Realization coordinates are rebuilt only where a weight
+leaves the kernel.  Every pairing, reflection and orbit below is exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as Q
+from operator import mul
 
 Vector = tuple[Q, ...]
 
@@ -41,6 +51,16 @@ def vscale(c, u: Vector) -> Vector:
 
 def vzero(dim: int) -> Vector:
     return (Q(0),) * dim
+
+
+def _exact(x):
+    """x as an int when it is integral, else unchanged (a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _step(l, k, row):
+    """l - k * row: a reflection in label coordinates."""
+    return tuple(a - k * b for a, b in zip(l, row))
 
 
 def invert_rational_matrix(m):
@@ -106,27 +126,14 @@ def _simple_roots(family: str, rank: int):
     raise ValueError(f"invalid family/rank combination: {family}_{rank}")
 
 
-def _bc_roots(rank: int):
-    roots = []
-    for i in range(rank):
-        for s in (1, -1):
-            roots.append(tuple(Q(s) if k == i else Q(0) for k in range(rank)))
-            roots.append(tuple(Q(2 * s) if k == i else Q(0) for k in range(rank)))
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Q(0)] * rank
-                    v[i], v[j] = Q(si), Q(sj)
-                    roots.append(tuple(v))
-    return roots
-
-
 class RootDatum:
     """A realized irreducible root system with its Weyl combinatorics.
 
-    Immutable after construction; all methods are pure, so instances are
-    safe to share across threads.
+    The roots and the label tables are fixed at construction.  Results per
+    vector (labels, pairings, orbits, stabilizers, validated weights) are
+    memoized on the instance the first time they are asked for.  Each entry
+    is a pure function of its key, so threads sharing an instance can at
+    worst compute an entry twice.
     """
 
     def __init__(self, family: str, rank: int):
@@ -145,19 +152,39 @@ class RootDatum:
         cartan = [[self.pairing(a, b) for b in simples] for a in simples]
         if any(x.denominator != 1 for row in cartan for x in row):
             raise ValueError("simple roots are not crystallographic")
-        self._cartan = cartan
+        # cartan[i] = labels of alpha_i
+        self.cartan: tuple[tuple[int, ...], ...] = tuple(
+            tuple(x.numerator for x in row) for row in cartan)
         self._cartan_inv = invert_rational_matrix(cartan)
 
+        # roots as simple-root coefficient vectors n, alpha = sum_k n_k alpha_k
+        coeffs = self._simple_root_closure()
         if family == "BC":
-            roots = set(_bc_roots(rank))
-        else:
-            roots = self._reflection_closure(simples)
-        self.roots: tuple[Vector, ...] = tuple(sorted(roots))
-        self._root_set = frozenset(self.roots)
+            short = min(self.norm_sq(self._from_simple(n)) for n in coeffs)
+            coeffs |= {tuple(2 * x for x in n) for n in coeffs
+                       if self.norm_sq(self._from_simple(n)) == short}
+        by_root = {self._from_simple(n): n for n in coeffs}
+        self.roots: tuple[Vector, ...] = tuple(sorted(by_root))
+        self.root_index: dict[Vector, int] = {a: i for i, a in enumerate(self.roots)}
+        self.positive_indices: tuple[int, ...] = tuple(
+            i for i, a in enumerate(self.roots) if min(by_root[a]) >= 0)
         self.positive_roots: tuple[Vector, ...] = tuple(
-            a for a in self.roots if self._is_positive_root(a))
+            self.roots[i] for i in self.positive_indices)
+        self._positive_set = frozenset(self.positive_roots)
         if 2 * len(self.positive_roots) != len(self.roots):
             raise ValueError("positive system does not split the roots evenly")
+
+        self.root_labels: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sum(n[k] * self.cartan[k][j] for k in range(rank))
+                  for j in range(rank))
+            for n in map(by_root.__getitem__, self.roots))
+        # alpha^vee = sum_k n_k (|alpha_k|^2 / |alpha|^2) alpha_k^vee
+        self.coroot_coefficients: tuple[tuple, ...] = tuple(
+            tuple(_exact(by_root[a][k] * self.norm_sq(simples[k]) / self.norm_sq(a))
+                  for k in range(rank))
+            for a in self.roots)
+        self._integral_coroots = all(isinstance(c, int)
+                                     for row in self.coroot_coefficients for c in row)
 
         # omega_i = sum_k (cartan^{-1})[i][k] alpha_k
         fund = []
@@ -171,12 +198,25 @@ class RootDatum:
             for j in range(rank):
                 if self.pairing(fund[i], self.simple_roots[j]) != (1 if i == j else 0):
                     raise ValueError("fundamental weights failed duality check")
+        # from_labels: coordinate d is sum_i l_i * _fund_rows[d][i] / _fund_den
+        self._fund_den = math.lcm(*(x.denominator for w in fund for x in w))
+        self._fund_rows = tuple(tuple((x * self._fund_den).numerator for x in col)
+                                for col in zip(*fund))
+
+        self._labels: dict[Vector, tuple] = {}
+        self._vectors: dict[tuple, Vector] = {}
+        self._pairings: dict[Vector, tuple] = {}
+        self._weights: dict[Vector, tuple] = {}
+        self._orbits: dict[Vector, tuple[Vector, ...]] = {}
+        self._stabilizers: dict[Vector, tuple[Vector, ...]] = {}
 
         self.root_orbits: tuple[tuple[Vector, ...], ...] = self._compute_root_orbits()
         self._orbit_index = {a: i for i, orb in enumerate(self.root_orbits) for a in orb}
+        self.root_orbit_ids: tuple[int, ...] = tuple(
+            self._orbit_index[a] for a in self.roots)
 
         self._weyl_order_memo: dict[frozenset, int] = {}
-        self._sat_cache: dict[Vector, dict[Vector, Vector]] = {}
+        self._sat_label_cache: dict[Vector, dict[tuple, Vector]] = {}
         self._dominant_below_cache: dict[Vector, tuple[Vector, ...]] = {}
 
     # -- bilinear form ------------------------------------------------------
@@ -202,7 +242,11 @@ class RootDatum:
         return cv
 
     def pairing(self, v: Vector, alpha: Vector) -> Q:
-        """<v, alpha^vee> = 2 <v, alpha> / <alpha, alpha>."""
+        """<v, alpha^vee> = 2 <v, alpha> / <alpha, alpha>, the Gram form.
+
+        Exact for any two vectors of the realization; the label kernel is
+        built from it and entered through it (``labels``).
+        """
         return 2 * self.inner(v, alpha) / self.norm_sq(alpha)
 
     def reflect(self, v: Vector, alpha: Vector) -> Vector:
@@ -211,33 +255,111 @@ class RootDatum:
     def simple_reflect(self, i: int, v: Vector) -> Vector:
         return self.reflect(v, self.simple_roots[i])
 
+    # -- the label kernel -----------------------------------------------------
+
+    def labels(self, v: Vector) -> tuple:
+        """Dynkin labels (<v, alpha_i^vee>)_i, ints where integral (memoized)."""
+        l = self._labels.get(v)
+        if l is None:
+            l = tuple(_exact(self.pairing(v, a)) for a in self.simple_roots)
+            self._labels[v] = l
+        return l
+
+    def from_labels(self, l: tuple) -> Vector:
+        """The vector sum_i l_i omega_i of the root span (memoized)."""
+        v = self._vectors.get(l)
+        if v is None:
+            den = self._fund_den
+            v = tuple(Q(sum(map(mul, row, l)), den) for row in self._fund_rows)
+            self._vectors[l] = v
+            self._labels.setdefault(v, tuple(map(_exact, l)))
+        return v
+
+    def _label_pairings(self, l: tuple) -> tuple:
+        return tuple(_exact(sum(map(mul, c, l))) for c in self.coroot_coefficients)
+
+    def pairings(self, v: Vector) -> tuple:
+        """<v, alpha^vee> for every root, in the order of ``roots`` (memoized)."""
+        p = self._pairings.get(v)
+        if p is None:
+            p = self._pairings[v] = self._label_pairings(self.labels(v))
+        return p
+
+    def _orbit_labels(self, gens, l: tuple) -> set:
+        """Label orbit of l under the reflections in the roots indexed by gens."""
+        tables = [(self.coroot_coefficients[i], self.root_labels[i]) for i in gens]
+        seen = {l}
+        stack = [l]
+        while stack:
+            u = stack.pop()
+            for c, row in tables:
+                k = _exact(sum(map(mul, c, u)))
+                if k:
+                    w = _step(u, k, row)
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return seen
+
+    def _dominant_orbit(self, top: tuple) -> set:
+        """W-orbit of dominant labels: descend by the simple reflections at
+        positive labels, which reaches every element (as in LiE)."""
+        seen = {top}
+        stack = [top]
+        while stack:
+            u = stack.pop()
+            for k, row in zip(u, self.cartan):
+                if k > 0:
+                    w = _step(u, k, row)
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return seen
+
+    def _dominant_labels(self, l: tuple):
+        """Greedy reflection at the least simple root with a negative label."""
+        steps = []
+        while True:
+            i = next((i for i, k in enumerate(l) if k < 0), None)
+            if i is None:
+                return l, steps
+            l = _step(l, l[i], self.cartan[i])
+            steps.append(i)
+
     # -- construction helpers ----------------------------------------------
 
-    def _reflection_closure(self, seeds):
-        seen = set(seeds) | {vneg(a) for a in seeds}
-        frontier = list(seen)
+    def _from_simple(self, n) -> Vector:
+        return tuple(sum((c * a[d] for c, a in zip(n, self.simple_roots)), Q(0))
+                     for d in range(self.dim))
+
+    def _simple_root_closure(self) -> set:
+        """Simple-root coefficients of the reduced roots: the simple roots
+        closed under s_j(n) = n - <alpha(n), alpha_j^vee> e_j."""
+        rank = self.rank
+        seeds = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+        seen = set(seeds)
+        frontier = list(seeds)
         while frontier:
             nxt = []
-            for a in frontier:
-                for i in range(self.rank):
-                    b = self.simple_reflect(i, a)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
+            for n in frontier:
+                for j in range(rank):
+                    k = sum(n[i] * self.cartan[i][j] for i in range(rank))
+                    m = n[:j] + (n[j] - k,) + n[j + 1:]
+                    if m not in seen:
+                        seen.add(m)
+                        nxt.append(m)
             frontier = nxt
         return seen
 
-    def _is_positive_root(self, alpha: Vector) -> bool:
-        c = self.simple_coefficients(alpha)
-        return c is not None and all(x >= 0 for x in c)
-
     def _compute_root_orbits(self):
-        remaining = set(self.roots)
+        simple = [self.root_index[a] for a in self.simple_roots]
+        by_labels = {l: i for i, l in enumerate(self.root_labels)}
+        remaining = set(range(len(self.roots)))
         orbits = []
         while remaining:
             seed = min(remaining)
-            orb = set(self.orbit_under_reflections(self.simple_roots, seed))
-            orbits.append(tuple(sorted(orb)))
+            orb = {by_labels[l] for l in self._orbit_labels(simple, self.root_labels[seed])}
+            orbits.append(tuple(self.roots[i] for i in sorted(orb)))
             remaining -= orb
         # canonical order: by dominant representative of each orbit
         orbits.sort(key=lambda orb: self.dominant_representative(orb[0])[0])
@@ -254,26 +376,36 @@ class RootDatum:
 
     def simple_coefficients(self, v: Vector):
         """Coordinates of v in the simple-root basis, or None if v is off-span."""
-        p = [self.pairing(v, a) for a in self.simple_roots]
-        coeffs = [sum(p[j] * self._cartan_inv[j][k] for j in range(self.rank))
-                  for k in range(self.rank)]
-        w = vzero(self.dim)
-        for k, c in enumerate(coeffs):
-            w = vadd(w, vscale(c, self.simple_roots[k]))
-        if w != tuple(Q(x) for x in v):
+        l = self.labels(v)
+        if self.from_labels(l) != v:
             return None
-        return tuple(coeffs)
+        return tuple(sum((l[j] * self._cartan_inv[j][k] for j in range(self.rank)), Q(0))
+                     for k in range(self.rank))
 
     def is_weight(self, v: Vector) -> bool:
-        if self.simple_coefficients(v) is None:
+        l = self.labels(v)
+        if self.from_labels(l) != v:
             return False
-        return all(self.pairing(v, a).denominator == 1 for a in self.positive_roots)
+        pairs = l if self._integral_coroots else self.pairings(v)
+        return all(isinstance(x, int) for x in pairs)
+
+    def _weight(self, v: Vector):
+        """(v with Fraction entries, its labels); ValueError off the lattice."""
+        v = tuple(v)
+        entry = self._weights.get(v)
+        if entry is None:
+            w = tuple(Q(x) for x in v)
+            if not self.is_weight(w):
+                raise ValueError(f"{w} is not in the weight lattice of {self}")
+            entry = self._weights[w] = (w, self.labels(w))
+        return entry
 
     def check_weight(self, v: Vector) -> Vector:
-        v = tuple(Q(x) for x in v)
-        if not self.is_weight(v):
-            raise ValueError(f"{v} is not in the weight lattice of {self}")
-        return v
+        return self._weight(v)[0]
+
+    def weight_labels(self, v: Vector) -> tuple:
+        """Labels of a weight; ValueError if v is not in the weight lattice."""
+        return self._weight(v)[1]
 
     def height(self, v: Vector) -> Q:
         """Sum of simple-root coordinates of v."""
@@ -283,7 +415,7 @@ class RootDatum:
         return sum(c)
 
     def is_dominant(self, v: Vector) -> bool:
-        return all(self.pairing(v, a) >= 0 for a in self.simple_roots)
+        return all(x >= 0 for x in self.labels(v))
 
     def check_dominant(self, v: Vector) -> Vector:
         v = self.check_weight(v)
@@ -292,54 +424,44 @@ class RootDatum:
         return v
 
     def weight_from_fundamental(self, coeffs) -> Vector:
-        w = vzero(self.dim)
-        for m, omega in zip(coeffs, self.fundamental_weights, strict=True):
-            w = vadd(w, vscale(m, omega))
-        return w
+        coeffs = tuple(coeffs)
+        if len(coeffs) != self.rank:
+            raise ValueError(f"need {self.rank} fundamental coefficients")
+        return self.from_labels(coeffs)
 
     # -- Weyl group actions ---------------------------------------------------
 
     def weyl_orbit(self, v: Vector) -> tuple[Vector, ...]:
-        """Full W-orbit of a weight, closure under simple reflections."""
-        v = self.check_weight(v)
-        return self.orbit_under_reflections(self.simple_roots, v)
+        """Full W-orbit of a weight, sorted (memoized)."""
+        v, l = self._weight(v)
+        orbit = self._orbits.get(v)
+        if orbit is None:
+            top, _ = self._dominant_labels(l)
+            orbit = tuple(sorted(map(self.from_labels, self._dominant_orbit(top))))
+            self._orbits[v] = orbit
+        return orbit
 
     def orbit_under_reflections(self, gen_roots, v: Vector) -> tuple[Vector, ...]:
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a in gen_roots:
-                    w = self.reflect(u, a)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return tuple(sorted(seen))
+        """Orbit of v (in the root span) under the reflections in gen_roots."""
+        gens = [self.root_index[a] for a in gen_roots]
+        return tuple(sorted(map(self.from_labels, self._orbit_labels(gens, self.labels(v)))))
 
     def apply_word(self, word, v: Vector) -> Vector:
         """Act by the word [i1,...,im] = s_{i1} s_{i2} ... s_{im} (rightmost first)."""
+        l = self.labels(v)
         for i in reversed(word):
-            v = self.simple_reflect(i, v)
-        return v
+            l = _step(l, l[i], self.cartan[i])
+        return self.from_labels(l)
 
     def dominant_representative(self, v: Vector):
-        """(v+, word for the shortest w with w(v) = v+ dominant).
+        """(v+, word for the shortest w with w(v) = v+ dominant), v in the span.
 
         Greedy reflection at the least simple root with negative pairing; the
         step count is the length of the minimal element (checked by brute
         force in the test suite for small groups).
         """
-        steps = []
-        while True:
-            i = next((i for i in range(self.rank)
-                      if self.pairing(v, self.simple_roots[i]) < 0), None)
-            if i is None:
-                break
-            v = self.simple_reflect(i, v)
-            steps.append(i)
-        return v, tuple(reversed(steps))
+        l, steps = self._dominant_labels(self.labels(v))
+        return self.from_labels(l), tuple(reversed(steps))
 
     @staticmethod
     def inverse_word(word):
@@ -347,11 +469,15 @@ class RootDatum:
 
     def stabilizer_roots(self, v: Vector) -> tuple[Vector, ...]:
         """R_v: the roots orthogonal to v (they generate the stabilizer W_v)."""
-        return tuple(a for a in self.roots if self.pairing(v, a) == 0)
+        stab = self._stabilizers.get(v)
+        if stab is None:
+            stab = self._stabilizers[v] = tuple(
+                a for a, k in zip(self.roots, self.pairings(v)) if k == 0)
+        return stab
 
     def stabilizer_orbit(self, v: Vector, eta: Vector) -> tuple[Vector, ...]:
         """Orbit W_v(eta) of eta under the stabilizer of v."""
-        gens = [a for a in self.stabilizer_roots(v) if self._is_positive_root(a)]
+        gens = [a for a in self.stabilizer_roots(v) if a in self._positive_set]
         return self.orbit_under_reflections(gens, eta)
 
     def weyl_order(self) -> int:
@@ -361,17 +487,19 @@ class RootDatum:
         being generated by the reflections fixing it; recursion bottoms out
         on the empty subsystem.
         """
-        return self._subsystem_order(frozenset(self.roots))
+        return self._subsystem_order(frozenset(range(len(self.roots))))
 
     def _subsystem_order(self, roots: frozenset) -> int:
+        """Order of the group generated by the roots with these indices."""
         if not roots:
             return 1
         memo = self._weyl_order_memo
         if roots in memo:
             return memo[roots]
         beta = min(roots)
-        orbit = self.orbit_under_reflections(sorted(roots), beta)
-        stab = frozenset(g for g in roots if self.pairing(beta, g) == 0)
+        orbit = self._orbit_labels(sorted(roots), self.root_labels[beta])
+        pairs = self._label_pairings(self.root_labels[beta])
+        stab = frozenset(g for g in roots if pairs[g] == 0)
         val = len(orbit) * self._subsystem_order(stab)
         memo[roots] = val
         return val
@@ -394,30 +522,31 @@ class RootDatum:
         cached = self._dominant_below_cache.get(lam)
         if cached is not None:
             return cached
-        bounds = self.simple_coefficients(lam)
-        ranges = [range(int(b) + 1) for b in bounds]
+        top = self.labels(lam)
+        ranges = [range(int(b) + 1) for b in self.simple_coefficients(lam)]
         found = []
         for ks in itertools.product(*ranges):
-            mu = lam
-            for k, alpha in zip(ks, self.simple_roots):
-                if k:
-                    mu = vsub(mu, vscale(k, alpha))
-            if self.is_dominant(mu):
-                found.append(mu)
+            mu = tuple(x - sum(k * row[j] for k, row in zip(ks, self.cartan))
+                       for j, x in enumerate(top))
+            if min(mu) >= 0:
+                found.append(self.from_labels(mu))
         result = tuple(sorted(found))
         self._dominant_below_cache[lam] = result
         return result
 
     def saturated_map(self, lam: Vector) -> dict[Vector, Vector]:
         """P(lam) as a map orbit element -> its dominant representative."""
+        return {self.from_labels(l): mu for l, mu in self.saturated_label_map(lam).items()}
+
+    def saturated_label_map(self, lam: Vector) -> dict[tuple, Vector]:
+        """P(lam) as a map from the labels of an element to its dominant
+        representative (a realization vector), memoized."""
         lam = self.check_dominant(lam)
-        cached = self._sat_cache.get(lam)
+        cached = self._sat_label_cache.get(lam)
         if cached is None:
-            cached = {}
-            for mu in self.dominant_below(lam):
-                for nu in self.weyl_orbit(mu):
-                    cached[nu] = mu
-            self._sat_cache[lam] = cached
+            cached = {l: mu for mu in self.dominant_below(lam)
+                      for l in self._dominant_orbit(self.labels(mu))}
+            self._sat_label_cache[lam] = cached
         return cached
 
     def saturated_set(self, lam: Vector) -> tuple[Vector, ...]:
@@ -425,21 +554,26 @@ class RootDatum:
 
     # -- small weights ---------------------------------------------------------
 
+    def _positive_pairings(self, omega: Vector):
+        p = self.pairings(omega)
+        return (p[i] for i in self.positive_indices)
+
     def is_small(self, omega: Vector) -> bool:
         """All pairings with positive coroots at most 2."""
         omega = self.check_dominant(omega)
-        return all(self.pairing(omega, a) <= 2 for a in self.positive_roots)
+        return all(k <= 2 for k in self._positive_pairings(omega))
 
     def is_minuscule(self, omega: Vector) -> bool:
         omega = self.check_dominant(omega)
-        return all(self.pairing(omega, a) <= 1 for a in self.positive_roots)
+        return all(k <= 1 for k in self._positive_pairings(omega))
 
     def is_quasi_minuscule(self, omega: Vector) -> bool:
         omega = self.check_dominant(omega)
-        if omega not in self._root_set:
+        j = self.root_index.get(omega)
+        if j is None:
             return False
-        return all(self.pairing(omega, a) <= 1
-                   for a in self.positive_roots if a != omega)
+        p = self.pairings(omega)
+        return all(p[i] <= 1 for i in self.positive_indices if i != j)
 
     def small_fundamental_weights(self) -> tuple[Vector, ...]:
         return tuple(w for w in self.fundamental_weights if self.is_small(w))
@@ -490,8 +624,10 @@ class RootDatum:
         return vscale(Q(1, 2), acc)
 
     def rho(self, mults: "Multiplicities") -> Vector:
-        """rho_g = (1/2) sum_{alpha > 0} g_alpha alpha."""
-        return self.half_weighted_sum(mults.of)
+        """rho_g = (1/2) sum_{alpha > 0} g_alpha alpha, memoized on mults."""
+        if mults._rho is None:
+            mults._rho = self.half_weighted_sum(mults.of)
+        return mults._rho
 
     def rho_vee(self) -> Vector:
         """rho^vee = (1/2) sum_{alpha > 0} alpha^vee."""
@@ -505,7 +641,10 @@ class RootDatum:
 
 
 class Multiplicities:
-    """Orbit-constant root multiplicities g_alpha > 0 (exact or float)."""
+    """Orbit-constant root multiplicities g_alpha > 0 (exact or float).
+
+    ``root_values`` holds one value per root in ``datum.roots`` order.
+    """
 
     def __init__(self, datum: RootDatum, values):
         values = tuple(values)
@@ -516,6 +655,8 @@ class Multiplicities:
             raise ValueError("multiplicities must be positive")
         self.datum = datum
         self.values = values
+        self.root_values = tuple(values[i] for i in datum.root_orbit_ids)
+        self._rho = None
 
     @classmethod
     def constant(cls, datum: RootDatum, g):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from operator import mul
 
-from .rootsys import Multiplicities, RootDatum, Vector, vadd, vsub, vneg
+from .rootsys import Multiplicities, RootDatum, Vector, vadd
 
 
 class InternalConsistencyError(RuntimeError):
@@ -123,54 +124,24 @@ def orbit_sum(datum: RootDatum, mu: Vector) -> ExpPoly:
     return ExpPoly({nu: Q(1) for nu in datum.weyl_orbit(mu)})
 
 
-def is_w_invariant(datum: RootDatum, p: ExpPoly) -> bool:
-    for i in range(datum.rank):
-        for nu, c in p.terms.items():
-            if p.terms.get(datum.simple_reflect(i, nu)) != c:
+def _is_invariant(datum: RootDatum, terms: dict) -> bool:
+    """Label-keyed terms are fixed by every simple reflection."""
+    for l, c in terms.items():
+        for k, row in zip(l, datum.cartan):
+            if k and terms.get(tuple(a - k * b for a, b in zip(l, row))) != c:
                 return False
     return True
+
+
+def is_w_invariant(datum: RootDatum, p: ExpPoly) -> bool:
+    """p is fixed by W; its exponents must be weights (ValueError if not)."""
+    return _is_invariant(datum, {datum.weight_labels(nu): c for nu, c in p.terms.items()})
 
 
 def eigenvalue_E(datum: RootDatum, mults: Multiplicities, xi: Vector):
     """E(xi) = <xi,xi> - <rho_g,rho_g>."""
     rho = datum.rho(mults)
     return datum.inner(xi, xi) - datum.inner(rho, rho)
-
-
-def _divide_by_one_minus_exp(datum: RootDatum, q: ExpPoly, alpha: Vector) -> ExpPoly:
-    """Exact quotient q / (1 - e^{-alpha}); fatal if the division is inexact.
-
-    Terms are bucketed into alpha-strings (same component orthogonal to
-    alpha and same pairing parity), where the quotient coefficients are the
-    top-down partial sums.  Each string must sum to zero, which is the
-    telescoping divisibility criterion.
-    """
-    strings: dict[tuple, dict] = {}
-    for nu, c in q.terms.items():
-        k = datum.pairing(nu, alpha)
-        if k.denominator != 1:
-            raise InternalConsistencyError(f"non-integral pairing {k} in division")
-        perp = tuple(a - (k / 2) * b for a, b in zip(nu, alpha))
-        key = (perp, k.numerator % 2)
-        strings.setdefault(key, {})[k] = (c, nu)
-    out = {}
-    for entries in strings.values():
-        ks = sorted(entries, reverse=True)
-        k_top, k_bot = ks[0], ks[-1]
-        run = Q(0)
-        k = k_top
-        nu = entries[k_top][1]
-        while k >= k_bot:
-            if k in entries:
-                run = run + entries[k][0]
-            if k > k_bot and run != 0:
-                out[nu] = run
-            k -= 2
-            nu = vsub(nu, alpha)
-        if run != 0:
-            raise InternalConsistencyError(
-                f"division by 1 - e^-{alpha} left remainder {run}")
-    return ExpPoly(out)
 
 
 def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
@@ -180,20 +151,46 @@ def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
     The rational factor acts by exact division: (1+e^{-alpha}) d_alpha p is
     divisible by (1-e^{-alpha}) because d_alpha p is antisymmetric under the
     reflection in alpha.
+
+    The division runs on labels.  With k = <nu, alpha^vee>, the terms of
+    d_alpha p fall into alpha-strings, each keyed by its base label
+    l - floor(k/2) labels(alpha).  Along a string, with d_k the coefficient
+    at pairing k and S_k = sum_{j >= k} d_j, the quotient has coefficient
+    S_k + S_{k+2} at pairing k.  Each string must sum to zero, which is the
+    telescoping divisibility criterion; a remainder is fatal.
     """
-    if not is_w_invariant(datum, p):
+    terms, out = {}, {}
+    for nu, c in p.terms.items():
+        l = datum.weight_labels(nu)
+        terms[l] = c
+        out[l] = datum.inner(nu, nu) * c
+    if not _is_invariant(datum, terms):
         raise ValueError("apply_L requires a W-invariant argument")
-    out = {nu: datum.inner(nu, nu) * c for nu, c in p.terms.items()}
-    for alpha in datum.positive_roots:
-        g = mults.of(alpha)
-        d = ExpPoly({nu: datum.inner(nu, alpha) * c for nu, c in p.terms.items()})
-        if d.is_zero():
-            continue
-        q = d + d.shift(vneg(alpha))
-        h = _divide_by_one_minus_exp(datum, q, alpha)
-        for nu, c in h.terms.items():
-            out[nu] = out.get(nu, Q(0)) + g * c
-    return ExpPoly(out)
+    for i in datum.positive_indices:
+        lab = datum.root_labels[i]
+        cc = datum.coroot_coefficients[i]
+        # <nu, alpha> = k |alpha|^2 / 2
+        weight = mults.root_values[i] * datum.norm_sq(datum.roots[i]) / 2
+        strings: dict[tuple, dict] = {}
+        for l, c in terms.items():
+            k = int(sum(map(mul, cc, l)))   # integral: l labels a weight
+            if k == 0:
+                continue
+            base = tuple(a - (k // 2) * b for a, b in zip(l, lab))
+            strings.setdefault(base, {})[k] = k * c
+        for base, d in strings.items():
+            s_above = s = 0
+            for k in range(max(d), min(d) - 1, -2):
+                s = s_above + d.get(k, 0)
+                h = s + s_above
+                if h:
+                    key = tuple(a + (k // 2) * b for a, b in zip(base, lab))
+                    out[key] = out.get(key, 0) + weight * h
+                s_above = s
+            if s != 0:
+                raise InternalConsistencyError(
+                    f"division by 1 - e^-{datum.roots[i]} left remainder {s}")
+    return ExpPoly({datum.from_labels(l): c for l, c in out.items()})
 
 
 def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
@@ -205,11 +202,11 @@ def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
     omega = datum.check_dominant(omega)
     if not datum.is_small(omega):
         raise ValueError(f"{omega} is not small (some pairing exceeds 2)")
-    acc = ExpPoly.zero()
+    terms = {}
     for mu in datum.dominant_below(omega):
-        orbit_size = len(datum.stabilizer_orbit(mu, omega))
-        acc = acc + orbit_sum(datum, mu).scale(Q(orbit_size))
-    return acc
+        orbit_size = Q(len(datum.stabilizer_orbit(mu, omega)))
+        terms.update((nu, orbit_size) for nu in datum.weyl_orbit(mu))
+    return ExpPoly(terms)
 
 
 def eval_at(datum: RootDatum, p: ExpPoly, x) -> float:

@@ -155,12 +155,13 @@ def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
     """Limit shift coefficient: product of eta/z over positive pairings and
     eta/(1+z) over pairings equal to 2.  Exact for rational xi."""
     exact = all(isinstance(v, (int, Q)) for v in xi)
+    xi_pairs = datum.pairings(xi) if exact else None
     total = SqrtRational(1) if exact else 1.0
-    for alpha in datum.roots:
-        k = datum.pairing(nu, alpha)
+    for i, k in enumerate(datum.pairings(nu)):
         if k <= 0:
             continue
-        z = datum.pairing(xi, alpha) if exact else _pair_float(datum, xi, alpha)
+        alpha = datum.roots[i]
+        z = xi_pairs[i] if exact else _pair_float(datum, xi, alpha)
         eta = eta_alpha(datum, alpha)
         if z == 0:
             raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
@@ -175,12 +176,13 @@ def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
 def coeff_Ubar(datum: RootDatum, nu: Vector, eta_wt: Vector, xi):
     """Limit stabilizer coefficient; the pairing-2 factor carries -eta."""
     exact = all(isinstance(v, (int, Q)) for v in xi)
+    xi_pairs = datum.pairings(xi) if exact else None
     total = SqrtRational(1) if exact else 1.0
-    for alpha in datum.stabilizer_roots(nu):
-        k = datum.pairing(eta_wt, alpha)
-        if k <= 0:
+    for i, (kn, k) in enumerate(zip(datum.pairings(nu), datum.pairings(eta_wt))):
+        if kn != 0 or k <= 0:
             continue
-        z = datum.pairing(xi, alpha) if exact else _pair_float(datum, xi, alpha)
+        alpha = datum.roots[i]
+        z = xi_pairs[i] if exact else _pair_float(datum, xi, alpha)
         eta = eta_alpha(datum, alpha)
         if z == 0:
             raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
@@ -288,11 +290,11 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
     """
     toda_etas = [eta_alpha(datum, rep) for rep in datum.orbit_representatives()]
     mults = Multiplicities(datum, [g_of_t(e, t) for e in toda_etas])
-    rho = datum.rho(mults)
+    rho_pairs = datum.pairings(datum.rho(mults))
     total = 0.0
-    for alpha in datum.positive_roots:
-        z = float(datum.pairing(rho, alpha))
-        g = mults.of(alpha)
+    for i in datum.positive_indices:
+        z = float(rho_pairs[i])
+        g = mults.root_values[i]
         total += math.lgamma(z) + math.lgamma(g) - math.lgamma(z + g)
     return total
 
@@ -328,29 +330,25 @@ def homogeneity_identity(datum: RootDatum, omega: Vector, mu: Vector) -> bool:
     mu = datum.check_dominant(mu)
     if not datum.is_small(omega):
         raise ValueError(f"{omega} is not small")
-    positive = set(datum.positive_roots)
-    for orbit in datum.root_orbits:
-        lhs = rhs = Q(0)
-        for alpha in orbit:
-            if alpha not in positive:
-                continue
-            k = datum.pairing(mu, alpha)
-            if k > 0:
-                lhs += k
-                rhs += datum.pairing(omega, alpha)
-        if lhs != rhs:
-            return False
-    return True
+    lhs = [0] * len(datum.root_orbits)
+    rhs = [0] * len(datum.root_orbits)
+    mu_pairs, omega_pairs = datum.pairings(mu), datum.pairings(omega)
+    for i in datum.positive_indices:
+        if mu_pairs[i] > 0:
+            lhs[datum.root_orbit_ids[i]] += mu_pairs[i]
+            rhs[datum.root_orbit_ids[i]] += omega_pairs[i]
+    return lhs == rhs
 
 
 def homogeneity_gap(datum: RootDatum, mults: Multiplicities,
                     omega: Vector, mu: Vector) -> Q:
     """Difference of the two weighted sums at a concrete multiplicity choice."""
     gap = Q(0)
-    for alpha in datum.positive_roots:
-        k = datum.pairing(mu, alpha)
+    mu_pairs, omega_pairs = datum.pairings(mu), datum.pairings(omega)
+    for i in datum.positive_indices:
+        k = mu_pairs[i]
         if k > 0:
-            gap += mults.of(alpha) * (k - datum.pairing(omega, alpha))
+            gap += mults.root_values[i] * (k - omega_pairs[i])
     return gap
 
 

@@ -264,3 +264,51 @@ def test_multiplicities_validation(b2):
     m = Multiplicities.by_representative(b2, {short: Q(1, 2), long_: Q(5)})
     assert m.of((Q(0), Q(1))) == Q(1, 2)
     assert m.of((Q(1), Q(-1))) == Q(5)
+
+
+LABEL_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4),
+                 ("G", 2), ("BC", 1), ("BC", 2), ("F", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("fam,rank", LABEL_SYSTEMS)
+def test_label_kernel_matches_gram_form(fam, rank):
+    datum = build_root_system(fam, rank)
+    rng = random.Random(f"gram:{fam}{rank}")
+    randoms = [tuple(Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(datum.dim))
+               for _ in range(5)]
+    for v in datum.roots + datum.fundamental_weights + tuple(randoms):
+        table = datum.pairings(v)
+        assert len(table) == len(datum.roots)
+        for i, alpha in enumerate(datum.roots):
+            gram = 2 * datum.inner(v, alpha) / datum.norm_sq(alpha)
+            assert table[i] == gram, (v, alpha)
+            assert datum.pairing(v, alpha) == gram
+    for i, alpha in enumerate(datum.roots):
+        assert datum.labels(alpha) == datum.root_labels[i]
+        assert datum.from_labels(datum.root_labels[i]) == alpha
+    for w in datum.fundamental_weights:
+        assert datum.from_labels(datum.labels(w)) == w
+
+
+@pytest.mark.parametrize("fam,rank", [("F", 4), ("E", 6)])
+def test_orbit_stabilizer_exceptional(fam, rank):
+    datum = build_root_system(fam, rank)
+    order = datum.weyl_order()
+    regular = datum.weight_from_fundamental([1] * rank)
+    for i, w in enumerate(datum.fundamental_weights):
+        # W_{omega_i} is generated by the other simple reflections and acts
+        # freely on a regular weight, whose orbit under it has |W_{omega_i}|
+        # elements
+        gens = [a for j, a in enumerate(datum.simple_roots) if j != i]
+        stab_order = len(datum.orbit_under_reflections(gens, regular))
+        assert order % stab_order == 0
+        assert len(datum.weyl_orbit(w)) == order // stab_order
+
+
+def test_root_values_follow_orbits(b2, bc2):
+    for datum in (b2, bc2):
+        values = [Q(k + 1, 7) for k in range(len(datum.root_orbits))]
+        m = Multiplicities(datum, values)
+        assert m.root_values == tuple(m.of(a) for a in datum.roots)
+        assert datum.rho(m) is datum.rho(m)
+        assert datum.rho(m) == datum.half_weighted_sum(m.of)

@@ -132,3 +132,19 @@ def test_eval_at_matches_direct_formula(g2):
                      for i in range(2) for j in range(2)))
         for nu in p.terms)
     assert abs(eval_at(g2, p, x) - direct) < 1e-12 * abs(direct)
+
+
+def test_apply_l_untelescoped_string_is_fatal(a2, monkeypatch):
+    # negative control for the string division: let a non-invariant element
+    # past the invariance gate; the alpha-strings of e^{omega_1} do not sum
+    # to zero, so the exact division must refuse rather than truncate
+    from hodiff import weylalg
+    monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
+    g = Multiplicities.constant(a2, Q(3, 7))
+    with pytest.raises(weylalg.InternalConsistencyError):
+        apply_L(a2, g, ExpPoly.monomial(a2.fundamental_weights[0]))
+
+
+def test_is_w_invariant_rejects_off_lattice_exponents(a2):
+    with pytest.raises(ValueError):
+        is_w_invariant(a2, ExpPoly.monomial((Q(1), Q(0), Q(0))))

@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
@@ -53,7 +52,6 @@ class CampaignConfig:
     samples: int = 3
     seed: int = 20150801
     suites: tuple = ("pieri", "eigen", "bc", "quasi", "whittaker", "rankone")
-    jobs: int = 1
     perturb: str | None = None
     tol_de: float = 1e-9
     tol_confluence: float = 1e-6
@@ -449,27 +447,10 @@ def cmd_verify(args) -> int:
         print(f"error: unknown perturbation {args.perturb}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        config = CampaignConfig(systems=systems, omegas=omegas,
-                                height_bound=Q(args.height),
-                                samples=args.samples, seed=args.seed,
-                                suites=suites, jobs=args.jobs,
-                                perturb=args.perturb or None)
-        if args.jobs > 1:
-            # suites are independent; fan out and merge in suite order
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                partials = list(pool.map(
-                    lambda s: run_campaign(
-                        CampaignConfig(systems=systems, omegas=omegas,
-                                       height_bound=Q(args.height),
-                                       samples=args.samples, seed=args.seed,
-                                       suites=(s,), jobs=1,
-                                       perturb=args.perturb or None)),
-                    suites))
-            result = CampaignResult()
-            for part in partials:
-                result.cases.extend(part.cases)
-        else:
-            result = run_campaign(config)
+        result = run_campaign(CampaignConfig(
+            systems=systems, omegas=omegas, height_bound=Q(args.height),
+            samples=args.samples, seed=args.seed, suites=suites,
+            perturb=args.perturb or None))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -585,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", default="4")
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--seed", type=int, default=20150801)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--perturb", default=None,
                    help="negative-control hook: u-sign or v-drop-pairing2")
     p.add_argument("--out")

@@ -9,11 +9,13 @@ eigencheck through the division-based operator action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .rootsys import Multiplicities, RootDatum, Vector, vadd, vscale
-from .weylalg import ExpPoly, apply_L, eigenvalue_E, exp_to_json
+from .weylalg import (ExpPoly, apply_L_labels, eigenvalue_E, exp_to_json,
+                      require_exact)
 
 
 class JacobiPolynomial:
@@ -25,7 +27,7 @@ class JacobiPolynomial:
         self.mults = mults
         self.lam = lam
         self.coeffs = coeffs              # dominant mu <= lam -> coefficient
-        self._expansion = None
+        self._label_terms = None
 
     def coefficient(self, mu: Vector) -> Q:
         return self.coeffs.get(mu, Q(0))
@@ -33,13 +35,20 @@ class JacobiPolynomial:
     def leading_coefficient(self) -> Q:
         return self.coeffs[self.lam]
 
+    def label_terms(self) -> dict:
+        """The expansion over the saturated support, keyed by the labels of
+        each exponent (built once; zero coefficients are left out)."""
+        if self._label_terms is None:
+            dom = {self.datum.labels(mu): c for mu, c in self.coeffs.items()}
+            self._label_terms = {
+                l: c for l, m in self.datum.saturated_label_map(self.lam).items()
+                if (c := dom[m])}
+        return self._label_terms
+
     def exp_poly(self) -> ExpPoly:
         """The polynomial as an explicit sum over its saturated support."""
-        if self._expansion is None:
-            # the orbits are disjoint, so each term is one coefficient
-            self._expansion = ExpPoly({nu: c for mu, c in self.coeffs.items()
-                                       for nu in self.datum.weyl_orbit(mu)})
-        return self._expansion
+        return ExpPoly({self.datum.from_labels(l): c
+                        for l, c in self.label_terms().items()})
 
     def to_json(self):
         from .weylalg import _q_str
@@ -64,6 +73,7 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
     The denominator is strictly positive for positive multiplicities, and the
     j-sum is finite because c~ vanishes outside the saturated set.
     """
+    require_exact(mults)
     lam = datum.check_dominant(lam)
     sat = datum.saturated_label_map(lam)
     doms = sorted(datum.dominant_below(lam),
@@ -77,13 +87,13 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
                  mults.root_values[i] * datum.norm_sq(datum.roots[i]))
                 for i in datum.positive_indices]
 
-    monic: dict[Vector, Q] = {}
+    monic: dict[tuple, Q] = {}        # keyed by the labels of mu
     for mu in doms:
+        mu_labels = datum.labels(mu)
         if mu == lam:
-            monic[mu] = Q(1)
+            monic[mu_labels] = Q(1)
             continue
         rhs = Q(0)
-        mu_labels = datum.labels(mu)
         pairs = datum.pairings(mu)
         for i, lab, weight in positive:
             k = pairs[i] + 2
@@ -99,13 +109,13 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
             raise ArithmeticError(
                 f"vanishing recursion denominator at mu={mu}; "
                 "impossible for positive multiplicities")
-        monic[mu] = rhs / denom
+        monic[mu_labels] = rhs / denom
 
-    z = sum(c * len(datum.weyl_orbit(mu)) for mu, c in monic.items())
+    coeffs = {mu: monic[datum.labels(mu)] for mu in doms}
+    z = sum(c * len(datum.weyl_orbit(mu)) for mu, c in coeffs.items())
     if z == 0:
         raise ArithmeticError("vanishing value at the origin; cannot normalize")
-    coeffs = {mu: c / z for mu, c in monic.items()}
-    return JacobiPolynomial(datum, mults, lam, coeffs)
+    return JacobiPolynomial(datum, mults, lam, {mu: c / z for mu, c in coeffs.items()})
 
 
 def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
@@ -160,17 +170,28 @@ class EigenReport:
 
 def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
                  poly: JacobiPolynomial | None = None) -> EigenReport:
-    """Assert L P_lambda equals E(rho+lam) P_lambda with zero residual."""
+    """Assert L P_lambda equals E(rho+lam) P_lambda with zero residual.
+
+    The check runs in integers: with D the lcm of the coefficient
+    denominators, L(D P) = E (D P) is compared key by key, and only a
+    nonzero difference is divided back into the residual.
+    """
     poly = poly or jacobi_polynomial(datum, mults, lam)
-    p = poly.exp_poly()
-    rho = datum.rho(mults)
-    ev = eigenvalue_E(datum, mults, vadd(rho, lam))
-    residual = apply_L(datum, mults, p) - p.scale(ev)
+    ev = Q(eigenvalue_E(datum, mults, vadd(datum.rho(mults), lam)))
+    terms = poly.label_terms()
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    cleared = {l: c.numerator * (d // c.denominator) for l, c in terms.items()}
+    n, image = apply_L_labels(datum, mults, cleared)
+    residual = {}
+    for l, v in image.items():
+        r = v * ev.denominator - n * ev.numerator * cleared.get(l, 0)
+        if r:
+            residual[datum.from_labels(l)] = Q(r, n * ev.denominator * d)
     return EigenReport(
         system=f"{datum.family}{datum.rank}",
         lam=lam,
         g=mults.key(),
         eigenvalue=ev,
-        ok=residual.is_zero(),
-        residual=exp_to_json(residual),
+        ok=not residual,
+        residual=exp_to_json(ExpPoly(residual)),
     )

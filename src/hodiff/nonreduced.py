@@ -10,11 +10,10 @@ the e_j and 2e_j strings.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .diffeq import PoleAtSpectralPoint, poly_cache_get
+from .diffeq import PoleAtSpectralPoint, pieri_residual, poly_cache_get
 from .rootsys import Multiplicities, RootDatum, build_root_system
 from .weylalg import ExpPoly, InternalConsistencyError, exp_to_json
 
@@ -161,7 +160,6 @@ class BcPieriReport:
     ok: bool
     n_terms: int
     residual: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     def to_dict(self):
         return {"n": self.n, "ell": self.ell,
@@ -171,47 +169,49 @@ class BcPieriReport:
                 "n_terms": self.n_terms, "residual": self.residual}
 
 
-def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
-                    datum: RootDatum | None = None) -> BcPieriReport:
-    """Exact Pieri identity for the nonreduced system at xi_j = rho_j + lam_j.
+def pieri_terms_bc(n: int, gs, ell: int, lam, xi):
+    """Surviving (signed subset, shifted partition, U*V) triples at xi.
 
     Terms whose shifted weight is not a partition must carry a vanishing V
     coefficient; a violation is fatal, a pole requests a resample.
     """
-    t0 = time.perf_counter()
-    g, g1, g2 = (Q(x) for x in gs)
-    lam = tuple(Q(x) for x in lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
-    datum = datum or build_root_system("BC", n)
-    mults = bc_multiplicities(datum, g, g1, g2)
-    rho = datum.rho(mults)
-    xi = tuple(rho[j] + lam[j] for j in range(n))
-
     terms = []
     for size in range(ell + 1):
         for J in itertools.combinations(range(n), size):
             Kc = tuple(k for k in range(n) if k not in J)
-            u = coeff_U_Kp(n, (g, g1, g2), Kc, ell - size, xi)
+            u = coeff_U_Kp(n, gs, Kc, ell - size, xi)
             for sub in signed_subsets(J):
-                v = coeff_V_signed(n, (g, g1, g2), sub, xi)
+                v = coeff_V_signed(n, gs, sub, xi)
                 shifted = tuple(a + b for a, b in zip(lam, sub.shift_vector(n)))
                 if is_partition(shifted):
                     terms.append((sub, shifted, u * v))
                 elif v != 0:
                     raise InternalConsistencyError(
                         f"V did not vanish at excluded shift {sub} for lam={lam}")
+    return terms
 
-    lhs = expansion_E_ell(n, ell) * poly_cache_get(cache, datum, mults, lam).exp_poly()
-    rhs = ExpPoly.zero()
-    for _sub, shifted, c in terms:
-        rhs = rhs + poly_cache_get(cache, datum, mults, shifted).exp_poly().scale(c)
-    residual = lhs - rhs
+
+def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
+                    datum: RootDatum | None = None) -> BcPieriReport:
+    """Exact Pieri identity for the nonreduced system at xi_j = rho_j + lam_j,
+    compared on the dominant chamber below lam + e_1 + ... + e_n."""
+    gs = tuple(Q(x) for x in gs)
+    lam = tuple(Q(x) for x in lam)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
+    datum = datum or build_root_system("BC", n)
+    mults = bc_multiplicities(datum, *gs)
+    rho = datum.rho(mults)
+    terms = pieri_terms_bc(n, gs, ell, lam, tuple(rho[j] + lam[j] for j in range(n)))
+    poly = poly_cache_get(cache, datum, mults, lam)
+    shifted = [(poly_cache_get(cache, datum, mults, sh), c) for _sub, sh, c in terms]
+    residual = pieri_residual(datum, expansion_E_ell(n, ell), poly, shifted,
+                              tuple(x + 1 for x in lam))
+    g, g1, g2 = gs
     return BcPieriReport(
         n=n, ell=ell, lam=lam, g=g, g1=g1, g2=g2,
         ok=residual.is_zero(), n_terms=len(terms),
         residual=exp_to_json(residual),
-        elapsed=time.perf_counter() - t0,
     )
 
 

@@ -202,6 +202,13 @@ class RootDatum:
         self._fund_den = math.lcm(*(x.denominator for w in fund for x in w))
         self._fund_rows = tuple(tuple((x * self._fund_den).numerator for x in col)
                                 for col in zip(*fund))
+        # <omega_i, omega_j> = (cartan^{-1})[j][i] |alpha_i|^2 / 2, held as
+        # weight_gram[i][j] / weight_gram_den, so <v, v> = l G l / den on labels
+        gram_w = [[self._cartan_inv[j][i] * self.norm_sq(simples[i]) / 2
+                   for j in range(rank)] for i in range(rank)]
+        self.weight_gram_den = math.lcm(*(x.denominator for row in gram_w for x in row))
+        self.weight_gram: tuple[tuple[int, ...], ...] = tuple(
+            tuple((x * self.weight_gram_den).numerator for x in row) for row in gram_w)
 
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
@@ -216,7 +223,7 @@ class RootDatum:
             self._orbit_index[a] for a in self.roots)
 
         self._weyl_order_memo: dict[frozenset, int] = {}
-        self._sat_label_cache: dict[Vector, dict[tuple, Vector]] = {}
+        self._sat_label_cache: dict[Vector, dict[tuple, tuple]] = {}
         self._dominant_below_cache: dict[Vector, tuple[Vector, ...]] = {}
 
     # -- bilinear form ------------------------------------------------------
@@ -536,16 +543,17 @@ class RootDatum:
 
     def saturated_map(self, lam: Vector) -> dict[Vector, Vector]:
         """P(lam) as a map orbit element -> its dominant representative."""
-        return {self.from_labels(l): mu for l, mu in self.saturated_label_map(lam).items()}
+        return {self.from_labels(l): self.from_labels(m)
+                for l, m in self.saturated_label_map(lam).items()}
 
-    def saturated_label_map(self, lam: Vector) -> dict[tuple, Vector]:
-        """P(lam) as a map from the labels of an element to its dominant
-        representative (a realization vector), memoized."""
+    def saturated_label_map(self, lam: Vector) -> dict[tuple, tuple]:
+        """P(lam) as a map from the labels of an element to the labels of its
+        dominant representative, memoized."""
         lam = self.check_dominant(lam)
         cached = self._sat_label_cache.get(lam)
         if cached is None:
-            cached = {l: mu for mu in self.dominant_below(lam)
-                      for l in self._dominant_orbit(self.labels(mu))}
+            cached = {l: m for m in map(self.labels, self.dominant_below(lam))
+                      for l in self._dominant_orbit(m)}
             self._sat_label_cache[lam] = cached
         return cached
 

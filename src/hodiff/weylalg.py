@@ -144,33 +144,39 @@ def eigenvalue_E(datum: RootDatum, mults: Multiplicities, xi: Vector):
     return datum.inner(xi, xi) - datum.inner(rho, rho)
 
 
-def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
-    """Exact action of the hypergeometric operator on a W-invariant element.
+def require_exact(mults: Multiplicities) -> None:
+    """ValueError unless every multiplicity is an int or a Fraction."""
+    if not all(isinstance(v, (int, Q)) for v in mults.values):
+        raise ValueError("exact multiplicities required")
+
+
+def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
+    """(n, image) with image[l] = n (L p)[l], for the W-invariant element p
+    given by its label-keyed terms.
 
     L = Laplacian + sum_{alpha>0} g_alpha (1+e^{-alpha})/(1-e^{-alpha}) d_alpha.
     The rational factor acts by exact division: (1+e^{-alpha}) d_alpha p is
     divisible by (1-e^{-alpha}) because d_alpha p is antisymmetric under the
     reflection in alpha.
 
-    The division runs on labels.  With k = <nu, alpha^vee>, the terms of
-    d_alpha p fall into alpha-strings, each keyed by its base label
-    l - floor(k/2) labels(alpha).  Along a string, with d_k the coefficient
-    at pairing k and S_k = sum_{j >= k} d_j, the quotient has coefficient
-    S_k + S_{k+2} at pairing k.  Each string must sum to zero, which is the
-    telescoping divisibility criterion; a remainder is fatal.
+    With k = <nu, alpha^vee>, the terms of d_alpha p fall into alpha-strings,
+    each keyed by its base label l - floor(k/2) labels(alpha).  Along a
+    string, with d_k the coefficient at pairing k and S_k = sum_{j >= k} d_j,
+    the quotient has coefficient S_k + S_{k+2} at pairing k.  Each string must
+    sum to zero, which is the telescoping divisibility criterion; a remainder
+    is fatal.  The string quotients are summed per root orbit and weighted
+    once per key by g_alpha |alpha|^2 / 2 (as <nu, alpha> = k |alpha|^2 / 2);
+    the Laplacian term is <nu, nu> from the fundamental-weight Gram form.
+    n clears the denominators of those weights and of the Gram form, so
+    integer terms give an integer image.
     """
-    terms, out = {}, {}
-    for nu, c in p.terms.items():
-        l = datum.weight_labels(nu)
-        terms[l] = c
-        out[l] = datum.inner(nu, nu) * c
+    require_exact(mults)
     if not _is_invariant(datum, terms):
         raise ValueError("apply_L requires a W-invariant argument")
+    sums = [{} for _ in datum.root_orbits]
     for i in datum.positive_indices:
         lab = datum.root_labels[i]
         cc = datum.coroot_coefficients[i]
-        # <nu, alpha> = k |alpha|^2 / 2
-        weight = mults.root_values[i] * datum.norm_sq(datum.roots[i]) / 2
         strings: dict[tuple, dict] = {}
         for l, c in terms.items():
             k = int(sum(map(mul, cc, l)))   # integral: l labels a weight
@@ -178,6 +184,7 @@ def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
                 continue
             base = tuple(a - (k // 2) * b for a, b in zip(l, lab))
             strings.setdefault(base, {})[k] = k * c
+        acc = sums[datum.root_orbit_ids[i]]
         for base, d in strings.items():
             s_above = s = 0
             for k in range(max(d), min(d) - 1, -2):
@@ -185,12 +192,33 @@ def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
                 h = s + s_above
                 if h:
                     key = tuple(a + (k // 2) * b for a, b in zip(base, lab))
-                    out[key] = out.get(key, 0) + weight * h
+                    acc[key] = acc.get(key, 0) + h
                 s_above = s
             if s != 0:
                 raise InternalConsistencyError(
                     f"division by 1 - e^-{datum.roots[i]} left remainder {s}")
-    return ExpPoly({datum.from_labels(l): c for l, c in out.items()})
+    weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
+               for o, orbit in enumerate(datum.root_orbits)]
+    n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
+    weighted = [((w * n).numerator, acc) for w, acc in zip(weights, sums) if acc]
+    lap = n // datum.weight_gram_den
+    gram = datum.weight_gram
+    image = {}
+    for l in set(terms).union(*sums):
+        v = sum(w * acc.get(l, 0) for w, acc in weighted)
+        c = terms.get(l)
+        if c:
+            v += lap * c * sum(x * sum(map(mul, row, l)) for x, row in zip(l, gram))
+        image[l] = v
+    return n, image
+
+
+def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
+    """Exact action of the hypergeometric operator on a W-invariant element
+    (see ``apply_L_labels``); exact multiplicities are required."""
+    n, image = apply_L_labels(
+        datum, mults, {datum.weight_labels(nu): c for nu, c in p.terms.items()})
+    return ExpPoly({datum.from_labels(l): Q(v) / n for l, v in image.items()})
 
 
 def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hodiff import cli
 
 
@@ -104,6 +106,10 @@ def test_verify_invalid_inputs():
     assert run(["verify", "--family", "A"]) == 2  # missing rank
     assert run(["verify", "--suite", "pieri", "--family", "Z", "--rank", "1"]) == 2
     assert run(["verify", "--suite", "pieri", "--perturb", "nope"]) == 2
+    # --jobs was removed; argparse rejects it as an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_explicit_omega(tmp_path, capsys):
@@ -125,11 +131,3 @@ def test_default_campaign_exit_zero(tmp_path):
     assert run(["verify", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["n_fail"] == 0 and payload["n_cases"] > 600
-
-
-def test_verify_parallel_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-    base = ["verify", "--suite", "quasi,rankone", "--seed", "3"]
-    assert run(base + ["--out", str(serial)]) == 0
-    assert run(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()

@@ -4,13 +4,14 @@ from fractions import Fraction as Q
 import pytest
 
 from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PoleAtSpectralPoint,
-                           coeff_U, coeff_V, pieri_index, pieri_terms,
-                           quasi_identity_value, sample_multiplicities,
-                           sample_spectral_point, specialization_consistency,
-                           verify_pieri)
+                           coeff_U, coeff_V, pieri_index, pieri_residual,
+                           pieri_terms, quasi_identity_value,
+                           sample_multiplicities, sample_spectral_point,
+                           specialization_consistency, verify_pieri)
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import Multiplicities, vadd, vscale
-from hodiff.weylalg import ExpPoly
+from hodiff.weylalg import (ExpPoly, InternalConsistencyError,
+                            expansion_E_omega)
 
 
 def _a1_setup(a1, g_val=Q(3, 7), z=Q(5, 3)):
@@ -186,3 +187,70 @@ def test_sampler_determinism(c3):
     xi2 = sample_spectral_point(c3, random.Random("x"))
     assert xi1 == xi2
     assert all(c3.pairing(xi1, a) not in (0, -1) for a in c3.roots)
+
+
+def _pieri_sides(datum, omega, lam, tag, perturb=None):
+    rng = random.Random(tag)
+    while True:
+        mults = sample_multiplicities(datum, rng)
+        try:
+            terms = pieri_terms(datum, mults, omega, lam, perturb=perturb)
+        except PoleAtSpectralPoint:
+            continue
+        shifted = [(jacobi_polynomial(datum, mults, vadd(lam, nu)), c)
+                   for nu, _eta, c in terms]
+        return jacobi_polynomial(datum, mults, lam), shifted
+
+
+@pytest.mark.parametrize("system", ["a2", "b2", "g2", "c3", "d4"])
+def test_pieri_residual_matches_product_reference(system, request,
+                                                  reference_residual, corrupted):
+    datum = request.getfixturevalue(system)
+    omega = datum.small_fundamental_weights()[0]
+    lam = datum.fundamental_weights[-1]
+    poly, shifted = _pieri_sides(datum, omega, lam, f"residual:{system}")
+    e_poly = expansion_E_omega(datum, omega)
+    top = vadd(lam, omega)
+    assert pieri_residual(datum, e_poly, poly, shifted, top).is_zero()
+    # corrupt the shifted polynomial with the highest weight
+    i = max(range(len(shifted)), key=lambda j: datum.height(shifted[j][0].lam))
+    bad = list(shifted)
+    bad[i] = (corrupted(shifted[i][0]), shifted[i][1])
+    got = pieri_residual(datum, e_poly, poly, bad, top)
+    assert not got.is_zero()
+    assert got == reference_residual(e_poly, poly, bad)
+
+
+@pytest.mark.parametrize("perturb", [PERTURB_U_SIGN, PERTURB_V_DROP])
+def test_pieri_residual_matches_reference_under_perturbation(b2, perturb,
+                                                            reference_residual):
+    omega = b2.quasi_minuscule_weight()
+    lam = b2.fundamental_weights[1]
+    poly, shifted = _pieri_sides(b2, omega, lam, "perturbed", perturb)
+    e_poly = expansion_E_omega(b2, omega)
+    got = pieri_residual(b2, e_poly, poly, shifted, vadd(lam, omega))
+    assert not got.is_zero()
+    assert got == reference_residual(e_poly, poly, shifted)
+
+
+def test_pieri_residual_coverage_guard(a2):
+    omega = a2.fundamental_weights[0]
+    lam = a2.fundamental_weights[1]
+    g = Multiplicities.constant(a2, Q(3, 7))
+    poly = jacobi_polynomial(a2, g, lam)
+    e_poly = expansion_E_omega(a2, omega)
+    top = vadd(lam, omega)
+    # a shifted weight lam + 2 omega is not below lam + omega
+    far = jacobi_polynomial(a2, g, vadd(top, omega))
+    with pytest.raises(InternalConsistencyError):
+        pieri_residual(a2, e_poly, poly, [(far, Q(1))], top)
+    # lam + omega, from the exponent omega of E_omega, is not below lam
+    with pytest.raises(InternalConsistencyError):
+        pieri_residual(a2, e_poly, poly, [], lam)
+
+
+def test_verify_pieri_requires_exact_multiplicities(a2):
+    zero = (Q(0),) * a2.dim
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        verify_pieri(a2, Multiplicities.constant(a2, 0.5),
+                     a2.fundamental_weights[0], zero)

@@ -7,7 +7,8 @@ from hodiff.diffeq import sample_multiplicities
 from hodiff.jacobi import (jacobi_polynomial, opdam_leading_coefficient,
                            verify_eigen)
 from hodiff.rootsys import Multiplicities, vadd, vscale
-from hodiff.weylalg import ExpPoly, is_w_invariant
+from hodiff.weylalg import (ExpPoly, apply_L, eigenvalue_E, exp_to_json,
+                            is_w_invariant)
 
 G_SAMPLES = (Q(3, 7), Q(5, 11), Q(9, 4))
 
@@ -115,3 +116,29 @@ def test_rejects_non_dominant(a2):
     from hodiff.rootsys import vneg
     with pytest.raises(ValueError):
         jacobi_polynomial(a2, g, vneg(a2.fundamental_weights[0]))
+
+
+@pytest.mark.parametrize("system", ["a2", "b2", "g2", "bc2"])
+def test_cleared_eigencheck_residual_matches_public_path(system, request, corrupted):
+    datum = request.getfixturevalue(system)
+    mults = sample_multiplicities(datum, random.Random(f"eigen:{system}"))
+    lam = ((Q(2), Q(1)) if datum.family == "BC"
+           else datum.weight_from_fundamental([1] * datum.rank))
+    assert verify_eigen(datum, mults, lam).ok
+    bad = corrupted(jacobi_polynomial(datum, mults, lam))
+    report = verify_eigen(datum, mults, lam, bad)
+    p = bad.exp_poly()
+    ev = eigenvalue_E(datum, mults, vadd(datum.rho(mults), lam))
+    expected = apply_L(datum, mults, p) - p.scale(ev)
+    assert not report.ok and not expected.is_zero()
+    assert report.residual == exp_to_json(expected)
+
+
+def test_exact_entry_points_reject_float_multiplicities(a2):
+    floats = Multiplicities.constant(a2, 0.5)
+    lam = a2.fundamental_weights[0]
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        jacobi_polynomial(a2, floats, lam)
+    poly = jacobi_polynomial(a2, Multiplicities.constant(a2, Q(1, 2)), lam)
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        verify_eigen(a2, floats, lam, poly)

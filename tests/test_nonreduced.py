@@ -6,9 +6,11 @@ import pytest
 
 from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp,
                                coeff_V_signed, expansion_E_ell, is_partition,
-                               rank_one_shift_coefficient, rearrangement_gap,
-                               signed_subsets, verify_pieri_bc)
-from hodiff.diffeq import PoleAtSpectralPoint
+                               pieri_terms_bc, rank_one_shift_coefficient,
+                               rearrangement_gap, signed_subsets,
+                               verify_pieri_bc)
+from hodiff.diffeq import PoleAtSpectralPoint, pieri_residual
+from hodiff.jacobi import jacobi_polynomial
 from hodiff.weylalg import ExpPoly
 
 GS = (Q(3, 7), Q(5, 11), Q(9, 4))
@@ -192,3 +194,23 @@ def test_bc_multiplicities_by_length(bc2):
     assert m.of((Q(1), Q(1))) == GS[0]   # squared length 2
     assert m.of((Q(0), Q(1))) == GS[1]   # squared length 1
     assert m.of((Q(2), Q(0))) == GS[2]   # squared length 4
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residual,
+                                                     corrupted):
+    lam = (Q(2), Q(1))
+    mults = bc_multiplicities(bc2, *GS)
+    rho = bc2.rho(mults)
+    terms = pieri_terms_bc(2, GS, ell, lam, tuple(r + x for r, x in zip(rho, lam)))
+    poly = jacobi_polynomial(bc2, mults, lam)
+    shifted = [(jacobi_polynomial(bc2, mults, sh), c) for _sub, sh, c in terms]
+    e_poly = expansion_E_ell(2, ell)
+    top = (Q(3), Q(2))
+    assert pieri_residual(bc2, e_poly, poly, shifted, top).is_zero()
+    # corrupt the shifted polynomial of the highest partition
+    highest = max(p.lam for p, _c in shifted)
+    bad = [(corrupted(p) if p.lam == highest else p, c) for p, c in shifted]
+    got = pieri_residual(bc2, e_poly, poly, bad, top)
+    assert not got.is_zero()
+    assert got == reference_residual(e_poly, poly, bad)

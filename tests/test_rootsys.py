@@ -288,6 +288,23 @@ def test_label_kernel_matches_gram_form(fam, rank):
         assert datum.from_labels(datum.root_labels[i]) == alpha
     for w in datum.fundamental_weights:
         assert datum.from_labels(datum.labels(w)) == w
+    # the fundamental-weight Gram form on labels
+    for v in datum.roots + datum.fundamental_weights:
+        l = datum.labels(v)
+        form = sum(a * b * g for a, row in zip(l, datum.weight_gram)
+                   for b, g in zip(l, row))
+        assert Q(form, datum.weight_gram_den) == datum.inner(v, v), v
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 2), ("G", 2), ("BC", 2)])
+def test_saturated_label_map_points_to_dominant_labels(fam, rank):
+    datum = build_root_system(fam, rank)
+    lam = ((Q(2), Q(1)) if fam == "BC"
+           else datum.weight_from_fundamental([1] * rank))
+    labels = datum.saturated_label_map(lam)
+    assert set(map(datum.from_labels, labels)) == set(datum.saturated_set(lam))
+    for l, m in labels.items():
+        assert m == datum.labels(datum.dominant_representative(datum.from_labels(l))[0])
 
 
 @pytest.mark.parametrize("fam,rank", [("F", 4), ("E", 6)])

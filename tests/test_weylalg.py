@@ -148,3 +148,8 @@ def test_apply_l_untelescoped_string_is_fatal(a2, monkeypatch):
 def test_is_w_invariant_rejects_off_lattice_exponents(a2):
     with pytest.raises(ValueError):
         is_w_invariant(a2, ExpPoly.monomial((Q(1), Q(0), Q(0))))
+
+
+def test_apply_l_requires_exact_multiplicities(a2):
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        apply_L(a2, Multiplicities.constant(a2, 0.5), ExpPoly.constant(1, a2.dim))

@@ -42,6 +42,10 @@ DE_X_GRID = (0.2, 0.6, 1.1, 1.7, 2.5)
 RR_PARAMETER_PAIRS = ((Q(1, 2), Q(1, 3)), (Q(3, 7), Q(9, 4)))
 BC1_CROSS_PAIRS = ((Q(1, 2), Q(1, 3)), (Q(5, 11), Q(9, 4)))
 WHITTAKER_ZETA = 1.3
+# `verify` rejects a campaign that would check nothing (no samples, a
+# negative height) and one larger than these caps
+MAX_HEIGHT = 6
+MAX_SAMPLES = 10
 
 
 @dataclass
@@ -446,9 +450,21 @@ def cmd_verify(args) -> int:
     if args.perturb and args.perturb not in diffeq.PERTURBATIONS:
         print(f"error: unknown perturbation {args.perturb}", file=sys.stderr)
         return EXIT_INVALID
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        print(f"error: --samples must be between 1 and {MAX_SAMPLES}",
+              file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        height = Q(args.height)
+    except (ValueError, ZeroDivisionError):
+        height = None
+    if height is None or not 0 <= height <= MAX_HEIGHT:
+        print(f"error: --height must be a rational between 0 and {MAX_HEIGHT}",
+              file=sys.stderr)
+        return EXIT_INVALID
     try:
         result = run_campaign(CampaignConfig(
-            systems=systems, omegas=omegas, height_bound=Q(args.height),
+            systems=systems, omegas=omegas, height_bound=height,
             samples=args.samples, seed=args.seed, suites=suites,
             perturb=args.perturb or None))
     except (ValueError, ZeroDivisionError) as exc:

@@ -101,11 +101,20 @@ def test_verify_negative_control_exit_code(tmp_path):
     assert run(args) == 1
 
 
-def test_verify_invalid_inputs():
+def test_verify_invalid_inputs(capsys):
     assert run(["verify", "--suite", "bogus"]) == 2
     assert run(["verify", "--family", "A"]) == 2  # missing rank
     assert run(["verify", "--suite", "pieri", "--family", "Z", "--rank", "1"]) == 2
     assert run(["verify", "--suite", "pieri", "--perturb", "nope"]) == 2
+    # a campaign that would check nothing, or one past the size limits, is
+    # rejected before it starts, with a one-line message
+    for bad in (["--samples", "0"], ["--samples", "-2"], ["--samples", "11"],
+                ["--height", "-1"], ["--height", "7"], ["--height", "1/0"],
+                ["--height", "x"]):
+        capsys.readouterr()
+        assert run(["verify", "--suite", "pieri", *bad]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, bad
     # --jobs was removed; argparse rejects it as an unknown argument
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--jobs", "2"])

@@ -10,8 +10,9 @@ from hodiff.rankone import (HypergeometricError, HypergeometricParams,
                             series_2f1, series_2f1_highprec,
                             shift_coefficients, verify_de)
 
-# spot value pinned by the 50-digit brute-force series oracle for the
-# parameter point (g1, g2, xi, x) = (1/2, 1/3, 9/10, 11/10)
+# spot value pinned at 50 digits, by a brute-force series summation and by
+# mpmath's hyp2f1, for the parameter point (g1, g2, xi, x) =
+# (1/2, 1/3, 9/10, 11/10)
 SPOT_50 = "1.105728513940390953552083275732182776581235669507"
 
 

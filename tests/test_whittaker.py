@@ -7,9 +7,10 @@ import pytest
 from hodiff.diffeq import sample_multiplicities
 from hodiff.rootsys import vadd, vneg, vscale
 from hodiff.whittaker import (SqrtRational, TodaCoefficients, WhittakerA1,
-                              coeff_Ubar, coeff_Vbar, ebar, eta_alpha, g_of_t,
-                              homogeneity_gap, homogeneity_identity,
-                              rank_one_whittaker_check, verify_confluence)
+                              WhittakerA1Config, coeff_Ubar, coeff_Vbar, ebar,
+                              eta_alpha, g_of_t, homogeneity_gap,
+                              homogeneity_identity, rank_one_whittaker_check,
+                              verify_confluence)
 
 
 def test_sqrt_rational_canonicalization():
@@ -174,21 +175,67 @@ def test_whittaker_oracle_against_bessel():
     # independent closed-form oracle: 2 K_zeta(2 exp(-u/2)) solves the same
     # problem with the same normalization
     from scipy.special import kv
+    us = (-2.0, -0.7, 0.0, 1.1, 2.0)
     for zeta in (0.45, 1.3, 2.35):
-        orac = WhittakerA1(zeta)
-        for u in (-2.0, -0.7, 0.0, 1.1, 2.0):
+        orac = WhittakerA1(zeta, us)
+        for u in us:
             ref = 2.0 * kv(zeta, 2.0 * math.exp(-u / 2))
             assert abs(orac.value(u) - ref) <= 1e-9 * abs(ref), (zeta, u)
 
 
 def test_whittaker_oracle_guards():
     with pytest.raises(ValueError):
-        WhittakerA1(0.01)
+        WhittakerA1(0.01, [0.0])
     with pytest.raises(ValueError):
-        WhittakerA1(2.0)
-    orac = WhittakerA1(1.3)
+        WhittakerA1(2.0, [0.0])
+    orac = WhittakerA1(1.3, [0.0])
     with pytest.raises(ValueError):
         orac.value(100.0)
+
+
+def _dense_reference(zeta, points, cfg):
+    # the dense-output construction: one interpolant per step, read at
+    # each point, normalized by the two-chamber asymptotics at u_match
+    from scipy.integrate import solve_ivp
+
+    def rhs(u, y):
+        return [math.exp(-u) + 0.25 * zeta ** 2 - y[0] ** 2, y[0]]
+
+    q0 = math.exp(-cfg.u_seed) + 0.25 * zeta ** 2
+    psi0 = math.sqrt(q0) + math.exp(-cfg.u_seed) / (4.0 * q0)
+    sol = solve_ivp(rhs, (cfg.u_seed, cfg.u_match), [psi0, 0.0],
+                    method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
+                    dense_output=True)
+    a = abs(zeta)
+    log_asym = (math.lgamma(a) + 0.5 * a * cfg.u_match + math.log1p(
+        math.gamma(-a) / math.gamma(a) * math.exp(-a * cfg.u_match)))
+    log_norm = log_asym - sol.sol(cfg.u_match)[1]
+    return {u: log_norm + sol.sol(u)[1] for u in points}
+
+
+def test_whittaker_oracle_points_match_dense_output():
+    cfg = WhittakerA1Config()
+    points = [-2.0 + 0.2 * i for i in range(21)] + [-8.0, -5.3, 7.7, 14.0, 50.0]
+    for zeta in (0.45, 1.3, 2.35, 3.7):
+        orac = WhittakerA1(zeta, points)
+        ref = _dense_reference(zeta, points, cfg)
+        assert all(orac.log_value(u) == ref[u] for u in points), zeta
+        # the construction is even in zeta, which lets the rank-one check
+        # share the -zeta solve
+        neg = WhittakerA1(-zeta, points)
+        assert all(neg.log_value(u) == orac.log_value(u) for u in points), zeta
+
+
+def test_whittaker_oracle_solved_points_only():
+    orac = WhittakerA1(1.3, [-1.0, 2.0])
+    assert math.isfinite(orac.log_value(-1.0))
+    assert math.isfinite(orac.log_value(50.0))   # u_match is always solved
+    with pytest.raises(ValueError):
+        orac.log_value(0.0)
+    with pytest.raises(ValueError):
+        WhittakerA1(1.3, [0.0, 50.5])
+    with pytest.raises(ValueError):
+        WhittakerA1(1.3, [-8.5, 0.0])
 
 
 def test_log_normalization_helpers(a2):
@@ -217,8 +264,19 @@ def test_log_normalization_helpers(a2):
         log_weight_factor(a2, [-x_i for x_i in x], t)
 
 
-def test_rank_one_whittaker_report():
+def test_rank_one_whittaker_report(monkeypatch):
+    import hodiff.whittaker as wh
+    built = []
+
+    class Counting(WhittakerA1):
+        def __init__(self, zeta, points, config=None):
+            built.append(zeta)
+            super().__init__(zeta, points, config)
+
+    monkeypatch.setattr(wh, "WhittakerA1", Counting)
     rep = rank_one_whittaker_check(1.3)
+    # one solve per distinct |zeta + s|; -zeta shares the zeta solve
+    assert len(built) == 5
     assert rep.max_residual_min <= 1e-6
     assert rep.max_residual_qmin <= 1e-6
     assert rep.winv_deviation <= 1e-6

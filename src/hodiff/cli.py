@@ -431,9 +431,13 @@ def cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suite.split(",")) \
         if args.suite != "all" else CampaignConfig().suites
     systems = PIERI_SYSTEMS
-    if args.family:
-        if args.rank is None:
-            print("error: --family requires --rank", file=sys.stderr)
+    if args.family or args.rank is not None:
+        if not args.family or args.rank is None:
+            print("error: --family and --rank go together", file=sys.stderr)
+            return EXIT_INVALID
+        if not set(suites) <= {"pieri", "eigen"}:
+            print("error: --family/--rank select systems only for the pieri "
+                  "and eigen suites", file=sys.stderr)
             return EXIT_INVALID
         systems = ((args.family, args.rank),)
     omegas = None

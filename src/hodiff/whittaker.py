@@ -3,9 +3,9 @@
 The limiting coefficients replace each (z+g)/z factor by eta/z with
 eta = sqrt(2/|alpha|^2); for non-simply-laced data these etas are kept as
 exact square roots of rationals and only converted to floats at the end.
-The rank-one eigenfunction of the open Toda chain is built numerically by a
-log-derivative integration seeded deep in the potential barrier and matched
-to its spectral-chamber asymptotics, never from a closed form.
+The rank-one eigenfunction of the open Toda chain is evaluated from its
+closed form, the Macdonald function 2 K_zeta(2 e^{-u/2}), at extended
+precision; the difference equations are checked against it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from scipy.integrate import solve_ivp
+import mpmath
 
 from .diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
 from .rootsys import Multiplicities, RootDatum, Vector, vsub, vneg
@@ -354,39 +354,27 @@ def homogeneity_gap(datum: RootDatum, mults: Multiplicities,
 
 # -- rank-one oracle -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WhittakerA1Config:
-    """Tunables of the rank-one eigenfunction construction.
-
-    u_seed sits deep in the exponential barrier (any seed error is crushed
-    by the contraction toward the recessive solution); u_match is where the
-    two-chamber asymptotic normalization is imposed, and is logged so the
-    matching radius is visible in reports.
-    """
-    u_seed: float = -8.0
-    u_match: float = 50.0
-    rtol: float = 1e-12
-    atol: float = 1e-12
+U_RANGE = (-8.0, 50.0)   # the u-interval the rank-one oracle accepts
+ORACLE_DPS = 20          # mpmath working precision of the closed form
 
 
 class WhittakerA1:
     """Decaying rank-one Toda eigenfunction, spectral parameter zeta.
 
-    The second-order problem  phi'' = (e^{-u} + zeta^2/4) phi  is solved in
-    log-derivative form (psi = phi'/phi integrated jointly with log phi),
-    which is immune to overflow across the barrier.  The overall constant
-    is fixed by matching, at u_match, the symmetric two-chamber asymptotic
-    Gamma(a) e^{au/2} + Gamma(-a) e^{-au/2} with a = |zeta| (the simply
-    laced rank-one system has eta = 1).  zeta enters only through |zeta|
-    and zeta^2, so the solutions for zeta and -zeta agree bit for bit.
+    The class-one Whittaker function of the open Toda chain on A1 is the
+    Macdonald function  phi(u) = 2 K_a(2 e^{-u/2}),  a = |zeta|.  It solves
+    phi'' = (e^{-u} + zeta^2/4) phi, decays into the barrier u -> -inf, and
+    its small-argument expansion starts with the symmetric two-chamber
+    asymptotic Gamma(a) e^{au/2} + Gamma(-a) e^{-au/2} (the simply laced
+    rank-one system has eta = 1).  zeta enters only through |zeta|, so the
+    functions for zeta and -zeta are the same.
 
-    log phi is recorded only at the given points, which must lie in
-    [u_seed, u_match]; the integrator builds its step interpolant only on
-    the steps that contain one of them.
+    log phi is evaluated with mpmath at ORACLE_DPS digits, only at the given
+    points, which must lie in U_RANGE.  matching_radius is the upper end of
+    U_RANGE, kept for the hodiff/1 report schema.
     """
 
-    def __init__(self, zeta: float, points,
-                 config: WhittakerA1Config | None = None):
+    def __init__(self, zeta: float, points):
         a = abs(float(zeta))
         if a < 0.05:
             raise ValueError("spectral value too close to the coefficient pole 0")
@@ -394,41 +382,21 @@ class WhittakerA1:
             raise ValueError("spectral value too close to an integer; "
                              "the two-chamber normalization degenerates")
         self.zeta = float(zeta)
-        self.config = cfg = config or WhittakerA1Config()
-        u_eval = sorted({float(u) for u in points} | {cfg.u_match})
-        if u_eval[0] < cfg.u_seed or u_eval[-1] > cfg.u_match:
-            raise ValueError(f"points must lie in [{cfg.u_seed}, {cfg.u_match}]")
-        c = 0.25 * self.zeta ** 2
-        q0 = math.exp(-cfg.u_seed) + c
-        # decaying-into-the-barrier branch: psi ~ +sqrt(q) - q'/(4q), the
-        # forward-stable Riccati fixed line, so seed error contracts away
-        psi0 = math.sqrt(q0) + math.exp(-cfg.u_seed) / (4.0 * q0)
-
-        def rhs(u, y):
-            # y[0] ** 2 on the numpy scalar, not y[0] * y[0]: the two round
-            # differently on rare inputs
-            return (math.exp(-u) + c - y[0] ** 2, y[0])
-
-        sol = solve_ivp(rhs, (cfg.u_seed, cfg.u_match), [psi0, 0.0],
-                        method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
-                        t_eval=u_eval)
-        if not sol.success:
-            raise ArithmeticError(f"rank-one eigenfunction solve failed: {sol.message}")
-        self._sigma = dict(zip(u_eval, sol.y[1]))
-        self._log_norm = (self._log_asymptotic(cfg.u_match)
-                          - self._sigma[cfg.u_match])
-        self.matching_radius = cfg.u_match  # surfaced in reports
-
-    def _log_asymptotic(self, u: float) -> float:
-        a = abs(self.zeta)
-        lead = math.lgamma(a) + 0.5 * a * u
-        sub = math.gamma(-a) / math.gamma(a) * math.exp(-a * u)
-        return lead + math.log1p(sub)
+        lo, hi = U_RANGE
+        u_eval = {float(u) for u in points}
+        if not all(lo <= u <= hi for u in u_eval):
+            raise ValueError(f"points must lie in [{lo}, {hi}]")
+        with mpmath.workdps(ORACLE_DPS):
+            self._log_phi = {
+                u: float(mpmath.log(2 * mpmath.besselk(
+                    a, 2 * mpmath.exp(-mpmath.mpf(u) / 2))))
+                for u in u_eval}
+        self.matching_radius = hi
 
     def log_value(self, u: float) -> float:
-        if u not in self._sigma:
-            raise ValueError(f"u={u} is not a solved point")
-        return self._log_norm + self._sigma[u]
+        if u not in self._log_phi:
+            raise ValueError(f"u={u} is not a requested point")
+        return self._log_phi[u]
 
     def value(self, u: float) -> float:
         return math.exp(self.log_value(u))
@@ -440,9 +408,9 @@ class RankOneWhittakerReport:
 
     winv_deviation is 0.0 by construction: the oracle is even in zeta, so
     the -zeta construction is the zeta one.  The field is kept so the report
-    schema stays fixed.  asymptotic_deviation compares phi(u_asym) with
-    Gamma(a) e^{au/2} alone, ignoring the Gamma(-a) e^{-au/2} term, so it is
-    reliable only for |zeta| of about 0.8 and above.
+    schema stays fixed, as is matching_radius, the upper end of the oracle's
+    u-range.  asymptotic_deviation compares phi(u_asym) with the two-term
+    form Gamma(a) e^{au/2} + Gamma(-a) e^{-au/2}.
     """
     zeta: float
     matching_radius: float
@@ -468,19 +436,17 @@ class RankOneWhittakerReport:
 
 
 def rank_one_whittaker_check(zeta: float, u_grid=None,
-                             config: WhittakerA1Config | None = None,
                              u_asym: float = 14.0) -> RankOneWhittakerReport:
-    """Drive the rank-one difference equations against the numeric oracle.
+    """Drive the rank-one difference equations against the closed-form oracle.
 
     Checks, on a grid of u = <x, alpha^vee>: the single-shift identity with
     coefficients +-1/zeta, the double-shift rewrite for the quasi-minuscule
     weight, agreement of the constructions from zeta and -zeta, and the
-    one-chamber asymptotics at a radius well inside the matching radius.
+    two-chamber asymptotics at u_asym.
 
-    Each distinct |zeta + s| is solved once.  The oracle is even in zeta,
+    Each distinct |zeta + s| is evaluated once.  The oracle is even in zeta,
     so the -zeta construction is the zeta one and winv_deviation is 0.0 by
-    construction.  The asymptotic check ignores the Gamma(-a) e^{-au/2}
-    term, so it is reliable only for |zeta| >~ 0.8.
+    construction.
     """
     if u_grid is None:
         u_grid = [-2.0 + 0.2 * i for i in range(21)]
@@ -494,7 +460,7 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
 
     def oracle(z):
         if abs(z) not in solved:
-            solved[abs(z)] = WhittakerA1(z, points, config)
+            solved[abs(z)] = WhittakerA1(z, points)
         return solved[abs(z)]
 
     orac = {s: oracle(zeta + s) for s in (-2, -1, 0, 1, 2)}
@@ -521,8 +487,9 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
         report.rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
     a = abs(zeta)
-    asym = abs(math.exp(-0.5 * a * u_asym) * orac[0].value(u_asym)
-               / math.gamma(a) - 1.0)
+    two_term = (math.gamma(a) * math.exp(0.5 * a * u_asym)
+                + math.gamma(-a) * math.exp(-0.5 * a * u_asym))
+    asym = abs(orac[0].value(u_asym) / two_term - 1.0)
     report.max_residual_min = res_min
     report.max_residual_qmin = res_qmin
     report.winv_deviation = winv

@@ -115,6 +115,16 @@ def test_verify_invalid_inputs(capsys):
         assert run(["verify", "--suite", "pieri", *bad]) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, bad
+    # a system filter that some selected suite would ignore is rejected
+    for bad in (["--suite", "rankone", "--rank", "2"],
+                ["--suite", "pieri", "--rank", "2"],
+                ["--suite", "quasi", "--family", "A", "--rank", "2"],
+                ["--suite", "pieri,whittaker", "--family", "A", "--rank", "2"],
+                ["--family", "B", "--rank", "2"]):
+        capsys.readouterr()
+        assert run(["verify", *bad]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, bad
     # --jobs was removed; argparse rejects it as an unknown argument
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--jobs", "2"])

@@ -34,52 +34,78 @@ class PoleAtSpectralPoint(ArithmeticError):
         super().__init__(f"denominator {which} vanishes at root {alpha}")
 
 
+def term_factors(datum: RootDatum, nu: Vector, eta: Vector | None = None) -> tuple:
+    """The factor list of one coefficient, as (root index, shift, g sign).
+
+    Each entry stands for the affine factor (s+z+e*g)/(s+z) with
+    z = <xi,a^vee>.  V_nu (eta None) takes s=0 over the roots pairing
+    positively with nu and s=1 where the pairing is 2; U_{nu,eta} takes the
+    same over the roots orthogonal to nu, by their pairing with eta, with
+    e=-1 in the s=1 factor.  Root order, shift 0 before shift 1.
+    """
+    nu_pairs = datum.pairings(nu)
+    pairs, sign = (nu_pairs, 1) if eta is None else (datum.pairings(eta), -1)
+    out = []
+    for i, k in enumerate(pairs):
+        if k > 0 and (eta is None or nu_pairs[i] == 0):
+            out.append((i, 0, 1))
+            if k == 2:
+                out.append((i, 1, sign))
+    return tuple(out)
+
+
+def perturbed(factors: tuple, perturb: str | None) -> tuple:
+    """A factor list under a negative-control edit: v-drop-pairing2 drops
+    V's shift-1 entries, u-sign flips the g sign of U's shift-1 entries."""
+    if perturb == PERTURB_V_DROP:
+        return tuple(f for f in factors if f[1:] != (1, 1))
+    if perturb == PERTURB_U_SIGN:
+        return tuple((f[0], 1, 1) if f[1:] == (1, -1) else f for f in factors)
+    return factors
+
+
+def factor_product(datum: RootDatum, factors: tuple, z: tuple, g: tuple):
+    """Product of (s+z+e*g)/(s+z) over a factor list, z and g per root.
+
+    s+z is formed exactly before it meets g, so a float g gives the same
+    bits whatever the factor order around it.
+    """
+    total = Q(1)
+    for i, s, e in factors:
+        w = z[i] + 1 if s else z[i]
+        if w == 0:
+            raise PoleAtSpectralPoint(datum.roots[i],
+                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+        total *= (w + g[i] if e > 0 else w - g[i]) / w
+    return total
+
+
 def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi,
             perturb: str | None = None):
     """Product of (z+g)/z over roots with positive pairing against nu,
     times (1+z+g)/(1+z) over roots pairing exactly 2, with z = <xi,a^vee>."""
-    total = Q(1)
-    for alpha, k, z, g in zip(datum.roots, datum.pairings(nu), datum.pairings(xi),
-                              mults.root_values):
-        if k <= 0:
-            continue
-        if z == 0:
-            raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
-        total *= (z + g) / z
-        if k == 2 and perturb != PERTURB_V_DROP:
-            if 1 + z == 0:
-                raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>")
-            total *= (1 + z + g) / (1 + z)
-    return total
+    return factor_product(datum, perturbed(term_factors(datum, nu), perturb),
+                          datum.pairings(xi), mults.root_values)
 
 
 def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi,
             perturb: str | None = None):
     """Like coeff_V but over the stabilizer subsystem of nu, with the sign of
     g flipped in the pairing-2 factor."""
-    total = Q(1)
-    for alpha, kn, k, z, g in zip(datum.roots, datum.pairings(nu), datum.pairings(eta),
-                                  datum.pairings(xi), mults.root_values):
-        if kn != 0 or k <= 0:
-            continue
-        if z == 0:
-            raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
-        total *= (z + g) / z
-        if k == 2:
-            if 1 + z == 0:
-                raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>")
-            sign = 1 if perturb == PERTURB_U_SIGN else -1
-            total *= (1 + z + sign * g) / (1 + z)
-    return total
+    return factor_product(datum, perturbed(term_factors(datum, nu, eta), perturb),
+                          datum.pairings(xi), mults.root_values)
 
 
 @dataclass(frozen=True)
 class PieriTermIndex:
-    """One nu with its shortest dominating word and stabilizer orbit of eta."""
+    """One nu with its shortest dominating word and stabilizer orbit of eta,
+    and the factor lists of V_nu and of each U_{nu,eta}."""
     nu: Vector
     word: tuple
     nu_plus: Vector
     etas: tuple
+    v_factors: tuple
+    u_factors: tuple
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +120,10 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
         nu_plus, word = datum.dominant_representative(nu)
         pulled = datum.apply_word(datum.inverse_word(word), omega)
         etas = datum.stabilizer_orbit(nu, pulled)
-        entries.append(PieriTermIndex(nu=nu, word=word, nu_plus=nu_plus, etas=etas))
+        entries.append(PieriTermIndex(
+            nu=nu, word=word, nu_plus=nu_plus, etas=etas,
+            v_factors=term_factors(datum, nu),
+            u_factors=tuple(term_factors(datum, nu, eta) for eta in etas)))
     return tuple(entries)
 
 
@@ -109,11 +138,12 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
     lam = datum.check_dominant(lam)
     xi = vadd(datum.rho(mults), lam)
     lam_labels = datum.labels(lam)
+    z, g = datum.pairings(xi), mults.root_values
     out = []
     for entry in pieri_index(datum, omega):
-        v = coeff_V(datum, mults, entry.nu, xi, perturb=perturb)
-        us = [coeff_U(datum, mults, entry.nu, eta, xi, perturb=perturb)
-              for eta in entry.etas]
+        v = factor_product(datum, perturbed(entry.v_factors, perturb), z, g)
+        us = [factor_product(datum, perturbed(f, perturb), z, g)
+              for f in entry.u_factors]
         if all(a + b >= 0 for a, b in zip(lam_labels, datum.labels(entry.nu))):
             out.extend((entry.nu, eta, u * v) for eta, u in zip(entry.etas, us))
         elif v != 0 and perturb is None:
@@ -310,32 +340,12 @@ def sample_spectral_point(datum: RootDatum, rng, max_tries: int = 200):
 
 
 def symbolic_factors(datum: RootDatum, entry: PieriTermIndex):
-    """Structural factor lists of one term, as affine forms in <xi,a^vee>.
+    """The factor lists of one term as JSON rows (root, shift, g sign), for
+    report emission: V's list and one U list per eta."""
+    from .weylalg import _q_str
 
-    Each factor is (numerator, denominator) with numerator carrying a g
-    contribution of the recorded sign; used for report emission only.
-    """
-    def affine(alpha, shift, g_sign):
-        from .weylalg import _q_str
-        return {"alpha": [_q_str(x) for x in alpha], "shift": shift,
-                "g_sign": g_sign}
+    def rows(factors):
+        return [{"alpha": [_q_str(x) for x in datum.roots[i]], "shift": s,
+                 "g_sign": e} for i, s, e in factors]
 
-    nu_pairs = datum.pairings(entry.nu)
-    v_factors = []
-    for alpha, k in zip(datum.roots, nu_pairs):
-        if k <= 0:
-            continue
-        v_factors.append(affine(alpha, 0, 1))
-        if k == 2:
-            v_factors.append(affine(alpha, 1, 1))
-    per_eta = []
-    for eta in entry.etas:
-        u_factors = []
-        for alpha, kn, k in zip(datum.roots, nu_pairs, datum.pairings(eta)):
-            if kn != 0 or k <= 0:
-                continue
-            u_factors.append(affine(alpha, 0, 1))
-            if k == 2:
-                u_factors.append(affine(alpha, 1, -1))
-        per_eta.append(u_factors)
-    return v_factors, per_eta
+    return rows(entry.v_factors), [rows(f) for f in entry.u_factors]

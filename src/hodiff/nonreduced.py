@@ -64,52 +64,42 @@ def _cross_factor(g, s, xj, xk):
     return num / den
 
 
+def _signed_product(gs, subset: SignedSubset, others, xi, pair_g):
+    """Singleton factors on the slots of subset, cross factors against the
+    slots in others, and pair factors (u+g)/u * (1+u+pair_g)/(1+u) inside
+    the subset, with u = eps_j xi_j + eps_j' xi_j'."""
+    g, g1, g2 = gs
+    total = Q(1)
+    slots = list(zip(subset.indices, subset.signs))
+    for j, s in slots:
+        total *= _singleton_factor(g1, g2, s, xi[j])
+        for k in others:
+            total *= _cross_factor(g, s, xi[j], xi[k])
+    for (j, sj), (jp, sp) in itertools.combinations(slots, 2):
+        u = sj * xi[j] + sp * xi[jp]
+        total *= (u + g) / _check_den(u, "eps_j xi_j + eps_j' xi_j'")
+        total *= (1 + u + pair_g) / _check_den(1 + u, "1 + eps_j xi_j + eps_j' xi_j'")
+    return total
+
+
 def coeff_V_signed(n: int, gs, subset: SignedSubset, xi):
     """Shift coefficient of the signed subset: singleton factors on J, cross
     factors against the complement, and +g pair factors inside J."""
-    g, g1, g2 = gs
-    total = Q(1)
-    inside = set(subset.indices)
-    for j, s in zip(subset.indices, subset.signs):
-        total *= _singleton_factor(g1, g2, s, xi[j])
-        for k in range(n):
-            if k not in inside:
-                total *= _cross_factor(g, s, xi[j], xi[k])
-    pairs = list(zip(subset.indices, subset.signs))
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            (j, sj), (jp, sp) = pairs[a], pairs[b]
-            u = sj * xi[j] + sp * xi[jp]
-            total *= (u + g) / _check_den(u, "eps_j xi_j + eps_j' xi_j'")
-            total *= (1 + u + g) / _check_den(1 + u, "1 + eps_j xi_j + eps_j' xi_j'")
-    return total
+    others = [k for k in range(n) if k not in subset.indices]
+    return _signed_product(gs, subset, others, xi, gs[0])
 
 
 def coeff_U_Kp(n: int, gs, K, p: int, xi):
     """Complementary coefficient: (-1)^p times the sum over signed p-subsets
     of K of the V-type product restricted to K, with -g in the last factor."""
-    g, g1, g2 = gs
     K = tuple(sorted(K))
     if not 0 <= p <= len(K):
         raise ValueError(f"p={p} out of range for |K|={len(K)}")
     total = Q(0)
     for I in itertools.combinations(K, p):
+        others = [k for k in K if k not in I]
         for sub in signed_subsets(I):
-            inside = set(I)
-            term = Q(1)
-            for i, s in zip(sub.indices, sub.signs):
-                term *= _singleton_factor(g1, g2, s, xi[i])
-                for k in K:
-                    if k not in inside:
-                        term *= _cross_factor(g, s, xi[i], xi[k])
-            pairs = list(zip(sub.indices, sub.signs))
-            for a in range(len(pairs)):
-                for b in range(a + 1, len(pairs)):
-                    (i, si), (ip, sp) = pairs[a], pairs[b]
-                    u = si * xi[i] + sp * xi[ip]
-                    term *= (u + g) / _check_den(u, "pair sum")
-                    term *= (1 + u - g) / _check_den(1 + u, "1 + pair sum")
-            total += term
+            total += _signed_product(gs, sub, others, xi, -gs[0])
     return (-1) ** p * total
 
 

@@ -1,6 +1,7 @@
 """Confluent strong-coupling limit: coefficients, limits, rank-one oracle.
 
-The limiting coefficients replace each (z+g)/z factor by eta/z with
+The limiting coefficients read the factor lists of ``diffeq.term_factors``
+and replace each (s+z+-g)/(s+z) by +-eta/(s+z) with
 eta = sqrt(2/|alpha|^2); for non-simply-laced data these etas are kept as
 exact square roots of rationals and only converted to floats at the end.
 The rank-one eigenfunction of the open Toda chain is evaluated from its
@@ -16,7 +17,8 @@ from fractions import Fraction as Q
 
 import mpmath
 
-from .diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
+from .diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index,
+                     term_factors)
 from .rootsys import Multiplicities, RootDatum, Vector, vsub, vneg
 from .weylalg import expansion_E_omega
 
@@ -110,11 +112,7 @@ class TodaCoefficients:
         self.omega = datum.check_dominant(omega)
         if not datum.is_small(self.omega):
             raise ValueError(f"{omega} is not small")
-        self.etas = tuple(eta_alpha(datum, rep)
-                          for rep in datum.orbit_representatives())
-
-    def eta(self, alpha: Vector) -> SqrtRational:
-        return self.etas[self.datum.orbit_index(alpha)]
+        self.etas = orbit_etas(datum)
 
     def w0_word(self):
         """Reduced word for the longest element, moving the antidominant
@@ -151,47 +149,38 @@ def g_of_t(eta, t: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * eta2 * math.exp(t))) / 2.0
 
 
+def orbit_etas(datum: RootDatum) -> tuple:
+    """eta per root orbit, in the order of ``root_orbits``."""
+    return tuple(eta_alpha(datum, orbit[0]) for orbit in datum.root_orbits)
+
+
+def limit_product(datum: RootDatum, factors: tuple, xi):
+    """Product of e*eta/(s+z) over a factor list of ``diffeq.term_factors``,
+    the g -> oo limit of (s+z+e*g)/(s+z); exact for rational xi."""
+    exact = all(isinstance(v, (int, Q)) for v in xi)
+    xi_pairs = datum.pairings(xi) if exact else None
+    etas = orbit_etas(datum) if exact else tuple(map(float, orbit_etas(datum)))
+    total = SqrtRational(1) if exact else 1.0
+    for i, s, e in factors:
+        alpha = datum.roots[i]
+        z = xi_pairs[i] if exact else _pair_float(datum, xi, alpha)
+        w = z + 1 if s else z
+        if w == 0:
+            raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>" if s else "<xi,a^vee>")
+        eta = etas[datum.root_orbit_ids[i]]
+        total = total * (eta if e > 0 else -eta) / w
+    return total
+
+
 def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
     """Limit shift coefficient: product of eta/z over positive pairings and
     eta/(1+z) over pairings equal to 2.  Exact for rational xi."""
-    exact = all(isinstance(v, (int, Q)) for v in xi)
-    xi_pairs = datum.pairings(xi) if exact else None
-    total = SqrtRational(1) if exact else 1.0
-    for i, k in enumerate(datum.pairings(nu)):
-        if k <= 0:
-            continue
-        alpha = datum.roots[i]
-        z = xi_pairs[i] if exact else _pair_float(datum, xi, alpha)
-        eta = eta_alpha(datum, alpha)
-        if z == 0:
-            raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
-        total = (total * eta) / z if exact else total * float(eta) / z
-        if k == 2:
-            if 1 + z == 0:
-                raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>")
-            total = (total * eta) / (1 + z) if exact else total * float(eta) / (1 + z)
-    return total
+    return limit_product(datum, term_factors(datum, nu), xi)
 
 
 def coeff_Ubar(datum: RootDatum, nu: Vector, eta_wt: Vector, xi):
     """Limit stabilizer coefficient; the pairing-2 factor carries -eta."""
-    exact = all(isinstance(v, (int, Q)) for v in xi)
-    xi_pairs = datum.pairings(xi) if exact else None
-    total = SqrtRational(1) if exact else 1.0
-    for i, (kn, k) in enumerate(zip(datum.pairings(nu), datum.pairings(eta_wt))):
-        if kn != 0 or k <= 0:
-            continue
-        alpha = datum.roots[i]
-        z = xi_pairs[i] if exact else _pair_float(datum, xi, alpha)
-        eta = eta_alpha(datum, alpha)
-        if z == 0:
-            raise PoleAtSpectralPoint(alpha, "<xi,a^vee>")
-        total = (total * eta) / z if exact else total * float(eta) / z
-        if k == 2:
-            if 1 + z == 0:
-                raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>")
-            total = (total * (-eta)) / (1 + z) if exact else total * (-float(eta)) / (1 + z)
-    return total
+    return limit_product(datum, term_factors(datum, nu, eta_wt), xi)
 
 
 def _pair_float(datum: RootDatum, xi, alpha: Vector) -> float:
@@ -288,8 +277,7 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
     Inspection helper only: the constant itself overflows once t is large
     (the multiplicities grow like e^{t/2}), so it is reported in log form.
     """
-    toda_etas = [eta_alpha(datum, rep) for rep in datum.orbit_representatives()]
-    mults = Multiplicities(datum, [g_of_t(e, t) for e in toda_etas])
+    mults = Multiplicities(datum, [g_of_t(e, t) for e in orbit_etas(datum)])
     rho_pairs = datum.pairings(datum.rho(mults))
     total = 0.0
     for i in datum.positive_indices:
@@ -305,8 +293,7 @@ def log_weight_factor(datum: RootDatum, x, t: float) -> float:
     Requires x with every <alpha, x> > 0; inspection helper for the dressed
     limit, reported in log form for the same overflow reason.
     """
-    toda_etas = [eta_alpha(datum, rep) for rep in datum.orbit_representatives()]
-    mults = Multiplicities(datum, [g_of_t(e, t) for e in toda_etas])
+    mults = Multiplicities(datum, [g_of_t(e, t) for e in orbit_etas(datum)])
     total = 0.0
     for alpha in datum.positive_roots:
         half = 0.5 * _inner_float(datum, alpha, x)
@@ -376,11 +363,6 @@ class WhittakerA1:
 
     def __init__(self, zeta: float, points):
         a = abs(float(zeta))
-        if a < 0.05:
-            raise ValueError("spectral value too close to the coefficient pole 0")
-        if abs(a - round(a)) < 0.05:
-            raise ValueError("spectral value too close to an integer; "
-                             "the two-chamber normalization degenerates")
         self.zeta = float(zeta)
         lo, hi = U_RANGE
         u_eval = {float(u) for u in points}
@@ -444,10 +426,20 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
     weight, agreement of the constructions from zeta and -zeta, and the
     two-chamber asymptotics at u_asym.
 
-    Each distinct |zeta + s| is evaluated once.  The oracle is even in zeta,
-    so the -zeta construction is the zeta one and winv_deviation is 0.0 by
-    construction.
+    |zeta| must lie at least 0.05 from every integer: Gamma(-a) and the
+    1/zeta coefficients degenerate there, while the oracle itself is finite
+    at integer order.  Each distinct |zeta + s| is evaluated once.  The
+    oracle is even in zeta, so the -zeta construction is the zeta one and
+    winv_deviation is 0.0 by construction.
     """
+    a = abs(float(zeta))
+    if a < 0.05:
+        raise ValueError("spectral value too close to the coefficient pole 0")
+    # the 1e-12 absorbs binary rounding of decimal input: 2.95 - 3 is
+    # -0.04999999999999982 in floats
+    if abs(a - round(a)) < 0.05 - 1e-12:
+        raise ValueError("spectral value too close to an integer; "
+                         "the two-chamber normalization degenerates")
     if u_grid is None:
         u_grid = [-2.0 + 0.2 * i for i in range(21)]
     datum = _a1_datum()
@@ -486,7 +478,6 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
         res_min, res_qmin, winv = max(res_min, r1), max(res_qmin, r2), max(winv, w)
         report.rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
-    a = abs(zeta)
     two_term = (math.gamma(a) * math.exp(0.5 * a * u_asym)
                 + math.gamma(-a) * math.exp(-0.5 * a * u_asym))
     asym = abs(orac[0].value(u_asym) / two_term - 1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -99,6 +100,32 @@ def test_verify_negative_control_exit_code(tmp_path):
             "--samples", "1", "--perturb", "u-sign", "--out",
             str(tmp_path / "neg.json")]
     assert run(args) == 1
+
+
+# Outputs without floats, so their bytes do not depend on the platform libm:
+# (arguments, exit code, sha256 of the written file).
+PINNED_OUTPUTS = (
+    (["verify", "--suite", "pieri,eigen,bc,quasi"], 0,
+     "eb379006af244da4fb6c4d440f73d6f6236a86458a67aa8098191b9895d5e3f6"),
+    (["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
+      "--samples", "1", "--perturb", "u-sign"], 1,
+     "d12108665b46fba11a366530f9263efaf3f7339e9d934e0b9d7895d8c0bcdbdd"),
+    (["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
+      "--samples", "1", "--perturb", "v-drop-pairing2"], 1,
+     "49a8ef20ece1f6c7936c8aaa4091b7fac093a8203160e4644e2f744865d79fba"),
+    (["coeffs", "--family", "G", "--rank", "2", "--omega", "1,0",
+      "--format", "latex"], 0,
+     "633787aea608a298f7d45e023abaa1725f637e1c578dd32f2ad783b8a81a01bf"),
+)
+
+
+@pytest.mark.parametrize("args,code,digest", PINNED_OUTPUTS,
+                         ids=["exact-suites", "u-sign", "v-drop-pairing2",
+                              "coeffs-g2"])
+def test_exact_outputs_are_byte_stable(tmp_path, args, code, digest):
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_invalid_inputs(capsys):

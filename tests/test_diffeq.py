@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
+import hodiff.diffeq as diffeq
 from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PoleAtSpectralPoint,
                            coeff_U, coeff_V, pieri_index, pieri_residual,
                            pieri_terms, quasi_identity_value,
@@ -177,6 +179,54 @@ def test_perturbations_break_exactness(b2):
                             cache=cache).ok
     assert not verify_pieri(b2, g, omega, lam, perturb=PERTURB_V_DROP,
                             cache=cache).ok
+
+
+def _single_edits(factors):
+    """Each factor list with one entry dropped or its g sign flipped."""
+    for j, (i, s, e) in enumerate(factors):
+        yield factors[:j] + factors[j + 1:]
+        yield factors[:j] + ((i, s, -e),) + factors[j + 1:]
+
+
+def _mutated_entries(entry):
+    for v in _single_edits(entry.v_factors):
+        yield replace(entry, v_factors=v)
+    us = entry.u_factors
+    for m, factors in enumerate(us):
+        for u in _single_edits(factors):
+            yield replace(entry, u_factors=us[:m] + (u,) + us[m + 1:])
+
+
+@pytest.mark.parametrize("system", ["a1", "a2", "a3", "b2", "g2"])
+def test_every_single_factor_edit_breaks_pieri(system, request, monkeypatch):
+    # the factor-level negative controls: dropping or sign-flipping any one
+    # entry of any V or U factor list must break the exact identity.  lambda
+    # has every label at least the largest |label| of a nu, so every shift
+    # survives and each factor enters the right-hand side
+    datum = request.getfixturevalue(system)
+    rng = random.Random(f"factor-controls:{system}")
+    checked = 0
+    for omega in datum.small_fundamental_weights():
+        index = pieri_index(datum, omega)
+        k = max(abs(l) for e in index for l in datum.labels(e.nu))
+        lam = datum.weight_from_fundamental([k] * datum.rank)
+        while True:
+            mults = sample_multiplicities(datum, rng)
+            cache = {}
+            try:
+                assert verify_pieri(datum, mults, omega, lam, cache=cache).ok
+            except PoleAtSpectralPoint:
+                continue
+            break
+        for n, entry in enumerate(index):
+            for mutant in _mutated_entries(entry):
+                edited = index[:n] + (mutant,) + index[n + 1:]
+                with monkeypatch.context() as mp:
+                    mp.setattr(diffeq, "pieri_index", lambda _d, _o: edited)
+                    report = verify_pieri(datum, mults, omega, lam, cache=cache)
+                assert not report.ok, (omega, entry.nu, mutant)
+                checked += 1
+    assert checked > 0
 
 
 def test_sampler_determinism(c3):

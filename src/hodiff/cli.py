@@ -518,10 +518,10 @@ def cmd_sweep_rank_one(args) -> int:
     try:
         xi_grid = [float(v) for v in args.xi.split(",")]
         x_grid = [float(v) for v in args.x.split(",")]
-    except ValueError as exc:
+        report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
     if args.csv:
         lines = ["xi,x,residual"] + [f"{xi},{x},{r:.6e}" for xi, x, r in report.rows]
         text = "\n".join(lines) + "\n"
@@ -547,12 +547,16 @@ def cmd_whittaker_limits(args) -> int:
         t_list = [float(v) for v in args.t.split(",")]
         report = whittaker.verify_confluence(datum, omega, xi, x,
                                              t_list=t_list, tol=args.tol)
-    except (ValueError, ZeroDivisionError) as exc:
+        # dressed-limit prefactors, logged for inspection only
+        norms = [{"t": t, "log_gamma_prefactor":
+                  whittaker.log_normalization_constant(datum, t)} for t in t_list]
+    except OverflowError:
+        print("error: a coupling in --t is too large for float arithmetic",
+              file=sys.stderr)
+        return EXIT_INVALID
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    # dressed-limit prefactors, logged for inspection only
-    norms = [{"t": t, "log_gamma_prefactor":
-              whittaker.log_normalization_constant(datum, t)} for t in t_list]
     _emit({"schema": SCHEMA, "confluence": report.to_dict(),
            "normalization": norms}, args.out)
     return EXIT_PASS if report.ok else EXIT_FAIL

@@ -9,6 +9,7 @@ errors so that callers can resample multiplicities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -17,7 +18,8 @@ from operator import add, sub
 from .jacobi import JacobiPolynomial, jacobi_polynomial
 from .rootsys import Multiplicities, RootDatum, Vector, vadd
 from .weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
-                      exp_to_json, expansion_E_omega, orbit_sum, require_exact)
+                      exp_to_json, expansion_E_omega, is_exact, orbit_sum,
+                      require_exact)
 
 # test hooks for the negative controls; never set in normal operation
 PERTURB_U_SIGN = "u-sign"
@@ -31,7 +33,8 @@ class PoleAtSpectralPoint(ArithmeticError):
     def __init__(self, alpha, which):
         self.alpha = alpha
         self.which = which
-        super().__init__(f"denominator {which} vanishes at root {alpha}")
+        root = ",".join(map(str, alpha))
+        super().__init__(f"denominator {which} vanishes at root ({root})")
 
 
 def term_factors(datum: RootDatum, nu: Vector, eta: Vector | None = None) -> tuple:
@@ -64,10 +67,37 @@ def perturbed(factors: tuple, perturb: str | None) -> tuple:
     return factors
 
 
-def factor_product(datum: RootDatum, factors: tuple, z: tuple, g: tuple):
-    """Product of (s+z+e*g)/(s+z) over a factor list, z and g per root.
+def scaled_table(z: tuple, g: tuple) -> list:
+    """Per root the integers (d*z, d*(z+1), d*g), d the lcm of every
+    denominator of the exact z and g, so that each affine factor
+    (s+z+e*g)/(s+z) reads (w+e*G)/w on integers."""
+    d = math.lcm(*(x.denominator for x in z), *(x.denominator for x in g))
+    table = []
+    for x, y in zip(z, g):
+        w = x.numerator * (d // x.denominator)
+        table.append((w, w + d, y.numerator * (d // y.denominator)))
+    return table
 
-    s+z is formed exactly before it meets g, so a float g gives the same
+
+def integer_product(datum: RootDatum, factors: tuple, table: list):
+    """(numerator, denominator) of a factor-list product over a
+    ``scaled_table``: the products of w+e*G and of w, with w = d*(s+z)."""
+    num = den = 1
+    for i, s, e in factors:
+        row = table[i]
+        w = row[s]
+        if not w:
+            raise PoleAtSpectralPoint(datum.roots[i],
+                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+        num *= w + row[2] if e > 0 else w - row[2]
+        den *= w
+    return num, den
+
+
+def factor_product(datum: RootDatum, factors: tuple, z: tuple, g: tuple):
+    """Product of (s+z+e*g)/(s+z) over a factor list, z exact and g float.
+
+    s+z is formed exactly before it meets g, so the result has the same
     bits whatever the factor order around it.
     """
     total = Q(1)
@@ -80,20 +110,29 @@ def factor_product(datum: RootDatum, factors: tuple, z: tuple, g: tuple):
     return total
 
 
+def _coefficient(datum: RootDatum, mults: Multiplicities, factors: tuple, xi):
+    """One factor-list product at xi: on integers for exact multiplicities,
+    by ``factor_product`` for float ones."""
+    z, g = datum.pairings(xi), mults.root_values
+    if is_exact(mults):
+        return Q(*integer_product(datum, factors, scaled_table(z, g)))
+    return factor_product(datum, factors, z, g)
+
+
 def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi,
             perturb: str | None = None):
     """Product of (z+g)/z over roots with positive pairing against nu,
     times (1+z+g)/(1+z) over roots pairing exactly 2, with z = <xi,a^vee>."""
-    return factor_product(datum, perturbed(term_factors(datum, nu), perturb),
-                          datum.pairings(xi), mults.root_values)
+    return _coefficient(datum, mults,
+                        perturbed(term_factors(datum, nu), perturb), xi)
 
 
 def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi,
             perturb: str | None = None):
     """Like coeff_V but over the stabilizer subsystem of nu, with the sign of
     g flipped in the pairing-2 factor."""
-    return factor_product(datum, perturbed(term_factors(datum, nu, eta), perturb),
-                          datum.pairings(xi), mults.root_values)
+    return _coefficient(datum, mults,
+                        perturbed(term_factors(datum, nu, eta), perturb), xi)
 
 
 @dataclass(frozen=True)
@@ -131,25 +170,30 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
                 lam: Vector, perturb: str | None = None):
     """Surviving (nu, eta, U*V) triples at the spectral point rho_g + lambda.
 
-    Terms whose shift leaves the dominant cone must carry an exactly
-    vanishing V factor; that vanishing is asserted, and a pole anywhere in
-    the term list raises for a multiplicity resample.
+    Every factor list is evaluated on integers over one ``scaled_table`` of
+    the point, and each surviving term becomes one Fraction.  Terms whose
+    shift leaves the dominant cone must carry an exactly vanishing V factor;
+    that vanishing is asserted, and a pole anywhere in the term list raises
+    for a multiplicity resample.  Exact multiplicities are required.
     """
+    require_exact(mults)
     lam = datum.check_dominant(lam)
-    xi = vadd(datum.rho(mults), lam)
     lam_labels = datum.labels(lam)
-    z, g = datum.pairings(xi), mults.root_values
+    table = scaled_table(datum.pairings(vadd(datum.rho(mults), lam)),
+                         mults.root_values)
     out = []
     for entry in pieri_index(datum, omega):
-        v = factor_product(datum, perturbed(entry.v_factors, perturb), z, g)
-        us = [factor_product(datum, perturbed(f, perturb), z, g)
+        v_num, v_den = integer_product(
+            datum, perturbed(entry.v_factors, perturb), table)
+        us = [integer_product(datum, perturbed(f, perturb), table)
               for f in entry.u_factors]
         if all(a + b >= 0 for a, b in zip(lam_labels, datum.labels(entry.nu))):
-            out.extend((entry.nu, eta, u * v) for eta, u in zip(entry.etas, us))
-        elif v != 0 and perturb is None:
+            out.extend((entry.nu, eta, Q(u_num * v_num, u_den * v_den))
+                       for eta, (u_num, u_den) in zip(entry.etas, us))
+        elif v_num and perturb is None:
             raise InternalConsistencyError(
                 f"V did not vanish at the excluded shift nu={entry.nu}, "
-                f"lambda={lam}: V={v}")
+                f"lambda={lam}: V={Q(v_num, v_den)}")
     return out
 
 
@@ -233,7 +277,6 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
                  cache: dict | None = None) -> PieriReport:
     """Exact comparison of E_omega * P_lambda with the coefficient sum of
     shifted polynomials; the residual is empty exactly on success."""
-    require_exact(mults)
     terms = pieri_terms(datum, mults, omega, lam, perturb=perturb)
     poly = poly_cache_get(cache, datum, mults, lam)
     shifted = [(poly_cache_get(cache, datum, mults, vadd(lam, nu)), c)

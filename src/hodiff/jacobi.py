@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import mul
 
 from .rootsys import Multiplicities, RootDatum, Vector, vadd, vscale
 from .weylalg import (ExpPoly, apply_L_labels, eigenvalue_E, exp_to_json,
@@ -76,11 +77,23 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
     require_exact(mults)
     lam = datum.check_dominant(lam)
     sat = datum.saturated_label_map(lam)
+    height_row = datum.height_row
     doms = sorted(datum.dominant_below(lam),
-                  key=lambda mu: (-datum.height(mu), mu))
+                  key=lambda mu: (-sum(map(mul, height_row, datum.labels(mu))), mu))
     assert doms[0] == lam or datum.height(doms[0]) == datum.height(lam)
-    rho = datum.rho(mults)
-    e_top = eigenvalue_E(datum, mults, vadd(rho, lam))
+    # E(rho+mu) - E(rho) = <2 rho + mu, mu>, read on labels through the
+    # fundamental-weight Gram form and scaled by d * den to an integer
+    gram = datum.weight_gram
+    rho_labels = datum.labels(datum.rho(mults))
+    d = math.lcm(*(x.denominator for x in rho_labels))
+    rho_d = [x.numerator * (d // x.denominator) for x in rho_labels]
+
+    def energy(m):
+        return sum((2 * r + d * x) * sum(map(mul, row, m))
+                   for r, x, row in zip(rho_d, m, gram))
+
+    scale = d * datum.weight_gram_den
+    e_top = energy(datum.labels(lam))
     # per positive root: labels, and g_alpha |alpha|^2, since
     # 2 g <mu + j alpha, alpha> = g |alpha|^2 (<mu, alpha^vee> + 2j)
     positive = [(i, datum.root_labels[i],
@@ -104,12 +117,12 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
                     rhs += weight * k * c
                 k += 2
                 nu = tuple(a + b for a, b in zip(nu, lab))
-        denom = e_top - eigenvalue_E(datum, mults, vadd(rho, mu))
+        denom = e_top - energy(mu_labels)
         if denom == 0:
             raise ArithmeticError(
                 f"vanishing recursion denominator at mu={mu}; "
                 "impossible for positive multiplicities")
-        monic[mu_labels] = rhs / denom
+        monic[mu_labels] = rhs * scale / denom
 
     coeffs = {mu: monic[datum.labels(mu)] for mu in doms}
     z = sum(c * len(datum.weyl_orbit(mu)) for mu, c in coeffs.items())

@@ -130,7 +130,7 @@ class RootDatum:
     """A realized irreducible root system with its Weyl combinatorics.
 
     The roots and the label tables are fixed at construction.  Results per
-    vector (labels, pairings, orbits, stabilizers, validated weights) are
+    vector (labels, pairings, orbits, validated weights) are
     memoized on the instance the first time they are asked for.  Each entry
     is a pure function of its key, so threads sharing an instance can at
     worst compute an entry twice.
@@ -156,6 +156,12 @@ class RootDatum:
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
             tuple(x.numerator for x in row) for row in cartan)
         self._cartan_inv = invert_rational_matrix(cartan)
+        # height(v) = sum_i l_i height_row[i] / height_den on labels: the
+        # row sums of cartan^{-1} are the heights of the fundamental weights
+        row = [sum(r) for r in self._cartan_inv]
+        self.height_den = math.lcm(*(x.denominator for x in row))
+        self.height_row: tuple[int, ...] = tuple(
+            (x * self.height_den).numerator for x in row)
 
         # roots as simple-root coefficient vectors n, alpha = sum_k n_k alpha_k
         coeffs = self._simple_root_closure()
@@ -170,7 +176,6 @@ class RootDatum:
             i for i, a in enumerate(self.roots) if min(by_root[a]) >= 0)
         self.positive_roots: tuple[Vector, ...] = tuple(
             self.roots[i] for i in self.positive_indices)
-        self._positive_set = frozenset(self.positive_roots)
         if 2 * len(self.positive_roots) != len(self.roots):
             raise ValueError("positive system does not split the roots evenly")
 
@@ -215,7 +220,6 @@ class RootDatum:
         self._pairings: dict[Vector, tuple] = {}
         self._weights: dict[Vector, tuple] = {}
         self._orbits: dict[Vector, tuple[Vector, ...]] = {}
-        self._stabilizers: dict[Vector, tuple[Vector, ...]] = {}
 
         self.root_orbits: tuple[tuple[Vector, ...], ...] = self._compute_root_orbits()
         self._orbit_index = {a: i for i, orb in enumerate(self.root_orbits) for a in orb}
@@ -416,10 +420,10 @@ class RootDatum:
 
     def height(self, v: Vector) -> Q:
         """Sum of simple-root coordinates of v."""
-        c = self.simple_coefficients(v)
-        if c is None:
+        l = self.labels(v)
+        if self.from_labels(l) != v:
             raise ValueError("vector is not in the root span")
-        return sum(c)
+        return Q(sum(map(mul, self.height_row, l)), self.height_den)
 
     def is_dominant(self, v: Vector) -> bool:
         return all(x >= 0 for x in self.labels(v))
@@ -476,16 +480,15 @@ class RootDatum:
 
     def stabilizer_roots(self, v: Vector) -> tuple[Vector, ...]:
         """R_v: the roots orthogonal to v (they generate the stabilizer W_v)."""
-        stab = self._stabilizers.get(v)
-        if stab is None:
-            stab = self._stabilizers[v] = tuple(
-                a for a, k in zip(self.roots, self.pairings(v)) if k == 0)
-        return stab
+        return tuple(a for a, k in zip(self.roots, self.pairings(v)) if k == 0)
 
     def stabilizer_orbit(self, v: Vector, eta: Vector) -> tuple[Vector, ...]:
-        """Orbit W_v(eta) of eta under the stabilizer of v."""
-        gens = [a for a in self.stabilizer_roots(v) if a in self._positive_set]
-        return self.orbit_under_reflections(gens, eta)
+        """Orbit W_v(eta) of eta under the stabilizer of v, sorted: the
+        reflections in the positive roots orthogonal to v generate W_v."""
+        p = self.pairings(v)
+        gens = [i for i in self.positive_indices if p[i] == 0]
+        return tuple(sorted(map(self.from_labels,
+                                self._orbit_labels(gens, self.labels(eta)))))
 
     def weyl_order(self) -> int:
         """|W| by recursive orbit-stabilizer on roots.

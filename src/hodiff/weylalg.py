@@ -144,9 +144,14 @@ def eigenvalue_E(datum: RootDatum, mults: Multiplicities, xi: Vector):
     return datum.inner(xi, xi) - datum.inner(rho, rho)
 
 
+def is_exact(mults: Multiplicities) -> bool:
+    """Every multiplicity is an int or a Fraction."""
+    return all(isinstance(v, (int, Q)) for v in mults.values)
+
+
 def require_exact(mults: Multiplicities) -> None:
     """ValueError unless every multiplicity is an int or a Fraction."""
-    if not all(isinstance(v, (int, Q)) for v in mults.values):
+    if not is_exact(mults):
         raise ValueError("exact multiplicities required")
 
 

@@ -43,6 +43,11 @@ def g2():
 
 
 @pytest.fixture(scope="session")
+def f4():
+    return build_root_system("F", 4)
+
+
+@pytest.fixture(scope="session")
 def bc1():
     return build_root_system("BC", 1)
 

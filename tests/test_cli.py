@@ -1,9 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction as Q
 
 import pytest
 
 from hodiff import cli
+from hodiff.diffeq import verify_pieri
+from hodiff.rootsys import Multiplicities, build_root_system
 
 
 def run(args):
@@ -84,6 +87,23 @@ def test_whittaker_limits_command(capsys):
     assert payload["confluence"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep-rank-one", "--g1", "1", "--g2", "1", "--xi", "1", "--x", "20"],
+    ["sweep-rank-one", "--g1", "-0.5", "--g2", "0", "--xi", "1", "--x", "1"],
+    ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
+     "--xi", "0,0", "--x", "0.25,-0.1,-0.15"],
+    ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
+     "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15", "--t", "1e6"],
+], ids=["x-out-of-domain", "series-pole", "spectral-pole", "t-overflow"])
+def test_numeric_commands_reject_bad_input(args, capsys):
+    # a domain error, a pole or an overflow is bad input: exit 2 with a
+    # one-line message and no traceback
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_small_campaign_and_determinism(tmp_path):
     out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
     args = ["verify", "--suite", "pieri,eigen", "--family", "A", "--rank", "2",
@@ -102,30 +122,59 @@ def test_verify_negative_control_exit_code(tmp_path):
     assert run(args) == 1
 
 
+def _cli_output(args, code):
+    def produce(tmp_path):
+        out = tmp_path / "out.json"
+        assert run(args + ["--out", str(out)]) == code
+        return out.read_bytes()
+    return produce
+
+
+def _pieri_report(family, rank, i, g, ok, perturb=None):
+    # verify_pieri at lambda = 0 for the fundamental weight omega_i
+    def produce(_tmp_path):
+        datum = build_root_system(family, rank)
+        report = verify_pieri(datum, Multiplicities(datum, g),
+                              datum.fundamental_weights[i - 1],
+                              (Q(0),) * datum.dim, perturb=perturb)
+        assert report.ok is ok
+        return json.dumps(report.to_dict(), sort_keys=True).encode()
+    return produce
+
+
+F4_G = (Q(3, 7), Q(5, 11))
+
 # Outputs without floats, so their bytes do not depend on the platform libm:
-# (arguments, exit code, sha256 of the written file).
+# (producer of the bytes, their sha256).
 PINNED_OUTPUTS = (
-    (["verify", "--suite", "pieri,eigen,bc,quasi"], 0,
+    (_cli_output(["verify", "--suite", "pieri,eigen,bc,quasi"], 0),
      "eb379006af244da4fb6c4d440f73d6f6236a86458a67aa8098191b9895d5e3f6"),
-    (["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
-      "--samples", "1", "--perturb", "u-sign"], 1,
+    (_cli_output(["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
+                  "--samples", "1", "--perturb", "u-sign"], 1),
      "d12108665b46fba11a366530f9263efaf3f7339e9d934e0b9d7895d8c0bcdbdd"),
-    (["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
-      "--samples", "1", "--perturb", "v-drop-pairing2"], 1,
+    (_cli_output(["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
+                  "--samples", "1", "--perturb", "v-drop-pairing2"], 1),
      "49a8ef20ece1f6c7936c8aaa4091b7fac093a8203160e4644e2f744865d79fba"),
-    (["coeffs", "--family", "G", "--rank", "2", "--omega", "1,0",
-      "--format", "latex"], 0,
+    (_cli_output(["coeffs", "--family", "G", "--rank", "2", "--omega", "1,0",
+                  "--format", "latex"], 0),
      "633787aea608a298f7d45e023abaa1725f637e1c578dd32f2ad783b8a81a01bf"),
+    (_pieri_report("F", 4, 1, F4_G, True),
+     "4859c399b436e24a80c50179fb98c7c428fbb68efe89d2ad7efdaefec4303e4a"),
+    (_pieri_report("F", 4, 4, F4_G, True),
+     "c3ecafbc9ed397fb77f05419f2a083582a6e8efd9da01644062dd28c6c0bb835"),
+    (_pieri_report("E", 6, 1, (Q(4, 9),), True),
+     "4ae7fccd74f63f5407ad6322360b6e75fa4b50f2853fdb4f855794f16ee49d5c"),
+    (_pieri_report("F", 4, 1, F4_G, False, perturb="u-sign"),
+     "3810f600611d3254f853ef992d6a4f7a67367274a070b06a1befd00717a5006b"),
 )
 
 
-@pytest.mark.parametrize("args,code,digest", PINNED_OUTPUTS,
+@pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS,
                          ids=["exact-suites", "u-sign", "v-drop-pairing2",
-                              "coeffs-g2"])
-def test_exact_outputs_are_byte_stable(tmp_path, args, code, digest):
-    out = tmp_path / "out.json"
-    assert run(args + ["--out", str(out)]) == code
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+                              "coeffs-g2", "pieri-f4-omega1", "pieri-f4-omega4",
+                              "pieri-e6-omega1", "pieri-f4-omega1-u-sign"])
+def test_exact_outputs_are_byte_stable(tmp_path, produce, digest):
+    assert hashlib.sha256(produce(tmp_path)).hexdigest() == digest
 
 
 def test_verify_invalid_inputs(capsys):

@@ -5,11 +5,13 @@ from fractions import Fraction as Q
 import pytest
 
 import hodiff.diffeq as diffeq
-from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PoleAtSpectralPoint,
-                           coeff_U, coeff_V, pieri_index, pieri_residual,
-                           pieri_terms, quasi_identity_value,
+from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
+                           PoleAtSpectralPoint, coeff_U, coeff_V,
+                           integer_product, perturbed, pieri_index,
+                           pieri_residual, pieri_terms, quasi_identity_value,
                            sample_multiplicities, sample_spectral_point,
-                           specialization_consistency, verify_pieri)
+                           scaled_table, specialization_consistency,
+                           verify_pieri)
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import Multiplicities, vadd, vscale
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError,
@@ -52,6 +54,92 @@ def test_pole_raises(a1):
     minus_one = vscale(Q(-1), w)  # pairing -1 hits the affine denominator
     with pytest.raises(PoleAtSpectralPoint):
         coeff_V(a1, g, alpha, minus_one)
+
+
+def _reference_product(datum, factors, z, g):
+    """A factor-list product one Fraction factor at a time."""
+    total = Q(1)
+    for i, s, e in factors:
+        w = z[i] + s
+        if w == 0:
+            raise PoleAtSpectralPoint(datum.roots[i],
+                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+        total *= (w + e * g[i]) / w
+    return total
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except PoleAtSpectralPoint as exc:
+        return ("pole", exc.alpha, exc.which)
+
+
+def _every_factor_list(datum):
+    """Each V and U factor list of every small weight's Pieri index,
+    plain and under both negative-control edits."""
+    for omega in datum.small_dominant_weights():
+        for entry in pieri_index(datum, omega):
+            for factors in (entry.v_factors, *entry.u_factors):
+                for perturb in (None, *PERTURBATIONS):
+                    yield perturbed(factors, perturb)
+
+
+@pytest.mark.parametrize("system", ["a2", "b2", "g2", "c3", "d4", "f4"])
+def test_integer_product_matches_fraction_reference(system, request):
+    datum = request.getfixturevalue(system)
+    rng = random.Random(f"integer-product:{system}")
+    mults = sample_multiplicities(datum, rng)
+    xi = sample_spectral_point(datum, rng)
+    z, g = datum.pairings(xi), mults.root_values
+    table = scaled_table(z, g)
+    checked = 0
+    for factors in _every_factor_list(datum):
+        got = Q(*integer_product(datum, factors, table))
+        assert got == _reference_product(datum, factors, z, g), factors
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("system", ["a2", "b2", "g2", "c3"])
+def test_integer_product_poles_match_reference(system, request):
+    # at xi = 0, -omega_j and -rho (all labels -1, so only 1+z vanishes)
+    # every pole of the reference is raised by the integer evaluator at the
+    # same root and denominator
+    datum = request.getfixturevalue(system)
+    g = sample_multiplicities(datum, random.Random(f"poles:{system}")).root_values
+    points = [(Q(0),) * datum.dim,
+              datum.weight_from_fundamental([-1] * datum.rank)]
+    points += [vscale(-1, w) for w in datum.fundamental_weights]
+    kinds = set()
+    for xi in points:
+        z = datum.pairings(xi)
+        table = scaled_table(z, g)
+        for factors in _every_factor_list(datum):
+            want = _outcome(lambda: _reference_product(datum, factors, z, g))
+            got = _outcome(lambda: Q(*integer_product(datum, factors, table)))
+            assert got == want, (xi, factors)
+            if isinstance(want, tuple):
+                kinds.add(want[2])
+    assert kinds == {"<xi,a^vee>", "1+<xi,a^vee>"}
+
+
+def test_pieri_terms_pole_names_root_and_denominator(a1):
+    # g = 1 at lambda = 0 puts <rho_g, (-alpha)^vee> at -1: the pairing-2
+    # factor of V_{-alpha} for the quasi-minuscule alpha has a pole
+    alpha = a1.positive_roots[0]
+    zero = (Q(0),) * a1.dim
+    with pytest.raises(PoleAtSpectralPoint) as exc:
+        pieri_terms(a1, Multiplicities.constant(a1, Q(1)), alpha, zero)
+    assert exc.value.alpha == vscale(-1, alpha)
+    assert exc.value.which == "1+<xi,a^vee>"
+
+
+def test_pieri_terms_requires_exact_multiplicities(a2):
+    zero = (Q(0),) * a2.dim
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        pieri_terms(a2, Multiplicities.constant(a2, 0.5),
+                    a2.fundamental_weights[0], zero)
 
 
 def test_pieri_index_structure(a2):
@@ -197,7 +285,8 @@ def _mutated_entries(entry):
             yield replace(entry, u_factors=us[:m] + (u,) + us[m + 1:])
 
 
-@pytest.mark.parametrize("system", ["a1", "a2", "a3", "b2", "g2"])
+@pytest.mark.parametrize("system", ["a1", "a2", "a3", "b2", "g2",
+                                    pytest.param("c3", marks=pytest.mark.slow)])
 def test_every_single_factor_edit_breaks_pieri(system, request, monkeypatch):
     # the factor-level negative controls: dropping or sign-flipping any one
     # entry of any V or U factor list must break the exact identity.  lambda

@@ -329,3 +329,33 @@ def test_root_values_follow_orbits(b2, bc2):
         assert m.root_values == tuple(m.of(a) for a in datum.roots)
         assert datum.rho(m) is datum.rho(m)
         assert datum.rho(m) == datum.half_weighted_sum(m.of)
+
+
+@pytest.mark.parametrize("fam,rank", [("F", 4), ("E", 6)])
+def test_stabilizer_orbit_matches_root_definition(fam, rank):
+    # the index-keyed orbit equals the orbit under the reflections in the
+    # positive roots orthogonal to nu, order included, for every nu of the
+    # saturated sets of the small fundamentals and eta as in the Pieri index
+    datum = build_root_system(fam, rank)
+    positive = set(datum.positive_roots)
+    checked = 0
+    for omega in datum.small_fundamental_weights():
+        for nu in datum.saturated_set(omega):
+            _plus, word = datum.dominant_representative(nu)
+            eta = datum.apply_word(datum.inverse_word(word), omega)
+            gens = [a for a in datum.stabilizer_roots(nu) if a in positive]
+            assert datum.stabilizer_orbit(nu, eta) == \
+                datum.orbit_under_reflections(gens, eta)
+            checked += 1
+    assert checked == {"F": 49 + 25, "E": 27 + 73 + 243 + 243 + 27}[fam]
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                      ("G", 2), ("F", 4), ("E", 6), ("BC", 2)])
+def test_height_from_labels_matches_simple_coefficients(fam, rank):
+    datum = build_root_system(fam, rank)
+    rng = random.Random(f"height:{fam}{rank}")
+    for _ in range(20):
+        v = datum.weight_from_fundamental(
+            [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank)])
+        assert datum.height(v) == sum(datum.simple_coefficients(v))

@@ -435,17 +435,15 @@ def cmd_verify(args) -> int:
         if not args.family or args.rank is None:
             print("error: --family and --rank go together", file=sys.stderr)
             return EXIT_INVALID
-        if not set(suites) <= {"pieri", "eigen"}:
-            print("error: --family/--rank select systems only for the pieri "
-                  "and eigen suites", file=sys.stderr)
+        if not set(suites) <= {"pieri", "eigen"} or args.family == "BC":
+            print("error: --family/--rank select reduced systems for the pieri "
+                  "and eigen suites only; BC is checked by the bc suite",
+                  file=sys.stderr)
             return EXIT_INVALID
         systems = ((args.family, args.rank),)
-    omegas = None
-    if args.omega:
-        if not args.family:
-            print("error: --omega requires --family/--rank", file=sys.stderr)
-            return EXIT_INVALID
-        omegas = (tuple(Q(p) for p in args.omega.split(",")),)
+    if args.omega and not args.family:
+        print("error: --omega requires --family/--rank", file=sys.stderr)
+        return EXIT_INVALID
     unknown = set(suites) - set(CampaignConfig().suites)
     if unknown or not suites:
         print(f"error: unknown or empty suite selection {sorted(unknown)}",
@@ -467,6 +465,8 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     try:
+        omegas = ((tuple(_parse_rational_list(args.omega, None)),)
+                  if args.omega else None)
         result = run_campaign(CampaignConfig(
             systems=systems, omegas=omegas, height_bound=height,
             samples=args.samples, seed=args.seed, suites=suites,
@@ -490,7 +490,7 @@ def cmd_coeffs(args) -> int:
         datum = build_root_system(args.family, args.rank)
         omega = _parse_lambda(datum, args.omega)
         entries = diffeq.pieri_index(datum, omega)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     terms = []

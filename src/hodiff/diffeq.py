@@ -150,7 +150,11 @@ class PieriTermIndex:
 @lru_cache(maxsize=None)
 def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     """Index set of the difference equation: nu in P(omega) with the orbit
-    W_nu(w_nu^{-1} omega) attached to each."""
+    W_nu(w_nu^{-1} omega) attached to each.  Reduced systems only: the
+    nonreduced BC equation has its own coefficients (``nonreduced``)."""
+    if datum.family == "BC":
+        raise ValueError("the reduced-system coefficients do not apply to BC; "
+                         "its equation is checked by the bc suite")
     omega = datum.check_dominant(omega)
     if not datum.is_small(omega):
         raise ValueError(f"{omega} is not small")
@@ -242,7 +246,7 @@ def pieri_residual(datum: RootDatum, e_poly: ExpPoly, poly: JacobiPolynomial,
     every dominant exponent a of the (checked) W-invariant e_poly, must be
     <= top, and P(lambda) + P(a) lies in P(lambda + a).
     """
-    below = {datum.labels(mu): mu for mu in datum.dominant_below(top)}
+    below = datum.below_labels(datum.dominant_labels(top))
     lam = datum.labels(poly.lam)
     e_terms = {datum.weight_labels(a): c for a, c in e_poly.terms.items()}
     if not _is_invariant(datum, e_terms):
@@ -257,7 +261,7 @@ def pieri_residual(datum: RootDatum, e_poly: ExpPoly, poly: JacobiPolynomial,
     p_terms = poly.label_terms()
     rhs_terms = [(p.label_terms(), c) for p, c in shifted]
     residual = {}
-    for m, mu in below.items():
+    for m in below:
         r = 0
         for a, e in e_terms.items():
             c = p_terms.get(tuple(map(sub, m, a)))
@@ -268,7 +272,7 @@ def pieri_residual(datum: RootDatum, e_poly: ExpPoly, poly: JacobiPolynomial,
             if v:
                 r -= c * v
         if r:
-            residual.update((nu, r) for nu in datum.weyl_orbit(mu))
+            residual.update((nu, r) for nu in datum.weyl_orbit(datum.from_labels(m)))
     return ExpPoly(residual)
 
 

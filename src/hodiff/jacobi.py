@@ -10,9 +10,10 @@ eigencheck through the division-based operator action.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 
 from .rootsys import Multiplicities, RootDatum, Vector, vadd, vscale
 from .weylalg import (ExpPoly, apply_L_labels, eigenvalue_E, exp_to_json,
@@ -75,12 +76,13 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
     j-sum is finite because c~ vanishes outside the saturated set.
     """
     require_exact(mults)
-    lam = datum.check_dominant(lam)
-    sat = datum.saturated_label_map(lam)
+    top = datum.dominant_labels(lam)
+    sat = datum.saturated_labels(top)
+    # lam is the unique top of the height order, and the recursion at mu
+    # reads only greater heights, so ties may come in any order
     height_row = datum.height_row
-    doms = sorted(datum.dominant_below(lam),
-                  key=lambda mu: (-sum(map(mul, height_row, datum.labels(mu))), mu))
-    assert doms[0] == lam or datum.height(doms[0]) == datum.height(lam)
+    doms = sorted(datum.below_labels(top),
+                  key=lambda m: -sum(map(mul, height_row, m)))
     # E(rho+mu) - E(rho) = <2 rho + mu, mu>, read on labels through the
     # fundamental-weight Gram form and scaled by d * den to an integer
     gram = datum.weight_gram
@@ -93,42 +95,38 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
                    for r, x, row in zip(rho_d, m, gram))
 
     scale = d * datum.weight_gram_den
-    e_top = energy(datum.labels(lam))
-    # per positive root: labels, and g_alpha |alpha|^2, since
-    # 2 g <mu + j alpha, alpha> = g |alpha|^2 (<mu, alpha^vee> + 2j)
-    positive = [(i, datum.root_labels[i],
-                 mults.root_values[i] * datum.norm_sq(datum.roots[i]))
+    e_top = energy(top)
+    # per positive root: coroot coefficients, labels, and g_alpha |alpha|^2,
+    # since 2 g <mu + j alpha, alpha> = g |alpha|^2 (<mu, alpha^vee> + 2j)
+    positive = [(datum.coroot_coefficients[i], datum.root_labels[i],
+                 mults.root_values[i] * datum.root_norms[i])
                 for i in datum.positive_indices]
 
-    monic: dict[tuple, Q] = {}        # keyed by the labels of mu
-    for mu in doms:
-        mu_labels = datum.labels(mu)
-        if mu == lam:
-            monic[mu_labels] = Q(1)
-            continue
+    monic: dict[tuple, Q] = {top: Q(1)}     # keyed by the labels of mu
+    for mu in doms[1:]:
         rhs = Q(0)
-        pairs = datum.pairings(mu)
-        for i, lab, weight in positive:
-            k = pairs[i] + 2
-            nu = tuple(a + b for a, b in zip(mu_labels, lab))
+        for cc, lab, weight in positive:
+            k = sum(map(mul, cc, mu)) + 2
+            nu = tuple(map(add, mu, lab))
             while (rep := sat.get(nu)) is not None:
                 c = monic.get(rep)
                 if c:
                     rhs += weight * k * c
                 k += 2
-                nu = tuple(a + b for a, b in zip(nu, lab))
-        denom = e_top - energy(mu_labels)
+                nu = tuple(map(add, nu, lab))
+        denom = e_top - energy(mu)
         if denom == 0:
             raise ArithmeticError(
-                f"vanishing recursion denominator at mu={mu}; "
+                f"vanishing recursion denominator at mu={datum.from_labels(mu)}; "
                 "impossible for positive multiplicities")
-        monic[mu_labels] = rhs * scale / denom
+        monic[mu] = rhs * scale / denom
 
-    coeffs = {mu: monic[datum.labels(mu)] for mu in doms}
-    z = sum(c * len(datum.weyl_orbit(mu)) for mu, c in coeffs.items())
+    # P(0): the monic coefficients summed over P(lam), one per orbit element
+    z = sum(monic[m] * n for m, n in Counter(sat.values()).items())
     if z == 0:
         raise ArithmeticError("vanishing value at the origin; cannot normalize")
-    return JacobiPolynomial(datum, mults, lam, {mu: c / z for mu, c in coeffs.items()})
+    return JacobiPolynomial(datum, mults, datum.from_labels(top),
+                            {datum.from_labels(m): c / z for m, c in monic.items()})
 
 
 def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,

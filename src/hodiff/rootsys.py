@@ -11,8 +11,10 @@ which are integer tuples for weights.  Three tables are built once per
 datum: the Cartan rows (the labels of the simple roots), the labels of every
 root, and every root's coroot coefficients c_i(alpha) = <omega_i, alpha^vee>.
 Then <v, alpha^vee> = sum_i c_i l_i and s_alpha(l) = l - <v, alpha^vee>
-labels(alpha).  Realization coordinates are rebuilt only where a weight
-leaves the kernel.  Every pairing, reflection and orbit below is exact.
+labels(alpha).  A realization vector is hashed once, where it enters the
+kernel (``labels``); every other memo of a datum is keyed by labels, and
+realization coordinates are rebuilt only where a weight leaves the kernel.
+Every pairing, reflection and orbit below is exact.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ def vzero(dim: int) -> Vector:
 def _exact(x):
     """x as an int when it is integral, else unchanged (a Fraction)."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _integral(l) -> bool:
+    """Every entry is an int (labels and pairings are normalized by _exact)."""
+    return all(type(x) is int for x in l)
 
 
 def _step(l, k, row):
@@ -129,11 +136,12 @@ def _simple_roots(family: str, rank: int):
 class RootDatum:
     """A realized irreducible root system with its Weyl combinatorics.
 
-    The roots and the label tables are fixed at construction.  Results per
-    vector (labels, pairings, orbits, validated weights) are
-    memoized on the instance the first time they are asked for.  Each entry
-    is a pure function of its key, so threads sharing an instance can at
-    worst compute an entry twice.
+    The roots and the label tables are fixed at construction.  Results are
+    memoized on the instance the first time they are asked for: the labels
+    of a vector under the vector (the only vector-keyed memo), everything
+    else (pairings, orbits, dominance intervals, saturated maps) under the
+    labels of a weight.  Each entry is a pure function of its key, so
+    threads sharing an instance can at worst compute an entry twice.
     """
 
     def __init__(self, family: str, rank: int):
@@ -145,11 +153,10 @@ class RootDatum:
         self.dim = dim
         self.gram = tuple(tuple(row) for row in gram) if gram is not None else None
         self.simple_roots: tuple[Vector, ...] = tuple(simples)
+        self._simple_norms = tuple(self.inner(a, a) for a in simples)
 
-        self._norm_cache: dict[Vector, Q] = {}
-        self._coroot_cache: dict[Vector, Vector] = {}
-
-        cartan = [[self.pairing(a, b) for b in simples] for a in simples]
+        cartan = [[2 * self.inner(a, b) / n for b, n in zip(simples, self._simple_norms)]
+                  for a in simples]
         if any(x.denominator != 1 for row in cartan for x in row):
             raise ValueError("simple roots are not crystallographic")
         # cartan[i] = labels of alpha_i
@@ -164,14 +171,16 @@ class RootDatum:
             (x * self.height_den).numerator for x in row)
 
         # roots as simple-root coefficient vectors n, alpha = sum_k n_k alpha_k
-        coeffs = self._simple_root_closure()
+        by_root = {self._from_simple(n): n for n in self._simple_root_closure()}
         if family == "BC":
-            short = min(self.norm_sq(self._from_simple(n)) for n in coeffs)
-            coeffs |= {tuple(2 * x for x in n) for n in coeffs
-                       if self.norm_sq(self._from_simple(n)) == short}
-        by_root = {self._from_simple(n): n for n in coeffs}
+            norms = {a: self.inner(a, a) for a in by_root}
+            short = min(norms.values())
+            by_root |= {tuple(2 * x for x in a): tuple(2 * k for k in n)
+                        for a, n in by_root.items() if norms[a] == short}
         self.roots: tuple[Vector, ...] = tuple(sorted(by_root))
         self.root_index: dict[Vector, int] = {a: i for i, a in enumerate(self.roots)}
+        # |alpha|^2 per root, read by index (``norm_sq`` for a root vector)
+        self.root_norms: tuple[Q, ...] = tuple(self.inner(a, a) for a in self.roots)
         self.positive_indices: tuple[int, ...] = tuple(
             i for i, a in enumerate(self.roots) if min(by_root[a]) >= 0)
         self.positive_roots: tuple[Vector, ...] = tuple(
@@ -185,19 +194,13 @@ class RootDatum:
             for n in map(by_root.__getitem__, self.roots))
         # alpha^vee = sum_k n_k (|alpha_k|^2 / |alpha|^2) alpha_k^vee
         self.coroot_coefficients: tuple[tuple, ...] = tuple(
-            tuple(_exact(by_root[a][k] * self.norm_sq(simples[k]) / self.norm_sq(a))
-                  for k in range(rank))
-            for a in self.roots)
+            tuple(_exact(by_root[a][k] * self._simple_norms[k] / n) for k in range(rank))
+            for a, n in zip(self.roots, self.root_norms))
         self._integral_coroots = all(isinstance(c, int)
                                      for row in self.coroot_coefficients for c in row)
 
         # omega_i = sum_k (cartan^{-1})[i][k] alpha_k
-        fund = []
-        for i in range(rank):
-            w = vzero(dim)
-            for k in range(rank):
-                w = vadd(w, vscale(self._cartan_inv[i][k], self.simple_roots[k]))
-            fund.append(w)
+        fund = [self._from_simple(row) for row in self._cartan_inv]
         self.fundamental_weights: tuple[Vector, ...] = tuple(fund)
         for i in range(rank):
             for j in range(rank):
@@ -209,26 +212,28 @@ class RootDatum:
                                 for col in zip(*fund))
         # <omega_i, omega_j> = (cartan^{-1})[j][i] |alpha_i|^2 / 2, held as
         # weight_gram[i][j] / weight_gram_den, so <v, v> = l G l / den on labels
-        gram_w = [[self._cartan_inv[j][i] * self.norm_sq(simples[i]) / 2
+        gram_w = [[self._cartan_inv[j][i] * self._simple_norms[i] / 2
                    for j in range(rank)] for i in range(rank)]
         self.weight_gram_den = math.lcm(*(x.denominator for row in gram_w for x in row))
         self.weight_gram: tuple[tuple[int, ...], ...] = tuple(
             tuple((x * self.weight_gram_den).numerator for x in row) for row in gram_w)
 
+        # memos: labels under the vector (the one vector-keyed memo), the
+        # rest under integer labels (of a weight, or of the dominant element
+        # of an orbit) or sets of root indices
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
-        self._pairings: dict[Vector, tuple] = {}
-        self._weights: dict[Vector, tuple] = {}
-        self._orbits: dict[Vector, tuple[Vector, ...]] = {}
-
-        self.root_orbits: tuple[tuple[Vector, ...], ...] = self._compute_root_orbits()
-        self._orbit_index = {a: i for i, orb in enumerate(self.root_orbits) for a in orb}
-        self.root_orbit_ids: tuple[int, ...] = tuple(
-            self._orbit_index[a] for a in self.roots)
-
+        self._pairings: dict[tuple, tuple] = {}
+        self._orbits: dict[tuple, tuple[Vector, ...]] = {}
+        self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
+        self._sat_label_cache: dict[tuple, dict[tuple, tuple]] = {}
         self._weyl_order_memo: dict[frozenset, int] = {}
-        self._sat_label_cache: dict[Vector, dict[tuple, tuple]] = {}
-        self._dominant_below_cache: dict[Vector, tuple[Vector, ...]] = {}
+
+        orbits = self._root_orbit_indices()
+        self.root_orbits: tuple[tuple[Vector, ...], ...] = tuple(
+            tuple(map(self.roots.__getitem__, orb)) for orb in orbits)
+        ids = {i: k for k, orb in enumerate(orbits) for i in orb}
+        self.root_orbit_ids: tuple[int, ...] = tuple(ids[i] for i in range(len(self.roots)))
 
     # -- bilinear form ------------------------------------------------------
 
@@ -239,18 +244,9 @@ class RootDatum:
                    for i in range(self.dim) for j in range(self.dim))
 
     def norm_sq(self, alpha: Vector) -> Q:
-        val = self._norm_cache.get(alpha)
-        if val is None:
-            val = self.inner(alpha, alpha)
-            self._norm_cache[alpha] = val
-        return val
-
-    def coroot(self, alpha: Vector) -> Vector:
-        cv = self._coroot_cache.get(alpha)
-        if cv is None:
-            cv = vscale(Q(2) / self.norm_sq(alpha), alpha)
-            self._coroot_cache[alpha] = cv
-        return cv
+        """<alpha, alpha>, read from ``root_norms`` when alpha is a root."""
+        i = self.root_index.get(alpha)
+        return self.inner(alpha, alpha) if i is None else self.root_norms[i]
 
     def pairing(self, v: Vector, alpha: Vector) -> Q:
         """<v, alpha^vee> = 2 <v, alpha> / <alpha, alpha>, the Gram form.
@@ -269,11 +265,13 @@ class RootDatum:
     # -- the label kernel -----------------------------------------------------
 
     def labels(self, v: Vector) -> tuple:
-        """Dynkin labels (<v, alpha_i^vee>)_i, ints where integral (memoized)."""
+        """Dynkin labels (<v, alpha_i^vee>)_i, ints where integral (memoized):
+        the one place where a realization vector is hashed."""
         l = self._labels.get(v)
         if l is None:
-            l = tuple(_exact(self.pairing(v, a)) for a in self.simple_roots)
-            self._labels[v] = l
+            l = self._labels[v] = tuple(
+                _exact(2 * self.inner(v, a) / n)
+                for a, n in zip(self.simple_roots, self._simple_norms))
         return l
 
     def from_labels(self, l: tuple) -> Vector:
@@ -282,19 +280,29 @@ class RootDatum:
         if v is None:
             den = self._fund_den
             v = tuple(Q(sum(map(mul, row, l)), den) for row in self._fund_rows)
-            self._vectors[l] = v
-            self._labels.setdefault(v, tuple(map(_exact, l)))
+            if _integral(l):
+                self._vectors[l] = v
+                self._labels.setdefault(v, l)
         return v
 
     def _label_pairings(self, l: tuple) -> tuple:
-        return tuple(_exact(sum(map(mul, c, l))) for c in self.coroot_coefficients)
+        """<v, alpha^vee> for every root from the labels of v, memoized under
+        integers: a weight's labels, else (den, label numerators over den)."""
+        if _integral(l):
+            key, den, nums = l, 1, l
+        else:
+            den = math.lcm(*(x.denominator for x in l))
+            nums = tuple(x.numerator * (den // x.denominator) for x in l)
+            key = (den, nums)
+        p = self._pairings.get(key)
+        if p is None:
+            p = self._pairings[key] = tuple(
+                _exact(Q(sum(map(mul, c, nums)), den)) for c in self.coroot_coefficients)
+        return p
 
     def pairings(self, v: Vector) -> tuple:
-        """<v, alpha^vee> for every root, in the order of ``roots`` (memoized)."""
-        p = self._pairings.get(v)
-        if p is None:
-            p = self._pairings[v] = self._label_pairings(self.labels(v))
-        return p
+        """<v, alpha^vee> for every root, in the order of ``roots``."""
+        return self._label_pairings(self.labels(v))
 
     def _orbit_labels(self, gens, l: tuple) -> set:
         """Label orbit of l under the reflections in the roots indexed by gens."""
@@ -327,7 +335,7 @@ class RootDatum:
                         stack.append(w)
         return seen
 
-    def _dominant_labels(self, l: tuple):
+    def _make_dominant(self, l: tuple):
         """Greedy reflection at the least simple root with a negative label."""
         steps = []
         while True:
@@ -362,26 +370,16 @@ class RootDatum:
             frontier = nxt
         return seen
 
-    def _compute_root_orbits(self):
-        simple = [self.root_index[a] for a in self.simple_roots]
-        by_labels = {l: i for i, l in enumerate(self.root_labels)}
-        remaining = set(range(len(self.roots)))
-        orbits = []
-        while remaining:
-            seed = min(remaining)
-            orb = {by_labels[l] for l in self._orbit_labels(simple, self.root_labels[seed])}
-            orbits.append(tuple(self.roots[i] for i in sorted(orb)))
-            remaining -= orb
-        # canonical order: by dominant representative of each orbit
-        orbits.sort(key=lambda orb: self.dominant_representative(orb[0])[0])
-        return tuple(orbits)
+    def _root_orbit_indices(self):
+        """Sorted root indices of each W-orbit of roots: one orbit per
+        dominant root, in the order of those roots."""
+        index = {l: i for i, l in enumerate(self.root_labels)}
+        tops = sorted((l for l in self.root_labels if min(l) >= 0), key=self.from_labels)
+        return [sorted(map(index.get, self._dominant_orbit(t))) for t in tops]
 
     def orbit_representatives(self) -> tuple[Vector, ...]:
         """Dominant representative of each root orbit, in canonical order."""
         return tuple(self.dominant_representative(orb[0])[0] for orb in self.root_orbits)
-
-    def orbit_index(self, alpha: Vector) -> int:
-        return self._orbit_index[alpha]
 
     # -- lattice membership --------------------------------------------------
 
@@ -394,29 +392,23 @@ class RootDatum:
                      for k in range(self.rank))
 
     def is_weight(self, v: Vector) -> bool:
-        l = self.labels(v)
-        if self.from_labels(l) != v:
+        try:
+            self.weight_labels(v)
+        except ValueError:
             return False
-        pairs = l if self._integral_coroots else self.pairings(v)
-        return all(isinstance(x, int) for x in pairs)
-
-    def _weight(self, v: Vector):
-        """(v with Fraction entries, its labels); ValueError off the lattice."""
-        v = tuple(v)
-        entry = self._weights.get(v)
-        if entry is None:
-            w = tuple(Q(x) for x in v)
-            if not self.is_weight(w):
-                raise ValueError(f"{w} is not in the weight lattice of {self}")
-            entry = self._weights[w] = (w, self.labels(w))
-        return entry
-
-    def check_weight(self, v: Vector) -> Vector:
-        return self._weight(v)[0]
+        return True
 
     def weight_labels(self, v: Vector) -> tuple:
-        """Labels of a weight; ValueError if v is not in the weight lattice."""
-        return self._weight(v)[1]
+        """Labels of a weight; ValueError if v is not in the weight lattice:
+        integer labels, v in the root span and, for BC (where some coroots
+        have half-integer simple-coroot coefficients), integer pairings."""
+        v = tuple(v)
+        l = self.labels(v)
+        if not (_integral(l) and self.from_labels(l) == v
+                and (self._integral_coroots or _integral(self._label_pairings(l)))):
+            raise ValueError(f"{tuple(Q(x) for x in v)} is not in the weight "
+                             f"lattice of {self}")
+        return l
 
     def height(self, v: Vector) -> Q:
         """Sum of simple-root coordinates of v."""
@@ -428,14 +420,18 @@ class RootDatum:
     def is_dominant(self, v: Vector) -> bool:
         return all(x >= 0 for x in self.labels(v))
 
+    def dominant_labels(self, v: Vector) -> tuple:
+        """Labels of a dominant weight; ValueError otherwise."""
+        l = self.weight_labels(v)
+        if min(l) < 0:
+            raise ValueError(f"{self.from_labels(l)} is not dominant")
+        return l
+
     def check_dominant(self, v: Vector) -> Vector:
-        v = self.check_weight(v)
-        if not self.is_dominant(v):
-            raise ValueError(f"{v} is not dominant")
-        return v
+        return self.from_labels(self.dominant_labels(v))
 
     def weight_from_fundamental(self, coeffs) -> Vector:
-        coeffs = tuple(coeffs)
+        coeffs = tuple(_exact(Q(c)) for c in coeffs)
         if len(coeffs) != self.rank:
             raise ValueError(f"need {self.rank} fundamental coefficients")
         return self.from_labels(coeffs)
@@ -443,13 +439,13 @@ class RootDatum:
     # -- Weyl group actions ---------------------------------------------------
 
     def weyl_orbit(self, v: Vector) -> tuple[Vector, ...]:
-        """Full W-orbit of a weight, sorted (memoized)."""
-        v, l = self._weight(v)
-        orbit = self._orbits.get(v)
+        """Full W-orbit of a weight, sorted (memoized per orbit, under the
+        labels of its dominant element)."""
+        top, _ = self._make_dominant(self.weight_labels(v))
+        orbit = self._orbits.get(top)
         if orbit is None:
-            top, _ = self._dominant_labels(l)
-            orbit = tuple(sorted(map(self.from_labels, self._dominant_orbit(top))))
-            self._orbits[v] = orbit
+            orbit = self._orbits[top] = tuple(
+                sorted(map(self.from_labels, self._dominant_orbit(top))))
         return orbit
 
     def orbit_under_reflections(self, gen_roots, v: Vector) -> tuple[Vector, ...]:
@@ -471,7 +467,7 @@ class RootDatum:
         step count is the length of the minimal element (checked by brute
         force in the test suite for small groups).
         """
-        l, steps = self._dominant_labels(self.labels(v))
+        l, steps = self._make_dominant(self.labels(v))
         return self.from_labels(l), tuple(reversed(steps))
 
     @staticmethod
@@ -518,31 +514,34 @@ class RootDatum:
 
     def dominance_leq(self, mu: Vector, lam: Vector) -> bool:
         """mu <= lam in dominance order: lam - mu in Q+ (dominant inputs)."""
-        mu = self.check_dominant(mu)
-        lam = self.check_dominant(lam)
-        return self._in_q_plus(vsub(lam, mu))
+        mu = self.dominant_labels(mu)
+        return mu in self.below_labels(self.dominant_labels(lam))
 
-    def _in_q_plus(self, v: Vector) -> bool:
-        c = self.simple_coefficients(v)
-        return c is not None and all(x >= 0 and x.denominator == 1 for x in c)
+    def below_labels(self, top: tuple) -> tuple[tuple, ...]:
+        """Labels of all dominant mu <= lam, lam with dominant labels top, in
+        the lexicographic order of the vectors (memoized).  Each such mu is
+        reached from lam through dominant weights by subtracting one positive
+        root at a time (J. Stembridge, The partial order of dominant weights,
+        Adv. Math. 136, 1998), so the search stays in the dominant chamber."""
+        found = self._dominant_below_cache.get(top)
+        if found is None:
+            rows = [self.root_labels[i] for i in self.positive_indices]
+            seen = {top}
+            stack = [top]
+            while stack:
+                l = stack.pop()
+                for row in rows:
+                    m = tuple(a - b for a, b in zip(l, row))
+                    if min(m) >= 0 and m not in seen:
+                        seen.add(m)
+                        stack.append(m)
+            found = self._dominant_below_cache[top] = tuple(
+                sorted(seen, key=self.from_labels))
+        return found
 
     def dominant_below(self, lam: Vector) -> tuple[Vector, ...]:
         """All dominant mu <= lam, lexicographically sorted."""
-        lam = self.check_dominant(lam)
-        cached = self._dominant_below_cache.get(lam)
-        if cached is not None:
-            return cached
-        top = self.labels(lam)
-        ranges = [range(int(b) + 1) for b in self.simple_coefficients(lam)]
-        found = []
-        for ks in itertools.product(*ranges):
-            mu = tuple(x - sum(k * row[j] for k, row in zip(ks, self.cartan))
-                       for j, x in enumerate(top))
-            if min(mu) >= 0:
-                found.append(self.from_labels(mu))
-        result = tuple(sorted(found))
-        self._dominant_below_cache[lam] = result
-        return result
+        return tuple(map(self.from_labels, self.below_labels(self.dominant_labels(lam))))
 
     def saturated_map(self, lam: Vector) -> dict[Vector, Vector]:
         """P(lam) as a map orbit element -> its dominant representative."""
@@ -550,33 +549,34 @@ class RootDatum:
                 for l, m in self.saturated_label_map(lam).items()}
 
     def saturated_label_map(self, lam: Vector) -> dict[tuple, tuple]:
-        """P(lam) as a map from the labels of an element to the labels of its
-        dominant representative, memoized."""
-        lam = self.check_dominant(lam)
-        cached = self._sat_label_cache.get(lam)
-        if cached is None:
-            cached = {l: m for m in map(self.labels, self.dominant_below(lam))
-                      for l in self._dominant_orbit(m)}
-            self._sat_label_cache[lam] = cached
-        return cached
+        """P(lam) as a map from labels to dominant labels (``saturated_labels``)."""
+        return self.saturated_labels(self.dominant_labels(lam))
+
+    def saturated_labels(self, top: tuple) -> dict[tuple, tuple]:
+        """P(lam) for lam with dominant labels top, as a map from labels to
+        the labels of the dominant representative (memoized)."""
+        found = self._sat_label_cache.get(top)
+        if found is None:
+            found = self._sat_label_cache[top] = {
+                l: m for m in self.below_labels(top) for l in self._dominant_orbit(m)}
+        return found
 
     def saturated_set(self, lam: Vector) -> tuple[Vector, ...]:
         return tuple(sorted(self.saturated_map(lam)))
 
     # -- small weights ---------------------------------------------------------
 
-    def _positive_pairings(self, omega: Vector):
-        p = self.pairings(omega)
-        return (p[i] for i in self.positive_indices)
+    def _top_pairing(self, omega: Vector):
+        """The largest <omega, alpha^vee> over alpha > 0, omega dominant."""
+        p = self._label_pairings(self.dominant_labels(omega))
+        return max(p[i] for i in self.positive_indices)
 
     def is_small(self, omega: Vector) -> bool:
         """All pairings with positive coroots at most 2."""
-        omega = self.check_dominant(omega)
-        return all(k <= 2 for k in self._positive_pairings(omega))
+        return self._top_pairing(omega) <= 2
 
     def is_minuscule(self, omega: Vector) -> bool:
-        omega = self.check_dominant(omega)
-        return all(k <= 1 for k in self._positive_pairings(omega))
+        return self._top_pairing(omega) <= 1
 
     def is_quasi_minuscule(self, omega: Vector) -> bool:
         omega = self.check_dominant(omega)
@@ -641,11 +641,8 @@ class RootDatum:
         return mults._rho
 
     def rho_vee(self) -> Vector:
-        """rho^vee = (1/2) sum_{alpha > 0} alpha^vee."""
-        acc = vzero(self.dim)
-        for a in self.positive_roots:
-            acc = vadd(acc, self.coroot(a))
-        return vscale(Q(1, 2), acc)
+        """rho^vee = (1/2) sum_{alpha > 0} alpha^vee, alpha^vee = 2 alpha / |alpha|^2."""
+        return self.half_weighted_sum(lambda a: 2 / self.norm_sq(a))
 
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"
@@ -682,7 +679,7 @@ class Multiplicities:
         return cls(datum, [mapping[r] for r in reps])
 
     def of(self, alpha: Vector):
-        return self.values[self.datum.orbit_index(alpha)]
+        return self.root_values[self.datum.root_index[alpha]]
 
     def key(self):
         return tuple(self.values)

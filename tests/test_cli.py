@@ -166,13 +166,19 @@ PINNED_OUTPUTS = (
      "4ae7fccd74f63f5407ad6322360b6e75fa4b50f2853fdb4f855794f16ee49d5c"),
     (_pieri_report("F", 4, 1, F4_G, False, perturb="u-sign"),
      "3810f600611d3254f853ef992d6a4f7a67367274a070b06a1befd00717a5006b"),
+    # E8 at its quasi-minuscule weight, the highest root omega_8
+    (_pieri_report("E", 8, 8, (Q(4, 9),), True),
+     "982a53387a5d1ea4602c9cd0dd15e29ef3e376feeb8edd0fe3836bcc206f6e38"),
+    (_pieri_report("E", 8, 8, (Q(4, 9),), False, perturb="u-sign"),
+     "a9b6a4a0b66aaa97ad2517744fc9b566b11c95dae87086f9cebf726f2939abe2"),
 )
 
 
 @pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS,
                          ids=["exact-suites", "u-sign", "v-drop-pairing2",
                               "coeffs-g2", "pieri-f4-omega1", "pieri-f4-omega4",
-                              "pieri-e6-omega1", "pieri-f4-omega1-u-sign"])
+                              "pieri-e6-omega1", "pieri-f4-omega1-u-sign",
+                              "pieri-e8-omega8", "pieri-e8-omega8-u-sign"])
 def test_exact_outputs_are_byte_stable(tmp_path, produce, digest):
     assert hashlib.sha256(produce(tmp_path)).hexdigest() == digest
 
@@ -226,3 +232,30 @@ def test_default_campaign_exit_zero(tmp_path):
     assert run(["verify", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["n_fail"] == 0 and payload["n_cases"] > 600
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "pieri", "--family", "A", "--rank", "2", "--omega", "x"],
+    ["verify", "--suite", "pieri", "--family", "A", "--rank", "2", "--omega", "1/0,0"],
+    ["coeffs", "--family", "A", "--rank", "2", "--omega", "1/0,0"],
+    ["coeffs", "--family", "BC", "--rank", "2", "--omega", "1,0"],
+    ["verify", "--suite", "pieri", "--family", "BC", "--rank", "2"],
+    ["verify", "--suite", "eigen", "--family", "BC", "--rank", "2"],
+], ids=["verify-omega-literal", "verify-omega-zero-division",
+        "coeffs-omega-zero-division", "coeffs-bc", "verify-pieri-bc", "verify-eigen-bc"])
+def test_bad_weights_and_bc_reduced_equation_rejected(args, capsys):
+    # a malformed weight, and the reduced-system equation asked of BC, are
+    # bad input: exit 2 with a one-line message and no traceback
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if "BC" in args and args[0] == "verify":
+        assert "bc suite" in captured.err
+
+
+def test_jacobi_accepts_bc(capsys):
+    assert run(["jacobi", "--family", "BC", "--rank", "2", "--lambda", "1,0",
+                "--g", "1/2,1/3,2/5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"]["eigen"]["status"] == "pass"

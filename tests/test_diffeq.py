@@ -393,3 +393,10 @@ def test_verify_pieri_requires_exact_multiplicities(a2):
     with pytest.raises(ValueError, match="exact multiplicities required"):
         verify_pieri(a2, Multiplicities.constant(a2, 0.5),
                      a2.fundamental_weights[0], zero)
+
+
+def test_pieri_index_refuses_bc(bc2):
+    # V and U of this module hold for reduced systems; BC has its own
+    # coefficients in ``nonreduced``
+    with pytest.raises(ValueError, match="bc suite"):
+        pieri_index(bc2, (Q(1), Q(0)))

@@ -1,8 +1,13 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hodiff.diffeq import verify_pieri
+from hodiff.jacobi import verify_eigen
+from hodiff.nonreduced import verify_pieri_bc
 from hodiff.rootsys import (Multiplicities, build_root_system, vadd, vneg,
                             vscale)
 
@@ -359,3 +364,104 @@ def test_height_from_labels_matches_simple_coefficients(fam, rank):
         v = datum.weight_from_fundamental(
             [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank)])
         assert datum.height(v) == sum(datum.simple_coefficients(v))
+
+
+# -- dominance intervals: Stembridge's descent against the box ------------------
+
+def _box_below(datum, lam):
+    """Dominant mu <= lam by brute force: lam minus every integer combination
+    of simple roots inside the box of lam's simple-root coefficients."""
+    top = datum.labels(lam)
+    ranges = [range(int(c) + 1) for c in datum.simple_coefficients(lam)]
+    found = set()
+    for ks in itertools.product(*ranges):
+        mu = tuple(x - sum(k * row[j] for k, row in zip(ks, datum.cartan))
+                   for j, x in enumerate(top))
+        if min(mu) >= 0:
+            found.add(datum.from_labels(mu))
+    return found
+
+
+DESCENT_SYSTEMS = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
+                   + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
+                   + [("E", 6), ("F", 4), ("G", 2)] + [("BC", r) for r in range(1, 4)])
+
+
+@pytest.mark.parametrize("fam,rank", DESCENT_SYSTEMS)
+def test_descent_matches_box_enumeration(fam, rank):
+    datum = build_root_system(fam, rank)
+    # fundamental combinations off the BC weight lattice are skipped
+    lams = [lam for lam in datum.dominant_weights_up_to_height(6) if datum.is_weight(lam)]
+    assert lams
+    for lam in lams:
+        assert datum.dominant_below(lam) == tuple(sorted(_box_below(datum, lam))), lam
+
+
+# largest label drawn per system: the box of F4 at 2 rho has 521,203 points
+PROPERTY_SYSTEMS = {("A", 3): 2, ("B", 3): 2, ("C", 3): 2, ("D", 4): 2,
+                    ("G", 2): 2, ("F", 4): 1, ("BC", 2): 2}
+
+
+@pytest.mark.parametrize("fam,rank", PROPERTY_SYSTEMS)
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_descent_matches_box_property(fam, rank, data):
+    datum = build_root_system(fam, rank)
+    top = data.draw(st.tuples(*[st.integers(0, PROPERTY_SYSTEMS[fam, rank])] * rank))
+    if fam == "BC":
+        top = top[:-1] + (2 * top[-1],)   # the BC weights have an even last label
+    lam = datum.from_labels(top)
+    assert set(datum.dominant_below(lam)) == _box_below(datum, lam)
+
+
+def test_e8_highest_root_interval():
+    # the box holds 151,200 points; the descent visits two weights
+    datum = build_root_system("E", 8)
+    theta = datum.quasi_minuscule_weight()
+    assert datum.labels(theta) == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert datum.dominant_below(theta) == ((Q(0),) * 8, theta)
+
+
+# -- one weight key: every per-datum memo is keyed by integers ------------------
+
+# the vector-keyed labels memo and the construction-time index of the roots
+VECTOR_KEYED = {"_labels", "root_index"}
+
+
+def _holds_fraction(key) -> bool:
+    if isinstance(key, (tuple, frozenset)):
+        return any(map(_holds_fraction, key))
+    return isinstance(key, Q)
+
+
+def _fraction_keyed_memos(datum):
+    """Dicts on datum (dict values included) with a Fraction in some key."""
+    return {name for name, memo in vars(datum).items()
+            if isinstance(memo, dict) and name not in VECTOR_KEYED
+            and any(_holds_fraction(k) or (isinstance(v, dict) and any(map(_holds_fraction, v)))
+                    for k, v in memo.items())}
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 2), ("G", 2), ("BC", 2)])
+def test_memos_are_keyed_by_labels(fam, rank):
+    datum = build_root_system(fam, rank)
+    if fam == "BC":
+        for ell in (1, 2):
+            for lam in ((0, 0), (1, 0), (2, 1)):
+                assert verify_pieri_bc(2, (Q(1, 3), Q(2, 5), Q(3, 7)), ell, lam,
+                                       datum=datum).ok
+        omega = (Q(1), Q(0))
+    else:
+        mults = Multiplicities(datum, [Q(k + 2, 7) for k in range(len(datum.root_orbits))])
+        for omega in datum.small_fundamental_weights():
+            for lam in ((Q(0),) * datum.dim, datum.fundamental_weights[0]):
+                cache = {}
+                assert verify_pieri(datum, mults, omega, lam, cache=cache).ok
+                for (_g, mu), poly in cache.items():
+                    assert verify_eigen(datum, mults, mu, poly).ok
+    assert _fraction_keyed_memos(datum) == set()
+    # an orbit is memoized once, under the labels of its dominant element
+    orbit = datum.weyl_orbit(omega)
+    entries = len(datum._orbits)
+    assert all(datum.weyl_orbit(nu) == orbit for nu in orbit)
+    assert len(datum._orbits) == entries

@@ -377,9 +377,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 # -- subcommands -------------------------------------------------------------------
 
 
-def _parse_rational_list(text: str, count: int):
-    parts = [p.strip() for p in text.split(",")]
-    values = [Q(p) for p in parts]
+def _parse_rational_list(option: str, text: str, count: int):
+    values = []
+    for part in (p.strip() for p in text.split(",")):
+        try:
+            values.append(Q(part))
+        except ZeroDivisionError:
+            raise ValueError(f"{option}: zero denominator in {part!r}") from None
     if count is not None and len(values) not in (1, count):
         raise ValueError(f"expected 1 or {count} comma-separated values")
     if count is not None and len(values) == 1:
@@ -387,8 +391,8 @@ def _parse_rational_list(text: str, count: int):
     return values
 
 
-def _parse_lambda(datum: RootDatum, text: str):
-    coeffs = [Q(p.strip()) for p in text.split(",")]
+def _parse_lambda(datum: RootDatum, option: str, text: str):
+    coeffs = _parse_rational_list(option, text, None)
     if len(coeffs) != datum.rank:
         raise ValueError(f"need {datum.rank} coefficients for {_label(datum)}")
     if datum.family == "BC":
@@ -410,8 +414,8 @@ def _emit(payload, out_path):
 def cmd_jacobi(args) -> int:
     try:
         datum = build_root_system(args.family, args.rank)
-        lam = _parse_lambda(datum, args.lam)
-        gvals = _parse_rational_list(args.g, len(datum.root_orbits))
+        lam = _parse_lambda(datum, "--lambda", args.lam)
+        gvals = _parse_rational_list("--g", args.g, len(datum.root_orbits))
         mults = Multiplicities(datum, gvals)
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -465,7 +469,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     try:
-        omegas = ((tuple(_parse_rational_list(args.omega, None)),)
+        omegas = ((tuple(_parse_rational_list("--omega", args.omega, None)),)
                   if args.omega else None)
         result = run_campaign(CampaignConfig(
             systems=systems, omegas=omegas, height_bound=height,
@@ -488,7 +492,7 @@ def _factor_latex(row, denom=False):
 def cmd_coeffs(args) -> int:
     try:
         datum = build_root_system(args.family, args.rank)
-        omega = _parse_lambda(datum, args.omega)
+        omega = _parse_lambda(datum, "--omega", args.omega)
         entries = diffeq.pieri_index(datum, omega)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -538,9 +542,9 @@ def cmd_sweep_rank_one(args) -> int:
 def cmd_whittaker_limits(args) -> int:
     try:
         datum = build_root_system(args.family, args.rank)
-        omega = _parse_lambda(datum, args.omega)
+        omega = _parse_lambda(datum, "--omega", args.omega)
         xi = datum.weight_from_fundamental(
-            _parse_rational_list(args.xi, datum.rank))
+            _parse_rational_list("--xi", args.xi, datum.rank))
         x = [float(v) for v in args.x.split(",")]
         if len(x) != datum.dim:
             raise ValueError(f"need {datum.dim} base-point coordinates")

@@ -56,13 +56,17 @@ def series_2f1(a, b, c, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS) -> float:
     for k in range(max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
-        if not math.isfinite(total):
-            raise HypergeometricError(f"series overflow at argument {z}")
-        if abs(term) <= tol * max(1.0, abs(total)):
+        t = abs(term)
+        # t <= tol * max(1, |total|); an overflowed total stays non-finite
+        if t <= tol or t <= tol * abs(total):
+            if not math.isfinite(total):
+                break
             # one extra term to make the stop robust near sign alternation
             term *= (a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z
             total += term
             return total
+    if not math.isfinite(total):
+        raise HypergeometricError(f"series overflow at argument {z}")
     raise HypergeometricError("series did not converge within the term cap")
 
 

@@ -342,7 +342,7 @@ def homogeneity_gap(datum: RootDatum, mults: Multiplicities,
 # -- rank-one oracle -------------------------------------------------------------
 
 U_RANGE = (-8.0, 50.0)   # the u-interval the rank-one oracle accepts
-ORACLE_DPS = 20          # mpmath working precision of the closed form
+ORACLE_DPS = 20          # mpmath digits of the closed form after cancellation
 
 
 class WhittakerA1:
@@ -356,9 +356,13 @@ class WhittakerA1:
     rank-one system has eta = 1).  zeta enters only through |zeta|, so the
     functions for zeta and -zeta are the same.
 
-    log phi is evaluated with mpmath at ORACLE_DPS digits, only at the given
-    points, which must lie in U_RANGE.  matching_radius is the upper end of
-    U_RANGE, kept for the hodiff/1 report schema.
+    log phi is evaluated only at the given points, which must lie in
+    U_RANGE, by the reflection formula K_a = pi/(2 sin pi a) (I_-a - I_a)
+    with 0F1 series for I_{+-a} (DLMF 10.27.4, 10.25.2), at ORACLE_DPS + 6
+    digits plus the 2x log10(e) + log10(1/|sin pi a|) the difference loses
+    at the largest x = 2 e^{-u/2}.  An integer order, 0/0 there, is moved
+    by 10^-(ORACLE_DPS+10).  matching_radius is the upper end of U_RANGE,
+    kept for the hodiff/1 report schema.
     """
 
     def __init__(self, zeta: float, points):
@@ -368,11 +372,20 @@ class WhittakerA1:
         u_eval = {float(u) for u in points}
         if not all(lo <= u <= hi for u in u_eval):
             raise ValueError(f"points must lie in [{lo}, {hi}]")
-        with mpmath.workdps(ORACLE_DPS):
-            self._log_phi = {
-                u: float(mpmath.log(2 * mpmath.besselk(
-                    a, 2 * mpmath.exp(-mpmath.mpf(u) / 2))))
-                for u in u_eval}
+        sin_a = abs(float(mpmath.sinpi(a)))
+        shift = 0 if sin_a else ORACLE_DPS + 10
+        x_max = 2.0 * math.exp(-min(u_eval, default=hi) / 2.0)
+        lost = 2.0 * x_max * math.log10(math.e) + (shift or -math.log10(sin_a))
+        with mpmath.workdps(ORACLE_DPS + math.ceil(lost) + 6):
+            a_mp = mpmath.mpf(a) + (mpmath.mpf(10) ** -shift if shift else 0)
+            scale = mpmath.pi / mpmath.sinpi(a_mp)
+            r_minus, r_plus = mpmath.rgamma(1 - a_mp), mpmath.rgamma(1 + a_mp)
+            self._log_phi = {}
+            for u in u_eval:
+                z, e = mpmath.exp(-u), mpmath.exp(a_mp * u / 2)
+                phi = scale * (e * r_minus * mpmath.hyp0f1(1 - a_mp, z)
+                               - r_plus * mpmath.hyp0f1(1 + a_mp, z) / e)
+                self._log_phi[u] = float(mpmath.log(phi))
         self.matching_radius = hi
 
     def log_value(self, u: float) -> float:

@@ -259,3 +259,26 @@ def test_jacobi_accepts_bc(capsys):
                 "--g", "1/2,1/3,2/5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["checks"]["eigen"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("args, option", [
+    (["verify", "--suite", "pieri", "--family", "A", "--rank", "2",
+      "--omega", "1/0,0"], "--omega"),
+    (["coeffs", "--family", "A", "--rank", "2", "--omega", "1/0,0"], "--omega"),
+    (["jacobi", "--family", "A", "--rank", "1", "--lambda", "1/0",
+      "--g", "1/2"], "--lambda"),
+    (["jacobi", "--family", "A", "--rank", "1", "--lambda", "1",
+      "--g", "1/0"], "--g"),
+    (["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "0,1/0",
+      "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15"], "--omega"),
+    (["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
+      "--xi", "1/40, 3/0", "--x", "0.25,-0.1,-0.15"], "--xi"),
+], ids=["verify-omega", "coeffs-omega", "jacobi-lambda", "jacobi-g",
+        "whittaker-omega", "whittaker-xi"])
+def test_zero_denominator_names_the_option(args, option, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    bad = next(p.strip() for p in args[args.index(option) + 1].split(",")
+               if p.strip().endswith("/0"))
+    assert captured.err == f"error: {option}: zero denominator in {bad!r}\n"
+    assert captured.out == ""

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodiff.rankone import (HypergeometricError, HypergeometricParams,
                             bc1_crosscheck, bc1_orbit_sum_in_s,
                             de_coefficients_match_rr, de_residual,
                             gauss_2f1_jacobi, jacobi_poly_1d, recurrence_rr,
-                            series_2f1, series_2f1_highprec,
-                            shift_coefficients, verify_de)
+                            SERIES_MAX_TERMS, SERIES_TOL, series_2f1,
+                            series_2f1_highprec, shift_coefficients,
+                            verify_de)
 
 # spot value pinned at 50 digits, by a brute-force series summation and by
 # mpmath's hyp2f1, for the parameter point (g1, g2, xi, x) =
@@ -135,3 +137,55 @@ def test_domain_bound_enforced():
     # inside the bound, the always-convergent route still works
     val = gauss_2f1_jacobi(HypergeometricParams(0.5, 1 / 3, 0.3, 7.5))
     assert math.isfinite(val)
+
+
+def _series_2f1_reference(a, b, c, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS):
+    # the summation loop with its original stop test, kept as the reference
+    # for the cheaper stop test in series_2f1
+    term = 1.0
+    total = 1.0
+    for k in range(max_terms):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        if not math.isfinite(total):
+            raise HypergeometricError(f"series overflow at argument {z}")
+        if abs(term) <= tol * max(1.0, abs(total)):
+            term *= (a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z
+            total += term
+            return total
+    raise HypergeometricError("series did not converge within the term cap")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypergeometricError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.floats(-4.0, 6.0), st.floats(-4.0, 6.0),
+       st.floats(0.5, 6.0), st.floats(-0.99, 0.99))
+def test_series_stop_test_matches_reference(a, b, c, z):
+    # the same float bit for bit, or the same error
+    assert (_outcome(series_2f1, a, b, c, z)
+            == _outcome(_series_2f1_reference, a, b, c, z)), (a, b, c, z)
+
+
+def test_series_stop_test_on_sweep_parameters():
+    # the parameter shapes of the rank-one sweep: Pfaff argument in [0, 1)
+    # and the plain series inside the disk
+    for xi in (0.3, 0.77, 1.2, 2.6, 3.9):
+        a, b, c = HypergeometricParams(0.5, 1 / 3, xi, 0.0).abc
+        for x in (0.2, 0.6, 1.1, 1.7, 2.5, 4.0, 8.0):
+            z = -math.sinh(x / 2) ** 2
+            w = z / (z - 1.0)
+            assert series_2f1(a, c - b, c, w) == _series_2f1_reference(a, c - b, c, w)
+            if abs(z) < 0.8:
+                assert series_2f1(a, b, c, z) == _series_2f1_reference(a, b, c, z)
+
+
+def test_series_overflow_raises_like_reference():
+    new = _outcome(series_2f1, 0.3, 1.7, 1.2, 1.05)
+    assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, 1.05)
+    assert new[0] is HypergeometricError and "overflow" in new[1]

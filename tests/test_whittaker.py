@@ -201,6 +201,47 @@ def test_whittaker_oracle_guards():
         orac.value(100.0)
 
 
+def test_whittaker_oracle_correctly_rounded():
+    # the reflection-formula sums against mpmath's besselk at 50 digits, over
+    # the whole u-range, at integer orders (the perturbed 0/0 quotient) and
+    # next to them (the sin(pi a) cancellation): the float must be the
+    # rounded reference, or one ulp off where the reference sits on a
+    # rounding midpoint to within the oracle's precision
+    import mpmath
+    from hodiff.whittaker import ORACLE_DPS
+    us = (-8.0, -2.0, 0.0, 14.0, 50.0)
+    for a in (0.3, 1.3, 2.35, 3.7, 5.9, 0.0, 1.0, 2.0, 1 - 1e-6, 1 + 1e-6,
+              2.95):
+        orac = WhittakerA1(a, us)
+        for u in us:
+            with mpmath.workdps(50):
+                ref = mpmath.log(2 * mpmath.besselk(
+                    a, 2 * mpmath.exp(-mpmath.mpf(u) / 2)))
+                got = orac.log_value(u)
+                if got != float(ref):
+                    mid = (mpmath.mpf(got) + float(ref)) / 2
+                    assert abs(got - float(ref)) == math.ulp(got), (a, u)
+                    assert abs(ref - mid) <= abs(ref) * 10 ** -ORACLE_DPS, (a, u)
+
+
+def test_rank_one_whittaker_check_detects_a_wrong_order(monkeypatch):
+    # negative control: each order comes from its own series, so building
+    # zeta + 1 at an order 1e-4 off must break the single-shift identity
+    import hodiff.whittaker as wh
+
+    class WrongOrder(WhittakerA1):
+        def __init__(self, zeta, points):
+            if abs(abs(zeta) - 2.3) < 1e-9:
+                zeta = abs(zeta) + 1e-4
+            super().__init__(zeta, points)
+
+    assert rank_one_whittaker_check(1.3).ok()
+    monkeypatch.setattr(wh, "WhittakerA1", WrongOrder)
+    rep = rank_one_whittaker_check(1.3)
+    assert rep.max_residual_min > 1e-6
+    assert not rep.ok()
+
+
 def _ode_reference(zeta, points, u_seed=-8.0, u_match=50.0):
     # the log-derivative construction, sharing no code with the closed form:
     # psi = phi'/phi integrated jointly with log phi by DOP853 from a seed

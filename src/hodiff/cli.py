@@ -518,10 +518,20 @@ def cmd_coeffs(args) -> int:
     return EXIT_PASS
 
 
+def _finite(option: str, values: list) -> list:
+    """values, unless one is a NaN or an infinity (ValueError naming option)."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{option}: {v} is not finite")
+    return values
+
+
 def cmd_sweep_rank_one(args) -> int:
     try:
-        xi_grid = [float(v) for v in args.xi.split(",")]
-        x_grid = [float(v) for v in args.x.split(",")]
+        _finite("--g1", [args.g1])
+        _finite("--g2", [args.g2])
+        xi_grid = _finite("--xi", [float(v) for v in args.xi.split(",")])
+        x_grid = _finite("--x", [float(v) for v in args.x.split(",")])
         report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -545,10 +555,10 @@ def cmd_whittaker_limits(args) -> int:
         omega = _parse_lambda(datum, "--omega", args.omega)
         xi = datum.weight_from_fundamental(
             _parse_rational_list("--xi", args.xi, datum.rank))
-        x = [float(v) for v in args.x.split(",")]
+        x = _finite("--x", [float(v) for v in args.x.split(",")])
         if len(x) != datum.dim:
             raise ValueError(f"need {datum.dim} base-point coordinates")
-        t_list = [float(v) for v in args.t.split(",")]
+        t_list = _finite("--t", [float(v) for v in args.t.split(",")])
         report = whittaker.verify_confluence(datum, omega, xi, x,
                                              t_list=t_list, tol=args.tol)
         # dressed-limit prefactors, logged for inspection only

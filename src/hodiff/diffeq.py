@@ -10,9 +10,10 @@ errors so that callers can resample multiplicities.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cache
 from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
@@ -37,6 +38,32 @@ class PoleAtSpectralPoint(ArithmeticError):
         super().__init__(f"denominator {which} vanishes at root ({root})")
 
 
+@cache
+def _entries(n: int, sign: int) -> tuple:
+    """The entries (i, 0, 1) and (i, 1, sign) for i < n, shared by every
+    factor list so that a large index holds no copies of them."""
+    return tuple((i, 0, 1) for i in range(n)), tuple((i, 1, sign) for i in range(n))
+
+
+def _factor_list(pairs: tuple, indices, sign: int) -> tuple:
+    """(i, 0, 1) for each root index i (ascending) with pairs[i] > 0,
+    followed by (i, 1, sign) where pairs[i] is 2."""
+    shift0, shift1 = _entries(len(pairs), sign)
+    out = []
+    for i in indices:
+        k = pairs[i]
+        if k > 0:
+            out.append(shift0[i])
+            if k == 2:
+                out.append(shift1[i])
+    return tuple(out)
+
+
+def _orthogonal(pairs: tuple) -> list:
+    """Indices of the roots a with <nu, a^vee> = 0, nu with these pairings."""
+    return [i for i, k in enumerate(pairs) if k == 0]
+
+
 def term_factors(datum: RootDatum, nu: Vector, eta: Vector | None = None) -> tuple:
     """The factor list of one coefficient, as (root index, shift, g sign).
 
@@ -47,14 +74,9 @@ def term_factors(datum: RootDatum, nu: Vector, eta: Vector | None = None) -> tup
     e=-1 in the s=1 factor.  Root order, shift 0 before shift 1.
     """
     nu_pairs = datum.pairings(nu)
-    pairs, sign = (nu_pairs, 1) if eta is None else (datum.pairings(eta), -1)
-    out = []
-    for i, k in enumerate(pairs):
-        if k > 0 and (eta is None or nu_pairs[i] == 0):
-            out.append((i, 0, 1))
-            if k == 2:
-                out.append((i, 1, sign))
-    return tuple(out)
+    if eta is None:
+        return _factor_list(nu_pairs, range(len(nu_pairs)), 1)
+    return _factor_list(datum.pairings(eta), _orthogonal(nu_pairs), -1)
 
 
 def perturbed(factors: tuple, perturb: str | None) -> tuple:
@@ -147,27 +169,46 @@ class PieriTermIndex:
     u_factors: tuple
 
 
-@lru_cache(maxsize=None)
+IndexCacheInfo = namedtuple("IndexCacheInfo", "hits misses")
+_index_counts = {"hits": 0, "misses": 0}
+
+
 def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     """Index set of the difference equation: nu in P(omega) with the orbit
-    W_nu(w_nu^{-1} omega) attached to each.  Reduced systems only: the
-    nonreduced BC equation has its own coefficients (``nonreduced``)."""
+    W_nu(w_nu^{-1} omega) attached to each (``stabilizer_orbits``), and the
+    factor lists read from the integer pairing rows of nu and eta.
+    Memoized on the datum under omega's labels (``index_memo``);
+    ``pieri_index.cache_info()`` counts that memo's hits and misses over
+    every datum.  Reduced systems only: the nonreduced BC equation has its
+    own coefficients (``nonreduced``)."""
     if datum.family == "BC":
         raise ValueError("the reduced-system coefficients do not apply to BC; "
                          "its equation is checked by the bc suite")
-    omega = datum.check_dominant(omega)
+    top = datum.dominant_labels(omega)
+    found = datum.index_memo.get(top)
+    if found is not None:
+        _index_counts["hits"] += 1
+        return found
+    _index_counts["misses"] += 1
+    omega = datum.from_labels(top)
     if not datum.is_small(omega):
         raise ValueError(f"{omega} is not small")
+    pairs = datum.label_pairings
+    vectors = datum.from_labels
     entries = []
-    for nu in datum.saturated_set(omega):
-        nu_plus, word = datum.dominant_representative(nu)
-        pulled = datum.apply_word(datum.inverse_word(word), omega)
-        etas = datum.stabilizer_orbit(nu, pulled)
+    for l, word, plus, etas in datum.stabilizer_orbits(top):
+        nu_pairs = pairs(l)
+        orth = _orthogonal(nu_pairs)
         entries.append(PieriTermIndex(
-            nu=nu, word=word, nu_plus=nu_plus, etas=etas,
-            v_factors=term_factors(datum, nu),
-            u_factors=tuple(term_factors(datum, nu, eta) for eta in etas)))
-    return tuple(entries)
+            nu=vectors(l), word=word, nu_plus=vectors(plus),
+            etas=tuple(map(vectors, etas)),
+            v_factors=_factor_list(nu_pairs, range(len(nu_pairs)), 1),
+            u_factors=tuple(_factor_list(pairs(e), orth, -1) for e in etas)))
+    found = datum.index_memo[top] = tuple(entries)
+    return found
+
+
+pieri_index.cache_info = lambda: IndexCacheInfo(**_index_counts)
 
 
 def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,

@@ -35,6 +35,9 @@ class HypergeometricParams:
     x: float
 
     def __post_init__(self):
+        for name in ("g1", "g2", "xi", "x"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         c = 0.5 + self.g1 + self.g2
         if c <= 0 and abs(c - round(c)) < 1e-12:
             raise ValueError("series denominator parameter is a nonpositive integer")

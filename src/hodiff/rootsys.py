@@ -136,12 +136,16 @@ def _simple_roots(family: str, rank: int):
 class RootDatum:
     """A realized irreducible root system with its Weyl combinatorics.
 
-    The roots and the label tables are fixed at construction.  Results are
-    memoized on the instance the first time they are asked for: the labels
-    of a vector under the vector (the only vector-keyed memo), everything
-    else (pairings, orbits, dominance intervals, saturated maps) under the
-    labels of a weight.  Each entry is a pure function of its key, so
-    threads sharing an instance can at worst compute an entry twice.
+    The roots and the label tables are fixed at construction, from integer
+    rows over one denominator.  Results are memoized on the instance the
+    first time they are asked for: the labels of a vector under the vector
+    (the only vector-keyed memo), everything else under the labels of a
+    weight: pairings, Weyl orbits, dominance intervals, saturated maps, and
+    for a small weight omega its Pieri index (``index_memo``, filled by
+    ``diffeq.pieri_index``) and its expansion E_omega (``expansion_memo``,
+    filled by ``weylalg.expansion_E_omega``).  The memos live and die with
+    the datum.  Each entry is a pure function of its key, so threads sharing
+    an instance can at worst compute an entry twice.
     """
 
     def __init__(self, family: str, rank: int):
@@ -170,42 +174,64 @@ class RootDatum:
         self.height_row: tuple[int, ...] = tuple(
             (x * self.height_den).numerator for x in row)
 
-        # roots as simple-root coefficient vectors n, alpha = sum_k n_k alpha_k
-        by_root = {self._from_simple(n): n for n in self._simple_root_closure()}
-        if family == "BC":
-            norms = {a: self.inner(a, a) for a in by_root}
-            short = min(norms.values())
-            by_root |= {tuple(2 * x for x in a): tuple(2 * k for k in n)
-                        for a, n in by_root.items() if norms[a] == short}
-        self.roots: tuple[Vector, ...] = tuple(sorted(by_root))
-        self.root_index: dict[Vector, int] = {a: i for i, a in enumerate(self.roots)}
-        # |alpha|^2 per root, read by index (``norm_sq`` for a root vector)
-        self.root_norms: tuple[Q, ...] = tuple(self.inner(a, a) for a in self.roots)
-        self.positive_indices: tuple[int, ...] = tuple(
-            i for i, a in enumerate(self.roots) if min(by_root[a]) >= 0)
-        self.positive_roots: tuple[Vector, ...] = tuple(
-            self.roots[i] for i in self.positive_indices)
-        if 2 * len(self.positive_roots) != len(self.roots):
-            raise ValueError("positive system does not split the roots evenly")
-
-        self.root_labels: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sum(n[k] * self.cartan[k][j] for k in range(rank))
-                  for j in range(rank))
-            for n in map(by_root.__getitem__, self.roots))
-        # alpha^vee = sum_k n_k (|alpha_k|^2 / |alpha|^2) alpha_k^vee
-        self.coroot_coefficients: tuple[tuple, ...] = tuple(
-            tuple(_exact(by_root[a][k] * self._simple_norms[k] / n) for k in range(rank))
-            for a, n in zip(self.roots, self.root_norms))
-        self._integral_coroots = all(isinstance(c, int)
-                                     for row in self.coroot_coefficients for c in row)
-
-        # omega_i = sum_k (cartan^{-1})[i][k] alpha_k
-        fund = [self._from_simple(row) for row in self._cartan_inv]
+        # vector coordinate d of sum_k n_k alpha_k is
+        # sum_k n_k _simple_rows[d][k] / den
+        den = math.lcm(*(x.denominator for a in simples for x in a))
+        self._simple_rows = tuple(tuple((x * den).numerator for x in col)
+                                  for col in zip(*simples))
+        # omega_i = sum_k (cartan^{-1})[i][k] alpha_k, checked on the Gram
+        # form: ``pairing`` reads the label kernel only for the roots in
+        # root_index, which is filled below
+        fund = [tuple(Q(sum(map(mul, row, c)), den) for row in self._simple_rows)
+                for c in self._cartan_inv]
         self.fundamental_weights: tuple[Vector, ...] = tuple(fund)
+        self.root_index: dict[Vector, int] = {}
         for i in range(rank):
             for j in range(rank):
                 if self.pairing(fund[i], self.simple_roots[j]) != (1 if i == j else 0):
                     raise ValueError("fundamental weights failed duality check")
+
+        # roots as simple-root coefficients n, alpha = sum_k n_k alpha_k, with
+        # labels l(n) = sum_k n_k cartan[k].  With |alpha_k|^2 = snum_k / sden
+        # and <alpha_k, alpha> = l_k |alpha_k|^2 / 2, the integer
+        # t(n) = sum_k n_k l_k snum_k is 2 sden |alpha|^2
+        sden = math.lcm(*(x.denominator for x in self._simple_norms))
+        snum = tuple((x * sden).numerator for x in self._simple_norms)
+        label_of = {n: tuple(sum(map(mul, n, col)) for col in zip(*self.cartan))
+                    for n in self._simple_root_closure()}
+        twice_of = {n: sum(map(mul, map(mul, n, l), snum)) for n, l in label_of.items()}
+        if family == "BC":
+            short = min(twice_of.values())
+            for n in [n for n, t in twice_of.items() if t == short]:
+                m = tuple(2 * k for k in n)
+                label_of[m] = tuple(2 * k for k in label_of[n])
+                twice_of[m] = 4 * short
+        # the integer numerators of the coordinates order the roots as
+        # their vectors
+        nums = {n: tuple(sum(map(mul, row, n)) for row in self._simple_rows)
+                for n in label_of}
+        order = sorted(label_of, key=nums.__getitem__)
+        self.roots: tuple[Vector, ...] = tuple(
+            tuple(Q(x, den) for x in nums[n]) for n in order)
+        self.root_index = {a: i for i, a in enumerate(self.roots)}
+        self.root_labels: tuple[tuple[int, ...], ...] = tuple(map(label_of.get, order))
+        twice = tuple(map(twice_of.get, order))
+        # |alpha|^2 per root, read by index (``norm_sq`` for a root vector)
+        self.root_norms: tuple[Q, ...] = tuple(Q(t, 2 * sden) for t in twice)
+        self.positive_indices: tuple[int, ...] = tuple(
+            i for i, n in enumerate(order) if min(n) >= 0)
+        self.positive_roots: tuple[Vector, ...] = tuple(
+            self.roots[i] for i in self.positive_indices)
+        if 2 * len(self.positive_roots) != len(self.roots):
+            raise ValueError("positive system does not split the roots evenly")
+        # alpha^vee = sum_k c_k alpha_k^vee, c_k = n_k |alpha_k|^2 / |alpha|^2
+        # = 2 n_k snum_k / t(n)
+        self.coroot_coefficients: tuple[tuple, ...] = tuple(
+            tuple(_exact(Q(2 * k * s, t)) for k, s in zip(n, snum))
+            for n, t in zip(order, twice))
+        self._integral_coroots = all(isinstance(c, int)
+                                     for row in self.coroot_coefficients for c in row)
+
         # from_labels: coordinate d is sum_i l_i * _fund_rows[d][i] / _fund_den
         self._fund_den = math.lcm(*(x.denominator for w in fund for x in w))
         self._fund_rows = tuple(tuple((x * self._fund_den).numerator for x in col)
@@ -220,7 +246,8 @@ class RootDatum:
 
         # memos: labels under the vector (the one vector-keyed memo), the
         # rest under integer labels (of a weight, or of the dominant element
-        # of an orbit) or sets of root indices
+        # of an orbit) or sets of root indices; the last two are filled by
+        # diffeq.pieri_index and weylalg.expansion_E_omega
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
         self._pairings: dict[tuple, tuple] = {}
@@ -228,6 +255,8 @@ class RootDatum:
         self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
         self._sat_label_cache: dict[tuple, dict[tuple, tuple]] = {}
         self._weyl_order_memo: dict[frozenset, int] = {}
+        self.index_memo: dict[tuple, tuple] = {}
+        self.expansion_memo: dict[tuple, object] = {}
 
         orbits = self._root_orbit_indices()
         self.root_orbits: tuple[tuple[Vector, ...], ...] = tuple(
@@ -249,12 +278,15 @@ class RootDatum:
         return self.inner(alpha, alpha) if i is None else self.root_norms[i]
 
     def pairing(self, v: Vector, alpha: Vector) -> Q:
-        """<v, alpha^vee> = 2 <v, alpha> / <alpha, alpha>, the Gram form.
-
-        Exact for any two vectors of the realization; the label kernel is
-        built from it and entered through it (``labels``).
-        """
-        return 2 * self.inner(v, alpha) / self.norm_sq(alpha)
+        """<v, alpha^vee>, exact for any two vectors of the realization: read
+        from the label kernel (``pairings``) when alpha is in ``root_index``,
+        else 2 <v, alpha> / <alpha, alpha> by the Gram form (so on the Gram
+        form for every alpha while the constructor checks the kernel's
+        fundamental weights)."""
+        i = self.root_index.get(alpha)
+        if i is None:
+            return 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
+        return self.pairings(v)[i]
 
     def reflect(self, v: Vector, alpha: Vector) -> Vector:
         return vsub(v, vscale(self.pairing(v, alpha), alpha))
@@ -285,9 +317,11 @@ class RootDatum:
                 self._labels.setdefault(v, l)
         return v
 
-    def _label_pairings(self, l: tuple) -> tuple:
+    def label_pairings(self, l: tuple) -> tuple:
         """<v, alpha^vee> for every root from the labels of v, memoized under
-        integers: a weight's labels, else (den, label numerators over den)."""
+        integers: a weight's labels, else (den, label numerators over den).
+        Integer dot products where labels and coroot coefficients are
+        integral, as for every weight of a reduced system."""
         if _integral(l):
             key, den, nums = l, 1, l
         else:
@@ -296,13 +330,15 @@ class RootDatum:
             key = (den, nums)
         p = self._pairings.get(key)
         if p is None:
-            p = self._pairings[key] = tuple(
-                _exact(Q(sum(map(mul, c, nums)), den)) for c in self.coroot_coefficients)
+            dots = (sum(map(mul, c, nums)) for c in self.coroot_coefficients)
+            p = self._pairings[key] = (
+                tuple(dots) if den == 1 and self._integral_coroots
+                else tuple(_exact(Q(x, den)) for x in dots))
         return p
 
     def pairings(self, v: Vector) -> tuple:
         """<v, alpha^vee> for every root, in the order of ``roots``."""
-        return self._label_pairings(self.labels(v))
+        return self.label_pairings(self.labels(v))
 
     def _orbit_labels(self, gens, l: tuple) -> set:
         """Label orbit of l under the reflections in the roots indexed by gens."""
@@ -320,36 +356,56 @@ class RootDatum:
                         stack.append(w)
         return seen
 
-    def _dominant_orbit(self, top: tuple) -> set:
-        """W-orbit of dominant labels: descend by the simple reflections at
-        positive labels, which reaches every element (as in LiE)."""
-        seen = {top}
+    def _dominant_orbit(self, top: tuple, J=None) -> dict:
+        """W_J-orbit of labels top that are nonnegative on J (J None: all of
+        W): descend by the s_j, j in J, at positive labels, which reaches
+        every element (as in LiE).  Each element maps to (u, j) with
+        s_j u = element, u found before it (top maps to None)."""
+        rows = [(j, self.cartan[j]) for j in (range(self.rank) if J is None else J)]
+        seen = {top: None}
         stack = [top]
         while stack:
             u = stack.pop()
-            for k, row in zip(u, self.cartan):
+            for j, row in rows:
+                k = u[j]
                 if k > 0:
                     w = _step(u, k, row)
                     if w not in seen:
-                        seen.add(w)
+                        seen[w] = (u, j)
                         stack.append(w)
         return seen
 
-    def _make_dominant(self, l: tuple):
-        """Greedy reflection at the least simple root with a negative label."""
+    def _make_dominant(self, l: tuple, J=None):
+        """Greedy reflection at the least s_j, j in J (J None: every simple
+        root), with a negative label; (result, the j in the order applied)."""
+        J = range(self.rank) if J is None else J
         steps = []
         while True:
-            i = next((i for i, k in enumerate(l) if k < 0), None)
+            i = next((j for j in J if l[j] < 0), None)
             if i is None:
                 return l, steps
             l = _step(l, l[i], self.cartan[i])
             steps.append(i)
 
-    # -- construction helpers ----------------------------------------------
+    def _apply_word(self, word, l: tuple) -> tuple:
+        """Labels of s_{i1} ... s_{im} v for word (i1, ..., im), v with labels l."""
+        for i in reversed(word):
+            l = _step(l, l[i], self.cartan[i])
+        return l
 
-    def _from_simple(self, n) -> Vector:
-        return tuple(sum((c * a[d] for c, a in zip(n, self.simple_roots)), Q(0))
-                     for d in range(self.dim))
+    def _vector_key(self, l: tuple) -> tuple:
+        """The integer numerators of ``from_labels(l)`` over one positive
+        denominator: sorting labels by them sorts the vectors."""
+        return tuple(sum(map(mul, row, l)) for row in self._fund_rows)
+
+    def parabolic_orbit(self, top: tuple, l: tuple) -> dict:
+        """Labels of the orbit of l under W_J, J the zero labels of the
+        dominant labels top: W_J is the stabilizer of top (Humphreys,
+        Reflection Groups and Coxeter Groups, 1.10-1.12)."""
+        J = [j for j, k in enumerate(top) if k == 0]
+        return self._dominant_orbit(self._make_dominant(l, J)[0], J)
+
+    # -- construction helpers ----------------------------------------------
 
     def _simple_root_closure(self) -> set:
         """Simple-root coefficients of the reduced roots: the simple roots
@@ -405,7 +461,7 @@ class RootDatum:
         v = tuple(v)
         l = self.labels(v)
         if not (_integral(l) and self.from_labels(l) == v
-                and (self._integral_coroots or _integral(self._label_pairings(l)))):
+                and (self._integral_coroots or _integral(self.label_pairings(l)))):
             raise ValueError(f"{tuple(Q(x) for x in v)} is not in the weight "
                              f"lattice of {self}")
         return l
@@ -453,13 +509,6 @@ class RootDatum:
         gens = [self.root_index[a] for a in gen_roots]
         return tuple(sorted(map(self.from_labels, self._orbit_labels(gens, self.labels(v)))))
 
-    def apply_word(self, word, v: Vector) -> Vector:
-        """Act by the word [i1,...,im] = s_{i1} s_{i2} ... s_{im} (rightmost first)."""
-        l = self.labels(v)
-        for i in reversed(word):
-            l = _step(l, l[i], self.cartan[i])
-        return self.from_labels(l)
-
     def dominant_representative(self, v: Vector):
         """(v+, word for the shortest w with w(v) = v+ dominant), v in the span.
 
@@ -470,21 +519,50 @@ class RootDatum:
         l, steps = self._make_dominant(self.labels(v))
         return self.from_labels(l), tuple(reversed(steps))
 
-    @staticmethod
-    def inverse_word(word):
-        return tuple(reversed(word))
-
     def stabilizer_roots(self, v: Vector) -> tuple[Vector, ...]:
         """R_v: the roots orthogonal to v (they generate the stabilizer W_v)."""
         return tuple(a for a, k in zip(self.roots, self.pairings(v)) if k == 0)
 
     def stabilizer_orbit(self, v: Vector, eta: Vector) -> tuple[Vector, ...]:
-        """Orbit W_v(eta) of eta under the stabilizer of v, sorted: the
-        reflections in the positive roots orthogonal to v generate W_v."""
-        p = self.pairings(v)
-        gens = [i for i in self.positive_indices if p[i] == 0]
-        return tuple(sorted(map(self.from_labels,
-                                self._orbit_labels(gens, self.labels(eta)))))
+        """Orbit W_v(eta) of eta under the stabilizer of v, sorted.  With
+        w v = v+ dominant, W_v = w^{-1} W_J w for W_J the stabilizer of v+
+        (``parabolic_orbit``), so W_v(eta) = w^{-1} W_J (w eta)."""
+        top, steps = self._make_dominant(self.labels(v))
+        # w is the word steps[::-1] and w^{-1} the word steps
+        orbit = self.parabolic_orbit(top, self._apply_word(steps[::-1], self.labels(eta)))
+        return tuple(sorted(self.from_labels(self._apply_word(steps, u)) for u in orbit))
+
+    def stabilizer_orbits(self, top: tuple) -> list:
+        """For each nu of P(omega), omega with dominant labels top, in the
+        order of the vectors: (labels of nu, word, labels of nu+, labels of
+        W_nu(w^{-1} omega) in the order of the vectors), w the shortest
+        element with w nu = nu+ as in ``dominant_representative``.
+
+        As omega is dominant, W_nu(w^{-1} omega) = w^{-1} W_J omega with W_J
+        the stabilizer of nu+, for any w with w nu = nu+.  So the set of
+        s_j nu is s_j applied to the set of nu: W_J omega is found once per
+        nu+ (``parabolic_orbit``) and carried down the descent from nu+."""
+        sets = {}
+        for plus in self.below_labels(top):
+            for l, step in self._dominant_orbit(plus).items():
+                if step is None:
+                    sets[l] = list(self.parabolic_orbit(plus, top))
+                else:
+                    u, j = step
+                    sets[l] = [_step(x, x[j], self.cartan[j]) for x in sets[u]]
+        keys = {}
+
+        def key(l):
+            found = keys.get(l)
+            if found is None:
+                found = keys[l] = self._vector_key(l)
+            return found
+
+        out = []
+        for l in sorted(sets, key=key):
+            plus, steps = self._make_dominant(l)
+            out.append((l, tuple(steps[::-1]), plus, sorted(sets[l], key=key)))
+        return out
 
     def weyl_order(self) -> int:
         """|W| by recursive orbit-stabilizer on roots.
@@ -504,7 +582,7 @@ class RootDatum:
             return memo[roots]
         beta = min(roots)
         orbit = self._orbit_labels(sorted(roots), self.root_labels[beta])
-        pairs = self._label_pairings(self.root_labels[beta])
+        pairs = self.label_pairings(self.root_labels[beta])
         stab = frozenset(g for g in roots if pairs[g] == 0)
         val = len(orbit) * self._subsystem_order(stab)
         memo[roots] = val
@@ -568,7 +646,7 @@ class RootDatum:
 
     def _top_pairing(self, omega: Vector):
         """The largest <omega, alpha^vee> over alpha > 0, omega dominant."""
-        p = self._label_pairings(self.dominant_labels(omega))
+        p = self.label_pairings(self.dominant_labels(omega))
         return max(p[i] for i in self.positive_indices)
 
     def is_small(self, omega: Vector) -> bool:

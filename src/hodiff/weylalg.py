@@ -230,16 +230,22 @@ def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
     """The symmetric spectral-side expansion attached to a small weight.
 
     E_omega = sum over dominant mu <= omega of |W_mu(omega)| m_mu, the
-    coefficient being the orbit size of omega under the stabilizer of mu.
+    coefficient being the orbit size of omega under the stabilizer of mu
+    (``parabolic_orbit``).  Memoized on the datum under omega's labels
+    (``expansion_memo``).
     """
-    omega = datum.check_dominant(omega)
-    if not datum.is_small(omega):
-        raise ValueError(f"{omega} is not small (some pairing exceeds 2)")
-    terms = {}
-    for mu in datum.dominant_below(omega):
-        orbit_size = Q(len(datum.stabilizer_orbit(mu, omega)))
-        terms.update((nu, orbit_size) for nu in datum.weyl_orbit(mu))
-    return ExpPoly(terms)
+    top = datum.dominant_labels(omega)
+    found = datum.expansion_memo.get(top)
+    if found is None:
+        omega = datum.from_labels(top)
+        if not datum.is_small(omega):
+            raise ValueError(f"{omega} is not small (some pairing exceeds 2)")
+        terms = {}
+        for mu in datum.below_labels(top):
+            orbit_size = Q(len(datum.parabolic_orbit(mu, top)))
+            terms.update((nu, orbit_size) for nu in datum.weyl_orbit(datum.from_labels(mu)))
+        found = datum.expansion_memo[top] = ExpPoly(terms)
+    return found
 
 
 def eval_at(datum: RootDatum, p: ExpPoly, x) -> float:

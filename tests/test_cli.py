@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from fractions import Fraction as Q
@@ -6,7 +7,7 @@ import pytest
 
 from hodiff import cli
 from hodiff.diffeq import verify_pieri
-from hodiff.rootsys import Multiplicities, build_root_system
+from hodiff.rootsys import Multiplicities, RootDatum, build_root_system
 
 
 def run(args):
@@ -77,6 +78,33 @@ def test_sweep_rank_one(tmp_path, capsys):
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "xi,x,residual" and len(lines) == 3
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--x", "nan,0.5"), ("--x", "inf"), ("--xi", "nan"), ("--xi", "0.3,-inf"),
+    ("--g1", "nan"), ("--g1", "inf"), ("--g2", "nan"),
+])
+def test_sweep_rank_one_rejects_non_finite_input(option, value, capsys):
+    # a NaN or an infinity is bad input: exit 2 with a one-line message that
+    # names the option, before any series is summed
+    args = {"--g1": "0.5", "--g2": "0.25", "--xi": "0.3", "--x": "0.2"}
+    args[option] = value
+    assert run(["sweep-rank-one"] + [x for kv in args.items() for x in kv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option,value", [("--x", "nan,-0.1,-0.15"),
+                                          ("--t", "10,inf")])
+def test_whittaker_limits_rejects_non_finite_input(option, value, capsys):
+    args = {"--family": "A", "--rank": "2", "--omega": "1,0",
+            "--xi": "1/40,-1/80", "--x": "0.25,-0.1,-0.15"}
+    args[option] = value
+    assert run(["whittaker-limits"] + [x for kv in args.items() for x in kv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
 
 
 def test_whittaker_limits_command(capsys):
@@ -232,6 +260,17 @@ def test_default_campaign_exit_zero(tmp_path):
     assert run(["verify", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["n_fail"] == 0 and payload["n_cases"] > 600
+
+
+def test_campaigns_leave_no_root_data_alive(tmp_path):
+    # the per-datum memos (Pieri index, E_omega) die with their datum: three
+    # default campaigns in one process leave the same live RootDatum count
+    live = []
+    for k in range(3):
+        assert run(["verify", "--out", str(tmp_path / f"full{k}.json")]) == 0
+        gc.collect()
+        live.append(sum(isinstance(o, RootDatum) for o in gc.get_objects()))
+    assert live == [live[0]] * 3
 
 
 @pytest.mark.parametrize("args", [

@@ -11,11 +11,12 @@ from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
                            pieri_residual, pieri_terms, quasi_identity_value,
                            sample_multiplicities, sample_spectral_point,
                            scaled_table, specialization_consistency,
-                           verify_pieri)
+                           term_factors, verify_pieri)
 from hodiff.jacobi import jacobi_polynomial
-from hodiff.rootsys import Multiplicities, vadd, vscale
+from hodiff.rootsys import Multiplicities, build_root_system, vadd, vscale
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError,
                             expansion_E_omega)
+from weyl_words import apply_word, inverse_word
 
 
 def _a1_setup(a1, g_val=Q(3, 7), z=Q(5, 3)):
@@ -154,6 +155,60 @@ def test_pieri_index_structure(a2):
             assert e.etas == (e.nu,)
     with pytest.raises(ValueError):
         pieri_index(a2, vscale(3, a2.fundamental_weights[0]))
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                      ("G", 2), ("F", 4), ("E", 6)])
+def test_pieri_index_matches_generic_stabilizer_search(fam, rank):
+    # the parabolic orbits against the generic search: for every small
+    # weight, each entry's etas (order included) are the orbit of
+    # w^{-1} omega under the reflections in the positive roots orthogonal
+    # to nu, and its V and U lists are the vector ``term_factors``; the
+    # E_omega coefficients are the generic stabilizer-orbit sizes, and both
+    # memos hand back the object they hold
+    datum = build_root_system(fam, rank)
+    positive = set(datum.positive_roots)
+
+    def orbit(v, eta):
+        gens = [a for a in datum.stabilizer_roots(v) if a in positive]
+        return datum.orbit_under_reflections(gens, eta)
+
+    for omega in datum.small_dominant_weights():
+        before = pieri_index.cache_info()
+        index = pieri_index(datum, omega)
+        assert [e.nu for e in index] == list(datum.saturated_set(omega))
+        for e in index:
+            assert (e.nu_plus, e.word) == datum.dominant_representative(e.nu)
+            etas = orbit(e.nu, apply_word(datum, inverse_word(e.word), omega))
+            assert e.etas == etas, (omega, e.nu)
+            assert e.v_factors == term_factors(datum, e.nu)
+            assert e.u_factors == tuple(term_factors(datum, e.nu, eta) for eta in etas)
+        assert pieri_index(datum, omega) is index
+        after = pieri_index.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+        e_poly = expansion_E_omega(datum, omega)
+        assert e_poly.terms == {nu: Q(len(orbit(mu, omega)))
+                                for mu in datum.dominant_below(omega)
+                                for nu in datum.weyl_orbit(mu)}
+        assert expansion_E_omega(datum, omega) is e_poly
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("i,n_terms", [(1, 2287), (8, 241)])
+def test_e8_pieri_at_zero(i, n_terms):
+    # the largest small weight of E8 on a fresh datum
+    datum = build_root_system("E", 8)
+    omega = datum.fundamental_weights[i - 1]
+    zero = (Q(0),) * datum.dim
+    rng = random.Random(f"e8:{i}")
+    while True:
+        try:
+            report = verify_pieri(datum, sample_multiplicities(datum, rng), omega, zero)
+        except PoleAtSpectralPoint:
+            continue
+        break
+    assert report.ok and report.residual == []
+    assert report.n_terms == n_terms
 
 
 def test_rank_one_pieri_collapses_to_doubling(a1):

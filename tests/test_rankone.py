@@ -131,6 +131,15 @@ def test_params_validation():
         HypergeometricParams(-0.5, 0.0, 0.3, 1.0)  # c = 0
 
 
+@pytest.mark.parametrize("field", ["g1", "g2", "xi", "x"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    args = {"g1": 0.5, "g2": 1 / 3, "xi": 0.3, "x": 1.0}
+    args[field] = value
+    with pytest.raises(ValueError, match=f"{field} = .* is not finite"):
+        HypergeometricParams(**args)
+
+
 def test_domain_bound_enforced():
     with pytest.raises(ValueError):
         HypergeometricParams(0.5, 1 / 3, 0.3, 9.5)

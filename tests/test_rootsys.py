@@ -10,6 +10,7 @@ from hodiff.jacobi import verify_eigen
 from hodiff.nonreduced import verify_pieri_bc
 from hodiff.rootsys import (Multiplicities, build_root_system, vadd, vneg,
                             vscale)
+from weyl_words import apply_word, inverse_word
 
 # classical counts used as an oracle only; the library computes its orders
 # by orbit-stabilizer
@@ -136,18 +137,17 @@ def test_dominant_representative_minimal_brute_force(a2, b2):
         probes = set(datum.weyl_orbit(reg)) | set(datum.roots)
         for nu in sorted(probes):
             plus, word = datum.dominant_representative(nu)
-            assert datum.apply_word(word, nu) == plus
+            assert apply_word(datum, word, nu) == plus
             assert datum.is_dominant(plus)
             best = min(len(w) for w in elems.values()
-                       if datum.is_dominant(datum.apply_word(w, nu)))
+                       if datum.is_dominant(apply_word(datum, w, nu)))
             assert len(word) == best, (nu, word)
 
 
 def test_word_inverse_roundtrip(b2):
     nu = vneg(b2.weight_from_fundamental([2, 1]))
     plus, word = b2.dominant_representative(nu)
-    inv = b2.inverse_word(word)
-    assert b2.apply_word(inv, plus) == nu
+    assert apply_word(b2, inverse_word(word), plus) == nu
 
 
 def test_stabilizer_data(a2):
@@ -347,12 +347,32 @@ def test_stabilizer_orbit_matches_root_definition(fam, rank):
     for omega in datum.small_fundamental_weights():
         for nu in datum.saturated_set(omega):
             _plus, word = datum.dominant_representative(nu)
-            eta = datum.apply_word(datum.inverse_word(word), omega)
+            eta = apply_word(datum, inverse_word(word), omega)
             gens = [a for a in datum.stabilizer_roots(nu) if a in positive]
             assert datum.stabilizer_orbit(nu, eta) == \
                 datum.orbit_under_reflections(gens, eta)
             checked += 1
     assert checked == {"F": 49 + 25, "E": 27 + 73 + 243 + 243 + 27}[fam]
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2),
+                                      ("BC", 2)])
+def test_stabilizer_orbit_of_any_pair_matches_root_definition(fam, rank):
+    # v off the dominant chamber, with zero labels before it was moved, and
+    # eta anywhere in the span, rational labels included
+    datum = build_root_system(fam, rank)
+    rng = random.Random(f"stabilizer:{fam}{rank}")
+    positive = set(datum.positive_roots)
+    for _ in range(12):
+        top = datum.weight_from_fundamental(
+            [rng.choice([0, 0, 1, Q(1, 2)]) for _ in range(rank)])
+        word = [rng.randrange(rank) for _ in range(rng.randrange(8))]
+        v = apply_word(datum, word, top)
+        eta = datum.weight_from_fundamental(
+            [Q(rng.randint(-4, 4), rng.choice([1, 1, 3])) for _ in range(rank)])
+        gens = [a for a in datum.stabilizer_roots(v) if a in positive]
+        assert datum.stabilizer_orbit(v, eta) == \
+            datum.orbit_under_reflections(gens, eta), (v, eta)
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),

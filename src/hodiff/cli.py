@@ -149,27 +149,21 @@ def eigen_cases(config: CampaignConfig, pieri_results=None):
     """Eigencheck plus closed-form leading coefficient for every polynomial
     the Pieri sweep constructed, and for the nonreduced rank 1 and 2 data."""
     pieri_results = pieri_results or pieri_cases(config)
-    out = []
-    for res in pieri_results:
-        datum, mults = res["datum"], res["mults"]
-        for (gkey, lam), poly in sorted(res["cache"].items()):
-            rep = jacobi.verify_eigen(datum, mults, lam, poly)
-            lead_ok = (poly.leading_coefficient()
-                       == jacobi.opdam_leading_coefficient(datum, mults, lam))
-            out.append({"system": _label(datum), "sample": res["sample"],
-                        "lam": lam, "eigen": rep, "lead_ok": lead_ok})
+    jobs = [(res["datum"], res["mults"], res["sample"], lam, poly)
+            for res in pieri_results for (_g, lam), poly in sorted(res["cache"].items())]
     for rank, lams in ((1, [(0,), (1,), (2,)]), (2, [(1, 0), (1, 1), (2, 1)])):
         datum = build_root_system("BC", rank)
         rng = random.Random(f"{config.seed}:bc-eigen:{rank}")
         mults = diffeq.sample_multiplicities(datum, rng)
-        for lam in lams:
-            lam = tuple(Q(x) for x in lam)
-            poly = jacobi.jacobi_polynomial(datum, mults, lam)
-            rep = jacobi.verify_eigen(datum, mults, lam, poly)
-            lead_ok = (poly.leading_coefficient()
-                       == jacobi.opdam_leading_coefficient(datum, mults, lam))
-            out.append({"system": _label(datum), "sample": 0, "lam": lam,
-                        "eigen": rep, "lead_ok": lead_ok})
+        for lam in (tuple(map(Q, lam)) for lam in lams):
+            jobs.append((datum, mults, 0, lam, jacobi.jacobi_polynomial(datum, mults, lam)))
+    out = []
+    for datum, mults, sample, lam, poly in jobs:
+        rep = jacobi.verify_eigen(datum, mults, lam, poly)
+        lead_ok = (poly.leading_coefficient()
+                   == jacobi.opdam_leading_coefficient(datum, mults, lam))
+        out.append({"system": _label(datum), "sample": sample,
+                    "lam": lam, "eigen": rep, "lead_ok": lead_ok})
     return out
 
 

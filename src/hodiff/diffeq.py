@@ -18,8 +18,8 @@ from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
 from .rootsys import Multiplicities, RootDatum, Vector, vadd
-from .weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
-                      exp_to_json, expansion_E_omega, is_exact, orbit_sum,
+from .weylalg import (ExpPoly, InternalConsistencyError, exp_to_json,
+                      expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       require_exact)
 
 # test hooks for the negative controls; never set in normal operation
@@ -162,6 +162,7 @@ class PieriTermIndex:
     """One nu with its shortest dominating word and stabilizer orbit of eta,
     and the factor lists of V_nu and of each U_{nu,eta}."""
     nu: Vector
+    nu_labels: tuple
     word: tuple
     nu_plus: Vector
     etas: tuple
@@ -200,7 +201,7 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
         nu_pairs = pairs(l)
         orth = _orthogonal(nu_pairs)
         entries.append(PieriTermIndex(
-            nu=vectors(l), word=word, nu_plus=vectors(plus),
+            nu=vectors(l), nu_labels=l, word=word, nu_plus=vectors(plus),
             etas=tuple(map(vectors, etas)),
             v_factors=_factor_list(nu_pairs, range(len(nu_pairs)), 1),
             u_factors=tuple(_factor_list(pairs(e), orth, -1) for e in etas)))
@@ -232,7 +233,7 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
             datum, perturbed(entry.v_factors, perturb), table)
         us = [integer_product(datum, perturbed(f, perturb), table)
               for f in entry.u_factors]
-        if all(a + b >= 0 for a, b in zip(lam_labels, datum.labels(entry.nu))):
+        if all(a + b >= 0 for a, b in zip(lam_labels, entry.nu_labels)):
             out.extend((entry.nu, eta, Q(u_num * v_num, u_den * v_den))
                        for eta, (u_num, u_den) in zip(entry.etas, us))
         elif v_num and perturb is None:
@@ -266,8 +267,6 @@ class PieriReport:
 
 
 def poly_cache_get(cache, datum, mults, lam) -> JacobiPolynomial:
-    if cache is None:
-        return jacobi_polynomial(datum, mults, lam)
     key = (mults.key(), lam)
     poly = cache.get(key)
     if poly is None:
@@ -275,23 +274,22 @@ def poly_cache_get(cache, datum, mults, lam) -> JacobiPolynomial:
     return poly
 
 
-def pieri_residual(datum: RootDatum, e_poly: ExpPoly, poly: JacobiPolynomial,
+def pieri_residual(datum: RootDatum, e_terms: dict, poly: JacobiPolynomial,
                    shifted, top: Vector) -> ExpPoly:
-    """e_poly * P_lambda - sum c P_lambda' over the (P_lambda', c) in shifted.
+    """e_poly * P_lambda - sum c P_lambda' over the (P_lambda', c) in shifted,
+    for e_terms the checked label form of e_poly (``label_form``).
 
     Both sides are W-invariant, so the difference is compared only at the
-    dominant mu <= top, in labels: the left side at mu is
-    sum_a e_a c_lambda(mu - a), read from the saturated expansion of
-    P_lambda; a nonzero difference at mu is expanded over the orbit of mu.
-    The candidate set covers both supports: every lambda', and lambda + a for
-    every dominant exponent a of the (checked) W-invariant e_poly, must be
-    <= top, and P(lambda) + P(a) lies in P(lambda + a).
+    dominant mu <= top, in integers on the cleared terms (d, N) of each
+    polynomial: L times it is sum_a e_a N_lambda(mu - a) L/d_lambda -
+    sum c_num L/(c_den d') N'(mu), L the lcm of d_lambda and every c_den d'.
+    A nonzero value is divided by L and expanded over the orbit of mu.  The
+    candidate set covers both supports: every lambda', and lambda + a for
+    every dominant exponent a of e_poly, must be <= top, and P(lambda) + P(a)
+    lies in P(lambda + a).
     """
     below = datum.below_labels(datum.dominant_labels(top))
     lam = datum.labels(poly.lam)
-    e_terms = {datum.weight_labels(a): c for a, c in e_poly.terms.items()}
-    if not _is_invariant(datum, e_terms):
-        raise InternalConsistencyError("the spectral-side expansion is not W-invariant")
     for a in e_terms:
         if min(a) >= 0 and tuple(map(add, lam, a)) not in below:
             raise InternalConsistencyError(
@@ -299,8 +297,11 @@ def pieri_residual(datum: RootDatum, e_poly: ExpPoly, poly: JacobiPolynomial,
     for p, _c in shifted:
         if datum.labels(p.lam) not in below:
             raise InternalConsistencyError(f"shifted weight {p.lam} is not below {top}")
-    p_terms = poly.label_terms()
-    rhs_terms = [(p.label_terms(), c) for p, c in shifted]
+    d_lam, p_terms = poly.cleared_terms()
+    rhs = [(p.cleared_terms(), c) for p, c in shifted]
+    L = math.lcm(d_lam, *(c.denominator * d for (d, _t), c in rhs))
+    left = L // d_lam
+    rhs = [(terms, c.numerator * (L // (c.denominator * d))) for (d, terms), c in rhs]
     residual = {}
     for m in below:
         r = 0
@@ -308,12 +309,13 @@ def pieri_residual(datum: RootDatum, e_poly: ExpPoly, poly: JacobiPolynomial,
             c = p_terms.get(tuple(map(sub, m, a)))
             if c:
                 r += e * c
-        for terms, c in rhs_terms:
+        r *= left
+        for terms, f in rhs:
             v = terms.get(m)
             if v:
-                r -= c * v
+                r -= f * v
         if r:
-            residual.update((nu, r) for nu in datum.weyl_orbit(datum.from_labels(m)))
+            residual.update(dict.fromkeys(datum.weyl_orbit(datum.from_labels(m)), Q(r, L)))
     return ExpPoly(residual)
 
 
@@ -321,12 +323,14 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
                  lam: Vector, perturb: str | None = None,
                  cache: dict | None = None) -> PieriReport:
     """Exact comparison of E_omega * P_lambda with the coefficient sum of
-    shifted polynomials; the residual is empty exactly on success."""
+    shifted polynomials; the residual is empty exactly on success.  Each
+    distinct shift is built once, in cache or in a dict local to the call."""
+    cache = {} if cache is None else cache
     terms = pieri_terms(datum, mults, omega, lam, perturb=perturb)
     poly = poly_cache_get(cache, datum, mults, lam)
     shifted = [(poly_cache_get(cache, datum, mults, vadd(lam, nu)), c)
                for nu, _eta, c in terms]
-    residual = pieri_residual(datum, expansion_E_omega(datum, omega), poly,
+    residual = pieri_residual(datum, expansion_labels(datum, omega), poly,
                               shifted, vadd(lam, omega))
     return PieriReport(
         system=f"{datum.family}{datum.rank}",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from operator import add, mul
 
-from .rootsys import Multiplicities, RootDatum, Vector, vadd, vscale
+from .rootsys import Multiplicities, RootDatum, Vector, vadd
 from .weylalg import (ExpPoly, apply_L_labels, eigenvalue_E, exp_to_json,
                       require_exact)
 
@@ -29,28 +29,28 @@ class JacobiPolynomial:
         self.mults = mults
         self.lam = lam
         self.coeffs = coeffs              # dominant mu <= lam -> coefficient
-        self._label_terms = None
-
-    def coefficient(self, mu: Vector) -> Q:
-        return self.coeffs.get(mu, Q(0))
+        self._cleared = None
 
     def leading_coefficient(self) -> Q:
         return self.coeffs[self.lam]
 
-    def label_terms(self) -> dict:
-        """The expansion over the saturated support, keyed by the labels of
-        each exponent (built once; zero coefficients are left out)."""
-        if self._label_terms is None:
-            dom = {self.datum.labels(mu): c for mu, c in self.coeffs.items()}
-            self._label_terms = {
+    def cleared_terms(self) -> tuple:
+        """(d, terms): d the lcm of the coefficient denominators, and terms
+        the expansion times d over the saturated support in integers, keyed
+        by the labels of each exponent (built once; zero terms left out)."""
+        if self._cleared is None:
+            d = math.lcm(*(c.denominator for c in self.coeffs.values()))
+            dom = {self.datum.labels(mu): c.numerator * (d // c.denominator)
+                   for mu, c in self.coeffs.items()}
+            self._cleared = d, {
                 l: c for l, m in self.datum.saturated_label_map(self.lam).items()
                 if (c := dom[m])}
-        return self._label_terms
+        return self._cleared
 
     def exp_poly(self) -> ExpPoly:
         """The polynomial as an explicit sum over its saturated support."""
-        return ExpPoly({self.datum.from_labels(l): c
-                        for l, c in self.label_terms().items()})
+        d, terms = self.cleared_terms()
+        return ExpPoly({self.datum.from_labels(l): Q(c, d) for l, c in terms.items()})
 
     def to_json(self):
         from .weylalg import _q_str
@@ -137,24 +137,24 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
     (<rho_g,a^vee> + g_{a/2}/2 + j) / (<rho_g,a^vee> + g_a + g_{a/2}/2 + j),
     with g_{a/2} = 0 when a/2 is not a root.  Empty product for lam = 0.
     """
-    lam = datum.check_dominant(lam)
+    require_exact(mults)
+    lam_pairs = datum.label_pairings(datum.dominant_labels(lam))
     rho_pairs = datum.pairings(datum.rho(mults))
-    lam_pairs = datum.pairings(lam)
-    total = Q(1)
-    for i in datum.positive_indices:
-        top = lam_pairs[i]
-        if top <= 0:
-            continue
-        half = datum.root_index.get(vscale(Q(1, 2), datum.roots[i]))
-        g_half = mults.root_values[half] if half is not None else Q(0)
-        base = rho_pairs[i] + Q(1, 2) * g_half
-        g = mults.root_values[i]
-        for j in range(top):
-            den = base + g + j
-            if den == 0:
+    g, half = mults.root_values, datum.half_root_index
+    # (k, b, g) per root with k = <lam, a^vee> > 0, b = <rho_g,a^vee> + g_{a/2}/2
+    rows = [(lam_pairs[i], rho_pairs[i] + (0 if half[i] is None else Q(g[half[i]], 2)), g[i])
+            for i in datum.positive_indices if lam_pairs[i] > 0]
+    # one cleared product: every factor scaled by the lcm d of b and g
+    d = math.lcm(*(x.denominator for _k, b, gi in rows for x in (b, gi)))
+    num = den = 1
+    for k, b, gi in rows:
+        b, gi = (b * d).numerator, (gi * d).numerator
+        for j in range(0, k * d, d):
+            if b + gi + j == 0:
                 raise ArithmeticError("vanishing factor in the leading product")
-            total *= (base + j) / den
-    return total
+            num *= b + j
+            den *= b + gi + j
+    return Q(num, den)
 
 
 @dataclass
@@ -189,10 +189,9 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
     """
     poly = poly or jacobi_polynomial(datum, mults, lam)
     ev = Q(eigenvalue_E(datum, mults, vadd(datum.rho(mults), lam)))
-    terms = poly.label_terms()
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    cleared = {l: c.numerator * (d // c.denominator) for l, c in terms.items()}
-    n, image = apply_L_labels(datum, mults, cleared)
+    d, cleared = poly.cleared_terms()
+    n, image = apply_L_labels(datum, mults, cleared,
+                              (datum.dominant_labels(poly.lam),))
     residual = {}
     for l, v in image.items():
         r = v * ev.denominator - n * ev.numerator * cleared.get(l, 0)

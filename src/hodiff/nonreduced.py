@@ -10,12 +10,13 @@ the e_j and 2e_j strings.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .diffeq import PoleAtSpectralPoint, pieri_residual, poly_cache_get
 from .rootsys import Multiplicities, RootDatum, build_root_system
-from .weylalg import ExpPoly, InternalConsistencyError, exp_to_json
+from .weylalg import ExpPoly, InternalConsistencyError, exp_to_json, label_form
 
 
 @dataclass(frozen=True)
@@ -52,34 +53,31 @@ def _check_den(value, what):
     return value
 
 
-def _singleton_factor(g1, g2, s, xj):
-    num = (s * xj + Q(1, 2) * g1 + g2) * (1 + 2 * s * xj + g1)
-    den = _check_den(s * xj, f"{s}*xi_j") * _check_den(1 + 2 * s * xj, "1+2xi_j")
-    return num / den
-
-
-def _cross_factor(g, s, xj, xk):
-    num = (s * xj + xk + g) * (s * xj - xk + g)
-    den = _check_den(s * xj + xk, "xi_j+xi_k") * _check_den(s * xj - xk, "xi_j-xi_k")
-    return num / den
-
-
 def _signed_product(gs, subset: SignedSubset, others, xi, pair_g):
     """Singleton factors on the slots of subset, cross factors against the
     slots in others, and pair factors (u+g)/u * (1+u+pair_g)/(1+u) inside
-    the subset, with u = eps_j xi_j + eps_j' xi_j'."""
-    g, g1, g2 = gs
-    total = Q(1)
+    the subset, with u = eps_j xi_j + eps_j' xi_j'.  Formed on integers:
+    xi, g, g1/2, g2 and pair_g are scaled by the lcm d of their denominators,
+    so every factor reads (w + e) / w, and the product is one Fraction."""
+    values = (*xi, gs[0], Q(gs[1], 2), gs[2], pair_g)
+    d = math.lcm(*(Q(v).denominator for v in values))
+    *x, g, h1, g2, pg = ((Q(v) * d).numerator for v in values)
     slots = list(zip(subset.indices, subset.signs))
+    factors = []        # (w, e, what): the factor (w + e) / w, a pole at w = 0
     for j, s in slots:
-        total *= _singleton_factor(g1, g2, s, xi[j])
+        sx = s * x[j]
+        factors += [(sx, h1 + g2, f"{s}*xi_j"), (d + 2 * sx, 2 * h1, "1+2xi_j")]
         for k in others:
-            total *= _cross_factor(g, s, xi[j], xi[k])
+            factors += [(sx + x[k], g, "xi_j+xi_k"), (sx - x[k], g, "xi_j-xi_k")]
     for (j, sj), (jp, sp) in itertools.combinations(slots, 2):
-        u = sj * xi[j] + sp * xi[jp]
-        total *= (u + g) / _check_den(u, "eps_j xi_j + eps_j' xi_j'")
-        total *= (1 + u + pair_g) / _check_den(1 + u, "1 + eps_j xi_j + eps_j' xi_j'")
-    return total
+        u = sj * x[j] + sp * x[jp]
+        factors += [(u, g, "eps_j xi_j + eps_j' xi_j'"),
+                    (d + u, pg, "1 + eps_j xi_j + eps_j' xi_j'")]
+    num = den = 1
+    for w, e, what in factors:
+        num *= w + e
+        den *= _check_den(w, what)
+    return Q(num, den)
 
 
 def coeff_V_signed(n: int, gs, subset: SignedSubset, xi):
@@ -187,6 +185,7 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
     compared on the dominant chamber below lam + e_1 + ... + e_n."""
     gs = tuple(Q(x) for x in gs)
     lam = tuple(Q(x) for x in lam)
+    cache = {} if cache is None else cache
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     datum = datum or build_root_system("BC", n)
@@ -195,8 +194,8 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
     terms = pieri_terms_bc(n, gs, ell, lam, tuple(rho[j] + lam[j] for j in range(n)))
     poly = poly_cache_get(cache, datum, mults, lam)
     shifted = [(poly_cache_get(cache, datum, mults, sh), c) for _sub, sh, c in terms]
-    residual = pieri_residual(datum, expansion_E_ell(n, ell), poly, shifted,
-                              tuple(x + 1 for x in lam))
+    residual = pieri_residual(datum, label_form(datum, expansion_E_ell(n, ell)),
+                              poly, shifted, tuple(x + 1 for x in lam))
     g, g1, g2 = gs
     return BcPieriReport(
         n=n, ell=ell, lam=lam, g=g, g1=g1, g2=g2,
@@ -206,13 +205,15 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
 
 
 def rank_one_shift_coefficient(n: int, gs, j: int, xi):
-    """The displayed single-shift coefficient: singleton factor at slot j
-    times cross factors against every other slot."""
+    """The displayed single-shift coefficient, in Fractions: the singleton
+    factor at slot j times the cross factors against every other slot."""
     g, g1, g2 = gs
-    total = _singleton_factor(g1, g2, 1, xi[j])
-    for k in range(n):
-        if k != j:
-            total *= _cross_factor(g, 1, xi[j], xi[k])
+    x = xi[j]
+    total = (x + Q(1, 2) * g1 + g2) * (1 + 2 * x + g1) / (
+        _check_den(x, "1*xi_j") * _check_den(1 + 2 * x, "1+2xi_j"))
+    for y in xi[:j] + xi[j + 1:n]:
+        total *= (x + y + g) * (x - y + g) / (
+            _check_den(x + y, "xi_j+xi_k") * _check_den(x - y, "xi_j-xi_k"))
     return total
 
 

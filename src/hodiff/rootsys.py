@@ -140,11 +140,12 @@ class RootDatum:
     rows over one denominator.  Results are memoized on the instance the
     first time they are asked for: the labels of a vector under the vector
     (the only vector-keyed memo), everything else under the labels of a
-    weight: pairings, Weyl orbits, dominance intervals, saturated maps, and
-    for a small weight omega its Pieri index (``index_memo``, filled by
-    ``diffeq.pieri_index``) and its expansion E_omega (``expansion_memo``,
-    filled by ``weylalg.expansion_E_omega``).  The memos live and die with
-    the datum.  Each entry is a pure function of its key, so threads sharing
+    weight: pairings, Weyl orbits, dominance intervals, saturated maps and
+    their alpha-string tables, and for a small weight omega its Pieri index
+    (``index_memo``, filled by ``diffeq.pieri_index``) and its expansion
+    E_omega and that expansion's label form (``expansion_memo`` and
+    ``expansion_label_memo``, filled by ``weylalg``).  The memos live and die
+    with the datum.  Each entry is a pure function of its key, so threads sharing
     an instance can at worst compute an entry twice.
     """
 
@@ -222,6 +223,9 @@ class RootDatum:
             i for i, n in enumerate(order) if min(n) >= 0)
         self.positive_roots: tuple[Vector, ...] = tuple(
             self.roots[i] for i in self.positive_indices)
+        # index of alpha/2 per root; None unless alpha is a doubled root of BC
+        doubles = {tuple(2 * x for x in l): i for i, l in enumerate(self.root_labels)}
+        self.half_root_index: tuple = tuple(map(doubles.get, self.root_labels))
         if 2 * len(self.positive_roots) != len(self.roots):
             raise ValueError("positive system does not split the roots evenly")
         # alpha^vee = sum_k c_k alpha_k^vee, c_k = n_k |alpha_k|^2 / |alpha|^2
@@ -246,17 +250,19 @@ class RootDatum:
 
         # memos: labels under the vector (the one vector-keyed memo), the
         # rest under integer labels (of a weight, or of the dominant element
-        # of an orbit) or sets of root indices; the last two are filled by
-        # diffeq.pieri_index and weylalg.expansion_E_omega
+        # of an orbit) or sets of root indices; the last three are filled
+        # by diffeq.pieri_index and weylalg
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
         self._pairings: dict[tuple, tuple] = {}
         self._orbits: dict[tuple, tuple[Vector, ...]] = {}
         self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
         self._sat_label_cache: dict[tuple, dict[tuple, tuple]] = {}
+        self._string_tables: dict[tuple, tuple] = {}
         self._weyl_order_memo: dict[frozenset, int] = {}
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_memo: dict[tuple, object] = {}
+        self.expansion_label_memo: dict[tuple, dict] = {}
 
         orbits = self._root_orbit_indices()
         self.root_orbits: tuple[tuple[Vector, ...], ...] = tuple(
@@ -637,6 +643,31 @@ class RootDatum:
         if found is None:
             found = self._sat_label_cache[top] = {
                 l: m for m in self.below_labels(top) for l in self._dominant_orbit(m)}
+        return found
+
+    def string_table(self, tops: tuple) -> tuple:
+        """(index, strings, quad) for S the union of the saturated sets P(t),
+        t in tops (memoized): index numbers the labels of S; strings holds
+        per positive root alpha (its index, its strings), a string being
+        (k, indices of the labels at pairings k, k-2, ..., -k) for its top
+        label, <l, alpha^vee> = k > 0 (S is saturated, so none is broken);
+        quad holds l G l per label, <l, l> times ``weight_gram_den``."""
+        found = self._string_tables.get(tops)
+        if found is None:
+            index = {l: i for i, l in enumerate(dict.fromkeys(
+                l for t in tops for l in self.saturated_labels(t)))}
+            roots = []
+            for r in self.positive_indices:
+                cc, row = self.coroot_coefficients[r], self.root_labels[r]
+                strings = tuple(
+                    (k, tuple(index[_step(l, j, row)] for j in range(k + 1)))
+                    for l in index if (k := int(sum(map(mul, cc, l)))) > 0
+                    and _step(l, -1, row) not in index)
+                if strings:
+                    roots.append((r, strings))
+            quad = tuple(sum(x * sum(map(mul, row, l)) for x, row in zip(l, self.weight_gram))
+                         for l in index)
+            found = self._string_tables[tops] = (index, tuple(roots), quad)
         return found
 
     def saturated_set(self, lam: Vector) -> tuple[Vector, ...]:

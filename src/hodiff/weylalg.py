@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
-from operator import mul
 
 from .rootsys import Multiplicities, RootDatum, Vector, vadd
 
@@ -52,9 +51,6 @@ class ExpPoly:
 
     def coeff(self, nu: Vector) -> Q:
         return self.terms.get(nu, Q(0))
-
-    def support(self):
-        return sorted(self.terms)
 
     def value_at_zero(self) -> Q:
         """Evaluation at x = 0, i.e. the sum of all coefficients."""
@@ -155,67 +151,61 @@ def require_exact(mults: Multiplicities) -> None:
         raise ValueError("exact multiplicities required")
 
 
-def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
-    """(n, image) with image[l] = n (L p)[l], for the W-invariant element p
-    given by its label-keyed terms.
+def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict,
+                   tops: tuple | None = None):
+    """(n, image) with image[l] = n (L p)[l] for every label l of the string
+    table, p the W-invariant element given by its label-keyed terms.
 
     L = Laplacian + sum_{alpha>0} g_alpha (1+e^{-alpha})/(1-e^{-alpha}) d_alpha.
     The rational factor acts by exact division: (1+e^{-alpha}) d_alpha p is
     divisible by (1-e^{-alpha}) because d_alpha p is antisymmetric under the
     reflection in alpha.
 
-    With k = <nu, alpha^vee>, the terms of d_alpha p fall into alpha-strings,
-    each keyed by its base label l - floor(k/2) labels(alpha).  Along a
-    string, with d_k the coefficient at pairing k and S_k = sum_{j >= k} d_j,
-    the quotient has coefficient S_k + S_{k+2} at pairing k.  Each string must
-    sum to zero, which is the telescoping divisibility criterion; a remainder
-    is fatal.  The string quotients are summed per root orbit and weighted
-    once per key by g_alpha |alpha|^2 / 2 (as <nu, alpha> = k |alpha|^2 / 2);
-    the Laplacian term is <nu, nu> from the fundamental-weight Gram form.
-    n clears the denominators of those weights and of the Gram form, so
-    integer terms give an integer image.
+    The alpha-strings come from ``RootDatum.string_table`` of tops (default:
+    the dominant labels of the support); a label outside the table is fatal.
+    Along a string, with d_k = k c_k the coefficient of d_alpha p at pairing
+    k and S_k = sum_{j >= k} d_j, the quotient has coefficient S_k + S_{k+2}
+    at pairing k.  Each string must sum to zero, which is the telescoping
+    divisibility criterion; a remainder is fatal.  The quotients are weighted
+    by g_alpha |alpha|^2 / 2 (as <nu, alpha> = k |alpha|^2 / 2); the
+    Laplacian term is <nu, nu> from the fundamental-weight Gram form.  n
+    clears the denominators of those weights and of the Gram form, so integer
+    terms give an integer image.
     """
     require_exact(mults)
     if not _is_invariant(datum, terms):
         raise ValueError("apply_L requires a W-invariant argument")
-    sums = [{} for _ in datum.root_orbits]
-    for i in datum.positive_indices:
-        lab = datum.root_labels[i]
-        cc = datum.coroot_coefficients[i]
-        strings: dict[tuple, dict] = {}
-        for l, c in terms.items():
-            k = int(sum(map(mul, cc, l)))   # integral: l labels a weight
-            if k == 0:
-                continue
-            base = tuple(a - (k // 2) * b for a, b in zip(l, lab))
-            strings.setdefault(base, {})[k] = k * c
-        acc = sums[datum.root_orbit_ids[i]]
-        for base, d in strings.items():
-            s_above = s = 0
-            for k in range(max(d), min(d) - 1, -2):
-                s = s_above + d.get(k, 0)
-                h = s + s_above
-                if h:
-                    key = tuple(a + (k // 2) * b for a, b in zip(base, lab))
-                    acc[key] = acc.get(key, 0) + h
-                s_above = s
-            if s != 0:
-                raise InternalConsistencyError(
-                    f"division by 1 - e^-{datum.roots[i]} left remainder {s}")
+    if tops is None:
+        tops = tuple(sorted(l for l in terms if min(l) >= 0))
+    index, roots, quad = datum.string_table(tops)
+    coef = [0] * len(index)
+    for l, c in terms.items():
+        i = index.get(l)
+        if i is None:
+            raise InternalConsistencyError(
+                f"exponent labels {l} lie outside the alpha-strings of P{tops}")
+        coef[i] = c
     weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
                for o, orbit in enumerate(datum.root_orbits)]
     n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
-    weighted = [((w * n).numerator, acc) for w, acc in zip(weights, sums) if acc]
+    weights = [(w * n).numerator for w in weights]
     lap = n // datum.weight_gram_den
-    gram = datum.weight_gram
-    image = {}
-    for l in set(terms).union(*sums):
-        v = sum(w * acc.get(l, 0) for w, acc in weighted)
-        c = terms.get(l)
-        if c:
-            v += lap * c * sum(x * sum(map(mul, row, l)) for x, row in zip(l, gram))
-        image[l] = v
-    return n, image
+    image = [lap * c * q for c, q in zip(coef, quad)]
+    for r, strings in roots:
+        w = weights[datum.root_orbit_ids[r]]
+        for k, string in strings:
+            s_above = s = 0
+            for i in string:
+                s = s_above + k * coef[i]
+                h = s + s_above
+                if h:
+                    image[i] += w * h
+                s_above = s
+                k -= 2
+            if s != 0:
+                raise InternalConsistencyError(
+                    f"division by 1 - e^-{datum.roots[r]} left remainder {s}")
+    return n, dict(zip(index, image))
 
 
 def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
@@ -245,6 +235,27 @@ def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
             orbit_size = Q(len(datum.parabolic_orbit(mu, top)))
             terms.update((nu, orbit_size) for nu in datum.weyl_orbit(datum.from_labels(mu)))
         found = datum.expansion_memo[top] = ExpPoly(terms)
+    return found
+
+
+def label_form(datum: RootDatum, p: ExpPoly) -> dict:
+    """p keyed by the labels of its exponents, with int coefficients, for a
+    W-invariant p with integer coefficients (InternalConsistencyError if not)."""
+    terms = {datum.weight_labels(nu): c for nu, c in p.terms.items()}
+    if not (_is_invariant(datum, terms) and all(c.denominator == 1 for c in terms.values())):
+        raise InternalConsistencyError("the spectral-side expansion is not W-invariant "
+                                       "with integer coefficients")
+    return {l: c.numerator for l, c in terms.items()}
+
+
+def expansion_labels(datum: RootDatum, omega: Vector) -> dict:
+    """``label_form`` of E_omega, checked once and memoized on the datum under
+    omega's labels (``expansion_label_memo``)."""
+    top = datum.dominant_labels(omega)
+    found = datum.expansion_label_memo.get(top)
+    if found is None:
+        found = datum.expansion_label_memo[top] = label_form(
+            datum, expansion_E_omega(datum, omega))
     return found
 
 

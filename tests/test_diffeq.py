@@ -15,7 +15,7 @@ from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vscale
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError,
-                            expansion_E_omega)
+                            expansion_E_omega, label_form)
 from weyl_words import apply_word, inverse_word
 
 
@@ -405,12 +405,12 @@ def test_pieri_residual_matches_product_reference(system, request,
     poly, shifted = _pieri_sides(datum, omega, lam, f"residual:{system}")
     e_poly = expansion_E_omega(datum, omega)
     top = vadd(lam, omega)
-    assert pieri_residual(datum, e_poly, poly, shifted, top).is_zero()
+    assert pieri_residual(datum, label_form(datum, e_poly), poly, shifted, top).is_zero()
     # corrupt the shifted polynomial with the highest weight
     i = max(range(len(shifted)), key=lambda j: datum.height(shifted[j][0].lam))
     bad = list(shifted)
     bad[i] = (corrupted(shifted[i][0]), shifted[i][1])
-    got = pieri_residual(datum, e_poly, poly, bad, top)
+    got = pieri_residual(datum, label_form(datum, e_poly), poly, bad, top)
     assert not got.is_zero()
     assert got == reference_residual(e_poly, poly, bad)
 
@@ -422,7 +422,7 @@ def test_pieri_residual_matches_reference_under_perturbation(b2, perturb,
     lam = b2.fundamental_weights[1]
     poly, shifted = _pieri_sides(b2, omega, lam, "perturbed", perturb)
     e_poly = expansion_E_omega(b2, omega)
-    got = pieri_residual(b2, e_poly, poly, shifted, vadd(lam, omega))
+    got = pieri_residual(b2, label_form(b2, e_poly), poly, shifted, vadd(lam, omega))
     assert not got.is_zero()
     assert got == reference_residual(e_poly, poly, shifted)
 
@@ -437,10 +437,10 @@ def test_pieri_residual_coverage_guard(a2):
     # a shifted weight lam + 2 omega is not below lam + omega
     far = jacobi_polynomial(a2, g, vadd(top, omega))
     with pytest.raises(InternalConsistencyError):
-        pieri_residual(a2, e_poly, poly, [(far, Q(1))], top)
+        pieri_residual(a2, label_form(a2, e_poly), poly, [(far, Q(1))], top)
     # lam + omega, from the exponent omega of E_omega, is not below lam
     with pytest.raises(InternalConsistencyError):
-        pieri_residual(a2, e_poly, poly, [], lam)
+        pieri_residual(a2, label_form(a2, e_poly), poly, [], lam)
 
 
 def test_verify_pieri_requires_exact_multiplicities(a2):
@@ -455,3 +455,39 @@ def test_pieri_index_refuses_bc(bc2):
     # coefficients in ``nonreduced``
     with pytest.raises(ValueError, match="bc suite"):
         pieri_index(bc2, (Q(1), Q(0)))
+
+
+@pytest.mark.parametrize("system", ["b2", "g2", "d4"])
+def test_verify_pieri_without_cache_builds_each_shift_once(system, request, monkeypatch):
+    # with no cache given, terms that share a shift share one polynomial
+    datum = request.getfixturevalue(system)
+    omega = datum.quasi_minuscule_weight()
+    lam = datum.fundamental_weights[-1]
+    mults = sample_multiplicities(datum, random.Random(f"builds:{system}"))
+    built = []
+    real = diffeq.jacobi_polynomial
+    monkeypatch.setattr(diffeq, "jacobi_polynomial",
+                        lambda d, m, mu: built.append(mu) or real(d, m, mu))
+    terms = pieri_terms(datum, mults, omega, lam)
+    shifts = {vadd(lam, nu) for nu, _eta, _c in terms}
+    assert len(terms) > len(shifts)
+    assert verify_pieri(datum, mults, omega, lam).ok
+    assert sorted(built) == sorted(shifts | {lam})
+
+
+@pytest.mark.parametrize("system", ["b2", "g2"])
+def test_pieri_residual_matches_reference_with_every_polynomial_corrupted(
+        system, request, reference_residual, corrupted):
+    # every shifted polynomial and P_lambda itself moved by its own amount,
+    # so that the cleared denominators differ from side to side
+    datum = request.getfixturevalue(system)
+    omega = datum.quasi_minuscule_weight()
+    lam = datum.fundamental_weights[0]
+    poly, shifted = _pieri_sides(datum, omega, lam, f"all-corrupted:{system}")
+    e_poly = expansion_E_omega(datum, omega)
+    top = vadd(lam, omega)
+    for bad_poly in (poly, corrupted(poly, Q(-5, 11))):
+        bad = [(corrupted(p, Q(i + 1, 3 * i + 7)), c) for i, (p, c) in enumerate(shifted)]
+        got = pieri_residual(datum, label_form(datum, e_poly), bad_poly, bad, top)
+        assert not got.is_zero()
+        assert got == reference_residual(e_poly, bad_poly, bad)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -142,3 +143,30 @@ def test_exact_entry_points_reject_float_multiplicities(a2):
     poly = jacobi_polynomial(a2, Multiplicities.constant(a2, Q(1, 2)), lam)
     with pytest.raises(ValueError, match="exact multiplicities required"):
         verify_eigen(a2, floats, lam, poly)
+
+
+@pytest.mark.parametrize("system", ["A1", "A2", "A3", "B2", "C3", "D4", "G2", "BC1", "BC2"])
+def test_opdam_product_matches_fraction_reference(system):
+    # the cleared-integer product against the factor-by-factor Fraction one,
+    # on every lambda the eigen suite checks for one campaign sample (each
+    # shifted weight of the Pieri sweep; partitions with first part <= 3 for
+    # BC), at that sample's multiplicities and at three more
+    from oracles import fraction_opdam
+
+    from hodiff.cli import CampaignConfig, pieri_cases
+    from hodiff.rootsys import build_root_system
+    fam, rank = system[:-1], int(system[-1])
+    if fam == "BC":
+        datum = build_root_system(fam, rank)
+        lams = [tuple(map(Q, p)) for p in itertools.product(range(4), repeat=rank)
+                if list(p) == sorted(p, reverse=True)]
+        samples = []
+    else:
+        (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1))
+        datum, lams, samples = res["datum"], [lam for _g, lam in res["cache"]], [res["mults"]]
+    rng = random.Random(f"opdam:{system}")
+    samples += [sample_multiplicities(datum, rng) for _ in range(3)]
+    for mults in samples:
+        for lam in lams:
+            assert opdam_leading_coefficient(datum, mults, lam) == \
+                fraction_opdam(datum, mults, lam), (system, lam)

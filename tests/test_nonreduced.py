@@ -11,7 +11,7 @@ from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp,
                                verify_pieri_bc)
 from hodiff.diffeq import PoleAtSpectralPoint, pieri_residual
 from hodiff.jacobi import jacobi_polynomial
-from hodiff.weylalg import ExpPoly
+from hodiff.weylalg import ExpPoly, label_form
 
 GS = (Q(3, 7), Q(5, 11), Q(9, 4))
 
@@ -207,10 +207,42 @@ def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residua
     shifted = [(jacobi_polynomial(bc2, mults, sh), c) for _sub, sh, c in terms]
     e_poly = expansion_E_ell(2, ell)
     top = (Q(3), Q(2))
-    assert pieri_residual(bc2, e_poly, poly, shifted, top).is_zero()
+    assert pieri_residual(bc2, label_form(bc2, e_poly), poly, shifted, top).is_zero()
     # corrupt the shifted polynomial of the highest partition
     highest = max(p.lam for p, _c in shifted)
     bad = [(corrupted(p) if p.lam == highest else p, c) for p, c in shifted]
-    got = pieri_residual(bc2, e_poly, poly, bad, top)
+    got = pieri_residual(bc2, label_form(bc2, e_poly), poly, bad, top)
     assert not got.is_zero()
     assert got == reference_residual(e_poly, poly, bad)
+
+
+def test_signed_product_matches_fraction_reference():
+    # the integer product against the factor-by-factor Fraction one, on
+    # random points and on points placed on each kind of pole, where both
+    # must raise the same message
+    from oracles import fraction_signed_product
+
+    from hodiff.nonreduced import _signed_product
+    rng = random.Random("signed-product")
+    poles = [(Q(0), Q(3, 5)), (Q(-1, 2), Q(3, 5)), (Q(2, 7), Q(2, 7)),
+             (Q(2, 7), Q(-2, 7)), (Q(-1, 3), Q(-2, 3)), (Q(1, 3), Q(-4, 3))]
+    points = poles + [tuple(Q(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
+                      for _ in range(40)]
+    seen = set()
+    for xi in points:
+        gs = tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(3))
+        for size in range(3):
+            for J in itertools.combinations(range(2), size):
+                others = [k for k in range(2) if k not in J]
+                for sub in signed_subsets(J):
+                    for pair_g in (gs[0], -gs[0]):
+                        try:
+                            want = fraction_signed_product(gs, sub, others, xi, pair_g)
+                        except PoleAtSpectralPoint as exc:
+                            with pytest.raises(PoleAtSpectralPoint) as got:
+                                _signed_product(gs, sub, others, xi, pair_g)
+                            assert str(got.value) == str(exc)
+                            seen.add(str(exc))
+                        else:
+                            assert _signed_product(gs, sub, others, xi, pair_g) == want
+    assert len(seen) == 7     # every pole name, 1*xi_j and -1*xi_j apart

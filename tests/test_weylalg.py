@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hodiff.rootsys import Multiplicities, vadd, vneg, vscale
-from hodiff.weylalg import (ExpPoly, apply_L, eigenvalue_E, eval_at,
+from hodiff.weylalg import (ExpPoly, apply_L, apply_L_labels, eigenvalue_E, eval_at,
                             exp_from_json, exp_to_json, expansion_E_omega,
                             is_w_invariant, orbit_sum)
 
@@ -153,3 +153,64 @@ def test_is_w_invariant_rejects_off_lattice_exponents(a2):
 def test_apply_l_requires_exact_multiplicities(a2):
     with pytest.raises(ValueError, match="exact multiplicities required"):
         apply_L(a2, Multiplicities.constant(a2, 0.5), ExpPoly.constant(1, a2.dim))
+
+
+def _campaign_polynomials(system):
+    """(datum, mults, polynomial) for every polynomial one sample of the
+    default campaign builds on a system: the Pieri sweep's cache on A1-G2,
+    the eigen suite's BC data, and for E6 the Pieri check at lambda = 0,
+    omega_2."""
+    from hodiff.cli import CampaignConfig, pieri_cases
+    from hodiff.diffeq import sample_multiplicities, verify_pieri
+    from hodiff.jacobi import jacobi_polynomial
+    from hodiff.rootsys import build_root_system
+    fam, rank = system[:-1], int(system[-1])
+    datum = build_root_system(fam, rank)
+    if fam == "BC":
+        mults = sample_multiplicities(datum, random.Random(f"20150801:bc-eigen:{rank}"))
+        lams = ((0,), (1,), (2,)) if rank == 1 else ((1, 0), (1, 1), (2, 1))
+        return [(datum, mults, jacobi_polynomial(datum, mults, tuple(map(Q, lam))))
+                for lam in lams]
+    if fam == "E":
+        mults = Multiplicities(datum, [Q(4, 9)])
+        cache = {}
+        assert verify_pieri(datum, mults, datum.fundamental_weights[1],
+                            (Q(0),) * datum.dim, cache=cache).ok
+        return [(datum, mults, poly) for poly in cache.values()]
+    (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1))
+    return [(res["datum"], res["mults"], poly) for poly in res["cache"].values()]
+
+
+@pytest.mark.parametrize("system", ["A1", "A2", "A3", "B2", "C3", "D4", "G2",
+                                    "BC1", "BC2", "E6"])
+def test_string_tables_match_per_call_walk(system, corrupted):
+    # the alpha-string tables against the per-call walk they replace, on
+    # each polynomial and on a corrupted copy of it (off the eigenspace)
+    from oracles import string_walk_apply_L
+    polys = _campaign_polynomials(system)
+    assert polys
+    for datum, mults, poly in polys:
+        top = datum.dominant_labels(poly.lam)
+        for p in (poly, corrupted(poly)):
+            _d, terms = p.cleared_terms()
+            n, image = apply_L_labels(datum, mults, terms, (top,))
+            assert set(image) == set(datum.saturated_labels(top))
+            walked_n, walked = string_walk_apply_L(datum, mults, terms)
+            assert n == walked_n
+            nonzero = {l: v for l, v in image.items() if v}
+            assert nonzero == {l: v for l, v in walked.items() if v}
+            # tops read from the support give the same image
+            assert {l: v for l, v in apply_L_labels(datum, mults, terms)[1].items()
+                    if v} == nonzero
+
+
+def test_apply_l_support_outside_string_table_is_fatal(a2, monkeypatch):
+    # a non-invariant element let past the gate may leave the table: e^{-omega_1}
+    # has no dominant exponent, and e^{omega_1 + omega_2} lies outside P(omega_1)
+    from hodiff import weylalg
+    monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
+    g = Multiplicities.constant(a2, Q(3, 7))
+    with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
+        apply_L(a2, g, ExpPoly.monomial(vneg(a2.fundamental_weights[0])))
+    with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
+        apply_L_labels(a2, g, {(1, 0): 1, (1, 1): 1}, ((1, 0),))

@@ -18,7 +18,7 @@ from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
 from .rootsys import Multiplicities, RootDatum, Vector, vadd
-from .weylalg import (ExpPoly, InternalConsistencyError, exp_to_json,
+from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       require_exact)
 
@@ -274,10 +274,10 @@ def poly_cache_get(cache, datum, mults, lam) -> JacobiPolynomial:
     return poly
 
 
-def pieri_residual(datum: RootDatum, e_terms: dict, poly: JacobiPolynomial,
+def pieri_residual(datum: RootDatum, e_form: LabelForm, poly: JacobiPolynomial,
                    shifted, top: Vector) -> ExpPoly:
     """e_poly * P_lambda - sum c P_lambda' over the (P_lambda', c) in shifted,
-    for e_terms the checked label form of e_poly (``label_form``).
+    for e_form the ``LabelForm`` of e_poly (TypeError for anything else).
 
     Both sides are W-invariant, so the difference is compared only at the
     dominant mu <= top, in integers on the cleared terms (d, N) of each
@@ -288,9 +288,11 @@ def pieri_residual(datum: RootDatum, e_terms: dict, poly: JacobiPolynomial,
     every dominant exponent a of e_poly, must be <= top, and P(lambda) + P(a)
     lies in P(lambda + a).
     """
+    if not isinstance(e_form, LabelForm):
+        raise TypeError("E must be a LabelForm, whose invariance is checked")
     below = datum.below_labels(datum.dominant_labels(top))
     lam = datum.labels(poly.lam)
-    for a in e_terms:
+    for a in e_form.terms:
         if min(a) >= 0 and tuple(map(add, lam, a)) not in below:
             raise InternalConsistencyError(
                 f"lambda={poly.lam} plus exponent labels {a} is not below {top}")
@@ -305,7 +307,7 @@ def pieri_residual(datum: RootDatum, e_terms: dict, poly: JacobiPolynomial,
     residual = {}
     for m in below:
         r = 0
-        for a, e in e_terms.items():
+        for a, e in e_form.terms.items():
             c = p_terms.get(tuple(map(sub, m, a)))
             if c:
                 r += e * c

@@ -190,8 +190,7 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
     poly = poly or jacobi_polynomial(datum, mults, lam)
     ev = Q(eigenvalue_E(datum, mults, vadd(datum.rho(mults), lam)))
     d, cleared = poly.cleared_terms()
-    n, image = apply_L_labels(datum, mults, cleared,
-                              (datum.dominant_labels(poly.lam),))
+    n, image = apply_L_labels(datum, mults, cleared)
     residual = {}
     for l, v in image.items():
         r = v * ev.denominator - n * ev.numerator * cleared.get(l, 0)

@@ -143,8 +143,8 @@ class RootDatum:
     weight: pairings, Weyl orbits, dominance intervals, saturated maps and
     their alpha-string tables, and for a small weight omega its Pieri index
     (``index_memo``, filled by ``diffeq.pieri_index``) and its expansion
-    E_omega and that expansion's label form (``expansion_memo`` and
-    ``expansion_label_memo``, filled by ``weylalg``).  The memos live and die
+    E_omega on labels and as an ExpPoly (``expansion_label_memo`` and
+    ``expansion_memo``, filled by ``weylalg``).  The memos live and die
     with the datum.  Each entry is a pure function of its key, so threads sharing
     an instance can at worst compute an entry twice.
     """
@@ -262,7 +262,7 @@ class RootDatum:
         self._weyl_order_memo: dict[frozenset, int] = {}
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_memo: dict[tuple, object] = {}
-        self.expansion_label_memo: dict[tuple, dict] = {}
+        self.expansion_label_memo: dict[tuple, object] = {}
 
         orbits = self._root_orbit_indices()
         self.root_orbits: tuple[tuple[Vector, ...], ...] = tuple(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from operator import mul
 
 from .rootsys import Multiplicities, RootDatum, Vector, vadd
 
@@ -151,8 +152,7 @@ def require_exact(mults: Multiplicities) -> None:
         raise ValueError("exact multiplicities required")
 
 
-def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict,
-                   tops: tuple | None = None):
+def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     """(n, image) with image[l] = n (L p)[l] for every label l of the string
     table, p the W-invariant element given by its label-keyed terms.
 
@@ -161,8 +161,9 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict,
     divisible by (1-e^{-alpha}) because d_alpha p is antisymmetric under the
     reflection in alpha.
 
-    The alpha-strings come from ``RootDatum.string_table`` of tops (default:
-    the dominant labels of the support); a label outside the table is fatal.
+    The alpha-strings come from ``RootDatum.string_table`` of tops, the
+    maximal dominant labels of the support (for a Jacobi polynomial P_lam,
+    lam alone); a label outside the table is fatal.
     Along a string, with d_k = k c_k the coefficient of d_alpha p at pairing
     k and S_k = sum_{j >= k} d_j, the quotient has coefficient S_k + S_{k+2}
     at pairing k.  Each string must sum to zero, which is the telescoping
@@ -175,9 +176,12 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict,
     require_exact(mults)
     if not _is_invariant(datum, terms):
         raise ValueError("apply_L requires a W-invariant argument")
-    if tops is None:
-        tops = tuple(sorted(l for l in terms if min(l) >= 0))
-    index, roots, quad = datum.string_table(tops)
+    tops = []   # by falling height, l is maximal unless below an earlier top
+    for l in sorted((l for l in terms if min(l) >= 0), reverse=True,
+                    key=lambda l: sum(map(mul, datum.height_row, l))):
+        if not any(l in datum.saturated_labels(t) for t in tops):
+            tops.append(l)
+    index, roots, quad = datum.string_table(tuple(sorted(tops)))
     coef = [0] * len(index)
     for l, c in terms.items():
         i = index.get(l)
@@ -216,46 +220,51 @@ def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
     return ExpPoly({datum.from_labels(l): Q(v) / n for l, v in image.items()})
 
 
-def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
+class LabelForm:
+    """A W-invariant element with integer coefficients, keyed by the labels of
+    its exponents; both are checked on construction (InternalConsistencyError),
+    so it may be compared on the dominant chamber alone (``pieri_residual``)."""
+
+    def __init__(self, datum: RootDatum, terms: dict):
+        if not (_is_invariant(datum, terms) and all(c.denominator == 1 for c in terms.values())):
+            raise InternalConsistencyError(
+                "the spectral-side expansion is not W-invariant with integer coefficients")
+        self.terms = {l: c.numerator for l, c in terms.items()}
+
+
+def label_form(datum: RootDatum, p: ExpPoly) -> LabelForm:
+    """The ``LabelForm`` of p, its exponents converted to labels."""
+    return LabelForm(datum, {datum.weight_labels(nu): c for nu, c in p.terms.items()})
+
+
+def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
     """The symmetric spectral-side expansion attached to a small weight.
 
     E_omega = sum over dominant mu <= omega of |W_mu(omega)| m_mu, the
     coefficient being the orbit size of omega under the stabilizer of mu
-    (``parabolic_orbit``).  Memoized on the datum under omega's labels
-    (``expansion_memo``).
+    (``parabolic_orbit``), built on labels in the order of the vectors and
+    checked once: memoized under omega's labels (``expansion_label_memo``).
     """
-    top = datum.dominant_labels(omega)
-    found = datum.expansion_memo.get(top)
-    if found is None:
-        omega = datum.from_labels(top)
-        if not datum.is_small(omega):
-            raise ValueError(f"{omega} is not small (some pairing exceeds 2)")
-        terms = {}
-        for mu in datum.below_labels(top):
-            orbit_size = Q(len(datum.parabolic_orbit(mu, top)))
-            terms.update((nu, orbit_size) for nu in datum.weyl_orbit(datum.from_labels(mu)))
-        found = datum.expansion_memo[top] = ExpPoly(terms)
-    return found
-
-
-def label_form(datum: RootDatum, p: ExpPoly) -> dict:
-    """p keyed by the labels of its exponents, with int coefficients, for a
-    W-invariant p with integer coefficients (InternalConsistencyError if not)."""
-    terms = {datum.weight_labels(nu): c for nu, c in p.terms.items()}
-    if not (_is_invariant(datum, terms) and all(c.denominator == 1 for c in terms.values())):
-        raise InternalConsistencyError("the spectral-side expansion is not W-invariant "
-                                       "with integer coefficients")
-    return {l: c.numerator for l, c in terms.items()}
-
-
-def expansion_labels(datum: RootDatum, omega: Vector) -> dict:
-    """``label_form`` of E_omega, checked once and memoized on the datum under
-    omega's labels (``expansion_label_memo``)."""
     top = datum.dominant_labels(omega)
     found = datum.expansion_label_memo.get(top)
     if found is None:
-        found = datum.expansion_label_memo[top] = label_form(
-            datum, expansion_E_omega(datum, omega))
+        if not datum.is_small(datum.from_labels(top)):
+            raise ValueError(f"{datum.from_labels(top)} is not small (some pairing exceeds 2)")
+        found = datum.expansion_label_memo[top] = LabelForm(datum, {
+            l: len(datum.parabolic_orbit(mu, top))
+            for mu in datum.below_labels(top)
+            for l in sorted(datum._dominant_orbit(mu), key=datum._vector_key)})
+    return found
+
+
+def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
+    """E_omega (``expansion_labels``) as an ExpPoly, memoized on the datum
+    under omega's labels (``expansion_memo``)."""
+    top = datum.dominant_labels(omega)
+    found = datum.expansion_memo.get(top)
+    if found is None:
+        found = datum.expansion_memo[top] = ExpPoly({
+            datum.from_labels(l): c for l, c in expansion_labels(datum, omega).terms.items()})
     return found
 
 

@@ -14,8 +14,8 @@ from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
                            term_factors, verify_pieri)
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vscale
-from hodiff.weylalg import (ExpPoly, InternalConsistencyError,
-                            expansion_E_omega, label_form)
+from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
+                            expansion_E_omega, expansion_labels, label_form)
 from weyl_words import apply_word, inverse_word
 
 
@@ -187,10 +187,16 @@ def test_pieri_index_matches_generic_stabilizer_search(fam, rank):
         after = pieri_index.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
         e_poly = expansion_E_omega(datum, omega)
-        assert e_poly.terms == {nu: Q(len(orbit(mu, omega)))
-                                for mu in datum.dominant_below(omega)
-                                for nu in datum.weyl_orbit(mu)}
+        expected = {nu: Q(len(orbit(mu, omega)))
+                    for mu in datum.dominant_below(omega) for nu in datum.weyl_orbit(mu)}
+        # same terms in the same order (the float sums of the confluence
+        # check read them in order)
+        assert list(e_poly.terms.items()) == list(expected.items())
         assert expansion_E_omega(datum, omega) is e_poly
+        # the label form built on labels is the checked conversion of e_poly
+        e_form = expansion_labels(datum, omega)
+        assert e_form.terms == label_form(datum, e_poly).terms
+        assert expansion_labels(datum, omega) is e_form
 
 
 @pytest.mark.slow
@@ -441,6 +447,23 @@ def test_pieri_residual_coverage_guard(a2):
     # lam + omega, from the exponent omega of E_omega, is not below lam
     with pytest.raises(InternalConsistencyError):
         pieri_residual(a2, label_form(a2, e_poly), poly, [], lam)
+
+
+def test_pieri_residual_takes_only_checked_label_forms(a2):
+    # the residual is compared on the dominant chamber alone, so E must come
+    # as a LabelForm: an unchecked dict is refused, and a LabelForm cannot
+    # be made from a non-invariant or non-integral element
+    omega = a2.fundamental_weights[0]
+    lam = a2.fundamental_weights[1]
+    poly = jacobi_polynomial(a2, Multiplicities.constant(a2, Q(3, 7)), lam)
+    top = vadd(lam, omega)
+    terms = label_form(a2, expansion_E_omega(a2, omega)).terms
+    with pytest.raises(TypeError, match="LabelForm"):
+        pieri_residual(a2, dict(terms), poly, [], top)
+    with pytest.raises(InternalConsistencyError, match="not W-invariant"):
+        LabelForm(a2, {(1, 0): 1})
+    with pytest.raises(InternalConsistencyError, match="integer coefficients"):
+        label_form(a2, expansion_E_omega(a2, omega).scale(Q(1, 2)))
 
 
 def test_verify_pieri_requires_exact_multiplicities(a2):

@@ -143,6 +143,8 @@ def test_exact_entry_points_reject_float_multiplicities(a2):
     poly = jacobi_polynomial(a2, Multiplicities.constant(a2, Q(1, 2)), lam)
     with pytest.raises(ValueError, match="exact multiplicities required"):
         verify_eigen(a2, floats, lam, poly)
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        opdam_leading_coefficient(a2, floats, lam)
 
 
 @pytest.mark.parametrize("system", ["A1", "A2", "A3", "B2", "C3", "D4", "G2", "BC1", "BC2"])

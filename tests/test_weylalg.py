@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hodiff.rootsys import Multiplicities, vadd, vneg, vscale
+from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg, vscale
 from hodiff.weylalg import (ExpPoly, apply_L, apply_L_labels, eigenvalue_E, eval_at,
                             exp_from_json, exp_to_json, expansion_E_omega,
                             is_w_invariant, orbit_sum)
@@ -193,24 +193,41 @@ def test_string_tables_match_per_call_walk(system, corrupted):
         top = datum.dominant_labels(poly.lam)
         for p in (poly, corrupted(poly)):
             _d, terms = p.cleared_terms()
-            n, image = apply_L_labels(datum, mults, terms, (top,))
+            n, image = apply_L_labels(datum, mults, terms)
             assert set(image) == set(datum.saturated_labels(top))
             walked_n, walked = string_walk_apply_L(datum, mults, terms)
             assert n == walked_n
             nonzero = {l: v for l, v in image.items() if v}
             assert nonzero == {l: v for l, v in walked.items() if v}
-            # tops read from the support give the same image
-            assert {l: v for l, v in apply_L_labels(datum, mults, terms)[1].items()
-                    if v} == nonzero
+    # one table per saturated set: each keyed by its top alone
+    for datum in {id(d): d for d, _m, _p in polys}.values():
+        assert all(len(tops) == 1 for tops in datum._string_tables)
 
 
 def test_apply_l_support_outside_string_table_is_fatal(a2, monkeypatch):
     # a non-invariant element let past the gate may leave the table: e^{-omega_1}
-    # has no dominant exponent, and e^{omega_1 + omega_2} lies outside P(omega_1)
+    # has no dominant exponent, and e^{s_1(omega_1 + omega_2)} lies outside
+    # P(omega_1)
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
     g = Multiplicities.constant(a2, Q(3, 7))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
         apply_L(a2, g, ExpPoly.monomial(vneg(a2.fundamental_weights[0])))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
-        apply_L_labels(a2, g, {(1, 0): 1, (1, 1): 1}, ((1, 0),))
+        apply_L_labels(a2, g, {(1, 0): 1, (-1, 2): 1})
+
+
+def test_string_table_keyed_by_maximal_dominant_labels():
+    # the key is the maximal dominant labels of the support: m_lam + m_mu,
+    # mu < lam, reuses the table of P(lam), while omega_1 and omega_2 of B2
+    # (in different cosets of the root lattice) are both maximal
+    b2 = build_root_system("B", 2)
+    g = Multiplicities.constant(b2, Q(2, 5))
+    w1, w2 = b2.fundamental_weights
+    lam = vadd(w1, w2)
+    for mu in b2.dominant_below(lam):
+        apply_L(b2, g, orbit_sum(b2, lam) + orbit_sum(b2, mu))
+    assert list(b2._string_tables) == [(b2.dominant_labels(lam),)]
+    apply_L(b2, g, orbit_sum(b2, w1) + orbit_sum(b2, w2))
+    assert tuple(sorted(map(b2.dominant_labels, (w1, w2)))) in b2._string_tables
+    assert len(b2._string_tables) == 2

@@ -396,8 +396,18 @@ def _parse_lambda(datum: RootDatum, option: str, text: str):
     return datum.check_dominant(lam)
 
 
+def _parse_omega(datum: RootDatum, text: str):
+    """The dominant weight of --omega, which must be small."""
+    omega = _parse_lambda(datum, "--omega", text)
+    if not datum.is_small(omega):
+        raise ValueError(f"--omega: {_wt(omega)} is not small (a pairing exceeds 2)")
+    return omega
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """payload as canonical JSON (a str as it is) to out_path or stdout."""
+    text = (payload if isinstance(payload, str)
+            else json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -428,43 +438,34 @@ def cmd_jacobi(args) -> int:
 def cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suite.split(",")) \
         if args.suite != "all" else CampaignConfig().suites
-    systems = PIERI_SYSTEMS
-    if args.family or args.rank is not None:
-        if not args.family or args.rank is None:
-            print("error: --family and --rank go together", file=sys.stderr)
-            return EXIT_INVALID
-        if not set(suites) <= {"pieri", "eigen"} or args.family == "BC":
-            print("error: --family/--rank select reduced systems for the pieri "
-                  "and eigen suites only; BC is checked by the bc suite",
-                  file=sys.stderr)
-            return EXIT_INVALID
-        systems = ((args.family, args.rank),)
-    if args.omega and not args.family:
-        print("error: --omega requires --family/--rank", file=sys.stderr)
-        return EXIT_INVALID
-    unknown = set(suites) - set(CampaignConfig().suites)
-    if unknown or not suites:
-        print(f"error: unknown or empty suite selection {sorted(unknown)}",
-              file=sys.stderr)
-        return EXIT_INVALID
-    if args.perturb and args.perturb not in diffeq.PERTURBATIONS:
-        print(f"error: unknown perturbation {args.perturb}", file=sys.stderr)
-        return EXIT_INVALID
-    if not 1 <= args.samples <= MAX_SAMPLES:
-        print(f"error: --samples must be between 1 and {MAX_SAMPLES}",
-              file=sys.stderr)
-        return EXIT_INVALID
+    systems, omegas = PIERI_SYSTEMS, None
     try:
-        height = Q(args.height)
-    except (ValueError, ZeroDivisionError):
-        height = None
-    if height is None or not 0 <= height <= MAX_HEIGHT:
-        print(f"error: --height must be a rational between 0 and {MAX_HEIGHT}",
-              file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        omegas = ((tuple(_parse_rational_list("--omega", args.omega, None)),)
-                  if args.omega else None)
+        if args.family or args.rank is not None:
+            if not args.family or args.rank is None:
+                raise ValueError("--family and --rank go together")
+            if not set(suites) <= {"pieri", "eigen"} or args.family == "BC":
+                raise ValueError("--family/--rank select reduced systems for the "
+                                 "pieri and eigen suites only; BC is checked by "
+                                 "the bc suite")
+            systems = ((args.family, args.rank),)
+        if args.omega and not args.family:
+            raise ValueError("--omega requires --family/--rank")
+        unknown = set(suites) - set(CampaignConfig().suites)
+        if unknown or not suites:
+            raise ValueError(f"unknown or empty suite selection {sorted(unknown)}")
+        if args.perturb and args.perturb not in diffeq.PERTURBATIONS:
+            raise ValueError(f"unknown perturbation {args.perturb}")
+        if not 1 <= args.samples <= MAX_SAMPLES:
+            raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
+        try:
+            height = Q(args.height)
+        except (ValueError, ZeroDivisionError):
+            height = None
+        if height is None or not 0 <= height <= MAX_HEIGHT:
+            raise ValueError(f"--height must be a rational between 0 and {MAX_HEIGHT}")
+        if args.omega:
+            datum = build_root_system(args.family, args.rank)
+            omegas = (datum.labels(_parse_omega(datum, args.omega)),)
         result = run_campaign(CampaignConfig(
             systems=systems, omegas=omegas, height_bound=height,
             samples=args.samples, seed=args.seed, suites=suites,
@@ -486,7 +487,7 @@ def _factor_latex(row, denom=False):
 def cmd_coeffs(args) -> int:
     try:
         datum = build_root_system(args.family, args.rank)
-        omega = _parse_lambda(datum, "--omega", args.omega)
+        omega = _parse_omega(datum, args.omega)
         entries = diffeq.pieri_index(datum, omega)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -512,32 +513,36 @@ def cmd_coeffs(args) -> int:
     return EXIT_PASS
 
 
-def _finite(option: str, values: list) -> list:
-    """values, unless one is a NaN or an infinity (ValueError naming option)."""
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{option}: {v} is not finite")
+def _parse_float_list(option: str, text: str, increasing: bool = False) -> list:
+    """Comma-separated finite floats, strictly increasing if asked; else a
+    ValueError naming option, as for an empty or unparsable entry."""
+    values = []
+    for part in (p.strip() for p in text.split(",")):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"{option}: {part!r} is not a number") from None
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{option}: {part} is not finite")
+    if increasing and any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{option}: values must increase strictly")
     return values
 
 
 def cmd_sweep_rank_one(args) -> int:
     try:
-        _finite("--g1", [args.g1])
-        _finite("--g2", [args.g2])
-        xi_grid = _finite("--xi", [float(v) for v in args.xi.split(",")])
-        x_grid = _finite("--x", [float(v) for v in args.x.split(",")])
+        for option, g in (("--g1", args.g1), ("--g2", args.g2)):
+            if not math.isfinite(g):
+                raise ValueError(f"{option}: {g} is not finite")
+        xi_grid = _parse_float_list("--xi", args.xi)
+        x_grid = _parse_float_list("--x", args.x)
         report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.csv:
         lines = ["xi,x,residual"] + [f"{xi},{x},{r:.6e}" for xi, x, r in report.rows]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit({"schema": SCHEMA, "sweep": report.to_dict()}, args.out)
     return EXIT_PASS if report.ok else EXIT_FAIL
@@ -546,13 +551,13 @@ def cmd_sweep_rank_one(args) -> int:
 def cmd_whittaker_limits(args) -> int:
     try:
         datum = build_root_system(args.family, args.rank)
-        omega = _parse_lambda(datum, "--omega", args.omega)
+        omega = _parse_omega(datum, args.omega)
         xi = datum.weight_from_fundamental(
             _parse_rational_list("--xi", args.xi, datum.rank))
-        x = _finite("--x", [float(v) for v in args.x.split(",")])
+        x = _parse_float_list("--x", args.x)
         if len(x) != datum.dim:
-            raise ValueError(f"need {datum.dim} base-point coordinates")
-        t_list = _finite("--t", [float(v) for v in args.t.split(",")])
+            raise ValueError(f"--x: need {datum.dim} base-point coordinates")
+        t_list = _parse_float_list("--t", args.t, increasing=True)
         report = whittaker.verify_confluence(datum, omega, xi, x,
                                              t_list=t_list, tol=args.tol)
         # dressed-limit prefactors, logged for inspection only

@@ -116,16 +116,20 @@ def integer_product(datum: RootDatum, factors: tuple, table: list):
     return num, den
 
 
-def factor_product(datum: RootDatum, factors: tuple, z: tuple, g: tuple):
-    """Product of (s+z+e*g)/(s+z) over a factor list, z exact and g float.
+def float_table(z: tuple) -> list:
+    """Per root the floats of z and z+1, z = <xi,a^vee> exact, each formed
+    exactly and rounded once, or None where it is exactly 0 (a pole)."""
+    return [tuple(float(w) if w else None for w in (x, x + 1)) for x in z]
 
-    s+z is formed exactly before it meets g, so the result has the same
-    bits whatever the factor order around it.
-    """
-    total = Q(1)
+
+def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> float:
+    """Product of (s+z+e*g)/(s+z) over a factor list, on a ``float_table``
+    and float g: the bits of the same product with s+z exact, since a
+    Fraction meets a float only as its rounded value."""
+    total = 1.0
     for i, s, e in factors:
-        w = z[i] + 1 if s else z[i]
-        if w == 0:
+        w = table[i][s]
+        if w is None:
             raise PoleAtSpectralPoint(datum.roots[i],
                                       "1+<xi,a^vee>" if s else "<xi,a^vee>")
         total *= (w + g[i] if e > 0 else w - g[i]) / w
@@ -138,7 +142,7 @@ def _coefficient(datum: RootDatum, mults: Multiplicities, factors: tuple, xi):
     z, g = datum.pairings(xi), mults.root_values
     if is_exact(mults):
         return Q(*integer_product(datum, factors, scaled_table(z, g)))
-    return factor_product(datum, factors, z, g)
+    return factor_product(datum, factors, float_table(z), g)
 
 
 def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi,

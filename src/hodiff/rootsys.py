@@ -142,11 +142,11 @@ class RootDatum:
     (the only vector-keyed memo), everything else under the labels of a
     weight: pairings, Weyl orbits, dominance intervals, saturated maps and
     their alpha-string tables, and for a small weight omega its Pieri index
-    (``index_memo``, filled by ``diffeq.pieri_index``) and its expansion
-    E_omega on labels and as an ExpPoly (``expansion_label_memo`` and
-    ``expansion_memo``, filled by ``weylalg``).  The memos live and die
-    with the datum.  Each entry is a pure function of its key, so threads sharing
-    an instance can at worst compute an entry twice.
+    (``index_memo``, filled by ``diffeq.pieri_index``), its E_omega on labels
+    and as an ExpPoly (``expansion_label_memo``, ``expansion_memo``, filled by
+    ``weylalg``), and the confluent limit's etas (``eta_memo``, ``whittaker``).
+    The memos live and die with the datum; each entry is a pure function of
+    its key, so threads sharing an instance can at worst compute it twice.
     """
 
     def __init__(self, family: str, rank: int):
@@ -250,8 +250,8 @@ class RootDatum:
 
         # memos: labels under the vector (the one vector-keyed memo), the
         # rest under integer labels (of a weight, or of the dominant element
-        # of an orbit) or sets of root indices; the last three are filled
-        # by diffeq.pieri_index and weylalg
+        # of an orbit) or sets of root indices; the last four are filled
+        # by diffeq.pieri_index, weylalg and whittaker.orbit_etas
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
         self._pairings: dict[tuple, tuple] = {}
@@ -263,6 +263,7 @@ class RootDatum:
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_memo: dict[tuple, object] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
+        self.eta_memo: tuple | None = None
 
         orbits = self._root_orbit_indices()
         self.root_orbits: tuple[tuple[Vector, ...], ...] = tuple(

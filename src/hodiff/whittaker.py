@@ -1,7 +1,7 @@
 """Confluent strong-coupling limit: coefficients, limits, rank-one oracle.
 
 The limiting coefficients read the factor lists of ``diffeq.term_factors``
-and replace each (s+z+-g)/(s+z) by +-eta/(s+z) with
+or ``pieri_index`` and replace each (s+z+-g)/(s+z) by +-eta/(s+z) with
 eta = sqrt(2/|alpha|^2); for non-simply-laced data these etas are kept as
 exact square roots of rationals and only converted to floats at the end.
 The rank-one eigenfunction of the open Toda chain is evaluated from its
@@ -12,14 +12,15 @@ precision; the difference equations are checked against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction as Q
+from functools import cache
 
 import mpmath
 
-from .diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index,
-                     term_factors)
-from .rootsys import Multiplicities, RootDatum, Vector, vsub, vneg
+from .diffeq import coeff_U, coeff_V  # noqa: F401 -- kept beside their limits
+from .diffeq import PoleAtSpectralPoint, factor_product, float_table, pieri_index, term_factors
+from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg, vsub
 from .weylalg import expansion_E_omega
 
 
@@ -121,10 +122,6 @@ class TodaCoefficients:
         _, word = self.datum.dominant_representative(vneg(reg))
         return word
 
-    def ebar(self, x) -> float:
-        """The limiting shift polynomial: the single exponential e^<omega,x>."""
-        return ebar(self.datum, self.omega, x)
-
     def multiplicities_at(self, t: float) -> Multiplicities:
         """Orbit-wise g(t) on the strong-coupling branch."""
         return Multiplicities(self.datum,
@@ -150,26 +147,38 @@ def g_of_t(eta, t: float) -> float:
 
 
 def orbit_etas(datum: RootDatum) -> tuple:
-    """eta per root orbit, in the order of ``root_orbits``."""
-    return tuple(eta_alpha(datum, orbit[0]) for orbit in datum.root_orbits)
+    """eta per root orbit, in the order of ``root_orbits`` (memoized on the
+    datum)."""
+    if datum.eta_memo is None:
+        datum.eta_memo = tuple(eta_alpha(datum, orbit[0]) for orbit in datum.root_orbits)
+    return datum.eta_memo
 
 
 def limit_product(datum: RootDatum, factors: tuple, xi):
     """Product of e*eta/(s+z) over a factor list of ``diffeq.term_factors``,
-    the g -> oo limit of (s+z+e*g)/(s+z); exact for rational xi."""
+    the g -> oo limit of (s+z+e*g)/(s+z).  Exact for rational xi: one
+    SqrtRational of the integer products of the etas' rational parts, of
+    the s+z and of the radicands."""
     exact = all(isinstance(v, (int, Q)) for v in xi)
     xi_pairs = datum.pairings(xi) if exact else None
-    etas = orbit_etas(datum) if exact else tuple(map(float, orbit_etas(datum)))
-    total = SqrtRational(1) if exact else 1.0
+    etas = orbit_etas(datum)
+    num = den = rad = 1
+    total = 1.0
     for i, s, e in factors:
         alpha = datum.roots[i]
-        z = xi_pairs[i] if exact else _pair_float(datum, xi, alpha)
+        z = (xi_pairs[i] if exact else
+             2.0 * _inner_float(datum, alpha, xi) / float(datum.norm_sq(alpha)))
         w = z + 1 if s else z
         if w == 0:
             raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>" if s else "<xi,a^vee>")
         eta = etas[datum.root_orbit_ids[i]]
-        total = total * (eta if e > 0 else -eta) / w
-    return total
+        if exact:
+            num *= e * eta.coeff.numerator * w.denominator
+            den *= eta.coeff.denominator * w.numerator
+            rad *= eta.rad
+        else:
+            total = total * (float(eta) if e > 0 else -float(eta)) / w
+    return SqrtRational(Q(num, den), rad) if exact else total
 
 
 def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
@@ -181,10 +190,6 @@ def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
 def coeff_Ubar(datum: RootDatum, nu: Vector, eta_wt: Vector, xi):
     """Limit stabilizer coefficient; the pairing-2 factor carries -eta."""
     return limit_product(datum, term_factors(datum, nu, eta_wt), xi)
-
-
-def _pair_float(datum: RootDatum, xi, alpha: Vector) -> float:
-    return 2.0 * _inner_float(datum, alpha, xi) / float(datum.norm_sq(alpha))
 
 
 # -- the three coefficient limits ---------------------------------------------
@@ -225,49 +230,44 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     polynomial against the single exponential, the V products against the
     eta/z products, and the U products against their signed limits; each
     with the exponential rescaling by the dominant growth rate.  Deviations
-    must decrease along t_list and end below tol.
+    must decrease along t_list, which must increase strictly, and end below
+    tol.  xi is rational: the factor lists of ``pieri_index`` are evaluated
+    on one ``float_table`` of its pairings, at g(t) formed once per t.
     """
     toda = TodaCoefficients(datum, omega)
     rho_vee = datum.rho_vee()
     t_list = tuple(float(t) for t in t_list)
+    if any(later <= earlier for earlier, later in zip(t_list, t_list[1:])):
+        raise ValueError(f"t_list {list(t_list)} is not strictly increasing")
     report = ConfluenceReport(system=f"{datum.family}{datum.rank}",
                               omega=toda.omega, t_list=t_list, tol=tol)
 
     rate_omega = datum.inner(omega, rho_vee)
-    e_poly = expansion_E_omega(datum, omega)
+    terms = [(_inner_float(datum, nu, x),
+              float(datum.inner(nu, rho_vee) - rate_omega), float(c))
+             for nu, c in expansion_E_omega(datum, omega).terms.items()]
     limit = ebar(datum, omega, x)
     devs = []
     for t in t_list:
         val = 0.0
-        for nu, c in e_poly.terms.items():
-            expo = _inner_float(datum, nu, x) + t * float(datum.inner(nu, rho_vee)
-                                                          - rate_omega)
-            val += float(c) * math.exp(expo)
+        for a, b, c in terms:
+            val += c * math.exp(a + t * b)
         devs.append(abs(val - limit) / abs(limit))
     report.rows.append(_deviation_row("E", "E_omega", devs, t_list, tol, limit))
 
+    table = float_table(datum.pairings(xi))
+    g_list = [toda.multiplicities_at(t).root_values for t in t_list]
     for entry in pieri_index(datum, omega):
-        rate_v = float(datum.inner(entry.nu_plus, rho_vee))
-        vbar = float(coeff_Vbar(datum, entry.nu, xi))
-        devs = []
-        for t in t_list:
-            mults_t = toda.multiplicities_at(t)
-            scaled = math.exp(-t * rate_v) * coeff_V(datum, mults_t, entry.nu, xi)
-            devs.append(abs(scaled - vbar) / abs(vbar))
-        report.rows.append(_deviation_row(
-            "V", f"nu={entry.nu}", devs, t_list, tol, vbar))
-
         rate_u = float(datum.inner(vsub(toda.omega, entry.nu_plus), rho_vee))
-        for eta_wt in entry.etas:
-            ubar = float(coeff_Ubar(datum, entry.nu, eta_wt, xi))
-            devs = []
-            for t in t_list:
-                mults_t = toda.multiplicities_at(t)
-                scaled = math.exp(-t * rate_u) * coeff_U(datum, mults_t,
-                                                         entry.nu, eta_wt, xi)
-                devs.append(abs(scaled - ubar) / abs(ubar))
-            report.rows.append(_deviation_row(
-                "U", f"nu={entry.nu}, eta={eta_wt}", devs, t_list, tol, ubar))
+        rows = [("V", f"nu={entry.nu}", entry.v_factors,
+                 float(datum.inner(entry.nu_plus, rho_vee)))]
+        rows += [("U", f"nu={entry.nu}, eta={eta_wt}", factors, rate_u)
+                 for eta_wt, factors in zip(entry.etas, entry.u_factors)]
+        for family, label, factors, rate in rows:
+            bar = float(limit_product(datum, factors, xi))
+            devs = [abs(math.exp(-t * rate) * factor_product(datum, factors, table, g)
+                        - bar) / abs(bar) for t, g in zip(t_list, g_list)]
+            report.rows.append(_deviation_row(family, label, devs, t_list, tol, bar))
     return report
 
 
@@ -422,12 +422,7 @@ class RankOneWhittakerReport:
                 and self.asymptotic_deviation <= tol_asym)
 
     def to_dict(self):
-        return {"zeta": self.zeta, "matching_radius": self.matching_radius,
-                "max_residual_min": self.max_residual_min,
-                "max_residual_qmin": self.max_residual_qmin,
-                "winv_deviation": self.winv_deviation,
-                "asymptotic_deviation": self.asymptotic_deviation,
-                "rows": self.rows}
+        return asdict(self)
 
 
 def rank_one_whittaker_check(zeta: float, u_grid=None,
@@ -501,11 +496,6 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
     return report
 
 
-_A1_CACHE: list = []
-
-
+@cache
 def _a1_datum() -> RootDatum:
-    if not _A1_CACHE:
-        from .rootsys import build_root_system
-        _A1_CACHE.append(build_root_system("A", 1))
-    return _A1_CACHE[0]
+    return build_root_system("A", 1)

@@ -1,4 +1,4 @@
-"""Earlier forms of three exact computations, kept as oracles for the tests.
+"""Earlier forms of package computations, kept as oracles for the tests.
 
 Each walks its data afresh on every call, in Fractions or label dicts, the
 way the package did before its tables and cleared integers:
@@ -8,7 +8,13 @@ way the package did before its tables and cleared integers:
 - ``fraction_opdam``: the closed leading-coefficient product, one Fraction
   operation per factor, with alpha/2 looked up by its vector;
 - ``fraction_signed_product``: the BC signed-subset product, one Fraction
-  operation per factor.
+  operation per factor;
+- ``fraction_factor_product`` and ``stepwise_limit``: a finite-coupling
+  coefficient at float g with each s+z an exact Fraction, and its g -> oo
+  limit with one SqrtRational operation per factor;
+- ``per_t_confluence_rows``: the rows of the confluence check from one
+  ``coeff_V``/``coeff_U`` call per term and t, one ``coeff_Vbar``/
+  ``coeff_Ubar`` call per term, and the E_omega inner products per t.
 """
 
 import itertools
@@ -16,9 +22,12 @@ import math
 from fractions import Fraction as Q
 from operator import mul
 
-from hodiff.diffeq import PoleAtSpectralPoint
-from hodiff.rootsys import vscale
-from hodiff.weylalg import InternalConsistencyError, _is_invariant, require_exact
+from hodiff import whittaker
+from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
+from hodiff.rootsys import vscale, vsub
+from hodiff.weylalg import (InternalConsistencyError, _is_invariant,
+                            expansion_E_omega, require_exact)
+from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
 
 
 def string_walk_apply_L(datum, mults, terms):
@@ -110,3 +119,67 @@ def fraction_signed_product(gs, subset, others, xi, pair_g):
         total *= (u + g) / _check_den(u, "eps_j xi_j + eps_j' xi_j'")
         total *= (1 + u + pair_g) / _check_den(1 + u, "1 + eps_j xi_j + eps_j' xi_j'")
     return total
+
+
+def fraction_factor_product(datum, factors, xi, g):
+    """The float product of ``diffeq.factor_product`` at rational xi, each
+    s+z kept an exact Fraction until it meets g."""
+    z = datum.pairings(xi)
+    total = Q(1)
+    for i, s, e in factors:
+        w = z[i] + 1 if s else z[i]
+        if w == 0:
+            raise PoleAtSpectralPoint(datum.roots[i],
+                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+        total *= (w + g[i] if e > 0 else w - g[i]) / w
+    return total
+
+
+def stepwise_limit(datum, factors, xi):
+    """``whittaker.limit_product`` at rational xi, one SqrtRational
+    operation per factor."""
+    z = datum.pairings(xi)
+    total = SqrtRational(1)
+    for i, s, e in factors:
+        eta = eta_alpha(datum, datum.roots[i])
+        total = total * (eta if e > 0 else -eta) / (z[i] + 1 if s else z[i])
+    return total
+
+
+def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
+    """The rows of ``whittaker.verify_confluence``, every coefficient
+    evaluated afresh at ``TodaCoefficients.multiplicities_at(t)``."""
+    toda = whittaker.TodaCoefficients(datum, omega)
+    rho_vee = datum.rho_vee()
+    t_list = tuple(map(float, t_list))
+
+    def row(family, label, devs, limit):
+        return whittaker._deviation_row(family, label, devs, t_list, tol, limit)
+
+    rate_omega = datum.inner(omega, rho_vee)
+    e_poly = expansion_E_omega(datum, omega)
+    limit = whittaker.ebar(datum, omega, x)
+    devs = []
+    for t in t_list:
+        val = 0.0
+        for nu, c in e_poly.terms.items():
+            expo = whittaker._inner_float(datum, nu, x) + t * float(
+                datum.inner(nu, rho_vee) - rate_omega)
+            val += float(c) * math.exp(expo)
+        devs.append(abs(val - limit) / abs(limit))
+    rows = [row("E", "E_omega", devs, limit)]
+    for entry in pieri_index(datum, omega):
+        rate_v = float(datum.inner(entry.nu_plus, rho_vee))
+        vbar = float(coeff_Vbar(datum, entry.nu, xi))
+        devs = [abs(math.exp(-t * rate_v) * coeff_V(
+                    datum, toda.multiplicities_at(t), entry.nu, xi) - vbar) / abs(vbar)
+                for t in t_list]
+        rows.append(row("V", f"nu={entry.nu}", devs, vbar))
+        rate_u = float(datum.inner(vsub(toda.omega, entry.nu_plus), rho_vee))
+        for eta_wt in entry.etas:
+            ubar = float(coeff_Ubar(datum, entry.nu, eta_wt, xi))
+            devs = [abs(math.exp(-t * rate_u) * coeff_U(
+                        datum, toda.multiplicities_at(t), entry.nu, eta_wt, xi)
+                        - ubar) / abs(ubar) for t in t_list]
+            rows.append(row("U", f"nu={entry.nu}, eta={eta_wt}", devs, ubar))
+    return rows

@@ -107,6 +107,46 @@ def test_whittaker_limits_rejects_non_finite_input(option, value, capsys):
     assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
 
 
+WHITTAKER_A2 = ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
+                "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15"]
+
+
+@pytest.mark.parametrize("args,option", [
+    (["sweep-rank-one", "--xi", "abc"], "--xi"),
+    (["sweep-rank-one", "--xi", "0.3,,0.5"], "--xi"),
+    (["sweep-rank-one", "--x", "0.2,"], "--x"),
+    (["sweep-rank-one", "--x", ""], "--x"),
+    (WHITTAKER_A2[:-1] + ["0.25,abc,-0.15"], "--x"),
+    (WHITTAKER_A2[:-1] + ["0.25,-0.1"], "--x"),
+    (WHITTAKER_A2 + ["--t", "10,,30"], "--t"),
+    (WHITTAKER_A2 + ["--t", "30,20,10"], "--t"),
+    (WHITTAKER_A2 + ["--t", "10,10,20"], "--t"),
+], ids=["xi-literal", "xi-empty-entry", "x-trailing-comma", "x-empty",
+        "limits-x-literal", "limits-x-count", "t-empty-entry", "t-decreasing",
+        "t-repeated"])
+def test_float_lists_rejected_naming_the_option(args, option, capsys):
+    # an unparsable or empty entry, a wrong count or a --t that does not
+    # increase strictly is bad input: exit 2, one line naming the option
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["whittaker-limits", "--family", "G", "--rank", "2", "--omega", "0,1",
+     "--xi", "1/31,-1/71", "--x", "0.2,-0.35"],
+    ["coeffs", "--family", "G", "--rank", "2", "--omega", "0,1"],
+    ["verify", "--suite", "pieri", "--family", "G", "--rank", "2", "--omega", "0,1"],
+], ids=["whittaker-limits", "coeffs", "verify-pieri"])
+def test_non_small_omega_rejected_naming_the_option(args, capsys):
+    # G2 omega_2 pairs 3 with a coroot: exit 2, the weight as p/q strings
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --omega: (3/1,2/1) is not small (a pairing exceeds 2)\n"
+
+
 def test_whittaker_limits_command(capsys):
     code = run(["whittaker-limits", "--family", "A", "--rank", "1",
                 "--omega", "1", "--xi", "1/40", "--x", "0.3,-0.3"])
@@ -172,8 +212,9 @@ def _pieri_report(family, rank, i, g, ok, perturb=None):
 
 F4_G = (Q(3, 7), Q(5, 11))
 
-# Outputs without floats, so their bytes do not depend on the platform libm:
-# (producer of the bytes, their sha256).
+# (producer of the bytes, their sha256).  All but the last three are free of
+# floats; those three are the float confluence suites, whose bytes also pin
+# the platform libm's exp and sqrt.
 PINNED_OUTPUTS = (
     (_cli_output(["verify", "--suite", "pieri,eigen,bc,quasi"], 0),
      "eb379006af244da4fb6c4d440f73d6f6236a86458a67aa8098191b9895d5e3f6"),
@@ -199,6 +240,14 @@ PINNED_OUTPUTS = (
      "982a53387a5d1ea4602c9cd0dd15e29ef3e376feeb8edd0fe3836bcc206f6e38"),
     (_pieri_report("E", 8, 8, (Q(4, 9),), False, perturb="u-sign"),
      "a9b6a4a0b66aaa97ad2517744fc9b566b11c95dae87086f9cebf726f2939abe2"),
+    (_cli_output(["verify", "--suite", "whittaker"], 0),
+     "9a6d172aac12bf46fa9ac1303d2684bfe46c6ee7925010dd54a83ae7c9148b3a"),
+    (_cli_output(["whittaker-limits", "--family", "G", "--rank", "2", "--omega", "1,0",
+                  "--xi", "1/31,-1/71", "--x", "0.2,-0.35"], 0),
+     "ea71fda7d68395e5e88b902623b5c485216ffca01313fc28be8bd51b4cb1fe7f"),
+    (_cli_output(["whittaker-limits", "--family", "C", "--rank", "3", "--omega", "1,0,0",
+                  "--xi", "1/31,-1/71,1/53", "--x", "0.2,-0.35,0.1"], 0),
+     "6d70876c81e96cc6323e5c784aa802445be3e30dabfe8c6644ae7b5b70b53257"),
 )
 
 
@@ -206,7 +255,9 @@ PINNED_OUTPUTS = (
                          ids=["exact-suites", "u-sign", "v-drop-pairing2",
                               "coeffs-g2", "pieri-f4-omega1", "pieri-f4-omega4",
                               "pieri-e6-omega1", "pieri-f4-omega1-u-sign",
-                              "pieri-e8-omega8", "pieri-e8-omega8-u-sign"])
+                              "pieri-e8-omega8", "pieri-e8-omega8-u-sign",
+                              "whittaker-suite", "whittaker-limits-g2",
+                              "whittaker-limits-c3"])
 def test_exact_outputs_are_byte_stable(tmp_path, produce, digest):
     assert hashlib.sha256(produce(tmp_path)).hexdigest() == digest
 

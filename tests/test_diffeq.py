@@ -55,6 +55,12 @@ def test_pole_raises(a1):
     minus_one = vscale(Q(-1), w)  # pairing -1 hits the affine denominator
     with pytest.raises(PoleAtSpectralPoint):
         coeff_V(a1, g, alpha, minus_one)
+    # float multiplicities: the float table keeps the pole test exact
+    g_float = Multiplicities.constant(a1, 0.375)
+    with pytest.raises(PoleAtSpectralPoint, match=r"denominator <xi"):
+        coeff_V(a1, g_float, w, zero_xi)
+    with pytest.raises(PoleAtSpectralPoint, match=r"denominator 1\+<xi"):
+        coeff_V(a1, g_float, alpha, minus_one)
 
 
 def _reference_product(datum, factors, z, g):

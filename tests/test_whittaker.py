@@ -5,15 +5,18 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hodiff
-from hodiff.diffeq import sample_multiplicities
+from hodiff.diffeq import (factor_product, float_table, pieri_index,
+                           sample_multiplicities, term_factors)
 from hodiff.rootsys import vadd, vneg, vscale
 from hodiff.whittaker import (SqrtRational, TodaCoefficients, WhittakerA1,
                               coeff_Ubar, coeff_Vbar, ebar,
-                              eta_alpha, g_of_t, homogeneity_gap,
+                              eta_alpha, g_of_t, homogeneity_gap, limit_product,
                               homogeneity_identity, rank_one_whittaker_check,
                               verify_confluence)
 
@@ -150,6 +153,100 @@ def test_confluence_all_frozen_cases(a1, a2, b2):
         for omega in omegas:
             rep = verify_confluence(datum, omega, xi, x)
             assert rep.ok, (datum.family, omega)
+
+
+# the frozen campaign points, plus G2 and C3 at omega_1 (the points of the
+# pinned whittaker-limits outputs in test_cli)
+CONFLUENCE_REFERENCE_CASES = (
+    ("a1", (Q(1, 40),), (0.3, -0.3), None),
+    ("a2", (Q(1, 40), Q(-1, 80)), (0.25, -0.1, -0.15), None),
+    ("b2", (Q(1, 31), Q(-1, 71)), (0.2, -0.35), None),
+    ("g2", (Q(1, 31), Q(-1, 71)), (0.2, -0.35), 0),
+    ("c3", (Q(1, 31), Q(-1, 71), Q(1, 53)), (0.2, -0.35, 0.1), 0),
+)
+FINE_T = (6.0, 10.0, 14.0, 18.0, 22.0, 26.0, 30.0)
+
+
+def _reference_cases(request):
+    """(datum, omega, xi, x): every small fundamental weight and the
+    quasi-minuscule weight for a campaign point, else omega_i."""
+    for name, coeffs, x, i in CONFLUENCE_REFERENCE_CASES:
+        datum = request.getfixturevalue(name)
+        xi = datum.weight_from_fundamental(coeffs)
+        if i is None:
+            omegas = list(datum.small_fundamental_weights())
+            if datum.quasi_minuscule_weight() not in omegas:
+                omegas.append(datum.quasi_minuscule_weight())
+        else:
+            omegas = [datum.fundamental_weights[i]]
+        for omega in omegas:
+            yield datum, omega, xi, x
+
+
+def test_confluence_rows_equal_the_per_t_path(request):
+    # the sweep over the index lists, one float table and g(t) once per t
+    # gives the bits of one coeff_V/coeff_U call per term and t; those in
+    # turn give the bits of the Fraction-per-factor product, and the limits
+    # the value of the SqrtRational-per-factor product
+    from oracles import fraction_factor_product, per_t_confluence_rows, stepwise_limit
+    checked = 0
+    for datum, omega, xi, x in _reference_cases(request):
+        for t_list in ((10.0, 20.0, 30.0), FINE_T):
+            rep = verify_confluence(datum, omega, xi, x, t_list=t_list)
+            assert rep.ok
+            assert rep.rows == per_t_confluence_rows(datum, omega, xi, x, t_list)
+            checked += len(rep.rows)
+        toda = TodaCoefficients(datum, omega)
+        for entry in pieri_index(datum, omega):
+            lists = (entry.v_factors,) + entry.u_factors
+            assert lists == ((term_factors(datum, entry.nu),) + tuple(
+                term_factors(datum, entry.nu, eta) for eta in entry.etas))
+            for factors in lists:
+                assert limit_product(datum, factors, xi) == stepwise_limit(
+                    datum, factors, xi)
+                for t in FINE_T:
+                    g = toda.multiplicities_at(t).root_values
+                    assert (factor_product(datum, factors, float_table(datum.pairings(xi)), g)
+                            == fraction_factor_product(datum, factors, xi, g))
+    assert checked > 100
+
+
+def test_confluence_rows_read_the_pieri_index(b2, monkeypatch):
+    # negative control: one dropped or sign-flipped entry of one V or U
+    # factor list of the index changes that term's row and no other
+    import hodiff.whittaker as wh
+    from test_diffeq import _single_edits
+    xi = b2.weight_from_fundamental((Q(1, 31), Q(-1, 71)))
+    x = (0.2, -0.35)
+    checked = 0
+    for omega in (b2.fundamental_weights[0], b2.quasi_minuscule_weight()):
+        index = pieri_index(b2, omega)
+        rows = {r["term"]: r for r in verify_confluence(b2, omega, xi, x).rows}
+        for n, entry in enumerate(index):
+            labels = [f"nu={entry.nu}"] + [f"nu={entry.nu}, eta={eta}"
+                                           for eta in entry.etas]
+            lists = (entry.v_factors,) + entry.u_factors
+            for k, factors in enumerate(lists):
+                for edit in _single_edits(factors):
+                    edited = lists[:k] + (edit,) + lists[k + 1:]
+                    mutant = replace(entry, v_factors=edited[0], u_factors=edited[1:])
+                    with monkeypatch.context() as mp:
+                        mp.setattr(wh, "pieri_index",
+                                   lambda _d, _o: index[:n] + (mutant,) + index[n + 1:])
+                        got = {r["term"]: r for r in verify_confluence(b2, omega, xi, x).rows}
+                    assert got[labels[k]] != rows[labels[k]], (omega, entry.nu, k, edit)
+                    assert {t: r for t, r in got.items() if t != labels[k]} == {
+                        t: r for t, r in rows.items() if t != labels[k]}
+                    checked += 1
+    assert checked > 20
+
+
+def test_confluence_rejects_a_t_list_that_does_not_increase(a2):
+    xi = a2.weight_from_fundamental((Q(1, 40), Q(-1, 80)))
+    for t_list in ((30.0, 20.0, 10.0), (10.0, 10.0, 20.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            verify_confluence(a2, a2.fundamental_weights[0], xi,
+                              (0.25, -0.1, -0.15), t_list=t_list)
 
 
 def test_homogeneity_identity(a2, b2, d4):

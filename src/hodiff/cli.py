@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from . import diffeq, jacobi, nonreduced, rankone, whittaker
-from .rootsys import Multiplicities, RootDatum, build_root_system
+from .rootsys import Multiplicities, RootDatum, build_root_system, weight_str
 from .weylalg import _q_str
 
 SCHEMA = "hodiff/1"
@@ -92,10 +92,6 @@ class CampaignResult:
 
 def _label(datum: RootDatum) -> str:
     return f"{datum.family}{datum.rank}"
-
-
-def _wt(v) -> str:
-    return "(" + ",".join(_q_str(Q(x)) for x in v) + ")"
 
 
 def _sample_with_retry(datum, seed, sample_idx, run, max_attempts=24):
@@ -314,12 +310,12 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         if "pieri" in config.suites:
             for res in pieri_results:
                 for rep in res["reports"]:
-                    name = (f"pieri/{rep.system}/omega={_wt(rep.omega)}"
-                            f"/lam={_wt(rep.lam)}/s{res['sample']}")
+                    name = (f"pieri/{rep.system}/omega={weight_str(rep.omega)}"
+                            f"/lam={weight_str(rep.lam)}/s{res['sample']}")
                     result.add(name, rep.ok, rep.to_dict())
         if "eigen" in config.suites:
             for row in eigen_cases(config, pieri_results):
-                name = f"eigen/{row['system']}/lam={_wt(row['lam'])}/s{row['sample']}"
+                name = f"eigen/{row['system']}/lam={weight_str(row['lam'])}/s{row['sample']}"
                 result.add(name, row["eigen"].ok and row["lead_ok"],
                            {"eigen": row["eigen"].to_dict(),
                             "leading_matches_product": row["lead_ok"]})
@@ -328,7 +324,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         bc_results, coeff_rows = bc_cases(config)
         for res in bc_results:
             for rep in res["reports"]:
-                name = f"bc/n={rep.n}/ell={rep.ell}/lam={_wt(rep.lam)}/s{res['sample']}"
+                name = f"bc/n={rep.n}/ell={rep.ell}/lam={weight_str(rep.lam)}/s{res['sample']}"
                 result.add(name, rep.ok, rep.to_dict())
         result.add("bc/rank-one-coefficient-form",
                    all(r["rearrangement_zero"] and r["v_match"]
@@ -345,7 +341,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     if "whittaker" in config.suites:
         for rep in confluence_cases(config):
-            result.add(f"confluence/{rep.system}/omega={_wt(rep.omega)}", rep.ok,
+            result.add(f"confluence/{rep.system}/omega={weight_str(rep.omega)}", rep.ok,
                        rep.to_dict())
         for row in homogeneity_cases(config):
             result.add(f"homogeneity/{row['system']}", row["ok"],
@@ -400,7 +396,7 @@ def _parse_omega(datum: RootDatum, text: str):
     """The dominant weight of --omega, which must be small."""
     omega = _parse_lambda(datum, "--omega", text)
     if not datum.is_small(omega):
-        raise ValueError(f"--omega: {_wt(omega)} is not small (a pairing exceeds 2)")
+        raise ValueError(f"--omega: {weight_str(omega)} is not small (a pairing exceeds 2)")
     return omega
 
 
@@ -554,6 +550,11 @@ def cmd_whittaker_limits(args) -> int:
         omega = _parse_omega(datum, args.omega)
         xi = datum.weight_from_fundamental(
             _parse_rational_list("--xi", args.xi, datum.rank))
+        try:
+            diffeq.float_table(datum.pairings(xi))
+        except OverflowError:
+            raise ValueError("--xi: a pairing with a coroot is too large for "
+                             "float arithmetic") from None
         x = _parse_float_list("--x", args.x)
         if len(x) != datum.dim:
             raise ValueError(f"--x: need {datum.dim} base-point coordinates")

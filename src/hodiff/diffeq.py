@@ -17,7 +17,7 @@ from functools import cache
 from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
-from .rootsys import Multiplicities, RootDatum, Vector, vadd
+from .rootsys import Multiplicities, RootDatum, Vector, vadd, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       require_exact)
@@ -197,7 +197,7 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     _index_counts["misses"] += 1
     omega = datum.from_labels(top)
     if not datum.is_small(omega):
-        raise ValueError(f"{omega} is not small")
+        raise ValueError(f"{weight_str(omega)} is not small")
     pairs = datum.label_pairings
     vectors = datum.from_labels
     entries = []
@@ -352,7 +352,7 @@ def quasi_identity_value(datum: RootDatum, mults: Multiplicities,
     """(1/2) sum over the orbit of (V_nu + U_{0,nu}) at a pole-free point;
     equals the orbit size for a quasi-minuscule omega."""
     if not datum.is_quasi_minuscule(omega):
-        raise ValueError(f"{omega} is not quasi-minuscule")
+        raise ValueError(f"{weight_str(omega)} is not quasi-minuscule")
     zero = (Q(0),) * datum.dim
     total = Q(0)
     for nu in datum.weyl_orbit(omega):
@@ -411,7 +411,7 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
         record("half-sum identity equals the orbit size",
                quasi_identity_value(datum, mults, omega, xi) == m0)
     else:
-        raise ValueError(f"{omega} is neither minuscule nor quasi-minuscule")
+        raise ValueError(f"{weight_str(omega)} is neither minuscule nor quasi-minuscule")
     return ConsistencyReport(
         system=f"{datum.family}{datum.rank}", omega=omega, kind=kind,
         ok=all(c["ok"] for c in checks), checks=checks)

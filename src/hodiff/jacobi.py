@@ -42,9 +42,8 @@ class JacobiPolynomial:
             d = math.lcm(*(c.denominator for c in self.coeffs.values()))
             dom = {self.datum.labels(mu): c.numerator * (d // c.denominator)
                    for mu, c in self.coeffs.items()}
-            self._cleared = d, {
-                l: c for l, m in self.datum.saturated_label_map(self.lam).items()
-                if (c := dom[m])}
+            sat = self.datum.saturated_labels(self.datum.labels(self.lam))
+            self._cleared = d, {l: c for l, m in sat.items() if (c := dom[m])}
         return self._cleared
 
     def exp_poly(self) -> ExpPoly:

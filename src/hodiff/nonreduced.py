@@ -126,10 +126,8 @@ def bc_multiplicities(datum: RootDatum, g, g1, g2) -> Multiplicities:
     """Attach (g, g1, g2) to the orbits of the nonreduced datum by length:
     squared length 2 -> g, 1 -> g1, 4 -> g2.  Rank one has no g orbit."""
     by_norm = {Q(2): g, Q(1): g1, Q(4): g2}
-    mapping = {}
-    for rep in datum.orbit_representatives():
-        mapping[rep] = by_norm[datum.norm_sq(rep)]
-    return Multiplicities.by_representative(datum, mapping)
+    return Multiplicities(datum, [by_norm[datum.norm_sq(orbit[0])]
+                                  for orbit in datum.root_orbits])
 
 
 def is_partition(v) -> bool:

@@ -190,6 +190,15 @@ def jacobi_poly_1d(g1: Q, g2: Q, l: int, s: Q) -> Q:
     return total
 
 
+def _rr_coefficients(g1: Q, g2: Q, l: int):
+    """(c_up, c_dn) of the three-term recurrence at degree l (c_dn = 0 at
+    l = 0, where P_{l-1} does not occur)."""
+    den = 2 * l + g1 + 2 * g2
+    c_up = (l + g1 + 2 * g2) * (Q(1, 2) + l + g1 + g2) / (den * (1 + den))
+    c_dn = l * (Q(-1, 2) + l + g2) / (den * (den - 1)) if l else Q(0)
+    return c_up, c_dn
+
+
 def recurrence_rr(g1: Q, g2: Q, l: int, s: Q):
     """Both sides of the three-term recurrence at rational s, exactly.
 
@@ -201,9 +210,7 @@ def recurrence_rr(g1: Q, g2: Q, l: int, s: Q):
     pl = jacobi_poly_1d(g1, g2, l, s)
     pu = jacobi_poly_1d(g1, g2, l + 1, s)
     pd = jacobi_poly_1d(g1, g2, l - 1, s) if l >= 1 else Q(0)
-    den = 2 * l + g1 + 2 * g2
-    c_up = (l + g1 + 2 * g2) * (Q(1, 2) + l + g1 + g2) / (den * (1 + den))
-    c_dn = l * (Q(-1, 2) + l + g2) / (den * (den - 1))
+    c_up, c_dn = _rr_coefficients(g1, g2, l)
     lhs = s * pl
     rhs = c_up * (pu - pl) + c_dn * (pd - pl)
     return lhs, rhs
@@ -211,16 +218,12 @@ def recurrence_rr(g1: Q, g2: Q, l: int, s: Q):
 
 def de_coefficients_match_rr(g1: Q, g2: Q, l: int) -> bool:
     """At the terminating spectral value the two shift coefficients equal
-    four times the recurrence coefficients (the quadratic-argument factor)."""
+    four times the recurrence coefficients (the quadratic-argument factor;
+    at l = 0 both down coefficients are 0)."""
     g1, g2 = Q(g1), Q(g2)
-    xi = g1 / 2 + g2 + l
-    up, dn = shift_coefficients(g1, g2, xi)
-    den = 2 * l + g1 + 2 * g2
-    c_up = (l + g1 + 2 * g2) * (Q(1, 2) + l + g1 + g2) / (den * (1 + den))
-    c_dn = l * (Q(-1, 2) + l + g2) / (den * (den - 1)) if l >= 1 else Q(0)
-    if l >= 1:
-        return up == 4 * c_up and dn == 4 * c_dn
-    return up == 4 * c_up
+    up, dn = shift_coefficients(g1, g2, g1 / 2 + g2 + l)
+    c_up, c_dn = _rr_coefficients(g1, g2, l)
+    return up == 4 * c_up and dn == 4 * c_dn
 
 
 def chebyshev_t(k: int):

@@ -38,10 +38,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
@@ -53,6 +49,15 @@ def vscale(c, u: Vector) -> Vector:
 
 def vzero(dim: int) -> Vector:
     return (Q(0),) * dim
+
+
+def _q_str(c: Q) -> str:
+    return f"{c.numerator}/{c.denominator}"
+
+
+def weight_str(v) -> str:
+    """A weight as (p/q,...), as report case names and error messages print it."""
+    return "(" + ",".join(_q_str(Q(x)) for x in v) + ")"
 
 
 def _exact(x):
@@ -87,32 +92,25 @@ def invert_rational_matrix(m):
     return [row[n:] for row in aug]
 
 
+def _chain(count: int, dim: int) -> list:
+    """The roots e_i - e_{i+1}, i < count, of R^dim."""
+    return [tuple(Q(1) if k == i else Q(-1) if k == i + 1 else Q(0)
+                  for k in range(dim)) for i in range(count)]
+
+
 def _simple_roots(family: str, rank: int):
     """Simple roots, realization dimension and Gram matrix for a type."""
     if family == "A" and rank >= 1:
-        dim = rank + 1
-        simples = [tuple(Q(1) if k == i else Q(-1) if k == i + 1 else Q(0)
-                         for k in range(dim)) for i in range(rank)]
-        return dim, None, simples
+        return rank + 1, None, _chain(rank, rank + 1)
     if family in ("B", "BC") and (rank >= 2 or (family == "BC" and rank >= 1)):
-        dim = rank
-        simples = [tuple(Q(1) if k == i else Q(-1) if k == i + 1 else Q(0)
-                         for k in range(dim)) for i in range(rank - 1)]
-        simples.append(tuple(Q(1) if k == rank - 1 else Q(0) for k in range(dim)))
-        return dim, None, simples
+        last = tuple(Q(1) if k == rank - 1 else Q(0) for k in range(rank))
+        return rank, None, _chain(rank - 1, rank) + [last]
     if family == "C" and rank >= 2:
-        dim = rank
-        simples = [tuple(Q(1) if k == i else Q(-1) if k == i + 1 else Q(0)
-                         for k in range(dim)) for i in range(rank - 1)]
-        simples.append(tuple(Q(2) if k == rank - 1 else Q(0) for k in range(dim)))
-        return dim, None, simples
+        last = tuple(Q(2) if k == rank - 1 else Q(0) for k in range(rank))
+        return rank, None, _chain(rank - 1, rank) + [last]
     if family == "D" and rank >= 3:
-        dim = rank
-        simples = [tuple(Q(1) if k == i else Q(-1) if k == i + 1 else Q(0)
-                         for k in range(dim)) for i in range(rank - 1)]
-        simples.append(tuple(Q(1) if k in (rank - 2, rank - 1) else Q(0)
-                             for k in range(dim)))
-        return dim, None, simples
+        last = tuple(Q(1) if k in (rank - 2, rank - 1) else Q(0) for k in range(rank))
+        return rank, None, _chain(rank - 1, rank) + [last]
     if family == "E" and rank in (6, 7, 8):
         dim = 8
         a1 = tuple([Q(1, 2)] + [Q(-1, 2)] * 6 + [Q(1, 2)])
@@ -142,9 +140,9 @@ class RootDatum:
     (the only vector-keyed memo), everything else under the labels of a
     weight: pairings, Weyl orbits, dominance intervals, saturated maps and
     their alpha-string tables, and for a small weight omega its Pieri index
-    (``index_memo``, filled by ``diffeq.pieri_index``), its E_omega on labels
-    and as an ExpPoly (``expansion_label_memo``, ``expansion_memo``, filled by
-    ``weylalg``), and the confluent limit's etas (``eta_memo``, ``whittaker``).
+    (``index_memo``, filled by ``diffeq.pieri_index``) and its E_omega on
+    labels (``expansion_label_memo``, filled by ``weylalg``), and the
+    confluent limit's etas (``eta_memo``, ``whittaker``).
     The memos live and die with the datum; each entry is a pure function of
     its key, so threads sharing an instance can at worst compute it twice.
     """
@@ -250,7 +248,7 @@ class RootDatum:
 
         # memos: labels under the vector (the one vector-keyed memo), the
         # rest under integer labels (of a weight, or of the dominant element
-        # of an orbit) or sets of root indices; the last four are filled
+        # of an orbit) or sets of root indices; the last three are filled
         # by diffeq.pieri_index, weylalg and whittaker.orbit_etas
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
@@ -261,7 +259,6 @@ class RootDatum:
         self._string_tables: dict[tuple, tuple] = {}
         self._weyl_order_memo: dict[frozenset, int] = {}
         self.index_memo: dict[tuple, tuple] = {}
-        self.expansion_memo: dict[tuple, object] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
         self.eta_memo: tuple | None = None
 
@@ -294,12 +291,6 @@ class RootDatum:
         if i is None:
             return 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
         return self.pairings(v)[i]
-
-    def reflect(self, v: Vector, alpha: Vector) -> Vector:
-        return vsub(v, vscale(self.pairing(v, alpha), alpha))
-
-    def simple_reflect(self, i: int, v: Vector) -> Vector:
-        return self.reflect(v, self.simple_roots[i])
 
     # -- the label kernel -----------------------------------------------------
 
@@ -384,7 +375,9 @@ class RootDatum:
 
     def _make_dominant(self, l: tuple, J=None):
         """Greedy reflection at the least s_j, j in J (J None: every simple
-        root), with a negative label; (result, the j in the order applied)."""
+        root), with a negative label; (result, the j in the order applied).
+        For J None the steps, reversed, are a reduced word for the shortest w
+        with w l dominant (checked by brute force in the tests)."""
         J = range(self.rank) if J is None else J
         steps = []
         while True:
@@ -440,26 +433,7 @@ class RootDatum:
         tops = sorted((l for l in self.root_labels if min(l) >= 0), key=self.from_labels)
         return [sorted(map(index.get, self._dominant_orbit(t))) for t in tops]
 
-    def orbit_representatives(self) -> tuple[Vector, ...]:
-        """Dominant representative of each root orbit, in canonical order."""
-        return tuple(self.dominant_representative(orb[0])[0] for orb in self.root_orbits)
-
     # -- lattice membership --------------------------------------------------
-
-    def simple_coefficients(self, v: Vector):
-        """Coordinates of v in the simple-root basis, or None if v is off-span."""
-        l = self.labels(v)
-        if self.from_labels(l) != v:
-            return None
-        return tuple(sum((l[j] * self._cartan_inv[j][k] for j in range(self.rank)), Q(0))
-                     for k in range(self.rank))
-
-    def is_weight(self, v: Vector) -> bool:
-        try:
-            self.weight_labels(v)
-        except ValueError:
-            return False
-        return True
 
     def weight_labels(self, v: Vector) -> tuple:
         """Labels of a weight; ValueError if v is not in the weight lattice:
@@ -469,8 +443,7 @@ class RootDatum:
         l = self.labels(v)
         if not (_integral(l) and self.from_labels(l) == v
                 and (self._integral_coroots or _integral(self.label_pairings(l)))):
-            raise ValueError(f"{tuple(Q(x) for x in v)} is not in the weight "
-                             f"lattice of {self}")
+            raise ValueError(f"{weight_str(v)} is not in the weight lattice of {self}")
         return l
 
     def height(self, v: Vector) -> Q:
@@ -487,7 +460,7 @@ class RootDatum:
         """Labels of a dominant weight; ValueError otherwise."""
         l = self.weight_labels(v)
         if min(l) < 0:
-            raise ValueError(f"{self.from_labels(l)} is not dominant")
+            raise ValueError(f"{weight_str(self.from_labels(l))} is not dominant")
         return l
 
     def check_dominant(self, v: Vector) -> Vector:
@@ -511,21 +484,6 @@ class RootDatum:
                 sorted(map(self.from_labels, self._dominant_orbit(top))))
         return orbit
 
-    def orbit_under_reflections(self, gen_roots, v: Vector) -> tuple[Vector, ...]:
-        """Orbit of v (in the root span) under the reflections in gen_roots."""
-        gens = [self.root_index[a] for a in gen_roots]
-        return tuple(sorted(map(self.from_labels, self._orbit_labels(gens, self.labels(v)))))
-
-    def dominant_representative(self, v: Vector):
-        """(v+, word for the shortest w with w(v) = v+ dominant), v in the span.
-
-        Greedy reflection at the least simple root with negative pairing; the
-        step count is the length of the minimal element (checked by brute
-        force in the test suite for small groups).
-        """
-        l, steps = self._make_dominant(self.labels(v))
-        return self.from_labels(l), tuple(reversed(steps))
-
     def stabilizer_roots(self, v: Vector) -> tuple[Vector, ...]:
         """R_v: the roots orthogonal to v (they generate the stabilizer W_v)."""
         return tuple(a for a, k in zip(self.roots, self.pairings(v)) if k == 0)
@@ -543,7 +501,7 @@ class RootDatum:
         """For each nu of P(omega), omega with dominant labels top, in the
         order of the vectors: (labels of nu, word, labels of nu+, labels of
         W_nu(w^{-1} omega) in the order of the vectors), w the shortest
-        element with w nu = nu+ as in ``dominant_representative``.
+        element with w nu = nu+ (``_make_dominant``).
 
         As omega is dominant, W_nu(w^{-1} omega) = w^{-1} W_J omega with W_J
         the stabilizer of nu+, for any w with w nu = nu+.  So the set of
@@ -597,11 +555,6 @@ class RootDatum:
 
     # -- dominance order and saturated sets -----------------------------------
 
-    def dominance_leq(self, mu: Vector, lam: Vector) -> bool:
-        """mu <= lam in dominance order: lam - mu in Q+ (dominant inputs)."""
-        mu = self.dominant_labels(mu)
-        return mu in self.below_labels(self.dominant_labels(lam))
-
     def below_labels(self, top: tuple) -> tuple[tuple, ...]:
         """Labels of all dominant mu <= lam, lam with dominant labels top, in
         the lexicographic order of the vectors (memoized).  Each such mu is
@@ -631,11 +584,7 @@ class RootDatum:
     def saturated_map(self, lam: Vector) -> dict[Vector, Vector]:
         """P(lam) as a map orbit element -> its dominant representative."""
         return {self.from_labels(l): self.from_labels(m)
-                for l, m in self.saturated_label_map(lam).items()}
-
-    def saturated_label_map(self, lam: Vector) -> dict[tuple, tuple]:
-        """P(lam) as a map from labels to dominant labels (``saturated_labels``)."""
-        return self.saturated_labels(self.dominant_labels(lam))
+                for l, m in self.saturated_labels(self.dominant_labels(lam)).items()}
 
     def saturated_labels(self, top: tuple) -> dict[tuple, tuple]:
         """P(lam) for lam with dominant labels top, as a map from labels to
@@ -671,9 +620,6 @@ class RootDatum:
             found = self._string_tables[tops] = (index, tuple(roots), quad)
         return found
 
-    def saturated_set(self, lam: Vector) -> tuple[Vector, ...]:
-        return tuple(sorted(self.saturated_map(lam)))
-
     # -- small weights ---------------------------------------------------------
 
     def _top_pairing(self, omega: Vector):
@@ -699,14 +645,12 @@ class RootDatum:
     def small_fundamental_weights(self) -> tuple[Vector, ...]:
         return tuple(w for w in self.fundamental_weights if self.is_small(w))
 
-    def small_dominant_weights(self, include_zero: bool = False) -> tuple[Vector, ...]:
-        """All small dominant weights (finite: fundamental pairings <= 2)."""
+    def small_dominant_weights(self) -> tuple[Vector, ...]:
+        """All nonzero small dominant weights (finite: fundamental pairings <= 2)."""
         out = []
         for ms in itertools.product(range(3), repeat=self.rank):
             w = self.weight_from_fundamental(ms)
-            if not include_zero and not any(ms):
-                continue
-            if self.is_small(w):
+            if any(ms) and self.is_small(w):
                 out.append(w)
         return tuple(sorted(out))
 
@@ -750,10 +694,6 @@ class RootDatum:
             mults._rho = self.half_weighted_sum(mults.of)
         return mults._rho
 
-    def rho_vee(self) -> Vector:
-        """rho^vee = (1/2) sum_{alpha > 0} alpha^vee, alpha^vee = 2 alpha / |alpha|^2."""
-        return self.half_weighted_sum(lambda a: 2 / self.norm_sq(a))
-
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"
 
@@ -780,26 +720,11 @@ class Multiplicities:
     def constant(cls, datum: RootDatum, g):
         return cls(datum, [g] * len(datum.root_orbits))
 
-    @classmethod
-    def by_representative(cls, datum: RootDatum, mapping):
-        """Build from {dominant orbit representative: value}."""
-        reps = datum.orbit_representatives()
-        if set(mapping) != set(reps):
-            raise ValueError(f"need one value per orbit representative {reps}")
-        return cls(datum, [mapping[r] for r in reps])
-
     def of(self, alpha: Vector):
         return self.root_values[self.datum.root_index[alpha]]
 
     def key(self):
         return tuple(self.values)
-
-    def __eq__(self, other):
-        return (isinstance(other, Multiplicities)
-                and self.datum is other.datum and self.values == other.values)
-
-    def __hash__(self):
-        return hash((id(self.datum), self.values))
 
     def __repr__(self):
         return f"Multiplicities({self.values})"

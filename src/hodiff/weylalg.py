@@ -12,7 +12,7 @@ import math
 from fractions import Fraction as Q
 from operator import mul
 
-from .rootsys import Multiplicities, RootDatum, Vector, vadd
+from .rootsys import Multiplicities, RootDatum, Vector, _q_str, vadd, weight_str
 
 
 class InternalConsistencyError(RuntimeError):
@@ -43,30 +43,12 @@ class ExpPoly:
     def constant(cls, c, dim: int) -> "ExpPoly":
         return cls({(Q(0),) * dim: Q(c)})
 
-    @classmethod
-    def monomial(cls, nu: Vector, c=Q(1)) -> "ExpPoly":
-        return cls({nu: Q(c)})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, nu: Vector) -> Q:
-        return self.terms.get(nu, Q(0))
 
     def value_at_zero(self) -> Q:
         """Evaluation at x = 0, i.e. the sum of all coefficients."""
         return sum(self.terms.values(), Q(0))
-
-    def shift(self, nu: Vector) -> "ExpPoly":
-        """Multiplication by e^nu."""
-        return ExpPoly({vadd(mu, nu): c for mu, c in self.terms.items()})
-
-    def map_exponents(self, f) -> "ExpPoly":
-        out = {}
-        for nu, c in self.terms.items():
-            key = f(nu)
-            out[key] = out.get(key, Q(0)) + c
-        return ExpPoly(out)
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         out = dict(self.terms)
@@ -79,9 +61,6 @@ class ExpPoly:
         for nu, c in other.terms.items():
             out[nu] = out.get(nu, Q(0)) - c
         return ExpPoly(out)
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly({nu: -c for nu, c in self.terms.items()})
 
     def scale(self, c) -> "ExpPoly":
         if c == 0:
@@ -103,9 +82,6 @@ class ExpPoly:
 
     def __eq__(self, other):
         return isinstance(other, ExpPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -249,7 +225,8 @@ def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
     found = datum.expansion_label_memo.get(top)
     if found is None:
         if not datum.is_small(datum.from_labels(top)):
-            raise ValueError(f"{datum.from_labels(top)} is not small (some pairing exceeds 2)")
+            raise ValueError(f"{weight_str(datum.from_labels(top))} is not small "
+                             "(some pairing exceeds 2)")
         found = datum.expansion_label_memo[top] = LabelForm(datum, {
             l: len(datum.parabolic_orbit(mu, top))
             for mu in datum.below_labels(top)
@@ -258,40 +235,13 @@ def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
 
 
 def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
-    """E_omega (``expansion_labels``) as an ExpPoly, memoized on the datum
-    under omega's labels (``expansion_memo``)."""
-    top = datum.dominant_labels(omega)
-    found = datum.expansion_memo.get(top)
-    if found is None:
-        found = datum.expansion_memo[top] = ExpPoly({
-            datum.from_labels(l): c for l, c in expansion_labels(datum, omega).terms.items()})
-    return found
-
-
-def eval_at(datum: RootDatum, p: ExpPoly, x) -> float:
-    """Floating-point evaluation at the point x of the realization space."""
-    xf = [float(v) for v in x]
-    total = 0.0
-    for nu, c in p.terms.items():
-        if datum.gram is None:
-            expo = sum(float(a) * b for a, b in zip(nu, xf))
-        else:
-            expo = sum(float(nu[i]) * float(datum.gram[i][j]) * xf[j]
-                       for i in range(datum.dim) for j in range(datum.dim))
-        total += float(c) * math.exp(expo)
-    return total
-
-
-def _q_str(c: Q) -> str:
-    return f"{c.numerator}/{c.denominator}"
+    """E_omega as an ExpPoly, converted on each call from the memoized
+    ``expansion_labels``."""
+    return ExpPoly({datum.from_labels(l): c
+                    for l, c in expansion_labels(datum, omega).terms.items()})
 
 
 def exp_to_json(p: ExpPoly):
     """Canonical serialization: sorted list of weight/coefficient records."""
     return [{"weight": [_q_str(x) for x in nu], "coeff": _q_str(c)}
             for nu, c in sorted(p.terms.items())]
-
-
-def exp_from_json(items) -> ExpPoly:
-    return ExpPoly({tuple(Q(w) for w in item["weight"]): Q(item["coeff"])
-                    for item in items})

@@ -20,8 +20,8 @@ import mpmath
 
 from .diffeq import coeff_U, coeff_V  # noqa: F401 -- kept beside their limits
 from .diffeq import PoleAtSpectralPoint, factor_product, float_table, pieri_index, term_factors
-from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg, vsub
-from .weylalg import expansion_E_omega
+from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg, weight_str
+from .weylalg import expansion_labels
 
 
 def _square_part(n: int) -> tuple[int, int]:
@@ -60,11 +60,6 @@ class SqrtRational:
 
     def is_rational(self) -> bool:
         return self.rad == 1 or self.coeff == 0
-
-    def as_rational(self) -> Q:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
 
     def __mul__(self, other):
         if isinstance(other, SqrtRational):
@@ -112,15 +107,8 @@ class TodaCoefficients:
         self.datum = datum
         self.omega = datum.check_dominant(omega)
         if not datum.is_small(self.omega):
-            raise ValueError(f"{omega} is not small")
+            raise ValueError(f"{weight_str(omega)} is not small")
         self.etas = orbit_etas(datum)
-
-    def w0_word(self):
-        """Reduced word for the longest element, moving the antidominant
-        regular weight back to the dominant chamber."""
-        reg = self.datum.weight_from_fundamental([1] * self.datum.rank)
-        _, word = self.datum.dominant_representative(vneg(reg))
-        return word
 
     def multiplicities_at(self, t: float) -> Multiplicities:
         """Orbit-wise g(t) on the strong-coupling branch."""
@@ -232,20 +220,27 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     with the exponential rescaling by the dominant growth rate.  Deviations
     must decrease along t_list, which must increase strictly, and end below
     tol.  xi is rational: the factor lists of ``pieri_index`` are evaluated
-    on one ``float_table`` of its pairings, at g(t) formed once per t.
+    on one ``float_table`` of its pairings, at g(t) formed once per t.  The
+    growth rate <nu, rho^vee> is half the sum of nu's positive-root pairings
+    (rho^vee is half the sum of the positive coroots), read from the
+    memoized pairing row of nu's labels.
     """
     toda = TodaCoefficients(datum, omega)
-    rho_vee = datum.rho_vee()
+
+    def rate_of(l) -> Q:
+        pairs = datum.label_pairings(l)
+        return Q(sum(pairs[i] for i in datum.positive_indices), 2)
+
     t_list = tuple(float(t) for t in t_list)
     if any(later <= earlier for earlier, later in zip(t_list, t_list[1:])):
         raise ValueError(f"t_list {list(t_list)} is not strictly increasing")
     report = ConfluenceReport(system=f"{datum.family}{datum.rank}",
                               omega=toda.omega, t_list=t_list, tol=tol)
 
-    rate_omega = datum.inner(omega, rho_vee)
-    terms = [(_inner_float(datum, nu, x),
-              float(datum.inner(nu, rho_vee) - rate_omega), float(c))
-             for nu, c in expansion_E_omega(datum, omega).terms.items()]
+    rate_omega = rate_of(datum.labels(toda.omega))
+    terms = [(_inner_float(datum, datum.from_labels(l), x),
+              float(rate_of(l) - rate_omega), float(c))
+             for l, c in expansion_labels(datum, omega).terms.items()]
     limit = ebar(datum, omega, x)
     devs = []
     for t in t_list:
@@ -258,9 +253,9 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     table = float_table(datum.pairings(xi))
     g_list = [toda.multiplicities_at(t).root_values for t in t_list]
     for entry in pieri_index(datum, omega):
-        rate_u = float(datum.inner(vsub(toda.omega, entry.nu_plus), rho_vee))
-        rows = [("V", f"nu={entry.nu}", entry.v_factors,
-                 float(datum.inner(entry.nu_plus, rho_vee)))]
+        rate_plus = rate_of(datum.labels(entry.nu_plus))
+        rate_u = float(rate_omega - rate_plus)
+        rows = [("V", f"nu={entry.nu}", entry.v_factors, float(rate_plus))]
         rows += [("U", f"nu={entry.nu}, eta={eta_wt}", factors, rate_u)
                  for eta_wt, factors in zip(entry.etas, entry.u_factors)]
         for family, label, factors, rate in rows:
@@ -287,23 +282,6 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
     return total
 
 
-def log_weight_factor(datum: RootDatum, x, t: float) -> float:
-    """log of prod over positive roots of (e^{a/2} - e^{-a/2})^{g_a(t)} at x.
-
-    Requires x with every <alpha, x> > 0; inspection helper for the dressed
-    limit, reported in log form for the same overflow reason.
-    """
-    mults = Multiplicities(datum, [g_of_t(e, t) for e in orbit_etas(datum)])
-    total = 0.0
-    for alpha in datum.positive_roots:
-        half = 0.5 * _inner_float(datum, alpha, x)
-        gap = math.exp(half) - math.exp(-half)
-        if gap <= 0:
-            raise ValueError("x must pair positively with every positive root")
-        total += mults.of(alpha) * math.log(gap)
-    return total
-
-
 # -- growth-rate identity -------------------------------------------------------
 
 def homogeneity_identity(datum: RootDatum, omega: Vector, mu: Vector) -> bool:
@@ -316,7 +294,7 @@ def homogeneity_identity(datum: RootDatum, omega: Vector, mu: Vector) -> bool:
     omega = datum.check_dominant(omega)
     mu = datum.check_dominant(mu)
     if not datum.is_small(omega):
-        raise ValueError(f"{omega} is not small")
+        raise ValueError(f"{weight_str(omega)} is not small")
     lhs = [0] * len(datum.root_orbits)
     rhs = [0] * len(datum.root_orbits)
     mu_pairs, omega_pairs = datum.pairings(mu), datum.pairings(omega)
@@ -343,6 +321,8 @@ def homogeneity_gap(datum: RootDatum, mults: Multiplicities,
 
 U_RANGE = (-8.0, 50.0)   # the u-interval the rank-one oracle accepts
 ORACLE_DPS = 20          # mpmath digits of the closed form after cancellation
+U_GRID = tuple(-2.0 + 0.2 * i for i in range(21))   # the rank-one check's grid
+U_ASYM = 14.0            # where it compares phi with the two-term asymptotics
 
 
 class WhittakerA1:
@@ -404,7 +384,7 @@ class RankOneWhittakerReport:
     winv_deviation is 0.0 by construction: the oracle is even in zeta, so
     the -zeta construction is the zeta one.  The field is kept so the report
     schema stays fixed, as is matching_radius, the upper end of the oracle's
-    u-range.  asymptotic_deviation compares phi(u_asym) with the two-term
+    u-range.  asymptotic_deviation compares phi(U_ASYM) with the two-term
     form Gamma(a) e^{au/2} + Gamma(-a) e^{-au/2}.
     """
     zeta: float
@@ -425,14 +405,13 @@ class RankOneWhittakerReport:
         return asdict(self)
 
 
-def rank_one_whittaker_check(zeta: float, u_grid=None,
-                             u_asym: float = 14.0) -> RankOneWhittakerReport:
+def rank_one_whittaker_check(zeta: float) -> RankOneWhittakerReport:
     """Drive the rank-one difference equations against the closed-form oracle.
 
-    Checks, on a grid of u = <x, alpha^vee>: the single-shift identity with
-    coefficients +-1/zeta, the double-shift rewrite for the quasi-minuscule
-    weight, agreement of the constructions from zeta and -zeta, and the
-    two-chamber asymptotics at u_asym.
+    Checks, on the grid U_GRID of u = <x, alpha^vee>: the single-shift
+    identity with coefficients +-1/zeta, the double-shift rewrite for the
+    quasi-minuscule weight, agreement of the constructions from zeta and
+    -zeta, and the two-chamber asymptotics at U_ASYM.
 
     |zeta| must lie at least 0.05 from every integer: Gamma(-a) and the
     1/zeta coefficients degenerate there, while the oracle itself is finite
@@ -448,14 +427,12 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
     if abs(a - round(a)) < 0.05 - 1e-12:
         raise ValueError("spectral value too close to an integer; "
                          "the two-chamber normalization degenerates")
-    if u_grid is None:
-        u_grid = [-2.0 + 0.2 * i for i in range(21)]
     datum = _a1_datum()
     omega = datum.fundamental_weights[0]
     alpha = datum.positive_roots[0]
     xi = tuple(zeta * float(c) for c in omega)
 
-    points = list(u_grid) + [u_asym]
+    points = U_GRID + (U_ASYM,)
     solved: dict[float, WhittakerA1] = {}
 
     def oracle(z):
@@ -474,7 +451,7 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
     report = RankOneWhittakerReport(zeta=zeta,
                                     matching_radius=orac[0].matching_radius)
     res_min = res_qmin = winv = 0.0
-    for u in u_grid:
+    for u in U_GRID:
         f0 = orac[0].value(u)
         lhs = v_up * orac[1].value(u) + v_dn * orac[-1].value(u)
         rhs = math.exp(u / 2.0) * f0
@@ -486,9 +463,9 @@ def rank_one_whittaker_check(zeta: float, u_grid=None,
         res_min, res_qmin, winv = max(res_min, r1), max(res_qmin, r2), max(winv, w)
         report.rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
-    two_term = (math.gamma(a) * math.exp(0.5 * a * u_asym)
-                + math.gamma(-a) * math.exp(-0.5 * a * u_asym))
-    asym = abs(orac[0].value(u_asym) / two_term - 1.0)
+    two_term = (math.gamma(a) * math.exp(0.5 * a * U_ASYM)
+                + math.gamma(-a) * math.exp(-0.5 * a * U_ASYM))
+    asym = abs(orac[0].value(U_ASYM) / two_term - 1.0)
     report.max_residual_min = res_min
     report.max_residual_qmin = res_qmin
     report.winv_deviation = winv

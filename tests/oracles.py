@@ -14,7 +14,21 @@ way the package did before its tables and cleared integers:
   limit with one SqrtRational operation per factor;
 - ``per_t_confluence_rows``: the rows of the confluence check from one
   ``coeff_V``/``coeff_U`` call per term and t, one ``coeff_Vbar``/
-  ``coeff_Ubar`` call per term, and the E_omega inner products per t.
+  ``coeff_Ubar`` call per term, and the E_omega inner products with
+  ``rho_vee`` per t.
+
+Then come vector-side forms of what the package computes on labels, each
+taking the root datum first:
+
+- ``orbit_under_reflections``: the orbit under the reflections in any set
+  of roots, by the generic search (the package enumerates stabilizer
+  orbits as parabolic orbits);
+- ``dominant_representative``: v+ and the word of the shortest w with
+  w v = v+;
+- ``simple_coefficients``, ``dominance_leq`` and ``rho_vee``: simple-root
+  coordinates, the dominance order, and rho^vee as a vector;
+- ``eval_at`` and ``exp_from_json``: an ExpPoly evaluated at a point and
+  read back from its ``exp_to_json`` form.
 """
 
 import itertools
@@ -24,8 +38,8 @@ from operator import mul
 
 from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
-from hodiff.rootsys import vscale, vsub
-from hodiff.weylalg import (InternalConsistencyError, _is_invariant,
+from hodiff.rootsys import vscale
+from hodiff.weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
                             expansion_E_omega, require_exact)
 from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
 
@@ -150,13 +164,13 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
     """The rows of ``whittaker.verify_confluence``, every coefficient
     evaluated afresh at ``TodaCoefficients.multiplicities_at(t)``."""
     toda = whittaker.TodaCoefficients(datum, omega)
-    rho_vee = datum.rho_vee()
+    rv = rho_vee(datum)
     t_list = tuple(map(float, t_list))
 
     def row(family, label, devs, limit):
         return whittaker._deviation_row(family, label, devs, t_list, tol, limit)
 
-    rate_omega = datum.inner(omega, rho_vee)
+    rate_omega = datum.inner(omega, rv)
     e_poly = expansion_E_omega(datum, omega)
     limit = whittaker.ebar(datum, omega, x)
     devs = []
@@ -164,18 +178,18 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
         val = 0.0
         for nu, c in e_poly.terms.items():
             expo = whittaker._inner_float(datum, nu, x) + t * float(
-                datum.inner(nu, rho_vee) - rate_omega)
+                datum.inner(nu, rv) - rate_omega)
             val += float(c) * math.exp(expo)
         devs.append(abs(val - limit) / abs(limit))
     rows = [row("E", "E_omega", devs, limit)]
     for entry in pieri_index(datum, omega):
-        rate_v = float(datum.inner(entry.nu_plus, rho_vee))
+        rate_v = float(datum.inner(entry.nu_plus, rv))
         vbar = float(coeff_Vbar(datum, entry.nu, xi))
         devs = [abs(math.exp(-t * rate_v) * coeff_V(
                     datum, toda.multiplicities_at(t), entry.nu, xi) - vbar) / abs(vbar)
                 for t in t_list]
         rows.append(row("V", f"nu={entry.nu}", devs, vbar))
-        rate_u = float(datum.inner(vsub(toda.omega, entry.nu_plus), rho_vee))
+        rate_u = float(datum.inner(toda.omega, rv) - datum.inner(entry.nu_plus, rv))
         for eta_wt in entry.etas:
             ubar = float(coeff_Ubar(datum, entry.nu, eta_wt, xi))
             devs = [abs(math.exp(-t * rate_u) * coeff_U(
@@ -183,3 +197,56 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
                         - ubar) / abs(ubar) for t in t_list]
             rows.append(row("U", f"nu={entry.nu}, eta={eta_wt}", devs, ubar))
     return rows
+
+
+def orbit_under_reflections(datum, gen_roots, v):
+    """Orbit of v (in the root span) under the reflections in gen_roots,
+    sorted: the generic label search over every generator."""
+    gens = [datum.root_index[a] for a in gen_roots]
+    return tuple(sorted(map(datum.from_labels, datum._orbit_labels(gens, datum.labels(v)))))
+
+
+def dominant_representative(datum, v):
+    """(v+, word for the shortest w with w(v) = v+ dominant), v in the span:
+    greedy reflection at the least simple root with a negative pairing."""
+    l, steps = datum._make_dominant(datum.labels(v))
+    return datum.from_labels(l), tuple(reversed(steps))
+
+
+def simple_coefficients(datum, v):
+    """Coordinates of v in the simple-root basis, or None if v is off-span."""
+    l = datum.labels(v)
+    if datum.from_labels(l) != v:
+        return None
+    return tuple(sum((l[j] * datum._cartan_inv[j][k] for j in range(datum.rank)), Q(0))
+                 for k in range(datum.rank))
+
+
+def dominance_leq(datum, mu, lam):
+    """mu <= lam in dominance order: lam - mu in Q+ (dominant inputs)."""
+    return datum.dominant_labels(mu) in datum.below_labels(datum.dominant_labels(lam))
+
+
+def rho_vee(datum):
+    """rho^vee = (1/2) sum_{alpha > 0} alpha^vee, alpha^vee = 2 alpha / |alpha|^2."""
+    return datum.half_weighted_sum(lambda a: 2 / datum.norm_sq(a))
+
+
+def eval_at(datum, p, x):
+    """Floating-point evaluation of an ExpPoly at the point x."""
+    xf = [float(v) for v in x]
+    total = 0.0
+    for nu, c in p.terms.items():
+        if datum.gram is None:
+            expo = sum(float(a) * b for a, b in zip(nu, xf))
+        else:
+            expo = sum(float(nu[i]) * float(datum.gram[i][j]) * xf[j]
+                       for i in range(datum.dim) for j in range(datum.dim))
+        total += float(c) * math.exp(expo)
+    return total
+
+
+def exp_from_json(items):
+    """The ExpPoly of ``weylalg.exp_to_json`` records."""
+    return ExpPoly({tuple(Q(w) for w in item["weight"]): Q(item["coeff"])
+                    for item in items})

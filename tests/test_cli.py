@@ -147,6 +147,35 @@ def test_non_small_omega_rejected_naming_the_option(args, capsys):
     assert captured.err == "error: --omega: (3/1,2/1) is not small (a pairing exceeds 2)\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["jacobi", "--family", "A", "--rank", "2", "--lambda", "1/2,0", "--g", "1/2"],
+     "(1/3,-1/6,-1/6) is not in the weight lattice of RootDatum(A2)"),
+    (["coeffs", "--family", "G", "--rank", "2", "--omega=-1,0"],
+     "(-2/1,-1/1) is not dominant"),
+], ids=["jacobi-off-lattice", "coeffs-not-dominant"])
+def test_weights_in_errors_print_as_p_over_q(args, message, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option,value,other", [
+    ("--xi", "1e400,1/3", "--t"),
+    ("--t", "10,20,3000", "--xi"),
+], ids=["xi", "t"])
+def test_float_overflow_names_the_option_at_fault(option, value, other, capsys):
+    # a huge xi pairing overflows as a float in the confluence sweep, a huge
+    # t in g(t): exit 2 with one line naming the option that caused it
+    args = {"--family": "A", "--rank": "2", "--omega": "1,0",
+            "--xi": "1/40,-1/80", "--x": "0.25,-0.1,-0.15"}
+    args[option] = value
+    assert run(["whittaker-limits"] + [x for kv in args.items() for x in kv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert option in captured.err and other not in captured.err
+
+
 def test_whittaker_limits_command(capsys):
     code = run(["whittaker-limits", "--family", "A", "--rank", "1",
                 "--omega", "1", "--xi", "1/40", "--x", "0.3,-0.3"])

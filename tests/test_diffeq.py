@@ -16,6 +16,7 @@ from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vscale
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             expansion_E_omega, expansion_labels, label_form)
+from oracles import dominant_representative, orbit_under_reflections
 from weyl_words import apply_word, inverse_word
 
 
@@ -170,21 +171,21 @@ def test_pieri_index_matches_generic_stabilizer_search(fam, rank):
     # weight, each entry's etas (order included) are the orbit of
     # w^{-1} omega under the reflections in the positive roots orthogonal
     # to nu, and its V and U lists are the vector ``term_factors``; the
-    # E_omega coefficients are the generic stabilizer-orbit sizes, and both
-    # memos hand back the object they hold
+    # E_omega coefficients are the generic stabilizer-orbit sizes, and the
+    # index and label-form memos hand back the object they hold
     datum = build_root_system(fam, rank)
     positive = set(datum.positive_roots)
 
     def orbit(v, eta):
         gens = [a for a in datum.stabilizer_roots(v) if a in positive]
-        return datum.orbit_under_reflections(gens, eta)
+        return orbit_under_reflections(datum, gens, eta)
 
     for omega in datum.small_dominant_weights():
         before = pieri_index.cache_info()
         index = pieri_index(datum, omega)
-        assert [e.nu for e in index] == list(datum.saturated_set(omega))
+        assert [e.nu for e in index] == sorted(datum.saturated_map(omega))
         for e in index:
-            assert (e.nu_plus, e.word) == datum.dominant_representative(e.nu)
+            assert (e.nu_plus, e.word) == dominant_representative(datum, e.nu)
             etas = orbit(e.nu, apply_word(datum, inverse_word(e.word), omega))
             assert e.etas == etas, (omega, e.nu)
             assert e.v_factors == term_factors(datum, e.nu)
@@ -198,7 +199,7 @@ def test_pieri_index_matches_generic_stabilizer_search(fam, rank):
         # same terms in the same order (the float sums of the confluence
         # check read them in order)
         assert list(e_poly.terms.items()) == list(expected.items())
-        assert expansion_E_omega(datum, omega) is e_poly
+        assert expansion_E_omega(datum, omega) == e_poly   # converted per call
         # the label form built on labels is the checked conversion of e_poly
         e_form = expansion_labels(datum, omega)
         assert e_form.terms == label_form(datum, e_poly).terms
@@ -316,7 +317,7 @@ def test_excluded_shift_vanishing(b2):
             for lam_coeffs in ((0, 0), (1, 0), (0, 1)):
                 lam = b2.weight_from_fundamental(lam_coeffs)
                 surviving = {nu for nu, _e, _c in pieri_terms(b2, mults, omega, lam)}
-                expected = {nu for nu in b2.saturated_set(omega)
+                expected = {nu for nu in b2.saturated_map(omega)
                             if b2.is_dominant(vadd(lam, nu))}
                 assert surviving == expected
         except PoleAtSpectralPoint:
@@ -520,3 +521,29 @@ def test_pieri_residual_matches_reference_with_every_polynomial_corrupted(
         got = pieri_residual(datum, label_form(datum, e_poly), bad_poly, bad, top)
         assert not got.is_zero()
         assert got == reference_residual(e_poly, bad_poly, bad)
+
+
+def test_weights_in_error_messages_print_as_p_over_q(a2, g2):
+    # every refusal that names a weight prints it as (p/q,...), as the
+    # report case names do, never as Fraction reprs
+    from hodiff.whittaker import TodaCoefficients, homogeneity_identity
+    omega2 = g2.fundamental_weights[1]   # pairs 3 with a coroot
+    zero = (Q(0),) * g2.dim
+    for refuse in (lambda: pieri_index(g2, omega2),
+                   lambda: expansion_labels(g2, omega2),
+                   lambda: TodaCoefficients(g2, omega2),
+                   lambda: homogeneity_identity(g2, omega2, zero)):
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert str(exc.value).startswith("(3/1,2/1) is not small")
+    mults = Multiplicities.constant(a2, Q(1, 3))
+    xi = a2.weight_from_fundamental([Q(1, 5), Q(2, 7)])
+    w1 = a2.fundamental_weights[0]
+    with pytest.raises(ValueError, match=r"^\(2/3,-1/3,-1/3\) is not quasi-minuscule$"):
+        quasi_identity_value(a2, mults, w1, xi)
+    with pytest.raises(ValueError, match=r"^\(4/3,-2/3,-2/3\) is neither minuscule "):
+        specialization_consistency(a2, mults, vscale(2, w1), xi)
+    with pytest.raises(ValueError, match=r"^\(-2/3,1/3,1/3\) is not dominant$"):
+        a2.dominant_labels(vscale(-1, w1))
+    with pytest.raises(ValueError, match=r"^\(1/3,-1/6,-1/6\) is not in the weight lattice"):
+        a2.weight_labels(vscale(Q(1, 2), w1))

@@ -102,6 +102,25 @@ def test_de_coefficients_match_recurrence_times_four():
             assert de_coefficients_match_rr(g1, g2, l)
 
 
+def test_recurrence_at_degree_zero_with_unit_denominator():
+    # at l = 0 the down coefficient is 0, also where 2l + g1 + 2g2 = 1 would
+    # make its formula 0/0
+    lhs, rhs = recurrence_rr(Q(1, 2), Q(1, 4), 0, Q(1, 4))
+    assert lhs == rhs == Q(1, 4)
+
+
+def test_de_coefficients_match_sees_either_recurrence_coefficient(monkeypatch):
+    # negative control: 1 added to c_up or to c_dn of the shared recurrence
+    # coefficients breaks the match, at l = 0 (where c_dn is 0) as above it
+    import hodiff.rankone as rankone
+    exact = rankone._rr_coefficients
+    for bump in ((1, 0), (0, 1)):
+        monkeypatch.setattr(rankone, "_rr_coefficients", lambda g1, g2, l, b=bump: tuple(
+            c + d for c, d in zip(exact(g1, g2, l), b)))
+        for l in (0, 2):
+            assert not de_coefficients_match_rr(Q(1, 2), Q(1, 3), l)
+
+
 def test_shift_coefficient_poles():
     with pytest.raises(ZeroDivisionError):
         shift_coefficients(Q(1, 2), Q(1, 3), Q(0))

@@ -19,31 +19,37 @@ from hodiff.whittaker import (SqrtRational, TodaCoefficients, WhittakerA1,
                               eta_alpha, g_of_t, homogeneity_gap, limit_product,
                               homogeneity_identity, rank_one_whittaker_check,
                               verify_confluence)
+from oracles import rho_vee
+
+
+def rational(s: SqrtRational) -> Q:
+    """The rational value of s, which must be rational."""
+    assert s.is_rational(), s
+    return s.coeff
 
 
 def test_sqrt_rational_canonicalization():
     assert SqrtRational(1, 8) == SqrtRational(2, 2)
-    assert SqrtRational(1, 4).as_rational() == 2
-    assert SqrtRational(3, 1).as_rational() == 3
+    assert rational(SqrtRational(1, 4)) == 2
+    assert rational(SqrtRational(3, 1)) == 3
     half = SqrtRational(1, Q(1, 2))
     assert half == SqrtRational(Q(1, 2), 2)
     assert abs(float(half) - 1 / math.sqrt(2)) < 1e-15
     prod = SqrtRational(1, 2) * SqrtRational(1, 3)
     assert prod == SqrtRational(1, 6)
-    assert (SqrtRational(1, 2) * SqrtRational(1, 2)).as_rational() == 2
-    assert (SqrtRational(2, 3) / SqrtRational(1, 3)).as_rational() == 2
+    assert rational(SqrtRational(1, 2) * SqrtRational(1, 2)) == 2
+    assert rational(SqrtRational(2, 3) / SqrtRational(1, 3)) == 2
     with pytest.raises(ValueError):
         SqrtRational(1, 0)
-    with pytest.raises(ValueError):
-        SqrtRational(1, 6).as_rational()
+    assert not SqrtRational(1, 6).is_rational()
 
 
 def test_eta_values(a1, b2, c3, g2):
-    assert eta_alpha(a1, a1.positive_roots[0]).as_rational() == 1
+    assert rational(eta_alpha(a1, a1.positive_roots[0])) == 1
     short_b2 = (Q(1), Q(0))
     long_b2 = (Q(1), Q(1))
     assert eta_alpha(b2, short_b2) == SqrtRational(1, 2)
-    assert eta_alpha(b2, long_b2).as_rational() == 1
+    assert rational(eta_alpha(b2, long_b2)) == 1
     long_c3 = (Q(2), Q(0), Q(0))
     assert eta_alpha(c3, long_c3) == SqrtRational(Q(1, 2), 2)
     short_g2 = g2.quasi_minuscule_weight()
@@ -105,8 +111,8 @@ def test_ebar_values(a2):
     assert ebar(a2, (Q(0),) * 3, (0.4, 0.1, -0.2)) == 1.0
     assert ebar(a2, w1, zero_x) == 1.0
     # <omega_1, rho_vee> = 1
-    rho_vee = [float(v) for v in a2.rho_vee()]
-    assert abs(ebar(a2, w1, rho_vee) - math.e) < 1e-12
+    x = [float(v) for v in rho_vee(a2)]
+    assert abs(ebar(a2, w1, x) - math.e) < 1e-12
 
 
 def test_toda_coefficients_guards(a2, bc2, g2):
@@ -117,8 +123,6 @@ def test_toda_coefficients_guards(a2, bc2, g2):
     with pytest.raises(ValueError):
         TodaCoefficients(g2, long_fund)
     toda = TodaCoefficients(a2, a2.fundamental_weights[0])
-    # longest element has one simple reflection per positive root
-    assert len(toda.w0_word()) == len(a2.positive_roots)
     m = toda.multiplicities_at(10.0)
     assert all(v > 1 for v in m.values)
 
@@ -396,7 +400,7 @@ def test_import_loads_neither_scipy_nor_numpy():
 
 
 def test_log_normalization_helpers(a2):
-    from hodiff.whittaker import log_normalization_constant, log_weight_factor
+    from hodiff.whittaker import log_normalization_constant
     # small t keeps everything in double range: compare with direct gammas
     t = -2.0
     toda = TodaCoefficients(a2, a2.fundamental_weights[0])
@@ -408,17 +412,8 @@ def test_log_normalization_helpers(a2):
         g = mults.of(alpha)
         direct *= math.gamma(z) * math.gamma(g) / math.gamma(z + g)
     assert abs(log_normalization_constant(a2, t) - math.log(direct)) < 1e-9
-    # weight factor against a direct product at a chamber-interior point
-    x = [float(v) for v in a2.rho_vee()]
-    direct = 1.0
-    for alpha in a2.positive_roots:
-        half = 0.5 * sum(float(a) * b for a, b in zip(alpha, x))
-        direct *= (math.exp(half) - math.exp(-half)) ** mults.of(alpha)
-    assert abs(log_weight_factor(a2, x, t) - math.log(direct)) < 1e-9
     # large t stays finite in log form
     assert math.isfinite(log_normalization_constant(a2, 30.0))
-    with pytest.raises(ValueError):
-        log_weight_factor(a2, [-x_i for x_i in x], t)
 
 
 def test_rank_one_whittaker_report(monkeypatch):
@@ -445,7 +440,7 @@ def test_rank_one_whittaker_report(monkeypatch):
 @pytest.mark.parametrize("zeta", [0.45, 0.7])
 def test_rank_one_whittaker_small_zeta(zeta):
     # below |zeta| = 1 the Gamma(-a) e^{-au/2} term is not negligible at
-    # u_asym: the asymptotic check must use the two-term form
+    # U_ASYM: the asymptotic check must use the two-term form
     rep = rank_one_whittaker_check(zeta)
     assert rep.asymptotic_deviation <= 1e-5
     assert rep.ok()

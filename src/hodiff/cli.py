@@ -90,6 +90,18 @@ class CampaignResult:
         }
 
 
+def _datum(data: dict | None, family: str, rank: int) -> RootDatum:
+    """The datum of (family, rank) in data, built there on first use; a new
+    one when data is None.  ``run_campaign`` hands one data dict to every
+    suite driver, so the memos on a datum (Weyl orbits, saturated sets,
+    string tables, Pieri index) serve every suite and die with the campaign."""
+    if data is None:
+        return build_root_system(family, rank)
+    if (family, rank) not in data:
+        data[family, rank] = build_root_system(family, rank)
+    return data[family, rank]
+
+
 def _label(datum: RootDatum) -> str:
     return f"{datum.family}{datum.rank}"
 
@@ -109,12 +121,13 @@ def _sample_with_retry(datum, seed, sample_idx, run, max_attempts=24):
 # -- suite drivers -------------------------------------------------------------
 
 
-def pieri_cases(config: CampaignConfig):
+def pieri_cases(config: CampaignConfig, data: dict | None = None):
     """Criterion-style exact Pieri sweep; returns per-case reports plus the
-    polynomial caches so the eigen suite can reuse every polynomial built."""
+    polynomial caches so the eigen suite can reuse every polynomial built.
+    Every driver takes the campaign's data dict (see ``_datum``)."""
     out = []
     for family, rank in config.systems:
-        datum = build_root_system(family, rank)
+        datum = _datum(data, family, rank)
         if config.omegas is None:
             omegas = datum.small_fundamental_weights()
         else:
@@ -141,14 +154,15 @@ def pieri_cases(config: CampaignConfig):
     return out
 
 
-def eigen_cases(config: CampaignConfig, pieri_results=None):
+def eigen_cases(config: CampaignConfig, pieri_results=None,
+                data: dict | None = None):
     """Eigencheck plus closed-form leading coefficient for every polynomial
     the Pieri sweep constructed, and for the nonreduced rank 1 and 2 data."""
-    pieri_results = pieri_results or pieri_cases(config)
+    pieri_results = pieri_results or pieri_cases(config, data)
     jobs = [(res["datum"], res["mults"], res["sample"], lam, poly)
             for res in pieri_results for (_g, lam), poly in sorted(res["cache"].items())]
     for rank, lams in ((1, [(0,), (1,), (2,)]), (2, [(1, 0), (1, 1), (2, 1)])):
-        datum = build_root_system("BC", rank)
+        datum = _datum(data, "BC", rank)
         rng = random.Random(f"{config.seed}:bc-eigen:{rank}")
         mults = diffeq.sample_multiplicities(datum, rng)
         for lam in (tuple(map(Q, lam)) for lam in lams):
@@ -163,7 +177,7 @@ def eigen_cases(config: CampaignConfig, pieri_results=None):
     return out
 
 
-def bc_cases(config: CampaignConfig):
+def bc_cases(config: CampaignConfig, data: dict | None = None):
     """Nonreduced exact Pieri: rank 1 at ell=1 and rank 2 at ell=1,2 over all
     partitions with first part at most 3, for each multiplicity sample."""
     out = []
@@ -171,7 +185,7 @@ def bc_cases(config: CampaignConfig):
     parts = {1: [(a,) for a in range(4)],
              2: [(a, b) for a in range(4) for b in range(a + 1)]}
     for n, ells in jobs:
-        datum = build_root_system("BC", n)
+        datum = _datum(data, "BC", n)
         for s in range(config.samples):
             for attempt in range(24):
                 rng = random.Random(f"{config.seed}:bc:{n}:{s}:{attempt}")
@@ -205,12 +219,12 @@ def bc_cases(config: CampaignConfig):
     return out, coeff_rows
 
 
-def quasi_cases(config: CampaignConfig):
+def quasi_cases(config: CampaignConfig, data: dict | None = None):
     """Half-sum identity at five pole-free rational spectral points, plus the
     collapse consistency of the general term data, per applicable system."""
     out = []
     for family, rank in QUASI_SYSTEMS:
-        datum = build_root_system(family, rank)
+        datum = _datum(data, family, rank)
         omega = datum.quasi_minuscule_weight()
         m0 = Q(len(datum.weyl_orbit(omega)))
         rng = random.Random(f"{config.seed}:quasi:{_label(datum)}")
@@ -233,12 +247,12 @@ def quasi_cases(config: CampaignConfig):
     return out
 
 
-def confluence_cases(config: CampaignConfig):
+def confluence_cases(config: CampaignConfig, data: dict | None = None):
     """Scaled-coefficient limits at the frozen spectral/base points, for the
     small fundamental weights plus the quasi-minuscule weight."""
     out = []
     for (family, rank), spot in CONFLUENCE_CASES.items():
-        datum = build_root_system(family, rank)
+        datum = _datum(data, family, rank)
         omegas = list(datum.small_fundamental_weights())
         qm = datum.quasi_minuscule_weight()
         if qm not in omegas:
@@ -251,11 +265,11 @@ def confluence_cases(config: CampaignConfig):
     return out
 
 
-def homogeneity_cases(config: CampaignConfig):
+def homogeneity_cases(config: CampaignConfig, data: dict | None = None):
     """Growth-rate identity for every (small omega, dominant mu < omega)."""
     out = []
     for family, rank in HOMOGENEITY_SYSTEMS:
-        datum = build_root_system(family, rank)
+        datum = _datum(data, family, rank)
         rng = random.Random(f"{config.seed}:homog:{_label(datum)}")
         samples = [diffeq.sample_multiplicities(datum, rng) for _ in range(3)]
         pairs = []
@@ -275,11 +289,11 @@ def homogeneity_cases(config: CampaignConfig):
     return out
 
 
-def whittaker_rank_one_case(config: CampaignConfig):
-    return whittaker.rank_one_whittaker_check(WHITTAKER_ZETA)
+def whittaker_rank_one_case(config: CampaignConfig, data: dict | None = None):
+    return whittaker.rank_one_whittaker_check(WHITTAKER_ZETA, _datum(data, "A", 1))
 
 
-def rankone_cases(config: CampaignConfig):
+def rankone_cases(config: CampaignConfig, data: dict | None = None):
     """Numeric rank-one suite: residual sweep, exact recurrence, both
     cross-checks tying the terminating case to the generic machinery."""
     sweeps = [rankone.verify_de(g1, g2, DE_XI_GRID, DE_X_GRID, tol=config.tol_de)
@@ -289,7 +303,8 @@ def rankone_cases(config: CampaignConfig):
         == rankone.recurrence_rr(g1, g2, l, Q(1, 4))[1]
         and rankone.de_coefficients_match_rr(g1, g2, l)
         for g1, g2 in RR_PARAMETER_PAIRS for l in range(7))
-    bc1_ok = all(rankone.bc1_crosscheck(g1, g2, l)
+    bc1 = _datum(data, "BC", 1)
+    bc1_ok = all(rankone.bc1_crosscheck(g1, g2, l, datum=bc1)
                  for g1, g2 in BC1_CROSS_PAIRS for l in range(7))
     spot = rankone.gauss_2f1_jacobi(
         rankone.HypergeometricParams(0.5, 1.0 / 3.0, 0.9, 1.1))
@@ -304,9 +319,10 @@ def rankone_cases(config: CampaignConfig):
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     result = CampaignResult()
+    data = {}
 
     if "pieri" in config.suites or "eigen" in config.suites:
-        pieri_results = pieri_cases(config)
+        pieri_results = pieri_cases(config, data)
         if "pieri" in config.suites:
             for res in pieri_results:
                 for rep in res["reports"]:
@@ -314,14 +330,14 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                             f"/lam={weight_str(rep.lam)}/s{res['sample']}")
                     result.add(name, rep.ok, rep.to_dict())
         if "eigen" in config.suites:
-            for row in eigen_cases(config, pieri_results):
+            for row in eigen_cases(config, pieri_results, data):
                 name = f"eigen/{row['system']}/lam={weight_str(row['lam'])}/s{row['sample']}"
                 result.add(name, row["eigen"].ok and row["lead_ok"],
                            {"eigen": row["eigen"].to_dict(),
                             "leading_matches_product": row["lead_ok"]})
 
     if "bc" in config.suites:
-        bc_results, coeff_rows = bc_cases(config)
+        bc_results, coeff_rows = bc_cases(config, data)
         for res in bc_results:
             for rep in res["reports"]:
                 name = f"bc/n={rep.n}/ell={rep.ell}/lam={weight_str(rep.lam)}/s{res['sample']}"
@@ -331,7 +347,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                        for r in coeff_rows), {"rows": coeff_rows})
 
     if "quasi" in config.suites:
-        for row in quasi_cases(config):
+        for row in quasi_cases(config, data):
             ok = (all(r["ok"] for r in row["rows"]) and row["consistency"].ok
                   and row["minuscule_ok"])
             result.add(f"quasi/{row['system']}", ok,
@@ -340,20 +356,20 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                         "consistency": row["consistency"].to_dict()})
 
     if "whittaker" in config.suites:
-        for rep in confluence_cases(config):
+        for rep in confluence_cases(config, data):
             result.add(f"confluence/{rep.system}/omega={weight_str(rep.omega)}", rep.ok,
                        rep.to_dict())
-        for row in homogeneity_cases(config):
+        for row in homogeneity_cases(config, data):
             result.add(f"homogeneity/{row['system']}", row["ok"],
                        {"pairs": row["pairs"]})
-        rep = whittaker_rank_one_case(config)
+        rep = whittaker_rank_one_case(config, data)
         result.add("whittaker/rank-one-ode",
                    rep.ok(config.tol_whittaker, config.tol_whittaker,
                           config.tol_asym),
                    rep.to_dict())
 
     if "rankone" in config.suites:
-        sweeps, rr_ok, bc1_ok, spot_ok = rankone_cases(config)
+        sweeps, rr_ok, bc1_ok, spot_ok = rankone_cases(config, data)
         for sweep in sweeps:
             result.add(f"rankone/de-sweep/g1={sweep.g1}/g2={sweep.g2}",
                        sweep.ok, sweep.to_dict())
@@ -400,13 +416,21 @@ def _parse_omega(datum: RootDatum, text: str):
     return omega
 
 
+class OutputError(Exception):
+    """The file named by --out cannot be written."""
+
+
 def _emit(payload, out_path):
     """payload as canonical JSON (a str as it is) to out_path or stdout."""
     text = (payload if isinstance(payload, str)
             else json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"--out: cannot write {out_path}: "
+                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -451,10 +475,14 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown or empty suite selection {sorted(unknown)}")
         if args.perturb and args.perturb not in diffeq.PERTURBATIONS:
             raise ValueError(f"unknown perturbation {args.perturb}")
+        if args.perturb and "pieri" not in suites:
+            raise ValueError("--perturb: the negative controls edit the pieri suite only")
+        if args.height is not None and not {"pieri", "eigen"} & set(suites):
+            raise ValueError("--height: bounds lambda for the pieri and eigen suites only")
         if not 1 <= args.samples <= MAX_SAMPLES:
             raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
         try:
-            height = Q(args.height)
+            height = CampaignConfig.height_bound if args.height is None else Q(args.height)
         except (ValueError, ZeroDivisionError):
             height = None
         if height is None or not 0 <= height <= MAX_HEIGHT:
@@ -601,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default=None,
                    help="explicit weight for the pieri suite instead of "
                         "all small fundamentals (fundamental coefficients)")
-    p.add_argument("--height", default="4")
+    p.add_argument("--height", default=None,
+                   help="height bound on lambda for the pieri and eigen suites (default 4)")
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--seed", type=int, default=20150801)
     p.add_argument("--perturb", default=None,
@@ -643,7 +672,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

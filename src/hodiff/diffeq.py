@@ -136,29 +136,30 @@ def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> f
     return total
 
 
-def _coefficient(datum: RootDatum, mults: Multiplicities, factors: tuple, xi):
-    """One factor-list product at xi: on integers for exact multiplicities,
-    by ``factor_product`` for float ones."""
+def _evaluator(datum: RootDatum, mults: Multiplicities, xi):
+    """The product of a factor list at xi, as a function of the list: on
+    integers over one ``scaled_table`` for exact multiplicities, by
+    ``factor_product`` on one ``float_table`` for float ones."""
     z, g = datum.pairings(xi), mults.root_values
     if is_exact(mults):
-        return Q(*integer_product(datum, factors, scaled_table(z, g)))
-    return factor_product(datum, factors, float_table(z), g)
+        table = scaled_table(z, g)
+        return lambda factors: Q(*integer_product(datum, factors, table))
+    table = float_table(z)
+    return lambda factors: factor_product(datum, factors, table, g)
 
 
 def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi,
             perturb: str | None = None):
     """Product of (z+g)/z over roots with positive pairing against nu,
     times (1+z+g)/(1+z) over roots pairing exactly 2, with z = <xi,a^vee>."""
-    return _coefficient(datum, mults,
-                        perturbed(term_factors(datum, nu), perturb), xi)
+    return _evaluator(datum, mults, xi)(perturbed(term_factors(datum, nu), perturb))
 
 
 def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi,
             perturb: str | None = None):
     """Like coeff_V but over the stabilizer subsystem of nu, with the sign of
     g flipped in the pairing-2 factor."""
-    return _coefficient(datum, mults,
-                        perturbed(term_factors(datum, nu, eta), perturb), xi)
+    return _evaluator(datum, mults, xi)(perturbed(term_factors(datum, nu, eta), perturb))
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,12 @@ pieri_index.cache_info = lambda: IndexCacheInfo(**_index_counts)
 
 
 def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
-                lam: Vector, perturb: str | None = None):
-    """Surviving (nu, eta, U*V) triples at the spectral point rho_g + lambda.
+                lam: tuple, perturb: str | None = None):
+    """Surviving (entry, eta, U*V) triples at the spectral point rho_g + lambda,
+    for lam the labels of a dominant lambda and entry the ``PieriTermIndex``
+    of nu.
 
+    The pairings of the point are those of the labels of rho_g plus lam.
     Every factor list is evaluated on integers over one ``scaled_table`` of
     the point, and each surviving term becomes one Fraction.  Terms whose
     shift leaves the dominant cone must carry an exactly vanishing V factor;
@@ -227,9 +231,7 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
     for a multiplicity resample.  Exact multiplicities are required.
     """
     require_exact(mults)
-    lam = datum.check_dominant(lam)
-    lam_labels = datum.labels(lam)
-    table = scaled_table(datum.pairings(vadd(datum.rho(mults), lam)),
+    table = scaled_table(datum.label_pairings(tuple(map(add, datum.rho_labels(mults), lam))),
                          mults.root_values)
     out = []
     for entry in pieri_index(datum, omega):
@@ -237,13 +239,13 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
             datum, perturbed(entry.v_factors, perturb), table)
         us = [integer_product(datum, perturbed(f, perturb), table)
               for f in entry.u_factors]
-        if all(a + b >= 0 for a, b in zip(lam_labels, entry.nu_labels)):
-            out.extend((entry.nu, eta, Q(u_num * v_num, u_den * v_den))
+        if all(a + b >= 0 for a, b in zip(lam, entry.nu_labels)):
+            out.extend((entry, eta, Q(u_num * v_num, u_den * v_den))
                        for eta, (u_num, u_den) in zip(entry.etas, us))
         elif v_num and perturb is None:
             raise InternalConsistencyError(
-                f"V did not vanish at the excluded shift nu={entry.nu}, "
-                f"lambda={lam}: V={Q(v_num, v_den)}")
+                f"V did not vanish at the excluded shift nu={weight_str(entry.nu)}, "
+                f"lambda labels {lam}: V={Q(v_num, v_den)}")
     return out
 
 
@@ -279,9 +281,10 @@ def poly_cache_get(cache, datum, mults, lam) -> JacobiPolynomial:
 
 
 def pieri_residual(datum: RootDatum, e_form: LabelForm, poly: JacobiPolynomial,
-                   shifted, top: Vector) -> ExpPoly:
+                   shifted, top: tuple) -> ExpPoly:
     """e_poly * P_lambda - sum c P_lambda' over the (P_lambda', c) in shifted,
-    for e_form the ``LabelForm`` of e_poly (TypeError for anything else).
+    for e_form the ``LabelForm`` of e_poly (TypeError for anything else) and
+    top the labels of a dominant weight.
 
     Both sides are W-invariant, so the difference is compared only at the
     dominant mu <= top, in integers on the cleared terms (d, N) of each
@@ -294,15 +297,15 @@ def pieri_residual(datum: RootDatum, e_form: LabelForm, poly: JacobiPolynomial,
     """
     if not isinstance(e_form, LabelForm):
         raise TypeError("E must be a LabelForm, whose invariance is checked")
-    below = datum.below_labels(datum.dominant_labels(top))
-    lam = datum.labels(poly.lam)
+    below = datum.below_labels(top)
+    lam = poly.top
     for a in e_form.terms:
         if min(a) >= 0 and tuple(map(add, lam, a)) not in below:
             raise InternalConsistencyError(
-                f"lambda={poly.lam} plus exponent labels {a} is not below {top}")
+                f"lambda labels {poly.top} plus exponent labels {a} are not below {top}")
     for p, _c in shifted:
-        if datum.labels(p.lam) not in below:
-            raise InternalConsistencyError(f"shifted weight {p.lam} is not below {top}")
+        if p.top not in below:
+            raise InternalConsistencyError(f"shifted labels {p.top} are not below {top}")
     d_lam, p_terms = poly.cleared_terms()
     rhs = [(p.cleared_terms(), c) for p, c in shifted]
     L = math.lcm(d_lam, *(c.denominator * d for (d, _t), c in rhs))
@@ -329,15 +332,20 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
                  lam: Vector, perturb: str | None = None,
                  cache: dict | None = None) -> PieriReport:
     """Exact comparison of E_omega * P_lambda with the coefficient sum of
-    shifted polynomials; the residual is empty exactly on success.  Each
-    distinct shift is built once, in cache or in a dict local to the call."""
+    shifted polynomials; the residual is empty exactly on success.  lambda's
+    labels are read once, and each shift is their sum with the labels of nu.
+    Each distinct shift is built once, in cache or in a dict local to the
+    call; cache keys stay (multiplicities, lambda vector)."""
     cache = {} if cache is None else cache
-    terms = pieri_terms(datum, mults, omega, lam, perturb=perturb)
+    top = datum.dominant_labels(lam)
+    terms = pieri_terms(datum, mults, omega, top, perturb=perturb)
     poly = poly_cache_get(cache, datum, mults, lam)
-    shifted = [(poly_cache_get(cache, datum, mults, vadd(lam, nu)), c)
-               for nu, _eta, c in terms]
-    residual = pieri_residual(datum, expansion_labels(datum, omega), poly,
-                              shifted, vadd(lam, omega))
+    shifted = [(poly_cache_get(cache, datum, mults,
+                               datum.from_labels(tuple(map(add, top, e.nu_labels)))), c)
+               for e, _eta, c in terms]
+    residual = pieri_residual(
+        datum, expansion_labels(datum, omega), poly, shifted,
+        tuple(map(add, top, datum.dominant_labels(omega))))
     return PieriReport(
         system=f"{datum.family}{datum.rank}",
         omega=omega, lam=lam, g=mults.key(),
@@ -350,14 +358,16 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
 def quasi_identity_value(datum: RootDatum, mults: Multiplicities,
                          omega: Vector, xi):
     """(1/2) sum over the orbit of (V_nu + U_{0,nu}) at a pole-free point;
-    equals the orbit size for a quasi-minuscule omega."""
+    equals the orbit size for a quasi-minuscule omega.  V_nu is read from
+    the ``pieri_index`` term of each orbit element nu, U_{0,nu} from the
+    origin's term, whose etas are the orbit; one evaluator of xi for all."""
     if not datum.is_quasi_minuscule(omega):
         raise ValueError(f"{weight_str(omega)} is not quasi-minuscule")
-    zero = (Q(0),) * datum.dim
-    total = Q(0)
-    for nu in datum.weyl_orbit(omega):
-        total += coeff_V(datum, mults, nu, xi)
-        total += coeff_U(datum, mults, zero, nu, xi)
+    value = _evaluator(datum, mults, xi)
+    total = 0
+    for entry in pieri_index(datum, omega):
+        total += (sum(map(value, entry.u_factors)) if not any(entry.nu_labels)
+                  else value(entry.v_factors))
     return total / 2
 
 
@@ -387,13 +397,17 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
 
     entries = pieri_index(datum, omega)
     zero = (Q(0),) * datum.dim
+    value = _evaluator(datum, mults, xi)
+
+    def unit_u(e):
+        return all(value(f) == 1 for f in e.u_factors)
+
     if datum.is_minuscule(omega):
         kind = "minuscule"
         orbit = set(datum.weyl_orbit(omega))
         record("index set is the full orbit", {e.nu for e in entries} == orbit)
         record("single eta per term", all(e.etas == (e.nu,) for e in entries))
-        record("all U factors equal 1",
-               all(coeff_U(datum, mults, e.nu, e.nu, xi) == 1 for e in entries))
+        record("all U factors equal 1", all(map(unit_u, entries)))
         record("E_omega equals the plain orbit sum",
                expansion_E_omega(datum, omega) == orbit_sum(datum, omega))
     elif datum.is_quasi_minuscule(omega):
@@ -402,8 +416,7 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
         record("index set is orbit plus origin",
                {e.nu for e in entries} == orbit | {zero})
         record("orbit terms have trivial eta and unit U",
-               all(e.etas == (e.nu,) and coeff_U(datum, mults, e.nu, e.nu, xi) == 1
-                   for e in entries if e.nu != zero))
+               all(e.etas == (e.nu,) and unit_u(e) for e in entries if e.nu != zero))
         m0 = Q(len(orbit))
         record("E_omega equals orbit sum plus its value at zero",
                expansion_E_omega(datum, omega)

@@ -5,6 +5,11 @@ equation for the operator L, using the expansion
 (1+e^{-a})/(1-e^{-a}) = 1 + 2 sum_{j>=1} e^{-ja}.  Two independent checks
 guard the construction: the closed-form leading coefficient, and the exact
 eigencheck through the division-based operator action.
+
+A polynomial is held on Dynkin labels: the labels of lambda and one
+coefficient per labels of a dominant mu <= lambda.  Its realization vectors
+(``lam``, ``coeffs``, ``exp_poly``, ``to_json``) are views built on demand,
+where the polynomial leaves the exact engines.
 """
 
 from __future__ import annotations
@@ -21,28 +26,39 @@ from .weylalg import (ExpPoly, apply_L_labels, eigenvalue_E, exp_to_json,
 
 
 class JacobiPolynomial:
-    """Triangular expansion of P_lambda in orbit sums, normalized P(0) = 1."""
+    """Triangular expansion of P_lambda in orbit sums, normalized P(0) = 1:
+    ``top`` holds the labels of lambda and ``label_coeffs`` the coefficient
+    of each dominant mu <= lambda under the labels of mu."""
 
-    def __init__(self, datum: RootDatum, mults: Multiplicities, lam: Vector,
-                 coeffs: dict):
+    def __init__(self, datum: RootDatum, mults: Multiplicities, top: tuple,
+                 label_coeffs: dict):
         self.datum = datum
         self.mults = mults
-        self.lam = lam
-        self.coeffs = coeffs              # dominant mu <= lam -> coefficient
+        self.top = top
+        self.label_coeffs = label_coeffs
         self._cleared = None
 
+    @property
+    def lam(self) -> Vector:
+        return self.datum.from_labels(self.top)
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients keyed by the vectors of the dominant mu."""
+        return {self.datum.from_labels(m): c for m, c in self.label_coeffs.items()}
+
     def leading_coefficient(self) -> Q:
-        return self.coeffs[self.lam]
+        return self.label_coeffs[self.top]
 
     def cleared_terms(self) -> tuple:
         """(d, terms): d the lcm of the coefficient denominators, and terms
         the expansion times d over the saturated support in integers, keyed
         by the labels of each exponent (built once; zero terms left out)."""
         if self._cleared is None:
-            d = math.lcm(*(c.denominator for c in self.coeffs.values()))
-            dom = {self.datum.labels(mu): c.numerator * (d // c.denominator)
-                   for mu, c in self.coeffs.items()}
-            sat = self.datum.saturated_labels(self.datum.labels(self.lam))
+            d = math.lcm(*(c.denominator for c in self.label_coeffs.values()))
+            dom = {m: c.numerator * (d // c.denominator)
+                   for m, c in self.label_coeffs.items()}
+            sat = self.datum.saturated_labels(self.top)
             self._cleared = d, {l: c for l, m in sat.items() if (c := dom[m])}
         return self._cleared
 
@@ -85,7 +101,7 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
     # E(rho+mu) - E(rho) = <2 rho + mu, mu>, read on labels through the
     # fundamental-weight Gram form and scaled by d * den to an integer
     gram = datum.weight_gram
-    rho_labels = datum.labels(datum.rho(mults))
+    rho_labels = datum.rho_labels(mults)
     d = math.lcm(*(x.denominator for x in rho_labels))
     rho_d = [x.numerator * (d // x.denominator) for x in rho_labels]
 
@@ -124,8 +140,7 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
     z = sum(monic[m] * n for m, n in Counter(sat.values()).items())
     if z == 0:
         raise ArithmeticError("vanishing value at the origin; cannot normalize")
-    return JacobiPolynomial(datum, mults, datum.from_labels(top),
-                            {datum.from_labels(m): c / z for m, c in monic.items()})
+    return JacobiPolynomial(datum, mults, top, {m: c / z for m, c in monic.items()})
 
 
 def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
@@ -138,7 +153,7 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
     """
     require_exact(mults)
     lam_pairs = datum.label_pairings(datum.dominant_labels(lam))
-    rho_pairs = datum.pairings(datum.rho(mults))
+    rho_pairs = datum.label_pairings(datum.rho_labels(mults))
     g, half = mults.root_values, datum.half_root_index
     # (k, b, g) per root with k = <lam, a^vee> > 0, b = <rho_g,a^vee> + g_{a/2}/2
     rows = [(lam_pairs[i], rho_pairs[i] + (0 if half[i] is None else Q(g[half[i]], 2)), g[i])

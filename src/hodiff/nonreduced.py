@@ -53,15 +53,22 @@ def _check_den(value, what):
     return value
 
 
-def _signed_product(gs, subset: SignedSubset, others, xi, pair_g):
-    """Singleton factors on the slots of subset, cross factors against the
-    slots in others, and pair factors (u+g)/u * (1+u+pair_g)/(1+u) inside
-    the subset, with u = eps_j xi_j + eps_j' xi_j'.  Formed on integers:
-    xi, g, g1/2, g2 and pair_g are scaled by the lcm d of their denominators,
-    so every factor reads (w + e) / w, and the product is one Fraction."""
-    values = (*xi, gs[0], Q(gs[1], 2), gs[2], pair_g)
+def cleared_point(gs, xi) -> tuple:
+    """(d, x, g, h1, g2): xi, g, g1/2 and g2 as integers, scaled by the lcm d
+    of their denominators, read once per spectral point."""
+    values = (*xi, gs[0], Q(gs[1], 2), gs[2])
     d = math.lcm(*(Q(v).denominator for v in values))
-    *x, g, h1, g2, pg = ((Q(v) * d).numerator for v in values)
+    *x, g, h1, g2 = ((Q(v) * d).numerator for v in values)
+    return d, x, g, h1, g2
+
+
+def _signed_product(point, subset: SignedSubset, others, pair_sign: int):
+    """Singleton factors on the slots of subset, cross factors against the
+    slots in others, and pair factors (u+g)/u * (1+u+pair_sign*g)/(1+u)
+    inside the subset, with u = eps_j xi_j + eps_j' xi_j'.  Formed on the
+    integers of a ``cleared_point``, so every factor reads (w + e) / w, and
+    the product is one Fraction."""
+    d, x, g, h1, g2 = point
     slots = list(zip(subset.indices, subset.signs))
     factors = []        # (w, e, what): the factor (w + e) / w, a pole at w = 0
     for j, s in slots:
@@ -72,7 +79,7 @@ def _signed_product(gs, subset: SignedSubset, others, xi, pair_g):
     for (j, sj), (jp, sp) in itertools.combinations(slots, 2):
         u = sj * x[j] + sp * x[jp]
         factors += [(u, g, "eps_j xi_j + eps_j' xi_j'"),
-                    (d + u, pg, "1 + eps_j xi_j + eps_j' xi_j'")]
+                    (d + u, pair_sign * g, "1 + eps_j xi_j + eps_j' xi_j'")]
     num = den = 1
     for w, e, what in factors:
         num *= w + e
@@ -80,24 +87,27 @@ def _signed_product(gs, subset: SignedSubset, others, xi, pair_g):
     return Q(num, den)
 
 
-def coeff_V_signed(n: int, gs, subset: SignedSubset, xi):
+def coeff_V_signed(n: int, gs, subset: SignedSubset, xi, point=None):
     """Shift coefficient of the signed subset: singleton factors on J, cross
-    factors against the complement, and +g pair factors inside J."""
+    factors against the complement, and +g pair factors inside J.  point is
+    the ``cleared_point`` of (gs, xi), made here when not given."""
     others = [k for k in range(n) if k not in subset.indices]
-    return _signed_product(gs, subset, others, xi, gs[0])
+    return _signed_product(point or cleared_point(gs, xi), subset, others, 1)
 
 
-def coeff_U_Kp(n: int, gs, K, p: int, xi):
+def coeff_U_Kp(n: int, gs, K, p: int, xi, point=None):
     """Complementary coefficient: (-1)^p times the sum over signed p-subsets
-    of K of the V-type product restricted to K, with -g in the last factor."""
+    of K of the V-type product restricted to K, with -g in the last factor;
+    point as for ``coeff_V_signed``."""
     K = tuple(sorted(K))
     if not 0 <= p <= len(K):
         raise ValueError(f"p={p} out of range for |K|={len(K)}")
+    point = point or cleared_point(gs, xi)
     total = Q(0)
     for I in itertools.combinations(K, p):
         others = [k for k in K if k not in I]
         for sub in signed_subsets(I):
-            total += _signed_product(gs, sub, others, xi, -gs[0])
+            total += _signed_product(point, sub, others, -1)
     return (-1) ** p * total
 
 
@@ -161,13 +171,14 @@ def pieri_terms_bc(n: int, gs, ell: int, lam, xi):
     Terms whose shifted weight is not a partition must carry a vanishing V
     coefficient; a violation is fatal, a pole requests a resample.
     """
+    point = cleared_point(gs, xi)
     terms = []
     for size in range(ell + 1):
         for J in itertools.combinations(range(n), size):
             Kc = tuple(k for k in range(n) if k not in J)
-            u = coeff_U_Kp(n, gs, Kc, ell - size, xi)
+            u = coeff_U_Kp(n, gs, Kc, ell - size, xi, point)
             for sub in signed_subsets(J):
-                v = coeff_V_signed(n, gs, sub, xi)
+                v = coeff_V_signed(n, gs, sub, xi, point)
                 shifted = tuple(a + b for a, b in zip(lam, sub.shift_vector(n)))
                 if is_partition(shifted):
                     terms.append((sub, shifted, u * v))
@@ -180,7 +191,9 @@ def pieri_terms_bc(n: int, gs, ell: int, lam, xi):
 def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
                     datum: RootDatum | None = None) -> BcPieriReport:
     """Exact Pieri identity for the nonreduced system at xi_j = rho_j + lam_j,
-    compared on the dominant chamber below lam + e_1 + ... + e_n."""
+    compared on the dominant chamber below lam + e_1 + ... + e_n.  The
+    ``LabelForm`` of E_ell is memoized on the datum under ell (an int, so
+    apart from the label tuples of ``expansion_labels``)."""
     gs = tuple(Q(x) for x in gs)
     lam = tuple(Q(x) for x in lam)
     cache = {} if cache is None else cache
@@ -192,8 +205,11 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
     terms = pieri_terms_bc(n, gs, ell, lam, tuple(rho[j] + lam[j] for j in range(n)))
     poly = poly_cache_get(cache, datum, mults, lam)
     shifted = [(poly_cache_get(cache, datum, mults, sh), c) for _sub, sh, c in terms]
-    residual = pieri_residual(datum, label_form(datum, expansion_E_ell(n, ell)),
-                              poly, shifted, tuple(x + 1 for x in lam))
+    e_form = datum.expansion_label_memo.get(ell)
+    if e_form is None:
+        e_form = datum.expansion_label_memo[ell] = label_form(datum, expansion_E_ell(n, ell))
+    residual = pieri_residual(datum, e_form, poly, shifted,
+                              datum.labels(tuple(x + 1 for x in lam)))
     g, g1, g2 = gs
     return BcPieriReport(
         n=n, ell=ell, lam=lam, g=g, g1=g1, g2=g2,

@@ -254,14 +254,16 @@ def bc1_orbit_sum_in_s(k: int, s: Q) -> Q:
     return 2 * _poly_eval(chebyshev_t(k), 1 + 2 * Q(s))
 
 
-def bc1_crosscheck(g1: Q, g2: Q, l: int, s_values=(Q(1, 4), Q(5, 3), Q(7, 2))) -> bool:
+def bc1_crosscheck(g1: Q, g2: Q, l: int, s_values=(Q(1, 4), Q(5, 3), Q(7, 2)),
+                   datum=None) -> bool:
     """The BC_1 polynomial from the general recursion agrees exactly with the
-    terminating series under the change of variable to s."""
+    terminating series under the change of variable to s; datum is a BC1
+    datum, built here when not given."""
     from .jacobi import jacobi_polynomial
     from .nonreduced import bc_multiplicities
     from .rootsys import build_root_system
 
-    datum = build_root_system("BC", 1)
+    datum = datum or build_root_system("BC", 1)
     mults = bc_multiplicities(datum, Q(1), Q(g1), Q(g2))
     poly = jacobi_polynomial(datum, mults, (Q(l),))
     for s in s_values:

@@ -12,8 +12,11 @@ datum: the Cartan rows (the labels of the simple roots), the labels of every
 root, and every root's coroot coefficients c_i(alpha) = <omega_i, alpha^vee>.
 Then <v, alpha^vee> = sum_i c_i l_i and s_alpha(l) = l - <v, alpha^vee>
 labels(alpha).  A realization vector is hashed once, where it enters the
-kernel (``labels``); every other memo of a datum is keyed by labels, and
-realization coordinates are rebuilt only where a weight leaves the kernel.
+kernel (``labels``); every other memo of a datum is keyed by labels, and the
+exact engines (``jacobi``, ``diffeq``, ``nonreduced``) carry weights as labels
+too, down to the labels of rho_g (``rho_labels``).  Realization coordinates
+are rebuilt (``from_labels``) only where a weight leaves them: the public
+API, report emission and the vector keys of a polynomial cache.
 Every pairing, reflection and orbit below is exact.
 """
 
@@ -141,8 +144,9 @@ class RootDatum:
     weight: pairings, Weyl orbits, dominance intervals, saturated maps and
     their alpha-string tables, and for a small weight omega its Pieri index
     (``index_memo``, filled by ``diffeq.pieri_index``) and its E_omega on
-    labels (``expansion_label_memo``, filled by ``weylalg``), and the
-    confluent limit's etas (``eta_memo``, ``whittaker``).
+    labels (``expansion_label_memo``, filled by ``weylalg``; for BC it holds
+    the E_ell of ``nonreduced`` under the int ell), and the confluent
+    limit's etas (``eta_memo``, ``whittaker``).
     The memos live and die with the datum; each entry is a pure function of
     its key, so threads sharing an instance can at worst compute it twice.
     """
@@ -694,6 +698,12 @@ class RootDatum:
             mults._rho = self.half_weighted_sum(mults.of)
         return mults._rho
 
+    def rho_labels(self, mults: "Multiplicities") -> tuple:
+        """The labels of rho_g, memoized on mults next to rho_g."""
+        if mults._rho_labels is None:
+            mults._rho_labels = self.labels(self.rho(mults))
+        return mults._rho_labels
+
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"
 
@@ -714,11 +724,7 @@ class Multiplicities:
         self.datum = datum
         self.values = values
         self.root_values = tuple(values[i] for i in datum.root_orbit_ids)
-        self._rho = None
-
-    @classmethod
-    def constant(cls, datum: RootDatum, g):
-        return cls(datum, [g] * len(datum.root_orbits))
+        self._rho = self._rho_labels = None
 
     def of(self, alpha: Vector):
         return self.root_values[self.datum.root_index[alpha]]

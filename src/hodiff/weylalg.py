@@ -1,7 +1,10 @@
 """Exact group algebra of the weight lattice: orbit sums and the operator L.
 
 An ExpPoly is a finite formal sum  sum_nu c_nu e^nu  with rational
-coefficients, exponents being weights in a fixed realization.  The
+coefficients, exponents being weights in a fixed realization: the vector
+form, for the public API and reports.  The exact engines work on the label
+form instead, terms keyed by the Dynkin labels of their exponents
+(``apply_L_labels``, ``LabelForm``, ``expansion_labels``).  The
 hypergeometric operator acts on W-invariant elements through exact
 polynomial division, so the result carries no truncation error at all.
 """

@@ -273,7 +273,7 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
     (the multiplicities grow like e^{t/2}), so it is reported in log form.
     """
     mults = Multiplicities(datum, [g_of_t(e, t) for e in orbit_etas(datum)])
-    rho_pairs = datum.pairings(datum.rho(mults))
+    rho_pairs = datum.label_pairings(datum.rho_labels(mults))
     total = 0.0
     for i in datum.positive_indices:
         z = float(rho_pairs[i])
@@ -405,7 +405,8 @@ class RankOneWhittakerReport:
         return asdict(self)
 
 
-def rank_one_whittaker_check(zeta: float) -> RankOneWhittakerReport:
+def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
+                             ) -> RankOneWhittakerReport:
     """Drive the rank-one difference equations against the closed-form oracle.
 
     Checks, on the grid U_GRID of u = <x, alpha^vee>: the single-shift
@@ -417,7 +418,8 @@ def rank_one_whittaker_check(zeta: float) -> RankOneWhittakerReport:
     1/zeta coefficients degenerate there, while the oracle itself is finite
     at integer order.  Each distinct |zeta + s| is evaluated once.  The
     oracle is even in zeta, so the -zeta construction is the zeta one and
-    winv_deviation is 0.0 by construction.
+    winv_deviation is 0.0 by construction.  datum is an A1 datum (a
+    process-wide one when not given).
     """
     a = abs(float(zeta))
     if a < 0.05:
@@ -427,7 +429,7 @@ def rank_one_whittaker_check(zeta: float) -> RankOneWhittakerReport:
     if abs(a - round(a)) < 0.05 - 1e-12:
         raise ValueError("spectral value too close to an integer; "
                          "the two-chamber normalization degenerates")
-    datum = _a1_datum()
+    datum = datum or _a1_datum()
     omega = datum.fundamental_weights[0]
     alpha = datum.positive_roots[0]
     xi = tuple(zeta * float(c) for c in omega)

@@ -67,10 +67,11 @@ def _reference_residual(e_poly, poly, shifted):
 
 def _corrupted(poly, delta=Q(1, 7)):
     """poly with its lowest coefficient moved by delta (still W-invariant)."""
-    coeffs = dict(poly.coeffs)
-    mu = min(coeffs, key=poly.datum.height)
+    datum = poly.datum
+    coeffs = dict(poly.label_coeffs)
+    mu = min(coeffs, key=lambda m: datum.height(datum.from_labels(m)))
     coeffs[mu] += delta
-    return JacobiPolynomial(poly.datum, poly.mults, poly.lam, coeffs)
+    return JacobiPolynomial(datum, poly.mults, poly.top, coeffs)
 
 
 @pytest.fixture(scope="session")

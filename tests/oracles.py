@@ -29,6 +29,10 @@ taking the root datum first:
   coordinates, the dominance order, and rho^vee as a vector;
 - ``eval_at`` and ``exp_from_json``: an ExpPoly evaluated at a point and
   read back from its ``exp_to_json`` form.
+
+Last, a constructor only the tests use:
+
+- ``constant_multiplicities``: the same multiplicity g on every root orbit.
 """
 
 import itertools
@@ -38,7 +42,7 @@ from operator import mul
 
 from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
-from hodiff.rootsys import vscale
+from hodiff.rootsys import Multiplicities, vscale
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
                             expansion_E_omega, require_exact)
 from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
@@ -250,3 +254,8 @@ def exp_from_json(items):
     """The ExpPoly of ``weylalg.exp_to_json`` records."""
     return ExpPoly({tuple(Q(w) for w in item["weight"]): Q(item["coeff"])
                     for item in items})
+
+
+def constant_multiplicities(datum, g):
+    """Multiplicities with the value g on every root orbit of datum."""
+    return Multiplicities(datum, [g] * len(datum.root_orbits))

@@ -342,6 +342,22 @@ def test_default_campaign_exit_zero(tmp_path):
     assert payload["n_fail"] == 0 and payload["n_cases"] > 600
 
 
+def test_campaign_builds_each_root_datum_once(monkeypatch):
+    # run_campaign hands one datum per (family, rank) to every suite driver:
+    # the nine systems of the default campaign are each built exactly once
+    built = []
+    init = RootDatum.__init__
+
+    def counting(self, family, rank):
+        built.append((family, rank))
+        init(self, family, rank)
+
+    monkeypatch.setattr(RootDatum, "__init__", counting)
+    assert cli.run_campaign(cli.CampaignConfig()).n_fail == 0
+    assert sorted(built) == [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("BC", 1),
+                             ("BC", 2), ("C", 3), ("D", 4), ("G", 2)]
+
+
 def test_campaigns_leave_no_root_data_alive(tmp_path):
     # the per-datum memos (Pieri index, E_omega) die with their datum: three
     # default campaigns in one process leave the same live RootDatum count
@@ -401,3 +417,32 @@ def test_zero_denominator_names_the_option(args, option, capsys):
                if p.strip().endswith("/0"))
     assert captured.err == f"error: {option}: zero denominator in {bad!r}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "rankone"],
+    ["coeffs", "--family", "A", "--rank", "1", "--omega", "1"],
+], ids=["verify", "coeffs"])
+def test_unwritable_out_path_names_the_option(args, tmp_path, capsys):
+    # a report that cannot be written is bad input, not a failed check:
+    # exit 2 with one line naming --out, no traceback
+    path = tmp_path / "missing" / "r.json"
+    assert run(args + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,option", [
+    (["--suite", "bc", "--perturb", "u-sign"], "--perturb"),
+    (["--suite", "eigen,quasi", "--perturb", "v-drop-pairing2"], "--perturb"),
+    (["--suite", "bc,rankone", "--height", "2"], "--height"),
+], ids=["perturb-bc", "perturb-eigen", "height-bc"])
+def test_options_a_selection_ignores_are_rejected(args, option, capsys):
+    # a negative control on suites it does not edit, or a height bound on
+    # suites without lambdas, would silently check nothing: exit 2
+    assert run(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1

@@ -15,13 +15,14 @@ from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vscale
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
-                            expansion_E_omega, expansion_labels, label_form)
-from oracles import dominant_representative, orbit_under_reflections
+                            expansion_E_omega, expansion_labels, is_w_invariant,
+                            label_form)
+from oracles import constant_multiplicities, dominant_representative, orbit_under_reflections
 from weyl_words import apply_word, inverse_word
 
 
 def _a1_setup(a1, g_val=Q(3, 7), z=Q(5, 3)):
-    g = Multiplicities.constant(a1, g_val)
+    g = constant_multiplicities(a1, g_val)
     w = a1.fundamental_weights[0]
     alpha = a1.positive_roots[0]
     xi = vscale(z, w)  # <xi, alpha^vee> = z
@@ -57,7 +58,7 @@ def test_pole_raises(a1):
     with pytest.raises(PoleAtSpectralPoint):
         coeff_V(a1, g, alpha, minus_one)
     # float multiplicities: the float table keeps the pole test exact
-    g_float = Multiplicities.constant(a1, 0.375)
+    g_float = constant_multiplicities(a1, 0.375)
     with pytest.raises(PoleAtSpectralPoint, match=r"denominator <xi"):
         coeff_V(a1, g_float, w, zero_xi)
     with pytest.raises(PoleAtSpectralPoint, match=r"denominator 1\+<xi"):
@@ -138,7 +139,7 @@ def test_pieri_terms_pole_names_root_and_denominator(a1):
     alpha = a1.positive_roots[0]
     zero = (Q(0),) * a1.dim
     with pytest.raises(PoleAtSpectralPoint) as exc:
-        pieri_terms(a1, Multiplicities.constant(a1, Q(1)), alpha, zero)
+        pieri_terms(a1, constant_multiplicities(a1, Q(1)), alpha, a1.labels(zero))
     assert exc.value.alpha == vscale(-1, alpha)
     assert exc.value.which == "1+<xi,a^vee>"
 
@@ -146,8 +147,8 @@ def test_pieri_terms_pole_names_root_and_denominator(a1):
 def test_pieri_terms_requires_exact_multiplicities(a2):
     zero = (Q(0),) * a2.dim
     with pytest.raises(ValueError, match="exact multiplicities required"):
-        pieri_terms(a2, Multiplicities.constant(a2, 0.5),
-                    a2.fundamental_weights[0], zero)
+        pieri_terms(a2, constant_multiplicities(a2, 0.5),
+                    a2.fundamental_weights[0], a2.labels(zero))
 
 
 def test_pieri_index_structure(a2):
@@ -229,16 +230,16 @@ def test_rank_one_pieri_collapses_to_doubling(a1):
     # coefficient 2, the reflected shift being killed by the vanishing factor
     g, w, alpha, _ = _a1_setup(a1)
     zero = (Q(0),) * a1.dim
-    terms = pieri_terms(a1, g, w, zero)
+    terms = pieri_terms(a1, g, w, a1.labels(zero))
     assert len(terms) == 1
-    nu, eta, coeff = terms[0]
-    assert nu == w and coeff == 2
+    entry, eta, coeff = terms[0]
+    assert entry.nu == w and coeff == 2
     rep = verify_pieri(a1, g, w, zero)
     assert rep.ok and rep.residual == []
 
 
 def test_pieri_exactness_spec_cases(a2, g2):
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     lam = vadd(*a2.fundamental_weights)
     assert verify_pieri(a2, g, a2.fundamental_weights[0], lam).ok
     assert verify_pieri(a2, g, a2.quasi_minuscule_weight(), lam).ok
@@ -251,15 +252,15 @@ def test_pieri_term_sum_is_order_independent(b2):
     g = Multiplicities(b2, [Q(3, 7), Q(5, 11)])
     omega = b2.quasi_minuscule_weight()
     lam = b2.fundamental_weights[1]
-    terms = pieri_terms(b2, g, omega, lam)
+    terms = pieri_terms(b2, g, omega, b2.labels(lam))
     rng = random.Random(5)
     shuffled = terms[:]
     rng.shuffle(shuffled)
     cache = {}
     def rhs(term_list):
         acc = ExpPoly.zero()
-        for nu, _eta, c in term_list:
-            key = vadd(lam, nu)
+        for entry, _eta, c in term_list:
+            key = vadd(lam, entry.nu)
             poly = cache.get(key)
             if poly is None:
                 poly = cache[key] = jacobi_polynomial(b2, g, key).exp_poly()
@@ -316,7 +317,8 @@ def test_excluded_shift_vanishing(b2):
         try:
             for lam_coeffs in ((0, 0), (1, 0), (0, 1)):
                 lam = b2.weight_from_fundamental(lam_coeffs)
-                surviving = {nu for nu, _e, _c in pieri_terms(b2, mults, omega, lam)}
+                surviving = {e.nu for e, _eta, _c in
+                             pieri_terms(b2, mults, omega, b2.labels(lam))}
                 expected = {nu for nu in b2.saturated_map(omega)
                             if b2.is_dominant(vadd(lam, nu))}
                 assert surviving == expected
@@ -401,11 +403,11 @@ def _pieri_sides(datum, omega, lam, tag, perturb=None):
     while True:
         mults = sample_multiplicities(datum, rng)
         try:
-            terms = pieri_terms(datum, mults, omega, lam, perturb=perturb)
+            terms = pieri_terms(datum, mults, omega, datum.labels(lam), perturb=perturb)
         except PoleAtSpectralPoint:
             continue
-        shifted = [(jacobi_polynomial(datum, mults, vadd(lam, nu)), c)
-                   for nu, _eta, c in terms]
+        shifted = [(jacobi_polynomial(datum, mults, vadd(lam, e.nu)), c)
+                   for e, _eta, c in terms]
         return jacobi_polynomial(datum, mults, lam), shifted
 
 
@@ -417,7 +419,7 @@ def test_pieri_residual_matches_product_reference(system, request,
     lam = datum.fundamental_weights[-1]
     poly, shifted = _pieri_sides(datum, omega, lam, f"residual:{system}")
     e_poly = expansion_E_omega(datum, omega)
-    top = vadd(lam, omega)
+    top = datum.labels(vadd(lam, omega))
     assert pieri_residual(datum, label_form(datum, e_poly), poly, shifted, top).is_zero()
     # corrupt the shifted polynomial with the highest weight
     i = max(range(len(shifted)), key=lambda j: datum.height(shifted[j][0].lam))
@@ -435,7 +437,7 @@ def test_pieri_residual_matches_reference_under_perturbation(b2, perturb,
     lam = b2.fundamental_weights[1]
     poly, shifted = _pieri_sides(b2, omega, lam, "perturbed", perturb)
     e_poly = expansion_E_omega(b2, omega)
-    got = pieri_residual(b2, label_form(b2, e_poly), poly, shifted, vadd(lam, omega))
+    got = pieri_residual(b2, label_form(b2, e_poly), poly, shifted, b2.labels(vadd(lam, omega)))
     assert not got.is_zero()
     assert got == reference_residual(e_poly, poly, shifted)
 
@@ -443,17 +445,17 @@ def test_pieri_residual_matches_reference_under_perturbation(b2, perturb,
 def test_pieri_residual_coverage_guard(a2):
     omega = a2.fundamental_weights[0]
     lam = a2.fundamental_weights[1]
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     poly = jacobi_polynomial(a2, g, lam)
     e_poly = expansion_E_omega(a2, omega)
     top = vadd(lam, omega)
     # a shifted weight lam + 2 omega is not below lam + omega
     far = jacobi_polynomial(a2, g, vadd(top, omega))
     with pytest.raises(InternalConsistencyError):
-        pieri_residual(a2, label_form(a2, e_poly), poly, [(far, Q(1))], top)
+        pieri_residual(a2, label_form(a2, e_poly), poly, [(far, Q(1))], a2.labels(top))
     # lam + omega, from the exponent omega of E_omega, is not below lam
     with pytest.raises(InternalConsistencyError):
-        pieri_residual(a2, label_form(a2, e_poly), poly, [], lam)
+        pieri_residual(a2, label_form(a2, e_poly), poly, [], a2.labels(lam))
 
 
 def test_pieri_residual_takes_only_checked_label_forms(a2):
@@ -462,8 +464,8 @@ def test_pieri_residual_takes_only_checked_label_forms(a2):
     # be made from a non-invariant or non-integral element
     omega = a2.fundamental_weights[0]
     lam = a2.fundamental_weights[1]
-    poly = jacobi_polynomial(a2, Multiplicities.constant(a2, Q(3, 7)), lam)
-    top = vadd(lam, omega)
+    poly = jacobi_polynomial(a2, constant_multiplicities(a2, Q(3, 7)), lam)
+    top = a2.labels(vadd(lam, omega))
     terms = label_form(a2, expansion_E_omega(a2, omega)).terms
     with pytest.raises(TypeError, match="LabelForm"):
         pieri_residual(a2, dict(terms), poly, [], top)
@@ -476,7 +478,7 @@ def test_pieri_residual_takes_only_checked_label_forms(a2):
 def test_verify_pieri_requires_exact_multiplicities(a2):
     zero = (Q(0),) * a2.dim
     with pytest.raises(ValueError, match="exact multiplicities required"):
-        verify_pieri(a2, Multiplicities.constant(a2, 0.5),
+        verify_pieri(a2, constant_multiplicities(a2, 0.5),
                      a2.fundamental_weights[0], zero)
 
 
@@ -498,11 +500,30 @@ def test_verify_pieri_without_cache_builds_each_shift_once(system, request, monk
     real = diffeq.jacobi_polynomial
     monkeypatch.setattr(diffeq, "jacobi_polynomial",
                         lambda d, m, mu: built.append(mu) or real(d, m, mu))
-    terms = pieri_terms(datum, mults, omega, lam)
-    shifts = {vadd(lam, nu) for nu, _eta, _c in terms}
+    terms = pieri_terms(datum, mults, omega, datum.labels(lam))
+    shifts = {vadd(lam, e.nu) for e, _eta, _c in terms}
     assert len(terms) > len(shifts)
     assert verify_pieri(datum, mults, omega, lam).ok
     assert sorted(built) == sorted(shifts | {lam})
+
+
+def test_verify_pieri_cache_keeps_its_vector_form(b2):
+    # the polynomial cache handed to verify_pieri is keyed by (multiplicities,
+    # lambda vector), and each polynomial shows its vector views: lam,
+    # Fraction coefficients keyed by the dominant vectors, and an exp_poly
+    # that is 1 at 0 and W-invariant (what the benchmark reads)
+    mults = Multiplicities(b2, [Q(3, 7), Q(5, 11)])
+    lam = b2.fundamental_weights[1]
+    cache = {}
+    assert verify_pieri(b2, mults, b2.quasi_minuscule_weight(), lam, cache=cache).ok
+    assert (mults.key(), lam) in cache and len(cache) > 1
+    for (g, mu), poly in cache.items():
+        assert g == mults.key() and poly.lam == mu
+        assert all(type(x) is Q for x in mu)
+        assert sorted(poly.coeffs) == sorted(b2.dominant_below(mu))
+        assert all(type(c) is Q for c in poly.coeffs.values())
+        p = poly.exp_poly()
+        assert p.value_at_zero() == 1 and is_w_invariant(b2, p)
 
 
 @pytest.mark.parametrize("system", ["b2", "g2"])
@@ -515,7 +536,7 @@ def test_pieri_residual_matches_reference_with_every_polynomial_corrupted(
     lam = datum.fundamental_weights[0]
     poly, shifted = _pieri_sides(datum, omega, lam, f"all-corrupted:{system}")
     e_poly = expansion_E_omega(datum, omega)
-    top = vadd(lam, omega)
+    top = datum.labels(vadd(lam, omega))
     for bad_poly in (poly, corrupted(poly, Q(-5, 11))):
         bad = [(corrupted(p, Q(i + 1, 3 * i + 7)), c) for i, (p, c) in enumerate(shifted)]
         got = pieri_residual(datum, label_form(datum, e_poly), bad_poly, bad, top)
@@ -536,7 +557,7 @@ def test_weights_in_error_messages_print_as_p_over_q(a2, g2):
         with pytest.raises(ValueError) as exc:
             refuse()
         assert str(exc.value).startswith("(3/1,2/1) is not small")
-    mults = Multiplicities.constant(a2, Q(1, 3))
+    mults = constant_multiplicities(a2, Q(1, 3))
     xi = a2.weight_from_fundamental([Q(1, 5), Q(2, 7)])
     w1 = a2.fundamental_weights[0]
     with pytest.raises(ValueError, match=r"^\(2/3,-1/3,-1/3\) is not quasi-minuscule$"):

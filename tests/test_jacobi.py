@@ -10,13 +10,13 @@ from hodiff.jacobi import (jacobi_polynomial, opdam_leading_coefficient,
 from hodiff.rootsys import Multiplicities, vadd, vscale
 from hodiff.weylalg import (ExpPoly, apply_L, eigenvalue_E, exp_to_json,
                             is_w_invariant)
-from oracles import dominance_leq
+from oracles import constant_multiplicities, dominance_leq
 
 G_SAMPLES = (Q(3, 7), Q(5, 11), Q(9, 4))
 
 
 def test_constant_polynomial(a2):
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     zero = (Q(0),) * a2.dim
     poly = jacobi_polynomial(a2, g, zero)
     assert poly.exp_poly() == ExpPoly.constant(1, a2.dim)
@@ -27,7 +27,7 @@ def test_rank_one_fundamental_coefficient(a1):
     # the leading coefficient 1/2 is independent of the multiplicity
     w = a1.fundamental_weights[0]
     for g_val in G_SAMPLES:
-        g = Multiplicities.constant(a1, g_val)
+        g = constant_multiplicities(a1, g_val)
         poly = jacobi_polynomial(a1, g, w)
         assert poly.leading_coefficient() == Q(1, 2)
         assert opdam_leading_coefficient(a1, g, w) == Q(1, 2)
@@ -39,7 +39,7 @@ def test_rank_one_doubled_weight_closed_form(a1):
     w = a1.fundamental_weights[0]
     lam = vscale(2, w)
     for g_val in G_SAMPLES:
-        g = Multiplicities.constant(a1, g_val)
+        g = constant_multiplicities(a1, g_val)
         poly = jacobi_polynomial(a1, g, lam)
         assert poly.leading_coefficient() == (g_val + 1) / (4 * g_val + 2)
         assert opdam_leading_coefficient(a1, g, lam) == \
@@ -47,7 +47,7 @@ def test_rank_one_doubled_weight_closed_form(a1):
 
 
 def test_a2_fundamental_coefficient(a2):
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     poly = jacobi_polynomial(a2, g, a2.fundamental_weights[0])
     assert poly.leading_coefficient() == Q(1, 3)
 
@@ -66,7 +66,7 @@ def test_unit_normalization_and_invariance(b2):
 
 
 def test_eigencheck_exact(a2, b2):
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     lam = vadd(*a2.fundamental_weights)
     report = verify_eigen(a2, g, lam)
     assert report.ok and report.residual == []
@@ -114,7 +114,7 @@ def test_bc1_opdam_halving_convention(bc1):
 
 
 def test_rejects_non_dominant(a2):
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     from hodiff.rootsys import vneg
     with pytest.raises(ValueError):
         jacobi_polynomial(a2, g, vneg(a2.fundamental_weights[0]))
@@ -137,11 +137,11 @@ def test_cleared_eigencheck_residual_matches_public_path(system, request, corrup
 
 
 def test_exact_entry_points_reject_float_multiplicities(a2):
-    floats = Multiplicities.constant(a2, 0.5)
+    floats = constant_multiplicities(a2, 0.5)
     lam = a2.fundamental_weights[0]
     with pytest.raises(ValueError, match="exact multiplicities required"):
         jacobi_polynomial(a2, floats, lam)
-    poly = jacobi_polynomial(a2, Multiplicities.constant(a2, Q(1, 2)), lam)
+    poly = jacobi_polynomial(a2, constant_multiplicities(a2, Q(1, 2)), lam)
     with pytest.raises(ValueError, match="exact multiplicities required"):
         verify_eigen(a2, floats, lam, poly)
     with pytest.raises(ValueError, match="exact multiplicities required"):

@@ -206,7 +206,7 @@ def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residua
     poly = jacobi_polynomial(bc2, mults, lam)
     shifted = [(jacobi_polynomial(bc2, mults, sh), c) for _sub, sh, c in terms]
     e_poly = expansion_E_ell(2, ell)
-    top = (Q(3), Q(2))
+    top = bc2.labels((Q(3), Q(2)))
     assert pieri_residual(bc2, label_form(bc2, e_poly), poly, shifted, top).is_zero()
     # corrupt the shifted polynomial of the highest partition
     highest = max(p.lam for p, _c in shifted)
@@ -222,7 +222,7 @@ def test_signed_product_matches_fraction_reference():
     # must raise the same message
     from oracles import fraction_signed_product
 
-    from hodiff.nonreduced import _signed_product
+    from hodiff.nonreduced import _signed_product, cleared_point
     rng = random.Random("signed-product")
     poles = [(Q(0), Q(3, 5)), (Q(-1, 2), Q(3, 5)), (Q(2, 7), Q(2, 7)),
              (Q(2, 7), Q(-2, 7)), (Q(-1, 3), Q(-2, 3)), (Q(1, 3), Q(-4, 3))]
@@ -235,14 +235,15 @@ def test_signed_product_matches_fraction_reference():
             for J in itertools.combinations(range(2), size):
                 others = [k for k in range(2) if k not in J]
                 for sub in signed_subsets(J):
-                    for pair_g in (gs[0], -gs[0]):
+                    for sign in (1, -1):
+                        point = cleared_point(gs, xi)
                         try:
-                            want = fraction_signed_product(gs, sub, others, xi, pair_g)
+                            want = fraction_signed_product(gs, sub, others, xi, sign * gs[0])
                         except PoleAtSpectralPoint as exc:
                             with pytest.raises(PoleAtSpectralPoint) as got:
-                                _signed_product(gs, sub, others, xi, pair_g)
+                                _signed_product(point, sub, others, sign)
                             assert str(got.value) == str(exc)
                             seen.add(str(exc))
                         else:
-                            assert _signed_product(gs, sub, others, xi, pair_g) == want
+                            assert _signed_product(point, sub, others, sign) == want
     assert len(seen) == 7     # every pole name, 1*xi_j and -1*xi_j apart

@@ -10,8 +10,8 @@ from hodiff.jacobi import verify_eigen
 from hodiff.nonreduced import bc_multiplicities, verify_pieri_bc
 from hodiff.rootsys import (Multiplicities, build_root_system, vadd, vneg,
                             vscale)
-from oracles import (dominance_leq, dominant_representative, orbit_under_reflections,
-                     rho_vee, simple_coefficients)
+from oracles import (constant_multiplicities, dominance_leq, dominant_representative,
+                     orbit_under_reflections, rho_vee, simple_coefficients)
 from weyl_words import apply_word, inverse_word
 
 # classical counts used as an oracle only; the library computes its orders
@@ -242,7 +242,7 @@ def test_quasi_minuscule_weights(a2, b2, c3, g2):
 
 
 def test_rho_vectors(a1, bc2):
-    g = Multiplicities.constant(a1, Q(3, 7))
+    g = constant_multiplicities(a1, Q(3, 7))
     rho = a1.rho(g)
     assert a1.pairing(rho, a1.positive_roots[0]) == Q(3, 7)
     # nonreduced: rho_j = (n-j) g + g1/2 + g2 in orthonormal coordinates
@@ -278,7 +278,7 @@ def test_multiplicities_validation(b2):
         Multiplicities(b2, [Q(1)])
     with pytest.raises(ValueError):
         Multiplicities(b2, [Q(1), Q(-1)])
-    m = Multiplicities.constant(b2, Q(2, 3))
+    m = constant_multiplicities(b2, Q(2, 3))
     assert all(m.of(a) == Q(2, 3) for a in b2.roots)
     by_norm = {Q(1): Q(1, 2), Q(2): Q(5)}   # short and long orbit
     m = Multiplicities(b2, [by_norm[b2.norm_sq(orbit[0])] for orbit in b2.root_orbits])
@@ -447,6 +447,28 @@ def test_descent_matches_box_property(fam, rank, data):
         top = top[:-1] + (2 * top[-1],)   # the BC weights have an even last label
     lam = datum.from_labels(top)
     assert set(datum.dominant_below(lam)) == _box_below(datum, lam)
+
+
+LABEL_SYSTEMS = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4),
+                 ("G", 2), ("BC", 2))
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@pytest.mark.parametrize("fam,rank", LABEL_SYSTEMS)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_label_kernel_matches_the_gram_form_property(fam, rank, data):
+    # for random rational vectors: the pairings read from the labels are
+    # 2 <v, alpha> / <alpha, alpha> on the Gram form (G2's is not the
+    # identity), and a vector of the root span comes back from its labels
+    datum = build_root_system(fam, rank)
+    v = data.draw(st.tuples(*[RATIONALS] * datum.dim))
+    assert datum.label_pairings(datum.labels(v)) == tuple(
+        2 * datum.inner(v, a) / datum.inner(a, a) for a in datum.roots)
+    coeffs = data.draw(st.tuples(*[RATIONALS] * rank))
+    w = tuple(sum(c * a[d] for c, a in zip(coeffs, datum.simple_roots))
+              for d in range(datum.dim))
+    assert datum.from_labels(datum.labels(w)) == w
 
 
 def test_e8_highest_root_interval():

@@ -6,6 +6,13 @@ package (a call, an attribute, a reference or an import, so an export in
 oracles belong in ``tests/oracles.py``; what the benchmark alone reads is
 listed in ``BENCH_ONLY`` with the file that reads it.  Dunder methods are
 exempt.
+
+Uses are matched to owners.  An attribute read through a class name
+(``ExpPoly.constant``), or through ``self``/``cls`` inside a class body,
+uses that class's method only.  A plain name or an import uses a definition
+outside any class.  An attribute read through anything else (``rep.ok``,
+``diffeq.verify_pieri``) cannot be resolved without types, so it uses every
+definition of that name.
 """
 
 import ast
@@ -24,23 +31,53 @@ BENCH_ONLY = {
     "exp_poly": "bench/workloads.py",
 }
 
+ANY = "*"   # the owner of a use that cannot be resolved
+
+
+def _scan(tree, classes: set, defined: list, used: set, where: str):
+    """Append (where:line, name, owner class or None) per definition under
+    tree to defined, and add (name, owner) per use to used: the owner of a
+    use is the class it names, None for a plain name, ANY if unresolved."""
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, ast.ClassDef):
+                defined.append((f"{where}:{child.lineno}", child.name, None))
+                inner = child.name
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a function nested in a function belongs to no class
+                defined.append((f"{where}:{child.lineno}", child.name,
+                                owner if isinstance(node, ast.ClassDef) else None))
+            elif isinstance(child, ast.Name):
+                used.add((child.id, None))
+            elif isinstance(child, ast.alias):
+                used.add((child.name, None))
+            elif isinstance(child, ast.Attribute):
+                base = child.value
+                if isinstance(base, ast.Name) and base.id in classes:
+                    used.add((child.attr, base.id))
+                elif isinstance(base, ast.Name) and base.id in ("self", "cls") and owner:
+                    used.add((child.attr, owner))
+                else:
+                    used.add((child.attr, ANY))
+            walk(child, inner)
+
+    walk(tree, None)
+
 
 def unused_definitions(src: Path) -> list:
-    """(file:line, name) of each non-dunder definition under src whose name
-    occurs nowhere under src except in its own definition."""
+    """(file:line, name) of each non-dunder definition under src that no use
+    under src reaches, uses being matched to owners as described above."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
     defined, used = [], set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{path.name}:{node.lineno}", node.name))
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    return [(where, name) for where, name in defined
-            if name not in used
+    for name, tree in trees.items():
+        _scan(tree, classes, defined, used, name)
+    return [(where, name) for where, name, owner in defined
+            if not ({(name, owner), (name, ANY)} & used)
             and not (name.startswith("__") and name.endswith("__"))]
 
 
@@ -50,6 +87,30 @@ def test_every_definition_in_src_is_used_in_src():
     assert not unexpected, f"defined in src/ but used only outside it: {unexpected}"
     # an allowlisted name that gains a caller in src/ leaves the list
     assert {name for _where, name in unused} == set(BENCH_ONLY)
+
+
+def test_uses_are_matched_to_their_owner(tmp_path):
+    # two methods share a name: the one its class names is used, the other
+    # is not, though its name occurs; a read through self reaches its own
+    # class's method, one through a variable every method of the name, and
+    # a plain name none of them
+    (tmp_path / "m.py").write_text(
+        "class A:\n"
+        "    def constant(self):\n        return 1\n"
+        "    def twice(self):\n        return self.once()\n"
+        "    def once(self):\n        return 2\n"
+        "class B:\n"
+        "    def constant(self):\n        return 2\n"
+        "    def shown(self):\n        return 3\n"
+        "    def named(self):\n        return 4\n"
+        "def use(x):\n"
+        "    named = 5\n"
+        "    return B.constant(x), A.twice(x), x.shown(), named\n"
+        "print(use)\n")
+    assert sorted(name for _where, name in unused_definitions(tmp_path)) == [
+        "constant", "named"]
+    assert [where for where, name in unused_definitions(tmp_path)
+            if name == "constant"] == ["m.py:2"]
 
 
 def test_bench_only_names_are_read_by_their_bench_file():

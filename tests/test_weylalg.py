@@ -7,7 +7,7 @@ import pytest
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg, vscale
 from hodiff.weylalg import (ExpPoly, apply_L, apply_L_labels, eigenvalue_E, exp_to_json,
                             expansion_E_omega, is_w_invariant, orbit_sum)
-from oracles import eval_at, exp_from_json
+from oracles import constant_multiplicities, eval_at, exp_from_json
 
 
 def test_orbit_sum_basics(a1, a2):
@@ -51,12 +51,12 @@ def test_multiplication_agrees_with_evaluation(a2, b2):
 
 
 def test_apply_l_annihilates_constants(a2):
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     assert apply_L(a2, g, ExpPoly.constant(5, a2.dim)).is_zero()
 
 
 def test_apply_l_rejects_non_invariant(a2):
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     with pytest.raises(ValueError):
         apply_L(a2, g, ExpPoly({a2.fundamental_weights[0]: Q(1)}))
 
@@ -74,7 +74,7 @@ def test_apply_l_preserves_invariance_and_triangularity(b2):
 
 
 def test_eigenvalue_examples(a1):
-    g = Multiplicities.constant(a1, Q(1))
+    g = constant_multiplicities(a1, Q(1))
     rho = a1.rho(g)
     assert eigenvalue_E(a1, g, rho) == 0
     w = a1.fundamental_weights[0]
@@ -140,7 +140,7 @@ def test_apply_l_untelescoped_string_is_fatal(a2, monkeypatch):
     # to zero, so the exact division must refuse rather than truncate
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     with pytest.raises(weylalg.InternalConsistencyError):
         apply_L(a2, g, ExpPoly({a2.fundamental_weights[0]: Q(1)}))
 
@@ -152,7 +152,7 @@ def test_is_w_invariant_rejects_off_lattice_exponents(a2):
 
 def test_apply_l_requires_exact_multiplicities(a2):
     with pytest.raises(ValueError, match="exact multiplicities required"):
-        apply_L(a2, Multiplicities.constant(a2, 0.5), ExpPoly.constant(1, a2.dim))
+        apply_L(a2, constant_multiplicities(a2, 0.5), ExpPoly.constant(1, a2.dim))
 
 
 def _campaign_polynomials(system):
@@ -210,7 +210,7 @@ def test_apply_l_support_outside_string_table_is_fatal(a2, monkeypatch):
     # P(omega_1)
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
-    g = Multiplicities.constant(a2, Q(3, 7))
+    g = constant_multiplicities(a2, Q(3, 7))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
         apply_L(a2, g, ExpPoly({vneg(a2.fundamental_weights[0]): Q(1)}))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
@@ -222,7 +222,7 @@ def test_string_table_keyed_by_maximal_dominant_labels():
     # mu < lam, reuses the table of P(lam), while omega_1 and omega_2 of B2
     # (in different cosets of the root lattice) are both maximal
     b2 = build_root_system("B", 2)
-    g = Multiplicities.constant(b2, Q(2, 5))
+    g = constant_multiplicities(b2, Q(2, 5))
     w1, w2 = b2.fundamental_weights
     lam = vadd(w1, w2)
     for mu in b2.dominant_below(lam):

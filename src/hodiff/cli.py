@@ -479,7 +479,14 @@ def cmd_verify(args) -> int:
             raise ValueError("--perturb: the negative controls edit the pieri suite only")
         if args.height is not None and not {"pieri", "eigen"} & set(suites):
             raise ValueError("--height: bounds lambda for the pieri and eigen suites only")
-        if not 1 <= args.samples <= MAX_SAMPLES:
+        for option, value, readers in (   # the suites whose drivers read it
+                ("--samples", args.samples, ("pieri", "eigen", "bc")),
+                ("--seed", args.seed, ("pieri", "eigen", "bc", "quasi", "whittaker"))):
+            if value is not None and not set(readers) & set(suites):
+                raise ValueError(f"{option}: read by the {', '.join(readers)} suites only")
+        samples = CampaignConfig.samples if args.samples is None else args.samples
+        seed = CampaignConfig.seed if args.seed is None else args.seed
+        if not 1 <= samples <= MAX_SAMPLES:
             raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
         try:
             height = CampaignConfig.height_bound if args.height is None else Q(args.height)
@@ -492,7 +499,7 @@ def cmd_verify(args) -> int:
             omegas = (datum.labels(_parse_omega(datum, args.omega)),)
         result = run_campaign(CampaignConfig(
             systems=systems, omegas=omegas, height_bound=height,
-            samples=args.samples, seed=args.seed, suites=suites,
+            samples=samples, seed=seed, suites=suites,
             perturb=args.perturb or None))
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -631,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "all small fundamentals (fundamental coefficients)")
     p.add_argument("--height", default=None,
                    help="height bound on lambda for the pieri and eigen suites (default 4)")
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--seed", type=int, default=20150801)
+    p.add_argument("--samples", type=int, help="samples per system (default 3)")
+    p.add_argument("--seed", type=int, help="default 20150801")
     p.add_argument("--perturb", default=None,
                    help="negative-control hook: u-sign or v-drop-pairing2")
     p.add_argument("--out")

@@ -193,14 +193,17 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
     """Exact Pieri identity for the nonreduced system at xi_j = rho_j + lam_j,
     compared on the dominant chamber below lam + e_1 + ... + e_n.  The
     ``LabelForm`` of E_ell is memoized on the datum under ell (an int, so
-    apart from the label tuples of ``expansion_labels``)."""
+    apart from the label tuples of ``expansion_labels``).  cache also keeps
+    the multiplicities of gs under (n, gs), with rho_g memoized on them."""
     gs = tuple(Q(x) for x in gs)
     lam = tuple(Q(x) for x in lam)
     cache = {} if cache is None else cache
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     datum = datum or build_root_system("BC", n)
-    mults = bc_multiplicities(datum, *gs)
+    mults = cache.get((n, gs))
+    if mults is None:
+        mults = cache[n, gs] = bc_multiplicities(datum, *gs)
     rho = datum.rho(mults)
     terms = pieri_terms_bc(n, gs, ell, lam, tuple(rho[j] + lam[j] for j in range(n)))
     poly = poly_cache_get(cache, datum, mults, lam)

@@ -5,7 +5,11 @@ function at argument -sinh^2(x/2) <= 0, which leaves the unit disk for
 moderate x.  Evaluation therefore goes through the Pfaff transformation,
 whose argument z/(z-1) always lies in [0,1); the plain series is kept as a
 cross-check on its own domain, and mpmath's hyp2f1 at extended precision
-pins spot values independently of both.
+pins spot values independently of both.  Point values and the residual
+sweep ``verify_de`` share one checked kernel, ``_checked_2f1``.  The sweep
+forms sinh^2(x/2), z and z/(z-1) once per x and the shift coefficients once
+per xi, in the float order of a per-point evaluation, so its residuals are
+bit-identical to those of three ``gauss_2f1_jacobi`` calls per point.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def series_2f1(a, b, c, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS) -> float:
     """Plain power series; only trustworthy for |z| < 1."""
     term = 1.0
     total = 1.0
-    for k in range(max_terms):
+    k = 0.0   # a float counter: a + k is the same float as with an int k
+    for _ in range(max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
         t = abs(term)
@@ -68,6 +73,7 @@ def series_2f1(a, b, c, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS) -> float:
             term *= (a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z
             total += term
             return total
+        k += 1.0
     if not math.isfinite(total):
         raise HypergeometricError(f"series overflow at argument {z}")
     raise HypergeometricError("series did not converge within the term cap")
@@ -86,17 +92,10 @@ def series_2f1_highprec(a, b, c, z, dps: int = 50):
         return mpmath.hyp2f1(*map(_to_mpf, (a, b, c, z)))
 
 
-def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
-    """Value of the rank-one spectral kernel at (xi, x).
-
-    Pfaff route: (1-z)^{-a} 2F1(a, c-b; c; z/(z-1)) with z = -sinh^2(x/2),
-    always convergent since z <= 0.  For |z| < 0.8 the plain series is also
-    summed and the two must agree to 1e-11.
-    """
-    a, b, c = params.abc
-    s = math.sinh(params.x / 2) ** 2
-    z = -s
-    w = z / (z - 1.0)
+def _checked_2f1(a, b, c, z, w) -> float:
+    """2F1(a, b; c; z) for z <= 0 and w = z/(z-1), by the Pfaff route
+    (1-z)^{-a} 2F1(a, c-b; c; w), always convergent.  For |z| < 0.8 the
+    plain series is also summed and the two must agree to 1e-11."""
     pfaff = (1.0 - z) ** (-a) * series_2f1(a, c - b, c, w)
     if abs(z) < 0.8:
         plain = series_2f1(a, b, c, z)
@@ -105,6 +104,14 @@ def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
                 f"series/Pfaff disagreement {plain} vs {pfaff} at z={z}")
         return plain
     return pfaff
+
+
+def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
+    """Value of the rank-one spectral kernel at (xi, x): ``_checked_2f1`` at
+    z = -sinh^2(x/2)."""
+    a, b, c = params.abc
+    z = -math.sinh(params.x / 2) ** 2
+    return _checked_2f1(a, b, c, z, z / (z - 1.0))
 
 
 def shift_coefficients(g1, g2, xi):
@@ -119,17 +126,6 @@ def shift_coefficients(g1, g2, xi):
     up = (xi + g1 * half + g2) * (1 + 2 * xi + g1) / (xi * (1 + 2 * xi))
     dn = (xi - g1 * half - g2) * (-1 + 2 * xi - g1) / (xi * (-1 + 2 * xi))
     return up, dn
-
-
-def de_residual(g1, g2, xi, x) -> float:
-    """Relative residual of the rank-one difference equation at one point."""
-    up, dn = shift_coefficients(g1, g2, xi)
-    f0 = gauss_2f1_jacobi(HypergeometricParams(g1, g2, xi, x))
-    fp = gauss_2f1_jacobi(HypergeometricParams(g1, g2, xi + 1, x))
-    fm = gauss_2f1_jacobi(HypergeometricParams(g1, g2, xi - 1, x))
-    lhs = up * (fp - f0) + dn * (fm - f0)
-    rhs = 4 * math.sinh(x / 2) ** 2 * f0
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
 @dataclass
@@ -157,14 +153,30 @@ class SweepReport:
 
 
 def verify_de(g1, g2, xi_grid, x_grid, tol=1e-9) -> SweepReport:
-    """Residual sweep over a (xi, x) grid, skipping coefficient poles."""
+    """Relative residuals of the rank-one difference equation over a (xi, x)
+    grid, skipping coefficient poles.  Each condition of
+    ``HypergeometricParams`` reads (g1, g2), xi or x alone, so each x (at the
+    first xi that is no pole) and each shift xi, xi+1, xi-1 is checked once."""
     report = SweepReport(g1=g1, g2=g2, tol=tol)
+    points = None   # (x, s, z, w) per x
     for xi in xi_grid:
         if min(abs(xi), abs(xi - 0.5), abs(xi + 0.5)) < 1e-9:
             report.skipped.append({"xi": xi, "reason": "coefficient pole"})
             continue
-        for x in x_grid:
-            report.rows.append((xi, x, de_residual(g1, g2, xi, x)))
+        if points is None:
+            points = []
+            for x in x_grid:
+                HypergeometricParams(g1, g2, xi, x)
+                s = math.sinh(x / 2) ** 2
+                z = -s
+                points.append((x, s, z, z / (z - 1.0)))
+        up, dn = shift_coefficients(g1, g2, xi)
+        shifts = [HypergeometricParams(g1, g2, v, 0.0).abc for v in (xi, xi + 1, xi - 1)]
+        for x, s, z, w in points:
+            f0, fp, fm = [_checked_2f1(a, b, c, z, w) for a, b, c in shifts]
+            lhs = up * (fp - f0) + dn * (fm - f0)
+            rhs = 4 * s * f0
+            report.rows.append((xi, x, abs(lhs - rhs) / max(1.0, abs(rhs))))
     return report
 
 

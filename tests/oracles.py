@@ -30,9 +30,13 @@ taking the root datum first:
 - ``eval_at`` and ``exp_from_json``: an ExpPoly evaluated at a point and
   read back from its ``exp_to_json`` form.
 
-Last, a constructor only the tests use:
+Last, a constructor and a per-point residual only the tests use:
 
-- ``constant_multiplicities``: the same multiplicity g on every root orbit.
+- ``constant_multiplicities``: the same multiplicity g on every root orbit;
+- ``de_residual``: the rank-one difference-equation residual at one point
+  from three ``gauss_2f1_jacobi`` calls, each with its own
+  ``HypergeometricParams`` (``rankone.verify_de`` shares that work over its
+  grid).
 """
 
 import itertools
@@ -42,6 +46,8 @@ from operator import mul
 
 from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
+from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
+                            shift_coefficients)
 from hodiff.rootsys import Multiplicities, vscale
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
                             expansion_E_omega, require_exact)
@@ -259,3 +265,14 @@ def exp_from_json(items):
 def constant_multiplicities(datum, g):
     """Multiplicities with the value g on every root orbit of datum."""
     return Multiplicities(datum, [g] * len(datum.root_orbits))
+
+
+def de_residual(g1, g2, xi, x) -> float:
+    """Relative residual of the rank-one difference equation at one point."""
+    up, dn = shift_coefficients(g1, g2, xi)
+    f0 = gauss_2f1_jacobi(HypergeometricParams(g1, g2, xi, x))
+    fp = gauss_2f1_jacobi(HypergeometricParams(g1, g2, xi + 1, x))
+    fm = gauss_2f1_jacobi(HypergeometricParams(g1, g2, xi - 1, x))
+    lhs = up * (fp - f0) + dn * (fm - f0)
+    rhs = 4 * math.sinh(x / 2) ** 2 * f0
+    return abs(lhs - rhs) / max(1.0, abs(rhs))

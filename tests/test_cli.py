@@ -241,9 +241,10 @@ def _pieri_report(family, rank, i, g, ok, perturb=None):
 
 F4_G = (Q(3, 7), Q(5, 11))
 
-# (producer of the bytes, their sha256).  All but the last three are free of
-# floats; those three are the float confluence suites, whose bytes also pin
-# the platform libm's exp and sqrt.
+# (producer of the bytes, their sha256).  The first ten are free of floats.
+# The rest hold float output, so their bytes also pin the platform libm's
+# exp, sqrt and sinh: the confluence suites, the rank-one sweep (its residual
+# bits) and the full default report.
 PINNED_OUTPUTS = (
     (_cli_output(["verify", "--suite", "pieri,eigen,bc,quasi"], 0),
      "eb379006af244da4fb6c4d440f73d6f6236a86458a67aa8098191b9895d5e3f6"),
@@ -277,6 +278,13 @@ PINNED_OUTPUTS = (
     (_cli_output(["whittaker-limits", "--family", "C", "--rank", "3", "--omega", "1,0,0",
                   "--xi", "1/31,-1/71,1/53", "--x", "0.2,-0.35,0.1"], 0),
      "6d70876c81e96cc6323e5c784aa802445be3e30dabfe8c6644ae7b5b70b53257"),
+    (_cli_output(["verify", "--suite", "rankone"], 0),
+     "bb0fab5dd657579d145819cc8253a7ba226127ab7dd6743177fa8f6fc11b4d5b"),
+    (_cli_output(["sweep-rank-one", "--csv"], 0),
+     "9b52b09d0a0af7207fe7aa7aae08e4ba69fccd8764b015ec02c7456e5bb2f3ad"),
+    # the default campaign, all six suites (about 1 s)
+    (_cli_output(["verify"], 0),
+     "5d26317e324f1d639bbb8c64e3b0835cc54374f8516e8519e8faad7b76447505"),
 )
 
 
@@ -286,7 +294,8 @@ PINNED_OUTPUTS = (
                               "pieri-e6-omega1", "pieri-f4-omega1-u-sign",
                               "pieri-e8-omega8", "pieri-e8-omega8-u-sign",
                               "whittaker-suite", "whittaker-limits-g2",
-                              "whittaker-limits-c3"])
+                              "whittaker-limits-c3", "rankone-suite",
+                              "sweep-rank-one-csv", "default-report"])
 def test_exact_outputs_are_byte_stable(tmp_path, produce, digest):
     assert hashlib.sha256(produce(tmp_path)).hexdigest() == digest
 
@@ -438,11 +447,34 @@ def test_unwritable_out_path_names_the_option(args, tmp_path, capsys):
     (["--suite", "bc", "--perturb", "u-sign"], "--perturb"),
     (["--suite", "eigen,quasi", "--perturb", "v-drop-pairing2"], "--perturb"),
     (["--suite", "bc,rankone", "--height", "2"], "--height"),
-], ids=["perturb-bc", "perturb-eigen", "height-bc"])
+    (["--suite", "rankone", "--samples", "5", "--seed", "3"], "--samples"),
+    (["--suite", "rankone", "--seed", "3"], "--seed"),
+    (["--suite", "quasi,whittaker", "--samples", "2"], "--samples"),
+    (["--suite", "quasi", "--samples", "1", "--seed", "3"], "--samples"),
+], ids=["perturb-bc", "perturb-eigen", "height-bc", "samples-rankone",
+        "seed-rankone", "samples-quasi-whittaker", "samples-quasi"])
 def test_options_a_selection_ignores_are_rejected(args, option, capsys):
-    # a negative control on suites it does not edit, or a height bound on
-    # suites without lambdas, would silently check nothing: exit 2
+    # a negative control on suites it does not edit, a height bound on
+    # suites without lambdas, or a sample count or seed for suites that draw
+    # nothing from it, would silently check nothing: exit 2
     assert run(["verify", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--suite", "quasi", "--seed", "3"],
+    ["--suite", "bc", "--samples", "1", "--seed", "3"],
+    ["--suite", "quasi,rankone", "--seed", "3"],
+], ids=["seed-quasi", "samples-seed-bc", "seed-quasi-rankone"])
+def test_options_a_selected_suite_reads_are_accepted(args, tmp_path):
+    # quasi draws its points from --seed; bc reads both options
+    assert run(["verify", *args, "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_sweep_rank_one_rejects_an_x_past_the_bound_mid_grid(capsys):
+    assert run(["sweep-rank-one", "--x", "0.2,9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hodiff import nonreduced
 from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp,
                                coeff_V_signed, expansion_E_ell, is_partition,
                                pieri_terms_bc, rank_one_shift_coefficient,
@@ -187,6 +188,19 @@ def test_pieri_bc_sweep(bc1, bc2):
     for ell in (1, 2):
         for lam in [(a, b) for a in range(3) for b in range(a + 1)]:
             assert verify_pieri_bc(2, GS, ell, lam, cache=cache, datum=bc2).ok
+
+
+def test_pieri_bc_builds_multiplicities_once_per_triple(bc2, monkeypatch):
+    # the (ell, lam) calls of one sample share the multiplicities and rho_g
+    built = []
+    real = nonreduced.bc_multiplicities
+    monkeypatch.setattr(nonreduced, "bc_multiplicities",
+                        lambda *args: built.append(args[1:]) or real(*args))
+    cache = {}
+    for ell in (1, 2):
+        for lam in ((0, 0), (1, 0), (1, 1)):
+            assert verify_pieri_bc(2, GS, ell, lam, cache=cache, datum=bc2).ok
+    assert built == [GS]
 
 
 def test_bc_multiplicities_by_length(bc2):

@@ -1,16 +1,20 @@
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodiff import rankone
+from hodiff.cli import DE_PARAMETER_PAIRS, DE_X_GRID, DE_XI_GRID
 from hodiff.rankone import (HypergeometricError, HypergeometricParams,
                             bc1_crosscheck, bc1_orbit_sum_in_s,
-                            de_coefficients_match_rr, de_residual,
+                            de_coefficients_match_rr,
                             gauss_2f1_jacobi, jacobi_poly_1d, recurrence_rr,
                             SERIES_MAX_TERMS, SERIES_TOL, series_2f1,
                             series_2f1_highprec, shift_coefficients,
                             verify_de)
+from oracles import de_residual
 
 # spot value pinned at 50 digits, by a brute-force series summation and by
 # mpmath's hyp2f1, for the parameter point (g1, g2, xi, x) =
@@ -74,6 +78,71 @@ def test_de_pole_skip():
 def test_de_trivial_at_origin():
     # both shifted differences vanish at x = 0
     assert de_residual(0.5, 1 / 3, 0.77, 0.0) < 1e-14
+    assert verify_de(0.5, 1 / 3, (0.77,), (0.0,)).rows[0][2] < 1e-14
+
+
+def _is_pole(xi):
+    return min(abs(xi), abs(xi - 0.5), abs(xi + 0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("grid", [
+    (DE_XI_GRID, DE_X_GRID),
+    ((0.3, 0.5, -1.3, -0.5, 2.6), (0.0, 0.2, -1.7, 4.0)),
+], ids=["default", "poles-and-origin"])
+def test_sweep_rows_equal_the_per_point_oracle_bit_for_bit(grid):
+    # sharing the per-x and per-xi work over the grid changes no bit of any
+    # residual: the sweep equals three gauss_2f1_jacobi calls per point
+    xi_grid, x_grid = grid
+    rng = random.Random("rank-one-sweep-oracle")
+    pairs = list(DE_PARAMETER_PAIRS) + [
+        (rng.uniform(0.1, 3.0), rng.uniform(0.05, 2.0)) for _ in range(20)]
+    for g1, g2 in pairs:
+        rep = verify_de(g1, g2, xi_grid, x_grid)
+        expected = [(xi, x, de_residual(g1, g2, xi, x).hex())
+                    for xi in xi_grid if not _is_pole(xi) for x in x_grid]
+        assert [(xi, x, r.hex()) for xi, x, r in rep.rows] == expected, (g1, g2)
+        assert [row["xi"] for row in rep.skipped] == [xi for xi in xi_grid if _is_pole(xi)]
+
+
+def test_sweep_sums_every_series_of_the_per_point_checks(monkeypatch):
+    # per non-pole xi: three shifts at each x, each a Pfaff series plus, for
+    # |z| < 0.8, the plain series of the cross-check
+    calls = []
+    real = rankone.series_2f1
+    monkeypatch.setattr(rankone, "series_2f1",
+                        lambda *args: calls.append(args) or real(*args))
+    verify_de(0.5, 1 / 3, DE_XI_GRID + (0.5,), DE_X_GRID)
+    in_disk = sum(math.sinh(x / 2) ** 2 < 0.8 for x in DE_X_GRID)
+    assert in_disk == 3
+    assert len(calls) == len(DE_XI_GRID) * (
+        3 * 2 * in_disk + 3 * 1 * (len(DE_X_GRID) - in_disk)) == 120
+
+
+def test_sweep_keeps_the_series_pfaff_cross_check(monkeypatch):
+    # a plain series (argument z < 0) off by 1e-9 must trip the agreement
+    # check inside the sweep, at an x inside the disk
+    real = rankone.series_2f1
+    monkeypatch.setattr(rankone, "series_2f1", lambda a, b, c, z: real(a, b, c, z)
+                        * (1 + 1e-9 if z < 0 else 1))
+    verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5,))
+    with pytest.raises(HypergeometricError, match="disagreement"):
+        verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5, 0.6))
+
+
+@pytest.mark.parametrize("g1,g2,xi_grid,x_grid", [
+    (0.5, 1 / 3, DE_XI_GRID, (0.2, 0.6, 9.0, 1.7)),
+    (0.5, 1 / 3, DE_XI_GRID, (0.2, -8.5, 1.1)),
+    (0.5, 1 / 3, DE_XI_GRID, (0.2, math.nan, 1.1)),
+    (0.5, 1 / 3, (0.3, 0.77, math.nan, 2.6), DE_X_GRID),
+    (0.5, 1 / 3, (0.3, 0.77, math.inf, 2.6), DE_X_GRID),
+    (-0.5, 0.0, (0.5, 0.77, 1.2), DE_X_GRID),
+    (-2.25, -0.25, (0.5, 0.77, 1.2), DE_X_GRID),
+], ids=["x-past-bound", "x-below-bound", "x-nan", "xi-nan", "xi-inf",
+        "c-zero", "c-minus-two"])
+def test_sweep_rejects_bad_parameters_mid_grid(g1, g2, xi_grid, x_grid):
+    # each HypergeometricParams check still runs for every x and every shift
+    with pytest.raises(ValueError):
+        verify_de(g1, g2, xi_grid, x_grid)
 
 
 def test_recurrence_exact():

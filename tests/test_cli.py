@@ -186,12 +186,14 @@ def test_whittaker_limits_command(capsys):
 
 @pytest.mark.parametrize("args", [
     ["sweep-rank-one", "--g1", "1", "--g2", "1", "--xi", "1", "--x", "20"],
+    ["sweep-rank-one", "--x", "0.2,9"],
     ["sweep-rank-one", "--g1", "-0.5", "--g2", "0", "--xi", "1", "--x", "1"],
     ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
      "--xi", "0,0", "--x", "0.25,-0.1,-0.15"],
     ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
      "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15", "--t", "1e6"],
-], ids=["x-out-of-domain", "series-pole", "spectral-pole", "t-overflow"])
+], ids=["x-out-of-domain", "x-out-of-domain-mid-grid", "series-pole",
+        "spectral-pole", "t-overflow"])
 def test_numeric_commands_reject_bad_input(args, capsys):
     # a domain error, a pole or an overflow is bad input: exit 2 with a
     # one-line message and no traceback
@@ -471,10 +473,3 @@ def test_options_a_selection_ignores_are_rejected(args, option, capsys):
 def test_options_a_selected_suite_reads_are_accepted(args, tmp_path):
     # quasi draws its points from --seed; bc reads both options
     assert run(["verify", *args, "--out", str(tmp_path / "r.json")]) == 0
-
-
-def test_sweep_rank_one_rejects_an_x_past_the_bound_mid_grid(capsys):
-    assert run(["sweep-rank-one", "--x", "0.2,9"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -24,7 +24,6 @@ SCHEMA = "hodiff/1"
 EXIT_PASS, EXIT_FAIL, EXIT_INVALID = 0, 1, 2
 
 PIERI_SYSTEMS = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2))
-QUASI_SYSTEMS = PIERI_SYSTEMS
 HOMOGENEITY_SYSTEMS = (("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2))
 
 # frozen spectral/base points for the confluence suite; pairings are kept
@@ -46,6 +45,16 @@ WHITTAKER_ZETA = 1.3
 # negative height) and one larger than these caps
 MAX_HEIGHT = 6
 MAX_SAMPLES = 10
+# per suite, in report order, the `verify` options its drivers read; an
+# option that no selected suite reads is rejected
+SUITE_READS = {
+    "pieri": ("--height", "--samples", "--seed", "--perturb"),
+    "eigen": ("--height", "--samples", "--seed"),
+    "bc": ("--samples", "--seed"),
+    "quasi": ("--seed",),
+    "whittaker": ("--seed",),
+    "rankone": (),
+}
 
 
 @dataclass
@@ -55,7 +64,7 @@ class CampaignConfig:
     height_bound: Q = Q(4)
     samples: int = 3
     seed: int = 20150801
-    suites: tuple = ("pieri", "eigen", "bc", "quasi", "whittaker", "rankone")
+    suites: tuple = tuple(SUITE_READS)
     perturb: str | None = None
     tol_de: float = 1e-9
     tol_confluence: float = 1e-6
@@ -106,16 +115,16 @@ def _label(datum: RootDatum) -> str:
     return f"{datum.family}{datum.rank}"
 
 
-def _sample_with_retry(datum, seed, sample_idx, run, max_attempts=24):
-    """Draw multiplicities deterministically, resampling on any pole."""
-    for attempt in range(max_attempts):
-        rng = random.Random(f"{seed}:{_label(datum)}:{sample_idx}:{attempt}")
-        mults = diffeq.sample_multiplicities(datum, rng)
+def _sample_with_retry(tag, draw, run):
+    """(sample, run(sample)) for the first of 24 attempts k whose sample,
+    drawn by draw from a Random seeded with f"{tag}:{k}", hits no pole."""
+    for attempt in range(24):
+        sample = draw(random.Random(f"{tag}:{attempt}"))
         try:
-            return mults, run(mults)
+            return sample, run(sample)
         except diffeq.PoleAtSpectralPoint:
             continue
-    raise RuntimeError(f"no pole-free multiplicity sample found for {_label(datum)}")
+    raise RuntimeError(f"no pole-free sample found for {tag}")
 
 
 # -- suite drivers -------------------------------------------------------------
@@ -148,7 +157,9 @@ def pieri_cases(config: CampaignConfig, data: dict | None = None):
             return reports, cache
 
         for s in range(config.samples):
-            mults, (reports, cache) = _sample_with_retry(datum, config.seed, s, run)
+            mults, (reports, cache) = _sample_with_retry(
+                f"{config.seed}:{_label(datum)}:{s}",
+                lambda rng, _d=datum: diffeq.sample_multiplicities(_d, rng), run)
             out.append({"datum": datum, "sample": s, "mults": mults,
                         "reports": reports, "cache": cache})
     return out
@@ -186,23 +197,17 @@ def bc_cases(config: CampaignConfig, data: dict | None = None):
              2: [(a, b) for a in range(4) for b in range(a + 1)]}
     for n, ells in jobs:
         datum = _datum(data, "BC", n)
+
+        def run(gs, _n=n, _d=datum, _e=ells):
+            cache = {}   # fresh per attempt, as in pieri_cases
+            return [nonreduced.verify_pieri_bc(_n, gs, ell, lam, cache=cache, datum=_d)
+                    for ell in _e for lam in parts[_n]]
+
         for s in range(config.samples):
-            for attempt in range(24):
-                rng = random.Random(f"{config.seed}:bc:{n}:{s}:{attempt}")
-                gs = tuple(Q(rng.randint(1, 12), rng.randint(2, 13))
-                           for _ in range(3))
-                cache = {}
-                reports = []
-                try:
-                    for ell in ells:
-                        for lam in parts[n]:
-                            reports.append(nonreduced.verify_pieri_bc(
-                                n, gs, ell, lam, cache=cache, datum=datum))
-                except diffeq.PoleAtSpectralPoint:
-                    continue
-                break
-            else:
-                raise RuntimeError("no pole-free multiplicity triple found")
+            gs, reports = _sample_with_retry(
+                f"{config.seed}:bc:{n}:{s}",
+                lambda rng: tuple(Q(rng.randint(1, 12), rng.randint(2, 13))
+                                  for _ in range(3)), run)
             out.append({"n": n, "sample": s, "gs": gs, "reports": reports})
     # rank-one coefficient match with the displayed single-shift form
     coeff_rows = []
@@ -223,7 +228,7 @@ def quasi_cases(config: CampaignConfig, data: dict | None = None):
     """Half-sum identity at five pole-free rational spectral points, plus the
     collapse consistency of the general term data, per applicable system."""
     out = []
-    for family, rank in QUASI_SYSTEMS:
+    for family, rank in PIERI_SYSTEMS:
         datum = _datum(data, family, rank)
         omega = datum.quasi_minuscule_weight()
         m0 = Q(len(datum.weyl_orbit(omega)))
@@ -436,14 +441,10 @@ def _emit(payload, out_path):
 
 
 def cmd_jacobi(args) -> int:
-    try:
-        datum = build_root_system(args.family, args.rank)
-        lam = _parse_lambda(datum, "--lambda", args.lam)
-        gvals = _parse_rational_list("--g", args.g, len(datum.root_orbits))
-        mults = Multiplicities(datum, gvals)
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    datum = build_root_system(args.family, args.rank)
+    lam = _parse_lambda(datum, "--lambda", args.lam)
+    gvals = _parse_rational_list("--g", args.g, len(datum.root_orbits))
+    mults = Multiplicities(datum, gvals)
     poly = jacobi.jacobi_polynomial(datum, mults, lam)
     eigen = jacobi.verify_eigen(datum, mults, lam, poly)
     lead_ok = (poly.leading_coefficient()
@@ -457,53 +458,44 @@ def cmd_jacobi(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suite.split(",")) \
-        if args.suite != "all" else CampaignConfig().suites
+        if args.suite != "all" else tuple(SUITE_READS)
     systems, omegas = PIERI_SYSTEMS, None
+    if args.family or args.rank is not None:
+        if not args.family or args.rank is None:
+            raise ValueError("--family and --rank go together")
+        if not set(suites) <= {"pieri", "eigen"} or args.family == "BC":
+            raise ValueError("--family/--rank select reduced systems for the pieri and "
+                             "eigen suites only; BC is checked by the bc suite")
+        systems = ((args.family, args.rank),)
+    if args.omega and not args.family:
+        raise ValueError("--omega requires --family/--rank")
+    unknown = set(suites) - set(SUITE_READS)
+    if unknown or not suites:
+        raise ValueError(f"unknown or empty suite selection {sorted(unknown)}")
+    if args.perturb and args.perturb not in diffeq.PERTURBATIONS:
+        raise ValueError(f"unknown perturbation {args.perturb}")
+    for option, value in (("--height", args.height), ("--samples", args.samples),
+                          ("--seed", args.seed), ("--perturb", args.perturb or None)):
+        readers = [suite for suite, reads in SUITE_READS.items() if option in reads]
+        if value is not None and not set(readers) & set(suites):
+            raise ValueError(f"{option}: read only by the suites {', '.join(readers)}")
+    samples = CampaignConfig.samples if args.samples is None else args.samples
+    seed = CampaignConfig.seed if args.seed is None else args.seed
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
     try:
-        if args.family or args.rank is not None:
-            if not args.family or args.rank is None:
-                raise ValueError("--family and --rank go together")
-            if not set(suites) <= {"pieri", "eigen"} or args.family == "BC":
-                raise ValueError("--family/--rank select reduced systems for the "
-                                 "pieri and eigen suites only; BC is checked by "
-                                 "the bc suite")
-            systems = ((args.family, args.rank),)
-        if args.omega and not args.family:
-            raise ValueError("--omega requires --family/--rank")
-        unknown = set(suites) - set(CampaignConfig().suites)
-        if unknown or not suites:
-            raise ValueError(f"unknown or empty suite selection {sorted(unknown)}")
-        if args.perturb and args.perturb not in diffeq.PERTURBATIONS:
-            raise ValueError(f"unknown perturbation {args.perturb}")
-        if args.perturb and "pieri" not in suites:
-            raise ValueError("--perturb: the negative controls edit the pieri suite only")
-        if args.height is not None and not {"pieri", "eigen"} & set(suites):
-            raise ValueError("--height: bounds lambda for the pieri and eigen suites only")
-        for option, value, readers in (   # the suites whose drivers read it
-                ("--samples", args.samples, ("pieri", "eigen", "bc")),
-                ("--seed", args.seed, ("pieri", "eigen", "bc", "quasi", "whittaker"))):
-            if value is not None and not set(readers) & set(suites):
-                raise ValueError(f"{option}: read by the {', '.join(readers)} suites only")
-        samples = CampaignConfig.samples if args.samples is None else args.samples
-        seed = CampaignConfig.seed if args.seed is None else args.seed
-        if not 1 <= samples <= MAX_SAMPLES:
-            raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
-        try:
-            height = CampaignConfig.height_bound if args.height is None else Q(args.height)
-        except (ValueError, ZeroDivisionError):
-            height = None
-        if height is None or not 0 <= height <= MAX_HEIGHT:
-            raise ValueError(f"--height must be a rational between 0 and {MAX_HEIGHT}")
-        if args.omega:
-            datum = build_root_system(args.family, args.rank)
-            omegas = (datum.labels(_parse_omega(datum, args.omega)),)
-        result = run_campaign(CampaignConfig(
-            systems=systems, omegas=omegas, height_bound=height,
-            samples=samples, seed=seed, suites=suites,
-            perturb=args.perturb or None))
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        height = CampaignConfig.height_bound if args.height is None else Q(args.height)
+    except (ValueError, ZeroDivisionError):
+        height = None
+    if height is None or not 0 <= height <= MAX_HEIGHT:
+        raise ValueError(f"--height must be a rational between 0 and {MAX_HEIGHT}")
+    if args.omega:
+        datum = build_root_system(args.family, args.rank)
+        omegas = (datum.labels(_parse_omega(datum, args.omega)),)
+    result = run_campaign(CampaignConfig(
+        systems=systems, omegas=omegas, height_bound=height,
+        samples=samples, seed=seed, suites=suites,
+        perturb=args.perturb or None))
     _emit(result.summary(), args.out)
     return EXIT_PASS if result.n_fail == 0 else EXIT_FAIL
 
@@ -516,15 +508,10 @@ def _factor_latex(row, denom=False):
 
 
 def cmd_coeffs(args) -> int:
-    try:
-        datum = build_root_system(args.family, args.rank)
-        omega = _parse_omega(datum, args.omega)
-        entries = diffeq.pieri_index(datum, omega)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    datum = build_root_system(args.family, args.rank)
+    omega = _parse_omega(datum, args.omega)
     terms = []
-    for entry in entries:
+    for entry in diffeq.pieri_index(datum, omega):
         v_factors, per_eta = diffeq.symbolic_factors(datum, entry)
         term = {"nu": [_q_str(v) for v in entry.nu],
                 "nu_plus": [_q_str(v) for v in entry.nu_plus],
@@ -561,16 +548,12 @@ def _parse_float_list(option: str, text: str, increasing: bool = False) -> list:
 
 
 def cmd_sweep_rank_one(args) -> int:
-    try:
-        for option, g in (("--g1", args.g1), ("--g2", args.g2)):
-            if not math.isfinite(g):
-                raise ValueError(f"{option}: {g} is not finite")
-        xi_grid = _parse_float_list("--xi", args.xi)
-        x_grid = _parse_float_list("--x", args.x)
-        report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    for option, g in (("--g1", args.g1), ("--g2", args.g2)):
+        if not math.isfinite(g):
+            raise ValueError(f"{option}: {g} is not finite")
+    xi_grid = _parse_float_list("--xi", args.xi)
+    x_grid = _parse_float_list("--x", args.x)
+    report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
     if args.csv:
         lines = ["xi,x,residual"] + [f"{xi},{x},{r:.6e}" for xi, x, r in report.rows]
         _emit("\n".join(lines) + "\n", args.out)
@@ -580,32 +563,27 @@ def cmd_sweep_rank_one(args) -> int:
 
 
 def cmd_whittaker_limits(args) -> int:
+    datum = build_root_system(args.family, args.rank)
+    omega = _parse_omega(datum, args.omega)
+    xi = datum.weight_from_fundamental(
+        _parse_rational_list("--xi", args.xi, datum.rank))
     try:
-        datum = build_root_system(args.family, args.rank)
-        omega = _parse_omega(datum, args.omega)
-        xi = datum.weight_from_fundamental(
-            _parse_rational_list("--xi", args.xi, datum.rank))
-        try:
-            diffeq.float_table(datum.pairings(xi))
-        except OverflowError:
-            raise ValueError("--xi: a pairing with a coroot is too large for "
-                             "float arithmetic") from None
-        x = _parse_float_list("--x", args.x)
-        if len(x) != datum.dim:
-            raise ValueError(f"--x: need {datum.dim} base-point coordinates")
-        t_list = _parse_float_list("--t", args.t, increasing=True)
+        diffeq.float_table(datum.pairings(xi))
+    except OverflowError:
+        raise ValueError("--xi: a pairing with a coroot is too large for "
+                         "float arithmetic") from None
+    x = _parse_float_list("--x", args.x)
+    if len(x) != datum.dim:
+        raise ValueError(f"--x: need {datum.dim} base-point coordinates")
+    t_list = _parse_float_list("--t", args.t, increasing=True)
+    try:
         report = whittaker.verify_confluence(datum, omega, xi, x,
                                              t_list=t_list, tol=args.tol)
         # dressed-limit prefactors, logged for inspection only
         norms = [{"t": t, "log_gamma_prefactor":
                   whittaker.log_normalization_constant(datum, t)} for t in t_list]
     except OverflowError:
-        print("error: a coupling in --t is too large for float arithmetic",
-              file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("a coupling in --t is too large for float arithmetic") from None
     _emit({"schema": SCHEMA, "confluence": report.to_dict(),
            "normalization": norms}, args.out)
     return EXIT_PASS if report.ok else EXIT_FAIL
@@ -629,8 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_jacobi)
 
     p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument("--suite", default="all",
-                   help="comma list from pieri,eigen,bc,quasi,whittaker,rankone")
+    p.add_argument("--suite", default="all", help="comma list from " + ",".join(SUITE_READS))
     p.add_argument("--family")
     p.add_argument("--rank", type=int)
     p.add_argument("--omega", default=None,
@@ -678,10 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The one error exit: bad input (a ValueError or an ArithmeticError) and
+    an unwritable --out print one line and return 2; other errors propagate."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OutputError as exc:
+    except (ValueError, ArithmeticError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -154,9 +154,10 @@ class SweepReport:
 
 def verify_de(g1, g2, xi_grid, x_grid, tol=1e-9) -> SweepReport:
     """Relative residuals of the rank-one difference equation over a (xi, x)
-    grid, skipping coefficient poles.  Each condition of
-    ``HypergeometricParams`` reads (g1, g2), xi or x alone, so each x (at the
-    first xi that is no pole) and each shift xi, xi+1, xi-1 is checked once."""
+    grid, skipping coefficient poles (ValueError if no xi is free of them).
+    Each condition of ``HypergeometricParams`` reads (g1, g2), xi or x alone,
+    so each x (at the first xi that is no pole) and each shift xi, xi+1, xi-1
+    is checked once."""
     report = SweepReport(g1=g1, g2=g2, tol=tol)
     points = None   # (x, s, z, w) per x
     for xi in xi_grid:
@@ -177,6 +178,8 @@ def verify_de(g1, g2, xi_grid, x_grid, tol=1e-9) -> SweepReport:
             lhs = up * (fp - f0) + dn * (fm - f0)
             rhs = 4 * s * f0
             report.rows.append((xi, x, abs(lhs - rhs) / max(1.0, abs(rhs))))
+    if points is None:
+        raise ValueError("every xi of the grid is a coefficient pole")
     return report
 
 

@@ -1,13 +1,15 @@
 import gc
 import hashlib
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
 
-from hodiff import cli
-from hodiff.diffeq import verify_pieri
+from hodiff import cli, diffeq, jacobi, nonreduced
+from hodiff.diffeq import PoleAtSpectralPoint, verify_pieri
 from hodiff.rootsys import Multiplicities, RootDatum, build_root_system
+from hodiff.weylalg import InternalConsistencyError
 
 
 def run(args):
@@ -192,11 +194,15 @@ def test_whittaker_limits_command(capsys):
      "--xi", "0,0", "--x", "0.25,-0.1,-0.15"],
     ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
      "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15", "--t", "1e6"],
+    ["sweep-rank-one", "--xi", "0.5,-0.5", "--x", "9"],
+    ["sweep-rank-one", "--xi", "0.5", "--x", "0.2"],
 ], ids=["x-out-of-domain", "x-out-of-domain-mid-grid", "series-pole",
-        "spectral-pole", "t-overflow"])
+        "spectral-pole", "t-overflow", "every-xi-a-pole-x-out-of-domain",
+        "every-xi-a-pole"])
 def test_numeric_commands_reject_bad_input(args, capsys):
-    # a domain error, a pole or an overflow is bad input: exit 2 with a
-    # one-line message and no traceback
+    # a domain error, a pole, an overflow or a grid with no pole-free xi (so
+    # nothing checked) is bad input: exit 2 with a one-line message and no
+    # traceback
     assert run(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -445,6 +451,19 @@ def test_unwritable_out_path_names_the_option(args, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+# which suite's drivers read which verify option, written out here apart
+# from cli.SUITE_READS; OPTION_VALUES keeps an accepted campaign small
+SUITES = ("pieri", "eigen", "bc", "quasi", "whittaker", "rankone")
+OPTION_VALUES = {"--height": "0", "--samples": "1", "--seed": "3", "--perturb": "u-sign"}
+READS = {("pieri", "--height"), ("pieri", "--samples"), ("pieri", "--seed"),
+         ("pieri", "--perturb"), ("eigen", "--height"), ("eigen", "--samples"),
+         ("eigen", "--seed"), ("bc", "--samples"), ("bc", "--seed"),
+         ("quasi", "--seed"), ("whittaker", "--seed")}
+GRID = [(suite, option) for suite in SUITES for option in OPTION_VALUES]
+IGNORED = [(["--suite", suite, option, OPTION_VALUES[option]], option)
+           for suite, option in GRID if (suite, option) not in READS]
+
+
 @pytest.mark.parametrize("args,option", [
     (["--suite", "bc", "--perturb", "u-sign"], "--perturb"),
     (["--suite", "eigen,quasi", "--perturb", "v-drop-pairing2"], "--perturb"),
@@ -453,8 +472,9 @@ def test_unwritable_out_path_names_the_option(args, tmp_path, capsys):
     (["--suite", "rankone", "--seed", "3"], "--seed"),
     (["--suite", "quasi,whittaker", "--samples", "2"], "--samples"),
     (["--suite", "quasi", "--samples", "1", "--seed", "3"], "--samples"),
-], ids=["perturb-bc", "perturb-eigen", "height-bc", "samples-rankone",
-        "seed-rankone", "samples-quasi-whittaker", "samples-quasi"])
+] + IGNORED, ids=["perturb-bc", "perturb-eigen", "height-bc", "samples-rankone",
+                  "seed-rankone", "samples-quasi-whittaker", "samples-quasi"]
+   + [f"{args[1]}{option}" for args, option in IGNORED])
 def test_options_a_selection_ignores_are_rejected(args, option, capsys):
     # a negative control on suites it does not edit, a height bound on
     # suites without lambdas, or a sample count or seed for suites that draw
@@ -469,7 +489,88 @@ def test_options_a_selection_ignores_are_rejected(args, option, capsys):
     ["--suite", "quasi", "--seed", "3"],
     ["--suite", "bc", "--samples", "1", "--seed", "3"],
     ["--suite", "quasi,rankone", "--seed", "3"],
-], ids=["seed-quasi", "samples-seed-bc", "seed-quasi-rankone"])
+] + [["--suite", suite, option, OPTION_VALUES[option]]
+     for suite, option in GRID if (suite, option) in READS],
+    ids=["seed-quasi", "samples-seed-bc", "seed-quasi-rankone"]
+    + [f"{suite}{option}" for suite, option in GRID if (suite, option) in READS])
 def test_options_a_selected_suite_reads_are_accepted(args, tmp_path):
-    # quasi draws its points from --seed; bc reads both options
-    assert run(["verify", *args, "--out", str(tmp_path / "r.json")]) == 0
+    # quasi draws its points from --seed; bc reads both options.  Each grid
+    # case also passes the smallest --samples and --height its suite reads;
+    # a perturbed pieri campaign runs and fails its checks: exit 1
+    for option in ("--samples", "--height"):
+        if (args[1], option) in READS and option not in args:
+            args = args + [option, OPTION_VALUES[option]]
+    code = 1 if "--perturb" in args else 0
+    assert run(["verify", *args, "--out", str(tmp_path / "r.json")]) == code
+
+
+@pytest.mark.parametrize("error,code", [
+    (InternalConsistencyError, None), (RuntimeError, None), (ValueError, 2)])
+def test_main_exits_2_on_bad_input_only(error, code, monkeypatch, capsys):
+    # main turns a ValueError or ArithmeticError into exit 2; a broken
+    # invariant or any other error is a bug and must not look like bad input
+    def broken(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(jacobi, "verify_eigen", broken)
+    args = ["jacobi", "--family", "A", "--rank", "1", "--lambda", "1", "--g", "1/2"]
+    if code is None:
+        with pytest.raises(error, match="planted"):
+            cli.main(args)
+    else:
+        assert cli.main(args) == code
+        assert capsys.readouterr().err == "error: planted\n"
+
+
+def _plant_poles(monkeypatch, module, name, every):
+    """Make the first call (every call if every) of module.name raise
+    PoleAtSpectralPoint; returns the list of all calls made."""
+    calls = []
+    real = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        if every or len(calls) == 1:
+            raise PoleAtSpectralPoint((1, -1), "planted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
+    return calls
+
+
+def _draw(tag, orbits):
+    # one multiplicity per orbit, as the campaign draws them
+    rng = random.Random(tag)
+    return tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(orbits))
+
+
+def test_campaign_redraws_a_sample_that_hits_a_pole(monkeypatch):
+    # a pole on the first call of a sample discards attempt 0: the sample
+    # is attempt 1's draw, seeded with f"{tag}:1"
+    config = cli.CampaignConfig(systems=(("A", 1),), samples=1, height_bound=Q(0))
+    tag = f"{config.seed}:A1:0"
+    assert _draw(f"{tag}:0", 1) != _draw(f"{tag}:1", 1)
+    _plant_poles(monkeypatch, diffeq, "verify_pieri", every=False)
+    (res,) = cli.pieri_cases(config)
+    assert res["mults"].values == _draw(f"{tag}:1", 1)
+    assert all(rep.ok for rep in res["reports"])
+
+    tag = f"{config.seed}:bc:1:0"
+    assert _draw(f"{tag}:0", 3) != _draw(f"{tag}:1", 3)
+    _plant_poles(monkeypatch, nonreduced, "verify_pieri_bc", every=False)
+    results, _rows = cli.bc_cases(config)
+    assert [res["gs"] for res in results] == [
+        _draw(f"{tag}:1", 3), _draw(f"{config.seed}:bc:2:0:0", 3)]
+    assert all(rep.ok for res in results for rep in res["reports"])
+
+
+@pytest.mark.parametrize("module,name,driver", [
+    (diffeq, "verify_pieri", cli.pieri_cases),
+    (nonreduced, "verify_pieri_bc", cli.bc_cases),
+], ids=["pieri", "bc"])
+def test_campaign_gives_up_after_24_poles(module, name, driver, monkeypatch):
+    calls = _plant_poles(monkeypatch, module, name, every=True)
+    config = cli.CampaignConfig(systems=(("A", 1),), samples=1, height_bound=Q(0))
+    with pytest.raises(RuntimeError, match="no pole-free sample"):
+        driver(config)
+    assert len(calls) == 24

@@ -73,6 +73,9 @@ def test_de_residual_grid():
 def test_de_pole_skip():
     rep = verify_de(0.5, 1 / 3, (0.5, 0.77), (0.2,))
     assert len(rep.skipped) == 1 and len(rep.rows) == 1
+    # a grid of poles only would check nothing, its x unvalidated
+    with pytest.raises(ValueError, match="every xi"):
+        verify_de(0.5, 1 / 3, (0.5, -0.5, 0.0), (9.0,))
 
 
 def test_de_trivial_at_origin():

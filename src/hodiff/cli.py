@@ -547,10 +547,16 @@ def _parse_float_list(option: str, text: str, increasing: bool = False) -> list:
     return values
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol: {tol} is not a finite positive number")
+
+
 def cmd_sweep_rank_one(args) -> int:
     for option, g in (("--g1", args.g1), ("--g2", args.g2)):
         if not math.isfinite(g):
             raise ValueError(f"{option}: {g} is not finite")
+    _check_tol(args.tol)
     xi_grid = _parse_float_list("--xi", args.xi)
     x_grid = _parse_float_list("--x", args.x)
     report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
@@ -575,6 +581,13 @@ def cmd_whittaker_limits(args) -> int:
     x = _parse_float_list("--x", args.x)
     if len(x) != datum.dim:
         raise ValueError(f"--x: need {datum.dim} base-point coordinates")
+    _check_tol(args.tol)
+    try:   # e^<nu,x> on P(omega) peaks on W omega; e^<omega,x> is the limit
+        exps = [whittaker.ebar(datum, v, x) for v in datum.weyl_orbit(omega)]
+    except OverflowError:
+        exps = []
+    if not exps or not whittaker.ebar(datum, omega, x):
+        raise ValueError("--x: the base point is too far out for float arithmetic")
     t_list = _parse_float_list("--t", args.t, increasing=True)
     try:
         report = whittaker.verify_confluence(datum, omega, xi, x,

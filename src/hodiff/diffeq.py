@@ -10,6 +10,7 @@ errors so that callers can resample multiplicities.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -17,7 +18,7 @@ from functools import cache
 from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
-from .rootsys import Multiplicities, RootDatum, Vector, vadd, weight_str
+from .rootsys import Multiplicities, RootDatum, Vector, support_codes, vadd, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       require_exact)
@@ -39,29 +40,16 @@ class PoleAtSpectralPoint(ArithmeticError):
 
 
 @cache
-def _entries(n: int, sign: int) -> tuple:
-    """The entries (i, 0, 1) and (i, 1, sign) for i < n, shared by every
-    factor list so that a large index holds no copies of them."""
-    return tuple((i, 0, 1) for i in range(n)), tuple((i, 1, sign) for i in range(n))
+def _entries(n: int) -> tuple:
+    """V's and U's factor-list entries for n roots by ``support_codes`` code
+    2i + s: (i, 0, 1), then (i, 1, 1) for V or (i, 1, -1) for U; shared by
+    every factor list, so that a large index holds no copies of them."""
+    v = tuple((i, s, 1) for i in range(n) for s in (0, 1))
+    return v, tuple((i, s, -1 if s else 1) for i, s, _e in v)
 
 
-def _factor_list(pairs: tuple, indices, sign: int) -> tuple:
-    """(i, 0, 1) for each root index i (ascending) with pairs[i] > 0,
-    followed by (i, 1, sign) where pairs[i] is 2."""
-    shift0, shift1 = _entries(len(pairs), sign)
-    out = []
-    for i in indices:
-        k = pairs[i]
-        if k > 0:
-            out.append(shift0[i])
-            if k == 2:
-                out.append(shift1[i])
-    return tuple(out)
-
-
-def _orthogonal(pairs: tuple) -> list:
-    """Indices of the roots a with <nu, a^vee> = 0, nu with these pairings."""
-    return [i for i, k in enumerate(pairs) if k == 0]
+def _factors(table: tuple, codes) -> tuple:
+    return tuple(map(table.__getitem__, codes))
 
 
 def term_factors(datum: RootDatum, nu: Vector, eta: Vector | None = None) -> tuple:
@@ -73,10 +61,11 @@ def term_factors(datum: RootDatum, nu: Vector, eta: Vector | None = None) -> tup
     same over the roots orthogonal to nu, by their pairing with eta, with
     e=-1 in the s=1 factor.  Root order, shift 0 before shift 1.
     """
+    v_table, u_table = _entries(len(datum.roots))
     nu_pairs = datum.pairings(nu)
     if eta is None:
-        return _factor_list(nu_pairs, range(len(nu_pairs)), 1)
-    return _factor_list(datum.pairings(eta), _orthogonal(nu_pairs), -1)
+        return _factors(v_table, support_codes(nu_pairs))
+    return _factors(u_table, support_codes(datum.pairings(eta), nu_pairs))
 
 
 def perturbed(factors: tuple, perturb: str | None) -> tuple:
@@ -164,15 +153,20 @@ def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi
 
 @dataclass(frozen=True)
 class PieriTermIndex:
-    """One nu with its shortest dominating word and stabilizer orbit of eta,
-    and the factor lists of V_nu and of each U_{nu,eta}."""
-    nu: Vector
+    """One nu with its shortest dominating word and the stabilizer orbit of
+    eta, on labels, and the factor lists of V_nu and of each U_{nu,eta}.
+    The vectors nu, nu+ and eta are built when read, by a weak reference to
+    the datum, in whose ``index_memo`` the index lives (no reference cycle)."""
+    datum_ref: weakref.ref = field(repr=False)
     nu_labels: tuple
     word: tuple
-    nu_plus: Vector
-    etas: tuple
+    plus_labels: tuple
+    eta_labels: tuple
     v_factors: tuple
     u_factors: tuple
+    nu = property(lambda e: e.datum_ref().from_labels(e.nu_labels))
+    nu_plus = property(lambda e: e.datum_ref().from_labels(e.plus_labels))
+    etas = property(lambda e: tuple(map(e.datum_ref().from_labels, e.eta_labels)))
 
 
 IndexCacheInfo = namedtuple("IndexCacheInfo", "hits misses")
@@ -181,8 +175,8 @@ _index_counts = {"hits": 0, "misses": 0}
 
 def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     """Index set of the difference equation: nu in P(omega) with the orbit
-    W_nu(w_nu^{-1} omega) attached to each (``stabilizer_orbits``), and the
-    factor lists read from the integer pairing rows of nu and eta.
+    W_nu(w_nu^{-1} omega) attached to each and the factor lists of nu and
+    eta, both carried down the Weyl descent (``stabilizer_orbits``).
     Memoized on the datum under omega's labels (``index_memo``);
     ``pieri_index.cache_info()`` counts that memo's hits and misses over
     every datum.  Reduced systems only: the nonreduced BC equation has its
@@ -199,18 +193,12 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     omega = datum.from_labels(top)
     if not datum.is_small(omega):
         raise ValueError(f"{weight_str(omega)} is not small")
-    pairs = datum.label_pairings
-    vectors = datum.from_labels
-    entries = []
-    for l, word, plus, etas in datum.stabilizer_orbits(top):
-        nu_pairs = pairs(l)
-        orth = _orthogonal(nu_pairs)
-        entries.append(PieriTermIndex(
-            nu=vectors(l), nu_labels=l, word=word, nu_plus=vectors(plus),
-            etas=tuple(map(vectors, etas)),
-            v_factors=_factor_list(nu_pairs, range(len(nu_pairs)), 1),
-            u_factors=tuple(_factor_list(pairs(e), orth, -1) for e in etas)))
-    found = datum.index_memo[top] = tuple(entries)
+    v_table, u_table = _entries(len(datum.roots))
+    ref = weakref.ref(datum)
+    found = datum.index_memo[top] = tuple(
+        PieriTermIndex(ref, l, word, plus, tuple(etas), _factors(v_table, v),
+                       tuple(_factors(u_table, codes) for codes in us))
+        for l, word, plus, etas, v, us in datum.stabilizer_orbits(top))
     return found
 
 
@@ -219,9 +207,9 @@ pieri_index.cache_info = lambda: IndexCacheInfo(**_index_counts)
 
 def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
                 lam: tuple, perturb: str | None = None):
-    """Surviving (entry, eta, U*V) triples at the spectral point rho_g + lambda,
-    for lam the labels of a dominant lambda and entry the ``PieriTermIndex``
-    of nu.
+    """Surviving (entry, eta labels, U*V) triples at the spectral point
+    rho_g + lambda, for lam the labels of a dominant lambda and entry the
+    ``PieriTermIndex`` of nu.
 
     The pairings of the point are those of the labels of rho_g plus lam.
     Every factor list is evaluated on integers over one ``scaled_table`` of
@@ -241,7 +229,7 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
               for f in entry.u_factors]
         if all(a + b >= 0 for a, b in zip(lam, entry.nu_labels)):
             out.extend((entry, eta, Q(u_num * v_num, u_den * v_den))
-                       for eta, (u_num, u_den) in zip(entry.etas, us))
+                       for eta, (u_num, u_den) in zip(entry.eta_labels, us))
         elif v_num and perturb is None:
             raise InternalConsistencyError(
                 f"V did not vanish at the excluded shift nu={weight_str(entry.nu)}, "

@@ -7,10 +7,11 @@ types use rational Gram matrices with long roots normalized to squared
 length 2.
 
 Inside, the combinatorics runs on Dynkin labels l = (<v, alpha_i^vee>)_i,
-which are integer tuples for weights.  Three tables are built once per
+which are integer tuples for weights.  Four tables are built once per
 datum: the Cartan rows (the labels of the simple roots), the labels of every
-root, and every root's coroot coefficients c_i(alpha) = <omega_i, alpha^vee>.
-Then <v, alpha^vee> = sum_i c_i l_i and s_alpha(l) = l - <v, alpha^vee>
+root, every root's coroot coefficients c_i(alpha) = <omega_i, alpha^vee>, and
+per simple reflection the permutation of the roots (``root_perms``).  Then
+<v, alpha^vee> = sum_i c_i l_i and s_alpha(l) = l - <v, alpha^vee>
 labels(alpha).  A realization vector is hashed once, where it enters the
 kernel (``labels``); every other memo of a datum is keyed by labels, and the
 exact engines (``jacobi``, ``diffeq``, ``nonreduced``) carry weights as labels
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction as Q
+from functools import cache
 from operator import mul
 
 Vector = tuple[Q, ...]
@@ -43,15 +45,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
 
 def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
-
-
-def vscale(c, u: Vector) -> Vector:
-    c = Q(c)
-    return tuple(c * a for a in u)
-
-
-def vzero(dim: int) -> Vector:
-    return (Q(0),) * dim
 
 
 def _q_str(c: Q) -> str:
@@ -78,21 +71,41 @@ def _step(l, k, row):
     return tuple(a - k * b for a, b in zip(l, row))
 
 
-def invert_rational_matrix(m):
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
+def support_codes(row, within=None) -> list:
+    """Code 2i per root index i (ascending) with row[i] > 0, then 2i + 1 if
+    row[i] is 2, over every root or the roots orthogonal to a weight with
+    pairing row within: ``diffeq``'s factor lists as ``root_perms`` moves them."""
+    out = []
+    for i, k in enumerate(row):
+        if k > 0 and (within is None or within[i] == 0):
+            out.append(2 * i)
+            if k == 2:
+                out.append(2 * i + 1)
+    return out
+
+
+def _integer_inverse(m):
+    """(d, rows) with m^{-1} = rows / d, for an invertible integer matrix m:
+    Gauss-Jordan on integer rows, each divided by its content."""
     n = len(m)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, row in enumerate(m)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        factor = aug[col][col]
-        aug[col] = [x / factor for x in aug[col]]
+        p = aug[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != col and aug[r][col]:
+                row = [p[col] * x - aug[r][col] * y for x, y in zip(aug[r], p)]
+                c = math.gcd(*row)
+                aug[r] = [x // c for x in row]
+    d = math.lcm(*(row[i] for i, row in enumerate(aug)))
+    return d, [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(aug)]
+
+
+def _reduced(den: int, rows):
+    """rows / den over the lcm of its reduced denominators: (lcm, numerators)."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 def _chain(count: int, dim: int) -> list:
@@ -138,7 +151,10 @@ class RootDatum:
     """A realized irreducible root system with its Weyl combinatorics.
 
     The roots and the label tables are fixed at construction, from integer
-    rows over one denominator.  Results are memoized on the instance the
+    rows over one denominator (the Cartan matrix, its inverse and the
+    duality check of the fundamental weights included), and so is
+    ``root_perms``, from which the Pieri index carries its factor lists down
+    the Weyl descent.  Results are memoized on the instance the
     first time they are asked for: the labels of a vector under the vector
     (the only vector-keyed memo), everything else under the labels of a
     weight: pairings, Weyl orbits, dominance intervals, saturated maps and
@@ -160,46 +176,46 @@ class RootDatum:
         self.dim = dim
         self.gram = tuple(tuple(row) for row in gram) if gram is not None else None
         self.simple_roots: tuple[Vector, ...] = tuple(simples)
-        self._simple_norms = tuple(self.inner(a, a) for a in simples)
 
-        cartan = [[2 * self.inner(a, b) / n for b, n in zip(simples, self._simple_norms)]
-                  for a in simples]
-        if any(x.denominator != 1 for row in cartan for x in row):
+        # the simple roots as integer rows over den and their images under
+        # the Gram form over gden: den^2 gden <alpha_i, alpha_j> = ip[i][j]
+        den = math.lcm(*(x.denominator for a in simples for x in a))
+        rows = [[(x * den).numerator for x in a] for a in simples]
+        gden = 1 if gram is None else math.lcm(*(x.denominator for r in gram for x in r))
+        gint = ([[int(i == j) for j in range(dim)] for i in range(dim)] if gram is None
+                else [[(x * gden).numerator for x in r] for r in gram])
+        forms = [[sum(map(mul, a, col)) for col in zip(*gint)] for a in rows]
+        ip = [[sum(map(mul, a, f)) for f in forms] for a in rows]
+        snum, sden = [ip[k][k] for k in range(rank)], den * den * gden
+        self._simple_norms = tuple(Q(x, sden) for x in snum)
+        if any(2 * x % n for row in ip for x, n in zip(row, snum)):
             raise ValueError("simple roots are not crystallographic")
         # cartan[i] = labels of alpha_i
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
-            tuple(x.numerator for x in row) for row in cartan)
-        self._cartan_inv = invert_rational_matrix(cartan)
-        # height(v) = sum_i l_i height_row[i] / height_den on labels: the
-        # row sums of cartan^{-1} are the heights of the fundamental weights
-        row = [sum(r) for r in self._cartan_inv]
-        self.height_den = math.lcm(*(x.denominator for x in row))
-        self.height_row: tuple[int, ...] = tuple(
-            (x * self.height_den).numerator for x in row)
+            tuple(2 * x // n for x, n in zip(row, snum)) for row in ip)
+        # cartan^{-1} = cinv / cden.  height(v) = sum_i l_i height_row[i] /
+        # height_den on labels: the row sums of cartan^{-1} are the heights
+        # of the fundamental weights
+        cden, cinv = _integer_inverse(self.cartan)
+        self.height_den, (self.height_row,) = _reduced(cden, [[sum(r) for r in cinv]])
 
         # vector coordinate d of sum_k n_k alpha_k is
         # sum_k n_k _simple_rows[d][k] / den
-        den = math.lcm(*(x.denominator for a in simples for x in a))
-        self._simple_rows = tuple(tuple((x * den).numerator for x in col)
-                                  for col in zip(*simples))
-        # omega_i = sum_k (cartan^{-1})[i][k] alpha_k, checked on the Gram
-        # form: ``pairing`` reads the label kernel only for the roots in
-        # root_index, which is filled below
-        fund = [tuple(Q(sum(map(mul, row, c)), den) for row in self._simple_rows)
-                for c in self._cartan_inv]
+        self._simple_rows = tuple(zip(*rows))
+        # omega_i = sum_k (cartan^{-1})[i][k] alpha_k = w[i] / (cden den),
+        # checked on integers: <omega_i, alpha_j^vee> = 2 w[i].forms[j]
+        # / (cden snum_j) must be 1 if i = j, else 0
+        w = [[sum(map(mul, c, col)) for col in self._simple_rows] for c in cinv]
+        if any(2 * sum(map(mul, wi, forms[j])) != (i == j) * cden * snum[j]
+               for i, wi in enumerate(w) for j in range(rank)):
+            raise ValueError("fundamental weights failed duality check")
+        fund = [tuple(Q(x, cden * den) for x in wi) for wi in w]
         self.fundamental_weights: tuple[Vector, ...] = tuple(fund)
-        self.root_index: dict[Vector, int] = {}
-        for i in range(rank):
-            for j in range(rank):
-                if self.pairing(fund[i], self.simple_roots[j]) != (1 if i == j else 0):
-                    raise ValueError("fundamental weights failed duality check")
 
         # roots as simple-root coefficients n, alpha = sum_k n_k alpha_k, with
         # labels l(n) = sum_k n_k cartan[k].  With |alpha_k|^2 = snum_k / sden
         # and <alpha_k, alpha> = l_k |alpha_k|^2 / 2, the integer
         # t(n) = sum_k n_k l_k snum_k is 2 sden |alpha|^2
-        sden = math.lcm(*(x.denominator for x in self._simple_norms))
-        snum = tuple((x * sden).numerator for x in self._simple_norms)
         label_of = {n: tuple(sum(map(mul, n, col)) for col in zip(*self.cartan))
                     for n in self._simple_root_closure()}
         twice_of = {n: sum(map(mul, map(mul, n, l), snum)) for n, l in label_of.items()}
@@ -214,10 +230,17 @@ class RootDatum:
         nums = {n: tuple(sum(map(mul, row, n)) for row in self._simple_rows)
                 for n in label_of}
         order = sorted(label_of, key=nums.__getitem__)
+        coord = {x: Q(x, den) for n in order for x in nums[n]}
         self.roots: tuple[Vector, ...] = tuple(
-            tuple(Q(x, den) for x in nums[n]) for n in order)
+            tuple(map(coord.__getitem__, nums[n])) for n in order)
         self.root_index = {a: i for i, a in enumerate(self.roots)}
         self.root_labels: tuple[tuple[int, ...], ...] = tuple(map(label_of.get, order))
+        # root_perms[j][r] is the index of s_j alpha_r, so that
+        # <s_j u, alpha_r^vee> = <u, alpha_{root_perms[j][r]}^vee>
+        index = {l: i for i, l in enumerate(self.root_labels)}
+        self.root_perms: tuple[tuple[int, ...], ...] = tuple(
+            tuple(index[_step(l, l[j], row)] for l in self.root_labels)
+            for j, row in enumerate(self.cartan))
         twice = tuple(map(twice_of.get, order))
         # |alpha|^2 per root, read by index (``norm_sq`` for a root vector)
         self.root_norms: tuple[Q, ...] = tuple(Q(t, 2 * sden) for t in twice)
@@ -239,16 +262,11 @@ class RootDatum:
                                      for row in self.coroot_coefficients for c in row)
 
         # from_labels: coordinate d is sum_i l_i * _fund_rows[d][i] / _fund_den
-        self._fund_den = math.lcm(*(x.denominator for w in fund for x in w))
-        self._fund_rows = tuple(tuple((x * self._fund_den).numerator for x in col)
-                                for col in zip(*fund))
+        self._fund_den, self._fund_rows = _reduced(cden * den, list(zip(*w)))
         # <omega_i, omega_j> = (cartan^{-1})[j][i] |alpha_i|^2 / 2, held as
         # weight_gram[i][j] / weight_gram_den, so <v, v> = l G l / den on labels
-        gram_w = [[self._cartan_inv[j][i] * self._simple_norms[i] / 2
-                   for j in range(rank)] for i in range(rank)]
-        self.weight_gram_den = math.lcm(*(x.denominator for row in gram_w for x in row))
-        self.weight_gram: tuple[tuple[int, ...], ...] = tuple(
-            tuple((x * self.weight_gram_den).numerator for x in row) for row in gram_w)
+        self.weight_gram_den, self.weight_gram = _reduced(
+            2 * cden * sden, [[cinv[j][i] * snum[i] for j in range(rank)] for i in range(rank)])
 
         # memos: labels under the vector (the one vector-keyed memo), the
         # rest under integer labels (of a weight, or of the dominant element
@@ -271,6 +289,10 @@ class RootDatum:
             tuple(map(self.roots.__getitem__, orb)) for orb in orbits)
         ids = {i: k for k, orb in enumerate(orbits) for i in orb}
         self.root_orbit_ids: tuple[int, ...] = tuple(ids[i] for i in range(len(self.roots)))
+        # per root orbit, the label sum of its positive roots (``rho_labels``)
+        positive = set(self.positive_indices)
+        self._orbit_label_sums = tuple(tuple(map(sum, zip(*(
+            self.root_labels[i] for i in orb if i in positive)))) for orb in orbits)
 
     # -- bilinear form ------------------------------------------------------
 
@@ -288,9 +310,7 @@ class RootDatum:
     def pairing(self, v: Vector, alpha: Vector) -> Q:
         """<v, alpha^vee>, exact for any two vectors of the realization: read
         from the label kernel (``pairings``) when alpha is in ``root_index``,
-        else 2 <v, alpha> / <alpha, alpha> by the Gram form (so on the Gram
-        form for every alpha while the constructor checks the kernel's
-        fundamental weights)."""
+        else 2 <v, alpha> / <alpha, alpha> by the Gram form."""
         i = self.root_index.get(alpha)
         if i is None:
             return 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
@@ -390,6 +410,16 @@ class RootDatum:
                 return l, steps
             l = _step(l, l[i], self.cartan[i])
             steps.append(i)
+
+    def _greedy(self, l: tuple, memo: dict) -> tuple:
+        """``_make_dominant(l)`` as (result, its steps reversed), memoized in
+        memo: the greedy chains of one orbit share their tails."""
+        found = memo.get(l)
+        if found is None:
+            i = next((j for j, k in enumerate(l) if k < 0), None)
+            plus, w = (l, ()) if i is None else self._greedy(_step(l, l[i], self.cartan[i]), memo)
+            found = memo[l] = (plus, w if i is None else w + (i,))
+        return found
 
     def _apply_word(self, word, l: tuple) -> tuple:
         """Labels of s_{i1} ... s_{im} v for word (i1, ..., im), v with labels l."""
@@ -504,33 +534,41 @@ class RootDatum:
     def stabilizer_orbits(self, top: tuple) -> list:
         """For each nu of P(omega), omega with dominant labels top, in the
         order of the vectors: (labels of nu, word, labels of nu+, labels of
-        W_nu(w^{-1} omega) in the order of the vectors), w the shortest
-        element with w nu = nu+ (``_make_dominant``).
+        the etas of W_nu(w^{-1} omega) in the order of the vectors, the
+        ``support_codes`` of nu, per eta those over the roots orthogonal to
+        nu), w the shortest element with w nu = nu+ (``_make_dominant``).
 
         As omega is dominant, W_nu(w^{-1} omega) = w^{-1} W_J omega with W_J
         the stabilizer of nu+, for any w with w nu = nu+.  So the set of
         s_j nu is s_j applied to the set of nu: W_J omega is found once per
-        nu+ (``parabolic_orbit``) and carried down the descent from nu+."""
+        nu+ (``parabolic_orbit``) and carried down the descent from nu+.
+        Pairing rows are read at omega and each nu+ only: as s_j permutes
+        the roots (``root_perms``), the codes of s_j u are those of u mapped
+        through perm_j and sorted, in W_J omega as down the descent."""
+        perms = [tuple(2 * p + s for p in perm for s in (0, 1)) for perm in self.root_perms]
+        omega_row = self.label_pairings(top)
         sets = {}
         for plus in self.below_labels(top):
             for l, step in self._dominant_orbit(plus).items():
                 if step is None:
-                    sets[l] = list(self.parabolic_orbit(plus, top))
+                    row = self.label_pairings(plus)
+                    etas = {}
+                    for x, up in self.parabolic_orbit(plus, top).items():
+                        etas[x] = (support_codes(omega_row, row) if up is None
+                                   else sorted(map(perms[up[1]].__getitem__, etas[up[0]])))
+                    sets[l] = (support_codes(row), etas)
                 else:
                     u, j = step
-                    sets[l] = [_step(x, x[j], self.cartan[j]) for x in sets[u]]
-        keys = {}
-
-        def key(l):
-            found = keys.get(l)
-            if found is None:
-                found = keys[l] = self._vector_key(l)
-            return found
-
+                    perm, (v, etas) = perms[j].__getitem__, sets[u]
+                    sets[l] = (sorted(map(perm, v)), {
+                        _step(x, x[j], self.cartan[j]): sorted(map(perm, codes))
+                        for x, codes in etas.items()})
+        key, words = cache(self._vector_key), {}
         out = []
         for l in sorted(sets, key=key):
-            plus, steps = self._make_dominant(l)
-            out.append((l, tuple(steps[::-1]), plus, sorted(sets[l], key=key)))
+            (plus, w), (v, etas) = self._greedy(l, words), sets[l]
+            order = sorted(etas, key=key)
+            out.append((l, w, plus, order, v, [etas[x] for x in order]))
         return out
 
     def weyl_order(self) -> int:
@@ -685,24 +723,24 @@ class RootDatum:
 
     # -- rho vectors -----------------------------------------------------------
 
-    def half_weighted_sum(self, weight_of_root) -> Vector:
-        """(1/2) sum over positive roots of weight(alpha) * alpha."""
-        acc = vzero(self.dim)
-        for a in self.positive_roots:
-            acc = vadd(acc, vscale(weight_of_root(a), a))
-        return vscale(Q(1, 2), acc)
+    def rho_labels(self, mults: "Multiplicities") -> tuple:
+        """The labels of rho_g = (1/2) sum_{alpha > 0} g_alpha alpha: half of
+        sum_o Q(g_o) times the integer label sum of the positive roots of
+        orbit o, exact for float g too (memoized on mults)."""
+        if mults._rho_labels is None:
+            mults._rho_labels = tuple(
+                _exact(sum(map(mul, map(Q, mults.values), col)) / 2)
+                for col in zip(*self._orbit_label_sums))
+        return mults._rho_labels
 
     def rho(self, mults: "Multiplicities") -> Vector:
-        """rho_g = (1/2) sum_{alpha > 0} g_alpha alpha, memoized on mults."""
+        """rho_g as ``from_labels`` of ``rho_labels``, its labels entered in
+        the vector memo of ``labels`` (memoized on mults)."""
         if mults._rho is None:
-            mults._rho = self.half_weighted_sum(mults.of)
+            l = self.rho_labels(mults)
+            mults._rho = self.from_labels(l)
+            self._labels.setdefault(mults._rho, l)
         return mults._rho
-
-    def rho_labels(self, mults: "Multiplicities") -> tuple:
-        """The labels of rho_g, memoized on mults next to rho_g."""
-        if mults._rho_labels is None:
-            mults._rho_labels = self.labels(self.rho(mults))
-        return mults._rho_labels
 
     def __repr__(self):
         return f"RootDatum({self.family}{self.rank})"
@@ -725,9 +763,6 @@ class Multiplicities:
         self.values = values
         self.root_values = tuple(values[i] for i in datum.root_orbit_ids)
         self._rho = self._rho_labels = None
-
-    def of(self, alpha: Vector):
-        return self.root_values[self.datum.root_index[alpha]]
 
     def key(self):
         return tuple(self.values)

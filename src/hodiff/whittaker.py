@@ -253,11 +253,12 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     table = float_table(datum.pairings(xi))
     g_list = [toda.multiplicities_at(t).root_values for t in t_list]
     for entry in pieri_index(datum, omega):
-        rate_plus = rate_of(datum.labels(entry.nu_plus))
+        rate_plus = rate_of(entry.plus_labels)
         rate_u = float(rate_omega - rate_plus)
-        rows = [("V", f"nu={entry.nu}", entry.v_factors, float(rate_plus))]
-        rows += [("U", f"nu={entry.nu}, eta={eta_wt}", factors, rate_u)
-                 for eta_wt, factors in zip(entry.etas, entry.u_factors)]
+        nu = datum.from_labels(entry.nu_labels)
+        rows = [("V", f"nu={nu}", entry.v_factors, float(rate_plus))]
+        rows += [("U", f"nu={nu}, eta={datum.from_labels(eta)}", factors, rate_u)
+                 for eta, factors in zip(entry.eta_labels, entry.u_factors)]
         for family, label, factors, rate in rows:
             bar = float(limit_product(datum, factors, xi))
             devs = [abs(math.exp(-t * rate) * factor_product(datum, factors, table, g)

@@ -48,7 +48,7 @@ from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
-from hodiff.rootsys import Multiplicities, vscale
+from hodiff.rootsys import Multiplicities
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
                             expansion_E_omega, require_exact)
 from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
@@ -209,6 +209,76 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
     return rows
 
 
+def vscale(c, u):
+    """The vector c u."""
+    c = Q(c)
+    return tuple(c * a for a in u)
+
+
+def half_weighted_sum(datum, weight_of_root):
+    """(1/2) sum over positive roots of weight(alpha) * alpha, as a vector:
+    the package forms rho_g on labels (``RootDatum.rho_labels``)."""
+    acc = (Q(0),) * datum.dim
+    for a in datum.positive_roots:
+        acc = tuple(x + y for x, y in zip(acc, vscale(weight_of_root(a), a)))
+    return vscale(Q(1, 2), acc)
+
+
+def multiplicity_of(mults, alpha):
+    """g_alpha for a root vector alpha."""
+    return mults.root_values[mults.datum.root_index[alpha]]
+
+
+def invert_rational_matrix(m):
+    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
+    n = len(m)
+    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        factor = aug[col][col]
+        aug[col] = [x / factor for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _factor_list(pairs, indices, sign):
+    """(i, 0, 1) for each root index i (ascending) with pairs[i] > 0,
+    followed by (i, 1, sign) where pairs[i] is 2."""
+    out = []
+    for i in indices:
+        k = pairs[i]
+        if k > 0:
+            out.append((i, 0, 1))
+            if k == 2:
+                out.append((i, 1, sign))
+    return tuple(out)
+
+
+def scan_pieri_index(datum, omega):
+    """Per nu of P(omega), in the order of the vectors: (labels of nu, word,
+    labels of nu+, labels of the etas, V's list, the U lists), each list
+    scanned from the pairing rows of nu and eta (``label_pairings``), the
+    etas being the stabilizer orbit ``stabilizer_orbit`` finds on its own:
+    the package carries both down the Weyl descent instead."""
+    out = []
+    for nu in sorted(datum.saturated_map(omega)):
+        l = datum.labels(nu)
+        plus, steps = datum._make_dominant(l)
+        word = tuple(steps[::-1])
+        start = datum.from_labels(datum._apply_word(steps, datum.labels(omega)))
+        etas = tuple(map(datum.labels, datum.stabilizer_orbit(nu, start)))
+        pairs = datum.label_pairings(l)
+        orth = [i for i, k in enumerate(pairs) if k == 0]
+        out.append((l, word, plus, etas, _factor_list(pairs, range(len(pairs)), 1),
+                    tuple(_factor_list(datum.label_pairings(e), orth, -1) for e in etas)))
+    return out
+
+
 def orbit_under_reflections(datum, gen_roots, v):
     """Orbit of v (in the root span) under the reflections in gen_roots,
     sorted: the generic label search over every generator."""
@@ -228,7 +298,8 @@ def simple_coefficients(datum, v):
     l = datum.labels(v)
     if datum.from_labels(l) != v:
         return None
-    return tuple(sum((l[j] * datum._cartan_inv[j][k] for j in range(datum.rank)), Q(0))
+    inv = invert_rational_matrix(datum.cartan)
+    return tuple(sum((l[j] * inv[j][k] for j in range(datum.rank)), Q(0))
                  for k in range(datum.rank))
 
 
@@ -239,7 +310,7 @@ def dominance_leq(datum, mu, lam):
 
 def rho_vee(datum):
     """rho^vee = (1/2) sum_{alpha > 0} alpha^vee, alpha^vee = 2 alpha / |alpha|^2."""
-    return datum.half_weighted_sum(lambda a: 2 / datum.norm_sq(a))
+    return half_weighted_sum(datum, lambda a: 2 / datum.norm_sq(a))
 
 
 def eval_at(datum, p, x):

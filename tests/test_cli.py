@@ -165,10 +165,15 @@ def test_weights_in_errors_print_as_p_over_q(args, message, capsys):
 @pytest.mark.parametrize("option,value,other", [
     ("--xi", "1e400,1/3", "--t"),
     ("--t", "10,20,3000", "--xi"),
-], ids=["xi", "t"])
+    ("--x", "1e300,0,0", "--t"),
+    ("--x", "0,1119,1119", "--t"),
+    ("--x", "0,800,-800", "--t"),
+], ids=["xi", "t", "x", "x-underflow", "x-orbit"])
 def test_float_overflow_names_the_option_at_fault(option, value, other, capsys):
     # a huge xi pairing overflows as a float in the confluence sweep, a huge
-    # t in g(t): exit 2 with one line naming the option that caused it
+    # t in g(t), a far base point in e^<nu,x> (for omega itself, for its
+    # limit rounding to 0, or for another element of its orbit): exit 2 with
+    # one line naming the option that caused it
     args = {"--family": "A", "--rank": "2", "--omega": "1,0",
             "--xi": "1/40,-1/80", "--x": "0.25,-0.1,-0.15"}
     args[option] = value
@@ -196,9 +201,20 @@ def test_whittaker_limits_command(capsys):
      "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15", "--t", "1e6"],
     ["sweep-rank-one", "--xi", "0.5,-0.5", "--x", "9"],
     ["sweep-rank-one", "--xi", "0.5", "--x", "0.2"],
+    ["sweep-rank-one", "--tol", "nan"],
+    ["sweep-rank-one", "--tol", "-1"],
+    ["sweep-rank-one", "--tol", "0"],
+    ["sweep-rank-one", "--tol", "inf"],
+    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
+     "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "nan"],
+    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
+     "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "inf"],
+    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
+     "--xi", "1/40", "--x", "1e300,0"],
 ], ids=["x-out-of-domain", "x-out-of-domain-mid-grid", "series-pole",
         "spectral-pole", "t-overflow", "every-xi-a-pole-x-out-of-domain",
-        "every-xi-a-pole"])
+        "every-xi-a-pole", "tol-nan", "tol-negative", "tol-zero", "tol-inf",
+        "limits-tol-nan", "limits-tol-inf", "limits-x-overflow"])
 def test_numeric_commands_reject_bad_input(args, capsys):
     # a domain error, a pole, an overflow or a grid with no pole-free xi (so
     # nothing checked) is bad input: exit 2 with a one-line message and no
@@ -249,7 +265,7 @@ def _pieri_report(family, rank, i, g, ok, perturb=None):
 
 F4_G = (Q(3, 7), Q(5, 11))
 
-# (producer of the bytes, their sha256).  The first ten are free of floats.
+# (producer of the bytes, their sha256).  The first twelve are free of floats.
 # The rest hold float output, so their bytes also pin the platform libm's
 # exp, sqrt and sinh: the confluence suites, the rank-one sweep (its residual
 # bits) and the full default report.
@@ -265,6 +281,10 @@ PINNED_OUTPUTS = (
     (_cli_output(["coeffs", "--family", "G", "--rank", "2", "--omega", "1,0",
                   "--format", "latex"], 0),
      "633787aea608a298f7d45e023abaa1725f637e1c578dd32f2ad783b8a81a01bf"),
+    (_cli_output(["coeffs", "--family", "E", "--rank", "6", "--omega", "0,1,0,0,0,0"], 0),
+     "6ba17bf222c76733db359c978e7e4601062c65f1b89fec33372b40ece180b202"),
+    (_cli_output(["coeffs", "--family", "F", "--rank", "4", "--omega", "0,0,0,1"], 0),
+     "87eb5f35fd838fed1c3ab32ea071da7eb9c15f370b6c5efac29ce63e980c3b33"),
     (_pieri_report("F", 4, 1, F4_G, True),
      "4859c399b436e24a80c50179fb98c7c428fbb68efe89d2ad7efdaefec4303e4a"),
     (_pieri_report("F", 4, 4, F4_G, True),
@@ -298,7 +318,8 @@ PINNED_OUTPUTS = (
 
 @pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS,
                          ids=["exact-suites", "u-sign", "v-drop-pairing2",
-                              "coeffs-g2", "pieri-f4-omega1", "pieri-f4-omega4",
+                              "coeffs-g2", "coeffs-e6-omega2",
+                              "coeffs-f4-omega4", "pieri-f4-omega1", "pieri-f4-omega4",
                               "pieri-e6-omega1", "pieri-f4-omega1-u-sign",
                               "pieri-e8-omega8", "pieri-e8-omega8-u-sign",
                               "whittaker-suite", "whittaker-limits-g2",

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -13,11 +15,12 @@ from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
                            scaled_table, specialization_consistency,
                            term_factors, verify_pieri)
 from hodiff.jacobi import jacobi_polynomial
-from hodiff.rootsys import Multiplicities, build_root_system, vadd, vscale
+from hodiff.rootsys import Multiplicities, build_root_system, vadd
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             expansion_E_omega, expansion_labels, is_w_invariant,
                             label_form)
-from oracles import constant_multiplicities, dominant_representative, orbit_under_reflections
+from oracles import (constant_multiplicities, dominant_representative, orbit_under_reflections,
+                     scan_pieri_index, vscale)
 from weyl_words import apply_word, inverse_word
 
 
@@ -205,6 +208,37 @@ def test_pieri_index_matches_generic_stabilizer_search(fam, rank):
         e_form = expansion_labels(datum, omega)
         assert e_form.terms == label_form(datum, e_poly).terms
         assert expansion_labels(datum, omega) is e_form
+
+
+@pytest.mark.parametrize("fam,rank,i", [
+    ("E", 7, 1), ("E", 7, 7), ("E", 8, 8),
+    pytest.param("E", 8, 1, marks=pytest.mark.slow)])
+def test_pieri_index_matches_row_scan(fam, rank, i):
+    # on a fresh datum, the factor lists carried down the Weyl descent by
+    # the root permutations are the scans of each nu's and eta's pairing
+    # row, and the etas, words and nu+ are those of stabilizer_orbit and
+    # _make_dominant, order included
+    datum = build_root_system(fam, rank)
+    omega = datum.fundamental_weights[i - 1]
+    index = [(e.nu_labels, e.word, e.plus_labels, e.eta_labels, e.v_factors, e.u_factors)
+             for e in pieri_index(datum, omega)]
+    assert index == scan_pieri_index(datum, omega)
+
+
+def test_dropped_datum_is_freed_without_a_cyclic_collection():
+    # the Pieri index lives in the datum's memo and reads the datum weakly,
+    # so after verify_pieri a dropped datum is freed by reference counting
+    gc.disable()
+    try:
+        datum = build_root_system("F", 4)
+        mults = Multiplicities(datum, (Q(3, 7), Q(5, 11)))
+        for omega in datum.small_fundamental_weights():
+            assert verify_pieri(datum, mults, omega, (Q(0),) * datum.dim).ok
+        ref = weakref.ref(datum)
+        del datum, mults
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.slow

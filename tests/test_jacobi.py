@@ -7,10 +7,10 @@ import pytest
 from hodiff.diffeq import sample_multiplicities
 from hodiff.jacobi import (jacobi_polynomial, opdam_leading_coefficient,
                            verify_eigen)
-from hodiff.rootsys import Multiplicities, vadd, vscale
+from hodiff.rootsys import Multiplicities, vadd
 from hodiff.weylalg import (ExpPoly, apply_L, eigenvalue_E, exp_to_json,
                             is_w_invariant)
-from oracles import constant_multiplicities, dominance_leq
+from oracles import constant_multiplicities, dominance_leq, vscale
 
 G_SAMPLES = (Q(3, 7), Q(5, 11), Q(9, 4))
 

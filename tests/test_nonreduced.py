@@ -13,6 +13,7 @@ from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp,
 from hodiff.diffeq import PoleAtSpectralPoint, pieri_residual
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.weylalg import ExpPoly, label_form
+from oracles import multiplicity_of
 
 GS = (Q(3, 7), Q(5, 11), Q(9, 4))
 
@@ -205,9 +206,9 @@ def test_pieri_bc_builds_multiplicities_once_per_triple(bc2, monkeypatch):
 
 def test_bc_multiplicities_by_length(bc2):
     m = bc_multiplicities(bc2, *GS)
-    assert m.of((Q(1), Q(1))) == GS[0]   # squared length 2
-    assert m.of((Q(0), Q(1))) == GS[1]   # squared length 1
-    assert m.of((Q(2), Q(0))) == GS[2]   # squared length 4
+    assert multiplicity_of(m, (Q(1), Q(1))) == GS[0]   # squared length 2
+    assert multiplicity_of(m, (Q(0), Q(1))) == GS[1]   # squared length 1
+    assert multiplicity_of(m, (Q(2), Q(0))) == GS[2]   # squared length 4
 
 
 @pytest.mark.parametrize("ell", [1, 2])

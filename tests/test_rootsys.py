@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hodiff.diffeq import verify_pieri
 from hodiff.jacobi import verify_eigen
 from hodiff.nonreduced import bc_multiplicities, verify_pieri_bc
-from hodiff.rootsys import (Multiplicities, build_root_system, vadd, vneg,
-                            vscale)
+from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg
 from oracles import (constant_multiplicities, dominance_leq, dominant_representative,
-                     orbit_under_reflections, rho_vee, simple_coefficients)
+                     half_weighted_sum, multiplicity_of, orbit_under_reflections,
+                     rho_vee, simple_coefficients, vscale)
 from weyl_words import apply_word, inverse_word
 
 # classical counts used as an oracle only; the library computes its orders
@@ -251,7 +252,7 @@ def test_rho_vectors(a1, bc2):
     rho = bc2.rho(mults)
     assert rho == (gg + g1 / 2 + g2v, g1 / 2 + g2v)
     # zero weights give the zero vector
-    assert bc2.half_weighted_sum(lambda a: Q(0)) == (Q(0), Q(0))
+    assert half_weighted_sum(bc2, lambda a: Q(0)) == (Q(0), Q(0))
 
 
 def test_rho_vee(a2):
@@ -279,11 +280,11 @@ def test_multiplicities_validation(b2):
     with pytest.raises(ValueError):
         Multiplicities(b2, [Q(1), Q(-1)])
     m = constant_multiplicities(b2, Q(2, 3))
-    assert all(m.of(a) == Q(2, 3) for a in b2.roots)
+    assert all(multiplicity_of(m, a) == Q(2, 3) for a in b2.roots)
     by_norm = {Q(1): Q(1, 2), Q(2): Q(5)}   # short and long orbit
     m = Multiplicities(b2, [by_norm[b2.norm_sq(orbit[0])] for orbit in b2.root_orbits])
-    assert m.of((Q(0), Q(1))) == Q(1, 2)
-    assert m.of((Q(1), Q(-1))) == Q(5)
+    assert multiplicity_of(m, (Q(0), Q(1))) == Q(1, 2)
+    assert multiplicity_of(m, (Q(1), Q(-1))) == Q(5)
 
 
 LABEL_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4),
@@ -346,9 +347,81 @@ def test_root_values_follow_orbits(b2, bc2):
     for datum in (b2, bc2):
         values = [Q(k + 1, 7) for k in range(len(datum.root_orbits))]
         m = Multiplicities(datum, values)
-        assert m.root_values == tuple(m.of(a) for a in datum.roots)
+        assert m.root_values == tuple(multiplicity_of(m, a) for a in datum.roots)
         assert datum.rho(m) is datum.rho(m)
-        assert datum.rho(m) == datum.half_weighted_sum(m.of)
+        assert datum.rho(m) == half_weighted_sum(datum, lambda a: multiplicity_of(m, a))
+
+
+EVERY_TYPE = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2),
+              ("F", 4), ("E", 6), ("E", 7), ("E", 8), ("BC", 1), ("BC", 2), ("BC", 3)]
+
+
+@pytest.mark.parametrize("fam,rank", EVERY_TYPE)
+def test_rho_on_labels_matches_vector_half_sum(fam, rank):
+    # rho_g from the orbit label sums is the half-sum of g_alpha alpha over
+    # the positive roots, for exact multiplicities and for floats (each read
+    # as its exact value); its labels are those a fresh datum reads off the
+    # vector, ints where integral
+    datum, fresh = build_root_system(fam, rank), build_root_system(fam, rank)
+    n = len(datum.root_orbits)
+    for values in ([Q(2 * k + 3, 7) for k in range(n)], [0.3 + 1.1 * k for k in range(n)]):
+        m = Multiplicities(datum, values)
+        want = half_weighted_sum(datum, lambda a: multiplicity_of(m, a))
+        assert datum.rho(m) == want
+        got, ref = datum.rho_labels(m), fresh.labels(want)
+        assert got == ref and list(map(type, got)) == list(map(type, ref))
+        assert datum.labels(want) is got
+
+
+@pytest.mark.parametrize("fam,rank", EVERY_TYPE)
+def test_root_permutations_are_the_simple_reflections(fam, rank):
+    # perm_j is an involution taking alpha_r to s_j alpha_r (by the Gram
+    # form), alpha_j to -alpha_j, and the positive roots other than the
+    # multiples of alpha_j among themselves
+    datum = build_root_system(fam, rank)
+    positive = set(datum.positive_indices)
+    for j, perm in enumerate(datum.root_perms):
+        alpha = datum.simple_roots[j]
+        assert sorted(perm) == list(range(len(datum.roots)))
+        assert all(perm[perm[r]] == r for r in range(len(perm)))
+        for r, a in enumerate(datum.roots):
+            k = 2 * datum.inner(a, alpha) / datum.inner(alpha, alpha)
+            assert datum.roots[perm[r]] == tuple(x - k * y for x, y in zip(a, alpha))
+        assert datum.roots[perm[datum.root_index[alpha]]] == vneg(alpha)
+        others = {r for r in positive if datum.roots[r] not in (alpha, vscale(2, alpha))}
+        assert {perm[r] for r in others} == others
+
+
+def _small_labels(datum):
+    """Labels of the nonzero small dominant weights: those pairing at most 2
+    with the highest coroot, which bounds every positive coroot
+    coefficientwise; for BC_n, whose weight lattice is Z^n (not every
+    fundamental weight is a weight there), the partitions 1^k 0^(n-k)."""
+    if datum.family == "BC":
+        labels = [datum.labels(tuple(Q(int(i < k)) for i in range(datum.rank)))
+                  for k in range(1, datum.rank + 1)]
+    else:
+        top = max((datum.coroot_coefficients[i] for i in datum.positive_indices), key=sum)
+        labels = [l for l in itertools.product(range(3), repeat=datum.rank)
+                  if any(l) and sum(map(mul, top, l)) <= 2]
+    assert labels and all(datum.is_small(datum.from_labels(l)) for l in labels)
+    return labels
+
+
+@pytest.mark.parametrize("fam,rank", EVERY_TYPE)
+def test_permuted_rows_match_label_pairings(fam, rank):
+    # down the label descent of each small weight's orbit, the pairing row
+    # of s_j u is the row of u read through perm_j
+    datum = build_root_system(fam, rank)
+    checked = 0
+    for top in _small_labels(datum):
+        rows = {}
+        for l, step in datum._dominant_orbit(top).items():
+            rows[l] = (datum.label_pairings(l) if step is None else
+                       tuple(map(rows[step[0]].__getitem__, datum.root_perms[step[1]])))
+            assert rows[l] == datum.label_pairings(l), (top, l)
+            checked += step is not None
+    assert checked > 0
 
 
 @pytest.mark.parametrize("fam,rank", [("F", 4), ("E", 6)])

@@ -26,6 +26,7 @@ BENCH_ONLY = {
     "stabilizer_roots": "bench/tracer.py",
     "saturated_map": "bench/tracer.py",
     "weyl_order": "bench/workloads.py",
+    "pairing": "bench/workloads.py",
     "is_w_invariant": "bench/workloads.py",
     "value_at_zero": "bench/workloads.py",
     "exp_poly": "bench/workloads.py",

@@ -4,10 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg, vscale
+from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg
 from hodiff.weylalg import (ExpPoly, apply_L, apply_L_labels, eigenvalue_E, exp_to_json,
                             expansion_E_omega, is_w_invariant, orbit_sum)
-from oracles import constant_multiplicities, eval_at, exp_from_json
+from oracles import constant_multiplicities, eval_at, exp_from_json, vscale
 
 
 def test_orbit_sum_basics(a1, a2):

@@ -582,12 +582,13 @@ def cmd_whittaker_limits(args) -> int:
     if len(x) != datum.dim:
         raise ValueError(f"--x: need {datum.dim} base-point coordinates")
     _check_tol(args.tol)
+    far = "--x: the base point is too far out for float arithmetic"
     try:   # e^<nu,x> on P(omega) peaks on W omega; e^<omega,x> is the limit
-        exps = [whittaker.ebar(datum, v, x) for v in datum.weyl_orbit(omega)]
+        max(whittaker.ebar(datum, v, x) for v in datum.weyl_orbit(omega))
     except OverflowError:
-        exps = []
-    if not exps or not whittaker.ebar(datum, omega, x):
-        raise ValueError("--x: the base point is too far out for float arithmetic")
+        raise ValueError(far) from None
+    if not whittaker.ebar(datum, omega, x):
+        raise ValueError(far)
     t_list = _parse_float_list("--t", args.t, increasing=True)
     try:
         report = whittaker.verify_confluence(datum, omega, xi, x,

@@ -10,7 +10,6 @@ errors so that callers can resample multiplicities.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -18,7 +17,7 @@ from functools import cache
 from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
-from .rootsys import Multiplicities, RootDatum, Vector, support_codes, vadd, weight_str
+from .rootsys import Multiplicities, RootDatum, Vector, vadd, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       require_exact)
@@ -37,6 +36,17 @@ class PoleAtSpectralPoint(ArithmeticError):
         self.which = which
         root = ",".join(map(str, alpha))
         super().__init__(f"denominator {which} vanishes at root ({root})")
+
+
+def support_codes(row, within=None) -> list:
+    """Code 2i per root index i (ascending) with row[i] > 0, then 2i + 1 if
+    row[i] is 2, over every root or the roots orthogonal to a weight with
+    pairing row within: a factor list as ``_entries`` decodes it."""
+    out = []
+    for i, k in enumerate(row):
+        if k > 0 and (within is None or within[i] == 0):
+            out.extend((2 * i, 2 * i + 1) if k == 2 else (2 * i,))
+    return out
 
 
 @cache
@@ -154,19 +164,18 @@ def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi
 @dataclass(frozen=True)
 class PieriTermIndex:
     """One nu with its shortest dominating word and the stabilizer orbit of
-    eta, on labels, and the factor lists of V_nu and of each U_{nu,eta}.
-    The vectors nu, nu+ and eta are built when read, by a weak reference to
-    the datum, in whose ``index_memo`` the index lives (no reference cycle)."""
-    datum_ref: weakref.ref = field(repr=False)
+    eta, on labels, and the factor lists of V_nu and of each U_{nu,eta}; the
+    vectors are built when read, by ``RootDatum.vector_of`` (not the datum)."""
+    vector_of: object = field(repr=False, compare=False)
     nu_labels: tuple
     word: tuple
     plus_labels: tuple
     eta_labels: tuple
     v_factors: tuple
     u_factors: tuple
-    nu = property(lambda e: e.datum_ref().from_labels(e.nu_labels))
-    nu_plus = property(lambda e: e.datum_ref().from_labels(e.plus_labels))
-    etas = property(lambda e: tuple(map(e.datum_ref().from_labels, e.eta_labels)))
+    nu = property(lambda e: e.vector_of(e.nu_labels))
+    nu_plus = property(lambda e: e.vector_of(e.plus_labels))
+    etas = property(lambda e: tuple(map(e.vector_of, e.eta_labels)))
 
 
 IndexCacheInfo = namedtuple("IndexCacheInfo", "hits misses")
@@ -175,8 +184,8 @@ _index_counts = {"hits": 0, "misses": 0}
 
 def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     """Index set of the difference equation: nu in P(omega) with the orbit
-    W_nu(w_nu^{-1} omega) attached to each and the factor lists of nu and
-    eta, both carried down the Weyl descent (``stabilizer_orbits``).
+    W_nu(w_nu^{-1} omega) attached to each (``stabilizer_orbits``) and the
+    factor lists of nu and eta, carried down the same Weyl descent.
     Memoized on the datum under omega's labels (``index_memo``);
     ``pieri_index.cache_info()`` counts that memo's hits and misses over
     every datum.  Reduced systems only: the nonreduced BC equation has its
@@ -193,12 +202,29 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     omega = datum.from_labels(top)
     if not datum.is_small(omega):
         raise ValueError(f"{weight_str(omega)} is not small")
-    v_table, u_table = _entries(len(datum.roots))
-    ref = weakref.ref(datum)
-    found = datum.index_memo[top] = tuple(
-        PieriTermIndex(ref, l, word, plus, tuple(etas), _factors(v_table, v),
-                       tuple(_factors(u_table, codes) for codes in us))
-        for l, word, plus, etas, v, us in datum.stabilizer_orbits(top))
+    # ``support_codes`` from the pairing rows of omega and each nu+ only: s_j
+    # permutes the roots (``root_perms``), so s_j u has u's codes moved by perm_j
+    perms = [tuple(2 * p + s for p in perm for s in (0, 1)) for perm in datum.root_perms]
+    omega_row, orbits, codes = datum.label_pairings(top), datum.stabilizer_orbits(top), {}
+    for l, (_plus, _word, step, etas) in orbits.items():
+        own = {}
+        if step is None:
+            row = datum.label_pairings(l)
+            v, source = support_codes(row), own
+        else:
+            (v, source), j = codes[step[0]], step[1]
+            v = sorted(map(perms[j].__getitem__, v))
+        for x, up in etas.items():   # up: None at omega, else (an eta of source, j)
+            own[x] = (support_codes(omega_row, row) if up is None
+                      else sorted(map(perms[up[1]].__getitem__, source[up[0]])))
+        codes[l] = v, own
+    (v_table, u_table), key, entries = _entries(len(datum.roots)), cache(datum._vector_key), []
+    for l in sorted(orbits, key=key):
+        (plus, word, _step, _etas), (v, own) = orbits[l], codes[l]
+        order = tuple(sorted(own, key=key))
+        entries.append(PieriTermIndex(datum.vector_of, l, word, plus, order, _factors(v_table, v),
+                                      tuple(_factors(u_table, own[x]) for x in order)))
+    found = datum.index_memo[top] = tuple(entries)
     return found
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction as Q
-from functools import cache
+from functools import partial
 from operator import mul
 
 Vector = tuple[Q, ...]
@@ -71,19 +71,6 @@ def _step(l, k, row):
     return tuple(a - k * b for a, b in zip(l, row))
 
 
-def support_codes(row, within=None) -> list:
-    """Code 2i per root index i (ascending) with row[i] > 0, then 2i + 1 if
-    row[i] is 2, over every root or the roots orthogonal to a weight with
-    pairing row within: ``diffeq``'s factor lists as ``root_perms`` moves them."""
-    out = []
-    for i, k in enumerate(row):
-        if k > 0 and (within is None or within[i] == 0):
-            out.append(2 * i)
-            if k == 2:
-                out.append(2 * i + 1)
-    return out
-
-
 def _integer_inverse(m):
     """(d, rows) with m^{-1} = rows / d, for an invertible integer matrix m:
     Gauss-Jordan on integer rows, each divided by its content."""
@@ -100,6 +87,10 @@ def _integer_inverse(m):
                 aug[r] = [x // c for x in row]
     d = math.lcm(*(row[i] for i, row in enumerate(aug)))
     return d, [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(aug)]
+
+
+def _combine(rows, den: int, l: tuple) -> Vector:
+    return tuple(Q(sum(map(mul, row, l)), den) for row in rows)
 
 
 def _reduced(den: int, rows):
@@ -209,8 +200,8 @@ class RootDatum:
         if any(2 * sum(map(mul, wi, forms[j])) != (i == j) * cden * snum[j]
                for i, wi in enumerate(w) for j in range(rank)):
             raise ValueError("fundamental weights failed duality check")
-        fund = [tuple(Q(x, cden * den) for x in wi) for wi in w]
-        self.fundamental_weights: tuple[Vector, ...] = tuple(fund)
+        self.fundamental_weights: tuple[Vector, ...] = tuple(
+            tuple(Q(x, cden * den) for x in wi) for wi in w)
 
         # roots as simple-root coefficients n, alpha = sum_k n_k alpha_k, with
         # labels l(n) = sum_k n_k cartan[k].  With |alpha_k|^2 = snum_k / sden
@@ -261,8 +252,10 @@ class RootDatum:
         self._integral_coroots = all(isinstance(c, int)
                                      for row in self.coroot_coefficients for c in row)
 
-        # from_labels: coordinate d is sum_i l_i * _fund_rows[d][i] / _fund_den
+        # from_labels: coordinate d is sum_i l_i * _fund_rows[d][i] / _fund_den,
+        # by vector_of (no memo), which holds these two tables, not the datum
         self._fund_den, self._fund_rows = _reduced(cden * den, list(zip(*w)))
+        self.vector_of = partial(_combine, self._fund_rows, self._fund_den)
         # <omega_i, omega_j> = (cartan^{-1})[j][i] |alpha_i|^2 / 2, held as
         # weight_gram[i][j] / weight_gram_den, so <v, v> = l G l / den on labels
         self.weight_gram_den, self.weight_gram = _reduced(
@@ -332,8 +325,7 @@ class RootDatum:
         """The vector sum_i l_i omega_i of the root span (memoized)."""
         v = self._vectors.get(l)
         if v is None:
-            den = self._fund_den
-            v = tuple(Q(sum(map(mul, row, l)), den) for row in self._fund_rows)
+            v = self.vector_of(l)
             if _integral(l):
                 self._vectors[l] = v
                 self._labels.setdefault(v, l)
@@ -531,45 +523,29 @@ class RootDatum:
         orbit = self.parabolic_orbit(top, self._apply_word(steps[::-1], self.labels(eta)))
         return tuple(sorted(self.from_labels(self._apply_word(steps, u)) for u in orbit))
 
-    def stabilizer_orbits(self, top: tuple) -> list:
-        """For each nu of P(omega), omega with dominant labels top, in the
-        order of the vectors: (labels of nu, word, labels of nu+, labels of
-        the etas of W_nu(w^{-1} omega) in the order of the vectors, the
-        ``support_codes`` of nu, per eta those over the roots orthogonal to
-        nu), w the shortest element with w nu = nu+ (``_make_dominant``).
+    def stabilizer_orbits(self, top: tuple) -> dict:
+        """For each nu of P(omega), omega with dominant labels top, parents
+        first: labels of nu -> (labels of nu+, word of w, step, etas), w the
+        shortest element with w nu = nu+ (``_make_dominant``), step None at
+        nu = nu+ and else (u, j) with s_j u = nu, and etas the labels of
+        W_nu(w^{-1} omega), parents first, mapped to their steps: those of
+        ``parabolic_orbit`` at nu = nu+, else (x, j) with x an eta of u.
+        Sorted by ``_vector_key``, nu and the etas are in vector order.
 
         As omega is dominant, W_nu(w^{-1} omega) = w^{-1} W_J omega with W_J
         the stabilizer of nu+, for any w with w nu = nu+.  So the set of
         s_j nu is s_j applied to the set of nu: W_J omega is found once per
-        nu+ (``parabolic_orbit``) and carried down the descent from nu+.
-        Pairing rows are read at omega and each nu+ only: as s_j permutes
-        the roots (``root_perms``), the codes of s_j u are those of u mapped
-        through perm_j and sorted, in W_J omega as down the descent."""
-        perms = [tuple(2 * p + s for p in perm for s in (0, 1)) for perm in self.root_perms]
-        omega_row = self.label_pairings(top)
-        sets = {}
+        nu+ (``parabolic_orbit``) and carried down the descent from nu+."""
+        sets, words = {}, {}
         for plus in self.below_labels(top):
             for l, step in self._dominant_orbit(plus).items():
                 if step is None:
-                    row = self.label_pairings(plus)
-                    etas = {}
-                    for x, up in self.parabolic_orbit(plus, top).items():
-                        etas[x] = (support_codes(omega_row, row) if up is None
-                                   else sorted(map(perms[up[1]].__getitem__, etas[up[0]])))
-                    sets[l] = (support_codes(row), etas)
+                    etas = self.parabolic_orbit(plus, top)
                 else:
                     u, j = step
-                    perm, (v, etas) = perms[j].__getitem__, sets[u]
-                    sets[l] = (sorted(map(perm, v)), {
-                        _step(x, x[j], self.cartan[j]): sorted(map(perm, codes))
-                        for x, codes in etas.items()})
-        key, words = cache(self._vector_key), {}
-        out = []
-        for l in sorted(sets, key=key):
-            (plus, w), (v, etas) = self._greedy(l, words), sets[l]
-            order = sorted(etas, key=key)
-            out.append((l, w, plus, order, v, [etas[x] for x in order]))
-        return out
+                    etas = {_step(x, x[j], self.cartan[j]): (x, j) for x in sets[u][3]}
+                sets[l] = (*self._greedy(l, words), step, etas)
+        return sets
 
     def weyl_order(self) -> int:
         """|W| by recursive orbit-stabilizer on roots.

@@ -226,8 +226,9 @@ def test_pieri_index_matches_row_scan(fam, rank, i):
 
 
 def test_dropped_datum_is_freed_without_a_cyclic_collection():
-    # the Pieri index lives in the datum's memo and reads the datum weakly,
-    # so after verify_pieri a dropped datum is freed by reference counting
+    # the Pieri index lives in the datum's memo and builds its vectors by
+    # vector_of, which does not hold the datum, so after verify_pieri a
+    # dropped datum is freed by reference counting
     gc.disable()
     try:
         datum = build_root_system("F", 4)
@@ -239,6 +240,20 @@ def test_dropped_datum_is_freed_without_a_cyclic_collection():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_held_index_reads_its_vectors_after_the_datum_is_dropped():
+    datum = build_root_system("A", 2)
+    omega = datum.quasi_minuscule_weight()
+    index = pieri_index(datum, omega)
+    vector = datum.from_labels
+    expected = [(vector(e.nu_labels), vector(e.plus_labels), tuple(map(vector, e.eta_labels)))
+                for e in index]
+    del vector
+    ref = weakref.ref(datum)
+    del datum
+    assert ref() is None
+    assert [(e.nu, e.nu_plus, e.etas) for e in index] == expected
 
 
 @pytest.mark.slow

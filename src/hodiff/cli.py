@@ -389,14 +389,18 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
 
 def _parse_rational_list(option: str, text: str, count: int):
+    """Comma-separated rationals, 1 or count of them (count None: any
+    number); else a ValueError naming option."""
     values = []
     for part in (p.strip() for p in text.split(",")):
         try:
             values.append(Q(part))
         except ZeroDivisionError:
             raise ValueError(f"{option}: zero denominator in {part!r}") from None
+        except ValueError:
+            raise ValueError(f"{option}: {part!r} is not a rational number") from None
     if count is not None and len(values) not in (1, count):
-        raise ValueError(f"expected 1 or {count} comma-separated values")
+        raise ValueError(f"{option}: expected 1 or {count} comma-separated values")
     if count is not None and len(values) == 1:
         values = values * count
     return values
@@ -405,7 +409,7 @@ def _parse_rational_list(option: str, text: str, count: int):
 def _parse_lambda(datum: RootDatum, option: str, text: str):
     coeffs = _parse_rational_list(option, text, None)
     if len(coeffs) != datum.rank:
-        raise ValueError(f"need {datum.rank} coefficients for {_label(datum)}")
+        raise ValueError(f"{option}: need {datum.rank} coefficients for {_label(datum)}")
     if datum.family == "BC":
         lam = tuple(coeffs)
     else:

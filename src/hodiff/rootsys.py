@@ -23,7 +23,6 @@ Every pairing, reflection and orbit below is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction as Q
 from functools import partial
@@ -145,7 +144,11 @@ class RootDatum:
     rows over one denominator (the Cartan matrix, its inverse and the
     duality check of the fundamental weights included), and so is
     ``root_perms``, from which the Pieri index carries its factor lists down
-    the Weyl descent.  Results are memoized on the instance the
+    the Weyl descent.  One label descent (``_dominant_orbit``) finds the
+    roots (the W-orbits of the simple roots), every Weyl and parabolic
+    orbit and |W| (``weyl_order``); one bounded scan of labels
+    (``_bounded_labels``) finds the small weights and the weights up to a
+    height.  Results are memoized on the instance the
     first time they are asked for: the labels of a vector under the vector
     (the only vector-keyed memo), everything else under the labels of a
     weight: pairings, Weyl orbits, dominance intervals, saturated maps and
@@ -203,12 +206,14 @@ class RootDatum:
         self.fundamental_weights: tuple[Vector, ...] = tuple(
             tuple(Q(x, cden * den) for x in wi) for wi in w)
 
-        # roots as simple-root coefficients n, alpha = sum_k n_k alpha_k, with
-        # labels l(n) = sum_k n_k cartan[k].  With |alpha_k|^2 = snum_k / sden
-        # and <alpha_k, alpha> = l_k |alpha_k|^2 / 2, the integer
-        # t(n) = sum_k n_k l_k snum_k is 2 sden |alpha|^2
-        label_of = {n: tuple(sum(map(mul, n, col)) for col in zip(*self.cartan))
-                    for n in self._simple_root_closure()}
+        # the reduced roots are the W-orbits of the simple roots, found by
+        # descent from their dominant elements and keyed by their simple-root
+        # coefficients n = l cartan^{-1}, alpha = sum_k n_k alpha_k.  With
+        # |alpha_k|^2 = snum_k / sden and <alpha_k, alpha> = l_k |alpha_k|^2 / 2,
+        # the integer t(n) = sum_k n_k l_k snum_k is 2 sden |alpha|^2
+        label_of = {tuple(sum(map(mul, l, col)) // cden for col in zip(*cinv)): l
+                    for top in dict.fromkeys(self._make_dominant(row)[0] for row in self.cartan)
+                    for l in self._dominant_orbit(top)}
         twice_of = {n: sum(map(mul, map(mul, n, l), snum)) for n, l in label_of.items()}
         if family == "BC":
             short = min(twice_of.values())
@@ -251,6 +256,11 @@ class RootDatum:
             for n, t in zip(order, twice))
         self._integral_coroots = all(isinstance(c, int)
                                      for row in self.coroot_coefficients for c in row)
+        # the coroot coefficients of the highest coroot, which bound those of
+        # every positive coroot: <v, alpha^vee> <= top_coroot . l for v
+        # dominant with labels l (``is_small``, ``small_dominant_weights``)
+        self._top_coroot = max(
+            (self.coroot_coefficients[i] for i in self.positive_indices), key=sum)
 
         # from_labels: coordinate d is sum_i l_i * _fund_rows[d][i] / _fund_den,
         # by vector_of (no memo), which holds these two tables, not the datum
@@ -272,7 +282,6 @@ class RootDatum:
         self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
         self._sat_label_cache: dict[tuple, dict[tuple, tuple]] = {}
         self._string_tables: dict[tuple, tuple] = {}
-        self._weyl_order_memo: dict[frozenset, int] = {}
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
         self.eta_memo: tuple | None = None
@@ -354,22 +363,6 @@ class RootDatum:
         """<v, alpha^vee> for every root, in the order of ``roots``."""
         return self.label_pairings(self.labels(v))
 
-    def _orbit_labels(self, gens, l: tuple) -> set:
-        """Label orbit of l under the reflections in the roots indexed by gens."""
-        tables = [(self.coroot_coefficients[i], self.root_labels[i]) for i in gens]
-        seen = {l}
-        stack = [l]
-        while stack:
-            u = stack.pop()
-            for c, row in tables:
-                k = _exact(sum(map(mul, c, u)))
-                if k:
-                    w = _step(u, k, row)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return seen
-
     def _dominant_orbit(self, top: tuple, J=None) -> dict:
         """W_J-orbit of labels top that are nonnegative on J (J None: all of
         W): descend by the s_j, j in J, at positive labels, which reaches
@@ -433,25 +426,6 @@ class RootDatum:
 
     # -- construction helpers ----------------------------------------------
 
-    def _simple_root_closure(self) -> set:
-        """Simple-root coefficients of the reduced roots: the simple roots
-        closed under s_j(n) = n - <alpha(n), alpha_j^vee> e_j."""
-        rank = self.rank
-        seeds = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
-        seen = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for j in range(rank):
-                    k = sum(n[i] * self.cartan[i][j] for i in range(rank))
-                    m = n[:j] + (n[j] - k,) + n[j + 1:]
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(m)
-            frontier = nxt
-        return seen
-
     def _root_orbit_indices(self):
         """Sorted root indices of each W-orbit of roots: one orbit per
         dominant root, in the order of those roots."""
@@ -471,13 +445,6 @@ class RootDatum:
                 and (self._integral_coroots or _integral(self.label_pairings(l)))):
             raise ValueError(f"{weight_str(v)} is not in the weight lattice of {self}")
         return l
-
-    def height(self, v: Vector) -> Q:
-        """Sum of simple-root coordinates of v."""
-        l = self.labels(v)
-        if self.from_labels(l) != v:
-            raise ValueError("vector is not in the root span")
-        return Q(sum(map(mul, self.height_row, l)), self.height_den)
 
     def is_dominant(self, v: Vector) -> bool:
         return all(x >= 0 for x in self.labels(v))
@@ -548,28 +515,12 @@ class RootDatum:
         return sets
 
     def weyl_order(self) -> int:
-        """|W| by recursive orbit-stabilizer on roots.
-
-        |W'| = |orbit of a root| * |stabilizer|, the stabilizer of a vector
-        being generated by the reflections fixing it; recursion bottoms out
-        on the empty subsystem.
-        """
-        return self._subsystem_order(frozenset(range(len(self.roots))))
-
-    def _subsystem_order(self, roots: frozenset) -> int:
-        """Order of the group generated by the roots with these indices."""
-        if not roots:
-            return 1
-        memo = self._weyl_order_memo
-        if roots in memo:
-            return memo[roots]
-        beta = min(roots)
-        orbit = self._orbit_labels(sorted(roots), self.root_labels[beta])
-        pairs = self.label_pairings(self.root_labels[beta])
-        stab = frozenset(g for g in roots if pairs[g] == 0)
-        val = len(orbit) * self._subsystem_order(stab)
-        memo[roots] = val
-        return val
+        """|W| as the product over k of |W_{J_k} omega_k|, J_k = {0, ..., k}:
+        the stabilizer of omega_k in W_{J_k} is W_{J_{k-1}} (Humphreys,
+        1.10-1.12), so |W_{J_k}| = |W_{J_k} omega_k| |W_{J_{k-1}}|."""
+        return math.prod(len(self._dominant_orbit(
+            tuple(int(i == k) for i in range(self.rank)), range(k + 1)))
+            for k in range(self.rank))
 
     # -- dominance order and saturated sets -----------------------------------
 
@@ -641,9 +592,9 @@ class RootDatum:
     # -- small weights ---------------------------------------------------------
 
     def _top_pairing(self, omega: Vector):
-        """The largest <omega, alpha^vee> over alpha > 0, omega dominant."""
-        p = self.label_pairings(self.dominant_labels(omega))
-        return max(p[i] for i in self.positive_indices)
+        """The largest <omega, alpha^vee> over alpha > 0, omega dominant: its
+        pairing with the highest coroot."""
+        return sum(map(mul, self._top_coroot, self.dominant_labels(omega)))
 
     def is_small(self, omega: Vector) -> bool:
         """All pairings with positive coroots at most 2."""
@@ -663,14 +614,21 @@ class RootDatum:
     def small_fundamental_weights(self) -> tuple[Vector, ...]:
         return tuple(w for w in self.fundamental_weights if self.is_small(w))
 
+    def _bounded_labels(self, row, bound: int) -> list:
+        """The nonnegative integer labels l with row . l <= bound, row
+        positive, that are labels of weights (on BC: integral pairings)."""
+        found = [((), 0)]
+        for c in row:
+            found = [(l + (k,), s + k * c) for l, s in found
+                     for k in range((bound - s) // c + 1)]
+        return [l for l, _ in found
+                if self._integral_coroots or _integral(self.label_pairings(l))]
+
     def small_dominant_weights(self) -> tuple[Vector, ...]:
-        """All nonzero small dominant weights (finite: fundamental pairings <= 2)."""
-        out = []
-        for ms in itertools.product(range(3), repeat=self.rank):
-            w = self.weight_from_fundamental(ms)
-            if any(ms) and self.is_small(w):
-                out.append(w)
-        return tuple(sorted(out))
+        """All nonzero small dominant weights: their labels pair at most 2
+        with the highest coroot."""
+        return tuple(sorted(self.from_labels(l)
+                            for l in self._bounded_labels(self._top_coroot, 2) if any(l)))
 
     def quasi_minuscule_weight(self) -> Vector:
         """The dominant root with all other pairings at most 1."""
@@ -681,21 +639,8 @@ class RootDatum:
 
     def dominant_weights_up_to_height(self, bound) -> tuple[Vector, ...]:
         """Dominant weights whose simple-root height is <= bound."""
-        bound = Q(bound)
-        heights = [self.height(w) for w in self.fundamental_weights]
-        out = []
-
-        def rec(i, acc, h):
-            if i == self.rank:
-                out.append(self.weight_from_fundamental(acc))
-                return
-            m = 0
-            while h + m * heights[i] <= bound:
-                rec(i + 1, acc + [m], h + m * heights[i])
-                m += 1
-
-        rec(0, [], Q(0))
-        return tuple(sorted(out))
+        scaled = math.floor(Q(bound) * self.height_den)
+        return tuple(sorted(map(self.from_labels, self._bounded_labels(self.height_row, scaled))))
 
     # -- rho vectors -----------------------------------------------------------
 

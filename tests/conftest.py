@@ -5,6 +5,7 @@ import pytest
 from hodiff.jacobi import JacobiPolynomial
 from hodiff.rootsys import build_root_system
 from hodiff.weylalg import ExpPoly
+from oracles import height
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +70,7 @@ def _corrupted(poly, delta=Q(1, 7)):
     """poly with its lowest coefficient moved by delta (still W-invariant)."""
     datum = poly.datum
     coeffs = dict(poly.label_coeffs)
-    mu = min(coeffs, key=lambda m: datum.height(datum.from_labels(m)))
+    mu = min(coeffs, key=lambda m: height(datum, datum.from_labels(m)))
     coeffs[mu] += delta
     return JacobiPolynomial(datum, poly.mults, poly.top, coeffs)
 

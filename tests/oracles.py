@@ -25,8 +25,9 @@ taking the root datum first:
   orbits as parabolic orbits);
 - ``dominant_representative``: v+ and the word of the shortest w with
   w v = v+;
-- ``simple_coefficients``, ``dominance_leq`` and ``rho_vee``: simple-root
-  coordinates, the dominance order, and rho^vee as a vector;
+- ``simple_coefficients``, ``height``, ``dominance_leq`` and ``rho_vee``:
+  simple-root coordinates and their sum, the dominance order, and rho^vee
+  as a vector;
 - ``eval_at`` and ``exp_from_json``: an ExpPoly evaluated at a point and
   read back from its ``exp_to_json`` form.
 
@@ -282,8 +283,21 @@ def scan_pieri_index(datum, omega):
 def orbit_under_reflections(datum, gen_roots, v):
     """Orbit of v (in the root span) under the reflections in gen_roots,
     sorted: the generic label search over every generator."""
-    gens = [datum.root_index[a] for a in gen_roots]
-    return tuple(sorted(map(datum.from_labels, datum._orbit_labels(gens, datum.labels(v)))))
+    tables = [(datum.coroot_coefficients[i], datum.root_labels[i])
+              for i in map(datum.root_index.__getitem__, gen_roots)]
+    l = datum.labels(v)
+    seen = {l}
+    stack = [l]
+    while stack:
+        u = stack.pop()
+        for c, row in tables:
+            k = sum(map(mul, c, u))
+            if k:
+                w = tuple(a - k * b for a, b in zip(u, row))
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return tuple(sorted(map(datum.from_labels, seen)))
 
 
 def dominant_representative(datum, v):
@@ -301,6 +315,14 @@ def simple_coefficients(datum, v):
     inv = invert_rational_matrix(datum.cartan)
     return tuple(sum((l[j] * inv[j][k] for j in range(datum.rank)), Q(0))
                  for k in range(datum.rank))
+
+
+def height(datum, v):
+    """Sum of the simple-root coordinates of v, read from its labels."""
+    l = datum.labels(v)
+    if datum.from_labels(l) != v:
+        raise ValueError("vector is not in the root span")
+    return Q(sum(map(mul, datum.height_row, l)), datum.height_den)
 
 
 def dominance_leq(datum, mu, lam):

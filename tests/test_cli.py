@@ -434,26 +434,49 @@ def test_jacobi_accepts_bc(capsys):
     assert payload["checks"]["eigen"]["status"] == "pass"
 
 
-@pytest.mark.parametrize("args, option", [
+WHITTAKER_A2 = ["whittaker-limits", "--family", "A", "--rank", "2"]
+X_A2 = ["--x", "0.25,-0.1,-0.15"]
+
+
+# a rational list that cannot be read, or has the wrong length, is named by
+# its option in the one-line message
+@pytest.mark.parametrize("args, option, message", [
     (["verify", "--suite", "pieri", "--family", "A", "--rank", "2",
-      "--omega", "1/0,0"], "--omega"),
-    (["coeffs", "--family", "A", "--rank", "2", "--omega", "1/0,0"], "--omega"),
+      "--omega", "1/0,0"], "--omega", "zero denominator in '1/0'"),
+    (["coeffs", "--family", "A", "--rank", "2", "--omega", "1/0,0"], "--omega",
+     "zero denominator in '1/0'"),
     (["jacobi", "--family", "A", "--rank", "1", "--lambda", "1/0",
-      "--g", "1/2"], "--lambda"),
+      "--g", "1/2"], "--lambda", "zero denominator in '1/0'"),
     (["jacobi", "--family", "A", "--rank", "1", "--lambda", "1",
-      "--g", "1/0"], "--g"),
-    (["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "0,1/0",
-      "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15"], "--omega"),
-    (["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
-      "--xi", "1/40, 3/0", "--x", "0.25,-0.1,-0.15"], "--xi"),
+      "--g", "1/0"], "--g", "zero denominator in '1/0'"),
+    (WHITTAKER_A2 + ["--omega", "0,1/0", "--xi", "1/40,-1/80"] + X_A2, "--omega",
+     "zero denominator in '1/0'"),
+    (WHITTAKER_A2 + ["--omega", "1,0", "--xi", "1/40, 3/0"] + X_A2, "--xi",
+     "zero denominator in '3/0'"),
+    (["jacobi", "--family", "A", "--rank", "2", "--lambda", "1,0", "--g", "nan"], "--g",
+     "'nan' is not a rational number"),
+    (["jacobi", "--family", "A", "--rank", "2", "--lambda", "x,0", "--g", "1"], "--lambda",
+     "'x' is not a rational number"),
+    (["jacobi", "--family", "A", "--rank", "2", "--lambda", "", "--g", "1"], "--lambda",
+     "'' is not a rational number"),
+    (["coeffs", "--family", "A", "--rank", "2", "--omega", "1,x"], "--omega",
+     "'x' is not a rational number"),
+    (WHITTAKER_A2 + ["--omega", "1,0", "--xi", "a,b"] + X_A2, "--xi",
+     "'a' is not a rational number"),
+    (["jacobi", "--family", "G", "--rank", "2", "--lambda", "1,0", "--g", "1,1,1"], "--g",
+     "expected 1 or 2 comma-separated values"),
+    (WHITTAKER_A2 + ["--omega", "1,0", "--xi", "1,2,3"] + X_A2, "--xi",
+     "expected 1 or 2 comma-separated values"),
+    (["verify", "--suite", "pieri", "--family", "A", "--rank", "2",
+      "--omega", "1,0,0"], "--omega", "need 2 coefficients for A2"),
 ], ids=["verify-omega", "coeffs-omega", "jacobi-lambda", "jacobi-g",
-        "whittaker-omega", "whittaker-xi"])
-def test_zero_denominator_names_the_option(args, option, capsys):
+        "whittaker-omega", "whittaker-xi", "jacobi-g-nan", "jacobi-lambda-word",
+        "jacobi-lambda-empty", "coeffs-omega-word", "whittaker-xi-word",
+        "jacobi-g-count", "whittaker-xi-count", "verify-omega-count"])
+def test_zero_denominator_names_the_option(args, option, message, capsys):
     assert run(args) == 2
     captured = capsys.readouterr()
-    bad = next(p.strip() for p in args[args.index(option) + 1].split(",")
-               if p.strip().endswith("/0"))
-    assert captured.err == f"error: {option}: zero denominator in {bad!r}\n"
+    assert captured.err == f"error: {option}: {message}\n"
     assert captured.out == ""
 
 

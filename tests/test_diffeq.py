@@ -19,8 +19,8 @@ from hodiff.rootsys import Multiplicities, build_root_system, vadd
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             expansion_E_omega, expansion_labels, is_w_invariant,
                             label_form)
-from oracles import (constant_multiplicities, dominant_representative, orbit_under_reflections,
-                     scan_pieri_index, vscale)
+from oracles import (constant_multiplicities, dominant_representative, height,
+                     orbit_under_reflections, scan_pieri_index, vscale)
 from weyl_words import apply_word, inverse_word
 
 
@@ -471,7 +471,7 @@ def test_pieri_residual_matches_product_reference(system, request,
     top = datum.labels(vadd(lam, omega))
     assert pieri_residual(datum, label_form(datum, e_poly), poly, shifted, top).is_zero()
     # corrupt the shifted polynomial with the highest weight
-    i = max(range(len(shifted)), key=lambda j: datum.height(shifted[j][0].lam))
+    i = max(range(len(shifted)), key=lambda j: height(datum, shifted[j][0].lam))
     bad = list(shifted)
     bad[i] = (corrupted(shifted[i][0]), shifted[i][1])
     got = pieri_residual(datum, label_form(datum, e_poly), poly, bad, top)

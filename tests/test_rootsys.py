@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as Q
@@ -11,18 +12,42 @@ from hodiff.jacobi import verify_eigen
 from hodiff.nonreduced import bc_multiplicities, verify_pieri_bc
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg
 from oracles import (constant_multiplicities, dominance_leq, dominant_representative,
-                     half_weighted_sum, multiplicity_of, orbit_under_reflections,
+                     half_weighted_sum, height, multiplicity_of, orbit_under_reflections,
                      rho_vee, simple_coefficients, vscale)
 from weyl_words import apply_word, inverse_word
 
 # classical counts used as an oracle only; the library computes its orders
-# by orbit-stabilizer
+# along a parabolic chain (``weyl_order``)
 TABLE = {
     ("A", 1): (2, 2), ("A", 2): (6, 6), ("A", 3): (12, 24),
     ("B", 2): (8, 8), ("B", 3): (18, 48), ("C", 3): (18, 48),
     ("D", 4): (24, 192), ("G", 2): (12, 12), ("F", 4): (48, 1152),
     ("BC", 1): (4, 2), ("BC", 2): (12, 8), ("BC", 3): (24, 48),
-    ("E", 6): (72, 51840),
+    ("E", 6): (72, 51840), ("E", 7): (126, 2903040), ("E", 8): (240, 696729600),
+}
+
+# the tables every suite reads, pinned per type by the sha256 of their repr:
+# the root order fixes the order of the multiplicity values, and so the
+# report bytes
+TABLE_NAMES = ("roots", "root_labels", "root_perms", "root_orbits", "root_orbit_ids",
+               "positive_indices", "coroot_coefficients", "root_norms",
+               "half_root_index", "fundamental_weights", "cartan")
+TABLE_DIGESTS = {
+    ("A", 1): "c71c24942b8829b7cfa849dbb434d4c35d49359f28fa6088f24f99fc8955a789",
+    ("A", 2): "e408146a219bb1e72ebdfb9f5276367e75b3711abf13ea5bc1bbf7574816d9c8",
+    ("A", 3): "14dddac11894780d5b87e410431ad1f001ce9c2f91397aad15ba0549ed69df91",
+    ("B", 2): "d94b8be0b2894850352401a854cd6e8153cd351cd808d303e764c3660045c22d",
+    ("B", 3): "70c574bd9b330a1849bf6707f6d4e6818067ce0d5235aedd2ed8c6b3290ee035",
+    ("C", 3): "360e19d73861f712fc83b1f6656a01660a764df9d8783f6f00a29b3f26a775d0",
+    ("D", 4): "131b09a9c96001dfa4bb36491592d62c16d496d0d1e7000f1760a26009bea129",
+    ("G", 2): "75463305bcebcc610aed70d575f75cd3eba1e85a0e2738dddb41c90570eb98a5",
+    ("F", 4): "1324f7730e638bd035d708ddb3f3fe7b87ead95dae80e2917e7ac1c9388605e1",
+    ("BC", 1): "af77eb7daa2eedc3ed9b1094afb4f2887ad26583ae9a8b93009258aace1b16c8",
+    ("BC", 2): "8334c11796415f92db8bab79c6225aeaea0e7f50935c39f3b5805b372ae013a3",
+    ("BC", 3): "27c7710681f4ac8018de242bac4e1092d37a7a0c2b6a5aa624fd0a0cab673073",
+    ("E", 6): "6106b40edbe3f743982441038afd46bc8aa26ea1ccb724c3a309f00c3297db9a",
+    ("E", 7): "2b330c76398d0b3ce400eb2d9cd3f99018ccc4f66986d959809d4dbaeeec1c2f",
+    ("E", 8): "b36d8482060354244bd2a3a083393f2512f3813fc814c71e66874b7081e53020",
 }
 
 
@@ -58,6 +83,13 @@ def test_root_counts_and_group_orders():
         assert len(datum.roots) == n_roots, (fam, rank)
         assert len(datum.positive_roots) * 2 == n_roots
         assert datum.weyl_order() == order, (fam, rank)
+
+
+@pytest.mark.parametrize("fam,rank", TABLE)
+def test_tables_are_pinned(fam, rank):
+    datum = build_root_system(fam, rank)
+    text = repr(tuple(getattr(datum, name) for name in TABLE_NAMES))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[fam, rank]
 
 
 def test_group_order_matches_regular_orbit():
@@ -409,6 +441,29 @@ def _small_labels(datum):
 
 
 @pytest.mark.parametrize("fam,rank", EVERY_TYPE)
+def test_small_dominant_weights_match_scan(fam, rank):
+    datum = build_root_system(fam, rank)
+    assert datum.small_dominant_weights() == tuple(
+        sorted(map(datum.from_labels, _small_labels(datum))))
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                      ("G", 2), ("F", 4), ("BC", 2)])
+def test_weights_up_to_height_match_box_scan(fam, rank):
+    # every fundamental combination in the box that each height bound puts
+    # on the labels, kept if it is a weight (not all are on BC) of height
+    # at most the bound
+    datum = build_root_system(fam, rank)
+    heights = [height(datum, w) for w in datum.fundamental_weights]
+    for bound in (0, 1, Q(5, 2), 4):
+        box = itertools.product(*(range(int(bound / h) + 1) for h in heights))
+        want = sorted(v for v in map(datum.from_labels, box)
+                      if is_weight(datum, v) and height(datum, v) <= bound)
+        got = datum.dominant_weights_up_to_height(bound)
+        assert got == tuple(want), (fam, rank, bound)
+
+
+@pytest.mark.parametrize("fam,rank", EVERY_TYPE)
 def test_permuted_rows_match_label_pairings(fam, rank):
     # down the label descent of each small weight's orbit, the pairing row
     # of s_j u is the row of u read through perm_j
@@ -471,7 +526,7 @@ def test_height_from_labels_matches_simple_coefficients(fam, rank):
     for _ in range(20):
         v = datum.weight_from_fundamental(
             [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank)])
-        assert datum.height(v) == sum(simple_coefficients(datum, v))
+        assert height(datum, v) == sum(simple_coefficients(datum, v))
 
 
 # -- dominance intervals: Stembridge's descent against the box ------------------
@@ -498,8 +553,7 @@ DESCENT_SYSTEMS = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2,
 @pytest.mark.parametrize("fam,rank", DESCENT_SYSTEMS)
 def test_descent_matches_box_enumeration(fam, rank):
     datum = build_root_system(fam, rank)
-    # fundamental combinations off the BC weight lattice are skipped
-    lams = [lam for lam in datum.dominant_weights_up_to_height(6) if is_weight(datum, lam)]
+    lams = datum.dominant_weights_up_to_height(6)
     assert lams
     for lam in lams:
         assert datum.dominant_below(lam) == tuple(sorted(_box_below(datum, lam))), lam

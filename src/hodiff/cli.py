@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import eq
 
 from . import diffeq, jacobi, nonreduced, rankone, whittaker
 from .rootsys import Multiplicities, RootDatum, build_root_system, weight_str
@@ -304,8 +305,7 @@ def rankone_cases(config: CampaignConfig, data: dict | None = None):
     sweeps = [rankone.verify_de(g1, g2, DE_XI_GRID, DE_X_GRID, tol=config.tol_de)
               for g1, g2 in DE_PARAMETER_PAIRS]
     rr_ok = all(
-        rankone.recurrence_rr(g1, g2, l, Q(1, 4))[0]
-        == rankone.recurrence_rr(g1, g2, l, Q(1, 4))[1]
+        eq(*rankone.recurrence_rr(g1, g2, l, Q(1, 4)))
         and rankone.de_coefficients_match_rr(g1, g2, l)
         for g1, g2 in RR_PARAMETER_PAIRS for l in range(7))
     bc1 = _datum(data, "BC", 1)

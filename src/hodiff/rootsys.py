@@ -12,12 +12,15 @@ datum: the Cartan rows (the labels of the simple roots), the labels of every
 root, every root's coroot coefficients c_i(alpha) = <omega_i, alpha^vee>, and
 per simple reflection the permutation of the roots (``root_perms``).  Then
 <v, alpha^vee> = sum_i c_i l_i and s_alpha(l) = l - <v, alpha^vee>
-labels(alpha).  A realization vector is hashed once, where it enters the
-kernel (``labels``); every other memo of a datum is keyed by labels, and the
-exact engines (``jacobi``, ``diffeq``, ``nonreduced``) carry weights as labels
-too, down to the labels of rho_g (``rho_labels``).  Realization coordinates
-are rebuilt (``from_labels``) only where a weight leaves them: the public
-API, report emission and the vector keys of a polynomial cache.
+labels(alpha).  A W-stable label set S gets a ``string_table``: its
+alpha-strings and, for the W-invariance check of ``apply_L_labels``, per
+simple reflection a permutation of S, both found on packed integer codes.
+A realization vector is hashed once, where it enters the kernel
+(``labels``); every other memo of a datum is keyed by labels, and the exact
+engines (``jacobi``, ``diffeq``, ``nonreduced``) carry weights as labels too,
+down to the labels of rho_g (``rho_labels``).  Realization coordinates are
+rebuilt (``from_labels``) only where a weight leaves them: the public API,
+report emission and the vector keys of a polynomial cache.
 Every pairing, reflection and orbit below is exact.
 """
 
@@ -68,6 +71,15 @@ def _integral(l) -> bool:
 def _step(l, k, row):
     """l - k * row: a reflection in label coordinates."""
     return tuple(a - k * b for a, b in zip(l, row))
+
+
+def _label_code(labels, rows):
+    """The code l -> sum_i l_i B^i, B = 2 (max |label| + max |row entry|) + 1,
+    distinct on labels and labels plus a row; l - j row codes as c - j code(row)."""
+    b = 2 * (max((abs(x) for l in labels for x in l), default=0)
+             + max(abs(x) for row in rows for x in row)) + 1
+    powers = [b ** i for i in range(len(rows[0]))]
+    return lambda l: sum(map(mul, powers, l))
 
 
 def _integer_inverse(m):
@@ -565,28 +577,33 @@ class RootDatum:
         return found
 
     def string_table(self, tops: tuple) -> tuple:
-        """(index, strings, quad) for S the union of the saturated sets P(t),
-        t in tops (memoized): index numbers the labels of S; strings holds
-        per positive root alpha (its index, its strings), a string being
-        (k, indices of the labels at pairings k, k-2, ..., -k) for its top
-        label, <l, alpha^vee> = k > 0 (S is saturated, so none is broken);
-        quad holds l G l per label, <l, l> times ``weight_gram_den``."""
+        """(index, strings, quad, perms) for S the union of the saturated sets
+        P(t), t in tops (memoized): index numbers the labels of S; strings holds
+        per positive root alpha (its index, its strings), a string being (k,
+        indices of the labels at pairings k, k-2, ..., -k) for its top label,
+        <l, alpha^vee> = k > 0 (S is saturated, so none is broken); quad holds
+        <l, l> times ``weight_gram_den`` per label; perms[j][i] numbers s_j of
+        label i (S is W-stable).  Both walk the codes of ``_label_code``."""
         found = self._string_tables.get(tops)
         if found is None:
             index = {l: i for i, l in enumerate(dict.fromkeys(
                 l for t in tops for l in self.saturated_labels(t)))}
+            code = _label_code(index, self.root_labels)
+            at = {code(l): i for l, i in index.items()}   # codes in index order
             roots = []
             for r in self.positive_indices:
-                cc, row = self.coroot_coefficients[r], self.root_labels[r]
+                cc, a = self.coroot_coefficients[r], code(self.root_labels[r])
                 strings = tuple(
-                    (k, tuple(index[_step(l, j, row)] for j in range(k + 1)))
-                    for l in index if (k := int(sum(map(mul, cc, l)))) > 0
-                    and _step(l, -1, row) not in index)
+                    (k, tuple(at[c - j * a] for j in range(k + 1)))
+                    for l, c in zip(index, at)
+                    if c + a not in at and (k := int(sum(map(mul, cc, l)))) > 0)
                 if strings:
                     roots.append((r, strings))
+            perms = tuple(tuple(at[c - l[j] * a] for l, c in zip(index, at))
+                          for j, a in enumerate(map(code, self.cartan)))
             quad = tuple(sum(x * sum(map(mul, row, l)) for x, row in zip(l, self.weight_gram))
                          for l in index)
-            found = self._string_tables[tops] = (index, tuple(roots), quad)
+            found = self._string_tables[tops] = (index, tuple(roots), quad, perms)
         return found
 
     # -- small weights ---------------------------------------------------------
@@ -612,7 +629,8 @@ class RootDatum:
         return all(p[i] <= 1 for i in self.positive_indices if i != j)
 
     def small_fundamental_weights(self) -> tuple[Vector, ...]:
-        return tuple(w for w in self.fundamental_weights if self.is_small(w))
+        small = set(self._bounded_labels(self._top_coroot, 2))   # weights only (BC)
+        return tuple(w for w in self.fundamental_weights if self.labels(w) in small)
 
     def _bounded_labels(self, row, bound: int) -> list:
         """The nonnegative integer labels l with row . l <= bound, row

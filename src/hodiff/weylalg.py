@@ -142,7 +142,10 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
 
     The alpha-strings come from ``RootDatum.string_table`` of tops, the
     maximal dominant labels of the support (for a Jacobi polynomial P_lam,
-    lam alone); a label outside the table is fatal.
+    lam alone).  p is W-invariant if each simple reflection's permutation of
+    the table's W-stable set S fixes its coefficient list (a zero coefficient
+    is no term).  If not, or if a label lies outside S, ``_is_invariant``
+    picks the error: ValueError if p is not invariant, else fatal.
     Along a string, with d_k = k c_k the coefficient of d_alpha p at pairing
     k and S_k = sum_{j >= k} d_j, the quotient has coefficient S_k + S_{k+2}
     at pairing k.  Each string must sum to zero, which is the telescoping
@@ -153,21 +156,20 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     terms give an integer image.
     """
     require_exact(mults)
-    if not _is_invariant(datum, terms):
-        raise ValueError("apply_L requires a W-invariant argument")
     tops = []   # by falling height, l is maximal unless below an earlier top
     for l in sorted((l for l in terms if min(l) >= 0), reverse=True,
                     key=lambda l: sum(map(mul, datum.height_row, l))):
         if not any(l in datum.saturated_labels(t) for t in tops):
             tops.append(l)
-    index, roots, quad = datum.string_table(tuple(sorted(tops)))
-    coef = [0] * len(index)
-    for l, c in terms.items():
-        i = index.get(l)
-        if i is None:
-            raise InternalConsistencyError(
-                f"exponent labels {l} lie outside the alpha-strings of P{tops}")
-        coef[i] = c
+    index, roots, quad, perms = datum.string_table(tuple(sorted(tops)))
+    coef = [terms.get(l, 0) for l in index]
+    outside = sorted(terms.keys() - index.keys())
+    if outside or any(list(map(coef.__getitem__, perm)) != coef for perm in perms):
+        if not _is_invariant(datum, terms):
+            raise ValueError("apply_L requires a W-invariant argument")
+        raise InternalConsistencyError(
+            f"exponent labels {outside[0]} lie outside the alpha-strings of P{tops}"
+            if outside else "the string table's reflections disagree with the labels")
     weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
                for o, orbit in enumerate(datum.root_orbits)]
     n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))

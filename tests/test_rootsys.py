@@ -447,6 +447,22 @@ def test_small_dominant_weights_match_scan(fam, rank):
         sorted(map(datum.from_labels, _small_labels(datum))))
 
 
+@pytest.mark.parametrize("fam,rank", EVERY_TYPE)
+def test_small_fundamental_weights_are_weights(fam, rank):
+    # the small fundamental weights, in order; on BC_n only e_1 + ... + e_k,
+    # k < n, are weights (omega_n = (1/2, ..., 1/2) is not, and used to
+    # raise), elsewhere every fundamental weight that is_small admits
+    datum = build_root_system(fam, rank)
+    got = datum.small_fundamental_weights()
+    if fam == "BC":
+        assert got == tuple(tuple(Q(int(i < k)) for i in range(rank)) for k in range(1, rank))
+        assert datum.fundamental_weights[-1] == (Q(1, 2),) * rank
+    else:
+        assert got == tuple(w for w in datum.fundamental_weights if datum.is_small(w))
+    assert all(datum.weight_labels(w) for w in got)
+    assert set(got) <= set(datum.small_dominant_weights())
+
+
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
                                       ("G", 2), ("F", 4), ("BC", 2)])
 def test_weights_up_to_height_match_box_scan(fam, rank):

@@ -136,13 +136,19 @@ def test_eval_at_matches_direct_formula(g2):
 
 def test_apply_l_untelescoped_string_is_fatal(a2, monkeypatch):
     # negative control for the string division: let a non-invariant element
-    # past the invariance gate; the alpha-strings of e^{omega_1} do not sum
-    # to zero, so the exact division must refuse rather than truncate
+    # past the invariance gates; the alpha-strings of e^{omega_1} do not sum
+    # to zero, so the exact division must refuse rather than truncate.  With
+    # _is_invariant alone patched, the table's reflections still catch it.
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
     g = constant_multiplicities(a2, Q(3, 7))
-    with pytest.raises(weylalg.InternalConsistencyError):
-        apply_L(a2, g, ExpPoly({a2.fundamental_weights[0]: Q(1)}))
+    p = ExpPoly({a2.fundamental_weights[0]: Q(1)})
+    with pytest.raises(weylalg.InternalConsistencyError, match="reflections disagree"):
+        apply_L(a2, g, p)
+    table = a2.string_table
+    monkeypatch.setattr(a2, "string_table", lambda tops: table(tops)[:3] + ((),))
+    with pytest.raises(weylalg.InternalConsistencyError, match="remainder"):
+        apply_L(a2, g, p)
 
 
 def test_is_w_invariant_rejects_off_lattice_exponents(a2):
@@ -182,7 +188,7 @@ def _campaign_polynomials(system):
 
 
 @pytest.mark.parametrize("system", ["A1", "A2", "A3", "B2", "C3", "D4", "G2",
-                                    "BC1", "BC2", "E6"])
+                                    "BC1", "BC2", "E6", "F4"])
 def test_string_tables_match_per_call_walk(system, corrupted):
     # the alpha-string tables against the per-call walk they replace, on
     # each polynomial and on a corrupted copy of it (off the eigenspace)
@@ -231,3 +237,88 @@ def test_string_table_keyed_by_maximal_dominant_labels():
     apply_L(b2, g, orbit_sum(b2, w1) + orbit_sum(b2, w2))
     assert tuple(sorted(map(b2.dominant_labels, (w1, w2)))) in b2._string_tables
     assert len(b2._string_tables) == 2
+
+
+TABLE_SYSTEMS = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6",
+                 "BC1", "BC2", "BC3"]
+
+
+def _datum(system):
+    return build_root_system(system[:-1], int(system[-1]))
+
+
+@pytest.mark.parametrize("system", TABLE_SYSTEMS)
+def test_string_table_matches_label_steps(system):
+    # the tables of P(omega) per small dominant weight omega, of P(2 omega)
+    # for the smallest P(omega) (longer strings) and of the union of all
+    # P(omega): each stored permutation is s_j of every label, each string
+    # steps down by its root from a top whose label plus the root leaves S,
+    # every such top has its string, and the packed codes are distinct on S
+    # and on every label one positive root above S
+    from operator import mul
+
+    from hodiff.rootsys import _label_code, _step
+    datum = _datum(system)
+    tops = [datum.dominant_labels(w) for w in datum.small_dominant_weights()]
+    least = min(tops, key=lambda t: len(datum.saturated_labels(t)))
+    for key in [(t,) for t in tops] + [(tuple(2 * x for x in least),), tuple(sorted(tops))]:
+        index, strings, _quad, perms = datum.string_table(key)
+        labels = list(index)
+        assert len(perms) == datum.rank
+        for j, (perm, row) in enumerate(zip(perms, datum.cartan)):
+            assert [labels[i] for i in perm] == [_step(l, l[j], row) for l in labels]
+        found = set()
+        for r, by_top in strings:
+            row, cc = datum.root_labels[r], datum.coroot_coefficients[r]
+            for k, idx in by_top:
+                top = labels[idx[0]]
+                assert k == sum(map(mul, cc, top)) > 0
+                assert [labels[i] for i in idx] == [_step(top, j, row) for j in range(k + 1)]
+                found.add((r, top))
+        assert found == {(r, l) for r in datum.positive_indices for l in labels
+                         if sum(map(mul, datum.coroot_coefficients[r], l)) > 0
+                         and _step(l, -1, datum.root_labels[r]) not in index}
+        code = _label_code(index, datum.root_labels)
+        above = set(labels).union(_step(l, -1, datum.root_labels[r])
+                                  for l in labels for r in datum.positive_indices)
+        assert len(set(map(code, above))) == len(above)
+
+
+@pytest.mark.parametrize("system", ["F4", "E6", "BC2"])
+def test_apply_l_rejects_one_changed_coefficient(system, monkeypatch):
+    # a cleared P_lam with one non-dominant coefficient moved by one, or set
+    # to zero, is not W-invariant: ValueError.  The table's permutations
+    # decide; _is_invariant is called only to choose the error
+    from hodiff import weylalg
+    from hodiff.jacobi import jacobi_polynomial
+    datum = _datum(system)
+    mults = constant_multiplicities(datum, Q(4, 9))
+    _d, terms = jacobi_polynomial(datum, mults, datum.small_fundamental_weights()[0]).cleared_terms()
+    calls = []
+    check = weylalg._is_invariant
+    monkeypatch.setattr(weylalg, "_is_invariant",
+                        lambda datum, terms: calls.append(1) or check(datum, terms))
+    apply_L_labels(datum, mults, terms)
+    assert not calls
+    changed = [l for l in terms if min(l) < 0]
+    assert changed
+    for l in changed:
+        for c in (terms[l] + 1, 0):
+            with pytest.raises(ValueError, match="W-invariant"):
+                apply_L_labels(datum, mults, {**terms, l: c})
+    assert len(calls) == 2 * len(changed)
+
+
+def test_apply_l_explicit_zero_coefficient(a2):
+    # a zero coefficient is no term: on a label of the table's set S it
+    # changes nothing, although _is_invariant, which compares dict entries,
+    # rejects it while its reflections are absent; a label outside S is
+    # refused even at coefficient zero
+    from hodiff.weylalg import _is_invariant
+    g = constant_multiplicities(a2, Q(3, 7))
+    terms = {l: 1 for l, m in a2.saturated_labels((2, 0)).items() if m == (2, 0)}
+    with_zero = {**terms, (1, -1): 0}          # s_2 omega_2, in P(2 omega_1)
+    assert not _is_invariant(a2, with_zero)
+    assert apply_L_labels(a2, g, with_zero) == apply_L_labels(a2, g, terms)
+    with pytest.raises(ValueError, match="W-invariant"):
+        apply_L_labels(a2, g, {**terms, (3, -3): 0})

@@ -18,7 +18,7 @@ from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
 from .rootsys import Multiplicities, RootDatum, Vector, vadd, weight_str
-from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, exp_to_json,
+from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       require_exact)
 
@@ -274,7 +274,6 @@ class PieriReport:
     residual: list = field(default_factory=list)
 
     def to_dict(self):
-        from .weylalg import _q_str
         return {
             "system": self.system,
             "omega": [_q_str(x) for x in self.omega],
@@ -394,7 +393,6 @@ class ConsistencyReport:
     checks: list = field(default_factory=list)
 
     def to_dict(self):
-        from .weylalg import _q_str
         return {"system": self.system, "omega": [_q_str(x) for x in self.omega],
                 "kind": self.kind, "status": "pass" if self.ok else "fail",
                 "checks": self.checks}
@@ -467,8 +465,6 @@ def sample_spectral_point(datum: RootDatum, rng, max_tries: int = 200):
 def symbolic_factors(datum: RootDatum, entry: PieriTermIndex):
     """The factor lists of one term as JSON rows (root, shift, g sign), for
     report emission: V's list and one U list per eta."""
-    from .weylalg import _q_str
-
     def rows(factors):
         return [{"alpha": [_q_str(x) for x in datum.roots[i]], "shift": s,
                  "g_sign": e} for i, s, e in factors]

@@ -2,9 +2,13 @@
 
 The coefficients are produced by collecting exponents in the eigenvalue
 equation for the operator L, using the expansion
-(1+e^{-a})/(1-e^{-a}) = 1 + 2 sum_{j>=1} e^{-ja}.  Two independent checks
-guard the construction: the closed-form leading coefficient, and the exact
-eigencheck through the division-based operator action.
+(1+e^{-a})/(1-e^{-a}) = 1 + 2 sum_{j>=1} e^{-ja}.  Which coefficients feed
+which, through which root orbit and with which pairing sums, depends on the
+datum and lambda alone: that pattern is read once from the alpha-string
+table of P(lambda) and memoized on the datum, and each multiplicity sample
+solves it in integers.  Two independent checks guard the construction: the
+closed-form leading coefficient, and the exact eigencheck through the
+division-based operator action.
 
 A polynomial is held on Dynkin labels: the labels of lambda and one
 coefficient per labels of a dominant mu <= lambda.  Its realization vectors
@@ -15,14 +19,13 @@ where the polynomial leaves the exact engines.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from operator import add, mul
+from operator import mul
 
-from .rootsys import Multiplicities, RootDatum, Vector, vadd
-from .weylalg import (ExpPoly, apply_L_labels, eigenvalue_E, exp_to_json,
-                      require_exact)
+from .rootsys import Multiplicities, RootDatum, Vector
+from .weylalg import ExpPoly, _q_str, apply_L_labels, exp_to_json, require_exact
 
 
 class JacobiPolynomial:
@@ -32,10 +35,7 @@ class JacobiPolynomial:
 
     def __init__(self, datum: RootDatum, mults: Multiplicities, top: tuple,
                  label_coeffs: dict):
-        self.datum = datum
-        self.mults = mults
-        self.top = top
-        self.label_coeffs = label_coeffs
+        self.datum, self.mults, self.top, self.label_coeffs = datum, mults, top, label_coeffs
         self._cleared = None
 
     @property
@@ -56,8 +56,7 @@ class JacobiPolynomial:
         by the labels of each exponent (built once; zero terms left out)."""
         if self._cleared is None:
             d = math.lcm(*(c.denominator for c in self.label_coeffs.values()))
-            dom = {m: c.numerator * (d // c.denominator)
-                   for m, c in self.label_coeffs.items()}
+            dom = {m: c.numerator * (d // c.denominator) for m, c in self.label_coeffs.items()}
             sat = self.datum.saturated_labels(self.top)
             self._cleared = d, {l: c for l, m in sat.items() if (c := dom[m])}
         return self._cleared
@@ -68,13 +67,54 @@ class JacobiPolynomial:
         return ExpPoly({self.datum.from_labels(l): Q(c, d) for l, c in terms.items()})
 
     def to_json(self):
-        from .weylalg import _q_str
-        return {
-            "lambda": [_q_str(x) for x in self.lam],
-            "g": [_q_str(Q(v)) for v in self.mults.values],
-            "coeffs": [{"mu": [_q_str(x) for x in mu], "c": _q_str(c)}
-                       for mu, c in sorted(self.coeffs.items())],
-        }
+        return {"lambda": [_q_str(x) for x in self.lam],
+                "g": [_q_str(Q(v)) for v in self.mults.values],
+                "coeffs": [{"mu": [_q_str(x) for x in mu], "c": _q_str(c)}
+                           for mu, c in sorted(self.coeffs.items())]}
+
+
+def _pattern(datum: RootDatum, top: tuple) -> tuple:
+    """The recursion pattern of P_lambda, lam with dominant labels top, read
+    from the alpha-string table of P(lam) (memoized in ``jacobi_memo``):
+    (doms, rows, counts, weights), doms the dominant mu <= lam by falling
+    height, counts their orbit sizes.  rows[i] = (terms, dq, bs) for mu =
+    doms[i + 1]: per (p, o, K) in terms, K sums <nu, alpha^vee> over the nu =
+    mu + j alpha (j >= 1, alpha > 0 in root orbit o) with dominant
+    representative doms[p].  With 2 rho_g = sum_o g_o S_o (S_o: the positive
+    roots of orbit o) and n = q ``weight_gram_den`` (q: the lcm of the root
+    norm denominators), n |alpha_o|^2 = weights[o] and n (E(rho_g+lam) -
+    E(rho_g+mu)) = dq + sum_o g_o bs[o], bs[o] = n <S_o, lam - mu>."""
+    found = datum.jacobi_memo.get(top)
+    if found is None:
+        index, roots, quad, _perms = datum.string_table((top,))
+        sat = datum.saturated_labels(top)
+        doms = sorted(datum.below_labels(top),
+                      key=lambda m: -sum(map(mul, datum.height_row, m)))
+        pos = {m: p for p, m in enumerate(doms)}
+        rep = [pos[sat[l]] for l in index]
+        at = {index[m]: p for m, p in pos.items()}
+        acc = [defaultdict(int) for _ in doms]
+        for r, strings in roots:
+            o = datum.root_orbit_ids[r]
+            # a dominant label pairs >= 0 with alpha: the upper half of its string
+            for k, string in strings:
+                for j in range(1, k // 2 + 1):
+                    if (p := at.get(string[j])) is not None:
+                        for i in range(j):
+                            acc[p][rep[string[i]], o] += k - 2 * i
+        norms = [datum.norm_sq(orbit[0]) for orbit in datum.root_orbits]
+        q = math.lcm(*(n.denominator for n in norms))
+        sg = [[q * sum(map(mul, s, col)) for col in zip(*datum.weight_gram)]
+              for s in datum._orbit_label_sums]
+        rows = tuple((tuple((p, o, k) for (p, o), k in acc[i].items()),
+                      q * (quad[index[top]] - quad[index[mu]]),
+                      tuple(sum(x * (a - b) for x, a, b in zip(row, top, mu)) for row in sg))
+                     for i, mu in enumerate(doms) if i)
+        counts = Counter(sat.values())
+        found = datum.jacobi_memo[top] = (
+            doms, rows, [counts[m] for m in doms],
+            [(n * q).numerator * datum.weight_gram_den for n in norms])
+    return found
 
 
 def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
@@ -88,59 +128,36 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
             = 2 sum_{alpha>0} g_alpha sum_{j>=1} <mu + j alpha, alpha> c~_{mu+j alpha}.
 
     The denominator is strictly positive for positive multiplicities, and the
-    j-sum is finite because c~ vanishes outside the saturated set.
+    j-sum is finite because c~ vanishes outside the saturated set.  The
+    recursion is solved on the memoized ``_pattern``: the g_o are cleared by
+    the lcm d of their denominators, and each c_mu is one integer sum over
+    its pattern row, reduced once.
     """
     require_exact(mults)
-    top = datum.dominant_labels(lam)
-    sat = datum.saturated_labels(top)
-    # lam is the unique top of the height order, and the recursion at mu
-    # reads only greater heights, so ties may come in any order
-    height_row = datum.height_row
-    doms = sorted(datum.below_labels(top),
-                  key=lambda m: -sum(map(mul, height_row, m)))
-    # E(rho+mu) - E(rho) = <2 rho + mu, mu>, read on labels through the
-    # fundamental-weight Gram form and scaled by d * den to an integer
-    gram = datum.weight_gram
-    rho_labels = datum.rho_labels(mults)
-    d = math.lcm(*(x.denominator for x in rho_labels))
-    rho_d = [x.numerator * (d // x.denominator) for x in rho_labels]
-
-    def energy(m):
-        return sum((2 * r + d * x) * sum(map(mul, row, m))
-                   for r, x, row in zip(rho_d, m, gram))
-
-    scale = d * datum.weight_gram_den
-    e_top = energy(top)
-    # per positive root: coroot coefficients, labels, and g_alpha |alpha|^2,
-    # since 2 g <mu + j alpha, alpha> = g |alpha|^2 (<mu, alpha^vee> + 2j)
-    positive = [(datum.coroot_coefficients[i], datum.root_labels[i],
-                 mults.root_values[i] * datum.root_norms[i])
-                for i in datum.positive_indices]
-
-    monic: dict[tuple, Q] = {top: Q(1)}     # keyed by the labels of mu
-    for mu in doms[1:]:
-        rhs = Q(0)
-        for cc, lab, weight in positive:
-            k = sum(map(mul, cc, mu)) + 2
-            nu = tuple(map(add, mu, lab))
-            while (rep := sat.get(nu)) is not None:
-                c = monic.get(rep)
-                if c:
-                    rhs += weight * k * c
-                k += 2
-                nu = tuple(map(add, nu, lab))
-        denom = e_top - energy(mu)
-        if denom == 0:
+    doms, rows, counts, weights = _pattern(datum, datum.dominant_labels(lam))
+    d = math.lcm(*(v.denominator for v in mults.values))
+    gd = [v.numerator * (d // v.denominator) for v in mults.values]
+    w = list(map(mul, gd, weights))
+    nums, dens = [1], [1]       # the monic coefficients, reduced, by position
+    for (terms, dq, bs), mu in zip(rows, doms[1:]):
+        gap = d * dq + sum(map(mul, gd, bs))
+        if gap == 0:
             raise ArithmeticError(
                 f"vanishing recursion denominator at mu={datum.from_labels(mu)}; "
                 "impossible for positive multiplicities")
-        monic[mu] = rhs * scale / denom
-
+        den = math.lcm(*[dens[p] for p, _o, _k in terms])
+        t = sum([w[o] * k * nums[p] * (den // dens[p]) for p, o, k in terms])
+        den *= gap
+        c = math.gcd(t, den)
+        nums.append(t // c)
+        dens.append(den // c)
     # P(0): the monic coefficients summed over P(lam), one per orbit element
-    z = sum(monic[m] * n for m, n in Counter(sat.values()).items())
+    den = math.lcm(*dens)
+    z = sum(n * (den // e) * k for n, e, k in zip(nums, dens, counts))
     if z == 0:
         raise ArithmeticError("vanishing value at the origin; cannot normalize")
-    return JacobiPolynomial(datum, mults, top, {m: c / z for m, c in monic.items()})
+    return JacobiPolynomial(datum, mults, doms[0], {
+        m: Q(n * den, e * z) for m, n, e in zip(doms, nums, dens)})
 
 
 def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
@@ -182,15 +199,19 @@ class EigenReport:
     residual: list = field(default_factory=list)
 
     def to_dict(self):
-        from .weylalg import _q_str
-        return {
-            "system": self.system,
-            "lambda": [_q_str(x) for x in self.lam],
-            "g": [str(v) for v in self.g],
-            "eigenvalue": str(self.eigenvalue),
-            "status": "pass" if self.ok else "fail",
-            "residual": self.residual,
-        }
+        return {"system": self.system, "lambda": [_q_str(x) for x in self.lam],
+                "g": [str(v) for v in self.g], "eigenvalue": str(self.eigenvalue),
+                "status": "pass" if self.ok else "fail", "residual": self.residual}
+
+
+def _shifted_eigenvalue(datum: RootDatum, mults: Multiplicities, l: tuple) -> Q:
+    """E(rho_g + v) = <v, v + 2 rho_g> for v with labels l, through the
+    fundamental-weight Gram form over the lcm r of rho_g's label denominators."""
+    rho = datum.rho_labels(mults)
+    r = math.lcm(*(x.denominator for x in rho))
+    shifted = [r * a + 2 * (x * r).numerator for a, x in zip(l, rho)]
+    return Q(sum(a * sum(map(mul, row, shifted)) for a, row in zip(l, datum.weight_gram)),
+             r * datum.weight_gram_den)
 
 
 def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
@@ -202,7 +223,7 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
     nonzero difference is divided back into the residual.
     """
     poly = poly or jacobi_polynomial(datum, mults, lam)
-    ev = Q(eigenvalue_E(datum, mults, vadd(datum.rho(mults), lam)))
+    ev = _shifted_eigenvalue(datum, mults, datum.labels(lam))
     d, cleared = poly.cleared_terms()
     n, image = apply_L_labels(datum, mults, cleared)
     residual = {}
@@ -210,11 +231,6 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
         r = v * ev.denominator - n * ev.numerator * cleared.get(l, 0)
         if r:
             residual[datum.from_labels(l)] = Q(r, n * ev.denominator * d)
-    return EigenReport(
-        system=f"{datum.family}{datum.rank}",
-        lam=lam,
-        g=mults.key(),
-        eigenvalue=ev,
-        ok=not residual,
-        residual=exp_to_json(ExpPoly(residual)),
-    )
+    return EigenReport(system=f"{datum.family}{datum.rank}", lam=lam, g=mults.key(),
+                       eigenvalue=ev, ok=not residual,
+                       residual=exp_to_json(ExpPoly(residual)))

@@ -152,25 +152,25 @@ def _simple_roots(family: str, rank: int):
 class RootDatum:
     """A realized irreducible root system with its Weyl combinatorics.
 
-    The roots and the label tables are fixed at construction, from integer
-    rows over one denominator (the Cartan matrix, its inverse and the
-    duality check of the fundamental weights included), and so is
-    ``root_perms``, from which the Pieri index carries its factor lists down
-    the Weyl descent.  One label descent (``_dominant_orbit``) finds the
-    roots (the W-orbits of the simple roots), every Weyl and parabolic
-    orbit and |W| (``weyl_order``); one bounded scan of labels
-    (``_bounded_labels``) finds the small weights and the weights up to a
-    height.  Results are memoized on the instance the
-    first time they are asked for: the labels of a vector under the vector
-    (the only vector-keyed memo), everything else under the labels of a
-    weight: pairings, Weyl orbits, dominance intervals, saturated maps and
-    their alpha-string tables, and for a small weight omega its Pieri index
-    (``index_memo``, filled by ``diffeq.pieri_index``) and its E_omega on
-    labels (``expansion_label_memo``, filled by ``weylalg``; for BC it holds
-    the E_ell of ``nonreduced`` under the int ell), and the confluent
-    limit's etas (``eta_memo``, ``whittaker``).
-    The memos live and die with the datum; each entry is a pure function of
-    its key, so threads sharing an instance can at worst compute it twice.
+    The roots and the label tables are fixed at construction, from integer rows
+    over one denominator (the Cartan matrix, its inverse and the duality check
+    of the fundamental weights included), and so is ``root_perms``, from which
+    the Pieri index carries its factor lists down the Weyl descent.  One label
+    descent (``_dominant_orbit``) finds the roots (the W-orbits of the simple
+    roots), every Weyl and parabolic orbit and |W| (``weyl_order``); one
+    bounded scan of labels (``_bounded_labels``) finds the small weights and
+    the weights up to a height.  Results are memoized on the instance the first
+    time they are asked for: the labels of a vector under the vector (the only
+    vector-keyed memo), everything else under the labels of a weight: pairings,
+    Weyl orbits, dominance intervals, saturated maps, their alpha-string tables
+    and Jacobi recursion patterns (``jacobi_memo``, filled by ``jacobi``), and
+    for a small weight omega its Pieri index (``index_memo``, filled by
+    ``diffeq.pieri_index``) and its E_omega on labels
+    (``expansion_label_memo``, filled by ``weylalg``; for BC it holds the E_ell
+    of ``nonreduced`` under the int ell), and the confluent limit's etas
+    (``eta_memo``, ``whittaker``).  The memos live and die with the datum; each
+    entry is a pure function of its key, so threads sharing an instance can at
+    worst compute it twice.
     """
 
     def __init__(self, family: str, rank: int):
@@ -285,8 +285,8 @@ class RootDatum:
 
         # memos: labels under the vector (the one vector-keyed memo), the
         # rest under integer labels (of a weight, or of the dominant element
-        # of an orbit) or sets of root indices; the last three are filled
-        # by diffeq.pieri_index, weylalg and whittaker.orbit_etas
+        # of an orbit) or sets of root indices; the last four are filled by
+        # jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
         self._pairings: dict[tuple, tuple] = {}
@@ -294,6 +294,7 @@ class RootDatum:
         self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
         self._sat_label_cache: dict[tuple, dict[tuple, tuple]] = {}
         self._string_tables: dict[tuple, tuple] = {}
+        self.jacobi_memo: dict[tuple, tuple] = {}
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
         self.eta_memo: tuple | None = None
@@ -581,9 +582,10 @@ class RootDatum:
         P(t), t in tops (memoized): index numbers the labels of S; strings holds
         per positive root alpha (its index, its strings), a string being (k,
         indices of the labels at pairings k, k-2, ..., -k) for its top label,
-        <l, alpha^vee> = k > 0 (S is saturated, so none is broken); quad holds
-        <l, l> times ``weight_gram_den`` per label; perms[j][i] numbers s_j of
-        label i (S is W-stable).  Both walk the codes of ``_label_code``."""
+        <l, alpha^vee> = k > 0 (S is saturated, so none is broken: k + 1 is the
+        length of the walk down from the top); quad holds <l, l> times
+        ``weight_gram_den`` per label; perms[j][i] numbers s_j of label i (S is
+        W-stable).  Both walk codes (``_label_code``)."""
         found = self._string_tables.get(tops)
         if found is None:
             index = {l: i for i, l in enumerate(dict.fromkeys(
@@ -592,13 +594,15 @@ class RootDatum:
             at = {code(l): i for l, i in index.items()}   # codes in index order
             roots = []
             for r in self.positive_indices:
-                cc, a = self.coroot_coefficients[r], code(self.root_labels[r])
-                strings = tuple(
-                    (k, tuple(at[c - j * a] for j in range(k + 1)))
-                    for l, c in zip(index, at)
-                    if c + a not in at and (k := int(sum(map(mul, cc, l)))) > 0)
+                a, strings = code(self.root_labels[r]), []
+                for c in at:
+                    if c + a not in at and c - a in at:
+                        string = [at[c]]
+                        while (c := c - a) in at:
+                            string.append(at[c])
+                        strings.append((len(string) - 1, tuple(string)))
                 if strings:
-                    roots.append((r, strings))
+                    roots.append((r, tuple(strings)))
             perms = tuple(tuple(at[c - l[j] * a] for l, c in zip(index, at))
                           for j, a in enumerate(map(code, self.cartan)))
             quad = tuple(sum(x * sum(map(mul, row, l)) for x, row in zip(l, self.weight_gram))

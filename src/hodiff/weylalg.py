@@ -15,7 +15,7 @@ import math
 from fractions import Fraction as Q
 from operator import mul
 
-from .rootsys import Multiplicities, RootDatum, Vector, _q_str, vadd, weight_str
+from .rootsys import Multiplicities, RootDatum, Vector, _q_str, _step, vadd, weight_str
 
 
 class InternalConsistencyError(RuntimeError):
@@ -145,7 +145,9 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     lam alone).  p is W-invariant if each simple reflection's permutation of
     the table's W-stable set S fixes its coefficient list (a zero coefficient
     is no term).  If not, or if a label lies outside S, ``_is_invariant``
-    picks the error: ValueError if p is not invariant, else fatal.
+    picks the error: ValueError if p is not invariant, else fatal.  Before
+    the table is built, p is refused (ValueError) if s_j l carries another
+    coefficient than l for a dominant label l of the support.
     Along a string, with d_k = k c_k the coefficient of d_alpha p at pairing
     k and S_k = sum_{j >= k} d_j, the quotient has coefficient S_k + S_{k+2}
     at pairing k.  Each string must sum to zero, which is the telescoping
@@ -156,9 +158,12 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     terms give an integer image.
     """
     require_exact(mults)
+    dominant = [l for l in terms if min(l) >= 0]
+    if any(k and terms.get(_step(l, k, row), 0) != terms[l]
+           for l in dominant for k, row in zip(l, datum.cartan)):
+        raise ValueError("apply_L requires a W-invariant argument")
     tops = []   # by falling height, l is maximal unless below an earlier top
-    for l in sorted((l for l in terms if min(l) >= 0), reverse=True,
-                    key=lambda l: sum(map(mul, datum.height_row, l))):
+    for l in sorted(dominant, reverse=True, key=lambda l: sum(map(mul, datum.height_row, l))):
         if not any(l in datum.saturated_labels(t) for t in tops):
             tops.append(l)
     index, roots, quad, perms = datum.string_table(tuple(sorted(tops)))

@@ -21,7 +21,7 @@ import mpmath
 from .diffeq import coeff_U, coeff_V  # noqa: F401 -- kept beside their limits
 from .diffeq import PoleAtSpectralPoint, factor_product, float_table, pieri_index, term_factors
 from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg, weight_str
-from .weylalg import expansion_labels
+from .weylalg import _q_str, expansion_labels
 
 
 def _square_part(n: int) -> tuple[int, int]:
@@ -195,7 +195,6 @@ class ConfluenceReport:
         return all(r["ok"] for r in self.rows)
 
     def to_dict(self):
-        from .weylalg import _q_str
         return {"system": self.system, "omega": [_q_str(x) for x in self.omega],
                 "t": list(self.t_list), "tol": self.tol,
                 "status": "pass" if self.ok else "fail", "rows": self.rows}

@@ -3,6 +3,9 @@
 Each walks its data afresh on every call, in Fractions or label dicts, the
 way the package did before its tables and cleared integers:
 
+- ``tuple_walk_jacobi``: the Jacobi triangular recursion stepping label
+  tuples up each alpha-string through the saturated map and adding
+  Fractions, with no memo per datum and lambda;
 - ``string_walk_apply_L``: the operator L on label-keyed terms, grouping
   the alpha-strings of the support by their base label on every call;
 - ``fraction_opdam``: the closed leading-coefficient product, one Fraction
@@ -42,8 +45,9 @@ Last, a constructor and a per-point residual only the tests use:
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 
 from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
@@ -53,6 +57,54 @@ from hodiff.rootsys import Multiplicities
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
                             expansion_E_omega, require_exact)
 from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
+
+
+def tuple_walk_jacobi(datum, mults, lam):
+    """The ``label_coeffs`` of ``jacobi.jacobi_polynomial(datum, mults, lam)``
+    from the recursion walked label by label: for each dominant mu < lam by
+    falling height, c_mu = 2 sum_{alpha>0} g_alpha sum_{j>=1}
+    <mu + j alpha, alpha> c~_{mu+j alpha} / (E(rho+lam) - E(rho+mu)),
+    then everything divided by P(0)."""
+    require_exact(mults)
+    top = datum.dominant_labels(lam)
+    sat = datum.saturated_labels(top)
+    height_row = datum.height_row
+    doms = sorted(datum.below_labels(top),
+                  key=lambda m: -sum(map(mul, height_row, m)))
+    gram = datum.weight_gram
+    rho_labels = datum.rho_labels(mults)
+    d = math.lcm(*(x.denominator for x in rho_labels))
+    rho_d = [x.numerator * (d // x.denominator) for x in rho_labels]
+
+    def energy(m):
+        return sum((2 * r + d * x) * sum(map(mul, row, m))
+                   for r, x, row in zip(rho_d, m, gram))
+
+    scale = d * datum.weight_gram_den
+    e_top = energy(top)
+    positive = [(datum.coroot_coefficients[i], datum.root_labels[i],
+                 mults.root_values[i] * datum.root_norms[i])
+                for i in datum.positive_indices]
+    monic = {top: Q(1)}
+    for mu in doms[1:]:
+        rhs = Q(0)
+        for cc, lab, weight in positive:
+            k = sum(map(mul, cc, mu)) + 2
+            nu = tuple(map(add, mu, lab))
+            while (rep := sat.get(nu)) is not None:
+                c = monic.get(rep)
+                if c:
+                    rhs += weight * k * c
+                k += 2
+                nu = tuple(map(add, nu, lab))
+        denom = e_top - energy(mu)
+        if denom == 0:
+            raise ArithmeticError("vanishing recursion denominator")
+        monic[mu] = rhs * scale / denom
+    z = sum(monic[m] * n for m, n in Counter(sat.values()).items())
+    if z == 0:
+        raise ArithmeticError("vanishing value at the origin; cannot normalize")
+    return {m: c / z for m, c in monic.items()}
 
 
 def string_walk_apply_L(datum, mults, terms):

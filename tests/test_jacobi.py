@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -7,10 +9,11 @@ import pytest
 from hodiff.diffeq import sample_multiplicities
 from hodiff.jacobi import (jacobi_polynomial, opdam_leading_coefficient,
                            verify_eigen)
-from hodiff.rootsys import Multiplicities, vadd
+from hodiff.rootsys import Multiplicities, build_root_system, vadd
 from hodiff.weylalg import (ExpPoly, apply_L, eigenvalue_E, exp_to_json,
                             is_w_invariant)
-from oracles import constant_multiplicities, dominance_leq, vscale
+from oracles import constant_multiplicities, dominance_leq, tuple_walk_jacobi, vscale
+from test_rootsys import TABLE
 
 G_SAMPLES = (Q(3, 7), Q(5, 11), Q(9, 4))
 
@@ -173,3 +176,99 @@ def test_opdam_product_matches_fraction_reference(system):
         for lam in lams:
             assert opdam_leading_coefficient(datum, mults, lam) == \
                 fraction_opdam(datum, mults, lam), (system, lam)
+
+
+ORACLE_SYSTEMS = [system for system in TABLE if system[0] != "E" or system[1] == 6]
+
+
+@pytest.mark.parametrize("fam,rank", ORACLE_SYSTEMS)
+def test_recursion_matches_tuple_walk_oracle(fam, rank):
+    # the memoized integer pattern against the per-build tuple walk in
+    # Fractions, exactly, at every dominant lambda up to height 3 and every
+    # small dominant weight (the only nonzero ones on F4 and E6): two
+    # samples on one datum (the second solves the memoized patterns, which
+    # stay the same objects) and one on a fresh datum
+    rng = random.Random(f"pattern:{fam}{rank}")
+    datum = build_root_system(fam, rank)
+    lams = sorted(set(datum.dominant_weights_up_to_height(3) + datum.small_dominant_weights()))
+
+    def check(datum):
+        mults = sample_multiplicities(datum, rng)
+        for lam in lams:
+            poly = jacobi_polynomial(datum, mults, lam)
+            expected = tuple_walk_jacobi(datum, mults, lam)
+            assert poly.label_coeffs == expected, (fam, rank, lam)
+            assert list(poly.label_coeffs) == list(expected)
+
+    check(datum)
+    memo = dict(datum.jacobi_memo)
+    assert memo.keys() == {datum.dominant_labels(lam) for lam in lams}
+    check(datum)
+    assert datum.jacobi_memo.keys() == memo.keys()
+    assert all(datum.jacobi_memo[k] is v for k, v in memo.items())
+    check(build_root_system(fam, rank))
+
+
+def _shift_k(pattern, delta):
+    """pattern with the K of the first term of its first nonempty row moved
+    by delta."""
+    doms, rows, counts, weights = pattern
+    i = next(i for i, row in enumerate(rows) if row[0])
+    (p, o, k), *rest = rows[i][0]
+    row = (((p, o, k + delta), *rest),) + rows[i][1:]
+    return doms, rows[:i] + (row,) + rows[i + 1:], counts, weights
+
+
+def _drop_orbit(pattern, orbit):
+    """pattern without the terms of one root orbit, in every row."""
+    doms, rows, counts, weights = pattern
+    rows = tuple((tuple(t for t in terms if t[1] != orbit), dq, bs)
+                 for terms, dq, bs in rows)
+    return doms, rows, counts, weights
+
+
+@pytest.mark.parametrize("corrupt", [lambda p: _shift_k(p, 1), lambda p: _shift_k(p, -1),
+                                     lambda p: _drop_orbit(p, 0), lambda p: _drop_orbit(p, 1)],
+                         ids=["K+1", "K-1", "drop-orbit-0", "drop-orbit-1"])
+def test_corrupted_pattern_fails_both_checks(corrupt, monkeypatch):
+    # negative control for the memoized pattern: one corrupted entry makes
+    # the eigencheck report a nonzero residual and moves the leading
+    # coefficient off the closed product, so both independent checks still
+    # guard the recursion
+    datum = build_root_system("B", 2)
+    mults = Multiplicities(datum, [Q(5, 11), Q(9, 4)])
+    lam = datum.weight_from_fundamental([1, 2])
+    top = datum.dominant_labels(lam)
+    good = jacobi_polynomial(datum, mults, lam)
+    assert verify_eigen(datum, mults, lam, good).ok
+    assert good.leading_coefficient() == opdam_leading_coefficient(datum, mults, lam)
+    monkeypatch.setitem(datum.jacobi_memo, top, corrupt(datum.jacobi_memo[top]))
+    bad = jacobi_polynomial(datum, mults, lam)
+    report = verify_eigen(datum, mults, lam, bad)
+    assert not report.ok and report.residual
+    assert bad.leading_coefficient() != opdam_leading_coefficient(datum, mults, lam)
+
+
+@pytest.mark.parametrize("fam,rank", TABLE)
+def test_label_eigenvalue_matches_vector_form(fam, rank):
+    # E(rho_g + lam) on labels, as verify_eigen forms it, against
+    # <xi, xi> - <rho_g, rho_g> in realization coordinates
+    from hodiff.jacobi import _shifted_eigenvalue
+    datum = build_root_system(fam, rank)
+    mults = sample_multiplicities(datum, random.Random(f"E:{fam}{rank}"))
+    for lam in ((Q(0),) * datum.dim,) + datum.small_dominant_weights():
+        assert _shifted_eigenvalue(datum, mults, datum.labels(lam)) == \
+            eigenvalue_E(datum, mults, vadd(datum.rho(mults), lam)), (fam, rank, lam)
+
+
+def test_jacobi_keeps_no_datum_alive():
+    # the recursion memo lives on the datum: once the datum, its
+    # multiplicities and its polynomial are dropped, the datum is collected
+    datum = build_root_system("B", 3)
+    mults = sample_multiplicities(datum, random.Random(7))
+    poly = jacobi_polynomial(datum, mults, datum.weight_from_fundamental([1, 1, 0]))
+    assert verify_eigen(datum, mults, poly.lam, poly).ok and datum.jacobi_memo
+    ref = weakref.ref(datum)
+    del datum, mults, poly
+    gc.collect()
+    assert ref() is None

@@ -136,13 +136,16 @@ def test_eval_at_matches_direct_formula(g2):
 
 def test_apply_l_untelescoped_string_is_fatal(a2, monkeypatch):
     # negative control for the string division: let a non-invariant element
-    # past the invariance gates; the alpha-strings of e^{omega_1} do not sum
-    # to zero, so the exact division must refuse rather than truncate.  With
-    # _is_invariant alone patched, the table's reflections still catch it.
+    # past the invariance gates; the alpha_2-string of e^{omega_1} +
+    # e^{s_1 omega_1} does not sum to zero, so the exact division must refuse
+    # rather than truncate.  Its dominant label passes the check made before
+    # the table; with _is_invariant alone patched, the table's reflections
+    # still catch it.
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
     g = constant_multiplicities(a2, Q(3, 7))
-    p = ExpPoly({a2.fundamental_weights[0]: Q(1)})
+    w = a2.fundamental_weights[0]
+    p = ExpPoly({w: Q(1), a2.from_labels((-1, 1)): Q(1)})
     with pytest.raises(weylalg.InternalConsistencyError, match="reflections disagree"):
         apply_L(a2, g, p)
     table = a2.string_table
@@ -213,14 +216,14 @@ def test_string_tables_match_per_call_walk(system, corrupted):
 def test_apply_l_support_outside_string_table_is_fatal(a2, monkeypatch):
     # a non-invariant element let past the gate may leave the table: e^{-omega_1}
     # has no dominant exponent, and e^{s_1(omega_1 + omega_2)} lies outside
-    # P(omega_1)
+    # P(omega_1), added to m_{omega_1} (which passes the check on dominant labels)
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
     g = constant_multiplicities(a2, Q(3, 7))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
         apply_L(a2, g, ExpPoly({vneg(a2.fundamental_weights[0]): Q(1)}))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
-        apply_L_labels(a2, g, {(1, 0): 1, (-1, 2): 1})
+        apply_L_labels(a2, g, {(1, 0): 1, (-1, 1): 1, (0, -1): 1, (-1, 2): 1})
 
 
 def test_string_table_keyed_by_maximal_dominant_labels():
@@ -287,8 +290,11 @@ def test_string_table_matches_label_steps(system):
 @pytest.mark.parametrize("system", ["F4", "E6", "BC2"])
 def test_apply_l_rejects_one_changed_coefficient(system, monkeypatch):
     # a cleared P_lam with one non-dominant coefficient moved by one, or set
-    # to zero, is not W-invariant: ValueError.  The table's permutations
-    # decide; _is_invariant is called only to choose the error
+    # to zero, is not W-invariant: ValueError.  At a simple reflection of a
+    # dominant label the check made before the table refuses it; elsewhere
+    # the table's permutations decide, and _is_invariant is called only to
+    # choose the error
+    from hodiff.rootsys import _step
     from hodiff import weylalg
     from hodiff.jacobi import jacobi_polynomial
     datum = _datum(system)
@@ -301,12 +307,35 @@ def test_apply_l_rejects_one_changed_coefficient(system, monkeypatch):
     apply_L_labels(datum, mults, terms)
     assert not calls
     changed = [l for l in terms if min(l) < 0]
-    assert changed
+    near = {_step(l, k, row) for l in terms if min(l) >= 0
+            for k, row in zip(l, datum.cartan) if k}
+    assert changed and set(changed) - near
     for l in changed:
         for c in (terms[l] + 1, 0):
             with pytest.raises(ValueError, match="W-invariant"):
                 apply_L_labels(datum, mults, {**terms, l: c})
-    assert len(calls) == 2 * len(changed)
+    assert len(calls) == 2 * len(set(changed) - near)
+
+
+@pytest.mark.parametrize("system,top", [("F4", (1, 1, 1, 1)), ("E6", (1, 0, 0, 0, 0, 1)),
+                                        ("BC2", (1, 2))])
+def test_apply_l_refuses_before_building_tables(system, top):
+    # a dominant label whose simple reflections are missing is refused
+    # before its saturated set or alpha-string table is built; valid calls
+    # still match the per-call string walk
+    from oracles import string_walk_apply_L
+
+    from hodiff.jacobi import jacobi_polynomial
+    from hodiff.rootsys import _step
+    datum = _datum(system)
+    mults = constant_multiplicities(datum, Q(4, 9))
+    for bad in ({top: 1}, {top: 1, _step(top, top[0], datum.cartan[0]): 1}):
+        with pytest.raises(ValueError, match="W-invariant"):
+            apply_L_labels(datum, mults, bad)
+    assert datum._string_tables == {} and datum._sat_label_cache == {}
+    for omega in datum.small_dominant_weights():
+        _d, terms = jacobi_polynomial(datum, mults, omega).cleared_terms()
+        assert apply_L_labels(datum, mults, terms) == string_walk_apply_L(datum, mults, terms)
 
 
 def test_apply_l_explicit_zero_coefficient(a2):

@@ -429,10 +429,37 @@ class OutputError(Exception):
     """The file named by --out cannot be written."""
 
 
+def _json_chunks(x, pre, nl, out, _encode_str=json.encoder.encode_basestring_ascii) -> list:
+    """out with x appended as json.dumps(x, indent=2, sort_keys=True) writes it
+    at line break and indent nl, pre (separator and key) joined to its first
+    chunk; json.dumps writes only NaN, +-inf, {}, [] and subclasses, and
+    raises TypeError for a value that JSON cannot hold."""
+    t = type(x)
+    if t is str:
+        out.append(pre + _encode_str(x))
+    elif t is int or t is float and math.isfinite(x):
+        out.append(pre + t.__repr__(x))
+    elif t is bool or x is None:
+        out.append(pre + ("null" if x is None else "true" if x else "false"))
+    elif isinstance(x, (dict, list, tuple)) and x:
+        keyed, inner = isinstance(x, dict), nl + "  "
+        pre += ("{" if keyed else "[") + inner
+        for k, v in sorted(x.items()) if keyed else enumerate(x):
+            if keyed:   # json quotes the text of a key that is no str
+                pre += (_encode_str(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
+            _json_chunks(v, pre, inner, out)
+            pre = "," + inner
+        out.append(nl + ("}" if keyed else "]"))
+    else:
+        out.append(pre + json.dumps(x))
+    return out
+
+
 def _emit(payload, out_path):
-    """payload as canonical JSON (a str as it is) to out_path or stdout."""
+    """payload as canonical JSON, json.dumps(payload, indent=2, sort_keys=True)
+    and a newline written in one pass (a str as it is), to out_path or stdout."""
     text = (payload if isinstance(payload, str)
-            else json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            else "".join(_json_chunks(payload, "", "\n", [])) + "\n")
     if out_path:
         try:
             with open(out_path, "w") as fh:

@@ -17,7 +17,7 @@ from functools import cache
 from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
-from .rootsys import Multiplicities, RootDatum, Vector, vadd, weight_str
+from .rootsys import Multiplicities, RootDatum, Vector, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       require_exact)
@@ -451,14 +451,13 @@ def sample_multiplicities(datum: RootDatum, rng) -> Multiplicities:
 
 
 def sample_spectral_point(datum: RootDatum, rng, max_tries: int = 200):
-    """Rational xi with every <xi,a^vee> away from 0 and -1 (pole-free)."""
+    """Rational xi = sum_i c_i omega_i with every <xi,a^vee> away from 0 and
+    -1 (pole-free): the labels c_i drawn (numerator, then denominator), their
+    ``label_pairings`` tested, xi built once by ``from_labels``."""
     for _ in range(max_tries):
-        xi = (Q(0),) * datum.dim
-        for w in datum.fundamental_weights:
-            c = Q(rng.randint(-24, 24), rng.randint(2, 9))
-            xi = vadd(xi, tuple(c * x for x in w))
-        if all(z not in (0, -1) for z in datum.pairings(xi)):
-            return xi
+        c = tuple(Q(rng.randint(-24, 24), rng.randint(2, 9)) for _ in range(datum.rank))
+        if all(z not in (0, -1) for z in datum.label_pairings(c)):
+            return datum.from_labels(c)
     raise RuntimeError("could not sample a pole-free spectral point")
 
 

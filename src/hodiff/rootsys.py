@@ -15,12 +15,12 @@ per simple reflection the permutation of the roots (``root_perms``).  Then
 labels(alpha).  A W-stable label set S gets a ``string_table``: its
 alpha-strings and, for the W-invariance check of ``apply_L_labels``, per
 simple reflection a permutation of S, both found on packed integer codes.
-A realization vector is hashed once, where it enters the kernel
-(``labels``); every other memo of a datum is keyed by labels, and the exact
-engines (``jacobi``, ``diffeq``, ``nonreduced``) carry weights as labels too,
-down to the labels of rho_g (``rho_labels``).  Realization coordinates are
-rebuilt (``from_labels``) only where a weight leaves them: the public API,
-report emission and the vector keys of a polynomial cache.
+A vector the datum made knows its labels by identity; any other is hashed
+once, where it enters the kernel (``labels``).  Every other memo of a datum
+is keyed by labels, and the exact engines (``jacobi``, ``diffeq``,
+``nonreduced``) carry weights as labels too, down to rho_g (``rho_labels``).
+Realization coordinates are rebuilt (``from_labels``) only where a weight
+leaves them: the public API, reports, polynomial cache keys, sampled points.
 Every pairing, reflection and orbit below is exact.
 """
 
@@ -54,8 +54,8 @@ def _q_str(c: Q) -> str:
 
 
 def weight_str(v) -> str:
-    """A weight as (p/q,...), as report case names and error messages print it."""
-    return "(" + ",".join(_q_str(Q(x)) for x in v) + ")"
+    """A weight of ints and Fractions as (p/q,...), as case names and errors print it."""
+    return "(" + ",".join(map(_q_str, v)) + ")"
 
 
 def _exact(x):
@@ -160,12 +160,12 @@ class RootDatum:
     roots), every Weyl and parabolic orbit and |W| (``weyl_order``); one
     bounded scan of labels (``_bounded_labels``) finds the small weights and
     the weights up to a height.  Results are memoized on the instance the first
-    time they are asked for: the labels of a vector under the vector (the only
-    vector-keyed memo), everything else under the labels of a weight: pairings,
-    Weyl orbits, dominance intervals, saturated maps, their alpha-string tables
-    and Jacobi recursion patterns (``jacobi_memo``, filled by ``jacobi``), and
-    for a small weight omega its Pieri index (``index_memo``, filled by
-    ``diffeq.pieri_index``) and its E_omega on labels
+    time they are asked for: the labels of a vector by identity if the datum
+    made it, else under the vector (the only vector-keyed memo), the rest under
+    labels: pairings, Weyl orbits, dominance intervals, saturated maps, their
+    alpha-string tables and Jacobi recursion patterns (``jacobi_memo``, filled
+    by ``jacobi``), and for a small weight omega its Pieri index
+    (``index_memo``, filled by ``diffeq.pieri_index``) and its E_omega on labels
     (``expansion_label_memo``, filled by ``weylalg``; for BC it holds the E_ell
     of ``nonreduced`` under the int ell), and the confluent limit's etas
     (``eta_memo``, ``whittaker``).  The memos live and die with the datum; each
@@ -215,8 +215,6 @@ class RootDatum:
         if any(2 * sum(map(mul, wi, forms[j])) != (i == j) * cden * snum[j]
                for i, wi in enumerate(w) for j in range(rank)):
             raise ValueError("fundamental weights failed duality check")
-        self.fundamental_weights: tuple[Vector, ...] = tuple(
-            tuple(Q(x, cden * den) for x in wi) for wi in w)
 
         # the reduced roots are the W-orbits of the simple roots, found by
         # descent from their dominant elements and keyed by their simple-root
@@ -283,10 +281,12 @@ class RootDatum:
         self.weight_gram_den, self.weight_gram = _reduced(
             2 * cden * sden, [[cinv[j][i] * snum[i] for j in range(rank)] for i in range(rank)])
 
-        # memos: labels under the vector (the one vector-keyed memo), the
-        # rest under integer labels (of a weight, or of the dominant element
-        # of an orbit) or sets of root indices; the last four are filled by
-        # jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
+        # memos: (v, labels) under id(v) per v the datum made (the fundamental
+        # weights, the roots, each result of from_labels; held, so the id stays
+        # v's), labels of any other v under v (the one vector-keyed memo), the
+        # rest under integer labels or sets of root indices; the last four are
+        # filled by jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
+        self._made: dict[int, tuple[Vector, tuple]] = {}
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
         self._pairings: dict[tuple, tuple] = {}
@@ -298,6 +298,9 @@ class RootDatum:
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
         self.eta_memo: tuple | None = None
+        self.fundamental_weights: tuple[Vector, ...] = tuple(
+            self.from_labels(tuple(int(i == j) for j in range(rank))) for i in range(rank))
+        self._made.update((id(a), (a, l)) for a, l in zip(self.roots, self.root_labels))
 
         orbits = self._root_orbit_indices()
         self.root_orbits: tuple[tuple[Vector, ...], ...] = tuple(
@@ -334,8 +337,10 @@ class RootDatum:
     # -- the label kernel -----------------------------------------------------
 
     def labels(self, v: Vector) -> tuple:
-        """Dynkin labels (<v, alpha_i^vee>)_i, ints where integral (memoized):
-        the one place where a realization vector is hashed."""
+        """Dynkin labels (<v, alpha_i^vee>)_i, ints where integral: by identity
+        if the datum made v, else memoized under v (hashed only here)."""
+        if (made := self._made.get(id(v))) is not None:
+            return made[1]
         l = self._labels.get(v)
         if l is None:
             l = self._labels[v] = tuple(
@@ -344,10 +349,13 @@ class RootDatum:
         return l
 
     def from_labels(self, l: tuple) -> Vector:
-        """The vector sum_i l_i omega_i of the root span (memoized)."""
+        """The vector sum_i l_i omega_i of the root span, known to ``labels``
+        by identity (memoized for a weight)."""
         v = self._vectors.get(l)
         if v is None:
+            l = tuple(map(_exact, l))
             v = self.vector_of(l)
+            self._made[id(v)] = v, l
             if _integral(l):
                 self._vectors[l] = v
                 self._labels.setdefault(v, l)
@@ -453,8 +461,9 @@ class RootDatum:
         integer labels, v in the root span and, for BC (where some coroots
         have half-integer simple-coroot coefficients), integer pairings."""
         v = tuple(v)
-        l = self.labels(v)
-        if not (_integral(l) and self.from_labels(l) == v
+        made = self._made.get(id(v))   # a vector the datum made is in the root span
+        l = self.labels(v) if made is None else made[1]
+        if not (_integral(l) and (made is not None or self.from_labels(l) == v)
                 and (self._integral_coroots or _integral(self.label_pairings(l)))):
             raise ValueError(f"{weight_str(v)} is not in the weight lattice of {self}")
         return l

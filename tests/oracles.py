@@ -32,7 +32,10 @@ taking the root datum first:
   simple-root coordinates and their sum, the dominance order, and rho^vee
   as a vector;
 - ``eval_at`` and ``exp_from_json``: an ExpPoly evaluated at a point and
-  read back from its ``exp_to_json`` form.
+  read back from its ``exp_to_json`` form;
+- ``vector_sample_spectral_point``: a sampled spectral point summed as a
+  Fraction vector over the fundamental weights, its pole test reading the
+  labels back through the Gram form (the package draws the labels).
 
 Last, a constructor and a per-point residual only the tests use:
 
@@ -53,7 +56,7 @@ from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
-from hodiff.rootsys import Multiplicities
+from hodiff.rootsys import Multiplicities, vadd
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
                             expansion_E_omega, require_exact)
 from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
@@ -405,6 +408,20 @@ def exp_from_json(items):
     """The ExpPoly of ``weylalg.exp_to_json`` records."""
     return ExpPoly({tuple(Q(w) for w in item["weight"]): Q(item["coeff"])
                     for item in items})
+
+
+def vector_sample_spectral_point(datum, rng, max_tries=200):
+    """Rational xi with every <xi,a^vee> away from 0 and -1, as
+    ``diffeq.sample_spectral_point`` draws it: per fundamental weight a
+    coefficient, numerator then denominator, summed as a vector."""
+    for _ in range(max_tries):
+        xi = (Q(0),) * datum.dim
+        for w in datum.fundamental_weights:
+            c = Q(rng.randint(-24, 24), rng.randint(2, 9))
+            xi = vadd(xi, tuple(c * x for x in w))
+        if all(z not in (0, -1) for z in datum.pairings(xi)):
+            return xi
+    raise RuntimeError("could not sample a pole-free spectral point")
 
 
 def constant_multiplicities(datum, g):

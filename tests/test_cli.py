@@ -316,17 +316,66 @@ PINNED_OUTPUTS = (
 )
 
 
-@pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS,
-                         ids=["exact-suites", "u-sign", "v-drop-pairing2",
-                              "coeffs-g2", "coeffs-e6-omega2",
-                              "coeffs-f4-omega4", "pieri-f4-omega1", "pieri-f4-omega4",
-                              "pieri-e6-omega1", "pieri-f4-omega1-u-sign",
-                              "pieri-e8-omega8", "pieri-e8-omega8-u-sign",
-                              "whittaker-suite", "whittaker-limits-g2",
-                              "whittaker-limits-c3", "rankone-suite",
-                              "sweep-rank-one-csv", "default-report"])
+PINNED_IDS = ["exact-suites", "u-sign", "v-drop-pairing2", "coeffs-g2", "coeffs-e6-omega2",
+              "coeffs-f4-omega4", "pieri-f4-omega1", "pieri-f4-omega4", "pieri-e6-omega1",
+              "pieri-f4-omega1-u-sign", "pieri-e8-omega8", "pieri-e8-omega8-u-sign",
+              "whittaker-suite", "whittaker-limits-g2", "whittaker-limits-c3",
+              "rankone-suite", "sweep-rank-one-csv", "default-report"]
+
+
+@pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS, ids=PINNED_IDS)
 def test_exact_outputs_are_byte_stable(tmp_path, produce, digest):
     assert hashlib.sha256(produce(tmp_path)).hexdigest() == digest
+
+
+def _canonical(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emitted(payload, tmp_path, capsys):
+    """The text _emit writes for payload to --out, and to stdout."""
+    out = tmp_path / "emitted.json"
+    cli._emit(payload, str(out))
+    capsys.readouterr()
+    cli._emit(payload, None)
+    return out.read_text(), capsys.readouterr().out
+
+
+# every pinned command, the default report among them
+PINNED_COMMANDS = {name: p for name, (p, _digest) in zip(PINNED_IDS, PINNED_OUTPUTS)
+                   if "_cli_output" in p.__qualname__}
+
+
+@pytest.mark.parametrize("produce", PINNED_COMMANDS.values(), ids=PINNED_COMMANDS)
+def test_writer_matches_json_on_every_pinned_command(produce, tmp_path, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, out_path: (
+        payloads.append(payload), emit(payload, out_path)))
+    produce(tmp_path)
+    assert len(payloads) == 1
+    payload, = payloads
+    want = payload if isinstance(payload, str) else _canonical(payload)
+    assert _emitted(payload, tmp_path, capsys) == (want, want)
+
+
+def test_writer_matches_json_on_edge_values(tmp_path, capsys):
+    payload = {
+        "empty": {}, "none": [], "nested": {"a": {}, "b": [[], {}, ()], "c": [{"d": []}]},
+        "tuple": (1, "two", (3.5, None)), "ascii": "plain",
+        "caf\u00e9 \"key\"\n\t": ["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f", "back\\slash"],
+        "floats": [-0.0, 0.0, 1e-300, 1e300, 0.1, 2.5, float("nan"), float("inf"),
+                   -float("inf")],
+        "ints": [0, -1, 2 ** 80, -(2 ** 80)], "flags": [True, False, None],
+        "keys": [{2: "int", -1: "int"}, {2.5: "float", float("inf"): "float"},
+                 {True: "bool", False: "bool"}, {None: "none"}],
+    }
+    for p in (payload, [], {}, 7, -0.0, float("nan"), None, [payload, (payload,)]):
+        want = _canonical(p)
+        assert _emitted(p, tmp_path, capsys) == (want, want)
+    for bad in (Q(1, 2), {"a": [Q(1, 2)]}, {(1, 2): 0}, {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._emit(bad, None)
 
 
 def test_verify_invalid_inputs(capsys):

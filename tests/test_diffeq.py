@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 import hodiff.diffeq as diffeq
+from hodiff.cli import PIERI_SYSTEMS
 from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
                            PoleAtSpectralPoint, coeff_U, coeff_V,
                            integer_product, perturbed, pieri_index,
@@ -20,7 +21,8 @@ from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             expansion_E_omega, expansion_labels, is_w_invariant,
                             label_form)
 from oracles import (constant_multiplicities, dominant_representative, height,
-                     orbit_under_reflections, scan_pieri_index, vscale)
+                     orbit_under_reflections, scan_pieri_index,
+                     vector_sample_spectral_point, vscale)
 from weyl_words import apply_word, inverse_word
 
 
@@ -435,6 +437,45 @@ def test_every_single_factor_edit_breaks_pieri(system, request, monkeypatch):
                 assert not report.ok, (omega, entry.nu, mutant)
                 checked += 1
     assert checked > 0
+
+
+class _PoleDraws:
+    """A stand-in for Random whose labels are all 0, a pole on every root;
+    it counts its draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randint(self, low, high):
+        self.draws += 1
+        return 0 if low < 0 else low
+
+
+@pytest.mark.parametrize("fam,rank", PIERI_SYSTEMS)
+def test_label_sampler_matches_the_vector_sampler(fam, rank):
+    # the labels are drawn in the order of the vector sampler's coefficients,
+    # so both return equal points and leave the Random in the same state, or
+    # both give up after max_tries
+    datum = build_root_system(fam, rank)
+    for seed in range(50):
+        for max_tries in (1, 200):
+            got, want = random.Random(seed), random.Random(seed)
+            try:
+                xi = sample_spectral_point(datum, got, max_tries)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError, match=str(exc)):
+                    vector_sample_spectral_point(datum, want, max_tries)
+            else:
+                assert xi == vector_sample_spectral_point(datum, want, max_tries)
+                known, read = datum.labels(xi), datum.labels(tuple(list(xi)))
+                assert known == read and list(map(type, known)) == list(map(type, read))
+            assert got.getstate() == want.getstate()
+    got, want = _PoleDraws(), _PoleDraws()
+    with pytest.raises(RuntimeError, match="could not sample a pole-free spectral point"):
+        sample_spectral_point(datum, got, 7)
+    with pytest.raises(RuntimeError, match="could not sample a pole-free spectral point"):
+        vector_sample_spectral_point(datum, want, 7)
+    assert got.draws == want.draws == 7 * 2 * rank
 
 
 def test_sampler_determinism(c3):

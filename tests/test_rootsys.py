@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import itertools
 import random
+import re
+import weakref
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from hodiff.diffeq import verify_pieri
 from hodiff.jacobi import verify_eigen
 from hodiff.nonreduced import bc_multiplicities, verify_pieri_bc
-from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg
+from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg, weight_str
 from oracles import (constant_multiplicities, dominance_leq, dominant_representative,
-                     half_weighted_sum, height, multiplicity_of, orbit_under_reflections,
-                     rho_vee, simple_coefficients, vscale)
+                     half_weighted_sum, height, invert_rational_matrix, multiplicity_of,
+                     orbit_under_reflections, rho_vee, simple_coefficients, vscale)
 from weyl_words import apply_word, inverse_word
 
 # classical counts used as an oracle only; the library computes its orders
@@ -665,3 +668,77 @@ def test_memos_are_keyed_by_labels(fam, rank):
     entries = len(datum._orbits)
     assert all(datum.weyl_orbit(nu) == orbit for nu in orbit)
     assert len(datum._orbits) == entries
+
+
+# -- the identity memo: a vector the datum made knows its labels ----------------
+
+
+def _outcome(method, v):
+    """What method(v) returns, or the message of its ValueError."""
+    try:
+        return method(v)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _off_span(datum):
+    """A nonzero vector orthogonal to every root, or None if the roots span
+    the realization: e_k less its projection onto the root span."""
+    simples = datum.simple_roots
+    inverse = invert_rational_matrix([[datum.inner(a, b) for b in simples] for a in simples])
+    for k in range(datum.dim):
+        e = tuple(Q(int(d == k)) for d in range(datum.dim))
+        c = [sum(r * datum.inner(b, e) for r, b in zip(row, simples)) for row in inverse]
+        u = tuple(e[d] - sum(x * a[d] for x, a in zip(c, simples)) for d in range(datum.dim))
+        if any(u):
+            return u
+    return None
+
+
+@pytest.mark.parametrize("fam,rank", TABLE)
+def test_made_vectors_read_their_labels_by_identity(fam, rank):
+    # the datum's own vectors (roots, fundamental weights, from_labels and
+    # rho) and an equal but distinct copy of each get the same labels and
+    # the same ValueError, as does each vector from a second datum of the
+    # type, whose identity memo does not know it
+    gc.disable()
+    try:
+        datum, other = build_root_system(fam, rank), build_root_system(fam, rank)
+        n = datum.rank
+        half = (Q(1, 2),) + (0,) * (n - 1)
+        made = [*datum.roots, *datum.fundamental_weights,
+                datum.from_labels(tuple(range(1 - n, 1))),     # not dominant
+                datum.from_labels((0,) * (n - 1) + (1,)),       # on BC, not a weight
+                datum.from_labels(half),                        # non-integral labels
+                datum.from_labels((Q(2),) * n),                 # integers as Fractions
+                datum.rho(constant_multiplicities(datum, Q(2, 5)))]
+        for v in made:
+            copy = tuple(list(v))
+            assert copy is not v and id(v) in datum._made and id(copy) not in datum._made
+            for name in ("labels", "weight_labels", "dominant_labels"):
+                want = _outcome(getattr(datum, name), copy)
+                assert _outcome(getattr(datum, name), v) == want, (name, v)
+                assert _outcome(getattr(other, name), v) == want, (name, v)
+        # the identity path leaves the vector memo alone; a copy enters it
+        third = (Q(1, 3),) + (0,) * (n - 1)
+        v = datum.from_labels(third)
+        before = len(datum._labels)
+        assert datum.labels(v) == third and len(datum._labels) == before
+        assert datum.labels(tuple(list(v))) == third and len(datum._labels) == before + 1
+        # non-weights are refused on both paths
+        refused = [v, *([datum.fundamental_weights[-1]] if fam == "BC" else [])]
+        off = _off_span(datum)
+        if off is not None:
+            refused.append(tuple(map(add, datum.fundamental_weights[0], off)))
+        for v in refused:
+            for w in (v, tuple(list(v))):
+                message = f"{weight_str(w)} is not in the weight lattice of {datum}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    datum.weight_labels(w)
+        # the memo holds vectors and labels only: the datum is freed by
+        # reference counting
+        ref = weakref.ref(datum)
+        del datum, made, v, w
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -13,9 +13,15 @@ uses that class's method only.  A plain name or an import uses a definition
 outside any class.  An attribute read through anything else (``rep.ok``,
 ``diffeq.verify_pieri``) cannot be resolved without types, so it uses every
 definition of that name.
+
+The names the benchmark's trace patches are guarded too: every target in the
+``SPANS`` and ``COUNTERS`` tables of ``bench/tracer.py`` (read as text) must
+exist in ``src/``, and its post-call hooks must find what they read.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hodiff"
@@ -118,3 +124,40 @@ def test_bench_only_names_are_read_by_their_bench_file():
     root = SRC.parent.parent
     for name, reader in BENCH_ONLY.items():
         assert name in (root / reader).read_text(), (name, reader)
+
+
+def _tracer_table(name: str) -> tuple:
+    """The literal tuple bound to name in bench/tracer.py, read as text."""
+    tree = ast.parse((SRC.parent.parent / "bench" / "tracer.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
+def test_every_traced_target_is_defined_in_src():
+    # the trace patches each target by name (module, then attribute path, the
+    # last read from its owner's __dict__); a target that is gone would stop
+    # the benchmark's traced runs
+    targets = _tracer_table("SPANS") + _tracer_table("COUNTERS")
+    assert targets
+    for _name, module, path in targets:
+        owner = importlib.import_module(f"hodiff.{module}")
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), (module, path)
+
+
+def test_traced_hooks_read_what_src_provides():
+    # the trace reads the report size from _emit's second argument, and
+    # counts a polynomial built in the cache when jacobi_polynomial, which it
+    # replaces in every module that imported it by name, is called directly
+    # from poly_cache_get
+    from hodiff import cli, diffeq, jacobi
+    assert list(inspect.signature(cli._emit).parameters) == ["payload", "out_path"]
+    assert diffeq.jacobi_polynomial is jacobi.jacobi_polynomial
+    tree = ast.parse(inspect.getsource(diffeq.poly_cache_get))
+    calls = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert "jacobi_polynomial" in calls
+    assert "jacobi_polynomial" not in diffeq.poly_cache_get.__code__.co_varnames

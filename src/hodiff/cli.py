@@ -171,8 +171,9 @@ def eigen_cases(config: CampaignConfig, pieri_results=None,
     """Eigencheck plus closed-form leading coefficient for every polynomial
     the Pieri sweep constructed, and for the nonreduced rank 1 and 2 data."""
     pieri_results = pieri_results or pieri_cases(config, data)
-    jobs = [(res["datum"], res["mults"], res["sample"], lam, poly)
-            for res in pieri_results for (_g, lam), poly in sorted(res["cache"].items())]
+    jobs = [(res["datum"], res["mults"], res["sample"], lam, poly) for res in pieri_results
+            for (_g, lam), poly in sorted(res["cache"].items(),
+                                          key=lambda kv, d=res["datum"]: d._vector_key(kv[1].top))]
     for rank, lams in ((1, [(0,), (1,), (2,)]), (2, [(1, 0), (1, 1), (2, 1)])):
         datum = _datum(data, "BC", rank)
         rng = random.Random(f"{config.seed}:bc-eigen:{rank}")

@@ -348,14 +348,15 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
     shifted polynomials; the residual is empty exactly on success.  lambda's
     labels are read once, and each shift is their sum with the labels of nu.
     Each distinct shift is built once, in cache or in a dict local to the
-    call; cache keys stay (multiplicities, lambda vector)."""
+    call, and asked of the cache once, through a map local to the call keyed
+    by the labels of nu; cache keys stay (multiplicities, lambda vector)."""
     cache = {} if cache is None else cache
     top = datum.dominant_labels(lam)
     terms = pieri_terms(datum, mults, omega, top, perturb=perturb)
     poly = poly_cache_get(cache, datum, mults, lam)
-    shifted = [(poly_cache_get(cache, datum, mults,
-                               datum.from_labels(tuple(map(add, top, e.nu_labels)))), c)
-               for e, _eta, c in terms]
+    polys = {l: poly_cache_get(cache, datum, mults, datum.from_labels(tuple(map(add, top, l))))
+             for l in {e.nu_labels: None for e, _eta, _c in terms}}
+    shifted = [(polys[e.nu_labels], c) for e, _eta, c in terms]
     residual = pieri_residual(
         datum, expansion_labels(datum, omega), poly, shifted,
         tuple(map(add, top, datum.dominant_labels(omega))))

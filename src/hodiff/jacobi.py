@@ -167,20 +167,22 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
     Over each positive root alpha and 0 <= j < <lam, alpha^vee>, the factor is
     (<rho_g,a^vee> + g_{a/2}/2 + j) / (<rho_g,a^vee> + g_a + g_{a/2}/2 + j),
     with g_{a/2} = 0 when a/2 is not a root.  Empty product for lam = 0.
+    The rows (i, b, g_a) per positive root index i, scaled to integers by the
+    lcm d of their denominators, are built once per sample (``_lead_rows``).
     """
     require_exact(mults)
+    if mults._lead_rows is None:
+        rho_pairs = datum.label_pairings(datum.rho_labels(mults))
+        g, half = mults.root_values, datum.half_root_index
+        rows = [(i, rho_pairs[i] + (0 if half[i] is None else Q(g[half[i]], 2)), g[i])
+                for i in datum.positive_indices]
+        d = math.lcm(*(x.denominator for _i, b, gi in rows for x in (b, gi)))
+        mults._lead_rows = d, [(i, (b * d).numerator, (gi * d).numerator) for i, b, gi in rows]
+    d, rows = mults._lead_rows
     lam_pairs = datum.label_pairings(datum.dominant_labels(lam))
-    rho_pairs = datum.label_pairings(datum.rho_labels(mults))
-    g, half = mults.root_values, datum.half_root_index
-    # (k, b, g) per root with k = <lam, a^vee> > 0, b = <rho_g,a^vee> + g_{a/2}/2
-    rows = [(lam_pairs[i], rho_pairs[i] + (0 if half[i] is None else Q(g[half[i]], 2)), g[i])
-            for i in datum.positive_indices if lam_pairs[i] > 0]
-    # one cleared product: every factor scaled by the lcm d of b and g
-    d = math.lcm(*(x.denominator for _k, b, gi in rows for x in (b, gi)))
     num = den = 1
-    for k, b, gi in rows:
-        b, gi = (b * d).numerator, (gi * d).numerator
-        for j in range(0, k * d, d):
+    for i, b, gi in rows:
+        for j in range(0, lam_pairs[i] * d, d):
             if b + gi + j == 0:
                 raise ArithmeticError("vanishing factor in the leading product")
             num *= b + j

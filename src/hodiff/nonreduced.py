@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import add
 
 from .diffeq import PoleAtSpectralPoint, pieri_residual, poly_cache_get
 from .rootsys import Multiplicities, RootDatum, build_root_system
@@ -34,10 +35,10 @@ class SignedSubset:
             raise ValueError("signs must be +1 or -1")
 
     def shift_vector(self, n: int):
-        """e_{eps J} = sum over J of eps_j e_j."""
-        v = [Q(0)] * n
+        """e_{eps J} = sum over J of eps_j e_j, in integers."""
+        v = [0] * n
         for j, s in zip(self.indices, self.signs):
-            v[j] = Q(s)
+            v[j] = s
         return tuple(v)
 
 
@@ -54,61 +55,79 @@ def _check_den(value, what):
 
 
 def cleared_point(gs, xi) -> tuple:
-    """(d, x, g, h1, g2): xi, g, g1/2 and g2 as integers, scaled by the lcm d
-    of their denominators, read once per spectral point."""
-    values = (*xi, gs[0], Q(gs[1], 2), gs[2])
-    d = math.lcm(*(Q(v).denominator for v in values))
-    *x, g, h1, g2 = ((Q(v) * d).numerator for v in values)
-    return d, x, g, h1, g2
+    """(d, x, e): xi as integers over the lcm d of the denominators of xi, g,
+    h1 = g1/2 and g2, and from their integers the numerator shifts
+    e = (h1 + g2, 2 h1, g, -g) of ``_slot_factors``; once per spectral point."""
+    values = [Q(v) for v in (*xi, gs[0], Q(gs[1], 2), gs[2])]
+    d = math.lcm(*(v.denominator for v in values))
+    *x, g, h1, g2 = (v.numerator * (d // v.denominator) for v in values)
+    return d, x, (h1 + g2, 2 * h1, g, -g)
 
 
-def _signed_product(point, subset: SignedSubset, others, pair_sign: int):
-    """Singleton factors on the slots of subset, cross factors against the
-    slots in others, and pair factors (u+g)/u * (1+u+pair_sign*g)/(1+u)
-    inside the subset, with u = eps_j xi_j + eps_j' xi_j'.  Formed on the
-    integers of a ``cleared_point``, so every factor reads (w + e) / w, and
-    the product is one Fraction."""
-    d, x, g, h1, g2 = point
-    slots = list(zip(subset.indices, subset.signs))
-    factors = []        # (w, e, what): the factor (w + e) / w, a pole at w = 0
+def _slot_factors(slots: tuple, others, pair_sign: int) -> tuple:
+    """The factors of one signed-slot product, each (c, s, j, t, k, i, what)
+    for (w + e[i]) / w with w = c d + s x_j + t x_k on a ``cleared_point``,
+    a pole named what where w = 0: singleton factors on the (slot, sign)
+    pairs of slots, cross factors against the slots in others, and pair
+    factors (u+g)/u * (1+u+pair_sign*g)/(1+u) inside slots, with
+    u = eps_j xi_j + eps_j' xi_j'."""
+    out = []
     for j, s in slots:
-        sx = s * x[j]
-        factors += [(sx, h1 + g2, f"{s}*xi_j"), (d + 2 * sx, 2 * h1, "1+2xi_j")]
+        out += [(0, s, j, 0, 0, 0, f"{s}*xi_j"), (1, 2 * s, j, 0, 0, 1, "1+2xi_j")]
         for k in others:
-            factors += [(sx + x[k], g, "xi_j+xi_k"), (sx - x[k], g, "xi_j-xi_k")]
+            out += [(0, s, j, 1, k, 2, "xi_j+xi_k"), (0, s, j, -1, k, 2, "xi_j-xi_k")]
     for (j, sj), (jp, sp) in itertools.combinations(slots, 2):
-        u = sj * x[j] + sp * x[jp]
-        factors += [(u, g, "eps_j xi_j + eps_j' xi_j'"),
-                    (d + u, pair_sign * g, "1 + eps_j xi_j + eps_j' xi_j'")]
+        out += [(0, sj, j, sp, jp, 2, "eps_j xi_j + eps_j' xi_j'"),
+                (1, sj, j, sp, jp, 2 if pair_sign > 0 else 3, "1 + eps_j xi_j + eps_j' xi_j'")]
+    return tuple(out)
+
+
+def _product(point, factors) -> tuple:
+    """(numerator, denominator) of a ``_slot_factors`` product at a
+    ``cleared_point``; at a pole, the first vanishing w names it."""
+    d, x, e = point
     num = den = 1
-    for w, e, what in factors:
-        num *= w + e
-        den *= _check_den(w, what)
-    return Q(num, den)
+    for c, s, j, t, k, i, _what in factors:
+        w = c * d + s * x[j] + t * x[k]
+        num *= w + e[i]
+        den *= w
+    if not den:
+        for c, s, j, t, k, _i, what in factors:
+            _check_den(c * d + s * x[j] + t * x[k], what)
+    return num, den
 
 
-def coeff_V_signed(n: int, gs, subset: SignedSubset, xi, point=None):
+def _u_factors(K: tuple, p: int) -> tuple:
+    """The ``_slot_factors`` of U_{K,p}, one per signed p-subset I of K,
+    with cross factors against K minus I and -g in the shifted pair factor."""
+    return tuple(_slot_factors(tuple(zip(I, signs)), [k for k in K if k not in I], -1)
+                 for I in itertools.combinations(K, p)
+                 for signs in itertools.product((1, -1), repeat=p))
+
+
+def coeff_V_signed(n: int, gs, subset: SignedSubset, xi, point=None, factors=None):
     """Shift coefficient of the signed subset: singleton factors on J, cross
     factors against the complement, and +g pair factors inside J.  point is
-    the ``cleared_point`` of (gs, xi), made here when not given."""
-    others = [k for k in range(n) if k not in subset.indices]
-    return _signed_product(point or cleared_point(gs, xi), subset, others, 1)
+    the ``cleared_point`` of (gs, xi) and factors the subset's
+    ``_slot_factors`` (as the Pieri index holds them), each made if not given."""
+    if factors is None:
+        others = [k for k in range(n) if k not in subset.indices]
+        factors = _slot_factors(tuple(zip(subset.indices, subset.signs)), others, 1)
+    return Q(*_product(point or cleared_point(gs, xi), factors))
 
 
-def coeff_U_Kp(n: int, gs, K, p: int, xi, point=None):
+def coeff_U_Kp(n: int, gs, K, p: int, xi, point=None, factors=None):
     """Complementary coefficient: (-1)^p times the sum over signed p-subsets
-    of K of the V-type product restricted to K, with -g in the last factor;
-    point as for ``coeff_V_signed``."""
+    of K of the V-type product restricted to K, with -g in the last factor,
+    as one integer numerator over one denominator; point as for
+    ``coeff_V_signed``, factors the ``_u_factors`` of (K, p)."""
     K = tuple(sorted(K))
     if not 0 <= p <= len(K):
         raise ValueError(f"p={p} out of range for |K|={len(K)}")
     point = point or cleared_point(gs, xi)
-    total = Q(0)
-    for I in itertools.combinations(K, p):
-        others = [k for k in K if k not in I]
-        for sub in signed_subsets(I):
-            total += _signed_product(point, sub, others, -1)
-    return (-1) ** p * total
+    terms = [_product(point, f) for f in factors or _u_factors(K, p)]
+    den = math.lcm(*(b for _a, b in terms))
+    return Q((-1) ** p * sum(a * (den // b) for a, b in terms), den)
 
 
 def expansion_E_ell(n: int, ell: int) -> ExpPoly:
@@ -165,26 +184,45 @@ class BcPieriReport:
                 "n_terms": self.n_terms, "residual": self.residual}
 
 
-def pieri_terms_bc(n: int, gs, ell: int, lam, xi):
-    """Surviving (signed subset, shifted partition, U*V) triples at xi.
+def pieri_bc_index(datum: RootDatum, ell: int) -> tuple:
+    """The point-independent part of ``pieri_terms_bc`` on BC_n: per J of at
+    most ell slots, (K, p, U's ``_u_factors``, per signed subset of J its
+    ``SignedSubset``, integer shift row and V's ``_slot_factors``), K the
+    complement of J and p = ell - |J|.  Built once per (n, ell), memoized on
+    the datum (``pieri_bc_memo``)."""
+    found = datum.pieri_bc_memo.get(ell)
+    if found is None:
+        n, found = datum.rank, []
+        for size in range(ell + 1):
+            for J in itertools.combinations(range(n), size):
+                K = tuple(k for k in range(n) if k not in J)
+                found.append((K, ell - size, _u_factors(K, ell - size), tuple(
+                    (sub, sub.shift_vector(n), _slot_factors(tuple(zip(J, sub.signs)), K, 1))
+                    for sub in signed_subsets(J))))
+        found = datum.pieri_bc_memo[ell] = tuple(found)
+    return found
+
+
+def pieri_terms_bc(datum: RootDatum, gs, ell: int, lam, xi):
+    """Surviving (signed subset, shifted partition, U*V) triples at xi, on
+    BC_n given by datum, lam an integral partition: ``pieri_bc_index``
+    evaluated on one ``cleared_point``, the shifts as integer tuples.
 
     Terms whose shifted weight is not a partition must carry a vanishing V
     coefficient; a violation is fatal, a pole requests a resample.
     """
-    point = cleared_point(gs, xi)
+    n, point, base = datum.rank, cleared_point(gs, xi), tuple(map(int, lam))
     terms = []
-    for size in range(ell + 1):
-        for J in itertools.combinations(range(n), size):
-            Kc = tuple(k for k in range(n) if k not in J)
-            u = coeff_U_Kp(n, gs, Kc, ell - size, xi, point)
-            for sub in signed_subsets(J):
-                v = coeff_V_signed(n, gs, sub, xi, point)
-                shifted = tuple(a + b for a, b in zip(lam, sub.shift_vector(n)))
-                if is_partition(shifted):
-                    terms.append((sub, shifted, u * v))
-                elif v != 0:
-                    raise InternalConsistencyError(
-                        f"V did not vanish at excluded shift {sub} for lam={lam}")
+    for K, p, u_factors, subs in pieri_bc_index(datum, ell):
+        u = coeff_U_Kp(n, gs, K, p, xi, point, u_factors)
+        for sub, row, factors in subs:
+            v = coeff_V_signed(n, gs, sub, xi, point, factors)
+            shifted = tuple(map(add, base, row))
+            if is_partition(shifted):
+                terms.append((sub, shifted, u * v))
+            elif v != 0:
+                raise InternalConsistencyError(
+                    f"V did not vanish at excluded shift {sub} for lam={lam}")
     return terms
 
 
@@ -205,7 +243,7 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
     if mults is None:
         mults = cache[n, gs] = bc_multiplicities(datum, *gs)
     rho = datum.rho(mults)
-    terms = pieri_terms_bc(n, gs, ell, lam, tuple(rho[j] + lam[j] for j in range(n)))
+    terms = pieri_terms_bc(datum, gs, ell, lam, tuple(rho[j] + lam[j] for j in range(n)))
     poly = poly_cache_get(cache, datum, mults, lam)
     shifted = [(poly_cache_get(cache, datum, mults, sh), c) for _sub, sh, c in terms]
     e_form = datum.expansion_label_memo.get(ell)

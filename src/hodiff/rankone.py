@@ -185,24 +185,20 @@ def verify_de(g1, g2, xi_grid, x_grid, tol=1e-9) -> SweepReport:
 
 # -- exact terminating case ---------------------------------------------------
 
-def _pochhammer(a: Q, k: int) -> Q:
-    out = Q(1)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
 def jacobi_poly_1d(g1: Q, g2: Q, l: int, s: Q) -> Q:
-    """Terminating series in s = sinh^2(x/2), exact for rational data."""
-    g1, g2, s = Q(g1), Q(g2), Q(s)
-    a = Q(-l)
-    b = l + g1 + 2 * g2
-    c = Q(1, 2) + g1 + g2
-    total = Q(0)
-    for k in range(l + 1):
-        total += (_pochhammer(a, k) * _pochhammer(b, k)
-                  / (_pochhammer(c, k) * math.factorial(k))) * (-s) ** k
-    return total
+    """Terminating series sum_k (a)_k (b)_k / ((c)_k k!) (-s)^k in
+    s = sinh^2(x/2), a = -l, b = l + g1 + 2 g2, c = 1/2 + g1 + g2, exact for
+    rational data (0 for l < 0): Horner's rule on the term ratio
+    (a+k)(b+k)/((c+k)(k+1)) (-s), with b, c and s cleared to integers over
+    one denominator d, so O(l) integer operations and one reduction."""
+    b, c, s = l + Q(g1) + 2 * Q(g2), Q(1, 2) + Q(g1) + Q(g2), Q(s)
+    d = math.lcm(b.denominator, c.denominator, s.denominator)
+    b, c, s = (v.numerator * (d // v.denominator) for v in (b, c, s))
+    num = den = 1      # the tail 1 + r_k (1 + r_{k+1} (...)) over den
+    for k in reversed(range(l)):
+        r_den = d * (c + d * k) * (k + 1)
+        num, den = r_den * den - (k - l) * (b + d * k) * s * num, r_den * den
+    return Q(num, den) if l >= 0 else Q(0)
 
 
 def _rr_coefficients(g1: Q, g2: Q, l: int):
@@ -241,34 +237,6 @@ def de_coefficients_match_rr(g1: Q, g2: Q, l: int) -> bool:
     return up == 4 * c_up and dn == 4 * c_dn
 
 
-def chebyshev_t(k: int):
-    """Coefficient list of T_k as a polynomial (integer coefficients)."""
-    prev, cur = [Q(1)], [Q(0), Q(1)]
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        nxt = [Q(0)] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
-
-
-def _poly_eval(coeffs, y: Q) -> Q:
-    total = Q(0)
-    for c in reversed(coeffs):
-        total = total * y + c
-    return total
-
-
-def bc1_orbit_sum_in_s(k: int, s: Q) -> Q:
-    """m_k of the rank-one nonreduced datum as a polynomial in s:
-    e^{kx} + e^{-kx} = 2 T_k(1 + 2s) with s = sinh^2(x/2); m_0 = 1."""
-    if k == 0:
-        return Q(1)
-    return 2 * _poly_eval(chebyshev_t(k), 1 + 2 * Q(s))
-
-
 def bc1_crosscheck(g1: Q, g2: Q, l: int, s_values=(Q(1, 4), Q(5, 3), Q(7, 2)),
                    datum=None) -> bool:
     """The BC_1 polynomial from the general recursion agrees exactly with the
@@ -282,9 +250,12 @@ def bc1_crosscheck(g1: Q, g2: Q, l: int, s_values=(Q(1, 4), Q(5, 3), Q(7, 2)),
     mults = bc_multiplicities(datum, Q(1), Q(g1), Q(g2))
     poly = jacobi_polynomial(datum, mults, (Q(l),))
     for s in s_values:
-        s = Q(s)
-        value = sum(c * bc1_orbit_sum_in_s(int(mu[0]), s)
-                    for mu, c in poly.coeffs.items())
+        # m_k = e^{kx} + e^{-kx} = 2 T_k(1 + 2s) by T_{k+1} = 2y T_k - T_{k-1}; m_0 = 1
+        y = 1 + 2 * Q(s)
+        t = [Q(1), y]
+        while len(t) <= l:
+            t.append(2 * y * t[-1] - t[-2])
+        value = sum(c * (2 * t[int(mu[0])] if mu[0] else 1) for mu, c in poly.coeffs.items())
         if value != jacobi_poly_1d(g1, g2, l, s):
             return False
     return True

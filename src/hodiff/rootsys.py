@@ -167,7 +167,8 @@ class RootDatum:
     by ``jacobi``), and for a small weight omega its Pieri index
     (``index_memo``, filled by ``diffeq.pieri_index``) and its E_omega on labels
     (``expansion_label_memo``, filled by ``weylalg``; for BC it holds the E_ell
-    of ``nonreduced`` under the int ell), and the confluent limit's etas
+    of ``nonreduced`` under the int ell, and its Pieri index in
+    ``pieri_bc_memo``), and the confluent limit's etas
     (``eta_memo``, ``whittaker``).  The memos live and die with the datum; each
     entry is a pure function of its key, so threads sharing an instance can at
     worst compute it twice.
@@ -297,6 +298,7 @@ class RootDatum:
         self.jacobi_memo: dict[tuple, tuple] = {}
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
+        self.pieri_bc_memo: dict[int, tuple] = {}
         self.eta_memo: tuple | None = None
         self.fundamental_weights: tuple[Vector, ...] = tuple(
             self.from_labels(tuple(int(i == j) for j in range(rank))) for i in range(rank))
@@ -714,7 +716,7 @@ class Multiplicities:
         self.datum = datum
         self.values = values
         self.root_values = tuple(values[i] for i in datum.root_orbit_ids)
-        self._rho = self._rho_labels = None
+        self._rho = self._rho_labels = self._lead_rows = None
 
     def key(self):
         return tuple(self.values)

@@ -11,7 +11,12 @@ way the package did before its tables and cleared integers:
 - ``fraction_opdam``: the closed leading-coefficient product, one Fraction
   operation per factor, with alpha/2 looked up by its vector;
 - ``fraction_signed_product``: the BC signed-subset product, one Fraction
-  operation per factor;
+  operation per factor, and ``per_call_pieri_terms_bc``, the BC Pieri terms
+  from it with every signed subset and shift made afresh per call;
+- ``pochhammer_jacobi_poly_1d``: the rank-one terminating series with three
+  Pochhammer products per term, and ``bc1_orbit_sum_in_s`` and
+  ``coefficient_list_bc1_crosscheck``: m_k(s) from the coefficient list of
+  the Chebyshev polynomial T_k, per k and s;
 - ``fraction_factor_product`` and ``stepwise_limit``: a finite-coupling
   coefficient at float g with each s+z an exact Fraction, and its g -> oo
   limit with one SqrtRational operation per factor;
@@ -54,6 +59,8 @@ from operator import add, mul
 
 from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
+from hodiff.jacobi import jacobi_polynomial
+from hodiff.nonreduced import SignedSubset, bc_multiplicities, is_partition, signed_subsets
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
 from hodiff.rootsys import Multiplicities, vadd
@@ -199,6 +206,85 @@ def fraction_signed_product(gs, subset, others, xi, pair_g):
         total *= (u + g) / _check_den(u, "eps_j xi_j + eps_j' xi_j'")
         total *= (1 + u + pair_g) / _check_den(1 + u, "1 + eps_j xi_j + eps_j' xi_j'")
     return total
+
+
+def per_call_pieri_terms_bc(n, gs, ell, lam, xi):
+    """The (signed subset, shifted partition, U*V) triples of
+    ``nonreduced.pieri_terms_bc``, the signed subsets, complements, shift
+    vectors and every product made afresh on each call, in Fractions, with
+    the same pole checks in the same order."""
+    gs, lam, xi = tuple(map(Q, gs)), tuple(map(Q, lam)), tuple(map(Q, xi))
+    terms = []
+    for size in range(ell + 1):
+        for J in itertools.combinations(range(n), size):
+            K = tuple(k for k in range(n) if k not in J)
+            p = ell - size
+            if p > len(K):
+                raise ValueError(f"p={p} out of range for |K|={len(K)}")
+            u = Q(0)
+            for I in itertools.combinations(K, p):
+                rest = [k for k in K if k not in I]
+                for signs in itertools.product((1, -1), repeat=p):
+                    u += fraction_signed_product(gs, SignedSubset(I, signs), rest, xi, -gs[0])
+            u *= (-1) ** p
+            for sub in signed_subsets(J):
+                v = fraction_signed_product(gs, sub, K, xi, gs[0])
+                shifted = tuple(a + Q(b) for a, b in zip(lam, sub.shift_vector(n)))
+                if is_partition(shifted):
+                    terms.append((sub, shifted, u * v))
+                elif v != 0:
+                    raise InternalConsistencyError(
+                        f"V did not vanish at excluded shift {sub} for lam={lam}")
+    return terms
+
+
+def pochhammer_jacobi_poly_1d(g1, g2, l, s):
+    """``rankone.jacobi_poly_1d`` as the sum over k of
+    (a)_k (b)_k / ((c)_k k!) (-s)^k, each Pochhammer product formed afresh."""
+    def pochhammer(a, k):
+        out = Q(1)
+        for i in range(k):
+            out *= a + i
+        return out
+
+    g1, g2, s = Q(g1), Q(g2), Q(s)
+    a, b, c = Q(-l), l + g1 + 2 * g2, Q(1, 2) + g1 + g2
+    return sum((pochhammer(a, k) * pochhammer(b, k) / (pochhammer(c, k) * math.factorial(k))
+                * (-s) ** k for k in range(l + 1)), Q(0))
+
+
+def chebyshev_t(k):
+    """Coefficient list of T_k as a polynomial (integer coefficients)."""
+    prev, cur = [Q(1)], [Q(0), Q(1)]
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        nxt = [Q(0)] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def bc1_orbit_sum_in_s(k, s):
+    """m_k of the rank-one nonreduced datum as a polynomial in s, by Horner
+    on the coefficient list of T_k: e^{kx} + e^{-kx} = 2 T_k(1 + 2s) with
+    s = sinh^2(x/2); m_0 = 1."""
+    if k == 0:
+        return Q(1)
+    total = Q(0)
+    for c in reversed(chebyshev_t(k)):
+        total = total * (1 + 2 * Q(s)) + c
+    return 2 * total
+
+
+def coefficient_list_bc1_crosscheck(g1, g2, l, s_values, datum):
+    """``rankone.bc1_crosscheck`` with each m_k(s) from ``bc1_orbit_sum_in_s``
+    and the series from ``pochhammer_jacobi_poly_1d``."""
+    mults = bc_multiplicities(datum, Q(1), Q(g1), Q(g2))
+    poly = jacobi_polynomial(datum, mults, (Q(l),))
+    return all(sum(c * bc1_orbit_sum_in_s(int(mu[0]), s) for mu, c in poly.coeffs.items())
+               == pochhammer_jacobi_poly_1d(g1, g2, l, s) for s in map(Q, s_values))
 
 
 def fraction_factor_product(datum, factors, xi, g):

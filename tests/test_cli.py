@@ -236,6 +236,20 @@ def test_verify_small_campaign_and_determinism(tmp_path):
     assert payload["n_fail"] == 0 and payload["n_cases"] > 0
 
 
+def test_eigen_jobs_keep_the_vector_order_of_each_cache():
+    # the eigen jobs of each Pieri cache, sorted by the integer key of the
+    # labels, come in the order of the (multiplicities, lambda vector) keys
+    config = cli.CampaignConfig(samples=3)
+    results = cli.pieri_cases(config)
+    want = [(cli._label(res["datum"]), res["sample"], lam)
+            for res in results for (_g, lam), _poly in sorted(res["cache"].items())]
+    got = [(row["system"], row["sample"], row["lam"])
+           for row in cli.eigen_cases(config, results) if not row["system"].startswith("BC")]
+    assert got == want
+    assert {system for system, _s, _l in want} == {f"{f}{r}" for f, r in cli.PIERI_SYSTEMS}
+    assert {s for _system, s, _l in want} == {0, 1, 2}
+
+
 def test_verify_negative_control_exit_code(tmp_path):
     args = ["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
             "--samples", "1", "--perturb", "u-sign", "--out",
@@ -263,9 +277,19 @@ def _pieri_report(family, rank, i, g, ok, perturb=None):
     return produce
 
 
+def _bc_reports(n, lam, gs):
+    # verify_pieri_bc on BC_n at lam for every ell
+    def produce(_tmp_path):
+        reports = [nonreduced.verify_pieri_bc(n, gs, ell, lam).to_dict()
+                   for ell in range(1, n + 1)]
+        assert all(r["status"] == "pass" for r in reports)
+        return json.dumps(reports, sort_keys=True).encode()
+    return produce
+
+
 F4_G = (Q(3, 7), Q(5, 11))
 
-# (producer of the bytes, their sha256).  The first twelve are free of floats.
+# (producer of the bytes, their sha256).  The first thirteen are free of floats.
 # The rest hold float output, so their bytes also pin the platform libm's
 # exp, sqrt and sinh: the confluence suites, the rank-one sweep (its residual
 # bits) and the full default report.
@@ -298,6 +322,9 @@ PINNED_OUTPUTS = (
      "982a53387a5d1ea4602c9cd0dd15e29ef3e376feeb8edd0fe3836bcc206f6e38"),
     (_pieri_report("E", 8, 8, (Q(4, 9),), False, perturb="u-sign"),
      "a9b6a4a0b66aaa97ad2517744fc9b566b11c95dae87086f9cebf726f2939abe2"),
+    # BC3, which the campaign does not reach: the first |J| = 3 terms
+    (_bc_reports(3, (2, 1, 0), (Q(3, 7), Q(5, 11), Q(9, 4))),
+     "ee9278887015373ea1e96b5559ea58aba831773d2a9c8aac4244afd9b3e4ec75"),
     (_cli_output(["verify", "--suite", "whittaker"], 0),
      "9a6d172aac12bf46fa9ac1303d2684bfe46c6ee7925010dd54a83ae7c9148b3a"),
     (_cli_output(["whittaker-limits", "--family", "G", "--rank", "2", "--omega", "1,0",
@@ -319,6 +346,7 @@ PINNED_OUTPUTS = (
 PINNED_IDS = ["exact-suites", "u-sign", "v-drop-pairing2", "coeffs-g2", "coeffs-e6-omega2",
               "coeffs-f4-omega4", "pieri-f4-omega1", "pieri-f4-omega4", "pieri-e6-omega1",
               "pieri-f4-omega1-u-sign", "pieri-e8-omega8", "pieri-e8-omega8-u-sign",
+              "bc3-lam210",
               "whittaker-suite", "whittaker-limits-g2", "whittaker-limits-c3",
               "rankone-suite", "sweep-rank-one-csv", "default-report"]
 

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hodiff.cli import PIERI_SYSTEMS
 from hodiff.diffeq import sample_multiplicities
 from hodiff.jacobi import (jacobi_polynomial, opdam_leading_coefficient,
                            verify_eigen)
@@ -176,6 +177,35 @@ def test_opdam_product_matches_fraction_reference(system):
         for lam in lams:
             assert opdam_leading_coefficient(datum, mults, lam) == \
                 fraction_opdam(datum, mults, lam), (system, lam)
+
+
+@pytest.mark.parametrize("fam,rank", PIERI_SYSTEMS + (("BC", 1), ("BC", 2), ("BC", 3)))
+def test_leading_rows_match_fraction_reference(fam, rank):
+    # the rows cleared once per sample against the factor-by-factor product,
+    # at every dominant lambda of height <= 4, two samples on one datum
+    from oracles import fraction_opdam
+    datum = build_root_system(fam, rank)
+    rng = random.Random(f"lead-rows:{fam}{rank}")
+    for mults in [sample_multiplicities(datum, rng) for _ in range(2)]:
+        for lam in datum.dominant_weights_up_to_height(4):
+            assert opdam_leading_coefficient(datum, mults, lam) == \
+                fraction_opdam(datum, mults, lam), (fam, rank, lam)
+        assert mults._lead_rows is not None
+
+
+def test_leading_rows_without_the_half_root_term_disagree(bc2):
+    # negative control: the cleared rows with g_{a/2}/2 dropped from b no
+    # longer give the leading coefficient of the BC2 polynomial
+    mults = sample_multiplicities(bc2, random.Random("lead-half"))
+    lam = (Q(2), Q(1))
+    poly = jacobi_polynomial(bc2, mults, lam)
+    assert poly.leading_coefficient() == opdam_leading_coefficient(bc2, mults, lam)
+    d, rows = mults._lead_rows
+    g, half = mults.root_values, bc2.half_root_index
+    assert any(half[i] is not None for i, _b, _g in rows)
+    mults._lead_rows = d, [(i, b if half[i] is None else b - (Q(g[half[i]], 2) * d).numerator, gi)
+                           for i, b, gi in rows]
+    assert poly.leading_coefficient() != opdam_leading_coefficient(bc2, mults, lam)
 
 
 ORACLE_SYSTEMS = [system for system in TABLE if system[0] != "E" or system[1] == 6]

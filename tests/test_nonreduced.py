@@ -8,10 +8,11 @@ from hodiff import nonreduced
 from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp,
                                coeff_V_signed, expansion_E_ell, is_partition,
                                pieri_terms_bc, rank_one_shift_coefficient,
-                               rearrangement_gap, signed_subsets,
+                               pieri_bc_index, rearrangement_gap, signed_subsets,
                                verify_pieri_bc)
 from hodiff.diffeq import PoleAtSpectralPoint, pieri_residual
 from hodiff.jacobi import jacobi_polynomial
+from hodiff.rootsys import build_root_system
 from hodiff.weylalg import ExpPoly, label_form
 from oracles import multiplicity_of
 
@@ -217,7 +218,7 @@ def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residua
     lam = (Q(2), Q(1))
     mults = bc_multiplicities(bc2, *GS)
     rho = bc2.rho(mults)
-    terms = pieri_terms_bc(2, GS, ell, lam, tuple(r + x for r, x in zip(rho, lam)))
+    terms = pieri_terms_bc(bc2, GS, ell, lam, tuple(r + x for r, x in zip(rho, lam)))
     poly = jacobi_polynomial(bc2, mults, lam)
     shifted = [(jacobi_polynomial(bc2, mults, sh), c) for _sub, sh, c in terms]
     e_poly = expansion_E_ell(2, ell)
@@ -231,19 +232,21 @@ def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residua
     assert got == reference_residual(e_poly, poly, bad)
 
 
-def test_signed_product_matches_fraction_reference():
+def test_signed_product_matches_fraction_reference(bc2):
     # the integer product against the factor-by-factor Fraction one, on
     # random points and on points placed on each kind of pole, where both
-    # must raise the same message
-    from oracles import fraction_signed_product
+    # must raise the same message; then the memoized index path against the
+    # per-call term builder at the same points, with lam = (3, 1), at which
+    # every shift is a partition, so that a pole is the only way to fail
+    from oracles import fraction_signed_product, per_call_pieri_terms_bc
 
-    from hodiff.nonreduced import _signed_product, cleared_point
+    from hodiff.nonreduced import _product, _slot_factors, cleared_point
     rng = random.Random("signed-product")
     poles = [(Q(0), Q(3, 5)), (Q(-1, 2), Q(3, 5)), (Q(2, 7), Q(2, 7)),
              (Q(2, 7), Q(-2, 7)), (Q(-1, 3), Q(-2, 3)), (Q(1, 3), Q(-4, 3))]
     points = poles + [tuple(Q(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
                       for _ in range(40)]
-    seen = set()
+    seen, seen_index = set(), set()
     for xi in points:
         gs = tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(3))
         for size in range(3):
@@ -252,13 +255,87 @@ def test_signed_product_matches_fraction_reference():
                 for sub in signed_subsets(J):
                     for sign in (1, -1):
                         point = cleared_point(gs, xi)
+                        factors = _slot_factors(tuple(zip(sub.indices, sub.signs)), others, sign)
                         try:
                             want = fraction_signed_product(gs, sub, others, xi, sign * gs[0])
                         except PoleAtSpectralPoint as exc:
                             with pytest.raises(PoleAtSpectralPoint) as got:
-                                _signed_product(point, sub, others, sign)
+                                _product(point, factors)
                             assert str(got.value) == str(exc)
                             seen.add(str(exc))
                         else:
-                            assert _signed_product(point, sub, others, sign) == want
+                            assert Q(*_product(point, factors)) == want
+        for ell in (1, 2):
+            try:
+                want = per_call_pieri_terms_bc(2, gs, ell, (3, 1), xi)
+            except PoleAtSpectralPoint as exc:
+                with pytest.raises(PoleAtSpectralPoint) as got:
+                    pieri_terms_bc(bc2, gs, ell, (3, 1), xi)
+                assert str(got.value) == str(exc)
+                seen_index.add(str(exc))
+            else:
+                assert pieri_terms_bc(bc2, gs, ell, (3, 1), xi) == want
     assert len(seen) == 7     # every pole name, 1*xi_j and -1*xi_j apart
+    # every name but -1*xi_j: at xi_j = 0 a U term with +1 at slot j comes first
+    assert seen_index == {m for m in seen if not m.endswith("(-,1,*,x,i,_,j)")}
+
+
+SEEDED_GS = [tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(3))
+             for rng in [random.Random(f"bc-index:{k}") for k in range(5)]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_index_terms_match_the_per_call_builder(n):
+    # every ell, every partition with first part <= 3, five seeded samples;
+    # a fresh datum, so the index is built here and then reused
+    from oracles import per_call_pieri_terms_bc
+    datum = build_root_system("BC", n)
+    parts = [p for p in itertools.product(range(4), repeat=n)
+             if all(a >= b for a, b in zip(p, p[1:]))]
+    for gs in SEEDED_GS:
+        rho = datum.rho(bc_multiplicities(datum, *gs))
+        for ell in range(1, n + 1):
+            for lam in parts:
+                xi = tuple(r + x for r, x in zip(rho, lam))
+                got = pieri_terms_bc(datum, gs, ell, tuple(map(Q, lam)), xi)
+                assert got == per_call_pieri_terms_bc(n, gs, ell, lam, xi), (gs, ell, lam)
+    assert set(datum.pieri_bc_memo) == set(range(1, n + 1))
+
+
+def _edited_index(datum, ell, edit):
+    """Replace the memoized index of ell by one with edit applied to every
+    factor list, edit(factors, "u" or "v")."""
+    datum.pieri_bc_memo[ell] = tuple(
+        (K, p, tuple(edit(f, "u") for f in u),
+         tuple((sub, row, edit(f, "v")) for sub, row, f in subs))
+        for K, p, u, subs in pieri_bc_index(datum, ell))
+
+
+def _flip_u_pair(factors, kind):
+    # U's shifted pair factor: -g (e index 3) becomes +g
+    return tuple(f[:5] + (2,) + f[6:] if kind == "u" and f[5] == 3 else f for f in factors)
+
+
+def _flip_v_pair(factors, kind):
+    # V's shifted pair factor (c = 1 with +g): +g becomes -g
+    return tuple(f[:5] + (3,) + f[6:] if kind == "v" and f[0] == 1 and f[5] == 2 else f
+                 for f in factors)
+
+
+def _drop_cross(factors, _kind):
+    return tuple(f for f in factors if f[6] not in ("xi_j+xi_k", "xi_j-xi_k"))
+
+
+@pytest.mark.parametrize("edit", [_flip_u_pair, _flip_v_pair, _drop_cross])
+@pytest.mark.parametrize("n,ell,lam", [(2, 2, (3, 1)), (3, 2, (5, 3, 1)), (3, 3, (5, 3, 1))])
+def test_edited_index_leaves_a_residual(edit, n, ell, lam):
+    # negative controls on the BC pair and cross factors, each edited in the
+    # memoized index of a fresh datum: lam's parts are 2 apart and its last
+    # is positive, so every shift is a partition and no vanishing V guards
+    # the edit; the residual must be nonzero where the intact index passes
+    cache = {}
+    assert verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=build_root_system("BC", n)).ok
+    datum = build_root_system("BC", n)
+    _edited_index(datum, ell, edit)
+    rep = verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=datum)
+    assert not rep.ok and rep.residual

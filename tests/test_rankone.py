@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hodiff import rankone
 from hodiff.cli import DE_PARAMETER_PAIRS, DE_X_GRID, DE_XI_GRID
 from hodiff.rankone import (HypergeometricError, HypergeometricParams,
-                            bc1_crosscheck, bc1_orbit_sum_in_s,
+                            bc1_crosscheck,
                             de_coefficients_match_rr,
                             gauss_2f1_jacobi, jacobi_poly_1d, recurrence_rr,
                             SERIES_MAX_TERMS, SERIES_TOL, series_2f1,
                             series_2f1_highprec, shift_coefficients,
                             verify_de)
-from oracles import de_residual
+from oracles import (bc1_orbit_sum_in_s, coefficient_list_bc1_crosscheck, de_residual,
+                     pochhammer_jacobi_poly_1d)
 
 # spot value pinned at 50 digits, by a brute-force series summation and by
 # mpmath's hyp2f1, for the parameter point (g1, g2, xi, x) =
@@ -214,6 +215,42 @@ def test_bc1_crosscheck_exact():
     for g1, g2 in ((Q(1, 2), Q(1, 3)), (Q(5, 11), Q(9, 4))):
         for l in range(7):
             assert bc1_crosscheck(g1, g2, l), (g1, g2, l)
+
+
+# the campaign's pairs and two with denominators >= 50
+ORACLE_PAIRS = ((Q(1, 2), Q(1, 3)), (Q(3, 7), Q(9, 4)), (Q(5, 11), Q(9, 4)),
+                (Q(37, 53), Q(61, 97)), (Q(101, 59), Q(7, 89)))
+ORACLE_S = (Q(1, 4), Q(5, 3), Q(7, 2), Q(-3, 8))
+
+
+def test_series_and_crosscheck_match_the_pochhammer_oracle(bc1):
+    # the ratio series equals the Pochhammer sum, and the cross-check on the
+    # value recurrence of m_k(s) holds where the one on the Chebyshev
+    # coefficient lists does, exactly, for l <= 12
+    for g1, g2 in ORACLE_PAIRS:
+        for l in range(-1, 13):
+            for s in ORACLE_S:
+                assert jacobi_poly_1d(g1, g2, l, s) == pochhammer_jacobi_poly_1d(g1, g2, l, s)
+        for l in range(13):
+            assert bc1_crosscheck(g1, g2, l, ORACLE_S, datum=bc1)
+            assert coefficient_list_bc1_crosscheck(g1, g2, l, ORACLE_S, bc1)
+
+
+def test_series_ratio_index_moved_by_one_is_caught(monkeypatch, bc1):
+    # negative control: the series with its ratio index moved by one (r_{k+1}
+    # in place of r_k) fails the recurrence and the BC1 cross-check
+    import inspect
+    source = inspect.getsource(rankone.jacobi_poly_1d)
+    assert source.count("reversed(range(l))") == 1
+    namespace = dict(vars(rankone))
+    exec(source.replace("reversed(range(l))", "reversed(range(1, l + 1))"), namespace)
+    monkeypatch.setattr(rankone, "jacobi_poly_1d", namespace["jacobi_poly_1d"])
+    for g1, g2 in ORACLE_PAIRS:
+        for l in range(7):
+            lhs, rhs = recurrence_rr(g1, g2, l, Q(1, 4))
+            assert lhs != rhs, (g1, g2, l)
+        for l in range(1, 7):
+            assert not bc1_crosscheck(g1, g2, l, datum=bc1), (g1, g2, l)
 
 
 def test_params_validation():

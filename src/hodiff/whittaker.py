@@ -17,6 +17,7 @@ from fractions import Fraction as Q
 from functools import cache
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .diffeq import coeff_U, coeff_V  # noqa: F401 -- kept beside their limits
 from .diffeq import PoleAtSpectralPoint, factor_product, float_table, pieri_index, term_factors
@@ -26,19 +27,16 @@ from .weylalg import _q_str, expansion_labels
 
 def _square_part(n: int) -> tuple[int, int]:
     """n = a^2 * s with s squarefree; returns (a, s) by trial division."""
-    a, s = 1, 1
-    d = 2
-    m = n
-    while d * d <= m:
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        a *= d ** (e // 2)
-        if e % 2:
+    a, s, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            a *= d
+        if n % d == 0:
+            n //= d
             s *= d
         d += 1
-    return a, s * m
+    return a, s * n
 
 
 class SqrtRational:
@@ -142,31 +140,38 @@ def orbit_etas(datum: RootDatum) -> tuple:
     return datum.eta_memo
 
 
-def limit_product(datum: RootDatum, factors: tuple, xi):
+def limit_table(datum: RootDatum, z: tuple) -> list:
+    """Per root, for s = 0 and 1, the integers (numerator, denominator,
+    radicand) of eta/(s+z) at the exact pairings z, or None where s+z = 0."""
+    etas = orbit_etas(datum)
+    return [tuple((eta.coeff.numerator * w.denominator,
+                   eta.coeff.denominator * w.numerator, eta.rad) if w else None
+                  for w in (x, x + 1))
+            for x, eta in zip(z, (etas[k] for k in datum.root_orbit_ids))]
+
+
+def limit_product(datum: RootDatum, factors: tuple, xi, table=None):
     """Product of e*eta/(s+z) over a factor list of ``diffeq.term_factors``,
     the g -> oo limit of (s+z+e*g)/(s+z).  Exact for rational xi: one
-    SqrtRational of the integer products of the etas' rational parts, of
-    the s+z and of the radicands."""
-    exact = all(isinstance(v, (int, Q)) for v in xi)
-    xi_pairs = datum.pairings(xi) if exact else None
+    SqrtRational of the integer products of a ``limit_table`` of xi (made
+    here when not given)."""
+    if table is None and all(isinstance(v, (int, Q)) for v in xi):
+        table = limit_table(datum, datum.pairings(xi))
     etas = orbit_etas(datum)
     num = den = rad = 1
     total = 1.0
     for i, s, e in factors:
         alpha = datum.roots[i]
-        z = (xi_pairs[i] if exact else
-             2.0 * _inner_float(datum, alpha, xi) / float(datum.norm_sq(alpha)))
-        w = z + 1 if s else z
-        if w == 0:
+        w = (table[i][s] if table is not None else
+             2.0 * _inner_float(datum, alpha, xi) / float(datum.norm_sq(alpha)) + s)
+        if not w:
             raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>" if s else "<xi,a^vee>")
-        eta = etas[datum.root_orbit_ids[i]]
-        if exact:
-            num *= e * eta.coeff.numerator * w.denominator
-            den *= eta.coeff.denominator * w.numerator
-            rad *= eta.rad
+        if table is not None:
+            num, den, rad = num * e * w[0], den * w[1], rad * w[2]
         else:
-            total = total * (float(eta) if e > 0 else -float(eta)) / w
-    return SqrtRational(Q(num, den), rad) if exact else total
+            eta = float(etas[datum.root_orbit_ids[i]])
+            total = total * (eta if e > 0 else -eta) / w
+    return total if table is None else SqrtRational(Q(num, den), rad)
 
 
 def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
@@ -249,7 +254,8 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         devs.append(abs(val - limit) / abs(limit))
     report.rows.append(_deviation_row("E", "E_omega", devs, t_list, tol, limit))
 
-    table = float_table(datum.pairings(xi))
+    z = datum.pairings(xi)
+    table, limits = float_table(z), limit_table(datum, z)
     g_list = [toda.multiplicities_at(t).root_values for t in t_list]
     for entry in pieri_index(datum, omega):
         rate_plus = rate_of(entry.plus_labels)
@@ -259,7 +265,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         rows += [("U", f"nu={nu}, eta={datum.from_labels(eta)}", factors, rate_u)
                  for eta, factors in zip(entry.eta_labels, entry.u_factors)]
         for family, label, factors, rate in rows:
-            bar = float(limit_product(datum, factors, xi))
+            bar = float(limit_product(datum, factors, xi, limits))
             devs = [abs(math.exp(-t * rate) * factor_product(datum, factors, table, g)
                         - bar) / abs(bar) for t, g in zip(t_list, g_list)]
             report.rows.append(_deviation_row(family, label, devs, t_list, tol, bar))
@@ -323,6 +329,24 @@ U_RANGE = (-8.0, 50.0)   # the u-interval the rank-one oracle accepts
 ORACLE_DPS = 20          # mpmath digits of the closed form after cancellation
 U_GRID = tuple(-2.0 + 0.2 * i for i in range(21))   # the rank-one check's grid
 U_ASYM = 14.0            # where it compares phi with the two-term asymptotics
+GUARD_BITS = 40          # bits the fixed-point 0F1 sums carry past the working precision
+
+
+def _bessel_sums(z: int, a: int, wp: int) -> tuple:
+    """0F1(1-a; z) and 0F1(1+a; z) in one pass, all as integers over 2^wp
+    (z, a > 0): term k is term k-1 times z/(k(k-+a)), until both are 0."""
+    one = 1 << wp
+    s_minus = s_plus = t_minus = t_plus = one
+    sign, k = 1, 0
+    while t_minus or t_plus:
+        k += 1
+        d = k * one - a
+        # (1-a)_k's sign apart: // on a negative t_minus would stick at -1
+        sign = -sign if d < 0 else sign
+        t_minus = t_minus * z // (k * abs(d))
+        t_plus = t_plus * z // (k * (k * one + a))
+        s_minus, s_plus = s_minus + sign * t_minus, s_plus + t_plus
+    return s_minus, s_plus
 
 
 class WhittakerA1:
@@ -338,11 +362,12 @@ class WhittakerA1:
 
     log phi is evaluated only at the given points, which must lie in
     U_RANGE, by the reflection formula K_a = pi/(2 sin pi a) (I_-a - I_a)
-    with 0F1 series for I_{+-a} (DLMF 10.27.4, 10.25.2), at ORACLE_DPS + 6
-    digits plus the 2x log10(e) + log10(1/|sin pi a|) the difference loses
-    at the largest x = 2 e^{-u/2}.  An integer order, 0/0 there, is moved
-    by 10^-(ORACLE_DPS+10).  matching_radius is the upper end of U_RANGE,
-    kept for the hodiff/1 report schema.
+    with I_{+-a} from 0F1(1-+a; e^-u) (DLMF 10.27.4, 10.25.2), at ORACLE_DPS
+    + 6 digits plus the 2x log10(e) + log10(1/|sin pi a|) the difference
+    loses at the largest x = 2 e^{-u/2}: both sums in one fixed-point pass
+    of ``_bessel_sums``, GUARD_BITS finer, each rounded to nearest back.  An
+    integer order, 0/0 there, is moved by 10^-(ORACLE_DPS+10).
+    matching_radius, the upper end of U_RANGE, keeps the report schema.
     """
 
     def __init__(self, zeta: float, points):
@@ -360,11 +385,13 @@ class WhittakerA1:
             a_mp = mpmath.mpf(a) + (mpmath.mpf(10) ** -shift if shift else 0)
             scale = mpmath.pi / mpmath.sinpi(a_mp)
             r_minus, r_plus = mpmath.rgamma(1 - a_mp), mpmath.rgamma(1 + a_mp)
+            wp = mpmath.mp.prec + GUARD_BITS
             self._log_phi = {}
             for u in u_eval:
                 z, e = mpmath.exp(-u), mpmath.exp(a_mp * u / 2)
-                phi = scale * (e * r_minus * mpmath.hyp0f1(1 - a_mp, z)
-                               - r_plus * mpmath.hyp0f1(1 + a_mp, z) / e)
+                i_minus, i_plus = (mpmath.mpf((s, -wp)) for s in _bessel_sums(
+                    to_fixed(z._mpf_, wp), to_fixed(a_mp._mpf_, wp), wp))
+                phi = scale * (e * r_minus * i_minus - r_plus * i_plus / e)
                 self._log_phi[u] = float(mpmath.log(phi))
         self.matching_radius = hi
 
@@ -434,24 +461,19 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     alpha = datum.positive_roots[0]
     xi = tuple(zeta * float(c) for c in omega)
 
-    points = U_GRID + (U_ASYM,)
-    solved: dict[float, WhittakerA1] = {}
+    # one oracle per distinct |zeta + s|, zeta's own first: only it is read
+    # at U_ASYM (|zeta - 1| is |zeta| at zeta = 1/2)
+    solved = {abs(zeta): WhittakerA1(zeta, U_GRID + (U_ASYM,))}
+    for s in (-2, -1, 1, 2):
+        if abs(zeta + s) not in solved:
+            solved[abs(zeta + s)] = WhittakerA1(zeta + s, U_GRID)
+    orac = {s: solved[abs(zeta + s)] for s in (-2, -1, 0, 1, 2)}
+    orac_neg = solved[abs(-zeta)]
 
-    def oracle(z):
-        if abs(z) not in solved:
-            solved[abs(z)] = WhittakerA1(z, points)
-        return solved[abs(z)]
+    v_up, v_dn, v_up2, v_dn2 = (coeff_Vbar(datum, nu, xi)
+                                for nu in (omega, vneg(omega), alpha, vneg(alpha)))
 
-    orac = {s: oracle(zeta + s) for s in (-2, -1, 0, 1, 2)}
-    orac_neg = oracle(-zeta)
-
-    v_up = coeff_Vbar(datum, omega, xi)
-    v_dn = coeff_Vbar(datum, vneg(omega), xi)
-    v_up2 = coeff_Vbar(datum, alpha, xi)
-    v_dn2 = coeff_Vbar(datum, vneg(alpha), xi)
-
-    report = RankOneWhittakerReport(zeta=zeta,
-                                    matching_radius=orac[0].matching_radius)
+    rows = []
     res_min = res_qmin = winv = 0.0
     for u in U_GRID:
         f0 = orac[0].value(u)
@@ -463,16 +485,13 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
         r2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2))
         w = abs(orac_neg.value(u) - f0) / abs(f0)
         res_min, res_qmin, winv = max(res_min, r1), max(res_qmin, r2), max(winv, w)
-        report.rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
+        rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
     two_term = (math.gamma(a) * math.exp(0.5 * a * U_ASYM)
                 + math.gamma(-a) * math.exp(-0.5 * a * U_ASYM))
     asym = abs(orac[0].value(U_ASYM) / two_term - 1.0)
-    report.max_residual_min = res_min
-    report.max_residual_qmin = res_qmin
-    report.winv_deviation = winv
-    report.asymptotic_deviation = asym
-    return report
+    return RankOneWhittakerReport(zeta, orac[0].matching_radius, res_min, res_qmin,
+                                  winv, asym, rows)
 
 
 @cache

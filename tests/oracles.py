@@ -42,6 +42,12 @@ taking the root datum first:
   Fraction vector over the fundamental weights, its pole test reading the
   labels back through the Gram form (the package draws the labels).
 
+Then the rank-one Toda oracle as it was before its fixed-point sums:
+
+- ``hyp0f1_log_phi``: log phi of ``whittaker.WhittakerA1`` with two
+  ``mpmath.hyp0f1`` calls per point, at the same precision and integer
+  order shift.
+
 Last, a constructor and a per-point residual only the tests use:
 
 - ``constant_multiplicities``: the same multiplicity g on every root orbit;
@@ -56,6 +62,8 @@ import math
 from collections import Counter
 from fractions import Fraction as Q
 from operator import add, mul
+
+import mpmath
 
 from hodiff import whittaker
 from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
@@ -524,3 +532,25 @@ def de_residual(g1, g2, xi, x) -> float:
     lhs = up * (fp - f0) + dn * (fm - f0)
     rhs = 4 * math.sinh(x / 2) ** 2 * f0
     return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
+def hyp0f1_log_phi(zeta, points) -> dict:
+    """u -> log phi(u) of ``whittaker.WhittakerA1(zeta, points)``, with
+    I_{+-a} from ``mpmath.hyp0f1`` under the same precision budget."""
+    a = abs(float(zeta))
+    u_eval = {float(u) for u in points}
+    sin_a = abs(float(mpmath.sinpi(a)))
+    shift = 0 if sin_a else whittaker.ORACLE_DPS + 10
+    x_max = 2.0 * math.exp(-min(u_eval) / 2.0)
+    lost = 2.0 * x_max * math.log10(math.e) + (shift or -math.log10(sin_a))
+    out = {}
+    with mpmath.workdps(whittaker.ORACLE_DPS + math.ceil(lost) + 6):
+        a_mp = mpmath.mpf(a) + (mpmath.mpf(10) ** -shift if shift else 0)
+        scale = mpmath.pi / mpmath.sinpi(a_mp)
+        r_minus, r_plus = mpmath.rgamma(1 - a_mp), mpmath.rgamma(1 + a_mp)
+        for u in u_eval:
+            z, e = mpmath.exp(-u), mpmath.exp(a_mp * u / 2)
+            phi = scale * (e * r_minus * mpmath.hyp0f1(1 - a_mp, z)
+                           - r_plus * mpmath.hyp0f1(1 + a_mp, z) / e)
+            out[u] = float(mpmath.log(phi))
+    return out

@@ -321,6 +321,20 @@ def test_series_stop_test_on_sweep_parameters():
                 assert series_2f1(a, b, c, z) == _series_2f1_reference(a, b, c, z)
 
 
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.floats(0.1, 3.0), st.floats(0.05, 2.0), st.floats(0.1, 4.0),
+       st.floats(0.1, 3.0))
+def test_kernel_matches_mpmath_hyp2f1(g1, g2, xi, x):
+    # the rank-one kernel at the parameter ranges the numeric benchmark
+    # draws, against mpmath's hyp2f1 at 30 digits
+    import mpmath
+    params = HypergeometricParams(g1, g2, xi, x)
+    with mpmath.workdps(30):
+        z = -mpmath.sinh(mpmath.mpf(x) / 2) ** 2
+        ref = float(mpmath.hyp2f1(*params.abc, z))
+    assert abs(gauss_2f1_jacobi(params) - ref) <= 1e-12 * abs(ref), params
+
+
 def test_series_overflow_raises_like_reference():
     new = _outcome(series_2f1, 0.3, 1.7, 1.2, 1.05)
     assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, 1.05)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hodiff
-from hodiff.diffeq import (factor_product, float_table, pieri_index,
+from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, pieri_index,
                            sample_multiplicities, term_factors)
 from hodiff.rootsys import vadd, vneg
-from hodiff.whittaker import (SqrtRational, TodaCoefficients, WhittakerA1,
+from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, TodaCoefficients, WhittakerA1,
                               coeff_Ubar, coeff_Vbar, ebar,
                               eta_alpha, g_of_t, homogeneity_gap, limit_product,
-                              homogeneity_identity, rank_one_whittaker_check,
+                              homogeneity_identity, limit_table, rank_one_whittaker_check,
                               verify_confluence)
 from oracles import multiplicity_of, rho_vee, vscale
 
@@ -215,6 +216,65 @@ def test_confluence_rows_equal_the_per_t_path(request):
     assert checked > 100
 
 
+def _factor_lists(datum, omega):
+    # one per V or U row of verify_confluence, in its order
+    return [factors for entry in pieri_index(datum, omega)
+            for factors in (entry.v_factors,) + entry.u_factors]
+
+
+def test_confluence_limits_equal_the_stepwise_limit(request):
+    # each row's limit, from one limit_table per call, is the float of the
+    # SqrtRational-per-factor product, and the table-fed product its value
+    from oracles import stepwise_limit
+    checked = 0
+    for datum, omega, xi, x in _reference_cases(request):
+        table = limit_table(datum, datum.pairings(xi))
+        rows = verify_confluence(datum, omega, xi, x, t_list=FINE_T).rows[1:]
+        lists = _factor_lists(datum, omega)
+        assert len(rows) == len(lists)
+        for row, factors in zip(rows, lists):
+            exact = stepwise_limit(datum, factors, xi)
+            assert limit_product(datum, factors, xi, table) == exact
+            assert row["limit"] == float(exact)
+            checked += 1
+    assert checked > 50
+
+
+def test_confluence_limit_poles_name_the_factor(request):
+    # at xi with some <xi,a^vee> in {0, -1}, a table-fed limit raises the
+    # pole the Fraction-per-factor product raises first, else it has the
+    # stepwise value; verify_confluence raises its first row's pole
+    from oracles import fraction_factor_product, stepwise_limit
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except PoleAtSpectralPoint as exc:
+            return str(exc)
+
+    poles = 0
+    for datum, omega, _xi, x in _reference_cases(request):
+        grid = itertools.product((-2, -1, Q(-1, 2), Q(1, 2), 1), repeat=datum.rank)
+        points = [datum.weight_from_fundamental(labels) for labels in grid]
+        points = [xi for xi in points if {0, -1} & set(datum.pairings(xi))][:4]
+        g = TodaCoefficients(datum, omega).multiplicities_at(10.0).root_values
+        lists = _factor_lists(datum, omega)
+        for xi in points:
+            table = limit_table(datum, datum.pairings(xi))
+            got = [outcome(limit_product, datum, f, xi, table) for f in lists]
+            want = [outcome(fraction_factor_product, datum, f, xi, g) for f in lists]
+            want = [w if isinstance(w, str) else stepwise_limit(datum, f, xi)
+                    for w, f in zip(want, lists)]
+            assert got == want
+            first = next((w for w in want if isinstance(w, str)), None)
+            if first is not None:
+                with pytest.raises(PoleAtSpectralPoint) as exc:
+                    verify_confluence(datum, omega, xi, x)
+                assert str(exc.value) == first
+                poles += 1
+    assert poles > 5
+
+
 def test_confluence_rows_read_the_pieri_index(b2, monkeypatch):
     # negative control: one dropped or sign-flipped entry of one V or U
     # factor list of the index changes that term's row and no other
@@ -323,6 +383,92 @@ def test_whittaker_oracle_correctly_rounded():
                     mid = (mpmath.mpf(got) + float(ref)) / 2
                     assert abs(got - float(ref)) == math.ulp(got), (a, u)
                     assert abs(ref - mid) <= abs(ref) * 10 ** -ORACLE_DPS, (a, u)
+
+
+# the check's points, and the ends of U_RANGE with two of them: u = -8 sets
+# a higher working precision
+POINT_SETS = (U_GRID + (U_ASYM,), (-8.0, -2.0, U_ASYM, 50.0))
+# integer orders (the perturbed 0/0 quotient), orders next to them (the
+# sin(pi a) cancellation), and zeta = 1/2, where zeta - 1 has zeta's order
+EDGE_ZETAS = (0.5, 1.0, 2.0, 1 - 1e-6, 1 + 1e-6, 2.95)
+
+
+def _seeded_zetas(n, lo=1.06, hi=3.9):
+    rng = random.Random(f"whittaker-hyp0f1:{lo}:{hi}")
+    return [rng.uniform(lo, hi) for _ in range(n)]
+
+
+def _assert_log_phi_is_hyp0f1(orders, point_sets=POINT_SETS):
+    # the one fixed-point pass gives the float bits of two mpmath.hyp0f1
+    # sums at the same precision, at every point
+    from oracles import hyp0f1_log_phi
+    for a in orders:
+        for points in point_sets:
+            got = WhittakerA1(a, points)
+            ref = hyp0f1_log_phi(a, points)
+            for u in points:
+                assert got.log_value(u) == ref[u], (a, u)
+
+
+def _orders(zetas):
+    return [zeta + s for zeta in zetas for s in (-2, -1, 0, 1, 2)]
+
+
+def test_whittaker_oracle_bit_identical_to_hyp0f1():
+    _assert_log_phi_is_hyp0f1(_orders(_seeded_zetas(14) + list(EDGE_ZETAS)))
+
+
+@pytest.mark.slow
+def test_whittaker_oracle_bit_identical_to_hyp0f1_sweep():
+    # the zetas the numeric benchmark draws on the check's points, and a
+    # wider range on both point sets
+    _assert_log_phi_is_hyp0f1(_orders(_seeded_zetas(120)), POINT_SETS[:1])
+    _assert_log_phi_is_hyp0f1(_orders(_seeded_zetas(20, 0.06, 5.9)))
+
+
+def _pochhammer_moved(only_order=None):
+    """_bessel_sums with the step of (1+a)_k moved by one, so the second sum
+    is 0F1(2+a; z): at every order, or at only_order alone."""
+    from hodiff.whittaker import _bessel_sums
+
+    def kernel(z, a, wp):
+        if only_order is not None and abs(a / (1 << wp) - only_order) > 1e-9:
+            return _bessel_sums(z, a, wp)
+        one = 1 << wp
+        s_minus = s_plus = t_minus = t_plus = one
+        sign, k = 1, 0
+        while t_minus or t_plus:
+            k += 1
+            d = k * one - a
+            sign = -sign if d < 0 else sign
+            t_minus = t_minus * z // (k * abs(d))
+            t_plus = t_plus * z // (k * ((k + 1) * one + a))
+            s_minus, s_plus = s_minus + sign * t_minus, s_plus + t_plus
+        return s_minus, s_plus
+    return kernel
+
+
+def test_whittaker_oracle_tests_catch_a_moved_pochhammer_step(monkeypatch):
+    # negative control: the bit-identity and correct-rounding tests fail on
+    # the moved kernel; the check at 1.3 cannot pass on it: phi turns
+    # negative at order 1.3 (a complex log), and with order 2.3 alone moved
+    # the single-shift identity breaks
+    import hodiff.whittaker as wh
+    moved = _pochhammer_moved()
+    with monkeypatch.context() as mp:
+        mp.setattr(wh, "_bessel_sums", moved)
+        with pytest.raises(AssertionError):
+            _assert_log_phi_is_hyp0f1([0.3, 0.7, 2.3])
+        with pytest.raises(AssertionError):
+            test_whittaker_oracle_correctly_rounded()
+        with pytest.raises(TypeError):
+            rank_one_whittaker_check(1.3)
+    with monkeypatch.context() as mp:
+        mp.setattr(wh, "_bessel_sums", _pochhammer_moved(2.3))
+        rep = rank_one_whittaker_check(1.3)
+    assert rep.max_residual_min > 1e-6
+    assert not rep.ok()
+    assert rank_one_whittaker_check(1.3).ok()
 
 
 def test_rank_one_whittaker_check_detects_a_wrong_order(monkeypatch):

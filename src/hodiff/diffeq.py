@@ -20,7 +20,7 @@ from .jacobi import JacobiPolynomial, jacobi_polynomial
 from .rootsys import Multiplicities, RootDatum, Vector, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
-                      require_exact)
+                      sample_record)
 
 # test hooks for the negative controls; never set in normal operation
 PERTURB_U_SIGN = "u-sign"
@@ -98,6 +98,12 @@ def scaled_table(z: tuple, g: tuple) -> list:
         w = x.numerator * (d // x.denominator)
         table.append((w, w + d, y.numerator * (d // y.denominator)))
     return table
+
+
+def point_table(datum: RootDatum, mults: Multiplicities, lam: tuple) -> list:
+    """The ``scaled_table`` of rho_g + lambda on the sample's d (lambda pairs integrally)."""
+    d, rho_g = sample_record(datum, mults)[:2]
+    return [(b + d * k, b + d * k + d, g) for (b, g), k in zip(rho_g, datum.label_pairings(lam))]
 
 
 def integer_product(datum: RootDatum, factors: tuple, table: list):
@@ -237,23 +243,23 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
     rho_g + lambda, for lam the labels of a dominant lambda and entry the
     ``PieriTermIndex`` of nu.
 
-    The pairings of the point are those of the labels of rho_g plus lam.
-    Every factor list is evaluated on integers over one ``scaled_table`` of
+    Every factor list is evaluated on integers over the ``point_table`` of
     the point, and each surviving term becomes one Fraction.  Terms whose
     shift leaves the dominant cone must carry an exactly vanishing V factor;
     that vanishing is asserted, and a pole anywhere in the term list raises
-    for a multiplicity resample.  Exact multiplicities are required.
+    for a multiplicity resample; with no zero in the table (no pole), an
+    excluded term's U lists are skipped.  Exact multiplicities are required.
     """
-    require_exact(mults)
-    table = scaled_table(datum.label_pairings(tuple(map(add, datum.rho_labels(mults), lam))),
-                         mults.root_values)
+    table = point_table(datum, mults, lam)
+    poles = not all(w and w1 for w, w1, _g in table)
     out = []
     for entry in pieri_index(datum, omega):
         v_num, v_den = integer_product(
             datum, perturbed(entry.v_factors, perturb), table)
+        kept = all(a + b >= 0 for a, b in zip(lam, entry.nu_labels))
         us = [integer_product(datum, perturbed(f, perturb), table)
-              for f in entry.u_factors]
-        if all(a + b >= 0 for a, b in zip(lam, entry.nu_labels)):
+              for f in entry.u_factors] if kept or poles else ()
+        if kept:
             out.extend((entry, eta, Q(u_num * v_num, u_den * v_den))
                        for eta, (u_num, u_den) in zip(entry.eta_labels, us))
         elif v_num and perturb is None:
@@ -326,9 +332,11 @@ def pieri_residual(datum: RootDatum, e_form: LabelForm, poly: JacobiPolynomial,
     rhs = [(terms, c.numerator * (L // (c.denominator * d))) for (d, terms), c in rhs]
     residual = {}
     for m in below:
+        if (pairs := e_form.shifts.get(m)) is None:
+            pairs = e_form.shifts[m] = [(tuple(map(sub, m, a)), e) for a, e in e_form.terms.items()]
         r = 0
-        for a, e in e_form.terms.items():
-            c = p_terms.get(tuple(map(sub, m, a)))
+        for l, e in pairs:
+            c = p_terms.get(l)
             if c:
                 r += e * c
         r *= left

@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from operator import mul
 
 from .rootsys import Multiplicities, RootDatum, Vector
-from .weylalg import ExpPoly, _q_str, apply_L_labels, exp_to_json, require_exact
+from .weylalg import ExpPoly, _q_str, apply_L_labels, exp_to_json, require_exact, sample_record
 
 
 class JacobiPolynomial:
@@ -208,10 +208,9 @@ class EigenReport:
 
 def _shifted_eigenvalue(datum: RootDatum, mults: Multiplicities, l: tuple) -> Q:
     """E(rho_g + v) = <v, v + 2 rho_g> for v with labels l, through the
-    fundamental-weight Gram form over the lcm r of rho_g's label denominators."""
-    rho = datum.rho_labels(mults)
-    r = math.lcm(*(x.denominator for x in rho))
-    shifted = [r * a + 2 * (x * r).numerator for a, x in zip(l, rho)]
+    fundamental-weight Gram form over r, which clears rho_g's labels (``sample_record``)."""
+    r, rho2 = sample_record(datum, mults)[5:]
+    shifted = [r * a + b for a, b in zip(l, rho2)]
     return Q(sum(a * sum(map(mul, row, shifted)) for a, row in zip(l, datum.weight_gram)),
              r * datum.weight_gram_den)
 

@@ -156,22 +156,21 @@ class RootDatum:
     over one denominator (the Cartan matrix, its inverse and the duality check
     of the fundamental weights included), and so is ``root_perms``, from which
     the Pieri index carries its factor lists down the Weyl descent.  One label
-    descent (``_dominant_orbit``) finds the roots (the W-orbits of the simple
-    roots), every Weyl and parabolic orbit and |W| (``weyl_order``); one
-    bounded scan of labels (``_bounded_labels``) finds the small weights and
-    the weights up to a height.  Results are memoized on the instance the first
-    time they are asked for: the labels of a vector by identity if the datum
-    made it, else under the vector (the only vector-keyed memo), the rest under
-    labels: pairings, Weyl orbits, dominance intervals, saturated maps, their
-    alpha-string tables and Jacobi recursion patterns (``jacobi_memo``, filled
-    by ``jacobi``), and for a small weight omega its Pieri index
-    (``index_memo``, filled by ``diffeq.pieri_index``) and its E_omega on labels
-    (``expansion_label_memo``, filled by ``weylalg``; for BC it holds the E_ell
-    of ``nonreduced`` under the int ell, and its Pieri index in
-    ``pieri_bc_memo``), and the confluent limit's etas
-    (``eta_memo``, ``whittaker``).  The memos live and die with the datum; each
-    entry is a pure function of its key, so threads sharing an instance can at
-    worst compute it twice.
+    descent (``_dominant_orbit``) finds every Weyl and parabolic orbit and |W|
+    (``weyl_order``); one bounded scan of labels (``_bounded_labels``) finds
+    the small weights and the weights up to a height.  Results are memoized on
+    the instance when first asked for: the labels of a vector by identity if
+    the datum made it, else under the vector (the only vector-keyed memo); the
+    rest under labels: pairings, the orbit memo (``orbit_labels``, each
+    dominant label's W-orbit walked once and shared), Weyl orbits, dominance
+    intervals, saturated maps, their alpha-string tables, Jacobi recursion
+    patterns (``jacobi_memo``), and for a small weight omega its Pieri index
+    (``index_memo``) and E_omega on labels (``expansion_label_memo``; for BC
+    the E_ell of ``nonreduced`` under the int ell, with its Pieri index in
+    ``pieri_bc_memo``), and the confluent limit's etas (``eta_memo``).  The
+    memos live and die with the datum; each entry is a pure function of its
+    key, so threads sharing an instance can at worst compute it twice.  The
+    integers of the exact checks are kept per sample on ``Multiplicities``.
     """
 
     def __init__(self, family: str, rank: int):
@@ -217,6 +216,7 @@ class RootDatum:
                for i, wi in enumerate(w) for j in range(rank)):
             raise ValueError("fundamental weights failed duality check")
 
+        self._walks: dict[tuple, dict] = {}   # the orbit memo (``orbit_labels``)
         # the reduced roots are the W-orbits of the simple roots, found by
         # descent from their dominant elements and keyed by their simple-root
         # coefficients n = l cartan^{-1}, alpha = sum_k n_k alpha_k.  With
@@ -224,7 +224,7 @@ class RootDatum:
         # the integer t(n) = sum_k n_k l_k snum_k is 2 sden |alpha|^2
         label_of = {tuple(sum(map(mul, l, col)) // cden for col in zip(*cinv)): l
                     for top in dict.fromkeys(self._make_dominant(row)[0] for row in self.cartan)
-                    for l in self._dominant_orbit(top)}
+                    for l in self.orbit_labels(top)}
         twice_of = {n: sum(map(mul, map(mul, n, l), snum)) for n, l in label_of.items()}
         if family == "BC":
             short = min(twice_of.values())
@@ -244,7 +244,7 @@ class RootDatum:
         self.root_labels: tuple[tuple[int, ...], ...] = tuple(map(label_of.get, order))
         # root_perms[j][r] is the index of s_j alpha_r, so that
         # <s_j u, alpha_r^vee> = <u, alpha_{root_perms[j][r]}^vee>
-        index = {l: i for i, l in enumerate(self.root_labels)}
+        self._label_roots = index = {l: i for i, l in enumerate(self.root_labels)}
         self.root_perms: tuple[tuple[int, ...], ...] = tuple(
             tuple(index[_step(l, l[j], row)] for l in self.root_labels)
             for j, row in enumerate(self.cartan))
@@ -285,8 +285,9 @@ class RootDatum:
         # memos: (v, labels) under id(v) per v the datum made (the fundamental
         # weights, the roots, each result of from_labels; held, so the id stays
         # v's), labels of any other v under v (the one vector-keyed memo), the
-        # rest under integer labels or sets of root indices; the last four are
-        # filled by jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
+        # rest, the orbit memo _walks (made before the roots) among them, under
+        # integer labels or sets of root indices; the last four are filled by
+        # jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
         self._made: dict[int, tuple[Vector, tuple]] = {}
         self._labels: dict[Vector, tuple] = {}
         self._vectors: dict[tuple, Vector] = {}
@@ -322,16 +323,21 @@ class RootDatum:
         return sum(u[i] * self.gram[i][j] * v[j]
                    for i in range(self.dim) for j in range(self.dim))
 
+    def _root_at(self, alpha: Vector):
+        """alpha's index in ``roots`` or None; by labels if the datum made alpha."""
+        made = self._made.get(id(alpha))
+        return self.root_index.get(alpha) if made is None else self._label_roots.get(made[1])
+
     def norm_sq(self, alpha: Vector) -> Q:
         """<alpha, alpha>, read from ``root_norms`` when alpha is a root."""
-        i = self.root_index.get(alpha)
+        i = self._root_at(alpha)
         return self.inner(alpha, alpha) if i is None else self.root_norms[i]
 
     def pairing(self, v: Vector, alpha: Vector) -> Q:
         """<v, alpha^vee>, exact for any two vectors of the realization: read
-        from the label kernel (``pairings``) when alpha is in ``root_index``,
+        from the label kernel (``pairings``) when alpha is a root (``_root_at``),
         else 2 <v, alpha> / <alpha, alpha> by the Gram form."""
-        i = self.root_index.get(alpha)
+        i = self._root_at(alpha)
         if i is None:
             return 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
         return self.pairings(v)[i]
@@ -405,6 +411,13 @@ class RootDatum:
                         stack.append(w)
         return seen
 
+    def orbit_labels(self, top: tuple) -> dict:
+        """``_dominant_orbit(top)``, walked once per dominant top (the orbit memo,
+        shared by the roots, Weyl orbits, saturated sets and Pieri index)."""
+        if (found := self._walks.get(top)) is None:
+            found = self._walks[top] = self._dominant_orbit(top)
+        return found
+
     def _make_dominant(self, l: tuple, J=None):
         """Greedy reflection at the least s_j, j in J (J None: every simple
         root), with a negative label; (result, the j in the order applied).
@@ -452,9 +465,8 @@ class RootDatum:
     def _root_orbit_indices(self):
         """Sorted root indices of each W-orbit of roots: one orbit per
         dominant root, in the order of those roots."""
-        index = {l: i for i, l in enumerate(self.root_labels)}
         tops = sorted((l for l in self.root_labels if min(l) >= 0), key=self.from_labels)
-        return [sorted(map(index.get, self._dominant_orbit(t))) for t in tops]
+        return [sorted(map(self._label_roots.get, self.orbit_labels(t))) for t in tops]
 
     # -- lattice membership --------------------------------------------------
 
@@ -498,7 +510,7 @@ class RootDatum:
         orbit = self._orbits.get(top)
         if orbit is None:
             orbit = self._orbits[top] = tuple(
-                sorted(map(self.from_labels, self._dominant_orbit(top))))
+                sorted(map(self.from_labels, self.orbit_labels(top))))
         return orbit
 
     def stabilizer_roots(self, v: Vector) -> tuple[Vector, ...]:
@@ -529,7 +541,7 @@ class RootDatum:
         nu+ (``parabolic_orbit``) and carried down the descent from nu+."""
         sets, words = {}, {}
         for plus in self.below_labels(top):
-            for l, step in self._dominant_orbit(plus).items():
+            for l, step in self.orbit_labels(plus).items():
                 if step is None:
                     etas = self.parabolic_orbit(plus, top)
                 else:
@@ -585,7 +597,7 @@ class RootDatum:
         found = self._sat_label_cache.get(top)
         if found is None:
             found = self._sat_label_cache[top] = {
-                l: m for m in self.below_labels(top) for l in self._dominant_orbit(m)}
+                l: m for m in self.below_labels(top) for l in self.orbit_labels(m)}
         return found
 
     def string_table(self, tops: tuple) -> tuple:
@@ -595,12 +607,12 @@ class RootDatum:
         indices of the labels at pairings k, k-2, ..., -k) for its top label,
         <l, alpha^vee> = k > 0 (S is saturated, so none is broken: k + 1 is the
         length of the walk down from the top); quad holds <l, l> times
-        ``weight_gram_den`` per label; perms[j][i] numbers s_j of label i (S is
-        W-stable).  Both walk codes (``_label_code``)."""
+        ``weight_gram_den`` per label, one per dominant representative; perms[j][i]
+        numbers s_j of label i (S is W-stable).  Both walk codes (``_label_code``)."""
         found = self._string_tables.get(tops)
         if found is None:
-            index = {l: i for i, l in enumerate(dict.fromkeys(
-                l for t in tops for l in self.saturated_labels(t)))}
+            reps = {l: m for t in tops for l, m in self.saturated_labels(t).items()}
+            index = {l: i for i, l in enumerate(reps)}
             code = _label_code(index, self.root_labels)
             at = {code(l): i for l, i in index.items()}   # codes in index order
             roots = []
@@ -616,8 +628,9 @@ class RootDatum:
                     roots.append((r, tuple(strings)))
             perms = tuple(tuple(at[c - l[j] * a] for l, c in zip(index, at))
                           for j, a in enumerate(map(code, self.cartan)))
-            quad = tuple(sum(x * sum(map(mul, row, l)) for x, row in zip(l, self.weight_gram))
-                         for l in index)
+            per_rep = {m: sum(x * sum(map(mul, row, m)) for x, row in zip(m, self.weight_gram))
+                       for m in set(reps.values())}
+            quad = tuple(map(per_rep.__getitem__, reps.values()))
             found = self._string_tables[tops] = (index, tuple(roots), quad, perms)
         return found
 
@@ -703,7 +716,8 @@ class RootDatum:
 class Multiplicities:
     """Orbit-constant root multiplicities g_alpha > 0 (exact or float).
 
-    ``root_values`` holds one value per root in ``datum.roots`` order.
+    ``root_values`` holds one value per root in ``datum.roots`` order; rho_g,
+    ``_lead_rows`` and the per-sample record ``_record`` are built once each.
     """
 
     def __init__(self, datum: RootDatum, values):
@@ -716,7 +730,7 @@ class Multiplicities:
         self.datum = datum
         self.values = values
         self.root_values = tuple(values[i] for i in datum.root_orbit_ids)
-        self._rho = self._rho_labels = self._lead_rows = None
+        self._rho = self._rho_labels = self._lead_rows = self._record = None
 
     def key(self):
         return tuple(self.values)

@@ -131,6 +131,28 @@ def require_exact(mults: Multiplicities) -> None:
         raise ValueError("exact multiplicities required")
 
 
+def sample_record(datum: RootDatum, mults: Multiplicities) -> tuple:
+    """(d, rho_g, n, weights, lap, r, rho2), built once per exact sample on
+    mults: d clears each <rho_g,a^vee> and g_a, rho_g holds both times d per
+    root (``diffeq.point_table``); n clears the Gram form and each g_o |a_o|^2
+    / 2, weights are those times n, lap = n / ``weight_gram_den``
+    (``apply_L_labels``); r clears rho_g's labels, rho2 holds them times 2 r."""
+    require_exact(mults)
+    if mults._record is None:
+        rho, g = datum.rho_labels(mults), mults.root_values
+        pairs = datum.label_pairings(rho)
+        d = math.lcm(*(x.denominator for x in (*pairs, *g)))
+        weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
+                   for o, orbit in enumerate(datum.root_orbits)]
+        n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
+        r = math.lcm(*(x.denominator for x in rho))
+        mults._record = (
+            d, [((x * d).numerator, (y * d).numerator) for x, y in zip(pairs, g)],
+            n, [(w * n).numerator for w in weights], n // datum.weight_gram_den,
+            r, [2 * (x * r).numerator for x in rho])
+    return mults._record
+
+
 def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     """(n, image) with image[l] = n (L p)[l] for every label l of the string
     table, p the W-invariant element given by its label-keyed terms.
@@ -155,9 +177,9 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     by g_alpha |alpha|^2 / 2 (as <nu, alpha> = k |alpha|^2 / 2); the
     Laplacian term is <nu, nu> from the fundamental-weight Gram form.  n
     clears the denominators of those weights and of the Gram form, so integer
-    terms give an integer image.
+    terms give an integer image (n and the weights: ``sample_record``).
     """
-    require_exact(mults)
+    n, weights, lap = sample_record(datum, mults)[2:5]
     dominant = [l for l in terms if min(l) >= 0]
     if any(k and terms.get(_step(l, k, row), 0) != terms[l]
            for l in dominant for k, row in zip(l, datum.cartan)):
@@ -175,11 +197,6 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
         raise InternalConsistencyError(
             f"exponent labels {outside[0]} lie outside the alpha-strings of P{tops}"
             if outside else "the string table's reflections disagree with the labels")
-    weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
-               for o, orbit in enumerate(datum.root_orbits)]
-    n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
-    weights = [(w * n).numerator for w in weights]
-    lap = n // datum.weight_gram_den
     image = [lap * c * q for c, q in zip(coef, quad)]
     for r, strings in roots:
         w = weights[datum.root_orbit_ids[r]]
@@ -216,6 +233,7 @@ class LabelForm:
             raise InternalConsistencyError(
                 "the spectral-side expansion is not W-invariant with integer coefficients")
         self.terms = {l: c.numerator for l, c in terms.items()}
+        self.shifts = {}   # mu -> its (mu - a, e) per term e e^a, for ``pieri_residual``
 
 
 def label_form(datum: RootDatum, p: ExpPoly) -> LabelForm:
@@ -228,8 +246,8 @@ def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
 
     E_omega = sum over dominant mu <= omega of |W_mu(omega)| m_mu, the
     coefficient being the orbit size of omega under the stabilizer of mu
-    (``parabolic_orbit``), built on labels in the order of the vectors and
-    checked once: memoized under omega's labels (``expansion_label_memo``).
+    (``parabolic_orbit``, once per mu), built on labels in the order of the
+    vectors and checked once: memoized under omega's labels (``expansion_label_memo``).
     """
     top = datum.dominant_labels(omega)
     found = datum.expansion_label_memo.get(top)
@@ -238,9 +256,8 @@ def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
             raise ValueError(f"{weight_str(datum.from_labels(top))} is not small "
                              "(some pairing exceeds 2)")
         found = datum.expansion_label_memo[top] = LabelForm(datum, {
-            l: len(datum.parabolic_orbit(mu, top))
-            for mu in datum.below_labels(top)
-            for l in sorted(datum._dominant_orbit(mu), key=datum._vector_key)})
+            l: n for mu in datum.below_labels(top) for n in [len(datum.parabolic_orbit(mu, top))]
+            for l in sorted(datum.orbit_labels(mu), key=datum._vector_key)})
     return found
 
 

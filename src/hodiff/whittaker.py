@@ -392,7 +392,7 @@ class WhittakerA1:
                 i_minus, i_plus = (mpmath.mpf((s, -wp)) for s in _bessel_sums(
                     to_fixed(z._mpf_, wp), to_fixed(a_mp._mpf_, wp), wp))
                 phi = scale * (e * r_minus * i_minus - r_plus * i_plus / e)
-                self._log_phi[u] = float(mpmath.log(phi))
+                self._log_phi[u] = float(mpmath.log(phi)) if phi > 0 else math.nan
         self.matching_radius = hi
 
     def log_value(self, u: float) -> float:
@@ -484,7 +484,8 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
         rhs2 = math.exp(u) * f0
         r2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2))
         w = abs(orac_neg.value(u) - f0) / abs(f0)
-        res_min, res_qmin, winv = max(res_min, r1), max(res_qmin, r2), max(winv, w)
+        res_min, res_qmin, winv = (x if math.isnan(x) else max(m, x) for m, x in
+                                   ((res_min, r1), (res_qmin, r2), (winv, w)))
         rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
     two_term = (math.gamma(a) * math.exp(0.5 * a * U_ASYM)

@@ -25,6 +25,15 @@ way the package did before its tables and cleared integers:
   ``coeff_Ubar`` call per term, and the E_omega inner products with
   ``rho_vee`` per t.
 
+Then the exact Pieri path before its per-sample and per-orbit memos:
+
+- ``fraction_point_table``: the ``scaled_table`` of rho_g + lambda from the
+  Fraction labels of rho_g plus lambda, its d found afresh per point;
+- ``every_u_pieri_terms``: ``pieri_terms`` on that table, evaluating the U
+  lists of every term, excluded ones too;
+- ``orbitwise_expansion_labels``: E_omega on labels with ``parabolic_orbit``
+  walked once per orbit element and each W-orbit walked afresh.
+
 Then come vector-side forms of what the package computes on labels, each
 taking the root datum first:
 
@@ -66,13 +75,14 @@ from operator import add, mul
 import mpmath
 
 from hodiff import whittaker
-from hodiff.diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index
+from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, integer_product, perturbed,
+                           pieri_index, scaled_table)
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.nonreduced import SignedSubset, bc_multiplicities, is_partition, signed_subsets
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
-from hodiff.rootsys import Multiplicities, vadd
-from hodiff.weylalg import (ExpPoly, InternalConsistencyError, _is_invariant,
+from hodiff.rootsys import Multiplicities, vadd, weight_str
+from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _is_invariant,
                             expansion_E_omega, require_exact)
 from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
 
@@ -427,6 +437,43 @@ def scan_pieri_index(datum, omega):
         out.append((l, word, plus, etas, _factor_list(pairs, range(len(pairs)), 1),
                     tuple(_factor_list(datum.label_pairings(e), orth, -1) for e in etas)))
     return out
+
+
+def fraction_point_table(datum, mults, lam):
+    """The ``scaled_table`` of rho_g + lambda, lam the labels of a weight,
+    from the pairings of the Fraction labels of rho_g plus lam."""
+    return scaled_table(datum.label_pairings(tuple(map(add, datum.rho_labels(mults), lam))),
+                        mults.root_values)
+
+
+def every_u_pieri_terms(datum, mults, omega, lam, perturb=None):
+    """``pieri_terms`` with the U lists of every term evaluated before the
+    term is kept or its V's vanishing asserted."""
+    require_exact(mults)
+    table = fraction_point_table(datum, mults, lam)
+    out = []
+    for entry in pieri_index(datum, omega):
+        v_num, v_den = integer_product(datum, perturbed(entry.v_factors, perturb), table)
+        us = [integer_product(datum, perturbed(f, perturb), table) for f in entry.u_factors]
+        if all(a + b >= 0 for a, b in zip(lam, entry.nu_labels)):
+            out.extend((entry, eta, Q(u_num * v_num, u_den * v_den))
+                       for eta, (u_num, u_den) in zip(entry.eta_labels, us))
+        elif v_num and perturb is None:
+            raise InternalConsistencyError(
+                f"V did not vanish at the excluded shift nu={weight_str(entry.nu)}, "
+                f"lambda labels {lam}: V={Q(v_num, v_den)}")
+    return out
+
+
+def orbitwise_expansion_labels(datum, omega):
+    """E_omega as a ``LabelForm``: per dominant mu <= omega, its W-orbit
+    walked afresh in the order of the vectors, each element with the size of
+    its own ``parabolic_orbit`` call."""
+    top = datum.dominant_labels(omega)
+    return LabelForm(datum, {
+        l: len(datum.parabolic_orbit(mu, top))
+        for mu in datum.below_labels(top)
+        for l in sorted(datum._dominant_orbit(mu), key=datum._vector_key)})
 
 
 def orbit_under_reflections(datum, gen_roots, v):

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -289,7 +291,7 @@ def _bc_reports(n, lam, gs):
 
 F4_G = (Q(3, 7), Q(5, 11))
 
-# (producer of the bytes, their sha256).  The first thirteen are free of floats.
+# (producer of the bytes, their sha256).  The first fourteen are free of floats.
 # The rest hold float output, so their bytes also pin the platform libm's
 # exp, sqrt and sinh: the confluence suites, the rank-one sweep (its residual
 # bits) and the full default report.
@@ -315,6 +317,10 @@ PINNED_OUTPUTS = (
      "c3ecafbc9ed397fb77f05419f2a083582a6e8efd9da01644062dd28c6c0bb835"),
     (_pieri_report("E", 6, 1, (Q(4, 9),), True),
      "4ae7fccd74f63f5407ad6322360b6e75fa4b50f2853fdb4f855794f16ee49d5c"),
+    # at lambda = 0 most of E6 omega2's index leaves the dominant cone: the
+    # excluded terms, whose V must vanish and whose U lists are skipped
+    (_pieri_report("E", 6, 2, (Q(4, 9),), True),
+     "f501f7d9cddeac5164169b0e84c230be4a918c7458d9e0f78b5c9468771877fb"),
     (_pieri_report("F", 4, 1, F4_G, False, perturb="u-sign"),
      "3810f600611d3254f853ef992d6a4f7a67367274a070b06a1befd00717a5006b"),
     # E8 at its quasi-minuscule weight, the highest root omega_8
@@ -345,8 +351,8 @@ PINNED_OUTPUTS = (
 
 PINNED_IDS = ["exact-suites", "u-sign", "v-drop-pairing2", "coeffs-g2", "coeffs-e6-omega2",
               "coeffs-f4-omega4", "pieri-f4-omega1", "pieri-f4-omega4", "pieri-e6-omega1",
-              "pieri-f4-omega1-u-sign", "pieri-e8-omega8", "pieri-e8-omega8-u-sign",
-              "bc3-lam210",
+              "pieri-e6-omega2", "pieri-f4-omega1-u-sign", "pieri-e8-omega8",
+              "pieri-e8-omega8-u-sign", "bc3-lam210",
               "whittaker-suite", "whittaker-limits-g2", "whittaker-limits-c3",
               "rankone-suite", "sweep-rank-one-csv", "default-report"]
 
@@ -471,6 +477,40 @@ def test_campaign_builds_each_root_datum_once(monkeypatch):
     assert cli.run_campaign(cli.CampaignConfig()).n_fail == 0
     assert sorted(built) == [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("BC", 1),
                              ("BC", 2), ("C", 3), ("D", 4), ("G", 2)]
+
+
+def _named_caller(frame) -> str:
+    """The function that frame's code runs in, past comprehension frames."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def test_campaign_walks_each_orbit_once(monkeypatch):
+    # per datum, the W-orbit of a dominant label is walked once (the orbit
+    # memo: 110 walks in a default campaign, where each caller walking its
+    # own made 500), and E_omega walks one parabolic orbit per (mu, omega)
+    walks, parabolic = Counter(), Counter()
+    dominant_orbit, parabolic_orbit = RootDatum._dominant_orbit, RootDatum.parabolic_orbit
+
+    def counting_walk(self, top, J=None):
+        if J is None:
+            walks[self, top] += 1
+        return dominant_orbit(self, top, J)
+
+    def counting_parabolic(self, top, l):
+        if _named_caller(sys._getframe(1)) == "expansion_labels":
+            parabolic[self, top, l] += 1
+        return parabolic_orbit(self, top, l)
+
+    monkeypatch.setattr(RootDatum, "_dominant_orbit", counting_walk)
+    monkeypatch.setattr(RootDatum, "parabolic_orbit", counting_parabolic)
+    assert cli.run_campaign(cli.CampaignConfig()).n_fail == 0
+    assert set(walks.values()) == {1} and len(walks) == 110
+    assert set(parabolic.values()) == {1}
+    # one per dominant mu <= omega, for each E_omega the campaign built
+    assert len(parabolic) == sum(len(datum.below_labels(top)) for datum in {d for d, *_ in walks}
+                                 for top in datum.expansion_label_memo if isinstance(top, tuple))
 
 
 def test_campaigns_leave_no_root_data_alive(tmp_path):

@@ -15,13 +15,13 @@ from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
                            sample_multiplicities, sample_spectral_point,
                            scaled_table, specialization_consistency,
                            term_factors, verify_pieri)
-from hodiff.jacobi import jacobi_polynomial
+from hodiff.jacobi import jacobi_polynomial, verify_eigen
 from hodiff.rootsys import Multiplicities, build_root_system, vadd
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             expansion_E_omega, expansion_labels, is_w_invariant,
-                            label_form)
-from oracles import (constant_multiplicities, dominant_representative, height,
-                     orbit_under_reflections, scan_pieri_index,
+                            label_form, sample_record)
+from oracles import (constant_multiplicities, dominant_representative, every_u_pieri_terms,
+                     fraction_point_table, height, orbit_under_reflections, scan_pieri_index,
                      vector_sample_spectral_point, vscale)
 from weyl_words import apply_word, inverse_word
 
@@ -658,3 +658,97 @@ def test_weights_in_error_messages_print_as_p_over_q(a2, g2):
         a2.dominant_labels(vscale(-1, w1))
     with pytest.raises(ValueError, match=r"^\(1/3,-1/6,-1/6\) is not in the weight lattice"):
         a2.weight_labels(vscale(Q(1, 2), w1))
+
+
+# -- the exact path against its form before the per-sample record -----------------
+
+
+def _terms_outcome(compute):
+    """What compute() returns, or the type and message of what it raises."""
+    try:
+        return compute()
+    except (PoleAtSpectralPoint, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_terms_match_reference(datum, mults, lams, perturbs=(None,), omegas=None):
+    """point_table and pieri_terms against the Fraction table and every U
+    list evaluated, at each lam and small weight (the fundamental ones if
+    omegas is None); the number of (poles, points with a zero table entry)."""
+    poles = zeros = 0
+    for lam in map(datum.labels, lams):
+        table = diffeq.point_table(datum, mults, lam)
+        assert table == fraction_point_table(datum, mults, lam), lam
+        zeros += not all(w and w1 for w, w1, _g in table)
+        for omega in omegas or datum.small_fundamental_weights():
+            for perturb in perturbs:
+                got = _terms_outcome(lambda: pieri_terms(datum, mults, omega, lam, perturb))
+                assert got == _terms_outcome(
+                    lambda: every_u_pieri_terms(datum, mults, omega, lam, perturb)), (lam, omega)
+                poles += isinstance(got, tuple)
+    return poles, zeros
+
+
+def test_sample_record_is_built_once_per_sample(b2):
+    # every exact check of one sample reads the same record, kept on it
+    mults = sample_multiplicities(b2, random.Random("record"))
+    record = sample_record(b2, mults)
+    assert mults._record is record
+    lam = b2.fundamental_weights[0]
+    poly = jacobi_polynomial(b2, mults, lam)
+    assert verify_pieri(b2, mults, lam, lam).ok and verify_eigen(b2, mults, lam, poly).ok
+    assert sample_record(b2, mults) is record
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        sample_record(b2, constant_multiplicities(b2, 0.5))
+
+
+def test_pieri_residual_keeps_one_shift_list_per_mu():
+    # E_omega's (mu - a, e) pairs are built once per dominant mu and read
+    # again by every later check whose chamber holds mu (a fresh datum: the
+    # shared b2 fixture has its memos filled by other tests)
+    b2 = build_root_system("B", 2)
+    mults = sample_multiplicities(b2, random.Random("shifts"))
+    omega, zero = b2.fundamental_weights[1], (Q(0),) * b2.dim
+    e_form = expansion_labels(b2, omega)
+    assert verify_pieri(b2, mults, omega, zero).ok
+    first = dict(e_form.shifts)
+    assert set(first) == set(b2.below_labels(b2.labels(omega)))
+    assert verify_pieri(b2, mults, omega, b2.fundamental_weights[0]).ok
+    assert all(e_form.shifts[m] is pairs for m, pairs in first.items())
+    assert len(e_form.shifts) > len(first)
+
+
+@pytest.mark.parametrize("fam,rank", PIERI_SYSTEMS)
+def test_pieri_terms_match_every_u_reference(fam, rank):
+    # three samples, every dominant lambda of height <= 4, both controls too
+    datum = build_root_system(fam, rank)
+    rng = random.Random(f"every-u:{fam}{rank}")
+    for _ in range(3):
+        _assert_terms_match_reference(datum, sample_multiplicities(datum, rng),
+                                      datum.dominant_weights_up_to_height(4),
+                                      (None, *PERTURBATIONS))
+
+
+@pytest.mark.parametrize("fam,rank", [("F", 4), ("E", 6)])
+def test_pieri_terms_match_every_u_reference_at_zero(fam, rank):
+    # at lambda = 0 most terms are excluded; of these samples, only E6's
+    # meet poles
+    datum = build_root_system(fam, rank)
+    rng = random.Random(f"every-u:{fam}{rank}")
+    found = [_assert_terms_match_reference(datum, sample_multiplicities(datum, rng),
+                                           [(Q(0),) * datum.dim]) for _ in range(3)]
+    assert (sum(p for p, _z in found) > 0) == (fam == "E")
+
+
+@pytest.mark.parametrize("fam,rank", PIERI_SYSTEMS)
+def test_pieri_terms_with_a_zero_table_entry_raise_as_the_reference(fam, rank):
+    # g = 1 or 1/2 puts <rho_g, a^vee> at -1 for some negative root a, so
+    # the table holds a zero and the U lists of every term are evaluated:
+    # the same pole, named by the same message, or the same terms, for every
+    # small weight (type A has its pairing-2 factors only at the highest root)
+    datum = build_root_system(fam, rank)
+    found = [_assert_terms_match_reference(datum, constant_multiplicities(datum, g),
+                                           datum.dominant_weights_up_to_height(2),
+                                           omegas=datum.small_dominant_weights())
+             for g in (Q(1), Q(1, 2))]
+    assert sum(z for _p, z in found) > 0 and sum(p for p, _z in found) > 0

@@ -617,6 +617,29 @@ def test_label_kernel_matches_the_gram_form_property(fam, rank, data):
     assert datum.from_labels(datum.labels(w)) == w
 
 
+@pytest.mark.parametrize("fam,rank", LABEL_SYSTEMS + (("F", 4), ("E", 6)))
+def test_pairing_reads_made_roots_by_labels(fam, rank, monkeypatch):
+    # pairing and norm_sq find a root the datum made by its labels, an equal
+    # copy through root_index, and a made weight that is no root by the Gram
+    # form; all agree, and the made roots cost no Fraction hash
+    datum = build_root_system(fam, rank)
+    rho = datum.rho(Multiplicities(datum, [Q(k + 2, 7) for k in range(len(datum.root_orbits))]))
+    others = [w for w in datum.fundamental_weights if datum.labels(w) not in datum.root_labels]
+    if fam == "A":   # off the root span, with a root's labels: no root
+        others += [tuple(x + 1 for x in a) for a in datum.roots]
+    for a in datum.roots + tuple(others):
+        copy = tuple(list(a))
+        assert copy is not a
+        want = 2 * datum.inner(rho, a) / datum.inner(a, a)
+        assert datum.pairing(rho, a) == datum.pairing(rho, copy) == want
+        assert datum.norm_sq(a) == datum.norm_sq(copy) == datum.inner(a, a)
+    hashes = []
+    monkeypatch.setattr(Q, "__hash__", lambda q: hashes.append(q) or hash(q.numerator))
+    assert [datum.pairing(rho, a) for a in datum.roots] == list(datum.pairings(rho))
+    assert [datum.norm_sq(a) for a in datum.roots] == list(datum.root_norms)
+    assert hashes == []
+
+
 def test_e8_highest_root_interval():
     # the box holds 151,200 points; the descent visits two weights
     datum = build_root_system("E", 8)

@@ -5,9 +5,11 @@ from fractions import Fraction as Q
 import pytest
 
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg
+from hodiff.cli import PIERI_SYSTEMS
 from hodiff.weylalg import (ExpPoly, apply_L, apply_L_labels, eigenvalue_E, exp_to_json,
-                            expansion_E_omega, is_w_invariant, orbit_sum)
-from oracles import constant_multiplicities, eval_at, exp_from_json, vscale
+                            expansion_E_omega, expansion_labels, is_w_invariant, orbit_sum)
+from oracles import (constant_multiplicities, eval_at, exp_from_json, orbitwise_expansion_labels,
+                     vscale)
 
 
 def test_orbit_sum_basics(a1, a2):
@@ -103,6 +105,16 @@ def test_expansion_e_omega(a2, b2):
         total += len(b2.stabilizer_orbit(mu, b2.fundamental_weights[0])) \
             * len(b2.weyl_orbit(mu))
     assert e.value_at_zero() == total
+
+
+@pytest.mark.parametrize("fam,rank", PIERI_SYSTEMS + (("F", 4), ("E", 6)))
+def test_expansion_labels_match_orbitwise_reference(fam, rank):
+    # one parabolic orbit per mu and the shared orbit walks give the terms of
+    # the reference, one parabolic orbit per orbit element, in the same order
+    datum = build_root_system(fam, rank)
+    for omega in datum.small_dominant_weights():
+        got = expansion_labels(datum, omega).terms
+        assert list(got.items()) == list(orbitwise_expansion_labels(datum, omega).terms.items())
 
 
 def test_expansion_e_omega_rejects_non_small(a2, g2):

@@ -451,8 +451,8 @@ def _pochhammer_moved(only_order=None):
 def test_whittaker_oracle_tests_catch_a_moved_pochhammer_step(monkeypatch):
     # negative control: the bit-identity and correct-rounding tests fail on
     # the moved kernel; the check at 1.3 cannot pass on it: phi turns
-    # negative at order 1.3 (a complex log), and with order 2.3 alone moved
-    # the single-shift identity breaks
+    # negative at order 1.3 (log phi NaN, a failed check), and with order
+    # 2.3 alone moved the single-shift identity breaks
     import hodiff.whittaker as wh
     moved = _pochhammer_moved()
     with monkeypatch.context() as mp:
@@ -461,14 +461,34 @@ def test_whittaker_oracle_tests_catch_a_moved_pochhammer_step(monkeypatch):
             _assert_log_phi_is_hyp0f1([0.3, 0.7, 2.3])
         with pytest.raises(AssertionError):
             test_whittaker_oracle_correctly_rounded()
-        with pytest.raises(TypeError):
-            rank_one_whittaker_check(1.3)
+        assert not rank_one_whittaker_check(1.3).ok()
     with monkeypatch.context() as mp:
         mp.setattr(wh, "_bessel_sums", _pochhammer_moved(2.3))
         rep = rank_one_whittaker_check(1.3)
     assert rep.max_residual_min > 1e-6
     assert not rep.ok()
     assert rank_one_whittaker_check(1.3).ok()
+
+
+@pytest.mark.parametrize("wrong", ["second-tripled", "first-zero"])
+def test_non_positive_phi_is_a_failed_case(wrong, monkeypatch, tmp_path):
+    # a wrong 0F1 sum that makes phi negative (a complex log) fails the
+    # check and the whittaker suite exits 1; NaN does not vanish into the
+    # running maxima (max(0.0, nan) is 0.0)
+    import hodiff.whittaker as wh
+    from hodiff import cli
+    right = wh._bessel_sums
+
+    def kernel(z, a, wp):
+        s_minus, s_plus = right(z, a, wp)
+        return (s_minus, 3 * s_plus) if wrong == "second-tripled" else (0, s_plus)
+
+    monkeypatch.setattr(wh, "_bessel_sums", kernel)
+    assert any(math.isnan(WhittakerA1(zeta, U_GRID).log_value(u))
+               for zeta in (0.3, 0.7, 2.3, 3.3) for u in U_GRID)
+    rep = rank_one_whittaker_check(1.3)
+    assert math.isnan(rep.max_residual_min) and not rep.ok()
+    assert cli.main(["verify", "--suite", "whittaker", "--out", str(tmp_path / "w.json")]) == 1
 
 
 def test_rank_one_whittaker_check_detects_a_wrong_order(monkeypatch):

@@ -214,13 +214,13 @@ def bc_cases(config: CampaignConfig, data: dict | None = None):
     # rank-one coefficient match with the displayed single-shift form
     coeff_rows = []
     rng = random.Random(f"{config.seed}:bc-j1")
+    bc2, gs = _datum(data, "BC", 2), (Q(3, 7), Q(5, 11), Q(9, 4))
+    mults = nonreduced.bc_multiplicities(bc2, *gs)
     for _ in range(5):
         xi = (Q(rng.randint(1, 40), 7), Q(rng.randint(41, 80), 9))
-        gs = (Q(3, 7), Q(5, 11), Q(9, 4))
-        gap = nonreduced.rearrangement_gap(2, gs, xi)
-        v_match = (nonreduced.coeff_V_signed(
-            2, gs, nonreduced.SignedSubset((0,), (1,)), xi)
-            == nonreduced.rank_one_shift_coefficient(2, gs, 0, xi))
+        gap = nonreduced.rearrangement_gap(bc2, gs, xi)
+        v_match = (nonreduced.coeff_V_signed(bc2, mults, nonreduced.SignedSubset((0,), (1,)), xi)
+                   == nonreduced.rank_one_shift_coefficient(2, gs, 0, xi))
         coeff_rows.append({"xi": [str(x) for x in xi],
                            "rearrangement_zero": gap == 0, "v_match": v_match})
     return out, coeff_rows

@@ -142,10 +142,10 @@ def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> f
 
 
 def _evaluator(datum: RootDatum, mults: Multiplicities, xi):
-    """The product of a factor list at xi, as a function of the list: on
-    integers over one ``scaled_table`` for exact multiplicities, by
-    ``factor_product`` on one ``float_table`` for float ones."""
-    z, g = datum.pairings(xi), mults.root_values
+    """The product of a factor list at xi with m (``factor_values``), as a
+    function of the list: on integers over one ``scaled_table`` for exact
+    multiplicities, by ``factor_product`` on one ``float_table`` for float ones."""
+    z, g = datum.pairings(xi), mults.factor_values
     if is_exact(mults):
         table = scaled_table(z, g)
         return lambda factors: Q(*integer_product(datum, factors, table))
@@ -194,8 +194,8 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     factor lists of nu and eta, carried down the same Weyl descent.
     Memoized on the datum under omega's labels (``index_memo``);
     ``pieri_index.cache_info()`` counts that memo's hits and misses over
-    every datum.  Reduced systems only: the nonreduced BC equation has its
-    own coefficients (``nonreduced``)."""
+    every datum.  Reduced systems only: BC's signed-subset terms take their
+    lists from ``nonreduced.bc_factors``."""
     if datum.family == "BC":
         raise ValueError("the reduced-system coefficients do not apply to BC; "
                          "its equation is checked by the bc suite")

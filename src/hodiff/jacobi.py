@@ -166,15 +166,14 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
 
     Over each positive root alpha and 0 <= j < <lam, alpha^vee>, the factor is
     (<rho_g,a^vee> + g_{a/2}/2 + j) / (<rho_g,a^vee> + g_a + g_{a/2}/2 + j),
-    with g_{a/2} = 0 when a/2 is not a root.  Empty product for lam = 0.
-    The rows (i, b, g_a) per positive root index i, scaled to integers by the
-    lcm d of their denominators, are built once per sample (``_lead_rows``).
+    with g_{a/2}/2 = m_a - g_a (``factor_values``), 0 when a/2 is not a root.
+    Empty product for lam = 0.  The rows (i, b, g_a), scaled to integers by
+    the lcm d of their denominators, are built once per sample (``_lead_rows``).
     """
     require_exact(mults)
     if mults._lead_rows is None:
-        rho_pairs = datum.label_pairings(datum.rho_labels(mults))
-        g, half = mults.root_values, datum.half_root_index
-        rows = [(i, rho_pairs[i] + (0 if half[i] is None else Q(g[half[i]], 2)), g[i])
+        rho_pairs, g = datum.label_pairings(datum.rho_labels(mults)), mults.root_values
+        rows = [(i, rho_pairs[i] + mults.factor_values[i] - g[i], g[i])
                 for i in datum.positive_indices]
         d = math.lcm(*(x.denominator for _i, b, gi in rows for x in (b, gi)))
         mults._lead_rows = d, [(i, (b * d).numerator, (gi * d).numerator) for i, b, gi in rows]

@@ -1,10 +1,10 @@
 """Difference-equation coefficients for the nonreduced family, rank n.
 
-Everything is written in the orthonormal coordinates of the standard
-realization: multiplicity g on the roots e_j +- e_k, g1 on e_j, g2 on 2e_j.
-The hyperoctahedral Jacobi polynomials are not reimplemented; they come from
-the generic recursion applied to the BC datum, whose operator contains both
-the e_j and 2e_j strings.
+On the BC_n datum (g on e_j +- e_k, g1 on e_j, g2 on 2e_j) the coefficients
+are the reduced factor lists read with m_a = g_a + g_{a/2}/2 (``bc_factors``,
+``Multiplicities.factor_values``), evaluated by ``diffeq.integer_product``.
+The hyperoctahedral Jacobi polynomials come from the generic recursion
+applied to the BC datum, whose operator contains both the e_j and 2e_j strings.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from operator import add
 
-from .diffeq import PoleAtSpectralPoint, pieri_residual, poly_cache_get
+from .diffeq import (PoleAtSpectralPoint, integer_product, pieri_residual, point_table,
+                     poly_cache_get, scaled_table, term_factors)
 from .rootsys import Multiplicities, RootDatum, build_root_system
 from .weylalg import ExpPoly, InternalConsistencyError, exp_to_json, label_form
 
@@ -36,10 +37,8 @@ class SignedSubset:
 
     def shift_vector(self, n: int):
         """e_{eps J} = sum over J of eps_j e_j, in integers."""
-        v = [0] * n
-        for j, s in zip(self.indices, self.signs):
-            v[j] = s
-        return tuple(v)
+        signs = dict(zip(self.indices, self.signs))
+        return tuple(signs.get(k, 0) for k in range(n))
 
 
 def signed_subsets(indices):
@@ -48,84 +47,51 @@ def signed_subsets(indices):
         yield SignedSubset(tuple(indices), signs)
 
 
-def _check_den(value, what):
-    if value == 0:
-        raise PoleAtSpectralPoint(what, "denominator")
-    return value
+def bc_factors(datum: RootDatum, nu, eta=None) -> tuple:
+    """``term_factors(datum, nu, eta)`` on the BC datum by the alpha/2 rule:
+    a root alpha with 2alpha a root drops its shift-0 entry, which the m of
+    2alpha carries, and its shift-1 entry takes sign +."""
+    halves = set(datum.half_root_index)
+    return tuple(f if f[0] not in halves else (f[0], 1, 1)
+                 for f in term_factors(datum, nu, eta) if f[1] or f[0] not in halves)
 
 
-def cleared_point(gs, xi) -> tuple:
-    """(d, x, e): xi as integers over the lcm d of the denominators of xi, g,
-    h1 = g1/2 and g2, and from their integers the numerator shifts
-    e = (h1 + g2, 2 h1, g, -g) of ``_slot_factors``; once per spectral point."""
-    values = [Q(v) for v in (*xi, gs[0], Q(gs[1], 2), gs[2])]
-    d = math.lcm(*(v.denominator for v in values))
-    *x, g, h1, g2 = (v.numerator * (d // v.denominator) for v in values)
-    return d, x, (h1 + g2, 2 * h1, g, -g)
+def bc_u_factors(datum: RootDatum, K: tuple, p: int) -> tuple:
+    """U_{K,p}'s lists: ``bc_factors(e_J, e_{eps I})`` per signed p-subset I
+    of K, J the complement of K."""
+    n = datum.rank
+    nu = tuple(int(k not in K) for k in range(n))
+    return tuple(bc_factors(datum, nu, sub.shift_vector(n))
+                 for I in itertools.combinations(K, p) for sub in signed_subsets(I))
 
 
-def _slot_factors(slots: tuple, others, pair_sign: int) -> tuple:
-    """The factors of one signed-slot product, each (c, s, j, t, k, i, what)
-    for (w + e[i]) / w with w = c d + s x_j + t x_k on a ``cleared_point``,
-    a pole named what where w = 0: singleton factors on the (slot, sign)
-    pairs of slots, cross factors against the slots in others, and pair
-    factors (u+g)/u * (1+u+pair_sign*g)/(1+u) inside slots, with
-    u = eps_j xi_j + eps_j' xi_j'."""
-    out = []
-    for j, s in slots:
-        out += [(0, s, j, 0, 0, 0, f"{s}*xi_j"), (1, 2 * s, j, 0, 0, 1, "1+2xi_j")]
-        for k in others:
-            out += [(0, s, j, 1, k, 2, "xi_j+xi_k"), (0, s, j, -1, k, 2, "xi_j-xi_k")]
-    for (j, sj), (jp, sp) in itertools.combinations(slots, 2):
-        out += [(0, sj, j, sp, jp, 2, "eps_j xi_j + eps_j' xi_j'"),
-                (1, sj, j, sp, jp, 2 if pair_sign > 0 else 3, "1 + eps_j xi_j + eps_j' xi_j'")]
-    return tuple(out)
+def _table(datum: RootDatum, mults: Multiplicities, xi, table):
+    """table, else the ``scaled_table`` of xi with m (``factor_values``)."""
+    return scaled_table(datum.pairings(xi), mults.factor_values) if table is None else table
 
 
-def _product(point, factors) -> tuple:
-    """(numerator, denominator) of a ``_slot_factors`` product at a
-    ``cleared_point``; at a pole, the first vanishing w names it."""
-    d, x, e = point
-    num = den = 1
-    for c, s, j, t, k, i, _what in factors:
-        w = c * d + s * x[j] + t * x[k]
-        num *= w + e[i]
-        den *= w
-    if not den:
-        for c, s, j, t, k, _i, what in factors:
-            _check_den(c * d + s * x[j] + t * x[k], what)
-    return num, den
-
-
-def _u_factors(K: tuple, p: int) -> tuple:
-    """The ``_slot_factors`` of U_{K,p}, one per signed p-subset I of K,
-    with cross factors against K minus I and -g in the shifted pair factor."""
-    return tuple(_slot_factors(tuple(zip(I, signs)), [k for k in K if k not in I], -1)
-                 for I in itertools.combinations(K, p)
-                 for signs in itertools.product((1, -1), repeat=p))
-
-
-def coeff_V_signed(n: int, gs, subset: SignedSubset, xi, point=None, factors=None):
-    """Shift coefficient of the signed subset: singleton factors on J, cross
-    factors against the complement, and +g pair factors inside J.  point is
-    the ``cleared_point`` of (gs, xi) and factors the subset's
-    ``_slot_factors`` (as the Pieri index holds them), each made if not given."""
+def coeff_V_signed(datum: RootDatum, mults: Multiplicities, subset: SignedSubset, xi,
+                   table=None, factors=None):
+    """Shift coefficient of the signed subset J on BC_n, the ``bc_factors`` of
+    e_{eps J}: singleton factors on J, cross factors against the complement
+    and +g pair factors inside J; table (``_table``) and factors made if not
+    given."""
     if factors is None:
-        others = [k for k in range(n) if k not in subset.indices]
-        factors = _slot_factors(tuple(zip(subset.indices, subset.signs)), others, 1)
-    return Q(*_product(point or cleared_point(gs, xi), factors))
+        factors = bc_factors(datum, subset.shift_vector(datum.rank))
+    return Q(*integer_product(datum, factors, _table(datum, mults, xi, table)))
 
 
-def coeff_U_Kp(n: int, gs, K, p: int, xi, point=None, factors=None):
+def coeff_U_Kp(datum: RootDatum, mults: Multiplicities, K, p: int, xi,
+               table=None, factors=None):
     """Complementary coefficient: (-1)^p times the sum over signed p-subsets
-    of K of the V-type product restricted to K, with -g in the last factor,
-    as one integer numerator over one denominator; point as for
-    ``coeff_V_signed``, factors the ``_u_factors`` of (K, p)."""
+    of K of the V-type product restricted to K, with -g in the shifted pair
+    factor, as one integer numerator over one denominator; table as for
+    ``coeff_V_signed``, factors ``bc_u_factors(K, p)``."""
     K = tuple(sorted(K))
     if not 0 <= p <= len(K):
         raise ValueError(f"p={p} out of range for |K|={len(K)}")
-    point = point or cleared_point(gs, xi)
-    terms = [_product(point, f) for f in factors or _u_factors(K, p)]
+    table = _table(datum, mults, xi, table)
+    terms = [integer_product(datum, f, table) for f in factors or bc_u_factors(datum, K, p)]
     den = math.lcm(*(b for _a, b in terms))
     return Q((-1) ** p * sum(a * (den // b) for a, b in terms), den)
 
@@ -136,19 +102,12 @@ def expansion_E_ell(n: int, ell: int) -> ExpPoly:
     if not 1 <= ell <= n:
         raise ValueError(f"ell={ell} out of range for rank {n}")
 
-    def basis_factor(j):
-        plus = tuple(Q(1) if k == j else Q(0) for k in range(n))
-        minus = tuple(Q(-1) if k == j else Q(0) for k in range(n))
-        zero = (Q(0),) * n
-        return ExpPoly({plus: Q(1), zero: Q(-2), minus: Q(1)})
+    def basis_factor(j):   # e^{x_j} - 2 + e^{-x_j}
+        return ExpPoly({tuple(Q(s * (k == j)) for k in range(n)): Q(1 if s else -2)
+                        for s in (1, 0, -1)})
 
-    acc = ExpPoly.zero()
-    for J in itertools.combinations(range(n), ell):
-        prod = ExpPoly.constant(1, n)
-        for j in J:
-            prod = prod * basis_factor(j)
-        acc = acc + prod
-    return acc
+    return sum((math.prod(map(basis_factor, J), start=ExpPoly.constant(1, n))
+                for J in itertools.combinations(range(n), ell)), ExpPoly.zero())
 
 
 def bc_multiplicities(datum: RootDatum, g, g1, g2) -> Multiplicities:
@@ -186,8 +145,8 @@ class BcPieriReport:
 
 def pieri_bc_index(datum: RootDatum, ell: int) -> tuple:
     """The point-independent part of ``pieri_terms_bc`` on BC_n: per J of at
-    most ell slots, (K, p, U's ``_u_factors``, per signed subset of J its
-    ``SignedSubset``, integer shift row and V's ``_slot_factors``), K the
+    most ell slots, (K, p, U's ``bc_u_factors``, per signed subset of J its
+    ``SignedSubset``, integer shift row and V's ``bc_factors``), K the
     complement of J and p = ell - |J|.  Built once per (n, ell), memoized on
     the datum (``pieri_bc_memo``)."""
     found = datum.pieri_bc_memo.get(ell)
@@ -196,27 +155,29 @@ def pieri_bc_index(datum: RootDatum, ell: int) -> tuple:
         for size in range(ell + 1):
             for J in itertools.combinations(range(n), size):
                 K = tuple(k for k in range(n) if k not in J)
-                found.append((K, ell - size, _u_factors(K, ell - size), tuple(
-                    (sub, sub.shift_vector(n), _slot_factors(tuple(zip(J, sub.signs)), K, 1))
-                    for sub in signed_subsets(J))))
+                rows = [(sub, sub.shift_vector(n)) for sub in signed_subsets(J)]
+                found.append((K, ell - size, bc_u_factors(datum, K, ell - size),
+                              tuple((sub, row, bc_factors(datum, row)) for sub, row in rows)))
         found = datum.pieri_bc_memo[ell] = tuple(found)
     return found
 
 
-def pieri_terms_bc(datum: RootDatum, gs, ell: int, lam, xi):
-    """Surviving (signed subset, shifted partition, U*V) triples at xi, on
-    BC_n given by datum, lam an integral partition: ``pieri_bc_index``
-    evaluated on one ``cleared_point``, the shifts as integer tuples.
+def pieri_terms_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam):
+    """Surviving (signed subset, shifted partition, U*V) triples at the
+    spectral point rho_g + lam, on BC_n given by datum, lam an integral
+    partition: ``pieri_bc_index`` evaluated on the point's
+    ``diffeq.point_table``, the shifts as integer tuples.
 
     Terms whose shifted weight is not a partition must carry a vanishing V
     coefficient; a violation is fatal, a pole requests a resample.
     """
-    n, point, base = datum.rank, cleared_point(gs, xi), tuple(map(int, lam))
+    base = tuple(map(int, lam))
+    table = point_table(datum, mults, datum.labels(base))
     terms = []
     for K, p, u_factors, subs in pieri_bc_index(datum, ell):
-        u = coeff_U_Kp(n, gs, K, p, xi, point, u_factors)
+        u = coeff_U_Kp(datum, mults, K, p, None, table, u_factors)
         for sub, row, factors in subs:
-            v = coeff_V_signed(n, gs, sub, xi, point, factors)
+            v = coeff_V_signed(datum, mults, sub, None, table, factors)
             shifted = tuple(map(add, base, row))
             if is_partition(shifted):
                 terms.append((sub, shifted, u * v))
@@ -242,8 +203,7 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
     mults = cache.get((n, gs))
     if mults is None:
         mults = cache[n, gs] = bc_multiplicities(datum, *gs)
-    rho = datum.rho(mults)
-    terms = pieri_terms_bc(datum, gs, ell, lam, tuple(rho[j] + lam[j] for j in range(n)))
+    terms = pieri_terms_bc(datum, mults, ell, lam)
     poly = poly_cache_get(cache, datum, mults, lam)
     shifted = [(poly_cache_get(cache, datum, mults, sh), c) for _sub, sh, c in terms]
     e_form = datum.expansion_label_memo.get(ell)
@@ -251,32 +211,40 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
         e_form = datum.expansion_label_memo[ell] = label_form(datum, expansion_E_ell(n, ell))
     residual = pieri_residual(datum, e_form, poly, shifted,
                               datum.labels(tuple(x + 1 for x in lam)))
-    g, g1, g2 = gs
-    return BcPieriReport(
-        n=n, ell=ell, lam=lam, g=g, g1=g1, g2=g2,
-        ok=residual.is_zero(), n_terms=len(terms),
-        residual=exp_to_json(residual),
-    )
+    return BcPieriReport(n, ell, lam, *gs, ok=residual.is_zero(), n_terms=len(terms),
+                         residual=exp_to_json(residual))
+
+
+def _check_den(value, n: int, root: dict, which="<xi,a^vee>"):
+    """value, unless it is 0: then a pole named as ``integer_product`` names
+    it, at the BC_n root sum_k root[k] e_k."""
+    if value == 0:
+        raise PoleAtSpectralPoint(tuple(root.get(k, 0) for k in range(n)), which)
+    return value
 
 
 def rank_one_shift_coefficient(n: int, gs, j: int, xi):
     """The displayed single-shift coefficient, in Fractions: the singleton
-    factor at slot j times the cross factors against every other slot."""
+    factor at slot j times the cross factors against every other slot, each
+    denominator named by its root (xi_j: 2e_j; 1 + 2xi_j: e_j, shifted;
+    xi_j +- xi_k: e_j +- e_k)."""
     g, g1, g2 = gs
     x = xi[j]
     total = (x + Q(1, 2) * g1 + g2) * (1 + 2 * x + g1) / (
-        _check_den(x, "1*xi_j") * _check_den(1 + 2 * x, "1+2xi_j"))
-    for y in xi[:j] + xi[j + 1:n]:
-        total *= (x + y + g) * (x - y + g) / (
-            _check_den(x + y, "xi_j+xi_k") * _check_den(x - y, "xi_j-xi_k"))
+        _check_den(x, n, {j: 2}) * _check_den(1 + 2 * x, n, {j: 1}, "1+<xi,a^vee>"))
+    for k, y in enumerate(xi[:n]):
+        if k != j:
+            total *= (x + y + g) * (x - y + g) / (
+                _check_den(x + y, n, {j: 1, k: 1}) * _check_den(x - y, n, {j: 1, k: -1}))
     return total
 
 
-def rearrangement_gap(n: int, gs, xi):
-    """U_{full,1}(xi) + sum_j (V_j(xi) + V_j(-xi)); identically zero, checked
-    at rational points as a guard on signs and sum structure."""
-    full = tuple(range(n))
-    gap = coeff_U_Kp(n, gs, full, 1, xi)
+def rearrangement_gap(datum: RootDatum, gs, xi):
+    """U_{full,1}(xi) + sum_j (V_j(xi) + V_j(-xi)) on BC_n given by datum, V_j
+    by ``rank_one_shift_coefficient``; identically zero, checked at rational
+    points as a guard on signs and sum structure."""
+    n = datum.rank
+    gap = coeff_U_Kp(datum, bc_multiplicities(datum, *gs), tuple(range(n)), 1, xi)
     neg = tuple(-x for x in xi)
     for j in range(n):
         gap += rank_one_shift_coefficient(n, gs, j, xi)

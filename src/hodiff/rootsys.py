@@ -716,7 +716,9 @@ class RootDatum:
 class Multiplicities:
     """Orbit-constant root multiplicities g_alpha > 0 (exact or float).
 
-    ``root_values`` holds one value per root in ``datum.roots`` order; rho_g,
+    ``root_values`` holds one value per root in ``datum.roots`` order, and
+    ``factor_values`` the m_a = g_a + g_{a/2}/2 that a's coefficient factors
+    read (m_a = g_a where a/2 is no root, as on every reduced system); rho_g,
     ``_lead_rows`` and the per-sample record ``_record`` are built once each.
     """
 
@@ -729,7 +731,9 @@ class Multiplicities:
             raise ValueError("multiplicities must be positive")
         self.datum = datum
         self.values = values
-        self.root_values = tuple(values[i] for i in datum.root_orbit_ids)
+        self.root_values = g = tuple(values[i] for i in datum.root_orbit_ids)
+        self.factor_values = tuple(x if h is None else x + g[h] / 2
+                                   for x, h in zip(g, datum.half_root_index))
         self._rho = self._rho_labels = self._lead_rows = self._record = None
 
     def key(self):

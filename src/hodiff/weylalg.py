@@ -133,13 +133,13 @@ def require_exact(mults: Multiplicities) -> None:
 
 def sample_record(datum: RootDatum, mults: Multiplicities) -> tuple:
     """(d, rho_g, n, weights, lap, r, rho2), built once per exact sample on
-    mults: d clears each <rho_g,a^vee> and g_a, rho_g holds both times d per
+    mults: d clears each <rho_g,a^vee> and m_a, rho_g holds both times d per
     root (``diffeq.point_table``); n clears the Gram form and each g_o |a_o|^2
     / 2, weights are those times n, lap = n / ``weight_gram_den``
     (``apply_L_labels``); r clears rho_g's labels, rho2 holds them times 2 r."""
     require_exact(mults)
     if mults._record is None:
-        rho, g = datum.rho_labels(mults), mults.root_values
+        rho, g = datum.rho_labels(mults), mults.factor_values
         pairs = datum.label_pairings(rho)
         d = math.lcm(*(x.denominator for x in (*pairs, *g)))
         weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2

@@ -473,24 +473,27 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     v_up, v_dn, v_up2, v_dn2 = (coeff_Vbar(datum, nu, xi)
                                 for nu in (omega, vneg(omega), alpha, vneg(alpha)))
 
+    def rel(diff, scale):   # NaN (a failed row) at scale 0; an inf scale has a NaN ratio
+        return diff / scale if scale else math.nan
+
     rows = []
     res_min = res_qmin = winv = 0.0
     for u in U_GRID:
         f0 = orac[0].value(u)
         lhs = v_up * orac[1].value(u) + v_dn * orac[-1].value(u)
         rhs = math.exp(u / 2.0) * f0
-        r1 = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        r1 = rel(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
         lhs2 = v_up2 * (orac[2].value(u) - f0) + v_dn2 * (orac[-2].value(u) - f0)
         rhs2 = math.exp(u) * f0
-        r2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2))
-        w = abs(orac_neg.value(u) - f0) / abs(f0)
+        r2 = rel(abs(lhs2 - rhs2), max(abs(lhs2), abs(rhs2)))
+        w = rel(abs(orac_neg.value(u) - f0), abs(f0))
         res_min, res_qmin, winv = (x if math.isnan(x) else max(m, x) for m, x in
                                    ((res_min, r1), (res_qmin, r2), (winv, w)))
         rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
     two_term = (math.gamma(a) * math.exp(0.5 * a * U_ASYM)
                 + math.gamma(-a) * math.exp(-0.5 * a * U_ASYM))
-    asym = abs(orac[0].value(U_ASYM) / two_term - 1.0)
+    asym = abs(rel(orac[0].value(U_ASYM), two_term) - 1.0)
     return RankOneWhittakerReport(zeta, orac[0].matching_radius, res_min, res_qmin,
                                   winv, asym, rows)
 

@@ -206,8 +206,10 @@ def _check_den(value, what):
 
 
 def fraction_signed_product(gs, subset, others, xi, pair_g):
-    """The product of ``nonreduced._signed_product``, factor by factor, with
-    the same pole checks in the same order."""
+    """The BC signed-subset product in the slot coordinates of the displayed
+    formula, factor by factor: V of subset (pair_g = g) or one term of U
+    (pair_g = -g), singleton factors on its slots, cross factors against
+    others and pair factors inside it; a pole is named by its slot form."""
     g, g1, g2 = gs
     total = Q(1)
     slots = list(zip(subset.indices, subset.signs))
@@ -229,8 +231,9 @@ def fraction_signed_product(gs, subset, others, xi, pair_g):
 def per_call_pieri_terms_bc(n, gs, ell, lam, xi):
     """The (signed subset, shifted partition, U*V) triples of
     ``nonreduced.pieri_terms_bc``, the signed subsets, complements, shift
-    vectors and every product made afresh on each call, in Fractions, with
-    the same pole checks in the same order."""
+    vectors and every product made afresh on each call, in Fractions, at xi
+    (rho_g + lam for the package's terms), raising at a pole wherever the
+    package does, with the pole named in slot form."""
     gs, lam, xi = tuple(map(Q, gs)), tuple(map(Q, lam)), tuple(map(Q, xi))
     terms = []
     for size in range(ell + 1):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as Q
@@ -5,18 +6,22 @@ from fractions import Fraction as Q
 import pytest
 
 from hodiff import nonreduced
-from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp,
-                               coeff_V_signed, expansion_E_ell, is_partition,
+from hodiff.nonreduced import (SignedSubset, bc_factors, bc_multiplicities, bc_u_factors,
+                               coeff_U_Kp, coeff_V_signed, expansion_E_ell, is_partition,
                                pieri_terms_bc, rank_one_shift_coefficient,
                                pieri_bc_index, rearrangement_gap, signed_subsets,
                                verify_pieri_bc)
-from hodiff.diffeq import PoleAtSpectralPoint, pieri_residual
+from hodiff.diffeq import PoleAtSpectralPoint, integer_product, pieri_residual, scaled_table
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import build_root_system
 from hodiff.weylalg import ExpPoly, label_form
 from oracles import multiplicity_of
 
 GS = (Q(3, 7), Q(5, 11), Q(9, 4))
+
+
+def _m(datum, gs=GS):
+    return bc_multiplicities(datum, *gs)
 
 
 def test_signed_subset_validation():
@@ -31,12 +36,12 @@ def test_signed_subset_validation():
     assert len(list(signed_subsets((0, 1)))) == 4
 
 
-def test_empty_subset_gives_unit():
+def test_empty_subset_gives_unit(bc2):
     xi = (Q(7, 5), Q(2, 9))
-    assert coeff_V_signed(2, GS, SignedSubset((), ()), xi) == 1
+    assert coeff_V_signed(bc2, _m(bc2), SignedSubset((), ()), xi) == 1
 
 
-def test_rank_one_v_matches_scalar_shift_coefficients():
+def test_rank_one_v_matches_scalar_shift_coefficients(bc1):
     # same rational function as the scalar identity coefficients, hence
     # (after the factor-of-four regrouping) the recurrence coefficients
     from hodiff.rankone import shift_coefficients
@@ -44,18 +49,18 @@ def test_rank_one_v_matches_scalar_shift_coefficients():
     for l in range(4):
         xi_l = g1 / 2 + g2 + l
         up, dn = shift_coefficients(g1, g2, xi_l)
-        assert coeff_V_signed(1, GS, SignedSubset((0,), (1,)), (xi_l,)) == up
-        assert coeff_V_signed(1, GS, SignedSubset((0,), (-1,)), (xi_l,)) == dn
+        assert coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (1,)), (xi_l,)) == up
+        assert coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (-1,)), (xi_l,)) == dn
 
 
-def test_singleton_coefficient_matches_displayed_form():
+def test_singleton_coefficient_matches_displayed_form(bc1, bc2):
     # frozen displayed form for one positive slot at rank one and two
     g, g1, g2 = GS
     x1 = Q(7, 5)
-    v = coeff_V_signed(1, GS, SignedSubset((0,), (1,)), (x1,))
+    v = coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (1,)), (x1,))
     assert v == (x1 + g1 / 2 + g2) * (1 + 2 * x1 + g1) / (x1 * (1 + 2 * x1))
     x = (Q(7, 5), Q(2, 9))
-    v = coeff_V_signed(2, GS, SignedSubset((0,), (1,)), x)
+    v = coeff_V_signed(bc2, _m(bc2), SignedSubset((0,), (1,)), x)
     expected = (x[0] + g1 / 2 + g2) * (1 + 2 * x[0] + g1) \
         / (x[0] * (1 + 2 * x[0])) \
         * (x[0] + x[1] + g) / (x[0] + x[1]) \
@@ -64,37 +69,37 @@ def test_singleton_coefficient_matches_displayed_form():
     assert v == rank_one_shift_coefficient(2, GS, 0, x)
 
 
-def test_pair_factor_signs():
+def test_pair_factor_signs(bc2):
     # inside-J pair factors carry +g in both numerators for V
     x = (Q(7, 5), Q(2, 9))
     g, g1, g2 = GS
-    v = coeff_V_signed(2, GS, SignedSubset((0, 1), (1, 1)), x)
+    v = coeff_V_signed(bc2, _m(bc2), SignedSubset((0, 1), (1, 1)), x)
     s = x[0] + x[1]
     singles = (x[0] + g1 / 2 + g2) * (1 + 2 * x[0] + g1) / (x[0] * (1 + 2 * x[0])) \
         * (x[1] + g1 / 2 + g2) * (1 + 2 * x[1] + g1) / (x[1] * (1 + 2 * x[1]))
     assert v == singles * (s + g) / s * (1 + s + g) / (1 + s)
 
 
-def test_u_trivial_and_expansion():
+def test_u_trivial_and_expansion(bc1, bc2):
     x = (Q(7, 5), Q(2, 9))
-    assert coeff_U_Kp(2, GS, (0, 1), 0, x) == 1
-    assert coeff_U_Kp(2, GS, (), 0, x) == 1
+    assert coeff_U_Kp(bc2, _m(bc2), (0, 1), 0, x) == 1
+    assert coeff_U_Kp(bc2, _m(bc2), (), 0, x) == 1
     # rank-one single-flip sum with explicit signs
     _, g1, g2 = GS
     x1 = (Q(7, 5),)
-    got = coeff_U_Kp(1, GS, (0,), 1, x1)
+    got = coeff_U_Kp(bc1, _m(bc1), (0,), 1, x1)
     plus = (x1[0] + g1 / 2 + g2) * (1 + 2 * x1[0] + g1) / (x1[0] * (1 + 2 * x1[0]))
     minus = (-x1[0] + g1 / 2 + g2) * (1 - 2 * x1[0] + g1) / (-x1[0] * (1 - 2 * x1[0]))
     assert got == -(plus + minus)
     with pytest.raises(ValueError):
-        coeff_U_Kp(2, GS, (0,), 2, x)
+        coeff_U_Kp(bc2, _m(bc2), (0,), 2, x)
 
 
-def test_u_minus_g_in_last_factor():
+def test_u_minus_g_in_last_factor(bc2):
     # the inside-I pair factor flips the sign of g relative to V
     x = (Q(7, 5), Q(2, 9))
     g, g1, g2 = GS
-    u = coeff_U_Kp(2, GS, (0, 1), 2, x)
+    u = coeff_U_Kp(bc2, _m(bc2), (0, 1), 2, x)
     total = Q(0)
     for s0, s1 in itertools.product((1, -1), repeat=2):
         term = Q(1)
@@ -126,32 +131,51 @@ def test_expansion_hyperoctahedral_invariance():
     assert perm == e and flip == e
 
 
-def test_pieri_term_multiset_invariance():
+def test_pieri_term_multiset_invariance(bc2):
     # the multiset of V values over all signed singletons is stable under
     # permuting and sign-flipping the spectral coordinates
-    xi = (Q(7, 5), Q(2, 9))
-    vals = sorted(coeff_V_signed(2, GS, sub, xi)
+    xi, mults = (Q(7, 5), Q(2, 9)), _m(bc2)
+    vals = sorted(coeff_V_signed(bc2, mults, sub, xi)
                   for J in [(0,), (1,)] for sub in signed_subsets(J))
     xi_perm = (xi[1], xi[0])
-    vals_perm = sorted(coeff_V_signed(2, GS, sub, xi_perm)
+    vals_perm = sorted(coeff_V_signed(bc2, mults, sub, xi_perm)
                        for J in [(0,), (1,)] for sub in signed_subsets(J))
     xi_flip = (-xi[0], xi[1])
-    vals_flip = sorted(coeff_V_signed(2, GS, sub, xi_flip)
+    vals_flip = sorted(coeff_V_signed(bc2, mults, sub, xi_flip)
                        for J in [(0,), (1,)] for sub in signed_subsets(J))
     assert vals == vals_perm == vals_flip
 
 
-def test_rearrangement_identity_at_rational_points():
+def test_rearrangement_identity_at_rational_points(bc1, bc2):
     rng = random.Random("j1")
     for _ in range(5):
         xi = (Q(rng.randint(1, 40), 7), Q(rng.randint(41, 80), 9))
-        assert rearrangement_gap(2, GS, xi) == 0
-    assert rearrangement_gap(1, GS, (Q(7, 5),)) == 0
+        assert rearrangement_gap(bc2, GS, xi) == 0
+    assert rearrangement_gap(bc1, GS, (Q(7, 5),)) == 0
 
 
-def test_pole_detection():
+def test_pole_detection(bc2):
     with pytest.raises(PoleAtSpectralPoint):
-        coeff_V_signed(2, GS, SignedSubset((0,), (1,)), (Q(2, 9), Q(2, 9)))
+        coeff_V_signed(bc2, _m(bc2), SignedSubset((0,), (1,)), (Q(2, 9), Q(2, 9)))
+
+
+@pytest.mark.parametrize("xi,root,which", [
+    ((Q(0), Q(3, 5)), "2,0", "<xi,a^vee>"),
+    ((Q(-1, 2), Q(3, 5)), "1,0", "1+<xi,a^vee>"),
+    ((Q(2, 7), Q(2, 7)), "1,-1", "<xi,a^vee>"),
+    ((Q(2, 7), Q(-2, 7)), "1,1", "<xi,a^vee>"),
+], ids=["2e_j", "e_j", "e_j-e_k", "e_j+e_k"])
+def test_pole_messages_name_the_root(bc2, xi, root, which):
+    # one pole per root kind, named alike by the factor lists (V and U) and
+    # by the Fraction form of the displayed single-shift coefficient
+    message = f"denominator {which} vanishes at root ({root})"
+    for coefficient in (
+            lambda: coeff_V_signed(bc2, _m(bc2), SignedSubset((0,), (1,)), xi),
+            lambda: coeff_U_Kp(bc2, _m(bc2), (0, 1), 1, xi),
+            lambda: rank_one_shift_coefficient(2, GS, 0, xi)):
+        with pytest.raises(PoleAtSpectralPoint) as got:
+            coefficient()
+        assert str(got.value) == message
 
 
 def test_partition_check():
@@ -172,7 +196,7 @@ def test_pieri_bc_rank_one_seed(bc1):
     g1, g2 = GS[1], GS[2]
     rho1 = g1 / 2 + g2
     xi = (rho1,)
-    assert coeff_V_signed(1, GS, SignedSubset((0,), (-1,)), xi) == 0
+    assert coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (-1,)), xi) == 0
 
 
 def test_pieri_bc_spec_case(bc2):
@@ -217,8 +241,7 @@ def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residua
                                                      corrupted):
     lam = (Q(2), Q(1))
     mults = bc_multiplicities(bc2, *GS)
-    rho = bc2.rho(mults)
-    terms = pieri_terms_bc(bc2, GS, ell, lam, tuple(r + x for r, x in zip(rho, lam)))
+    terms = pieri_terms_bc(bc2, mults, ell, lam)
     poly = jacobi_polynomial(bc2, mults, lam)
     shifted = [(jacobi_polynomial(bc2, mults, sh), c) for _sub, sh, c in terms]
     e_poly = expansion_E_ell(2, ell)
@@ -232,110 +255,188 @@ def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residua
     assert got == reference_residual(e_poly, poly, bad)
 
 
-def test_signed_product_matches_fraction_reference(bc2):
-    # the integer product against the factor-by-factor Fraction one, on
-    # random points and on points placed on each kind of pole, where both
-    # must raise the same message; then the memoized index path against the
-    # per-call term builder at the same points, with lam = (3, 1), at which
-    # every shift is a partition, so that a pole is the only way to fail
-    from oracles import fraction_signed_product, per_call_pieri_terms_bc
+def _assert_named_pole(datum, exc, xi):
+    # a raised pole names a root of the datum whose named denominator is 0 at xi
+    z = datum.pairings(xi)[datum.root_index[exc.alpha]]
+    assert (z if exc.which == "<xi,a^vee>" else 1 + z) == 0, (exc, xi)
 
-    from hodiff.nonreduced import _product, _slot_factors, cleared_point
-    rng = random.Random("signed-product")
-    poles = [(Q(0), Q(3, 5)), (Q(-1, 2), Q(3, 5)), (Q(2, 7), Q(2, 7)),
-             (Q(2, 7), Q(-2, 7)), (Q(-1, 3), Q(-2, 3)), (Q(1, 3), Q(-4, 3))]
-    points = poles + [tuple(Q(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
-                      for _ in range(40)]
-    seen, seen_index = set(), set()
+
+POLES = [(Q(0), Q(3, 5)), (Q(-1, 2), Q(3, 5)), (Q(2, 7), Q(2, 7)),
+         (Q(2, 7), Q(-2, 7)), (Q(-1, 3), Q(-2, 3)), (Q(1, 3), Q(-4, 3))]
+
+
+def test_signed_product_matches_fraction_reference():
+    for n in (1, 2, 3):
+        _check_signed_products(n)
+
+
+def _check_signed_products(n):
+    # every V and U coefficient, and each U list alone, against the
+    # factor-by-factor Fraction product, on random points and on the pole
+    # points (their first n coordinates, padded by 5/11): both raise, or
+    # both are equal; a raised pole names a root that is one
+    from oracles import fraction_signed_product
+    datum, rng = build_root_system("BC", n), random.Random(f"signed-product:{n}")
+    points = [(p + (Q(5, 11),) * n)[:n] for p in POLES] + [
+        tuple(Q(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)) for _ in range(24)]
+    seen = set()
     for xi in points:
         gs = tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(3))
-        for size in range(3):
-            for J in itertools.combinations(range(2), size):
-                others = [k for k in range(2) if k not in J]
-                for sub in signed_subsets(J):
-                    for sign in (1, -1):
-                        point = cleared_point(gs, xi)
-                        factors = _slot_factors(tuple(zip(sub.indices, sub.signs)), others, sign)
-                        try:
-                            want = fraction_signed_product(gs, sub, others, xi, sign * gs[0])
-                        except PoleAtSpectralPoint as exc:
-                            with pytest.raises(PoleAtSpectralPoint) as got:
-                                _product(point, factors)
-                            assert str(got.value) == str(exc)
-                            seen.add(str(exc))
-                        else:
-                            assert Q(*_product(point, factors)) == want
-        for ell in (1, 2):
+        mults = bc_multiplicities(datum, *gs)
+        table = scaled_table(datum.pairings(xi), mults.factor_values)
+
+        def check(got, want):
             try:
-                want = per_call_pieri_terms_bc(2, gs, ell, (3, 1), xi)
-            except PoleAtSpectralPoint as exc:
-                with pytest.raises(PoleAtSpectralPoint) as got:
-                    pieri_terms_bc(bc2, gs, ell, (3, 1), xi)
-                assert str(got.value) == str(exc)
-                seen_index.add(str(exc))
+                expected = want()
+            except PoleAtSpectralPoint:
+                with pytest.raises(PoleAtSpectralPoint) as exc:
+                    got()
+                _assert_named_pole(datum, exc.value, xi)
+                seen.add((datum.root_norms[datum.root_index[exc.value.alpha]], exc.value.which))
             else:
-                assert pieri_terms_bc(bc2, gs, ell, (3, 1), xi) == want
-    assert len(seen) == 7     # every pole name, 1*xi_j and -1*xi_j apart
-    # every name but -1*xi_j: at xi_j = 0 a U term with +1 at slot j comes first
-    assert seen_index == {m for m in seen if not m.endswith("(-,1,*,x,i,_,j)")}
+                assert got() == expected
+
+        for size in range(n + 1):
+            for J in itertools.combinations(range(n), size):
+                K = tuple(k for k in range(n) if k not in J)
+                for sub in signed_subsets(J):
+                    check(lambda: coeff_V_signed(datum, mults, sub, xi),
+                          lambda: fraction_signed_product(gs, sub, K, xi, gs[0]))
+                for p in range(len(K) + 1):
+                    subs = [(sub, [k for k in K if k not in I])
+                            for I in itertools.combinations(K, p) for sub in signed_subsets(I)]
+                    for f, (sub, rest) in zip(bc_u_factors(datum, K, p), subs, strict=True):
+                        check(lambda: Q(*integer_product(datum, f, table)),
+                              lambda: fraction_signed_product(gs, sub, rest, xi, -gs[0]))
+                    check(lambda: coeff_U_Kp(datum, mults, K, p, xi), lambda: (-1) ** p * sum(
+                        fraction_signed_product(gs, sub, rest, xi, -gs[0]) for sub, rest in subs))
+    # every kind of pole: e_j shifted, 2e_j, and e_j +- e_k from rank 2
+    assert seen == {(Q(1), "1+<xi,a^vee>"), (Q(4), "<xi,a^vee>")} | (
+        {(Q(2), "<xi,a^vee>"), (Q(2), "1+<xi,a^vee>")} if n > 1 else set())
+
+
+def test_bc_lists_follow_the_half_root_rule(bc2):
+    # the lists are term_factors less the shift-0 entries of e_j, with + at
+    # e_j's shift-1 entry, so e_j's shift-0 factor moves into 2e_j's m
+    from hodiff.diffeq import term_factors
+    halves = {i for i in bc2.half_root_index if i is not None}
+    assert {tuple(bc2.roots[i]) for i in halves} == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    nu, eta = (1, 0), (0, -1)
+    assert bc_factors(bc2, nu) == tuple(f for f in term_factors(bc2, nu)
+                                        if f[0] not in halves or f[1] == 1)
+    assert [f[1:] for f in term_factors(bc2, nu, eta) if f[0] in halves] == [(0, 1), (1, -1)]
+    assert [f for f in bc_factors(bc2, nu, eta) if f[0] in halves] == [
+        (bc2.root_index[(0, -1)], 1, 1)]
+    assert _m(bc2).factor_values[bc2.root_index[(2, 0)]] == GS[2] + GS[1] / 2
+    assert _m(bc2).factor_values[bc2.root_index[(1, 0)]] == GS[1]
 
 
 SEEDED_GS = [tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(3))
              for rng in [random.Random(f"bc-index:{k}") for k in range(5)]]
+# g = 1 puts a pole at 1 - <xi, e_j - e_k> where lam_j = lam_k, and
+# g1/2 + g2 = 1/2 one at 1 - 2 xi_n where lam_n = 0
+POLE_GS = [(Q(1), Q(1, 2), Q(1, 4))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_index_terms_match_the_per_call_builder(n):
-    # every ell, every partition with first part <= 3, five seeded samples;
-    # a fresh datum, so the index is built here and then reused
+    # every ell, every partition with first part <= 3, five seeded samples
+    # and one that meets poles; a fresh datum, so the index is built here and
+    # then reused; both raise a pole, or both give the same terms
     from oracles import per_call_pieri_terms_bc
     datum = build_root_system("BC", n)
     parts = [p for p in itertools.product(range(4), repeat=n)
              if all(a >= b for a, b in zip(p, p[1:]))]
-    for gs in SEEDED_GS:
-        rho = datum.rho(bc_multiplicities(datum, *gs))
+    poles = 0
+    for gs in SEEDED_GS + POLE_GS:
+        mults = bc_multiplicities(datum, *gs)
+        rho = datum.rho(mults)
         for ell in range(1, n + 1):
             for lam in parts:
                 xi = tuple(r + x for r, x in zip(rho, lam))
-                got = pieri_terms_bc(datum, gs, ell, tuple(map(Q, lam)), xi)
-                assert got == per_call_pieri_terms_bc(n, gs, ell, lam, xi), (gs, ell, lam)
-    assert set(datum.pieri_bc_memo) == set(range(1, n + 1))
+                try:
+                    want = per_call_pieri_terms_bc(n, gs, ell, lam, xi)
+                except PoleAtSpectralPoint:
+                    with pytest.raises(PoleAtSpectralPoint) as exc:
+                        pieri_terms_bc(datum, mults, ell, tuple(map(Q, lam)))
+                    _assert_named_pole(datum, exc.value, xi)
+                    poles += 1
+                else:
+                    got = pieri_terms_bc(datum, mults, ell, tuple(map(Q, lam)))
+                    assert got == want, (gs, ell, lam)
+    assert poles and set(datum.pieri_bc_memo) == set(range(1, n + 1))
 
 
 def _edited_index(datum, ell, edit):
     """Replace the memoized index of ell by one with edit applied to every
-    factor list, edit(factors, "u" or "v")."""
+    factor list, edit(datum, factors, "u" or "v")."""
     datum.pieri_bc_memo[ell] = tuple(
-        (K, p, tuple(edit(f, "u") for f in u),
-         tuple((sub, row, edit(f, "v")) for sub, row, f in subs))
+        (K, p, tuple(edit(datum, f, "u") for f in u),
+         tuple((sub, row, edit(datum, f, "v")) for sub, row, f in subs))
         for K, p, u, subs in pieri_bc_index(datum, ell))
 
 
-def _flip_u_pair(factors, kind):
-    # U's shifted pair factor: -g (e index 3) becomes +g
-    return tuple(f[:5] + (2,) + f[6:] if kind == "u" and f[5] == 3 else f for f in factors)
+def _halves(datum):
+    return set(datum.half_root_index)
 
 
-def _flip_v_pair(factors, kind):
-    # V's shifted pair factor (c = 1 with +g): +g becomes -g
-    return tuple(f[:5] + (3,) + f[6:] if kind == "v" and f[0] == 1 and f[5] == 2 else f
-                 for f in factors)
+def _flip_u_pair(datum, factors, kind):
+    # U's shifted pair factor: -g becomes +g
+    return tuple((i, 1, 1) if kind == "u" and (s, e) == (1, -1) else (i, s, e)
+                 for i, s, e in factors)
 
 
-def _drop_cross(factors, _kind):
-    return tuple(f for f in factors if f[6] not in ("xi_j+xi_k", "xi_j-xi_k"))
+def _flip_v_pair(datum, factors, kind):
+    # V's shifted pair factor (shift 1 on a root e_j +- e_k): +g becomes -g
+    return tuple((i, 1, -1) if kind == "v" and s == 1 and i not in _halves(datum) else (i, s, e)
+                 for i, s, e in factors)
 
 
-@pytest.mark.parametrize("edit", [_flip_u_pair, _flip_v_pair, _drop_cross])
-@pytest.mark.parametrize("n,ell,lam", [(2, 2, (3, 1)), (3, 2, (5, 3, 1)), (3, 3, (5, 3, 1))])
-def test_edited_index_leaves_a_residual(edit, n, ell, lam):
-    # negative controls on the BC pair and cross factors, each edited in the
-    # memoized index of a fresh datum: lam's parts are 2 apart and its last
-    # is positive, so every shift is a partition and no vanishing V guards
-    # the edit; the residual must be nonzero where the intact index passes
+def _drop_cross(datum, factors, _kind):
+    # the cross factors: shift 0 on a root e_j +- e_k that has no shift-1 entry
+    paired = {i for i, s, _e in factors if s == 1}
+    return tuple(f for f in factors if datum.root_norms[f[0]] != 2 or f[0] in paired)
+
+
+def _keep_half_shift0(datum, factors, _kind):
+    # the alpha/2 rule undone: e_j keeps its shift-0 entry next to 2e_j's m
+    return tuple(g for f in factors
+                 for g in ([(f[0], 0, 1), f] if f[0] in _halves(datum) else [f]))
+
+
+@functools.cache
+def _intact_cache(n, ell, lam):
+    """The polynomial cache of a passing run with the intact index, once per
+    (n, ell, lam) on a fresh datum; each control edits a copy."""
     cache = {}
     assert verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=build_root_system("BC", n)).ok
+    return cache
+
+
+CONTROL_CASES = [(2, 2, (3, 1)), (3, 2, (5, 3, 1)), (3, 3, (5, 3, 1))]
+
+
+@pytest.mark.parametrize("edit", [_flip_u_pair, _flip_v_pair, _drop_cross, _keep_half_shift0])
+@pytest.mark.parametrize("n,ell,lam", CONTROL_CASES)
+def test_edited_index_leaves_a_residual(edit, n, ell, lam):
+    # negative controls on the BC pair and cross factors and on the alpha/2
+    # rule, each edited in the memoized index of a fresh datum: lam's parts
+    # are 2 apart and its last is positive, so every shift is a partition
+    # and no vanishing V guards the edit; the residual must be nonzero where
+    # the intact index passes
+    cache = dict(_intact_cache(n, ell, lam))
     datum = build_root_system("BC", n)
     _edited_index(datum, ell, edit)
+    rep = verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=datum)
+    assert not rep.ok and rep.residual
+
+
+@pytest.mark.parametrize("n,ell,lam", CONTROL_CASES)
+def test_root_values_in_place_of_factor_values_leave_a_residual(n, ell, lam):
+    # negative control on the m column: the same lists read with g_alpha
+    # (m without g_{alpha/2}/2) fail, where the intact multiplicities pass
+    cache, datum = dict(_intact_cache(n, ell, lam)), build_root_system("BC", n)
+    mults = cache[n, GS] = bc_multiplicities(datum, *GS)
+    mults.factor_values = mults.root_values
     rep = verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=datum)
     assert not rep.ok and rep.residual

@@ -385,6 +385,13 @@ def test_root_values_follow_orbits(b2, bc2):
         assert m.root_values == tuple(multiplicity_of(m, a) for a in datum.roots)
         assert datum.rho(m) is datum.rho(m)
         assert datum.rho(m) == half_weighted_sum(datum, lambda a: multiplicity_of(m, a))
+        # m_alpha = g_alpha + g_{alpha/2}/2, alpha/2 looked up by its vector
+        assert m.factor_values == tuple(
+            multiplicity_of(m, a) + (multiplicity_of(m, tuple(x / 2 for x in a)) / 2
+                                     if tuple(x / 2 for x in a) in datum.root_index else 0)
+            for a in datum.roots)
+    assert Multiplicities(b2, (Q(1, 3), Q(2, 5))).factor_values == (
+        Multiplicities(b2, (Q(1, 3), Q(2, 5))).root_values)
 
 
 EVERY_TYPE = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2),

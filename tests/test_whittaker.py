@@ -491,6 +491,20 @@ def test_non_positive_phi_is_a_failed_case(wrong, monkeypatch, tmp_path):
     assert cli.main(["verify", "--suite", "whittaker", "--out", str(tmp_path / "w.json")]) == 1
 
 
+@pytest.mark.parametrize("log_phi", [-1000.0, math.inf])
+def test_vanishing_or_infinite_phi_is_a_failed_case(log_phi, monkeypatch, tmp_path):
+    # a finite log phi below about -745 makes phi 0.0 and +inf makes it inf:
+    # every relative residual on such a divisor is NaN, a failed row, and
+    # the whittaker suite exits 1, not 2 (a ZeroDivisionError before)
+    from hodiff import cli
+    monkeypatch.setattr(WhittakerA1, "log_value", lambda self, u: log_phi)
+    rep = rank_one_whittaker_check(1.3)
+    assert all(math.isnan(row["residual_min"]) and math.isnan(row["residual_qmin"])
+               for row in rep.rows)
+    assert math.isnan(rep.winv_deviation) and not rep.ok()
+    assert cli.main(["verify", "--suite", "whittaker", "--out", str(tmp_path / "w.json")]) == 1
+
+
 def test_rank_one_whittaker_check_detects_a_wrong_order(monkeypatch):
     # negative control: each order comes from its own series, so building
     # zeta + 1 at an order 1e-4 off must break the single-shift identity

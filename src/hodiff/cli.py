@@ -541,6 +541,9 @@ def _factor_latex(row, denom=False):
 
 def cmd_coeffs(args) -> int:
     datum = build_root_system(args.family, args.rank)
+    if datum.family == "BC":
+        raise ValueError("coeffs lists the reduced-system factor lists; "
+                         "the BC equation is checked by the bc suite")
     omega = _parse_omega(datum, args.omega)
     terms = []
     for entry in diffeq.pieri_index(datum, omega):

@@ -3,8 +3,11 @@
 At the discrete spectral points rho_g + lambda the difference equation for
 a small weight omega collapses to a Pieri identity between products and
 shifted Jacobi polynomials; that identity is verified here in exact rational
-arithmetic.  Poles of the coefficient products are surfaced as explicit
-errors so that callers can resample multiplicities.
+arithmetic, for the reduced systems and for BC_n at omega = e_1 + ... + e_l
+(``nonreduced``) alike: one index and one factor-list rule, with the alpha/2
+rule of BC applied where support codes become factor entries (``_entries``).
+Poles of the coefficient products are surfaced as explicit errors so that
+callers can resample multiplicities.
 """
 
 from __future__ import annotations
@@ -50,28 +53,36 @@ def support_codes(row, within=None) -> list:
 
 
 @cache
-def _entries(n: int) -> tuple:
-    """V's and U's factor-list entries for n roots by ``support_codes`` code
-    2i + s: (i, 0, 1), then (i, 1, 1) for V or (i, 1, -1) for U; shared by
-    every factor list, so that a large index holds no copies of them."""
-    v = tuple((i, s, 1) for i in range(n) for s in (0, 1))
-    return v, tuple((i, s, -1 if s else 1) for i, s, _e in v)
+def _entries(halves: tuple) -> tuple:
+    """V's and U's factor-list entries by ``support_codes`` code 2i + s, for
+    the roots of a datum with ``half_root_index`` halves: (i, 0, 1), then
+    (i, 1, 1) for V or (i, 1, -1) for U.  The alpha/2 rule: a root alpha with
+    2alpha a root (BC's e_j) has no shift-0 entry (None), as the m of 2alpha
+    carries that factor, and its U shift-1 entry (i, 1, -2) reads
+    -(1+z+g)/(1+z).  Shared by every factor list of the datum."""
+    doubled, v, u = set(halves), [], []
+    for i in range(len(halves)):
+        head = None if i in doubled else (i, 0, 1)
+        v += head, (i, 1, 1)
+        u += head, (i, 1, -2 if i in doubled else -1)
+    return tuple(v), tuple(u)
 
 
 def _factors(table: tuple, codes) -> tuple:
-    return tuple(map(table.__getitem__, codes))
+    return tuple(filter(None, map(table.__getitem__, codes)))
 
 
 def term_factors(datum: RootDatum, nu: Vector, eta: Vector | None = None) -> tuple:
     """The factor list of one coefficient, as (root index, shift, g sign).
 
     Each entry stands for the affine factor (s+z+e*g)/(s+z) with
-    z = <xi,a^vee>.  V_nu (eta None) takes s=0 over the roots pairing
-    positively with nu and s=1 where the pairing is 2; U_{nu,eta} takes the
-    same over the roots orthogonal to nu, by their pairing with eta, with
-    e=-1 in the s=1 factor.  Root order, shift 0 before shift 1.
+    z = <xi,a^vee>, or -(s+z+g)/(s+z) for e=-2.  V_nu (eta None) takes s=0
+    over the roots pairing positively with nu and s=1 where the pairing is 2;
+    U_{nu,eta} takes the same over the roots orthogonal to nu, by their
+    pairing with eta, with e=-1 in the s=1 factor; both by the alpha/2 rule
+    of ``_entries``.  Root order, shift 0 before shift 1.
     """
-    v_table, u_table = _entries(len(datum.roots))
+    v_table, u_table = _entries(datum.half_root_index)
     nu_pairs = datum.pairings(nu)
     if eta is None:
         return _factors(v_table, support_codes(nu_pairs))
@@ -108,7 +119,8 @@ def point_table(datum: RootDatum, mults: Multiplicities, lam: tuple) -> list:
 
 def integer_product(datum: RootDatum, factors: tuple, table: list):
     """(numerator, denominator) of a factor-list product over a
-    ``scaled_table``: the products of w+e*G and of w, with w = d*(s+z)."""
+    ``scaled_table``: the products of w+e*G (-w-G for e=-2) and of w, with
+    w = d*(s+z)."""
     num = den = 1
     for i, s, e in factors:
         row = table[i]
@@ -116,7 +128,7 @@ def integer_product(datum: RootDatum, factors: tuple, table: list):
         if not w:
             raise PoleAtSpectralPoint(datum.roots[i],
                                       "1+<xi,a^vee>" if s else "<xi,a^vee>")
-        num *= w + row[2] if e > 0 else w - row[2]
+        num *= w + row[2] if e > 0 else w - row[2] if e == -1 else -w - row[2]
         den *= w
     return num, den
 
@@ -128,7 +140,7 @@ def float_table(z: tuple) -> list:
 
 
 def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> float:
-    """Product of (s+z+e*g)/(s+z) over a factor list, on a ``float_table``
+    """Product of the factors of a list (``term_factors``), on a ``float_table``
     and float g: the bits of the same product with s+z exact, since a
     Fraction meets a float only as its rounded value."""
     total = 1.0
@@ -137,7 +149,7 @@ def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> f
         if w is None:
             raise PoleAtSpectralPoint(datum.roots[i],
                                       "1+<xi,a^vee>" if s else "<xi,a^vee>")
-        total *= (w + g[i] if e > 0 else w - g[i]) / w
+        total *= (w + g[i] if e > 0 else w - g[i] if e == -1 else -w - g[i]) / w
     return total
 
 
@@ -194,11 +206,11 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     factor lists of nu and eta, carried down the same Weyl descent.
     Memoized on the datum under omega's labels (``index_memo``);
     ``pieri_index.cache_info()`` counts that memo's hits and misses over
-    every datum.  Reduced systems only: BC's signed-subset terms take their
-    lists from ``nonreduced.bc_factors``."""
-    if datum.family == "BC":
-        raise ValueError("the reduced-system coefficients do not apply to BC; "
-                         "its equation is checked by the bc suite")
+    every datum.  On BC_n at omega = e_1 + ... + e_l the nu are the signed
+    subsets e_{eps J}, |J| <= l, and the etas of nu the e_{eps J} + e_{eps' I}
+    over the signed (l - |J|)-subsets I of the complement K of J: V_nu and
+    the U lists of the BC equation, whose U_{K,l-|J|} is the sum over the
+    etas, the sign (-1)^{l-|J|} in the e=-2 entries of the alpha/2 rule."""
     top = datum.dominant_labels(omega)
     found = datum.index_memo.get(top)
     if found is not None:
@@ -224,7 +236,7 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
             own[x] = (support_codes(omega_row, row) if up is None
                       else sorted(map(perms[up[1]].__getitem__, source[up[0]])))
         codes[l] = v, own
-    (v_table, u_table), key, entries = _entries(len(datum.roots)), cache(datum._vector_key), []
+    (v_table, u_table), key, entries = _entries(datum.half_root_index), cache(datum._vector_key), []
     for l in sorted(orbits, key=key):
         (plus, word, _step, _etas), (v, own) = orbits[l], codes[l]
         order = tuple(sorted(own, key=key))
@@ -349,25 +361,32 @@ def pieri_residual(datum: RootDatum, e_form: LabelForm, poly: JacobiPolynomial,
     return ExpPoly(residual)
 
 
-def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
-                 lam: Vector, perturb: str | None = None,
-                 cache: dict | None = None) -> PieriReport:
-    """Exact comparison of E_omega * P_lambda with the coefficient sum of
-    shifted polynomials; the residual is empty exactly on success.  lambda's
-    labels are read once, and each shift is their sum with the labels of nu.
-    Each distinct shift is built once, in cache or in a dict local to the
-    call, and asked of the cache once, through a map local to the call keyed
-    by the labels of nu; cache keys stay (multiplicities, lambda vector)."""
-    cache = {} if cache is None else cache
+def pieri_check(datum: RootDatum, mults: Multiplicities, omega: Vector, lam: Vector,
+                e_form: LabelForm, perturb: str | None, cache: dict) -> tuple:
+    """(terms, residual): the ``pieri_terms`` of omega at the dominant lambda
+    and the ``pieri_residual`` of e_form times P_lambda against them, below
+    lambda + omega.  lambda's labels are read once, and each shift is their
+    sum with the labels of nu.  Each distinct shift is built once, in cache,
+    and asked of it once, through a map local to the call keyed by the
+    labels of nu; cache keys stay (multiplicities, lambda vector)."""
     top = datum.dominant_labels(lam)
     terms = pieri_terms(datum, mults, omega, top, perturb=perturb)
     poly = poly_cache_get(cache, datum, mults, lam)
     polys = {l: poly_cache_get(cache, datum, mults, datum.from_labels(tuple(map(add, top, l))))
              for l in {e.nu_labels: None for e, _eta, _c in terms}}
     shifted = [(polys[e.nu_labels], c) for e, _eta, c in terms]
-    residual = pieri_residual(
-        datum, expansion_labels(datum, omega), poly, shifted,
-        tuple(map(add, top, datum.dominant_labels(omega))))
+    return terms, pieri_residual(datum, e_form, poly, shifted,
+                                 tuple(map(add, top, datum.dominant_labels(omega))))
+
+
+def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
+                 lam: Vector, perturb: str | None = None,
+                 cache: dict | None = None) -> PieriReport:
+    """Exact comparison of E_omega * P_lambda with the coefficient sum of
+    shifted polynomials (``pieri_check``); the residual is empty exactly on
+    success.  cache defaults to a dict local to the call."""
+    terms, residual = pieri_check(datum, mults, omega, lam, expansion_labels(datum, omega),
+                                  perturb, {} if cache is None else cache)
     return PieriReport(
         system=f"{datum.family}{datum.rank}",
         omega=omega, lam=lam, g=mults.key(),

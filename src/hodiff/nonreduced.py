@@ -1,10 +1,12 @@
 """Difference-equation coefficients for the nonreduced family, rank n.
 
 On the BC_n datum (g on e_j +- e_k, g1 on e_j, g2 on 2e_j) the coefficients
-are the reduced factor lists read with m_a = g_a + g_{a/2}/2 (``bc_factors``,
-``Multiplicities.factor_values``), evaluated by ``diffeq.integer_product``.
-The hyperoctahedral Jacobi polynomials come from the generic recursion
-applied to the BC datum, whose operator contains both the e_j and 2e_j strings.
+are the reduced ones, ``diffeq.coeff_V``/``coeff_U`` read with
+m_a = g_a + g_{a/2}/2 (``Multiplicities.factor_values``) by the alpha/2 rule
+of ``diffeq.term_factors``, and the Pieri terms at omega = e_1 + ... + e_l
+are those of ``diffeq.pieri_index``, checked against E_l.  The
+hyperoctahedral Jacobi polynomials come from the generic recursion applied
+to the BC datum, whose operator contains both the e_j and 2e_j strings.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from operator import add
 
-from .diffeq import (PoleAtSpectralPoint, integer_product, pieri_residual, point_table,
-                     poly_cache_get, scaled_table, term_factors)
+from .diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_check
 from .rootsys import Multiplicities, RootDatum, build_root_system
-from .weylalg import ExpPoly, InternalConsistencyError, exp_to_json, label_form
+from .weylalg import ExpPoly, exp_to_json, label_form
 
 
 @dataclass(frozen=True)
@@ -47,53 +47,25 @@ def signed_subsets(indices):
         yield SignedSubset(tuple(indices), signs)
 
 
-def bc_factors(datum: RootDatum, nu, eta=None) -> tuple:
-    """``term_factors(datum, nu, eta)`` on the BC datum by the alpha/2 rule:
-    a root alpha with 2alpha a root drops its shift-0 entry, which the m of
-    2alpha carries, and its shift-1 entry takes sign +."""
-    halves = set(datum.half_root_index)
-    return tuple(f if f[0] not in halves else (f[0], 1, 1)
-                 for f in term_factors(datum, nu, eta) if f[1] or f[0] not in halves)
+def coeff_V_signed(datum: RootDatum, mults: Multiplicities, subset: SignedSubset, xi):
+    """Shift coefficient of the signed subset J on BC_n: ``coeff_V`` of
+    e_{eps J}, singleton factors on J, cross factors against the complement
+    and +g pair factors inside J."""
+    return coeff_V(datum, mults, subset.shift_vector(datum.rank), xi)
 
 
-def bc_u_factors(datum: RootDatum, K: tuple, p: int) -> tuple:
-    """U_{K,p}'s lists: ``bc_factors(e_J, e_{eps I})`` per signed p-subset I
-    of K, J the complement of K."""
-    n = datum.rank
-    nu = tuple(int(k not in K) for k in range(n))
-    return tuple(bc_factors(datum, nu, sub.shift_vector(n))
-                 for I in itertools.combinations(K, p) for sub in signed_subsets(I))
-
-
-def _table(datum: RootDatum, mults: Multiplicities, xi, table):
-    """table, else the ``scaled_table`` of xi with m (``factor_values``)."""
-    return scaled_table(datum.pairings(xi), mults.factor_values) if table is None else table
-
-
-def coeff_V_signed(datum: RootDatum, mults: Multiplicities, subset: SignedSubset, xi,
-                   table=None, factors=None):
-    """Shift coefficient of the signed subset J on BC_n, the ``bc_factors`` of
-    e_{eps J}: singleton factors on J, cross factors against the complement
-    and +g pair factors inside J; table (``_table``) and factors made if not
-    given."""
-    if factors is None:
-        factors = bc_factors(datum, subset.shift_vector(datum.rank))
-    return Q(*integer_product(datum, factors, _table(datum, mults, xi, table)))
-
-
-def coeff_U_Kp(datum: RootDatum, mults: Multiplicities, K, p: int, xi,
-               table=None, factors=None):
-    """Complementary coefficient: (-1)^p times the sum over signed p-subsets
-    of K of the V-type product restricted to K, with -g in the shifted pair
-    factor, as one integer numerator over one denominator; table as for
-    ``coeff_V_signed``, factors ``bc_u_factors(K, p)``."""
+def coeff_U_Kp(datum: RootDatum, mults: Multiplicities, K, p: int, xi):
+    """Complementary coefficient: the sum over signed p-subsets I of K of
+    ``coeff_U(e_J, e_{eps I})``, J the complement of K, each the V-type
+    product restricted to K with -g in the shifted pair factor and the
+    sign (-1)^p in its alpha/2 entries."""
     K = tuple(sorted(K))
     if not 0 <= p <= len(K):
         raise ValueError(f"p={p} out of range for |K|={len(K)}")
-    table = _table(datum, mults, xi, table)
-    terms = [integer_product(datum, f, table) for f in factors or bc_u_factors(datum, K, p)]
-    den = math.lcm(*(b for _a, b in terms))
-    return Q((-1) ** p * sum(a * (den // b) for a, b in terms), den)
+    n = datum.rank
+    nu = tuple(int(k not in K) for k in range(n))
+    return sum(coeff_U(datum, mults, nu, sub.shift_vector(n), xi)
+               for I in itertools.combinations(K, p) for sub in signed_subsets(I))
 
 
 def expansion_E_ell(n: int, ell: int) -> ExpPoly:
@@ -143,57 +115,14 @@ class BcPieriReport:
                 "n_terms": self.n_terms, "residual": self.residual}
 
 
-def pieri_bc_index(datum: RootDatum, ell: int) -> tuple:
-    """The point-independent part of ``pieri_terms_bc`` on BC_n: per J of at
-    most ell slots, (K, p, U's ``bc_u_factors``, per signed subset of J its
-    ``SignedSubset``, integer shift row and V's ``bc_factors``), K the
-    complement of J and p = ell - |J|.  Built once per (n, ell), memoized on
-    the datum (``pieri_bc_memo``)."""
-    found = datum.pieri_bc_memo.get(ell)
-    if found is None:
-        n, found = datum.rank, []
-        for size in range(ell + 1):
-            for J in itertools.combinations(range(n), size):
-                K = tuple(k for k in range(n) if k not in J)
-                rows = [(sub, sub.shift_vector(n)) for sub in signed_subsets(J)]
-                found.append((K, ell - size, bc_u_factors(datum, K, ell - size),
-                              tuple((sub, row, bc_factors(datum, row)) for sub, row in rows)))
-        found = datum.pieri_bc_memo[ell] = tuple(found)
-    return found
-
-
-def pieri_terms_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam):
-    """Surviving (signed subset, shifted partition, U*V) triples at the
-    spectral point rho_g + lam, on BC_n given by datum, lam an integral
-    partition: ``pieri_bc_index`` evaluated on the point's
-    ``diffeq.point_table``, the shifts as integer tuples.
-
-    Terms whose shifted weight is not a partition must carry a vanishing V
-    coefficient; a violation is fatal, a pole requests a resample.
-    """
-    base = tuple(map(int, lam))
-    table = point_table(datum, mults, datum.labels(base))
-    terms = []
-    for K, p, u_factors, subs in pieri_bc_index(datum, ell):
-        u = coeff_U_Kp(datum, mults, K, p, None, table, u_factors)
-        for sub, row, factors in subs:
-            v = coeff_V_signed(datum, mults, sub, None, table, factors)
-            shifted = tuple(map(add, base, row))
-            if is_partition(shifted):
-                terms.append((sub, shifted, u * v))
-            elif v != 0:
-                raise InternalConsistencyError(
-                    f"V did not vanish at excluded shift {sub} for lam={lam}")
-    return terms
-
-
 def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
                     datum: RootDatum | None = None) -> BcPieriReport:
-    """Exact Pieri identity for the nonreduced system at xi_j = rho_j + lam_j,
-    compared on the dominant chamber below lam + e_1 + ... + e_n.  The
-    ``LabelForm`` of E_ell is memoized on the datum under ell (an int, so
-    apart from the label tuples of ``expansion_labels``).  cache also keeps
-    the multiplicities of gs under (n, gs), with rho_g memoized on them."""
+    """Exact Pieri identity for the nonreduced system at xi_j = rho_j + lam_j:
+    ``diffeq.pieri_check`` of omega = e_1 + ... + e_ell against E_ell, whose
+    ``LabelForm`` is memoized on the datum under ell (an int, so apart from
+    the label tuples of ``expansion_labels``); n_terms counts the surviving
+    shifts nu.  cache also keeps the multiplicities of gs under (n, gs),
+    with rho_g memoized on them."""
     gs = tuple(Q(x) for x in gs)
     lam = tuple(Q(x) for x in lam)
     cache = {} if cache is None else cache
@@ -203,15 +132,13 @@ def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
     mults = cache.get((n, gs))
     if mults is None:
         mults = cache[n, gs] = bc_multiplicities(datum, *gs)
-    terms = pieri_terms_bc(datum, mults, ell, lam)
-    poly = poly_cache_get(cache, datum, mults, lam)
-    shifted = [(poly_cache_get(cache, datum, mults, sh), c) for _sub, sh, c in terms]
     e_form = datum.expansion_label_memo.get(ell)
     if e_form is None:
         e_form = datum.expansion_label_memo[ell] = label_form(datum, expansion_E_ell(n, ell))
-    residual = pieri_residual(datum, e_form, poly, shifted,
-                              datum.labels(tuple(x + 1 for x in lam)))
-    return BcPieriReport(n, ell, lam, *gs, ok=residual.is_zero(), n_terms=len(terms),
+    omega = tuple(Q(int(k < ell)) for k in range(n))
+    terms, residual = pieri_check(datum, mults, omega, lam, e_form, None, cache)
+    return BcPieriReport(n, ell, lam, *gs, ok=residual.is_zero(),
+                         n_terms=len({e.nu_labels for e, _eta, _c in terms}),
                          residual=exp_to_json(residual))
 
 

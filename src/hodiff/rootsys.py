@@ -162,15 +162,16 @@ class RootDatum:
     the instance when first asked for: the labels of a vector by identity if
     the datum made it, else under the vector (the only vector-keyed memo); the
     rest under labels: pairings, the orbit memo (``orbit_labels``, each
-    dominant label's W-orbit walked once and shared), Weyl orbits, dominance
-    intervals, saturated maps, their alpha-string tables, Jacobi recursion
-    patterns (``jacobi_memo``), and for a small weight omega its Pieri index
-    (``index_memo``) and E_omega on labels (``expansion_label_memo``; for BC
-    the E_ell of ``nonreduced`` under the int ell, with its Pieri index in
-    ``pieri_bc_memo``), and the confluent limit's etas (``eta_memo``).  The
-    memos live and die with the datum; each entry is a pure function of its
-    key, so threads sharing an instance can at worst compute it twice.  The
-    integers of the exact checks are kept per sample on ``Multiplicities``.
+    dominant label's W-orbit walked once and shared, and each
+    ``parabolic_orbit``), Weyl orbits, dominance intervals, saturated maps,
+    their alpha-string tables, Jacobi recursion patterns (``jacobi_memo``),
+    and for a small weight omega its Pieri index (``index_memo``, BC's
+    included) and E_omega on labels (``expansion_label_memo``; for BC the
+    E_ell of ``nonreduced`` under the int ell), and the confluent limit's
+    etas (``eta_memo``).  The memos live and die with the datum; each entry
+    is a pure function of its key, so threads sharing an instance can at
+    worst compute it twice.  The integers of the exact checks are kept per
+    sample on ``Multiplicities``.
     """
 
     def __init__(self, family: str, rank: int):
@@ -216,7 +217,7 @@ class RootDatum:
                for i, wi in enumerate(w) for j in range(rank)):
             raise ValueError("fundamental weights failed duality check")
 
-        self._walks: dict[tuple, dict] = {}   # the orbit memo (``orbit_labels``)
+        self._walks: dict[tuple, dict] = {}   # the orbit memo, parabolic orbits too
         # the reduced roots are the W-orbits of the simple roots, found by
         # descent from their dominant elements and keyed by their simple-root
         # coefficients n = l cartan^{-1}, alpha = sum_k n_k alpha_k.  With
@@ -299,7 +300,6 @@ class RootDatum:
         self.jacobi_memo: dict[tuple, tuple] = {}
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
-        self.pieri_bc_memo: dict[int, tuple] = {}
         self.eta_memo: tuple | None = None
         self.fundamental_weights: tuple[Vector, ...] = tuple(
             self.from_labels(tuple(int(i == j) for j in range(rank))) for i in range(rank))
@@ -456,9 +456,12 @@ class RootDatum:
     def parabolic_orbit(self, top: tuple, l: tuple) -> dict:
         """Labels of the orbit of l under W_J, J the zero labels of the
         dominant labels top: W_J is the stabilizer of top (Humphreys,
-        Reflection Groups and Coxeter Groups, 1.10-1.12)."""
-        J = [j for j, k in enumerate(top) if k == 0]
-        return self._dominant_orbit(self._make_dominant(l, J)[0], J)
+        Reflection Groups and Coxeter Groups, 1.10-1.12).  Walked once per
+        (top, l), in the orbit memo, so the Pieri index and E_omega share it."""
+        if (found := self._walks.get((top, l))) is None:
+            J = [j for j, k in enumerate(top) if k == 0]
+            found = self._walks[top, l] = self._dominant_orbit(self._make_dominant(l, J)[0], J)
+        return found
 
     # -- construction helpers ----------------------------------------------
 

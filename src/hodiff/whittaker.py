@@ -151,8 +151,8 @@ def limit_table(datum: RootDatum, z: tuple) -> list:
 
 
 def limit_product(datum: RootDatum, factors: tuple, xi, table=None):
-    """Product of e*eta/(s+z) over a factor list of ``diffeq.term_factors``,
-    the g -> oo limit of (s+z+e*g)/(s+z).  Exact for rational xi: one
+    """Product of +-eta/(s+z), by the sign of e, over a factor list of
+    ``diffeq.term_factors``: the g -> oo limit of each factor over g.  Exact for rational xi: one
     SqrtRational of the integer products of a ``limit_table`` of xi (made
     here when not given)."""
     if table is None and all(isinstance(v, (int, Q)) for v in xi):
@@ -167,7 +167,7 @@ def limit_product(datum: RootDatum, factors: tuple, xi, table=None):
         if not w:
             raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>" if s else "<xi,a^vee>")
         if table is not None:
-            num, den, rad = num * e * w[0], den * w[1], rad * w[2]
+            num, den, rad = (num if e > 0 else -num) * w[0], den * w[1], rad * w[2]
         else:
             eta = float(etas[datum.root_orbit_ids[i]])
             total = total * (eta if e > 0 else -eta) / w
@@ -203,6 +203,11 @@ class ConfluenceReport:
         return {"system": self.system, "omega": [_q_str(x) for x in self.omega],
                 "t": list(self.t_list), "tol": self.tol,
                 "status": "pass" if self.ok else "fail", "rows": self.rows}
+
+
+def _rel(diff, scale):
+    """diff / scale, or NaN (a failed row) at scale 0; an inf scale has a NaN ratio."""
+    return diff / scale if scale else math.nan
 
 
 def _deviation_row(family, label, devs, t_list, tol, limit):
@@ -251,7 +256,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         val = 0.0
         for a, b, c in terms:
             val += c * math.exp(a + t * b)
-        devs.append(abs(val - limit) / abs(limit))
+        devs.append(_rel(abs(val - limit), abs(limit)))
     report.rows.append(_deviation_row("E", "E_omega", devs, t_list, tol, limit))
 
     z = datum.pairings(xi)
@@ -266,8 +271,8 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
                  for eta, factors in zip(entry.eta_labels, entry.u_factors)]
         for family, label, factors, rate in rows:
             bar = float(limit_product(datum, factors, xi, limits))
-            devs = [abs(math.exp(-t * rate) * factor_product(datum, factors, table, g)
-                        - bar) / abs(bar) for t, g in zip(t_list, g_list)]
+            devs = [_rel(abs(math.exp(-t * rate) * factor_product(datum, factors, table, g)
+                             - bar), abs(bar)) for t, g in zip(t_list, g_list)]
             report.rows.append(_deviation_row(family, label, devs, t_list, tol, bar))
     return report
 
@@ -389,7 +394,7 @@ class WhittakerA1:
             self._log_phi = {}
             for u in u_eval:
                 z, e = mpmath.exp(-u), mpmath.exp(a_mp * u / 2)
-                i_minus, i_plus = (mpmath.mpf((s, -wp)) for s in _bessel_sums(
+                i_minus, i_plus = (mpmath.ldexp(s, -wp) for s in _bessel_sums(
                     to_fixed(z._mpf_, wp), to_fixed(a_mp._mpf_, wp), wp))
                 phi = scale * (e * r_minus * i_minus - r_plus * i_plus / e)
                 self._log_phi[u] = float(mpmath.log(phi)) if phi > 0 else math.nan
@@ -473,27 +478,24 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     v_up, v_dn, v_up2, v_dn2 = (coeff_Vbar(datum, nu, xi)
                                 for nu in (omega, vneg(omega), alpha, vneg(alpha)))
 
-    def rel(diff, scale):   # NaN (a failed row) at scale 0; an inf scale has a NaN ratio
-        return diff / scale if scale else math.nan
-
     rows = []
     res_min = res_qmin = winv = 0.0
     for u in U_GRID:
         f0 = orac[0].value(u)
         lhs = v_up * orac[1].value(u) + v_dn * orac[-1].value(u)
         rhs = math.exp(u / 2.0) * f0
-        r1 = rel(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
+        r1 = _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
         lhs2 = v_up2 * (orac[2].value(u) - f0) + v_dn2 * (orac[-2].value(u) - f0)
         rhs2 = math.exp(u) * f0
-        r2 = rel(abs(lhs2 - rhs2), max(abs(lhs2), abs(rhs2)))
-        w = rel(abs(orac_neg.value(u) - f0), abs(f0))
+        r2 = _rel(abs(lhs2 - rhs2), max(abs(lhs2), abs(rhs2)))
+        w = _rel(abs(orac_neg.value(u) - f0), abs(f0))
         res_min, res_qmin, winv = (x if math.isnan(x) else max(m, x) for m, x in
                                    ((res_min, r1), (res_qmin, r2), (winv, w)))
         rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
     two_term = (math.gamma(a) * math.exp(0.5 * a * U_ASYM)
                 + math.gamma(-a) * math.exp(-0.5 * a * U_ASYM))
-    asym = abs(rel(orac[0].value(U_ASYM), two_term) - 1.0)
+    asym = abs(_rel(orac[0].value(U_ASYM), two_term) - 1.0)
     return RankOneWhittakerReport(zeta, orac[0].matching_radius, res_min, res_qmin,
                                   winv, asym, rows)
 

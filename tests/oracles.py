@@ -13,6 +13,10 @@ way the package did before its tables and cleared integers:
 - ``fraction_signed_product``: the BC signed-subset product, one Fraction
   operation per factor, and ``per_call_pieri_terms_bc``, the BC Pieri terms
   from it with every signed subset and shift made afresh per call;
+- ``bc_factors``, ``bc_u_factors`` and ``pieri_bc_index``: the BC factor
+  lists built per signed subset from the pairings, and BC's own index of
+  them per complement K and p, as ``nonreduced`` kept them before
+  ``diffeq.pieri_index`` served BC;
 - ``pochhammer_jacobi_poly_1d``: the rank-one terminating series with three
   Pochhammer products per term, and ``bc1_orbit_sum_in_s`` and
   ``coefficient_list_bc1_crosscheck``: m_k(s) from the coefficient list of
@@ -229,8 +233,9 @@ def fraction_signed_product(gs, subset, others, xi, pair_g):
 
 
 def per_call_pieri_terms_bc(n, gs, ell, lam, xi):
-    """The (signed subset, shifted partition, U*V) triples of
-    ``nonreduced.pieri_terms_bc``, the signed subsets, complements, shift
+    """The (signed subset, shifted partition, U*V) triples of the BC Pieri
+    identity at ell, one per surviving shift (the package's terms summed
+    over the etas of each nu), the signed subsets, complements, shift
     vectors and every product made afresh on each call, in Fractions, at xi
     (rho_g + lam for the package's terms), raising at a pole wherever the
     package does, with the pole named in slot form."""
@@ -257,6 +262,48 @@ def per_call_pieri_terms_bc(n, gs, ell, lam, xi):
                     raise InternalConsistencyError(
                         f"V did not vanish at excluded shift {sub} for lam={lam}")
     return terms
+
+
+def bc_factors(datum, nu, eta=None):
+    """V_nu's list (eta None) or U_{nu,eta}'s on the BC datum, root by root
+    from the pairings: shift 0 where nu (for U, eta on the roots orthogonal
+    to nu) pairs positively, shift 1 with g sign + (V) or - (U) where it
+    pairs 2; a root alpha with 2alpha a root has no shift-0 entry, and its
+    shift-1 entry sign +, the (-1)^p of U left outside the list."""
+    halves = set(datum.half_root_index)
+    pairs = datum.pairings(nu)
+    rows = (enumerate(pairs) if eta is None else
+            ((i, k) for i, (k, z) in enumerate(zip(datum.pairings(eta), pairs)) if z == 0))
+    out = []
+    for i, k in rows:
+        if k > 0 and i not in halves:
+            out.append((i, 0, 1))
+        if k == 2:
+            out.append((i, 1, 1 if eta is None or i in halves else -1))
+    return tuple(out)
+
+
+def bc_u_factors(datum, K, p):
+    """U_{K,p}'s lists: ``bc_factors(e_J, e_{eps I})`` per signed p-subset I
+    of K, J the complement of K."""
+    n = datum.rank
+    nu = tuple(int(k not in K) for k in range(n))
+    return tuple(bc_factors(datum, nu, sub.shift_vector(n))
+                 for I in itertools.combinations(K, p) for sub in signed_subsets(I))
+
+
+def pieri_bc_index(datum, ell):
+    """Per J of at most ell slots: (K, p, U's ``bc_u_factors``, per signed
+    subset of J its ``SignedSubset``, integer shift row and V's
+    ``bc_factors``), K the complement of J and p = ell - |J|."""
+    n, found = datum.rank, []
+    for size in range(ell + 1):
+        for J in itertools.combinations(range(n), size):
+            K = tuple(k for k in range(n) if k not in J)
+            rows = [(sub, sub.shift_vector(n)) for sub in signed_subsets(J)]
+            found.append((K, ell - size, bc_u_factors(datum, K, ell - size),
+                          tuple((sub, row, bc_factors(datum, row)) for sub, row in rows)))
+    return tuple(found)
 
 
 def pochhammer_jacobi_poly_1d(g1, g2, l, s):

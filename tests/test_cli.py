@@ -489,18 +489,21 @@ def _named_caller(frame) -> str:
 def test_campaign_walks_each_orbit_once(monkeypatch):
     # per datum, the W-orbit of a dominant label is walked once (the orbit
     # memo: 110 walks in a default campaign, where each caller walking its
-    # own made 500), and E_omega walks one parabolic orbit per (mu, omega)
-    walks, parabolic = Counter(), Counter()
+    # own made 500), and so is each parabolic orbit, which the Pieri index
+    # and E_omega share: one per (mu, omega), 27 on the reduced data, where
+    # each walking its own made 54, and 7 for BC's index at e_1 + ... + e_l
+    walks, parabolic, read = Counter(), Counter(), Counter()
     dominant_orbit, parabolic_orbit = RootDatum._dominant_orbit, RootDatum.parabolic_orbit
 
     def counting_walk(self, top, J=None):
         if J is None:
             walks[self, top] += 1
+        elif _named_caller(sys._getframe(1)) == "parabolic_orbit":
+            parabolic[self, top, tuple(J)] += 1
         return dominant_orbit(self, top, J)
 
     def counting_parabolic(self, top, l):
-        if _named_caller(sys._getframe(1)) == "expansion_labels":
-            parabolic[self, top, l] += 1
+        read[self, top, l, _named_caller(sys._getframe(1))] += 1
         return parabolic_orbit(self, top, l)
 
     monkeypatch.setattr(RootDatum, "_dominant_orbit", counting_walk)
@@ -508,9 +511,14 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
     assert cli.run_campaign(cli.CampaignConfig()).n_fail == 0
     assert set(walks.values()) == {1} and len(walks) == 110
     assert set(parabolic.values()) == {1}
-    # one per dominant mu <= omega, for each E_omega the campaign built
-    assert len(parabolic) == sum(len(datum.below_labels(top)) for datum in {d for d, *_ in walks}
-                                 for top in datum.expansion_label_memo if isinstance(top, tuple))
+    reduced = [d for d, *_ in parabolic if d.family != "BC"]
+    assert (len(reduced), len(parabolic) - len(reduced)) == (27, 7)
+    # one per dominant mu <= omega, for each E_omega the campaign built,
+    # read by both expansion_labels and stabilizer_orbits
+    assert len(reduced) == sum(len(datum.below_labels(top)) for datum in set(reduced)
+                               for top in datum.expansion_label_memo if isinstance(top, tuple))
+    assert Counter(caller for *_key, caller in read) == {
+        "expansion_labels": 27, "stabilizer_orbits": 34}
 
 
 def test_campaigns_leave_no_root_data_alive(tmp_path):

@@ -171,7 +171,7 @@ def test_pieri_index_structure(a2):
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
-                                      ("G", 2), ("F", 4), ("E", 6)])
+                                      ("G", 2), ("F", 4), ("E", 6), ("BC", 3)])
 def test_pieri_index_matches_generic_stabilizer_search(fam, rank):
     # the parabolic orbits against the generic search: for every small
     # weight, each entry's etas (order included) are the orbit of
@@ -572,11 +572,17 @@ def test_verify_pieri_requires_exact_multiplicities(a2):
                      a2.fundamental_weights[0], zero)
 
 
-def test_pieri_index_refuses_bc(bc2):
-    # V and U of this module hold for reduced systems; BC has its own
-    # coefficients in ``nonreduced``
-    with pytest.raises(ValueError, match="bc suite"):
-        pieri_index(bc2, (Q(1), Q(0)))
+def test_pieri_index_serves_bc(bc2):
+    # BC's equation at omega = e_1 reads this index: nu runs over 0 and the
+    # +-e_j, the etas of the origin are the +-e_j, and each of its U lists
+    # carries U_{K,1}'s sign (-1)^1 in its one alpha/2 entry (g sign -2)
+    index = pieri_index(bc2, (Q(1), Q(0)))
+    assert [e.nu for e in index] == sorted([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    origin, = (e for e in index if e.nu == (0, 0))
+    assert origin.etas == tuple(sorted([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    halves = set(bc2.half_root_index)
+    for eta, factors in zip(origin.etas, origin.u_factors):
+        assert [f for f in factors if f[0] in halves] == [(bc2.root_index[eta], 1, -2)]
 
 
 @pytest.mark.parametrize("system", ["b2", "g2", "d4"])

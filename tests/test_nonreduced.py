@@ -1,17 +1,20 @@
+import dataclasses
 import functools
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction as Q
+from operator import add
 
 import pytest
 
 from hodiff import nonreduced
-from hodiff.nonreduced import (SignedSubset, bc_factors, bc_multiplicities, bc_u_factors,
-                               coeff_U_Kp, coeff_V_signed, expansion_E_ell, is_partition,
-                               pieri_terms_bc, rank_one_shift_coefficient,
-                               pieri_bc_index, rearrangement_gap, signed_subsets,
-                               verify_pieri_bc)
-from hodiff.diffeq import PoleAtSpectralPoint, integer_product, pieri_residual, scaled_table
+from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp, coeff_V_signed,
+                               expansion_E_ell, is_partition, rank_one_shift_coefficient,
+                               rearrangement_gap, signed_subsets, verify_pieri_bc)
+from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index, pieri_residual,
+                           pieri_terms, term_factors)
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import build_root_system
 from hodiff.weylalg import ExpPoly, label_form
@@ -22,6 +25,21 @@ GS = (Q(3, 7), Q(5, 11), Q(9, 4))
 
 def _m(datum, gs=GS):
     return bc_multiplicities(datum, *gs)
+
+
+def _omega(n, ell):
+    # omega_ell = e_1 + ... + e_ell, the weight of E_ell's Pieri index
+    return tuple(Q(int(k < ell)) for k in range(n))
+
+
+def _bc_terms(datum, mults, ell, lam):
+    """{shifted partition lam + nu: the sum of U*V over the etas of nu} from
+    ``pieri_terms`` at omega_ell, lam a partition of Fractions."""
+    out = {}
+    for entry, _eta, c in pieri_terms(datum, mults, _omega(datum.rank, ell), datum.labels(lam)):
+        shifted = tuple(map(add, lam, entry.nu))
+        out[shifted] = out.get(shifted, 0) + c
+    return out
 
 
 def test_signed_subset_validation():
@@ -241,9 +259,9 @@ def test_bc_pieri_residual_matches_product_reference(bc2, ell, reference_residua
                                                      corrupted):
     lam = (Q(2), Q(1))
     mults = bc_multiplicities(bc2, *GS)
-    terms = pieri_terms_bc(bc2, mults, ell, lam)
     poly = jacobi_polynomial(bc2, mults, lam)
-    shifted = [(jacobi_polynomial(bc2, mults, sh), c) for _sub, sh, c in terms]
+    shifted = [(jacobi_polynomial(bc2, mults, sh), c)
+               for sh, c in _bc_terms(bc2, mults, ell, lam).items()]
     e_poly = expansion_E_ell(2, ell)
     top = bc2.labels((Q(3), Q(2)))
     assert pieri_residual(bc2, label_form(bc2, e_poly), poly, shifted, top).is_zero()
@@ -271,10 +289,11 @@ def test_signed_product_matches_fraction_reference():
 
 
 def _check_signed_products(n):
-    # every V and U coefficient, and each U list alone, against the
-    # factor-by-factor Fraction product, on random points and on the pole
-    # points (their first n coordinates, padded by 5/11): both raise, or
-    # both are equal; a raised pole names a root that is one
+    # every V and U coefficient, and each U_{nu,eta} alone (its (-1)^p
+    # inside), against the factor-by-factor Fraction product, on random
+    # points and on the pole points (their first n coordinates, padded by
+    # 5/11): both raise, or both are equal; a raised pole names a root that
+    # is one
     from oracles import fraction_signed_product
     datum, rng = build_root_system("BC", n), random.Random(f"signed-product:{n}")
     points = [(p + (Q(5, 11),) * n)[:n] for p in POLES] + [
@@ -283,7 +302,6 @@ def _check_signed_products(n):
     for xi in points:
         gs = tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(3))
         mults = bc_multiplicities(datum, *gs)
-        table = scaled_table(datum.pairings(xi), mults.factor_values)
 
         def check(got, want):
             try:
@@ -302,12 +320,13 @@ def _check_signed_products(n):
                 for sub in signed_subsets(J):
                     check(lambda: coeff_V_signed(datum, mults, sub, xi),
                           lambda: fraction_signed_product(gs, sub, K, xi, gs[0]))
+                nu = tuple(int(k in J) for k in range(n))
                 for p in range(len(K) + 1):
                     subs = [(sub, [k for k in K if k not in I])
                             for I in itertools.combinations(K, p) for sub in signed_subsets(I)]
-                    for f, (sub, rest) in zip(bc_u_factors(datum, K, p), subs, strict=True):
-                        check(lambda: Q(*integer_product(datum, f, table)),
-                              lambda: fraction_signed_product(gs, sub, rest, xi, -gs[0]))
+                    for sub, rest in subs:
+                        check(lambda: coeff_U(datum, mults, nu, sub.shift_vector(n), xi),
+                              lambda: (-1) ** p * fraction_signed_product(gs, sub, rest, xi, -gs[0]))
                     check(lambda: coeff_U_Kp(datum, mults, K, p, xi), lambda: (-1) ** p * sum(
                         fraction_signed_product(gs, sub, rest, xi, -gs[0]) for sub, rest in subs))
     # every kind of pole: e_j shifted, 2e_j, and e_j +- e_k from rank 2
@@ -316,19 +335,77 @@ def _check_signed_products(n):
 
 
 def test_bc_lists_follow_the_half_root_rule(bc2):
-    # the lists are term_factors less the shift-0 entries of e_j, with + at
-    # e_j's shift-1 entry, so e_j's shift-0 factor moves into 2e_j's m
-    from hodiff.diffeq import term_factors
+    # term_factors on BC reads the alpha/2 rule: e_j has no shift-0 entry,
+    # as that factor moves into 2e_j's m, and its U shift-1 entry reads
+    # -(1+z+g)/(1+z) (g sign -2) where the former lists kept + and put the
+    # (-1)^p outside
+    from oracles import bc_factors
     halves = {i for i in bc2.half_root_index if i is not None}
     assert {tuple(bc2.roots[i]) for i in halves} == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     nu, eta = (1, 0), (0, -1)
-    assert bc_factors(bc2, nu) == tuple(f for f in term_factors(bc2, nu)
-                                        if f[0] not in halves or f[1] == 1)
-    assert [f[1:] for f in term_factors(bc2, nu, eta) if f[0] in halves] == [(0, 1), (1, -1)]
+    assert term_factors(bc2, nu) == bc_factors(bc2, nu)
+    assert [f for f in term_factors(bc2, nu) if f[0] in halves] == [
+        (bc2.root_index[(1, 0)], 1, 1)]
+    assert [f for f in term_factors(bc2, nu, eta) if f[0] in halves] == [
+        (bc2.root_index[(0, -1)], 1, -2)]
     assert [f for f in bc_factors(bc2, nu, eta) if f[0] in halves] == [
         (bc2.root_index[(0, -1)], 1, 1)]
     assert _m(bc2).factor_values[bc2.root_index[(2, 0)]] == GS[2] + GS[1] / 2
     assert _m(bc2).factor_values[bc2.root_index[(1, 0)]] == GS[1]
+
+
+def test_coeff_v_and_u_give_the_bc_coefficients(bc2):
+    # the public coeff_V/coeff_U read a BC datum by the same rule: V of the
+    # shift e_1 is the displayed coefficient (6984972189/1124025749 when the
+    # e_1 shift-0 factor was counted next to 2e_1's m), and coeff_U over the
+    # signed p-subsets I of K sums to U_{K,p}
+    xi, mults = (Q(7, 5), Q(2, 9)), _m(bc2)
+    v = coeff_V(bc2, mults, (1, 0), xi)
+    assert v == Q(78044382, 14597737) == rank_one_shift_coefficient(2, GS, 0, xi)
+    assert v == coeff_V_signed(bc2, mults, SignedSubset((0,), (1,)), xi)
+    for K in ((0,), (1,), (0, 1)):
+        nu = tuple(int(k not in K) for k in range(2))
+        for p in range(len(K) + 1):
+            assert sum(coeff_U(bc2, mults, nu, sub.shift_vector(2), xi)
+                       for I in itertools.combinations(K, p)
+                       for sub in signed_subsets(I)) == coeff_U_Kp(bc2, mults, K, p, xi)
+
+
+def test_float_multiplicities_read_the_half_root_sign(bc2):
+    # the float path of coeff_V/coeff_U reads the alpha/2 rule as the exact
+    # one does: at the floats of GS, U_{K,1} is the float of the exact value
+    xi = (Q(7, 5), Q(2, 9))
+    floats = bc_multiplicities(bc2, *map(float, GS))
+    for nu, eta in (((0, 0), (1, 0)), ((0, 0), (0, -1)), ((1, 0), (0, 1)), ((0, 0), None)):
+        exact, got = ((coeff_V(bc2, m, nu, xi) if eta is None else coeff_U(bc2, m, nu, eta, xi))
+                      for m in (_m(bc2), floats))
+        assert math.isclose(got, float(exact), rel_tol=1e-13), (nu, eta)
+    assert coeff_U(bc2, floats, (0, 0), (1, 0), xi) < 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_index_matches_the_signed_subset_builders(n):
+    # pieri_index at omega_ell against BC's former own index, every ell: the
+    # same shifts nu = e_{eps J}, |J| <= ell; per nu the same V list; as etas
+    # nu + e_{eps I} over the signed p-subsets I of the complement K of J,
+    # p = ell - |J|; and the U lists of U_{K,p} as a multiset, each with p
+    # alpha/2 entries, which carry the (-1)^p (g sign -2 where it was +)
+    from oracles import pieri_bc_index
+    datum = build_root_system("BC", n)
+    for ell in range(1, n + 1):
+        index = {e.nu_labels: e for e in pieri_index(datum, _omega(n, ell))}
+        want = {datum.labels(row): (K, p, u, v)
+                for K, p, u, subs in pieri_bc_index(datum, ell) for _sub, row, v in subs}
+        assert index.keys() == want.keys()
+        for labels, (K, p, u, v) in want.items():
+            entry = index[labels]
+            assert entry.v_factors == v
+            assert sorted(tuple(a - b for a, b in zip(eta, entry.nu)) for eta in entry.etas) \
+                == sorted(sub.shift_vector(n) for I in itertools.combinations(K, p)
+                          for sub in signed_subsets(I))
+            assert [sum(f[2] == -2 for f in us) for us in entry.u_factors] == [p] * len(u)
+            assert Counter(tuple(f[:2] + (1,) if f[2] == -2 else f for f in us)
+                           for us in entry.u_factors) == Counter(u)
 
 
 SEEDED_GS = [tuple(Q(rng.randint(1, 12), rng.randint(2, 13)) for _ in range(3))
@@ -358,22 +435,24 @@ def test_index_terms_match_the_per_call_builder(n):
                     want = per_call_pieri_terms_bc(n, gs, ell, lam, xi)
                 except PoleAtSpectralPoint:
                     with pytest.raises(PoleAtSpectralPoint) as exc:
-                        pieri_terms_bc(datum, mults, ell, tuple(map(Q, lam)))
+                        _bc_terms(datum, mults, ell, tuple(map(Q, lam)))
                     _assert_named_pole(datum, exc.value, xi)
                     poles += 1
                 else:
-                    got = pieri_terms_bc(datum, mults, ell, tuple(map(Q, lam)))
-                    assert got == want, (gs, ell, lam)
-    assert poles and set(datum.pieri_bc_memo) == set(range(1, n + 1))
+                    got = _bc_terms(datum, mults, ell, tuple(map(Q, lam)))
+                    assert got == {sh: c for _sub, sh, c in want}, (gs, ell, lam)
+    assert poles and set(datum.index_memo) == {datum.labels(_omega(n, ell))
+                                               for ell in range(1, n + 1)}
 
 
 def _edited_index(datum, ell, edit):
-    """Replace the memoized index of ell by one with edit applied to every
-    factor list, edit(datum, factors, "u" or "v")."""
-    datum.pieri_bc_memo[ell] = tuple(
-        (K, p, tuple(edit(datum, f, "u") for f in u),
-         tuple((sub, row, edit(datum, f, "v")) for sub, row, f in subs))
-        for K, p, u, subs in pieri_bc_index(datum, ell))
+    """Replace the memoized index of omega_ell by one with edit applied to
+    every factor list, edit(datum, factors, "u" or "v")."""
+    omega = _omega(datum.rank, ell)
+    datum.index_memo[datum.labels(omega)] = tuple(
+        dataclasses.replace(e, v_factors=edit(datum, e.v_factors, "v"),
+                            u_factors=tuple(edit(datum, f, "u") for f in e.u_factors))
+        for e in pieri_index(datum, omega))
 
 
 def _halves(datum):
@@ -404,6 +483,11 @@ def _keep_half_shift0(datum, factors, _kind):
                  for g in ([(f[0], 0, 1), f] if f[0] in _halves(datum) else [f]))
 
 
+def _drop_half_sign(datum, factors, _kind):
+    # U's (-1)^p dropped: the alpha/2 entries read +(1+z+g)/(1+z)
+    return tuple((i, s, 1) if e == -2 else (i, s, e) for i, s, e in factors)
+
+
 @functools.cache
 def _intact_cache(n, ell, lam):
     """The polynomial cache of a passing run with the intact index, once per
@@ -416,11 +500,13 @@ def _intact_cache(n, ell, lam):
 CONTROL_CASES = [(2, 2, (3, 1)), (3, 2, (5, 3, 1)), (3, 3, (5, 3, 1))]
 
 
-@pytest.mark.parametrize("edit", [_flip_u_pair, _flip_v_pair, _drop_cross, _keep_half_shift0])
+@pytest.mark.parametrize("edit", [_flip_u_pair, _flip_v_pair, _drop_cross, _keep_half_shift0,
+                                  _drop_half_sign])
 @pytest.mark.parametrize("n,ell,lam", CONTROL_CASES)
 def test_edited_index_leaves_a_residual(edit, n, ell, lam):
     # negative controls on the BC pair and cross factors and on the alpha/2
-    # rule, each edited in the memoized index of a fresh datum: lam's parts
+    # rule and its sign, each edited in the memoized index of a fresh datum
+    # (``pieri_index`` at omega_ell): lam's parts
     # are 2 apart and its last is positive, so every shift is a partition
     # and no vanishing V guards the edit; the residual must be nonzero where
     # the intact index passes

@@ -161,3 +161,24 @@ def test_traced_hooks_read_what_src_provides():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert "jacobi_polynomial" in calls
     assert "jacobi_polynomial" not in diffeq.poly_cache_get.__code__.co_varnames
+
+
+def test_traced_spans_that_read_zero(tmp_path, monkeypatch):
+    # a span that a traced one-sample campaign never enters shows nothing in
+    # the per-layer metrics; these four are known (their work moved to label
+    # functions the trace does not wrap), and the list may only shrink
+    import importlib.util
+    import sys
+
+    from hodiff import cli
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", SRC.parent.parent / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)   # for its dataclass
+    spec.loader.exec_module(tracer_module)
+    with tracer_module.Tracer() as tracer:
+        assert cli.main(["verify", "--samples", "1", "--out", str(tmp_path / "r.json")]) == 0
+    zero = {name for name in tracer_module.SPAN_NAMES
+            if tracer.spans.get(name, tracer_module.SpanStats()).calls == 0}
+    assert zero == {"rootsys.saturated_map", "rootsys.stabilizer_orbit",
+                    "rootsys.stabilizer_roots", "weylalg.apply_L"}

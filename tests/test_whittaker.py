@@ -505,6 +505,53 @@ def test_vanishing_or_infinite_phi_is_a_failed_case(log_phi, monkeypatch, tmp_pa
     assert cli.main(["verify", "--suite", "whittaker", "--out", str(tmp_path / "w.json")]) == 1
 
 
+FAULTS = {"nan": lambda x: math.nan, "inf": lambda x: math.inf, "-inf": lambda x: -math.inf,
+          "zero": lambda x: 0 * x, "negative": lambda x: -1.5, "sign-flip": lambda x: -x}
+
+
+def _kernels():
+    """(owner, name, the suite that reads it, how a fault reaches its output)
+    per float kernel, patched where its suite reads it: the 0F1 sums are
+    integers, faulted one by one; limit_product's exact result as a float."""
+    import hodiff.rankone as rankone
+    import hodiff.whittaker as wh
+    scalar = lambda fault, x: fault(float(x))   # noqa: E731
+    return [(rankone, "_checked_2f1", "rankone", scalar),
+            (wh, "_bessel_sums", "whittaker", lambda fault, sums: tuple(map(fault, sums))),
+            (wh, "factor_product", "whittaker", scalar),
+            (wh, "limit_product", "whittaker", scalar),
+            (WhittakerA1, "log_value", "whittaker", scalar),
+            (wh, "ebar", "whittaker", scalar)]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("kernel", range(6), ids=["2f1", "bessel-sums", "factor-product",
+                                                  "limit-product", "log-value", "ebar"])
+def test_a_wrong_number_from_a_float_kernel_is_a_failed_case(kernel, fault, monkeypatch,
+                                                             tmp_path):
+    # each float kernel returning NaN, +-inf, 0, a negative value or its
+    # negation fails the suite that reads it: exit 1, never 0 and never 2
+    # (bad input) or a traceback
+    from hodiff import cli
+    owner, name, suite, inject = _kernels()[kernel]
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: inject(FAULTS[fault], real(*args)))
+    assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_limit_product_reads_the_half_root_sign(bc2):
+    # a BC U list's alpha/2 entry -(1+z+g)/(1+z) tends to -eta/(1+z), as a
+    # -g entry does: the exact and the float limit agree on it, and the
+    # limit holds one minus sign per such entry
+    xi, nu, eta = (Q(7, 5), Q(2, 9)), (0, 0), (1, 0)
+    factors = term_factors(bc2, nu, eta)
+    assert [f[2] for f in factors].count(-2) == 1
+    exact = limit_product(bc2, factors, xi)
+    assert float(exact) < 0
+    assert math.isclose(float(exact), limit_product(bc2, factors, tuple(map(float, xi))),
+                        rel_tol=1e-14)
+
+
 def test_rank_one_whittaker_check_detects_a_wrong_order(monkeypatch):
     # negative control: each order comes from its own series, so building
     # zeta + 1 at an order 1e-4 off must break the single-shift identity

@@ -165,18 +165,16 @@ def _evaluator(datum: RootDatum, mults: Multiplicities, xi):
     return lambda factors: factor_product(datum, factors, table, g)
 
 
-def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi,
-            perturb: str | None = None):
+def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi):
     """Product of (z+g)/z over roots with positive pairing against nu,
     times (1+z+g)/(1+z) over roots pairing exactly 2, with z = <xi,a^vee>."""
-    return _evaluator(datum, mults, xi)(perturbed(term_factors(datum, nu), perturb))
+    return _evaluator(datum, mults, xi)(term_factors(datum, nu))
 
 
-def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi,
-            perturb: str | None = None):
+def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi):
     """Like coeff_V but over the stabilizer subsystem of nu, with the sign of
     g flipped in the pairing-2 factor."""
-    return _evaluator(datum, mults, xi)(perturbed(term_factors(datum, nu, eta), perturb))
+    return _evaluator(datum, mults, xi)(term_factors(datum, nu, eta))
 
 
 @dataclass(frozen=True)

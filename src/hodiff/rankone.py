@@ -56,17 +56,17 @@ class HypergeometricParams:
         return a, b, c
 
 
-def series_2f1(a, b, c, z, tol=SERIES_TOL, max_terms=SERIES_MAX_TERMS) -> float:
+def series_2f1(a, b, c, z) -> float:
     """Plain power series; only trustworthy for |z| < 1."""
     term = 1.0
     total = 1.0
     k = 0.0   # a float counter: a + k is the same float as with an int k
-    for _ in range(max_terms):
+    for _ in range(SERIES_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
         t = abs(term)
-        # t <= tol * max(1, |total|); an overflowed total stays non-finite
-        if t <= tol or t <= tol * abs(total):
+        # t <= SERIES_TOL * max(1, |total|); an overflowed total stays non-finite
+        if t <= SERIES_TOL or t <= SERIES_TOL * abs(total):
             if not math.isfinite(total):
                 break
             # one extra term to make the stop robust near sign alternation

@@ -1,16 +1,21 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1-3 share one exact verification campaign (the same polynomials
-feed the Pieri, eigen and leading-coefficient checks).  All tolerances are
-pinned here; exact checks assert identical rational objects, never closeness.
+Criteria 1-3 and 5-10 read the ``hodiff/1`` report of the default campaign,
+``cli.run_campaign(cli.CampaignConfig())``, built once for the module: the
+report that ``hodiff verify`` writes, as ``test_report_is_what_verify_writes``
+checks.  A criterion passes on the status of its cases and reads the numbers
+it prints from their detail, so a case's pass/fail rule is written once, in
+the campaign.  All tolerances are pinned here; exact checks assert identical
+rational objects, never closeness.
 """
 
+import json
 import time
 from fractions import Fraction as Q
 
 import pytest
 
-from hodiff import cli, diffeq, whittaker
+from hodiff import cli, diffeq
 from hodiff.rootsys import build_root_system
 
 CRITERION_1_BUDGET_SECONDS = 300.0
@@ -22,44 +27,56 @@ def _line(num, ok, text):
 
 
 @pytest.fixture(scope="module")
-def pieri_campaign():
-    config = cli.CampaignConfig()  # criterion-1 systems, height 4, 3 samples
+def campaign():
+    """The default campaign's report, and the seconds it took."""
     t0 = time.perf_counter()
-    results = cli.pieri_cases(config)
-    elapsed = time.perf_counter() - t0
-    return config, results, elapsed
+    report = cli.run_campaign(cli.CampaignConfig())
+    return report, time.perf_counter() - t0
 
 
-def test_criterion_1_exact_pieri_suite(pieri_campaign):
-    config, results, elapsed = pieri_campaign
-    n = sum(len(r["reports"]) for r in results)
-    ok = all(rep.ok for r in results for rep in r["reports"])
-    systems = {r["datum"].family + str(r["datum"].rank) for r in results}
+def _cases(report, suite):
+    """The cases of report whose name starts with suite."""
+    return [c for c in report["cases"] if c["case"].startswith(suite + "/")]
+
+
+def _passed(cases):
+    return bool(cases) and all(c["status"] == "pass" for c in cases)
+
+
+def test_report_is_what_verify_writes(campaign, tmp_path):
+    report, _elapsed = campaign
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == report
+
+
+def test_criterion_1_exact_pieri_suite(campaign):
+    # the budget covers the whole campaign, of which the pieri suite is part
+    report, elapsed = campaign
+    cases = _cases(report, "pieri")
+    systems = {c["detail"]["system"] for c in cases}
     assert systems == {"A1", "A2", "A3", "B2", "C3", "D4", "G2"}
     in_budget = elapsed <= CRITERION_1_BUDGET_SECONDS
-    _line(1, ok and in_budget,
-          f"exact shift identity on {n} cases across {len(systems)} systems, "
+    _line(1, _passed(cases) and in_budget,
+          f"exact shift identity on {len(cases)} cases across {len(systems)} systems, "
           f"3 multiplicity samples, heights <= 4 ({elapsed:.1f}s)")
 
 
-def test_criterion_2_eigencheck(pieri_campaign):
-    config, results, _ = pieri_campaign
-    rows = cli.eigen_cases(config, results)
-    n_poly = len(rows)
-    ok = all(row["eigen"].ok for row in rows)
-    residuals = all(row["eigen"].residual == [] for row in rows)
-    bc_present = any(row["system"].startswith("BC") for row in rows)
+def test_criterion_2_eigencheck(campaign):
+    eigen = [c["detail"]["eigen"] for c in _cases(campaign[0], "eigen")]
+    ok = bool(eigen) and all(e["status"] == "pass" for e in eigen)
+    residuals = all(e["residual"] == [] for e in eigen)
+    bc_present = any(e["system"].startswith("BC") for e in eigen)
     _line(2, ok and residuals and bc_present,
-          f"operator eigencheck with zero residual on {n_poly} polynomials "
+          f"operator eigencheck with zero residual on {len(eigen)} polynomials "
           f"including nonreduced rank 1 and 2")
 
 
-def test_criterion_3_leading_coefficient(pieri_campaign):
-    config, results, _ = pieri_campaign
-    rows = cli.eigen_cases(config, results)
-    ok = all(row["lead_ok"] for row in rows)
+def test_criterion_3_leading_coefficient(campaign):
+    cases = _cases(campaign[0], "eigen")
+    ok = bool(cases) and all(c["detail"]["leading_matches_product"] for c in cases)
     _line(3, ok, f"recursion leading coefficient equals the closed product "
-                 f"on {len(rows)} polynomials")
+                 f"on {len(cases)} polynomials")
 
 
 def test_criterion_4_small_weight_census():
@@ -80,68 +97,69 @@ def test_criterion_4_small_weight_census():
                  f"exceptional counts {counts}")
 
 
-def test_criterion_5_nonreduced_suite():
-    config = cli.CampaignConfig()
-    results, coeff_rows = cli.bc_cases(config)
-    n = sum(len(r["reports"]) for r in results)
-    ok = all(rep.ok for r in results for rep in r["reports"])
-    covered = {(r["n"], rep.ell) for r in results for rep in r["reports"]}
-    ok &= covered == {(1, 1), (2, 1), (2, 2)}
-    ok &= all(r["rearrangement_zero"] and r["v_match"] for r in coeff_rows)
-    _line(5, ok, f"nonreduced exact shift identity on {n} cases "
-                 f"(ranks 1-2, parts <= 3, 3 samples) and rank-one "
-                 f"coefficient form at {len(coeff_rows)} spectral points")
+def test_criterion_5_nonreduced_suite(campaign):
+    cases = _cases(campaign[0], "bc")
+    *shifts, form = cases   # the rank-one coefficient form closes the suite
+    assert form["case"] == "bc/rank-one-coefficient-form"
+    covered = {(c["detail"]["n"], c["detail"]["ell"]) for c in shifts}
+    n_points = len(form["detail"]["rows"])
+    _line(5, _passed(cases) and covered == {(1, 1), (2, 1), (2, 2)},
+          f"nonreduced exact shift identity on {len(shifts)} cases "
+          f"(ranks 1-2, parts <= 3, 3 samples) and rank-one "
+          f"coefficient form at {n_points} spectral points")
 
 
-def test_criterion_6_rank_one_numeric_suite():
-    sweeps, rr_ok, bc1_ok, spot_ok = cli.rankone_cases(cli.CampaignConfig())
-    grid_ok = all(s.ok and len(s.rows) == 25 for s in sweeps)
-    worst = max(s.max_residual() for s in sweeps)
-    _line(6, grid_ok and rr_ok and bc1_ok and spot_ok,
+def test_criterion_6_rank_one_numeric_suite(campaign):
+    cases = _cases(campaign[0], "rankone")
+    sweeps = [c["detail"] for c in cases if c["case"].startswith("rankone/de-sweep/")]
+    grid_ok = len(sweeps) == 2 and all(len(s["rows"]) == 25 and s["tol"] == 1e-9
+                                       for s in sweeps)
+    worst = max(s["max_residual"] for s in sweeps)
+    _line(6, _passed(cases) and grid_ok,
           f"5x5 residual grids <= 1e-9 (worst {worst:.2e}) for 2 parameter "
           f"pairs; exact recurrence and exact nonreduced crosscheck to "
           f"degree 6; high-precision spot value matched")
 
 
-def test_criterion_7_quasi_minuscule_identity():
-    rows = cli.quasi_cases(cli.CampaignConfig())
-    ok = all(all(r["ok"] for r in row["rows"]) and row["consistency"].ok
-             and row["minuscule_ok"] for row in rows)
-    systems = sorted(row["system"] for row in rows)
-    n_points = sum(len(row["rows"]) for row in rows)
-    _line(7, ok, f"half-sum identity exact at {n_points} pole-free points "
-                 f"across {systems}")
+def test_criterion_7_quasi_minuscule_identity(campaign):
+    cases = _cases(campaign[0], "quasi")
+    systems = sorted(c["case"].split("/")[1] for c in cases)
+    n_points = sum(len(c["detail"]["points"]) for c in cases)
+    _line(7, _passed(cases), f"half-sum identity exact at {n_points} pole-free points "
+                             f"across {systems}")
 
 
-def test_criterion_8_confluence_limits():
-    reports = cli.confluence_cases(cli.CampaignConfig())
-    ok = all(rep.ok for rep in reports)
-    worst = max(d["deviation"] for rep in reports for row in rep.rows
+def test_criterion_8_confluence_limits(campaign):
+    cases = _cases(campaign[0], "confluence")
+    reports = [c["detail"] for c in cases]
+    ok = _passed(cases) and all(rep["tol"] == 1e-6 for rep in reports)
+    worst = max(d["deviation"] for rep in reports for row in rep["rows"]
                 for d in row["deviations"][-1:])
-    n_terms = sum(len(rep.rows) for rep in reports)
+    n_terms = sum(len(rep["rows"]) for rep in reports)
     _line(8, ok, f"three scaled-limit families, {n_terms} terms over "
                  f"A1/A2/B2 small weights, monotone in t and within 1e-6 "
                  f"at t=30 (worst {worst:.2e})")
 
 
-def test_criterion_9_growth_rate_identity():
-    rows = cli.homogeneity_cases(cli.CampaignConfig())
-    ok = all(row["ok"] for row in rows)
-    n_pairs = sum(len(row["pairs"]) for row in rows)
-    systems = sorted(row["system"] for row in rows)
+def test_criterion_9_growth_rate_identity(campaign):
+    cases = _cases(campaign[0], "homogeneity")
+    n_pairs = sum(len(c["detail"]["pairs"]) for c in cases)
+    systems = sorted(c["case"].split("/")[1] for c in cases)
     assert systems == ["A2", "A3", "B2", "C3", "D4", "G2"]
-    _line(9, ok, f"growth-rate identity exact (orbit-wise and at 3 samples) "
-                 f"for {n_pairs} (omega, mu) pairs across {systems}")
+    _line(9, _passed(cases), f"growth-rate identity exact (orbit-wise and at 3 samples) "
+                             f"for {n_pairs} (omega, mu) pairs across {systems}")
 
 
-def test_criterion_10_rank_one_whittaker():
-    rep = whittaker.rank_one_whittaker_check(cli.WHITTAKER_ZETA)
-    ok = rep.ok(tol_de=1e-6, tol_winv=1e-6, tol_asym=1e-4)
-    _line(10, ok,
-          f"numeric eigenfunction: shift residual {rep.max_residual_min:.2e} "
-          f"and doubled-shift residual {rep.max_residual_qmin:.2e} <= 1e-6 "
-          f"on the grid, reflection deviation {rep.winv_deviation:.2e} <= 1e-6, "
-          f"asymptotic match {rep.asymptotic_deviation:.2e} <= 1e-4")
+def test_criterion_10_rank_one_whittaker(campaign):
+    (case,) = _cases(campaign[0], "whittaker")
+    rep = case["detail"]
+    config = cli.CampaignConfig()
+    bounds = (config.tol_whittaker, config.tol_asym) == (1e-6, 1e-4)
+    _line(10, _passed([case]) and bounds,
+          f"numeric eigenfunction: shift residual {rep['max_residual_min']:.2e} "
+          f"and doubled-shift residual {rep['max_residual_qmin']:.2e} <= 1e-6 "
+          f"on the grid, reflection deviation {rep['winv_deviation']:.2e} <= 1e-6, "
+          f"asymptotic match {rep['asymptotic_deviation']:.2e} <= 1e-4")
 
 
 def test_criterion_11_negative_controls(b2):

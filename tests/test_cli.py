@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 
 from hodiff import cli, diffeq, jacobi, nonreduced
 from hodiff.diffeq import PoleAtSpectralPoint, verify_pieri
-from hodiff.rootsys import Multiplicities, RootDatum, build_root_system
+from hodiff.rootsys import Multiplicities, RootDatum, build_root_system, weight_str
 from hodiff.weylalg import InternalConsistencyError
 
 
@@ -242,12 +243,12 @@ def test_eigen_jobs_keep_the_vector_order_of_each_cache():
     # the eigen jobs of each Pieri cache, sorted by the integer key of the
     # labels, come in the order of the (multiplicities, lambda vector) keys
     config = cli.CampaignConfig(samples=3)
-    results = cli.pieri_cases(config)
+    _cases, samples = cli.pieri_cases(config)
     want = [(cli._label(res["datum"]), res["sample"], lam)
-            for res in results for (_g, lam), _poly in sorted(res["cache"].items())]
-    got = [(row["system"], row["sample"], row["lam"])
-           for row in cli.eigen_cases(config, results) if not row["system"].startswith("BC")]
-    assert got == want
+            for res in samples for (_g, lam), _poly in sorted(res["cache"].items())]
+    got = [c["case"] for c in cli.eigen_cases(config, samples)
+           if not c["case"].startswith("eigen/BC")]
+    assert got == [f"eigen/{system}/lam={weight_str(lam)}/s{s}" for system, s, lam in want]
     assert {system for system, _s, _l in want} == {f"{f}{r}" for f, r in cli.PIERI_SYSTEMS}
     assert {s for _system, s, _l in want} == {0, 1, 2}
 
@@ -393,7 +394,22 @@ def test_writer_matches_json_on_every_pinned_command(produce, tmp_path, capsys, 
     assert _emitted(payload, tmp_path, capsys) == (want, want)
 
 
+def _nonfinite_as_strings(x):
+    """x with each NaN or infinite float value as the string json.dumps
+    writes for it (NaN, Infinity, -Infinity)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return json.dumps(x)
+    if isinstance(x, dict):
+        return {k: _nonfinite_as_strings(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_nonfinite_as_strings(v) for v in x]
+    return x
+
+
 def test_writer_matches_json_on_edge_values(tmp_path, capsys):
+    # byte parity with json.dumps, save that a non-finite float value is the
+    # JSON string "NaN", "Infinity" or "-Infinity" where json.dumps writes a
+    # bare token that strict JSON lacks; a non-finite key is a string in both
     payload = {
         "empty": {}, "none": [], "nested": {"a": {}, "b": [[], {}, ()], "c": [{"d": []}]},
         "tuple": (1, "two", (3.5, None)), "ascii": "plain",
@@ -405,8 +421,11 @@ def test_writer_matches_json_on_edge_values(tmp_path, capsys):
                  {True: "bool", False: "bool"}, {None: "none"}],
     }
     for p in (payload, [], {}, 7, -0.0, float("nan"), None, [payload, (payload,)]):
-        want = _canonical(p)
+        want = _canonical(_nonfinite_as_strings(p))
         assert _emitted(p, tmp_path, capsys) == (want, want)
+    text, _stdout = _emitted(payload, tmp_path, capsys)
+    assert json.loads(text)["floats"][-3:] == ["NaN", "Infinity", "-Infinity"]
+    assert _emitted(float("-inf"), tmp_path, capsys)[0] == '"-Infinity"\n'
     for bad in (Q(1, 2), {"a": [Q(1, 2)]}, {(1, 2): 0}, {"s": {1, 2}}):
         with pytest.raises(TypeError):
             cli._emit(bad, None)
@@ -474,7 +493,7 @@ def test_campaign_builds_each_root_datum_once(monkeypatch):
         init(self, family, rank)
 
     monkeypatch.setattr(RootDatum, "__init__", counting)
-    assert cli.run_campaign(cli.CampaignConfig()).n_fail == 0
+    assert cli.run_campaign(cli.CampaignConfig())["n_fail"] == 0
     assert sorted(built) == [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("BC", 1),
                              ("BC", 2), ("C", 3), ("D", 4), ("G", 2)]
 
@@ -508,7 +527,7 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(RootDatum, "_dominant_orbit", counting_walk)
     monkeypatch.setattr(RootDatum, "parabolic_orbit", counting_parabolic)
-    assert cli.run_campaign(cli.CampaignConfig()).n_fail == 0
+    assert cli.run_campaign(cli.CampaignConfig())["n_fail"] == 0
     assert set(walks.values()) == {1} and len(walks) == 110
     assert set(parabolic.values()) == {1}
     reduced = [d for d, *_ in parabolic if d.family != "BC"]
@@ -720,17 +739,18 @@ def test_campaign_redraws_a_sample_that_hits_a_pole(monkeypatch):
     tag = f"{config.seed}:A1:0"
     assert _draw(f"{tag}:0", 1) != _draw(f"{tag}:1", 1)
     _plant_poles(monkeypatch, diffeq, "verify_pieri", every=False)
-    (res,) = cli.pieri_cases(config)
+    cases, (res,) = cli.pieri_cases(config)
     assert res["mults"].values == _draw(f"{tag}:1", 1)
-    assert all(rep.ok for rep in res["reports"])
+    assert cases and all(c["status"] == "pass" for c in cases)
 
     tag = f"{config.seed}:bc:1:0"
     assert _draw(f"{tag}:0", 3) != _draw(f"{tag}:1", 3)
-    _plant_poles(monkeypatch, nonreduced, "verify_pieri_bc", every=False)
-    results, _rows = cli.bc_cases(config)
-    assert [res["gs"] for res in results] == [
-        _draw(f"{tag}:1", 3), _draw(f"{config.seed}:bc:2:0:0", 3)]
-    assert all(rep.ok for res in results for rep in res["reports"])
+    calls = _plant_poles(monkeypatch, nonreduced, "verify_pieri_bc", every=False)
+    cases = cli.bc_cases(config)
+    # the (n, gs) of each call after the planted pole, in call order
+    assert list(dict.fromkeys(args[:2] for args in calls[1:])) == [
+        (1, _draw(f"{tag}:1", 3)), (2, _draw(f"{config.seed}:bc:2:0:0", 3))]
+    assert all(c["status"] == "pass" for c in cases if c["case"].startswith("bc/n="))
 
 
 @pytest.mark.parametrize("module,name,driver", [

@@ -169,7 +169,7 @@ def test_opdam_product_matches_fraction_reference(system):
                 if list(p) == sorted(p, reverse=True)]
         samples = []
     else:
-        (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1))
+        _cases, (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1))
         datum, lams, samples = res["datum"], [lam for _g, lam in res["cache"]], [res["mults"]]
     rng = random.Random(f"opdam:{system}")
     samples += [sample_multiplicities(datum, rng) for _ in range(3)]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -531,12 +532,19 @@ def test_a_wrong_number_from_a_float_kernel_is_a_failed_case(kernel, fault, monk
                                                              tmp_path):
     # each float kernel returning NaN, +-inf, 0, a negative value or its
     # negation fails the suite that reads it: exit 1, never 0 and never 2
-    # (bad input) or a traceback
+    # (bad input) or a traceback; the failing report is strict JSON, with
+    # no bare NaN or Infinity token
     from hodiff import cli
     owner, name, suite, inject = _kernels()[kernel]
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: inject(FAULTS[fault], real(*args)))
-    assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path / "r.json")]) == 1
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in the report")
+
+    assert json.loads(out.read_text(), parse_constant=refuse)["n_fail"] > 0
 
 
 def test_limit_product_reads_the_half_root_sign(bc2):

@@ -11,7 +11,7 @@ from .nonreduced import (SignedSubset, coeff_U_Kp, coeff_V_signed,
                          expansion_E_ell, verify_pieri_bc)
 from .rankone import (HypergeometricParams, gauss_2f1_jacobi, recurrence_rr,
                       verify_de)
-from .whittaker import (TodaCoefficients, coeff_Ubar, coeff_Vbar, g_of_t,
+from .whittaker import (coeff_Ubar, coeff_Vbar, g_of_t, multiplicities_at,
                         homogeneity_identity, rank_one_whittaker_check,
                         verify_confluence)
 
@@ -27,6 +27,6 @@ __all__ = [
     "SignedSubset", "coeff_U_Kp", "coeff_V_signed", "expansion_E_ell",
     "verify_pieri_bc",
     "HypergeometricParams", "gauss_2f1_jacobi", "recurrence_rr", "verify_de",
-    "TodaCoefficients", "coeff_Ubar", "coeff_Vbar", "g_of_t",
+    "coeff_Ubar", "coeff_Vbar", "g_of_t", "multiplicities_at",
     "homogeneity_identity", "rank_one_whittaker_check", "verify_confluence",
 ]

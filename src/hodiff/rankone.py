@@ -24,6 +24,7 @@ SERIES_TOL = 1e-15
 SERIES_MAX_TERMS = 100_000
 AGREEMENT_TOL = 1e-11
 X_MAX = 8.0   # keeps the transformed-series argument far enough from 1
+BC1_S_VALUES = (Q(1, 4), Q(5, 3), Q(7, 2))   # where bc1_crosscheck compares the two sides
 
 
 class HypergeometricError(ArithmeticError):
@@ -237,11 +238,10 @@ def de_coefficients_match_rr(g1: Q, g2: Q, l: int) -> bool:
     return up == 4 * c_up and dn == 4 * c_dn
 
 
-def bc1_crosscheck(g1: Q, g2: Q, l: int, s_values=(Q(1, 4), Q(5, 3), Q(7, 2)),
-                   datum=None) -> bool:
+def bc1_crosscheck(g1: Q, g2: Q, l: int, datum=None) -> bool:
     """The BC_1 polynomial from the general recursion agrees exactly with the
-    terminating series under the change of variable to s; datum is a BC1
-    datum, built here when not given."""
+    terminating series at each s of ``BC1_S_VALUES`` (the change of variable
+    to s); datum is a BC1 datum, built here when not given."""
     from .jacobi import jacobi_polynomial
     from .nonreduced import bc_multiplicities
     from .rootsys import build_root_system
@@ -249,7 +249,7 @@ def bc1_crosscheck(g1: Q, g2: Q, l: int, s_values=(Q(1, 4), Q(5, 3), Q(7, 2)),
     datum = datum or build_root_system("BC", 1)
     mults = bc_multiplicities(datum, Q(1), Q(g1), Q(g2))
     poly = jacobi_polynomial(datum, mults, (Q(l),))
-    for s in s_values:
+    for s in BC1_S_VALUES:
         # m_k = e^{kx} + e^{-kx} = 2 T_k(1 + 2s) by T_{k+1} = 2y T_k - T_{k-1}; m_0 = 1
         y = 1 + 2 * Q(s)
         t = [Q(1), y]

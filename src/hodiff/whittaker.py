@@ -2,8 +2,10 @@
 
 The limiting coefficients read the factor lists of ``diffeq.term_factors``
 or ``pieri_index`` and replace each (s+z+-g)/(s+z) by +-eta/(s+z) with
-eta = sqrt(2/|alpha|^2); for non-simply-laced data these etas are kept as
-exact square roots of rationals and only converted to floats at the end.
+eta = sqrt(2/|alpha|^2): each limit is one exact square root of a rational,
+a float xi read as its binary value, rounded once where a float check
+reads it.  The couplings g(t) of the strong-coupling branch come from
+``multiplicities_at``.
 The rank-one eigenfunction of the open Toda chain is evaluated from its
 closed form, the Macdonald function 2 K_zeta(2 e^{-u/2}), at extended
 precision; the difference equations are checked against it.
@@ -96,24 +98,6 @@ def eta_alpha(datum: RootDatum, alpha: Vector) -> SqrtRational:
     return SqrtRational(1, Q(2) / datum.norm_sq(alpha))
 
 
-class TodaCoefficients:
-    """Limit-side data attached to a reduced datum and a small weight."""
-
-    def __init__(self, datum: RootDatum, omega: Vector):
-        if datum.family == "BC":
-            raise ValueError("the confluent limit is defined for reduced systems")
-        self.datum = datum
-        self.omega = datum.check_dominant(omega)
-        if not datum.is_small(self.omega):
-            raise ValueError(f"{weight_str(omega)} is not small")
-        self.etas = orbit_etas(datum)
-
-    def multiplicities_at(self, t: float) -> Multiplicities:
-        """Orbit-wise g(t) on the strong-coupling branch."""
-        return Multiplicities(self.datum,
-                              [g_of_t(eta, t) for eta in self.etas])
-
-
 def _inner_float(datum: RootDatum, u, x) -> float:
     xf = [float(v) for v in x]
     if datum.gram is None:
@@ -130,6 +114,11 @@ def g_of_t(eta, t: float) -> float:
     """Positive branch g > 1 of g(g-1) = eta^2 e^t."""
     eta2 = float(eta) ** 2
     return (1.0 + math.sqrt(1.0 + 4.0 * eta2 * math.exp(t))) / 2.0
+
+
+def multiplicities_at(datum: RootDatum, t: float) -> Multiplicities:
+    """Orbit-wise g(t) on the strong-coupling branch."""
+    return Multiplicities(datum, [g_of_t(eta, t) for eta in orbit_etas(datum)])
 
 
 def orbit_etas(datum: RootDatum) -> tuple:
@@ -150,33 +139,25 @@ def limit_table(datum: RootDatum, z: tuple) -> list:
             for x, eta in zip(z, (etas[k] for k in datum.root_orbit_ids))]
 
 
-def limit_product(datum: RootDatum, factors: tuple, xi, table=None):
+def limit_product(datum: RootDatum, factors: tuple, xi, table=None) -> SqrtRational:
     """Product of +-eta/(s+z), by the sign of e, over a factor list of
-    ``diffeq.term_factors``: the g -> oo limit of each factor over g.  Exact for rational xi: one
+    ``diffeq.term_factors``: the g -> oo limit of each factor over g.  One
     SqrtRational of the integer products of a ``limit_table`` of xi (made
-    here when not given)."""
-    if table is None and all(isinstance(v, (int, Q)) for v in xi):
-        table = limit_table(datum, datum.pairings(xi))
-    etas = orbit_etas(datum)
+    here when not given), a float entry of xi read as its exact binary value."""
+    if table is None:
+        table = limit_table(datum, datum.pairings(tuple(map(Q, xi))))
     num = den = rad = 1
-    total = 1.0
     for i, s, e in factors:
-        alpha = datum.roots[i]
-        w = (table[i][s] if table is not None else
-             2.0 * _inner_float(datum, alpha, xi) / float(datum.norm_sq(alpha)) + s)
+        w = table[i][s]
         if not w:
-            raise PoleAtSpectralPoint(alpha, "1+<xi,a^vee>" if s else "<xi,a^vee>")
-        if table is not None:
-            num, den, rad = (num if e > 0 else -num) * w[0], den * w[1], rad * w[2]
-        else:
-            eta = float(etas[datum.root_orbit_ids[i]])
-            total = total * (eta if e > 0 else -eta) / w
-    return total if table is None else SqrtRational(Q(num, den), rad)
+            raise PoleAtSpectralPoint(datum.roots[i], "1+<xi,a^vee>" if s else "<xi,a^vee>")
+        num, den, rad = (num if e > 0 else -num) * w[0], den * w[1], rad * w[2]
+    return SqrtRational(Q(num, den), rad)
 
 
 def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
     """Limit shift coefficient: product of eta/z over positive pairings and
-    eta/(1+z) over pairings equal to 2.  Exact for rational xi."""
+    eta/(1+z) over pairings equal to 2, exact."""
     return limit_product(datum, term_factors(datum, nu), xi)
 
 
@@ -234,7 +215,11 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     (rho^vee is half the sum of the positive coroots), read from the
     memoized pairing row of nu's labels.
     """
-    toda = TodaCoefficients(datum, omega)
+    if datum.family == "BC":
+        raise ValueError("the confluent limit is defined for reduced systems")
+    small = datum.check_dominant(omega)
+    if not datum.is_small(small):
+        raise ValueError(f"{weight_str(omega)} is not small")
 
     def rate_of(l) -> Q:
         pairs = datum.label_pairings(l)
@@ -244,9 +229,9 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     if any(later <= earlier for earlier, later in zip(t_list, t_list[1:])):
         raise ValueError(f"t_list {list(t_list)} is not strictly increasing")
     report = ConfluenceReport(system=f"{datum.family}{datum.rank}",
-                              omega=toda.omega, t_list=t_list, tol=tol)
+                              omega=small, t_list=t_list, tol=tol)
 
-    rate_omega = rate_of(datum.labels(toda.omega))
+    rate_omega = rate_of(datum.labels(small))
     terms = [(_inner_float(datum, datum.from_labels(l), x),
               float(rate_of(l) - rate_omega), float(c))
              for l, c in expansion_labels(datum, omega).terms.items()]
@@ -261,7 +246,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
 
     z = datum.pairings(xi)
     table, limits = float_table(z), limit_table(datum, z)
-    g_list = [toda.multiplicities_at(t).root_values for t in t_list]
+    g_list = [multiplicities_at(datum, t).root_values for t in t_list]
     for entry in pieri_index(datum, omega):
         rate_plus = rate_of(entry.plus_labels)
         rate_u = float(rate_omega - rate_plus)
@@ -283,7 +268,7 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
     Inspection helper only: the constant itself overflows once t is large
     (the multiplicities grow like e^{t/2}), so it is reported in log form.
     """
-    mults = Multiplicities(datum, [g_of_t(e, t) for e in orbit_etas(datum)])
+    mults = multiplicities_at(datum, t)
     rho_pairs = datum.label_pairings(datum.rho_labels(mults))
     total = 0.0
     for i in datum.positive_indices:
@@ -427,7 +412,7 @@ class RankOneWhittakerReport:
     asymptotic_deviation: float = math.inf
     rows: list = field(default_factory=list)
 
-    def ok(self, tol_de=1e-6, tol_winv=1e-6, tol_asym=1e-4):
+    def ok(self, tol_de, tol_winv, tol_asym):
         return (self.max_residual_min <= tol_de
                 and self.max_residual_qmin <= tol_de
                 and self.winv_deviation <= tol_winv
@@ -464,7 +449,7 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     datum = datum or _a1_datum()
     omega = datum.fundamental_weights[0]
     alpha = datum.positive_roots[0]
-    xi = tuple(zeta * float(c) for c in omega)
+    xi = tuple(Q(zeta) * c for c in omega)
 
     # one oracle per distinct |zeta + s|, zeta's own first: only it is read
     # at U_ASYM (|zeta - 1| is |zeta| at zeta = 1/2)
@@ -475,7 +460,7 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     orac = {s: solved[abs(zeta + s)] for s in (-2, -1, 0, 1, 2)}
     orac_neg = solved[abs(-zeta)]
 
-    v_up, v_dn, v_up2, v_dn2 = (coeff_Vbar(datum, nu, xi)
+    v_up, v_dn, v_up2, v_dn2 = (float(coeff_Vbar(datum, nu, xi))
                                 for nu in (omega, vneg(omega), alpha, vneg(alpha)))
 
     rows = []

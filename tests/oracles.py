@@ -382,8 +382,7 @@ def stepwise_limit(datum, factors, xi):
 
 def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
     """The rows of ``whittaker.verify_confluence``, every coefficient
-    evaluated afresh at ``TodaCoefficients.multiplicities_at(t)``."""
-    toda = whittaker.TodaCoefficients(datum, omega)
+    evaluated afresh at ``whittaker.multiplicities_at(datum, t)``."""
     rv = rho_vee(datum)
     t_list = tuple(map(float, t_list))
 
@@ -406,14 +405,14 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
         rate_v = float(datum.inner(entry.nu_plus, rv))
         vbar = float(coeff_Vbar(datum, entry.nu, xi))
         devs = [abs(math.exp(-t * rate_v) * coeff_V(
-                    datum, toda.multiplicities_at(t), entry.nu, xi) - vbar) / abs(vbar)
+                    datum, whittaker.multiplicities_at(datum, t), entry.nu, xi) - vbar) / abs(vbar)
                 for t in t_list]
         rows.append(row("V", f"nu={entry.nu}", devs, vbar))
-        rate_u = float(datum.inner(toda.omega, rv) - datum.inner(entry.nu_plus, rv))
+        rate_u = float(datum.inner(omega, rv) - datum.inner(entry.nu_plus, rv))
         for eta_wt in entry.etas:
             ubar = float(coeff_Ubar(datum, entry.nu, eta_wt, xi))
             devs = [abs(math.exp(-t * rate_u) * coeff_U(
-                        datum, toda.multiplicities_at(t), entry.nu, eta_wt, xi)
+                        datum, whittaker.multiplicities_at(datum, t), entry.nu, eta_wt, xi)
                         - ubar) / abs(ubar) for t in t_list]
             rows.append(row("U", f"nu={entry.nu}, eta={eta_wt}", devs, ubar))
     return rows

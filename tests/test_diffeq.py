@@ -643,12 +643,12 @@ def test_pieri_residual_matches_reference_with_every_polynomial_corrupted(
 def test_weights_in_error_messages_print_as_p_over_q(a2, g2):
     # every refusal that names a weight prints it as (p/q,...), as the
     # report case names do, never as Fraction reprs
-    from hodiff.whittaker import TodaCoefficients, homogeneity_identity
+    from hodiff.whittaker import homogeneity_identity, verify_confluence
     omega2 = g2.fundamental_weights[1]   # pairs 3 with a coroot
     zero = (Q(0),) * g2.dim
     for refuse in (lambda: pieri_index(g2, omega2),
                    lambda: expansion_labels(g2, omega2),
-                   lambda: TodaCoefficients(g2, omega2),
+                   lambda: verify_confluence(g2, omega2, zero, (0.0,) * g2.dim),
                    lambda: homogeneity_identity(g2, omega2, zero)):
         with pytest.raises(ValueError) as exc:
             refuse()

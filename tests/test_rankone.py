@@ -223,16 +223,17 @@ ORACLE_PAIRS = ((Q(1, 2), Q(1, 3)), (Q(3, 7), Q(9, 4)), (Q(5, 11), Q(9, 4)),
 ORACLE_S = (Q(1, 4), Q(5, 3), Q(7, 2), Q(-3, 8))
 
 
-def test_series_and_crosscheck_match_the_pochhammer_oracle(bc1):
+def test_series_and_crosscheck_match_the_pochhammer_oracle(bc1, monkeypatch):
     # the ratio series equals the Pochhammer sum, and the cross-check on the
     # value recurrence of m_k(s) holds where the one on the Chebyshev
-    # coefficient lists does, exactly, for l <= 12
+    # coefficient lists does, exactly, for l <= 12, at ORACLE_S
+    monkeypatch.setattr(rankone, "BC1_S_VALUES", ORACLE_S)
     for g1, g2 in ORACLE_PAIRS:
         for l in range(-1, 13):
             for s in ORACLE_S:
                 assert jacobi_poly_1d(g1, g2, l, s) == pochhammer_jacobi_poly_1d(g1, g2, l, s)
         for l in range(13):
-            assert bc1_crosscheck(g1, g2, l, ORACLE_S, datum=bc1)
+            assert bc1_crosscheck(g1, g2, l, datum=bc1)
             assert coefficient_list_bc1_crosscheck(g1, g2, l, ORACLE_S, bc1)
 
 

@@ -13,15 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hodiff
+from hodiff.cli import CampaignConfig
 from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, pieri_index,
                            sample_multiplicities, term_factors)
 from hodiff.rootsys import vadd, vneg
-from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, TodaCoefficients, WhittakerA1,
+from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, WhittakerA1,
                               coeff_Ubar, coeff_Vbar, ebar,
                               eta_alpha, g_of_t, homogeneity_gap, limit_product,
-                              homogeneity_identity, limit_table, rank_one_whittaker_check,
-                              verify_confluence)
+                              homogeneity_identity, limit_table, multiplicities_at,
+                              rank_one_whittaker_check, verify_confluence)
 from oracles import multiplicity_of, rho_vee, vscale
+
+# the campaign's bounds on a rank-one report, in the order RankOneWhittakerReport.ok reads them
+RANK_ONE_TOLS = (CampaignConfig.tol_whittaker, CampaignConfig.tol_whittaker,
+                 CampaignConfig.tol_asym)
 
 
 def rational(s: SqrtRational) -> Q:
@@ -92,9 +97,23 @@ def test_vbar_depends_only_on_pairings(a2):
 
 
 def test_vbar_float_path(a1):
+    # a float xi is read as the rational it is, so each limit is exact and
+    # its float the correctly rounded value (0.8403361344537816 at zeta = 0.7)
     w = a1.fundamental_weights[0]
-    xi = tuple(0.65 * float(c) for c in w)
-    assert abs(coeff_Vbar(a1, w, xi) - 1 / 0.65) < 1e-12
+    alpha = a1.positive_roots[0]
+    for zeta in (0.65, 0.7, 1.7):
+        z = Q(zeta)
+        xi = tuple(zeta * float(c) for c in w)
+        assert coeff_Vbar(a1, w, xi) == 1 / z
+        assert float(coeff_Vbar(a1, alpha, xi)) == float(1 / (z * (1 + z))), zeta
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vbar_refuses_a_non_finite_xi(a1, bad):
+    # a NaN or infinite entry has no rational value to read
+    w = a1.fundamental_weights[0]
+    with pytest.raises((ValueError, ArithmeticError)):
+        coeff_Vbar(a1, w, (bad, 0.0))
 
 
 def test_g_of_t_branch_and_relation():
@@ -117,15 +136,14 @@ def test_ebar_values(a2):
     assert abs(ebar(a2, w1, x) - math.e) < 1e-12
 
 
-def test_toda_coefficients_guards(a2, bc2, g2):
-    with pytest.raises(ValueError):
-        TodaCoefficients(bc2, (Q(1), Q(0)))
+def test_confluence_guards_and_multiplicities_at(a2, bc2, g2):
+    with pytest.raises(ValueError, match="^the confluent limit is defined for reduced systems$"):
+        verify_confluence(bc2, (Q(1), Q(0)), (Q(1, 3), Q(1, 5)), (0.1, 0.2))
     long_fund = [w for w in g2.fundamental_weights
                  if w not in g2.small_fundamental_weights()][0]
-    with pytest.raises(ValueError):
-        TodaCoefficients(g2, long_fund)
-    toda = TodaCoefficients(a2, a2.fundamental_weights[0])
-    m = toda.multiplicities_at(10.0)
+    with pytest.raises(ValueError, match=r" is not small$"):
+        verify_confluence(g2, long_fund, (Q(1, 3),) * g2.dim, (0.1,) * g2.dim)
+    m = multiplicities_at(a2, 10.0)
     assert all(v > 1 for v in m.values)
 
 
@@ -202,7 +220,6 @@ def test_confluence_rows_equal_the_per_t_path(request):
             assert rep.ok
             assert rep.rows == per_t_confluence_rows(datum, omega, xi, x, t_list)
             checked += len(rep.rows)
-        toda = TodaCoefficients(datum, omega)
         for entry in pieri_index(datum, omega):
             lists = (entry.v_factors,) + entry.u_factors
             assert lists == ((term_factors(datum, entry.nu),) + tuple(
@@ -211,7 +228,7 @@ def test_confluence_rows_equal_the_per_t_path(request):
                 assert limit_product(datum, factors, xi) == stepwise_limit(
                     datum, factors, xi)
                 for t in FINE_T:
-                    g = toda.multiplicities_at(t).root_values
+                    g = multiplicities_at(datum, t).root_values
                     assert (factor_product(datum, factors, float_table(datum.pairings(xi)), g)
                             == fraction_factor_product(datum, factors, xi, g))
     assert checked > 100
@@ -258,7 +275,7 @@ def test_confluence_limit_poles_name_the_factor(request):
         grid = itertools.product((-2, -1, Q(-1, 2), Q(1, 2), 1), repeat=datum.rank)
         points = [datum.weight_from_fundamental(labels) for labels in grid]
         points = [xi for xi in points if {0, -1} & set(datum.pairings(xi))][:4]
-        g = TodaCoefficients(datum, omega).multiplicities_at(10.0).root_values
+        g = multiplicities_at(datum, 10.0).root_values
         lists = _factor_lists(datum, omega)
         for xi in points:
             table = limit_table(datum, datum.pairings(xi))
@@ -462,13 +479,13 @@ def test_whittaker_oracle_tests_catch_a_moved_pochhammer_step(monkeypatch):
             _assert_log_phi_is_hyp0f1([0.3, 0.7, 2.3])
         with pytest.raises(AssertionError):
             test_whittaker_oracle_correctly_rounded()
-        assert not rank_one_whittaker_check(1.3).ok()
+        assert not rank_one_whittaker_check(1.3).ok(*RANK_ONE_TOLS)
     with monkeypatch.context() as mp:
         mp.setattr(wh, "_bessel_sums", _pochhammer_moved(2.3))
         rep = rank_one_whittaker_check(1.3)
     assert rep.max_residual_min > 1e-6
-    assert not rep.ok()
-    assert rank_one_whittaker_check(1.3).ok()
+    assert not rep.ok(*RANK_ONE_TOLS)
+    assert rank_one_whittaker_check(1.3).ok(*RANK_ONE_TOLS)
 
 
 @pytest.mark.parametrize("wrong", ["second-tripled", "first-zero"])
@@ -488,7 +505,7 @@ def test_non_positive_phi_is_a_failed_case(wrong, monkeypatch, tmp_path):
     assert any(math.isnan(WhittakerA1(zeta, U_GRID).log_value(u))
                for zeta in (0.3, 0.7, 2.3, 3.3) for u in U_GRID)
     rep = rank_one_whittaker_check(1.3)
-    assert math.isnan(rep.max_residual_min) and not rep.ok()
+    assert math.isnan(rep.max_residual_min) and not rep.ok(*RANK_ONE_TOLS)
     assert cli.main(["verify", "--suite", "whittaker", "--out", str(tmp_path / "w.json")]) == 1
 
 
@@ -502,7 +519,7 @@ def test_vanishing_or_infinite_phi_is_a_failed_case(log_phi, monkeypatch, tmp_pa
     rep = rank_one_whittaker_check(1.3)
     assert all(math.isnan(row["residual_min"]) and math.isnan(row["residual_qmin"])
                for row in rep.rows)
-    assert math.isnan(rep.winv_deviation) and not rep.ok()
+    assert math.isnan(rep.winv_deviation) and not rep.ok(*RANK_ONE_TOLS)
     assert cli.main(["verify", "--suite", "whittaker", "--out", str(tmp_path / "w.json")]) == 1
 
 
@@ -549,14 +566,14 @@ def test_a_wrong_number_from_a_float_kernel_is_a_failed_case(kernel, fault, monk
 
 def test_limit_product_reads_the_half_root_sign(bc2):
     # a BC U list's alpha/2 entry -(1+z+g)/(1+z) tends to -eta/(1+z), as a
-    # -g entry does: the exact and the float limit agree on it, and the
-    # limit holds one minus sign per such entry
+    # -g entry does: the limits at xi and at xi's floats agree on it, and
+    # the limit holds one minus sign per such entry
     xi, nu, eta = (Q(7, 5), Q(2, 9)), (0, 0), (1, 0)
     factors = term_factors(bc2, nu, eta)
     assert [f[2] for f in factors].count(-2) == 1
     exact = limit_product(bc2, factors, xi)
     assert float(exact) < 0
-    assert math.isclose(float(exact), limit_product(bc2, factors, tuple(map(float, xi))),
+    assert math.isclose(float(exact), float(limit_product(bc2, factors, tuple(map(float, xi)))),
                         rel_tol=1e-14)
 
 
@@ -571,11 +588,11 @@ def test_rank_one_whittaker_check_detects_a_wrong_order(monkeypatch):
                 zeta = abs(zeta) + 1e-4
             super().__init__(zeta, points)
 
-    assert rank_one_whittaker_check(1.3).ok()
+    assert rank_one_whittaker_check(1.3).ok(*RANK_ONE_TOLS)
     monkeypatch.setattr(wh, "WhittakerA1", WrongOrder)
     rep = rank_one_whittaker_check(1.3)
     assert rep.max_residual_min > 1e-6
-    assert not rep.ok()
+    assert not rep.ok(*RANK_ONE_TOLS)
 
 
 def _ode_reference(zeta, points, u_seed=-8.0, u_match=50.0):
@@ -638,8 +655,7 @@ def test_log_normalization_helpers(a2):
     from hodiff.whittaker import log_normalization_constant
     # small t keeps everything in double range: compare with direct gammas
     t = -2.0
-    toda = TodaCoefficients(a2, a2.fundamental_weights[0])
-    mults = toda.multiplicities_at(t)
+    mults = multiplicities_at(a2, t)
     rho = a2.rho(mults)
     direct = 1.0
     for alpha in a2.positive_roots:
@@ -668,7 +684,7 @@ def test_rank_one_whittaker_report(monkeypatch):
     assert rep.max_residual_qmin <= 1e-6
     assert rep.winv_deviation <= 1e-6
     assert rep.asymptotic_deviation <= 1e-4
-    assert rep.ok()
+    assert rep.ok(*RANK_ONE_TOLS)
     assert rep.matching_radius == 50.0
 
 
@@ -678,7 +694,7 @@ def test_rank_one_whittaker_small_zeta(zeta):
     # U_ASYM: the asymptotic check must use the two-term form
     rep = rank_one_whittaker_check(zeta)
     assert rep.asymptotic_deviation <= 1e-5
-    assert rep.ok()
+    assert rep.ok(*RANK_ONE_TOLS)
 
 
 @pytest.mark.parametrize("zeta", [0.95, 1.05, 2.95])
@@ -687,7 +703,7 @@ def test_rank_one_whittaker_at_the_guard(zeta):
     # oracle is finite there and the guard on zeta allows for the rounding
     rep = rank_one_whittaker_check(zeta)
     assert rep.asymptotic_deviation <= 1e-4
-    assert rep.ok()
+    assert rep.ok(*RANK_ONE_TOLS)
 
 
 def _clear_of_integers(zeta):
@@ -698,4 +714,4 @@ def _clear_of_integers(zeta):
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(st.floats(0.1, 4.0).filter(_clear_of_integers))
 def test_rank_one_whittaker_check_property(zeta):
-    assert rank_one_whittaker_check(zeta).ok()
+    assert rank_one_whittaker_check(zeta).ok(*RANK_ONE_TOLS)

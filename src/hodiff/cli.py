@@ -53,7 +53,7 @@ MAX_SAMPLES = 10
 SUITE_READS = {
     "pieri": ("--height", "--samples", "--seed", "--perturb"),
     "eigen": ("--height", "--samples", "--seed"),
-    "bc": ("--samples", "--seed"),
+    "bc": ("--samples", "--seed", "--perturb"),
     "quasi": ("--seed",),
     "whittaker": ("--seed",),
     "rankone": (),
@@ -182,26 +182,32 @@ def eigen_cases(config: CampaignConfig, samples: list, data: dict | None = None)
 
 def bc_cases(config: CampaignConfig, data: dict | None = None):
     """Nonreduced exact Pieri: rank 1 at ell=1 and rank 2 at ell=1,2 over all
-    partitions with first part at most 3, for each multiplicity sample."""
+    partitions with first part at most 3, for each multiplicity sample
+    (g, g1, g2), which each case's detail records (BC1 has no g orbit).
+    --perturb edits the factor lists as in the pieri suite; u-sign is blind
+    at ell = 1, whose U lists hold only the alpha/2 entries it leaves alone,
+    so under it only the ell = 2 cases fail."""
     cases = []
-    jobs = [(1, (1,)), (2, (1, 2))]
-    parts = {1: [(a,) for a in range(4)],
-             2: [(a, b) for a in range(4) for b in range(a + 1)]}
-    for n, ells in jobs:
+    parts = {1: [(Q(a),) for a in range(4)],
+             2: [(Q(a), Q(b)) for a in range(4) for b in range(a + 1)]}
+    for n, ells in ((1, (1,)), (2, (1, 2))):
         datum = _datum(data, "BC", n)
 
-        def run(gs, _n=n, _d=datum, _e=ells):
-            cache = {}   # fresh per attempt, as in pieri_cases
-            return [nonreduced.verify_pieri_bc(_n, gs, ell, lam, cache=cache, datum=_d)
-                    for ell in _e for lam in parts[_n]]
+        def run(gs, _d=datum, _e=ells):
+            # fresh cache per attempt, as in pieri_cases
+            mults, cache = nonreduced.bc_multiplicities(_d, *gs), {}
+            return [nonreduced.verify_pieri_bc(_d, mults, ell, lam,
+                                               perturb=config.perturb, cache=cache)
+                    for ell in _e for lam in parts[_d.rank]]
 
         for s in range(config.samples):
-            _gs, reports = _sample_with_retry(
+            gs, reports = _sample_with_retry(
                 f"{config.seed}:bc:{n}:{s}",
                 lambda rng: tuple(Q(rng.randint(1, 12), rng.randint(2, 13))
                                   for _ in range(3)), run)
+            drawn = dict(zip(("g", "g1", "g2"), map(str, gs)))
             cases += [_case(f"bc/n={rep.n}/ell={rep.ell}/lam={weight_str(rep.lam)}/s{s}",
-                            rep.ok, rep.to_dict()) for rep in reports]
+                            rep.ok, {**rep.to_dict(), **drawn}) for rep in reports]
     # rank-one coefficient match with the displayed single-shift form
     rows = []
     rng = random.Random(f"{config.seed}:bc-j1")

@@ -4,8 +4,10 @@ On the BC_n datum (g on e_j +- e_k, g1 on e_j, g2 on 2e_j) the coefficients
 are the reduced ones, ``diffeq.coeff_V``/``coeff_U`` read with
 m_a = g_a + g_{a/2}/2 (``Multiplicities.factor_values``) by the alpha/2 rule
 of ``diffeq.term_factors``, and the Pieri terms at omega = e_1 + ... + e_l
-are those of ``diffeq.pieri_index``, checked against E_l.  The
-hyperoctahedral Jacobi polynomials come from the generic recursion applied
+are those of ``diffeq.pieri_index``, checked against E_l by
+``verify_pieri_bc``, which takes what ``diffeq.verify_pieri`` takes: the
+datum, multiplicities (``bc_multiplicities``) and a negative-control edit.
+The hyperoctahedral Jacobi polynomials come from the generic recursion applied
 to the BC datum, whose operator contains both the e_j and 2e_j strings.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_check
-from .rootsys import Multiplicities, RootDatum, build_root_system
+from .rootsys import Multiplicities, RootDatum
 from .weylalg import ExpPoly, exp_to_json, label_form
 
 
@@ -90,19 +92,11 @@ def bc_multiplicities(datum: RootDatum, g, g1, g2) -> Multiplicities:
                                   for orbit in datum.root_orbits])
 
 
-def is_partition(v) -> bool:
-    return all(x.denominator == 1 for x in v) and \
-        all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and v[-1] >= 0
-
-
 @dataclass
 class BcPieriReport:
     n: int
     ell: int
     lam: tuple
-    g: Q
-    g1: Q
-    g2: Q
     ok: bool
     n_terms: int
     residual: list = field(default_factory=list)
@@ -110,34 +104,26 @@ class BcPieriReport:
     def to_dict(self):
         return {"n": self.n, "ell": self.ell,
                 "lambda": [str(x) for x in self.lam],
-                "g": str(self.g), "g1": str(self.g1), "g2": str(self.g2),
                 "status": "pass" if self.ok else "fail",
                 "n_terms": self.n_terms, "residual": self.residual}
 
 
-def verify_pieri_bc(n: int, gs, ell: int, lam, cache: dict | None = None,
-                    datum: RootDatum | None = None) -> BcPieriReport:
-    """Exact Pieri identity for the nonreduced system at xi_j = rho_j + lam_j:
-    ``diffeq.pieri_check`` of omega = e_1 + ... + e_ell against E_ell, whose
-    ``LabelForm`` is memoized on the datum under ell (an int, so apart from
-    the label tuples of ``expansion_labels``); n_terms counts the surviving
-    shifts nu.  cache also keeps the multiplicities of gs under (n, gs),
-    with rho_g memoized on them."""
-    gs = tuple(Q(x) for x in gs)
-    lam = tuple(Q(x) for x in lam)
-    cache = {} if cache is None else cache
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
-    datum = datum or build_root_system("BC", n)
-    mults = cache.get((n, gs))
-    if mults is None:
-        mults = cache[n, gs] = bc_multiplicities(datum, *gs)
+def verify_pieri_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam,
+                    perturb: str | None = None, cache: dict | None = None) -> BcPieriReport:
+    """Exact Pieri identity for the nonreduced system at xi = rho_g + lam, as
+    ``diffeq.verify_pieri``: ``pieri_check`` of omega = e_1 + ... + e_ell
+    against E_ell, whose ``LabelForm`` is memoized on the datum under ell
+    (an int, so apart from the label tuples of ``expansion_labels``), and
+    lam must be dominant (a partition).  n_terms counts the surviving shifts
+    nu.  cache defaults to a dict local to the call."""
+    n = datum.rank
     e_form = datum.expansion_label_memo.get(ell)
     if e_form is None:
         e_form = datum.expansion_label_memo[ell] = label_form(datum, expansion_E_ell(n, ell))
     omega = tuple(Q(int(k < ell)) for k in range(n))
-    terms, residual = pieri_check(datum, mults, omega, lam, e_form, None, cache)
-    return BcPieriReport(n, ell, lam, *gs, ok=residual.is_zero(),
+    terms, residual = pieri_check(datum, mults, omega, lam, e_form, perturb,
+                                  {} if cache is None else cache)
+    return BcPieriReport(n, ell, lam, ok=residual.is_zero(),
                          n_terms=len({e.nu_labels for e, _eta, _c in terms}),
                          residual=exp_to_json(residual))
 

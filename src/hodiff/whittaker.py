@@ -209,17 +209,20 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     eta/z products, and the U products against their signed limits; each
     with the exponential rescaling by the dominant growth rate.  Deviations
     must decrease along t_list, which must increase strictly, and end below
-    tol.  xi is rational: the factor lists of ``pieri_index`` are evaluated
-    on one ``float_table`` of its pairings, at g(t) formed once per t.  The
-    growth rate <nu, rho^vee> is half the sum of nu's positive-root pairings
-    (rho^vee is half the sum of the positive coroots), read from the
-    memoized pairing row of nu's labels.
+    tol; the base point x has ``datum.dim`` coordinates.  The factor lists
+    of ``pieri_index`` are evaluated on one ``float_table`` of xi's exact
+    pairings (a float entry read as its binary value, as ``limit_product``
+    reads it), at g(t) formed once per t.  The growth rate <nu, rho^vee> is
+    half the sum of nu's positive-root pairings (rho^vee is half the sum of
+    the positive coroots), read from the memoized pairing row of nu's labels.
     """
     if datum.family == "BC":
         raise ValueError("the confluent limit is defined for reduced systems")
     small = datum.check_dominant(omega)
     if not datum.is_small(small):
         raise ValueError(f"{weight_str(omega)} is not small")
+    if len(x) != datum.dim:
+        raise ValueError(f"x: need {datum.dim} base-point coordinates, got {len(x)}")
 
     def rate_of(l) -> Q:
         pairs = datum.label_pairings(l)
@@ -244,6 +247,8 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         devs.append(_rel(abs(val - limit), abs(limit)))
     report.rows.append(_deviation_row("E", "E_omega", devs, t_list, tol, limit))
 
+    if not all(isinstance(v, (int, Q)) for v in xi):   # a datum-made xi keeps its identity
+        xi = tuple(map(Q, xi))
     z = datum.pairings(xi)
     table, limits = float_table(z), limit_table(datum, z)
     g_list = [multiplicities_at(datum, t).root_values for t in t_list]

@@ -12,7 +12,9 @@ way the package did before its tables and cleared integers:
   operation per factor, with alpha/2 looked up by its vector;
 - ``fraction_signed_product``: the BC signed-subset product, one Fraction
   operation per factor, and ``per_call_pieri_terms_bc``, the BC Pieri terms
-  from it with every signed subset and shift made afresh per call;
+  from it with every signed subset and shift made afresh per call, a shift
+  kept when ``is_partition`` (the partition test ``nonreduced`` made before
+  ``verify_pieri_bc`` took a dominant lambda) holds;
 - ``bc_factors``, ``bc_u_factors`` and ``pieri_bc_index``: the BC factor
   lists built per signed subset from the pairings, and BC's own index of
   them per complement K and p, as ``nonreduced`` kept them before
@@ -82,7 +84,7 @@ from hodiff import whittaker
 from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, integer_product, perturbed,
                            pieri_index, scaled_table)
 from hodiff.jacobi import jacobi_polynomial
-from hodiff.nonreduced import SignedSubset, bc_multiplicities, is_partition, signed_subsets
+from hodiff.nonreduced import SignedSubset, bc_multiplicities, signed_subsets
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
 from hodiff.rootsys import Multiplicities, vadd, weight_str
@@ -230,6 +232,12 @@ def fraction_signed_product(gs, subset, others, xi, pair_g):
         total *= (u + g) / _check_den(u, "eps_j xi_j + eps_j' xi_j'")
         total *= (1 + u + pair_g) / _check_den(1 + u, "1 + eps_j xi_j + eps_j' xi_j'")
     return total
+
+
+def is_partition(v) -> bool:
+    """v has integer parts that weakly decrease to a last part >= 0."""
+    return all(x.denominator == 1 for x in v) and \
+        all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and v[-1] >= 0
 
 
 def per_call_pieri_terms_bc(n, gs, ell, lam, xi):

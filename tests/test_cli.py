@@ -281,9 +281,13 @@ def _pieri_report(family, rank, i, g, ok, perturb=None):
 
 
 def _bc_reports(n, lam, gs):
-    # verify_pieri_bc on BC_n at lam for every ell
+    # verify_pieri_bc on BC_n at lam for every ell, each report with the
+    # (g, g1, g2) it was run at, as the bc suite writes it
     def produce(_tmp_path):
-        reports = [nonreduced.verify_pieri_bc(n, gs, ell, lam).to_dict()
+        datum = build_root_system("BC", n)
+        mults, drawn = nonreduced.bc_multiplicities(datum, *gs), dict(
+            zip(("g", "g1", "g2"), map(str, gs)))
+        reports = [{**nonreduced.verify_pieri_bc(datum, mults, ell, lam).to_dict(), **drawn}
                    for ell in range(1, n + 1)]
         assert all(r["status"] == "pass" for r in reports)
         return json.dumps(reports, sort_keys=True).encode()
@@ -645,7 +649,7 @@ SUITES = ("pieri", "eigen", "bc", "quasi", "whittaker", "rankone")
 OPTION_VALUES = {"--height": "0", "--samples": "1", "--seed": "3", "--perturb": "u-sign"}
 READS = {("pieri", "--height"), ("pieri", "--samples"), ("pieri", "--seed"),
          ("pieri", "--perturb"), ("eigen", "--height"), ("eigen", "--samples"),
-         ("eigen", "--seed"), ("bc", "--samples"), ("bc", "--seed"),
+         ("eigen", "--seed"), ("bc", "--samples"), ("bc", "--seed"), ("bc", "--perturb"),
          ("quasi", "--seed"), ("whittaker", "--seed")}
 GRID = [(suite, option) for suite in SUITES for option in OPTION_VALUES]
 IGNORED = [(["--suite", suite, option, OPTION_VALUES[option]], option)
@@ -653,14 +657,13 @@ IGNORED = [(["--suite", suite, option, OPTION_VALUES[option]], option)
 
 
 @pytest.mark.parametrize("args,option", [
-    (["--suite", "bc", "--perturb", "u-sign"], "--perturb"),
     (["--suite", "eigen,quasi", "--perturb", "v-drop-pairing2"], "--perturb"),
     (["--suite", "bc,rankone", "--height", "2"], "--height"),
     (["--suite", "rankone", "--samples", "5", "--seed", "3"], "--samples"),
     (["--suite", "rankone", "--seed", "3"], "--seed"),
     (["--suite", "quasi,whittaker", "--samples", "2"], "--samples"),
     (["--suite", "quasi", "--samples", "1", "--seed", "3"], "--samples"),
-] + IGNORED, ids=["perturb-bc", "perturb-eigen", "height-bc", "samples-rankone",
+] + IGNORED, ids=["perturb-eigen", "height-bc", "samples-rankone",
                   "seed-rankone", "samples-quasi-whittaker", "samples-quasi"]
    + [f"{args[1]}{option}" for args, option in IGNORED])
 def test_options_a_selection_ignores_are_rejected(args, option, capsys):
@@ -684,12 +687,33 @@ def test_options_a_selection_ignores_are_rejected(args, option, capsys):
 def test_options_a_selected_suite_reads_are_accepted(args, tmp_path):
     # quasi draws its points from --seed; bc reads both options.  Each grid
     # case also passes the smallest --samples and --height its suite reads;
-    # a perturbed pieri campaign runs and fails its checks: exit 1
+    # a perturbed pieri or bc campaign runs and fails its checks: exit 1
     for option in ("--samples", "--height"):
         if (args[1], option) in READS and option not in args:
             args = args + [option, OPTION_VALUES[option]]
     code = 1 if "--perturb" in args else 0
     assert run(["verify", *args, "--out", str(tmp_path / "r.json")]) == code
+
+
+@pytest.mark.parametrize("perturb,failing", [
+    ("v-drop-pairing2", {"n=1/ell=1", "n=2/ell=1", "n=2/ell=2"}),
+    ("u-sign", {"n=2/ell=2"}),
+], ids=["v-drop-pairing2", "u-sign"])
+def test_bc_suite_negative_controls_fail(perturb, failing, tmp_path):
+    # the BC pair factors get a control that must fail: v-drop-pairing2 fails
+    # every Pieri case; u-sign only those at ell = 2, as the ell = 1 U lists
+    # hold only the alpha/2 entries it leaves alone.  The coefficient rows do
+    # not read --perturb and pass
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "bc", "--perturb", perturb, "--out", str(out)]) == 1
+    cases = json.loads(out.read_text())["cases"]
+    pieri = [c for c in cases if c["case"].startswith("bc/n=")]
+    assert len(pieri) == 3 * (4 + 20)
+    assert {"/".join(c["case"].split("/")[1:3]) for c in pieri
+            if c["status"] == "fail"} == failing
+    assert all(c["status"] == "pass" for c in pieri
+               if "/".join(c["case"].split("/")[1:3]) not in failing)
+    assert [c["status"] for c in cases if c not in pieri] == ["pass"]
 
 
 @pytest.mark.parametrize("error,code", [
@@ -744,13 +768,19 @@ def test_campaign_redraws_a_sample_that_hits_a_pole(monkeypatch):
     assert cases and all(c["status"] == "pass" for c in cases)
 
     tag = f"{config.seed}:bc:1:0"
-    assert _draw(f"{tag}:0", 3) != _draw(f"{tag}:1", 3)
+    draws = {1: _draw(f"{tag}:1", 3), 2: _draw(f"{config.seed}:bc:2:0:0", 3)}
+    assert _draw(f"{tag}:0", 3)[1:] != draws[1][1:]   # BC1 reads (g1, g2) only
     calls = _plant_poles(monkeypatch, nonreduced, "verify_pieri_bc", every=False)
     cases = cli.bc_cases(config)
-    # the (n, gs) of each call after the planted pole, in call order
-    assert list(dict.fromkeys(args[:2] for args in calls[1:])) == [
-        (1, _draw(f"{tag}:1", 3)), (2, _draw(f"{config.seed}:bc:2:0:0", 3))]
-    assert all(c["status"] == "pass" for c in cases if c["case"].startswith("bc/n="))
+    # the rank and multiplicities of each call after the planted pole, in
+    # call order, and the (g, g1, g2) each case's detail records
+    bc = {n: build_root_system("BC", n) for n in draws}
+    assert list(dict.fromkeys((args[0].rank, args[1].values) for args in calls[1:])) == [
+        (n, nonreduced.bc_multiplicities(bc[n], *gs).values) for n, gs in draws.items()]
+    pieri = [c for c in cases if c["case"].startswith("bc/n=")]
+    assert all(c["status"] == "pass" for c in pieri)
+    assert {(c["detail"]["n"], tuple(c["detail"][k] for k in ("g", "g1", "g2")))
+            for c in pieri} == {(n, tuple(map(str, gs))) for n, gs in draws.items()}
 
 
 @pytest.mark.parametrize("module,name,driver", [

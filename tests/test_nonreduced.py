@@ -9,9 +9,9 @@ from operator import add
 
 import pytest
 
-from hodiff import nonreduced
+from hodiff import cli, nonreduced
 from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp, coeff_V_signed,
-                               expansion_E_ell, is_partition, rank_one_shift_coefficient,
+                               expansion_E_ell, rank_one_shift_coefficient,
                                rearrangement_gap, signed_subsets, verify_pieri_bc)
 from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index, pieri_residual,
                            pieri_terms, term_factors)
@@ -196,18 +196,22 @@ def test_pole_messages_name_the_root(bc2, xi, root, which):
         assert str(got.value) == message
 
 
-def test_partition_check():
-    assert is_partition((Q(3), Q(1), Q(0)))
-    assert not is_partition((Q(1), Q(2)))
-    assert not is_partition((Q(1), Q(-1)))
-    assert not is_partition((Q(3, 2), Q(0)))
-    with pytest.raises(ValueError):
-        verify_pieri_bc(2, GS, 1, (0, 1))
+def test_partition_check(bc2):
+    # lambda must be a partition: pieri_check refuses a weight that is not
+    # dominant or not in BC2's weight lattice, as diffeq.verify_pieri does
+    assert verify_pieri_bc(bc2, _m(bc2), 1, (Q(3), Q(1))).ok
+    for lam, message in [((Q(0), Q(1)), "(0/1,1/1) is not dominant"),
+                         ((Q(1), Q(-1)), "(1/1,-1/1) is not dominant"),
+                         ((Q(3, 2), Q(0)),
+                          "(3/2,0/1) is not in the weight lattice of RootDatum(BC2)")]:
+        with pytest.raises(ValueError) as got:
+            verify_pieri_bc(bc2, _m(bc2), 1, lam)
+        assert str(got.value) == message
 
 
 def test_pieri_bc_rank_one_seed(bc1):
     # lam = 0 reduces to the seed identity of the scalar three-term recurrence
-    rep = verify_pieri_bc(1, GS, 1, (0,), datum=bc1)
+    rep = verify_pieri_bc(bc1, _m(bc1), 1, (Q(0),))
     assert rep.ok and rep.n_terms == 2
     # the diagonal coefficient is forced: U_{full,1} = -(V_+ + V_-), and the
     # reflected shift dies at the base point
@@ -218,33 +222,39 @@ def test_pieri_bc_rank_one_seed(bc1):
 
 
 def test_pieri_bc_spec_case(bc2):
-    rep = verify_pieri_bc(2, GS, 1, (1, 0), datum=bc2)
+    rep = verify_pieri_bc(bc2, _m(bc2), 1, (Q(1), Q(0)))
     assert rep.ok
-    rep = verify_pieri_bc(2, GS, 2, (0, 0), datum=bc2)
+    rep = verify_pieri_bc(bc2, _m(bc2), 2, (Q(0), Q(0)))
     assert rep.ok
 
 
 def test_pieri_bc_sweep(bc1, bc2):
-    cache = {}
+    cache, mults = {}, _m(bc1)
     for lam in [(0,), (1,), (2,), (3,)]:
-        assert verify_pieri_bc(1, GS, 1, lam, cache=cache, datum=bc1).ok
-    cache = {}
+        assert verify_pieri_bc(bc1, mults, 1, tuple(map(Q, lam)), cache=cache).ok
+    cache, mults = {}, _m(bc2)
     for ell in (1, 2):
         for lam in [(a, b) for a in range(3) for b in range(a + 1)]:
-            assert verify_pieri_bc(2, GS, ell, lam, cache=cache, datum=bc2).ok
+            assert verify_pieri_bc(bc2, mults, ell, tuple(map(Q, lam)), cache=cache).ok
 
 
-def test_pieri_bc_builds_multiplicities_once_per_triple(bc2, monkeypatch):
-    # the (ell, lam) calls of one sample share the multiplicities and rho_g
-    built = []
-    real = nonreduced.bc_multiplicities
+def test_pieri_bc_builds_multiplicities_once_per_triple(monkeypatch):
+    # the (ell, lam) calls of one bc suite sample share the multiplicities
+    # and rho_g: one Multiplicities per (rank, sample), built from the triple
+    built, seen = [], []
+    real, verify = nonreduced.bc_multiplicities, nonreduced.verify_pieri_bc
     monkeypatch.setattr(nonreduced, "bc_multiplicities",
-                        lambda *args: built.append(args[1:]) or real(*args))
-    cache = {}
-    for ell in (1, 2):
-        for lam in ((0, 0), (1, 0), (1, 1)):
-            assert verify_pieri_bc(2, GS, ell, lam, cache=cache, datum=bc2).ok
-    assert built == [GS]
+                        lambda *args: built.append(real(*args)) or built[-1])
+    monkeypatch.setattr(nonreduced, "verify_pieri_bc",
+                        lambda datum, mults, *args, **kw: seen.append((datum.rank, mults))
+                        or verify(datum, mults, *args, **kw))
+    cases = cli.bc_cases(cli.CampaignConfig(samples=2))
+    assert all(c["status"] == "pass" for c in cases)
+    samples = list(dict.fromkeys(seen))   # (rank, mults) per sample, in call order
+    assert [n for n, _mults in samples] == [1, 1, 2, 2]
+    # the builds after these four are the rank-one coefficient rows'
+    assert [mults for _n, mults in samples] == built[:4]
+    assert len(seen) == 2 * 4 + 2 * 2 * 10   # (ell, lam) calls per sample: 4 on BC1, 20 on BC2
 
 
 def test_bc_multiplicities_by_length(bc2):
@@ -492,8 +502,8 @@ def _drop_half_sign(datum, factors, _kind):
 def _intact_cache(n, ell, lam):
     """The polynomial cache of a passing run with the intact index, once per
     (n, ell, lam) on a fresh datum; each control edits a copy."""
-    cache = {}
-    assert verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=build_root_system("BC", n)).ok
+    cache, datum = {}, build_root_system("BC", n)
+    assert verify_pieri_bc(datum, _m(datum), ell, tuple(map(Q, lam)), cache=cache).ok
     return cache
 
 
@@ -513,7 +523,7 @@ def test_edited_index_leaves_a_residual(edit, n, ell, lam):
     cache = dict(_intact_cache(n, ell, lam))
     datum = build_root_system("BC", n)
     _edited_index(datum, ell, edit)
-    rep = verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=datum)
+    rep = verify_pieri_bc(datum, _m(datum), ell, tuple(map(Q, lam)), cache=cache)
     assert not rep.ok and rep.residual
 
 
@@ -522,7 +532,7 @@ def test_root_values_in_place_of_factor_values_leave_a_residual(n, ell, lam):
     # negative control on the m column: the same lists read with g_alpha
     # (m without g_{alpha/2}/2) fail, where the intact multiplicities pass
     cache, datum = dict(_intact_cache(n, ell, lam)), build_root_system("BC", n)
-    mults = cache[n, GS] = bc_multiplicities(datum, *GS)
+    mults = _m(datum)
     mults.factor_values = mults.root_values
-    rep = verify_pieri_bc(n, GS, ell, lam, cache=cache, datum=datum)
+    rep = verify_pieri_bc(datum, mults, ell, tuple(map(Q, lam)), cache=cache)
     assert not rep.ok and rep.residual

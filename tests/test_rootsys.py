@@ -679,10 +679,10 @@ def _fraction_keyed_memos(datum):
 def test_memos_are_keyed_by_labels(fam, rank):
     datum = build_root_system(fam, rank)
     if fam == "BC":
+        mults = bc_multiplicities(datum, Q(1, 3), Q(2, 5), Q(3, 7))
         for ell in (1, 2):
             for lam in ((0, 0), (1, 0), (2, 1)):
-                assert verify_pieri_bc(2, (Q(1, 3), Q(2, 5), Q(3, 7)), ell, lam,
-                                       datum=datum).ok
+                assert verify_pieri_bc(datum, mults, ell, tuple(map(Q, lam))).ok
         omega = (Q(1), Q(0))
     else:
         mults = Multiplicities(datum, [Q(k + 2, 7) for k in range(len(datum.root_orbits))])

@@ -17,11 +17,15 @@ definition of that name.
 The names the benchmark's trace patches are guarded too: every target in the
 ``SPANS`` and ``COUNTERS`` tables of ``bench/tracer.py`` (read as text) must
 exist in ``src/``, and its post-call hooks must find what they read.
+
+So is the number of settable values in ``src/`` (``SETTABLE_BOUND``): a
+change that adds a knob raises the bound and says why.
 """
 
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hodiff"
@@ -39,6 +43,9 @@ BENCH_ONLY = {
 }
 
 ANY = "*"   # the owner of a use that cannot be resolved
+
+# parameters with a default, dataclass fields and argparse options in src/
+SETTABLE_BOUND = 136
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):
@@ -182,3 +189,42 @@ def test_traced_spans_that_read_zero(tmp_path, monkeypatch):
             if tracer.spans.get(name, tracer_module.SpanStats()).calls == 0}
     assert zero == {"rootsys.saturated_map", "rootsys.stabilizer_orbit",
                     "rootsys.stabilizer_roots", "weylalg.apply_L"}
+
+
+def settable_values(src: Path) -> Counter:
+    """Counts, over the modules under src, of the values a caller can set:
+    parameters with a default (of functions and lambdas), the annotated
+    fields of ``@dataclass`` classes, and ``add_argument`` options."""
+    counts = Counter(default=0, field=0, option=0)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                counts["default"] += len(args.defaults) + sum(
+                    d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                counts["field"] += sum(isinstance(b, ast.AnnAssign) for b in node.body)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                counts["option"] += 1
+    return counts
+
+
+def test_settable_values_are_counted(tmp_path):
+    # two positional defaults, a keyword-only one and a lambda's; a plain
+    # and a frozen dataclass's fields, not a plain class's or a class
+    # constant; one option
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *c, d=2, e, h=None):\n    return lambda x, y=3: x\n"
+        "@dataclass\nclass A:\n    p: int\n    q: int = 0\n    K = 5\n"
+        "@dataclass(frozen=True)\nclass B:\n    r: int\n"
+        "class C:\n    s: int\n"
+        "def parser(p):\n    p.add_argument('--n', type=int)\n")
+    assert settable_values(tmp_path) == Counter(default=4, field=3, option=1)
+
+
+def test_settable_values_do_not_grow():
+    counts = settable_values(SRC)
+    assert sum(counts.values()) <= SETTABLE_BOUND, dict(counts)

@@ -331,6 +331,27 @@ def test_confluence_rejects_a_t_list_that_does_not_increase(a2):
                               (0.25, -0.1, -0.15), t_list=t_list)
 
 
+def test_confluence_reads_a_float_xi_as_its_binary_value(a2):
+    # a float entry of xi is read by Fraction, as limit_product reads it, so
+    # the report is the one at the exact binary values (the float pairings
+    # had no denominator to read)
+    omega, x, xi = a2.fundamental_weights[0], (0.25, -0.1, -0.15), (0.1, 0.2, -0.3)
+    rep = verify_confluence(a2, omega, xi, x)
+    assert rep.ok
+    assert rep.to_dict() == verify_confluence(a2, omega, tuple(map(Q, xi)), x).to_dict()
+
+
+@pytest.mark.parametrize("name,n", [("a2", 2), ("a2", 4), ("g2", 1)])
+def test_confluence_refuses_a_base_point_of_the_wrong_length(request, name, n):
+    # an x of another length was zipped against the Gram form: on A2 it
+    # passed with a wrong E-row limit, on G2 a short one raised IndexError
+    datum = request.getfixturevalue(name)
+    xi = datum.weight_from_fundamental((Q(1, 31), Q(-1, 71)))
+    with pytest.raises(ValueError,
+                       match=rf"^x: need {datum.dim} base-point coordinates, got {n}$"):
+        verify_confluence(datum, datum.fundamental_weights[0], xi, (0.2,) * n)
+
+
 def test_homogeneity_identity(a2, b2, d4):
     w1, w2 = a2.fundamental_weights
     # mu = omega: the two sums coincide trivially

@@ -366,10 +366,10 @@ def pieri_check(datum: RootDatum, mults: Multiplicities, omega: Vector, lam: Vec
     lambda + omega.  lambda's labels are read once, and each shift is their
     sum with the labels of nu.  Each distinct shift is built once, in cache,
     and asked of it once, through a map local to the call keyed by the
-    labels of nu; cache keys stay (multiplicities, lambda vector)."""
+    labels of nu; cache keys stay (multiplicities, lambda's ``Weight``)."""
     top = datum.dominant_labels(lam)
     terms = pieri_terms(datum, mults, omega, top, perturb=perturb)
-    poly = poly_cache_get(cache, datum, mults, lam)
+    poly = poly_cache_get(cache, datum, mults, datum.from_labels(top))
     polys = {l: poly_cache_get(cache, datum, mults, datum.from_labels(tuple(map(add, top, l))))
              for l in {e.nu_labels: None for e, _eta, _c in terms}}
     shifted = [(polys[e.nu_labels], c) for e, _eta, c in terms]
@@ -386,7 +386,7 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
     terms, residual = pieri_check(datum, mults, omega, lam, expansion_labels(datum, omega),
                                   perturb, {} if cache is None else cache)
     return PieriReport(
-        system=f"{datum.family}{datum.rank}",
+        system=datum.name,
         omega=omega, lam=lam, g=mults.key(),
         ok=residual.is_zero(),
         n_terms=len(terms),
@@ -464,7 +464,7 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
     else:
         raise ValueError(f"{weight_str(omega)} is neither minuscule nor quasi-minuscule")
     return ConsistencyReport(
-        system=f"{datum.family}{datum.rank}", omega=omega, kind=kind,
+        system=datum.name, omega=omega, kind=kind,
         ok=all(c["ok"] for c in checks), checks=checks)
 
 

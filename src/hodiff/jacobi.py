@@ -172,7 +172,7 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
     """
     require_exact(mults)
     if mults._lead_rows is None:
-        rho_pairs, g = datum.label_pairings(datum.rho_labels(mults)), mults.root_values
+        rho_pairs, g = datum.pairings(datum.rho(mults)), mults.root_values
         rows = [(i, rho_pairs[i] + mults.factor_values[i] - g[i], g[i])
                 for i in datum.positive_indices]
         d = math.lcm(*(x.denominator for _i, b, gi in rows for x in (b, gi)))
@@ -231,6 +231,6 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
         r = v * ev.denominator - n * ev.numerator * cleared.get(l, 0)
         if r:
             residual[datum.from_labels(l)] = Q(r, n * ev.denominator * d)
-    return EigenReport(system=f"{datum.family}{datum.rank}", lam=lam, g=mults.key(),
+    return EigenReport(system=datum.name, lam=lam, g=mults.key(),
                        eigenvalue=ev, ok=not residual,
                        residual=exp_to_json(ExpPoly(residual)))

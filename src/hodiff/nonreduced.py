@@ -152,12 +152,15 @@ def rank_one_shift_coefficient(n: int, gs, j: int, xi):
     return total
 
 
-def rearrangement_gap(datum: RootDatum, gs, xi):
+def rearrangement_gap(datum: RootDatum, mults: Multiplicities, xi):
     """U_{full,1}(xi) + sum_j (V_j(xi) + V_j(-xi)) on BC_n given by datum, V_j
-    by ``rank_one_shift_coefficient``; identically zero, checked at rational
-    points as a guard on signs and sum structure."""
+    by ``rank_one_shift_coefficient`` of the (g, g1, g2) of mults, read by
+    length as ``bc_multiplicities`` attaches them; identically zero, checked
+    at rational points as a guard on signs and sum structure."""
     n = datum.rank
-    gap = coeff_U_Kp(datum, bc_multiplicities(datum, *gs), tuple(range(n)), 1, xi)
+    by_norm = {datum.norm_sq(orbit[0]): x for orbit, x in zip(datum.root_orbits, mults.values)}
+    gs = (by_norm.get(2), by_norm[1], by_norm[4])
+    gap = coeff_U_Kp(datum, mults, tuple(range(n)), 1, xi)
     neg = tuple(-x for x in xi)
     for j in range(n):
         gap += rank_one_shift_coefficient(n, gs, j, xi)

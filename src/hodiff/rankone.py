@@ -238,15 +238,13 @@ def de_coefficients_match_rr(g1: Q, g2: Q, l: int) -> bool:
     return up == 4 * c_up and dn == 4 * c_dn
 
 
-def bc1_crosscheck(g1: Q, g2: Q, l: int, datum=None) -> bool:
+def bc1_crosscheck(g1: Q, g2: Q, l: int, datum) -> bool:
     """The BC_1 polynomial from the general recursion agrees exactly with the
     terminating series at each s of ``BC1_S_VALUES`` (the change of variable
-    to s); datum is a BC1 datum, built here when not given."""
+    to s) on the BC1 datum."""
     from .jacobi import jacobi_polynomial
     from .nonreduced import bc_multiplicities
-    from .rootsys import build_root_system
 
-    datum = datum or build_root_system("BC", 1)
     mults = bc_multiplicities(datum, Q(1), Q(g1), Q(g2))
     poly = jacobi_polynomial(datum, mults, (Q(l),))
     for s in BC1_S_VALUES:

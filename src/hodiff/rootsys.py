@@ -15,13 +15,14 @@ per simple reflection the permutation of the roots (``root_perms``).  Then
 labels(alpha).  A W-stable label set S gets a ``string_table``: its
 alpha-strings and, for the W-invariance check of ``apply_L_labels``, per
 simple reflection a permutation of S, both found on packed integer codes.
-A vector the datum made knows its labels by identity; any other is hashed
-once, where it enters the kernel (``labels``).  Every other memo of a datum
-is keyed by labels, and the exact engines (``jacobi``, ``diffeq``,
-``nonreduced``) carry weights as labels too, down to rho_g (``rho_labels``).
-Realization coordinates are rebuilt (``from_labels``) only where a weight
-leaves them: the public API, reports, polynomial cache keys, sampled points.
-Every pairing, reflection and orbit below is exact.
+A vector the datum made is a ``Weight``, a tuple carrying its labels, its
+type's name (which alone fixes them) and, once read, its pairing row; any
+other vector gets its labels from integer rows, unmemoized.  Every memo of
+a datum is keyed by integer labels, and the exact engines (``jacobi``,
+``diffeq``, ``nonreduced``) carry weights as labels too, down to rho_g
+(``rho_labels``).  Realization coordinates are rebuilt (``from_labels``)
+only where a weight leaves them: the public API, reports, polynomial cache
+keys, sampled points.  Every pairing, reflection and orbit below is exact.
 """
 
 from __future__ import annotations
@@ -100,8 +101,22 @@ def _integer_inverse(m):
     return d, [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
-def _combine(rows, den: int, l: tuple) -> Vector:
-    return tuple(Q(sum(map(mul, row, l)), den) for row in rows)
+class Weight(tuple):
+    """A vector a datum made, equal to and hashed as the plain tuple: it holds
+    its labels, its type's name ``kind`` (the labels depend on it alone) and,
+    once ``RootDatum.pairings`` reads it, its pairing ``row``; no datum."""
+
+    def __new__(cls, coords, kind: str, labels: tuple):
+        w = super().__new__(cls, coords)
+        w.kind, w.labels, w.row = kind, labels, None
+        return w
+
+    def __reduce__(self):   # pickled and copied as the plain tuple
+        return tuple, (tuple(self),)
+
+
+def _combine(rows, den: int, kind: str, l: tuple) -> Weight:
+    return Weight((Q(sum(map(mul, row, l)), den) for row in rows), kind, l)
 
 
 def _reduced(den: int, rows):
@@ -159,9 +174,8 @@ class RootDatum:
     descent (``_dominant_orbit``) finds every Weyl and parabolic orbit and |W|
     (``weyl_order``); one bounded scan of labels (``_bounded_labels``) finds
     the small weights and the weights up to a height.  Results are memoized on
-    the instance when first asked for: the labels of a vector by identity if
-    the datum made it, else under the vector (the only vector-keyed memo); the
-    rest under labels: pairings, the orbit memo (``orbit_labels``, each
+    the instance when first asked for, under integer labels: the vectors and
+    pairing rows of weights, the orbit memo (``orbit_labels``, each
     dominant label's W-orbit walked once and shared, and each
     ``parabolic_orbit``), Weyl orbits, dominance intervals, saturated maps,
     their alpha-string tables, Jacobi recursion patterns (``jacobi_memo``),
@@ -180,6 +194,7 @@ class RootDatum:
         dim, gram, simples = _simple_roots(family, rank)
         self.family = family
         self.rank = rank
+        self.name = f"{family}{rank}"
         self.dim = dim
         self.gram = tuple(tuple(row) for row in gram) if gram is not None else None
         self.simple_roots: tuple[Vector, ...] = tuple(simples)
@@ -194,7 +209,8 @@ class RootDatum:
         forms = [[sum(map(mul, a, col)) for col in zip(*gint)] for a in rows]
         ip = [[sum(map(mul, a, f)) for f in forms] for a in rows]
         snum, sden = [ip[k][k] for k in range(rank)], den * den * gden
-        self._simple_norms = tuple(Q(x, sden) for x in snum)
+        # labels(v)_i = sum_d v_d row_i[d] / snum_i with row_i = 2 den forms[i]
+        self._label_rows = tuple((tuple(2 * den * x for x in f), n) for f, n in zip(forms, snum))
         if any(2 * x % n for row in ip for x, n in zip(row, snum)):
             raise ValueError("simple roots are not crystallographic")
         # cartan[i] = labels of alpha_i
@@ -239,9 +255,8 @@ class RootDatum:
                 for n in label_of}
         order = sorted(label_of, key=nums.__getitem__)
         coord = {x: Q(x, den) for n in order for x in nums[n]}
-        self.roots: tuple[Vector, ...] = tuple(
-            tuple(map(coord.__getitem__, nums[n])) for n in order)
-        self.root_index = {a: i for i, a in enumerate(self.roots)}
+        self.roots: tuple[Weight, ...] = tuple(
+            Weight(map(coord.__getitem__, nums[n]), self.name, label_of[n]) for n in order)
         self.root_labels: tuple[tuple[int, ...], ...] = tuple(map(label_of.get, order))
         # root_perms[j][r] is the index of s_j alpha_r, so that
         # <s_j u, alpha_r^vee> = <u, alpha_{root_perms[j][r]}^vee>
@@ -275,23 +290,18 @@ class RootDatum:
             (self.coroot_coefficients[i] for i in self.positive_indices), key=sum)
 
         # from_labels: coordinate d is sum_i l_i * _fund_rows[d][i] / _fund_den,
-        # by vector_of (no memo), which holds these two tables, not the datum
+        # by vector_of (no memo), which holds them and the name, not the datum
         self._fund_den, self._fund_rows = _reduced(cden * den, list(zip(*w)))
-        self.vector_of = partial(_combine, self._fund_rows, self._fund_den)
+        self.vector_of = partial(_combine, self._fund_rows, self._fund_den, self.name)
         # <omega_i, omega_j> = (cartan^{-1})[j][i] |alpha_i|^2 / 2, held as
         # weight_gram[i][j] / weight_gram_den, so <v, v> = l G l / den on labels
         self.weight_gram_den, self.weight_gram = _reduced(
             2 * cden * sden, [[cinv[j][i] * snum[i] for j in range(rank)] for i in range(rank)])
 
-        # memos: (v, labels) under id(v) per v the datum made (the fundamental
-        # weights, the roots, each result of from_labels; held, so the id stays
-        # v's), labels of any other v under v (the one vector-keyed memo), the
-        # rest, the orbit memo _walks (made before the roots) among them, under
-        # integer labels or sets of root indices; the last four are filled by
-        # jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
-        self._made: dict[int, tuple[Vector, tuple]] = {}
-        self._labels: dict[Vector, tuple] = {}
-        self._vectors: dict[tuple, Vector] = {}
+        # memos, the orbit memo _walks (made before the roots) among them,
+        # under integer labels or sets of root indices; the last four are filled
+        # by jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
+        self._vectors: dict[tuple, Weight] = {}
         self._pairings: dict[tuple, tuple] = {}
         self._orbits: dict[tuple, tuple[Vector, ...]] = {}
         self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
@@ -303,7 +313,6 @@ class RootDatum:
         self.eta_memo: tuple | None = None
         self.fundamental_weights: tuple[Vector, ...] = tuple(
             self.from_labels(tuple(int(i == j) for j in range(rank))) for i in range(rank))
-        self._made.update((id(a), (a, l)) for a, l in zip(self.roots, self.root_labels))
 
         orbits = self._root_orbit_indices()
         self.root_orbits: tuple[tuple[Vector, ...], ...] = tuple(
@@ -324,9 +333,9 @@ class RootDatum:
                    for i in range(self.dim) for j in range(self.dim))
 
     def _root_at(self, alpha: Vector):
-        """alpha's index in ``roots`` or None; by labels if the datum made alpha."""
-        made = self._made.get(id(alpha))
-        return self.root_index.get(alpha) if made is None else self._label_roots.get(made[1])
+        """alpha's index in ``roots`` or None, found by its labels."""
+        i = self._label_roots.get(self.labels(alpha))
+        return None if i is None or self.roots[i] != alpha else i
 
     def norm_sq(self, alpha: Vector) -> Q:
         """<alpha, alpha>, read from ``root_norms`` when alpha is a root."""
@@ -345,52 +354,50 @@ class RootDatum:
     # -- the label kernel -----------------------------------------------------
 
     def labels(self, v: Vector) -> tuple:
-        """Dynkin labels (<v, alpha_i^vee>)_i, ints where integral: by identity
-        if the datum made v, else memoized under v (hashed only here)."""
-        if (made := self._made.get(id(v))) is not None:
-            return made[1]
-        l = self._labels.get(v)
-        if l is None:
-            l = self._labels[v] = tuple(
-                _exact(2 * self.inner(v, a) / n)
-                for a, n in zip(self.simple_roots, self._simple_norms))
-        return l
+        """Dynkin labels (<v, alpha_i^vee>)_i, ints where integral: those a
+        Weight of the datum's type carries, else from ``_label_rows``."""
+        if type(v) is Weight and v.kind == self.name:
+            return v.labels
+        if len(v) != self.dim:
+            raise ValueError(f"{weight_str(v)} has {len(v)} coordinates, not {self.dim}")
+        den = math.lcm(*(x.denominator for x in v))
+        nums = [x.numerator * (den // x.denominator) for x in v]
+        return tuple(_exact(Q(sum(map(mul, nums, row)), den * n)) for row, n in self._label_rows)
 
-    def from_labels(self, l: tuple) -> Vector:
-        """The vector sum_i l_i omega_i of the root span, known to ``labels``
-        by identity (memoized for a weight)."""
+    def from_labels(self, l: tuple) -> Weight:
+        """The Weight sum_i l_i omega_i of the root span (memoized for a weight)."""
         v = self._vectors.get(l)
         if v is None:
             l = tuple(map(_exact, l))
             v = self.vector_of(l)
-            self._made[id(v)] = v, l
             if _integral(l):
                 self._vectors[l] = v
-                self._labels.setdefault(v, l)
         return v
 
     def label_pairings(self, l: tuple) -> tuple:
         """<v, alpha^vee> for every root from the labels of v, memoized under
-        integers: a weight's labels, else (den, label numerators over den).
-        Integer dot products where labels and coroot coefficients are
-        integral, as for every weight of a reduced system."""
-        if _integral(l):
-            key, den, nums = l, 1, l
-        else:
-            den = math.lcm(*(x.denominator for x in l))
-            nums = tuple(x.numerator * (den // x.denominator) for x in l)
-            key = (den, nums)
-        p = self._pairings.get(key)
-        if p is None:
-            dots = (sum(map(mul, c, nums)) for c in self.coroot_coefficients)
-            p = self._pairings[key] = (
-                tuple(dots) if den == 1 and self._integral_coroots
-                else tuple(_exact(Q(x, den)) for x in dots))
+        a weight's integer labels.  Integer dot products where labels and
+        coroot coefficients are integral, as for every weight of a reduced
+        system."""
+        if (weight := _integral(l)) and (p := self._pairings.get(l)) is not None:
+            return p
+        den = math.lcm(*(x.denominator for x in l))
+        nums = tuple(x.numerator * (den // x.denominator) for x in l)
+        dots = (sum(map(mul, c, nums)) for c in self.coroot_coefficients)
+        p = (tuple(dots) if den == 1 and self._integral_coroots
+             else tuple(_exact(Q(x, den)) for x in dots))
+        if weight:
+            self._pairings[l] = p
         return p
 
     def pairings(self, v: Vector) -> tuple:
-        """<v, alpha^vee> for every root, in the order of ``roots``."""
-        return self.label_pairings(self.labels(v))
+        """<v, alpha^vee> for every root, in the order of ``roots``; a Weight
+        of the datum's type keeps its row once read."""
+        if type(v) is not Weight or v.kind != self.name:
+            return self.label_pairings(self.labels(v))
+        if v.row is None:
+            v.row = self.label_pairings(v.labels)
+        return v.row
 
     def _dominant_orbit(self, top: tuple, J=None) -> dict:
         """W_J-orbit of labels top that are nonnegative on J (J None: all of
@@ -477,10 +484,8 @@ class RootDatum:
         """Labels of a weight; ValueError if v is not in the weight lattice:
         integer labels, v in the root span and, for BC (where some coroots
         have half-integer simple-coroot coefficients), integer pairings."""
-        v = tuple(v)
-        made = self._made.get(id(v))   # a vector the datum made is in the root span
-        l = self.labels(v) if made is None else made[1]
-        if not (_integral(l) and (made is not None or self.from_labels(l) == v)
+        l = self.labels(v)
+        if not (_integral(l) and self.from_labels(l) == tuple(v)
                 and (self._integral_coroots or _integral(self.label_pairings(l)))):
             raise ValueError(f"{weight_str(v)} is not in the weight lattice of {self}")
         return l
@@ -653,7 +658,7 @@ class RootDatum:
 
     def is_quasi_minuscule(self, omega: Vector) -> bool:
         omega = self.check_dominant(omega)
-        j = self.root_index.get(omega)
+        j = self._root_at(omega)
         if j is None:
             return False
         p = self.pairings(omega)
@@ -703,17 +708,14 @@ class RootDatum:
                 for col in zip(*self._orbit_label_sums))
         return mults._rho_labels
 
-    def rho(self, mults: "Multiplicities") -> Vector:
-        """rho_g as ``from_labels`` of ``rho_labels``, its labels entered in
-        the vector memo of ``labels`` (memoized on mults)."""
+    def rho(self, mults: "Multiplicities") -> Weight:
+        """rho_g as the Weight of ``rho_labels`` (memoized on mults)."""
         if mults._rho is None:
-            l = self.rho_labels(mults)
-            mults._rho = self.from_labels(l)
-            self._labels.setdefault(mults._rho, l)
+            mults._rho = self.vector_of(self.rho_labels(mults))
         return mults._rho
 
     def __repr__(self):
-        return f"RootDatum({self.family}{self.rank})"
+        return f"RootDatum({self.name})"
 
 
 class Multiplicities:

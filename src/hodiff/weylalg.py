@@ -140,7 +140,7 @@ def sample_record(datum: RootDatum, mults: Multiplicities) -> tuple:
     require_exact(mults)
     if mults._record is None:
         rho, g = datum.rho_labels(mults), mults.factor_values
-        pairs = datum.label_pairings(rho)
+        pairs = datum.pairings(datum.rho(mults))
         d = math.lcm(*(x.denominator for x in (*pairs, *g)))
         weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
                    for o, orbit in enumerate(datum.root_orbits)]

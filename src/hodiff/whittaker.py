@@ -231,7 +231,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     t_list = tuple(float(t) for t in t_list)
     if any(later <= earlier for earlier, later in zip(t_list, t_list[1:])):
         raise ValueError(f"t_list {list(t_list)} is not strictly increasing")
-    report = ConfluenceReport(system=f"{datum.family}{datum.rank}",
+    report = ConfluenceReport(system=datum.name,
                               omega=small, t_list=t_list, tol=tol)
 
     rate_omega = rate_of(datum.labels(small))
@@ -247,9 +247,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         devs.append(_rel(abs(val - limit), abs(limit)))
     report.rows.append(_deviation_row("E", "E_omega", devs, t_list, tol, limit))
 
-    if not all(isinstance(v, (int, Q)) for v in xi):   # a datum-made xi keeps its identity
-        xi = tuple(map(Q, xi))
-    z = datum.pairings(xi)
+    z = datum.pairings(tuple(map(Q, xi)))
     table, limits = float_table(z), limit_table(datum, z)
     g_list = [multiplicities_at(datum, t).root_values for t in t_list]
     for entry in pieri_index(datum, omega):
@@ -274,7 +272,7 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
     (the multiplicities grow like e^{t/2}), so it is reported in log form.
     """
     mults = multiplicities_at(datum, t)
-    rho_pairs = datum.label_pairings(datum.rho_labels(mults))
+    rho_pairs = datum.pairings(datum.rho(mults))
     total = 0.0
     for i in datum.positive_indices:
         z = float(rho_pairs[i])

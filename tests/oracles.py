@@ -194,8 +194,8 @@ def fraction_opdam(datum, mults, lam):
     lam_pairs = datum.pairings(lam)
     total = Q(1)
     for i in datum.positive_indices:
-        half = datum.root_index.get(vscale(Q(1, 2), datum.roots[i]))
-        g_half = mults.root_values[half] if half is not None else Q(0)
+        half = vscale(Q(1, 2), datum.roots[i])
+        g_half = mults.root_values[datum.roots.index(half)] if half in datum.roots else Q(0)
         base = rho_pairs[i] + Q(1, 2) * g_half
         for j in range(max(lam_pairs[i], 0)):
             den = base + mults.root_values[i] + j
@@ -443,7 +443,7 @@ def half_weighted_sum(datum, weight_of_root):
 
 def multiplicity_of(mults, alpha):
     """g_alpha for a root vector alpha."""
-    return mults.root_values[mults.datum.root_index[alpha]]
+    return mults.root_values[mults.datum.roots.index(alpha)]
 
 
 def invert_rational_matrix(m):
@@ -537,7 +537,7 @@ def orbit_under_reflections(datum, gen_roots, v):
     """Orbit of v (in the root span) under the reflections in gen_roots,
     sorted: the generic label search over every generator."""
     tables = [(datum.coroot_coefficients[i], datum.root_labels[i])
-              for i in map(datum.root_index.__getitem__, gen_roots)]
+              for i in map(datum.roots.index, gen_roots)]
     l = datum.labels(v)
     seen = {l}
     stack = [l]

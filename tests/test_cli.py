@@ -244,7 +244,7 @@ def test_eigen_jobs_keep_the_vector_order_of_each_cache():
     # labels, come in the order of the (multiplicities, lambda vector) keys
     config = cli.CampaignConfig(samples=3)
     _cases, samples = cli.pieri_cases(config)
-    want = [(cli._label(res["datum"]), res["sample"], lam)
+    want = [(res["datum"].name, res["sample"], lam)
             for res in samples for (_g, lam), _poly in sorted(res["cache"].items())]
     got = [c["case"] for c in cli.eigen_cases(config, samples)
            if not c["case"].startswith("eigen/BC")]

@@ -211,10 +211,10 @@ def test_chebyshev_substitution():
             assert abs(val - direct) < 1e-6 * max(1.0, abs(direct))
 
 
-def test_bc1_crosscheck_exact():
+def test_bc1_crosscheck_exact(bc1):
     for g1, g2 in ((Q(1, 2), Q(1, 3)), (Q(5, 11), Q(9, 4))):
         for l in range(7):
-            assert bc1_crosscheck(g1, g2, l), (g1, g2, l)
+            assert bc1_crosscheck(g1, g2, l, bc1), (g1, g2, l)
 
 
 # the campaign's pairs and two with denominators >= 50

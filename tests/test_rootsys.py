@@ -1,19 +1,22 @@
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 import re
 import weakref
+from copy import deepcopy
 from fractions import Fraction as Q
 from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodiff.diffeq import verify_pieri
+from hodiff.diffeq import (quasi_identity_value, sample_multiplicities, sample_spectral_point,
+                           verify_pieri)
 from hodiff.jacobi import verify_eigen
 from hodiff.nonreduced import bc_multiplicities, verify_pieri_bc
-from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg, weight_str
+from hodiff.rootsys import Multiplicities, Weight, build_root_system, vadd, vneg, weight_str
 from oracles import (constant_multiplicities, dominance_leq, dominant_representative,
                      half_weighted_sum, height, invert_rational_matrix, multiplicity_of,
                      orbit_under_reflections, rho_vee, simple_coefficients, vscale)
@@ -388,7 +391,7 @@ def test_root_values_follow_orbits(b2, bc2):
         # m_alpha = g_alpha + g_{alpha/2}/2, alpha/2 looked up by its vector
         assert m.factor_values == tuple(
             multiplicity_of(m, a) + (multiplicity_of(m, tuple(x / 2 for x in a)) / 2
-                                     if tuple(x / 2 for x in a) in datum.root_index else 0)
+                                     if tuple(x / 2 for x in a) in datum.roots else 0)
             for a in datum.roots)
     assert Multiplicities(b2, (Q(1, 3), Q(2, 5))).factor_values == (
         Multiplicities(b2, (Q(1, 3), Q(2, 5))).root_values)
@@ -403,7 +406,7 @@ def test_rho_on_labels_matches_vector_half_sum(fam, rank):
     # rho_g from the orbit label sums is the half-sum of g_alpha alpha over
     # the positive roots, for exact multiplicities and for floats (each read
     # as its exact value); its labels are those a fresh datum reads off the
-    # vector, ints where integral
+    # vector, ints where integral, and the Weight rho_g carries them
     datum, fresh = build_root_system(fam, rank), build_root_system(fam, rank)
     n = len(datum.root_orbits)
     for values in ([Q(2 * k + 3, 7) for k in range(n)], [0.3 + 1.1 * k for k in range(n)]):
@@ -412,7 +415,7 @@ def test_rho_on_labels_matches_vector_half_sum(fam, rank):
         assert datum.rho(m) == want
         got, ref = datum.rho_labels(m), fresh.labels(want)
         assert got == ref and list(map(type, got)) == list(map(type, ref))
-        assert datum.labels(want) is got
+        assert datum.labels(datum.rho(m)) is got and datum.labels(want) == got
 
 
 @pytest.mark.parametrize("fam,rank", EVERY_TYPE)
@@ -429,7 +432,7 @@ def test_root_permutations_are_the_simple_reflections(fam, rank):
         for r, a in enumerate(datum.roots):
             k = 2 * datum.inner(a, alpha) / datum.inner(alpha, alpha)
             assert datum.roots[perm[r]] == tuple(x - k * y for x, y in zip(a, alpha))
-        assert datum.roots[perm[datum.root_index[alpha]]] == vneg(alpha)
+        assert datum.roots[perm[datum.roots.index(alpha)]] == vneg(alpha)
         others = {r for r in positive if datum.roots[r] not in (alpha, vscale(2, alpha))}
         assert {perm[r] for r in others} == others
 
@@ -627,8 +630,8 @@ def test_label_kernel_matches_the_gram_form_property(fam, rank, data):
 @pytest.mark.parametrize("fam,rank", LABEL_SYSTEMS + (("F", 4), ("E", 6)))
 def test_pairing_reads_made_roots_by_labels(fam, rank, monkeypatch):
     # pairing and norm_sq find a root the datum made by its labels, an equal
-    # copy through root_index, and a made weight that is no root by the Gram
-    # form; all agree, and the made roots cost no Fraction hash
+    # copy by its labels and coordinates, and a made weight that is no root
+    # by the Gram form; all agree, and the made roots cost no Fraction hash
     datum = build_root_system(fam, rank)
     rho = datum.rho(Multiplicities(datum, [Q(k + 2, 7) for k in range(len(datum.root_orbits))]))
     others = [w for w in datum.fundamental_weights if datum.labels(w) not in datum.root_labels]
@@ -657,10 +660,6 @@ def test_e8_highest_root_interval():
 
 # -- one weight key: every per-datum memo is keyed by integers ------------------
 
-# the vector-keyed labels memo and the construction-time index of the roots
-VECTOR_KEYED = {"_labels", "root_index"}
-
-
 def _holds_fraction(key) -> bool:
     if isinstance(key, (tuple, frozenset)):
         return any(map(_holds_fraction, key))
@@ -670,7 +669,7 @@ def _holds_fraction(key) -> bool:
 def _fraction_keyed_memos(datum):
     """Dicts on datum (dict values included) with a Fraction in some key."""
     return {name for name, memo in vars(datum).items()
-            if isinstance(memo, dict) and name not in VECTOR_KEYED
+            if isinstance(memo, dict)
             and any(_holds_fraction(k) or (isinstance(v, dict) and any(map(_holds_fraction, v)))
                     for k, v in memo.items())}
 
@@ -700,7 +699,7 @@ def test_memos_are_keyed_by_labels(fam, rank):
     assert len(datum._orbits) == entries
 
 
-# -- the identity memo: a vector the datum made knows its labels ----------------
+# -- a vector the datum made is a Weight that carries its labels -------------
 
 
 def _outcome(method, v):
@@ -728,9 +727,9 @@ def _off_span(datum):
 @pytest.mark.parametrize("fam,rank", TABLE)
 def test_made_vectors_read_their_labels_by_identity(fam, rank):
     # the datum's own vectors (roots, fundamental weights, from_labels and
-    # rho) and an equal but distinct copy of each get the same labels and
-    # the same ValueError, as does each vector from a second datum of the
-    # type, whose identity memo does not know it
+    # rho) are Weights, equal to and hashed as a plain copy; the copy gets
+    # the same labels and the same ValueError, as does each Weight read by a
+    # second datum of the type
     gc.disable()
     try:
         datum, other = build_root_system(fam, rank), build_root_system(fam, rank)
@@ -744,18 +743,23 @@ def test_made_vectors_read_their_labels_by_identity(fam, rank):
                 datum.rho(constant_multiplicities(datum, Q(2, 5)))]
         for v in made:
             copy = tuple(list(v))
-            assert copy is not v and id(v) in datum._made and id(copy) not in datum._made
+            assert type(v) is Weight and type(copy) is tuple
+            assert copy == v and hash(copy) == hash(v)
+            assert pickle.loads(pickle.dumps(v)) == deepcopy(v) == copy
             for name in ("labels", "weight_labels", "dominant_labels"):
                 want = _outcome(getattr(datum, name), copy)
                 assert _outcome(getattr(datum, name), v) == want, (name, v)
                 assert _outcome(getattr(other, name), v) == want, (name, v)
-        # the identity path leaves the vector memo alone; a copy enters it
+        # a Weight carries its labels; a copy's are read off its coordinates,
+        # which enters no memo
         third = (Q(1, 3),) + (0,) * (n - 1)
         v = datum.from_labels(third)
-        before = len(datum._labels)
-        assert datum.labels(v) == third and len(datum._labels) == before
-        assert datum.labels(tuple(list(v))) == third and len(datum._labels) == before + 1
-        # non-weights are refused on both paths
+        sizes = {name: len(memo) for name, memo in vars(datum).items() if isinstance(memo, dict)}
+        assert datum.labels(v) is v.labels == third
+        assert datum.labels(tuple(list(v))) == third
+        assert {name: len(memo) for name, memo in vars(datum).items()
+                if isinstance(memo, dict)} == sizes
+        # non-weights are refused either way
         refused = [v, *([datum.fundamental_weights[-1]] if fam == "BC" else [])]
         off = _off_span(datum)
         if off is not None:
@@ -765,10 +769,50 @@ def test_made_vectors_read_their_labels_by_identity(fam, rank):
                 message = f"{weight_str(w)} is not in the weight lattice of {datum}"
                 with pytest.raises(ValueError, match=re.escape(message)):
                     datum.weight_labels(w)
-        # the memo holds vectors and labels only: the datum is freed by
-        # reference counting
+        # no Weight holds its datum: with its Weights alive, the datum is
+        # freed by reference counting
         ref = weakref.ref(datum)
-        del datum, made, v, w
-        assert ref() is None
+        del datum
+        assert made and ref() is None
     finally:
         gc.enable()
+
+
+def test_a_weight_read_by_another_type_gets_that_types_labels():
+    # B3 and C3 share their realization but not their labels: a Weight B3
+    # made reads on C3 as its plain copy does, by the Gram form, and leaves
+    # its B3 labels and pairing row as they were
+    b3, c3 = build_root_system("B", 3), build_root_system("C", 3)
+    made = [*b3.roots, *b3.fundamental_weights, b3.rho(constant_multiplicities(b3, Q(2, 5)))]
+    assert any(c3.labels(v) != b3.labels(v) for v in made)
+    for v in made:
+        copy, row = tuple(list(v)), b3.pairings(v)
+        assert c3.labels(v) == c3.labels(copy) == tuple(
+            2 * c3.inner(v, a) / c3.inner(a, a) for a in c3.simple_roots)
+        assert c3.pairings(v) == c3.pairings(copy)
+        assert c3.norm_sq(v) == c3.norm_sq(copy) == c3.inner(v, v)
+        assert b3.labels(v) is v.labels and b3.pairings(v) is row == b3.pairings(copy)
+
+
+def test_rational_spectral_points_leave_the_memos_bounded():
+    # 500 rational spectral points on one B2 datum: a memo keyed by vector
+    # or by the points' labels grows by about one entry a point (511 and 590
+    # entries before Weights carried their labels); every dict on the datum
+    # stays under 50 entries, and pairing rows are memoized under integer
+    # labels only
+    datum = build_root_system("B", 2)
+    rng = random.Random(7)
+    mults = sample_multiplicities(datum, rng)
+    omega = datum.quasi_minuscule_weight()
+    for _ in range(500):
+        quasi_identity_value(datum, mults, omega, sample_spectral_point(datum, rng))
+    sizes = {name: len(memo) for name, memo in vars(datum).items() if isinstance(memo, dict)}
+    assert max(sizes.values()) < 50, sizes
+    assert all(type(x) is int for l in datum._pairings for x in l)
+
+
+@pytest.mark.parametrize("fam,rank", [("B", 2), ("G", 2)])
+def test_labels_refuse_a_vector_of_the_wrong_length(fam, rank):
+    datum = build_root_system(fam, rank)
+    with pytest.raises(ValueError, match=re.escape("(1/1,2/1,3/1) has 3 coordinates, not 2")):
+        datum.labels((1, 2, 3))

@@ -20,7 +20,7 @@ from functools import cache
 from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
-from .rootsys import Multiplicities, RootDatum, Vector, weight_str
+from .rootsys import Multiplicities, RootDatum, Vector, _exact, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_to_json,
                       expansion_E_omega, expansion_labels, is_exact, orbit_sum,
                       sample_record)
@@ -166,15 +166,15 @@ def _evaluator(datum: RootDatum, mults: Multiplicities, xi):
 
 
 def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi):
-    """Product of (z+g)/z over roots with positive pairing against nu,
-    times (1+z+g)/(1+z) over roots pairing exactly 2, with z = <xi,a^vee>."""
-    return _evaluator(datum, mults, xi)(term_factors(datum, nu))
+    """Product of (z+g)/z over roots with positive pairing against nu, times
+    (1+z+g)/(1+z) over roots pairing exactly 2, z = <xi,a^vee> (float xi read exactly)."""
+    return _evaluator(datum, mults, tuple(map(Q, xi)))(term_factors(datum, nu))
 
 
 def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi):
     """Like coeff_V but over the stabilizer subsystem of nu, with the sign of
     g flipped in the pairing-2 factor."""
-    return _evaluator(datum, mults, xi)(term_factors(datum, nu, eta))
+    return _evaluator(datum, mults, tuple(map(Q, xi)))(term_factors(datum, nu, eta))
 
 
 @dataclass(frozen=True)
@@ -479,11 +479,11 @@ def sample_multiplicities(datum: RootDatum, rng) -> Multiplicities:
 def sample_spectral_point(datum: RootDatum, rng, max_tries: int = 200):
     """Rational xi = sum_i c_i omega_i with every <xi,a^vee> away from 0 and
     -1 (pole-free): the labels c_i drawn (numerator, then denominator), their
-    ``label_pairings`` tested, xi built once by ``from_labels``."""
+    ``label_pairings`` tested, xi built once by ``vector_of`` (no memo)."""
     for _ in range(max_tries):
         c = tuple(Q(rng.randint(-24, 24), rng.randint(2, 9)) for _ in range(datum.rank))
         if all(z not in (0, -1) for z in datum.label_pairings(c)):
-            return datum.from_labels(c)
+            return datum.vector_of(tuple(map(_exact, c)))
     raise RuntimeError("could not sample a pole-free spectral point")
 
 

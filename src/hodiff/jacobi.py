@@ -75,7 +75,10 @@ class JacobiPolynomial:
 
 def _pattern(datum: RootDatum, top: tuple) -> tuple:
     """The recursion pattern of P_lambda, lam with dominant labels top, read
-    from the alpha-string table of P(lam) (memoized in ``jacobi_memo``):
+    from the alpha-string table of P(lam) (memoized in ``jacobi_memo``): a
+    dominant mu pairs >= 0 with alpha, so only the labels above it on its
+    string feed it, the top on a k = 2 string (mu its middle, ``mids``) or
+    those walked on a k >= 3 string; a k = 1 string has none.  Returns
     (doms, rows, counts, weights), doms the dominant mu <= lam by falling
     height, counts their orbit sizes.  rows[i] = (terms, dq, bs) for mu =
     doms[i + 1]: per (p, o, K) in terms, K sums <nu, alpha^vee> over the nu =
@@ -86,28 +89,30 @@ def _pattern(datum: RootDatum, top: tuple) -> tuple:
     E(rho_g+mu)) = dq + sum_o g_o bs[o], bs[o] = n <S_o, lam - mu>."""
     found = datum.jacobi_memo.get(top)
     if found is None:
-        index, roots, quad, _perms = datum.string_table((top,))
+        table = datum.string_table((top,))
         sat = datum.saturated_labels(top)
         doms = sorted(datum.below_labels(top),
                       key=lambda m: -sum(map(mul, datum.height_row, m)))
         pos = {m: p for p, m in enumerate(doms)}
-        rep = [pos[sat[l]] for l in index]
-        at = {index[m]: p for m, p in pos.items()}
+        rep = [pos[sat[l]] for l in table.index]
+        at = {table.index[m]: p for m, p in pos.items()}
         acc = [defaultdict(int) for _ in doms]
-        for r, strings in roots:
-            o = datum.root_orbit_ids[r]
-            # a dominant label pairs >= 0 with alpha: the upper half of its string
-            for k, string in strings:
-                for j in range(1, k // 2 + 1):
-                    if (p := at.get(string[j])) is not None:
-                        for i in range(j):
-                            acc[p][rep[string[i]], o] += k - 2 * i
+        for o, mids in enumerate(table.mids):
+            for m, highs in mids.items():
+                if (p := at.get(m)) is not None:
+                    for t in highs:
+                        acc[p][rep[t], o] += 2
+        for r, k, string in table.strings:
+            for j in range(1, k // 2 + 1):
+                if (p := at.get(string[j])) is not None:
+                    for i in range(j):
+                        acc[p][rep[string[i]], datum.root_orbit_ids[r]] += k - 2 * i
         norms = [datum.norm_sq(orbit[0]) for orbit in datum.root_orbits]
         q = math.lcm(*(n.denominator for n in norms))
         sg = [[q * sum(map(mul, s, col)) for col in zip(*datum.weight_gram)]
               for s in datum._orbit_label_sums]
         rows = tuple((tuple((p, o, k) for (p, o), k in acc[i].items()),
-                      q * (quad[index[top]] - quad[index[mu]]),
+                      q * (table.quad[table.index[top]] - table.quad[table.index[mu]]),
                       tuple(sum(x * (a - b) for x, a, b in zip(row, top, mu)) for row in sg))
                      for i, mu in enumerate(doms) if i)
         counts = Counter(sat.values())
@@ -226,11 +231,11 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
     ev = _shifted_eigenvalue(datum, mults, datum.labels(lam))
     d, cleared = poly.cleared_terms()
     n, image = apply_L_labels(datum, mults, cleared)
-    residual = {}
+    residual, num, den = {}, n * ev.numerator, ev.denominator
     for l, v in image.items():
-        r = v * ev.denominator - n * ev.numerator * cleared.get(l, 0)
+        r = v * den - num * cleared.get(l, 0)
         if r:
-            residual[datum.from_labels(l)] = Q(r, n * ev.denominator * d)
+            residual[datum.from_labels(l)] = Q(r, n * den * d)
     return EigenReport(system=datum.name, lam=lam, g=mults.key(),
                        eigenvalue=ev, ok=not residual,
                        residual=exp_to_json(ExpPoly(residual)))

@@ -28,11 +28,13 @@ keys, sampled points.  Every pairing, reflection and orbit below is exact.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import partial
 from operator import mul
 
 Vector = tuple[Q, ...]
+StringTable = namedtuple("StringTable", "index quad perms tops bottoms ends own mids strings")
 
 REDUCED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 FAMILIES = REDUCED_FAMILIES + ("BC",)
@@ -608,38 +610,49 @@ class RootDatum:
                 l: m for m in self.below_labels(top) for l in self.orbit_labels(m)}
         return found
 
-    def string_table(self, tops: tuple) -> tuple:
-        """(index, strings, quad, perms) for S the union of the saturated sets
-        P(t), t in tops (memoized): index numbers the labels of S; strings holds
-        per positive root alpha (its index, its strings), a string being (k,
-        indices of the labels at pairings k, k-2, ..., -k) for its top label,
-        <l, alpha^vee> = k > 0 (S is saturated, so none is broken: k + 1 is the
-        length of the walk down from the top); quad holds <l, l> times
+    def string_table(self, tops: tuple) -> StringTable:
+        """The ``StringTable`` of S, the union of the saturated sets P(t), t in
+        tops (memoized): index numbers the labels of S; quad holds <l, l> times
         ``weight_gram_den`` per label, one per dominant representative; perms[j][i]
-        numbers s_j of label i (S is W-stable).  Both walk codes (``_label_code``)."""
+        numbers s_j of label i (S is W-stable).  Each alpha-string, alpha > 0, is
+        walked down from its top l, k = <l, alpha^vee> > 0 (S is saturated: k + 1
+        labels), and stored once.  For k <= 2: its ends in the columns tops and
+        bottoms, (root index, k) in ends, k added at each end to own[o] (o the
+        root's orbit) and, for k = 2, its top under its middle in mids[o].  For
+        k >= 3: (root index, k, the indices of its labels at pairings k, k-2,
+        ..., -k) in strings, by root.  Both walk codes (``_label_code``)."""
         found = self._string_tables.get(tops)
         if found is None:
             reps = {l: m for t in tops for l, m in self.saturated_labels(t).items()}
             index = {l: i for i, l in enumerate(reps)}
             code = _label_code(index, self.root_labels)
             at = {code(l): i for l, i in index.items()}   # codes in index order
-            roots = []
+            ends, strings = [], []
+            own = [[0] * len(index) for _ in self.root_orbits]
+            mids = [{} for _ in self.root_orbits]
             for r in self.positive_indices:
-                a, strings = code(self.root_labels[r]), []
+                a, o = code(self.root_labels[r]), self.root_orbit_ids[r]
                 for c in at:
                     if c + a not in at and c - a in at:
                         string = [at[c]]
                         while (c := c - a) in at:
                             string.append(at[c])
-                        strings.append((len(string) - 1, tuple(string)))
-                if strings:
-                    roots.append((r, tuple(strings)))
+                        if (k := len(string) - 1) > 2:
+                            strings.append((r, k, tuple(string)))
+                            continue
+                        ends.append((string[0], string[-1], r, k))
+                        own[o][string[0]] += k
+                        own[o][string[-1]] += k
+                        if k == 2:
+                            mids[o].setdefault(string[1], []).append(string[0])
             perms = tuple(tuple(at[c - l[j] * a] for l, c in zip(index, at))
                           for j, a in enumerate(map(code, self.cartan)))
             per_rep = {m: sum(x * sum(map(mul, row, m)) for x, row in zip(m, self.weight_gram))
                        for m in set(reps.values())}
-            quad = tuple(map(per_rep.__getitem__, reps.values()))
-            found = self._string_tables[tops] = (index, tuple(roots), quad, perms)
+            found = self._string_tables[tops] = StringTable(
+                index, tuple(map(per_rep.__getitem__, reps.values())), perms,
+                tuple(e[0] for e in ends), tuple(e[1] for e in ends), tuple(e[2:] for e in ends),
+                tuple(map(tuple, own)), tuple(mids), tuple(strings))
         return found
 
     # -- small weights ---------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .rootsys import Multiplicities, RootDatum, Vector, _q_str, _step, vadd, weight_str
 
@@ -170,14 +170,19 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     picks the error: ValueError if p is not invariant, else fatal.  Before
     the table is built, p is refused (ValueError) if s_j l carries another
     coefficient than l for a dominant label l of the support.
-    Along a string, with d_k = k c_k the coefficient of d_alpha p at pairing
-    k and S_k = sum_{j >= k} d_j, the quotient has coefficient S_k + S_{k+2}
-    at pairing k.  Each string must sum to zero, which is the telescoping
-    divisibility criterion; a remainder is fatal.  The quotients are weighted
-    by g_alpha |alpha|^2 / 2 (as <nu, alpha> = k |alpha|^2 / 2); the
-    Laplacian term is <nu, nu> from the fundamental-weight Gram form.  n
-    clears the denominators of those weights and of the Gram form, so integer
-    terms give an integer image (n and the weights: ``sample_record``).
+    Down a string of top pairing k, with s = 0 above its top, each label
+    with coefficient c sets s = s_above + k c, k falling by 2 per label, and
+    gains h = s + s_above in the quotient; the last s is the remainder, and a
+    nonzero one is fatal (the telescoping divisibility criterion).  For k = 1,
+    labels (t, b): h = (c_t, 2 c_t - c_b), remainder c_t - c_b; for k = 2,
+    (t, m, b): h = (2 c_t, 4 c_t, 4 c_t - 2 c_b), remainder 2 (c_t - c_b).
+    So once the k <= 2 tops and bottoms carry equal coefficients (one tuple
+    compare), each end gains k c of its own (the table's ``own``), each
+    middle 4 c_t (``mids``), and only the k >= 3 strings are walked.  The
+    quotients are weighted by g_alpha |alpha|^2 / 2 (<nu, alpha> = k
+    |alpha|^2 / 2), the Laplacian term is <nu, nu> by the Gram form, and n
+    clears their denominators, so integer terms give an integer image (n and
+    the weights: ``sample_record``).
     """
     n, weights, lap = sample_record(datum, mults)[2:5]
     dominant = [l for l in terms if min(l) >= 0]
@@ -188,31 +193,38 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     for l in sorted(dominant, reverse=True, key=lambda l: sum(map(mul, datum.height_row, l))):
         if not any(l in datum.saturated_labels(t) for t in tops):
             tops.append(l)
-    index, roots, quad, perms = datum.string_table(tuple(sorted(tops)))
-    coef = [terms.get(l, 0) for l in index]
-    outside = sorted(terms.keys() - index.keys())
-    if outside or any(list(map(coef.__getitem__, perm)) != coef for perm in perms):
+    table = datum.string_table(tuple(sorted(tops)))
+    coef = [terms.get(l, 0) for l in table.index]
+    outside = sorted(terms.keys() - table.index.keys())
+    if outside or any(list(map(coef.__getitem__, perm)) != coef for perm in table.perms):
         if not _is_invariant(datum, terms):
             raise ValueError("apply_L requires a W-invariant argument")
         raise InternalConsistencyError(
             f"exponent labels {outside[0]} lie outside the alpha-strings of P{tops}"
             if outside else "the string table's reflections disagree with the labels")
-    image = [lap * c * q for c, q in zip(coef, quad)]
-    for r, strings in roots:
-        w = weights[datum.root_orbit_ids[r]]
-        for k, string in strings:
-            s_above = s = 0
-            for i in string:
-                s = s_above + k * coef[i]
-                h = s + s_above
-                if h:
-                    image[i] += w * h
-                s_above = s
-                k -= 2
-            if s != 0:
-                raise InternalConsistencyError(
-                    f"division by 1 - e^-{datum.roots[r]} left remainder {s}")
-    return n, dict(zip(index, image))
+    if table.tops and itemgetter(*table.tops)(coef) != itemgetter(*table.bottoms)(coef):
+        t, b, (r, k) = next(e for e in zip(table.tops, table.bottoms, table.ends)
+                            if coef[e[0]] != coef[e[1]])
+        raise InternalConsistencyError(f"division by 1 - e^-{weight_str(datum.roots[r])} "
+                                       f"left remainder {k * (coef[t] - coef[b])}")
+    factor = [lap * q for q in table.quad]
+    for w, own in zip(weights, table.own):
+        factor = list(map(add, factor, map(w.__mul__, own)))
+    image = list(map(mul, coef, factor))
+    for w, mids in zip(weights, table.mids):
+        for m, highs in mids.items():
+            image[m] += 4 * w * sum(map(coef.__getitem__, highs))
+    for r, k, string in table.strings:
+        w, s_above, s = weights[datum.root_orbit_ids[r]], 0, 0
+        for i in string:
+            s = s_above + k * coef[i]
+            image[i] += w * (s + s_above)
+            s_above = s
+            k -= 2
+        if s != 0:
+            raise InternalConsistencyError(
+                f"division by 1 - e^-{weight_str(datum.roots[r])} left remainder {s}")
+    return n, dict(zip(table.index, image))
 
 
 def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:

@@ -70,6 +70,18 @@ def test_pole_raises(a1):
         coeff_V(a1, g_float, alpha, minus_one)
 
 
+
+def test_coefficients_read_a_float_xi_as_its_binary_value(b2):
+    # coeff_V and coeff_U read a float entry of xi by Fraction, as the limit
+    # coefficients do, at exact and at float multiplicities alike
+    w1 = b2.fundamental_weights[0]
+    origin = (Q(0),) * b2.dim
+    xi, exact = (0.3, 0.2), (Q(0.3), Q(0.2))
+    for mults in (Multiplicities(b2, [Q(1, 3), Q(2, 5)]), Multiplicities(b2, [0.5, 0.25])):
+        assert coeff_V(b2, mults, w1, xi) == coeff_V(b2, mults, w1, exact)
+        assert coeff_U(b2, mults, origin, w1, xi) == coeff_U(b2, mults, origin, w1, exact)
+    assert isinstance(coeff_V(b2, Multiplicities(b2, [Q(1, 3), Q(2, 5)]), w1, xi), Q)
+
 def _reference_product(datum, factors, z, g):
     """A factor-list product one Fraction factor at a time."""
     total = Q(1)

@@ -811,6 +811,27 @@ def test_rational_spectral_points_leave_the_memos_bounded():
     assert all(type(x) is int for l in datum._pairings for x in l)
 
 
+def test_sampled_points_leave_the_vector_memo_as_it_was():
+    # a sampled point is built by vector_of, outside the memo of from_labels
+    # (which grew from 3 to 105 entries over 5,000 draws, one per integral
+    # point): after one collapse check has built what the engines ask for,
+    # 2,000 more draws and checks leave _vectors as they found it.  The
+    # drawn Weight carries the labels from_labels would give it, and the
+    # collapse check reads it as it is (its pairing row stays on it)
+    datum = build_root_system("B", 2)
+    rng = random.Random(7)
+    mults = Multiplicities(datum, [Q(1, 3), Q(2, 5)])
+    omega = datum.quasi_minuscule_weight()
+    quasi_identity_value(datum, mults, omega, sample_spectral_point(datum, rng))
+    before = dict(datum._vectors)
+    for _ in range(2000):
+        xi = sample_spectral_point(datum, rng)
+        assert xi.labels == datum.labels(tuple(xi))
+        quasi_identity_value(datum, mults, omega, xi)
+        assert xi.row is not None
+    assert datum._vectors == before
+
+
 @pytest.mark.parametrize("fam,rank", [("B", 2), ("G", 2)])
 def test_labels_refuse_a_vector_of_the_wrong_length(fam, rank):
     datum = build_root_system(fam, rank)

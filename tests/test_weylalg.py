@@ -161,7 +161,7 @@ def test_apply_l_untelescoped_string_is_fatal(a2, monkeypatch):
     with pytest.raises(weylalg.InternalConsistencyError, match="reflections disagree"):
         apply_L(a2, g, p)
     table = a2.string_table
-    monkeypatch.setattr(a2, "string_table", lambda tops: table(tops)[:3] + ((),))
+    monkeypatch.setattr(a2, "string_table", lambda tops: table(tops)._replace(perms=()))
     with pytest.raises(weylalg.InternalConsistencyError, match="remainder"):
         apply_L(a2, g, p)
 
@@ -266,10 +266,14 @@ def _datum(system):
 def test_string_table_matches_label_steps(system):
     # the tables of P(omega) per small dominant weight omega, of P(2 omega)
     # for the smallest P(omega) (longer strings) and of the union of all
-    # P(omega): each stored permutation is s_j of every label, each string
+    # P(omega): each stored permutation is s_j of every label; each string
     # steps down by its root from a top whose label plus the root leaves S,
-    # every such top has its string, and the packed codes are distinct on S
-    # and on every label one positive root above S
+    # every such top has its string and each string is stored once, in the
+    # k <= 2 columns (ends, with the k = 2 middles under mids) or among the
+    # k >= 3 walks, by root; own[o] sums k over the k <= 2 ends of orbit o;
+    # and the packed codes are distinct on S and on every label one
+    # positive root above S
+    from collections import Counter
     from operator import mul
 
     from hodiff.rootsys import _label_code, _step
@@ -277,26 +281,85 @@ def test_string_table_matches_label_steps(system):
     tops = [datum.dominant_labels(w) for w in datum.small_dominant_weights()]
     least = min(tops, key=lambda t: len(datum.saturated_labels(t)))
     for key in [(t,) for t in tops] + [(tuple(2 * x for x in least),), tuple(sorted(tops))]:
-        index, strings, _quad, perms = datum.string_table(key)
-        labels = list(index)
-        assert len(perms) == datum.rank
-        for j, (perm, row) in enumerate(zip(perms, datum.cartan)):
+        table = datum.string_table(key)
+        labels = list(table.index)
+        assert len(table.perms) == datum.rank
+        for j, (perm, row) in enumerate(zip(table.perms, datum.cartan)):
             assert [labels[i] for i in perm] == [_step(l, l[j], row) for l in labels]
-        found = set()
-        for r, by_top in strings:
-            row, cc = datum.root_labels[r], datum.coroot_coefficients[r]
-            for k, idx in by_top:
-                top = labels[idx[0]]
-                assert k == sum(map(mul, cc, top)) > 0
-                assert [labels[i] for i in idx] == [_step(top, j, row) for j in range(k + 1)]
-                found.add((r, top))
-        assert found == {(r, l) for r in datum.positive_indices for l in labels
-                         if sum(map(mul, datum.coroot_coefficients[r], l)) > 0
-                         and _step(l, -1, datum.root_labels[r]) not in index}
-        code = _label_code(index, datum.root_labels)
+
+        def pairing(r, l):
+            return sum(map(mul, datum.coroot_coefficients[r], l))
+        found = []
+        own = [Counter() for _ in datum.root_orbits]
+        mids = [{} for _ in datum.root_orbits]
+        assert len(table.tops) == len(table.bottoms) == len(table.ends)
+        for t, b, (r, k) in zip(table.tops, table.bottoms, table.ends):
+            top, row, o = labels[t], datum.root_labels[r], datum.root_orbit_ids[r]
+            assert k == pairing(r, top) in (1, 2)
+            assert labels[b] == _step(top, k, row)
+            own[o][t] += k
+            own[o][b] += k
+            if k == 2:
+                mids[o].setdefault(table.index[_step(top, 1, row)], []).append(t)
+            found.append((r, top))
+        assert table.own == tuple(tuple(c[i] for i in range(len(labels))) for c in own)
+        assert table.mids == tuple(mids)
+        order = [datum.positive_indices.index(r) for r, _k, _idx in table.strings]
+        assert order == sorted(order)
+        for r, k, idx in table.strings:
+            top, row = labels[idx[0]], datum.root_labels[r]
+            assert k == pairing(r, top) >= 3
+            assert [labels[i] for i in idx] == [_step(top, j, row) for j in range(k + 1)]
+            found.append((r, top))
+        assert len(found) == len(set(found))
+        assert set(found) == {(r, l) for r in datum.positive_indices for l in labels
+                              if pairing(r, l) > 0
+                              and _step(l, -1, datum.root_labels[r]) not in table.index}
+        code = _label_code(table.index, datum.root_labels)
         above = set(labels).union(_step(l, -1, datum.root_labels[r])
                                   for l in labels for r in datum.positive_indices)
         assert len(set(map(code, above))) == len(above)
+
+
+@pytest.mark.parametrize("system, top, k", [("B2", (1, 0), 2), ("F4", (0, 0, 0, 1), 2),
+                                            ("G2", (0, 1), 3)])
+def test_apply_l_planted_remainder_names_its_root(system, top, k, monkeypatch):
+    # negative control per string branch: m_top summed over P(top), every
+    # coefficient 1, with one label moved by one.  The reflection gate is
+    # emptied so the string division must refuse.  For k = 2 the moved label
+    # is the bottom of the first k = 2 string, and the first unequal end pair
+    # of the k <= 2 columns is that string; for k >= 3 (G2) no label lies on
+    # k >= 3 strings alone, so the k <= 2 columns are emptied too, the moved
+    # label is the first on a k >= 3 string that no simple reflection of a
+    # dominant label reaches (the check made before the table), and the
+    # first k >= 3 string whose closed-form remainder sum_i (k - 2i) c_i is
+    # nonzero is the one named
+    from hodiff import weylalg
+    from hodiff.rootsys import _step, weight_str
+    datum = _datum(system)
+    table = datum.string_table((top,))
+    labels = list(table.index)
+    cut = {"perms": ()} if k == 2 else {"perms": (), "tops": (), "bottoms": (), "ends": ()}
+    monkeypatch.setattr(datum, "string_table", lambda tops: table._replace(**cut))
+    coef = [1] * len(labels)
+    if k == 2:
+        i = next(i for i, (_r, kk) in enumerate(table.ends) if kk == 2)
+        coef[table.bottoms[i]] += 1
+        pairs = zip(table.tops, table.bottoms, table.ends)
+        r, rem = next((r, kk * (coef[t] - coef[b])) for t, b, (r, kk) in pairs
+                      if coef[t] != coef[b])
+        assert (r, rem) == (table.ends[i][0], -2)
+    else:
+        near = {_step(l, l[j], row) for l in labels if min(l) >= 0
+                for j, row in enumerate(datum.cartan)}
+        coef[next(i for _r, _k, idx in table.strings for i in idx
+                  if labels[i] not in near)] += 1
+        r, rem = next((r, s) for r, kk, idx in table.strings
+                      if (s := sum((kk - 2 * i) * coef[j] for i, j in enumerate(idx))))
+    g = constant_multiplicities(datum, Q(2, 5))
+    with pytest.raises(weylalg.InternalConsistencyError) as err:
+        apply_L_labels(datum, g, dict(zip(labels, coef)))
+    assert str(err.value) == f"division by 1 - e^-{weight_str(datum.roots[r])} left remainder {rem}"
 
 
 @pytest.mark.parametrize("system", ["F4", "E6", "BC2"])

@@ -92,13 +92,11 @@ def _eigen_case(name: str, datum: RootDatum, mults: Multiplicities, lam, poly) -
                  {"eigen": eigen.to_dict(), "leading_matches_product": lead_ok})
 
 
-def _datum(data: dict | None, family: str, rank: int) -> RootDatum:
-    """The datum of (family, rank) in data, built there on first use; a new
-    one when data is None.  ``run_campaign`` hands one data dict to every
-    suite driver, so the memos on a datum (Weyl orbits, saturated sets,
-    string tables, Pieri index) serve every suite and die with the campaign."""
-    if data is None:
-        return build_root_system(family, rank)
+def _datum(data: dict, family: str, rank: int) -> RootDatum:
+    """The datum of (family, rank) in data, built there on first use.
+    ``run_campaign`` owns the one data dict it hands to every suite driver,
+    so the memos on a datum (orbits, saturated sets, string tables, Pieri
+    index) serve every suite and die with the campaign."""
     if (family, rank) not in data:
         data[family, rank] = build_root_system(family, rank)
     return data[family, rank]
@@ -121,7 +119,7 @@ def _sample_with_retry(tag, draw, run):
 # campaign's data dict (see ``_datum``).
 
 
-def pieri_cases(config: CampaignConfig, data: dict | None = None):
+def pieri_cases(config: CampaignConfig, data: dict):
     """Criterion-style exact Pieri sweep: its cases, and per multiplicity
     sample the datum, multiplicities, sample index and polynomial cache, so
     that the eigen suite checks every polynomial the sweep built."""
@@ -158,7 +156,7 @@ def pieri_cases(config: CampaignConfig, data: dict | None = None):
     return cases, samples
 
 
-def eigen_cases(config: CampaignConfig, samples: list, data: dict | None = None):
+def eigen_cases(config: CampaignConfig, samples: list, data: dict):
     """Eigencheck plus closed-form leading coefficient for every polynomial
     in the caches of the Pieri sweep's samples, and for the nonreduced rank
     1 and 2 data."""
@@ -176,7 +174,7 @@ def eigen_cases(config: CampaignConfig, samples: list, data: dict | None = None)
             for datum, mults, sample, lam, poly in jobs]
 
 
-def bc_cases(config: CampaignConfig, data: dict | None = None):
+def bc_cases(config: CampaignConfig, data: dict):
     """Nonreduced exact Pieri: rank 1 at ell=1 and rank 2 at ell=1,2 over all
     partitions with first part at most 3, for each multiplicity sample
     (g, g1, g2), which each case's detail records (BC1 has no g orbit).
@@ -220,7 +218,7 @@ def bc_cases(config: CampaignConfig, data: dict | None = None):
     return cases + [_case("bc/rank-one-coefficient-form", ok, {"rows": rows})]
 
 
-def quasi_cases(config: CampaignConfig, data: dict | None = None):
+def quasi_cases(config: CampaignConfig, data: dict):
     """Half-sum identity at five pole-free rational spectral points, plus the
     collapse consistency of the general term data, per applicable system."""
     cases = []
@@ -249,7 +247,7 @@ def quasi_cases(config: CampaignConfig, data: dict | None = None):
     return cases
 
 
-def confluence_cases(config: CampaignConfig, data: dict | None = None):
+def confluence_cases(config: CampaignConfig, data: dict):
     """Scaled-coefficient limits at the frozen spectral/base points, for the
     small fundamental weights plus the quasi-minuscule weight."""
     cases = []
@@ -268,7 +266,7 @@ def confluence_cases(config: CampaignConfig, data: dict | None = None):
     return cases
 
 
-def homogeneity_cases(config: CampaignConfig, data: dict | None = None):
+def homogeneity_cases(config: CampaignConfig, data: dict):
     """Growth-rate identity for every (small omega, dominant mu < omega)."""
     cases = []
     for family, rank in HOMOGENEITY_SYSTEMS:
@@ -293,14 +291,14 @@ def homogeneity_cases(config: CampaignConfig, data: dict | None = None):
     return cases
 
 
-def whittaker_rank_one_case(config: CampaignConfig, data: dict | None = None):
+def whittaker_rank_one_case(config: CampaignConfig, data: dict):
     rep = whittaker.rank_one_whittaker_check(WHITTAKER_ZETA, _datum(data, "A", 1))
     return [_case("whittaker/rank-one-ode",
                   rep.ok(config.tol_whittaker, config.tol_whittaker, config.tol_asym),
                   rep.to_dict())]
 
 
-def rankone_cases(config: CampaignConfig, data: dict | None = None):
+def rankone_cases(config: CampaignConfig, data: dict):
     """Numeric rank-one suite: residual sweep, exact recurrence, both
     cross-checks tying the terminating case to the generic machinery."""
     sweeps = [rankone.verify_de(g1, g2, DE_XI_GRID, DE_X_GRID, tol=config.tol_de)

@@ -113,8 +113,9 @@ def scaled_table(z: tuple, g: tuple) -> list:
 
 def point_table(datum: RootDatum, mults: Multiplicities, lam: tuple) -> list:
     """The ``scaled_table`` of rho_g + lambda on the sample's d (lambda pairs integrally)."""
-    d, rho_g = sample_record(datum, mults)[:2]
-    return [(b + d * k, b + d * k + d, g) for (b, g), k in zip(rho_g, datum.label_pairings(lam))]
+    record = sample_record(datum, mults)
+    return [(z + record.d * k, z + record.d * (k + 1), m)
+            for (z, m, _g), k in zip(record.rows, datum.label_pairings(lam))]
 
 
 def integer_product(datum: RootDatum, factors: tuple, table: list):
@@ -479,11 +480,15 @@ def sample_multiplicities(datum: RootDatum, rng) -> Multiplicities:
 def sample_spectral_point(datum: RootDatum, rng, max_tries: int = 200):
     """Rational xi = sum_i c_i omega_i with every <xi,a^vee> away from 0 and
     -1 (pole-free): the labels c_i drawn (numerator, then denominator), their
-    ``label_pairings`` tested, xi built once by ``vector_of`` (no memo)."""
+    ``label_pairings`` tested, xi built once by ``vector_of`` and carrying
+    that row, so neither memo of the datum keeps a sampled point."""
     for _ in range(max_tries):
         c = tuple(Q(rng.randint(-24, 24), rng.randint(2, 9)) for _ in range(datum.rank))
-        if all(z not in (0, -1) for z in datum.label_pairings(c)):
-            return datum.vector_of(tuple(map(_exact, c)))
+        row = datum.label_pairings(c)
+        if all(z not in (0, -1) for z in row):
+            xi = datum.vector_of(tuple(map(_exact, c)))
+            xi.row = row
+            return xi
     raise RuntimeError("could not sample a pole-free spectral point")
 
 

@@ -170,27 +170,21 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
     """Closed double product for the leading coefficient of P_lambda.
 
     Over each positive root alpha and 0 <= j < <lam, alpha^vee>, the factor is
-    (<rho_g,a^vee> + g_{a/2}/2 + j) / (<rho_g,a^vee> + g_a + g_{a/2}/2 + j),
-    with g_{a/2}/2 = m_a - g_a (``factor_values``), 0 when a/2 is not a root.
-    Empty product for lam = 0.  The rows (i, b, g_a), scaled to integers by
-    the lcm d of their denominators, are built once per sample (``_lead_rows``).
+    (z + g_{a/2}/2 + j) / (z + g_a + g_{a/2}/2 + j), z = <rho_g,a^vee>, with
+    g_{a/2}/2 = m_a - g_a (``factor_values``), 0 when a/2 is not a root.
+    Empty product for lam = 0.  On the rows (Z, M, G) = d (z, m_a, g_a) of
+    the ``sample_record`` each factor reads (Z+M-G+j)/(Z+M+j), j stepping by d.
     """
-    require_exact(mults)
-    if mults._lead_rows is None:
-        rho_pairs, g = datum.pairings(datum.rho(mults)), mults.root_values
-        rows = [(i, rho_pairs[i] + mults.factor_values[i] - g[i], g[i])
-                for i in datum.positive_indices]
-        d = math.lcm(*(x.denominator for _i, b, gi in rows for x in (b, gi)))
-        mults._lead_rows = d, [(i, (b * d).numerator, (gi * d).numerator) for i, b, gi in rows]
-    d, rows = mults._lead_rows
-    lam_pairs = datum.label_pairings(datum.dominant_labels(lam))
+    record = sample_record(datum, mults)
+    d, lam_pairs = record.d, datum.label_pairings(datum.dominant_labels(lam))
     num = den = 1
-    for i, b, gi in rows:
-        for j in range(0, lam_pairs[i] * d, d):
-            if b + gi + j == 0:
+    for i in datum.positive_indices:
+        z, m, g = record.rows[i]
+        for w in range(z + m, z + m + lam_pairs[i] * d, d):   # w = Z+M+j
+            if w == 0:
                 raise ArithmeticError("vanishing factor in the leading product")
-            num *= b + j
-            den *= b + gi + j
+            num *= w - g
+            den *= w
     return Q(num, den)
 
 
@@ -213,10 +207,10 @@ class EigenReport:
 def _shifted_eigenvalue(datum: RootDatum, mults: Multiplicities, l: tuple) -> Q:
     """E(rho_g + v) = <v, v + 2 rho_g> for v with labels l, through the
     fundamental-weight Gram form over r, which clears rho_g's labels (``sample_record``)."""
-    r, rho2 = sample_record(datum, mults)[5:]
-    shifted = [r * a + b for a, b in zip(l, rho2)]
+    record = sample_record(datum, mults)
+    shifted = [record.r * a + b for a, b in zip(l, record.rho2)]
     return Q(sum(a * sum(map(mul, row, shifted)) for a, row in zip(l, datum.weight_gram)),
-             r * datum.weight_gram_den)
+             record.r * datum.weight_gram_den)
 
 
 def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,

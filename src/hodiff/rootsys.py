@@ -20,7 +20,7 @@ type's name (which alone fixes them) and, once read, its pairing row; any
 other vector gets its labels from integer rows, unmemoized.  Every memo of
 a datum is keyed by integer labels, and the exact engines (``jacobi``,
 ``diffeq``, ``nonreduced``) carry weights as labels too, down to rho_g
-(``rho_labels``).  Realization coordinates are rebuilt (``from_labels``)
+(``rho``).  Realization coordinates are rebuilt (``from_labels``)
 only where a weight leaves them: the public API, reports, polynomial cache
 keys, sampled points.  Every pairing, reflection and orbit below is exact.
 """
@@ -35,6 +35,7 @@ from operator import mul
 
 Vector = tuple[Q, ...]
 StringTable = namedtuple("StringTable", "index quad perms tops bottoms ends own mids strings")
+SampleRecord = namedtuple("SampleRecord", "d rows n weights lap r rho2")   # ``sample_record``
 
 REDUCED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 FAMILIES = REDUCED_FAMILIES + ("BC",)
@@ -177,17 +178,17 @@ class RootDatum:
     (``weyl_order``); one bounded scan of labels (``_bounded_labels``) finds
     the small weights and the weights up to a height.  Results are memoized on
     the instance when first asked for, under integer labels: the vectors and
-    pairing rows of weights, the orbit memo (``orbit_labels``, each
-    dominant label's W-orbit walked once and shared, and each
-    ``parabolic_orbit``), Weyl orbits, dominance intervals, saturated maps,
-    their alpha-string tables, Jacobi recursion patterns (``jacobi_memo``),
+    pairing rows of weights, the orbit memo (``orbit_labels``, each dominant
+    label's W-orbit walked once and shared, ``weyl_orbit`` sorting it per
+    call, and each ``parabolic_orbit``), dominance intervals, saturated
+    maps, their alpha-string tables, Jacobi recursion patterns (``jacobi_memo``),
     and for a small weight omega its Pieri index (``index_memo``, BC's
     included) and E_omega on labels (``expansion_label_memo``; for BC the
     E_ell of ``nonreduced`` under the int ell), and the confluent limit's
     etas (``eta_memo``).  The memos live and die with the datum; each entry
     is a pure function of its key, so threads sharing an instance can at
-    worst compute it twice.  The integers of the exact checks are kept per
-    sample on ``Multiplicities``.
+    worst compute it twice.  rho_g and the integers of the exact checks are
+    kept once per sample, on ``Multiplicities``.
     """
 
     def __init__(self, family: str, rank: int):
@@ -305,7 +306,6 @@ class RootDatum:
         # by jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
         self._vectors: dict[tuple, Weight] = {}
         self._pairings: dict[tuple, tuple] = {}
-        self._orbits: dict[tuple, tuple[Vector, ...]] = {}
         self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
         self._sat_label_cache: dict[tuple, dict[tuple, tuple]] = {}
         self._string_tables: dict[tuple, tuple] = {}
@@ -321,7 +321,7 @@ class RootDatum:
             tuple(map(self.roots.__getitem__, orb)) for orb in orbits)
         ids = {i: k for k, orb in enumerate(orbits) for i in orb}
         self.root_orbit_ids: tuple[int, ...] = tuple(ids[i] for i in range(len(self.roots)))
-        # per root orbit, the label sum of its positive roots (``rho_labels``)
+        # per root orbit, the label sum of its positive roots (``rho``)
         positive = set(self.positive_indices)
         self._orbit_label_sums = tuple(tuple(map(sum, zip(*(
             self.root_labels[i] for i in orb if i in positive)))) for orb in orbits)
@@ -514,14 +514,10 @@ class RootDatum:
     # -- Weyl group actions ---------------------------------------------------
 
     def weyl_orbit(self, v: Vector) -> tuple[Vector, ...]:
-        """Full W-orbit of a weight, sorted (memoized per orbit, under the
-        labels of its dominant element)."""
+        """Full W-orbit of a weight, sorted: the labels the orbit memo holds
+        for its dominant element (``orbit_labels``), as vectors."""
         top, _ = self._make_dominant(self.weight_labels(v))
-        orbit = self._orbits.get(top)
-        if orbit is None:
-            orbit = self._orbits[top] = tuple(
-                sorted(map(self.from_labels, self.orbit_labels(top))))
-        return orbit
+        return tuple(map(self.from_labels, sorted(self.orbit_labels(top), key=self._vector_key)))
 
     def stabilizer_roots(self, v: Vector) -> tuple[Vector, ...]:
         """R_v: the roots orthogonal to v (they generate the stabilizer W_v)."""
@@ -711,20 +707,13 @@ class RootDatum:
 
     # -- rho vectors -----------------------------------------------------------
 
-    def rho_labels(self, mults: "Multiplicities") -> tuple:
-        """The labels of rho_g = (1/2) sum_{alpha > 0} g_alpha alpha: half of
-        sum_o Q(g_o) times the integer label sum of the positive roots of
-        orbit o, exact for float g too (memoized on mults)."""
-        if mults._rho_labels is None:
-            mults._rho_labels = tuple(
-                _exact(sum(map(mul, map(Q, mults.values), col)) / 2)
-                for col in zip(*self._orbit_label_sums))
-        return mults._rho_labels
-
     def rho(self, mults: "Multiplicities") -> Weight:
-        """rho_g as the Weight of ``rho_labels`` (memoized on mults)."""
+        """rho_g = (1/2) sum_{alpha > 0} g_alpha alpha as a Weight (memoized on
+        mults), its labels half of sum_o Q(g_o) times the integer label sum of
+        the positive roots of orbit o, exact for float g too."""
         if mults._rho is None:
-            mults._rho = self.vector_of(self.rho_labels(mults))
+            mults._rho = self.vector_of(tuple(_exact(sum(map(mul, map(Q, mults.values), col)) / 2)
+                                              for col in zip(*self._orbit_label_sums)))
         return mults._rho
 
     def __repr__(self):
@@ -736,8 +725,8 @@ class Multiplicities:
 
     ``root_values`` holds one value per root in ``datum.roots`` order, and
     ``factor_values`` the m_a = g_a + g_{a/2}/2 that a's coefficient factors
-    read (m_a = g_a where a/2 is no root, as on every reduced system); rho_g,
-    ``_lead_rows`` and the per-sample record ``_record`` are built once each.
+    read (m_a = g_a where a/2 is no root, as on every reduced system); rho_g
+    (``_rho``) and the per-sample record (``_record``) are built once each.
     """
 
     def __init__(self, datum: RootDatum, values):
@@ -752,7 +741,7 @@ class Multiplicities:
         self.root_values = g = tuple(values[i] for i in datum.root_orbit_ids)
         self.factor_values = tuple(x if h is None else x + g[h] / 2
                                    for x, h in zip(g, datum.half_root_index))
-        self._rho = self._rho_labels = self._lead_rows = self._record = None
+        self._rho = self._record = None
 
     def key(self):
         return tuple(self.values)

@@ -15,7 +15,8 @@ import math
 from fractions import Fraction as Q
 from operator import add, itemgetter, mul
 
-from .rootsys import Multiplicities, RootDatum, Vector, _q_str, _step, vadd, weight_str
+from .rootsys import (Multiplicities, RootDatum, SampleRecord, Vector, _q_str, _step, vadd,
+                      weight_str)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -131,25 +132,25 @@ def require_exact(mults: Multiplicities) -> None:
         raise ValueError("exact multiplicities required")
 
 
-def sample_record(datum: RootDatum, mults: Multiplicities) -> tuple:
-    """(d, rho_g, n, weights, lap, r, rho2), built once per exact sample on
-    mults: d clears each <rho_g,a^vee> and m_a, rho_g holds both times d per
-    root (``diffeq.point_table``); n clears the Gram form and each g_o |a_o|^2
-    / 2, weights are those times n, lap = n / ``weight_gram_den``
+def sample_record(datum: RootDatum, mults: Multiplicities) -> SampleRecord:
+    """The integers of an exact sample, built once on mults: d clears each z =
+    <rho_g,a^vee>, m_a and g_a, rows holds (d z, d m_a, d g_a) per root (read
+    by ``point_table`` and the leading product); n clears the Gram form and each
+    g_o |a_o|^2 / 2, weights are those times n, lap = n / ``weight_gram_den``
     (``apply_L_labels``); r clears rho_g's labels, rho2 holds them times 2 r."""
     require_exact(mults)
     if mults._record is None:
-        rho, g = datum.rho_labels(mults), mults.factor_values
-        pairs = datum.pairings(datum.rho(mults))
-        d = math.lcm(*(x.denominator for x in (*pairs, *g)))
+        rho = datum.rho(mults)
+        cols = datum.pairings(rho), mults.factor_values, mults.root_values
+        d = math.lcm(*(x.denominator for col in cols for x in col))
         weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
                    for o, orbit in enumerate(datum.root_orbits)]
         n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
-        r = math.lcm(*(x.denominator for x in rho))
-        mults._record = (
-            d, [((x * d).numerator, (y * d).numerator) for x, y in zip(pairs, g)],
+        r = math.lcm(*(x.denominator for x in rho.labels))
+        mults._record = SampleRecord(
+            d, [tuple(x.numerator * (d // x.denominator) for x in row) for row in zip(*cols)],
             n, [(w * n).numerator for w in weights], n // datum.weight_gram_den,
-            r, [2 * (x * r).numerator for x in rho])
+            r, [2 * (x * r).numerator for x in rho.labels])
     return mults._record
 
 
@@ -184,7 +185,7 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     clears their denominators, so integer terms give an integer image (n and
     the weights: ``sample_record``).
     """
-    n, weights, lap = sample_record(datum, mults)[2:5]
+    record = sample_record(datum, mults)
     dominant = [l for l in terms if min(l) >= 0]
     if any(k and terms.get(_step(l, k, row), 0) != terms[l]
            for l in dominant for k, row in zip(l, datum.cartan)):
@@ -207,15 +208,15 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
                             if coef[e[0]] != coef[e[1]])
         raise InternalConsistencyError(f"division by 1 - e^-{weight_str(datum.roots[r])} "
                                        f"left remainder {k * (coef[t] - coef[b])}")
-    factor = [lap * q for q in table.quad]
-    for w, own in zip(weights, table.own):
+    factor = [record.lap * q for q in table.quad]
+    for w, own in zip(record.weights, table.own):
         factor = list(map(add, factor, map(w.__mul__, own)))
     image = list(map(mul, coef, factor))
-    for w, mids in zip(weights, table.mids):
+    for w, mids in zip(record.weights, table.mids):
         for m, highs in mids.items():
             image[m] += 4 * w * sum(map(coef.__getitem__, highs))
     for r, k, string in table.strings:
-        w, s_above, s = weights[datum.root_orbit_ids[r]], 0, 0
+        w, s_above, s = record.weights[datum.root_orbit_ids[r]], 0, 0
         for i in string:
             s = s_above + k * coef[i]
             image[i] += w * (s + s_above)
@@ -224,7 +225,7 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
         if s != 0:
             raise InternalConsistencyError(
                 f"division by 1 - e^-{weight_str(datum.roots[r])} left remainder {s}")
-    return n, dict(zip(table.index, image))
+    return record.n, dict(zip(table.index, image))
 
 
 def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction as Q
-from functools import cache
 
 import mpmath
 from mpmath.libmp import to_fixed
@@ -438,8 +437,8 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     1/zeta coefficients degenerate there, while the oracle itself is finite
     at integer order.  Each distinct |zeta + s| is evaluated once.  The
     oracle is even in zeta, so the -zeta construction is the zeta one and
-    winv_deviation is 0.0 by construction.  datum is an A1 datum (a
-    process-wide one when not given).
+    winv_deviation is 0.0 by construction.  datum is an A1 datum (built
+    for the call when not given).
     """
     a = abs(float(zeta))
     if a < 0.05:
@@ -449,7 +448,7 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     if abs(a - round(a)) < 0.05 - 1e-12:
         raise ValueError("spectral value too close to an integer; "
                          "the two-chamber normalization degenerates")
-    datum = datum or _a1_datum()
+    datum = datum or build_root_system("A", 1)
     omega = datum.fundamental_weights[0]
     alpha = datum.positive_roots[0]
     xi = tuple(Q(zeta) * c for c in omega)
@@ -487,7 +486,3 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     return RankOneWhittakerReport(zeta, orac[0].matching_radius, res_min, res_qmin,
                                   winv, asym, rows)
 
-
-@cache
-def _a1_datum() -> RootDatum:
-    return build_root_system("A", 1)

@@ -106,7 +106,7 @@ def tuple_walk_jacobi(datum, mults, lam):
     doms = sorted(datum.below_labels(top),
                   key=lambda m: -sum(map(mul, height_row, m)))
     gram = datum.weight_gram
-    rho_labels = datum.rho_labels(mults)
+    rho_labels = datum.rho(mults).labels
     d = math.lcm(*(x.denominator for x in rho_labels))
     rho_d = [x.numerator * (d // x.denominator) for x in rho_labels]
 
@@ -434,7 +434,7 @@ def vscale(c, u):
 
 def half_weighted_sum(datum, weight_of_root):
     """(1/2) sum over positive roots of weight(alpha) * alpha, as a vector:
-    the package forms rho_g on labels (``RootDatum.rho_labels``)."""
+    the package forms rho_g on labels (``RootDatum.rho``)."""
     acc = (Q(0),) * datum.dim
     for a in datum.positive_roots:
         acc = tuple(x + y for x, y in zip(acc, vscale(weight_of_root(a), a)))
@@ -499,7 +499,7 @@ def scan_pieri_index(datum, omega):
 def fraction_point_table(datum, mults, lam):
     """The ``scaled_table`` of rho_g + lambda, lam the labels of a weight,
     from the pairings of the Fraction labels of rho_g plus lam."""
-    return scaled_table(datum.label_pairings(tuple(map(add, datum.rho_labels(mults), lam))),
+    return scaled_table(datum.label_pairings(tuple(map(add, datum.rho(mults).labels, lam))),
                         mults.root_values)
 
 

@@ -243,10 +243,11 @@ def test_eigen_jobs_keep_the_vector_order_of_each_cache():
     # the eigen jobs of each Pieri cache, sorted by the integer key of the
     # labels, come in the order of the (multiplicities, lambda vector) keys
     config = cli.CampaignConfig(samples=3)
-    _cases, samples = cli.pieri_cases(config)
+    data = {}
+    _cases, samples = cli.pieri_cases(config, data)
     want = [(res["datum"].name, res["sample"], lam)
             for res in samples for (_g, lam), _poly in sorted(res["cache"].items())]
-    got = [c["case"] for c in cli.eigen_cases(config, samples)
+    got = [c["case"] for c in cli.eigen_cases(config, samples, data)
            if not c["case"].startswith("eigen/BC")]
     assert got == [f"eigen/{system}/lam={weight_str(lam)}/s{s}" for system, s, lam in want]
     assert {system for system, _s, _l in want} == {f"{f}{r}" for f, r in cli.PIERI_SYSTEMS}
@@ -763,7 +764,7 @@ def test_campaign_redraws_a_sample_that_hits_a_pole(monkeypatch):
     tag = f"{config.seed}:A1:0"
     assert _draw(f"{tag}:0", 1) != _draw(f"{tag}:1", 1)
     _plant_poles(monkeypatch, diffeq, "verify_pieri", every=False)
-    cases, (res,) = cli.pieri_cases(config)
+    cases, (res,) = cli.pieri_cases(config, {})
     assert res["mults"].values == _draw(f"{tag}:1", 1)
     assert cases and all(c["status"] == "pass" for c in cases)
 
@@ -771,7 +772,7 @@ def test_campaign_redraws_a_sample_that_hits_a_pole(monkeypatch):
     draws = {1: _draw(f"{tag}:1", 3), 2: _draw(f"{config.seed}:bc:2:0:0", 3)}
     assert _draw(f"{tag}:0", 3)[1:] != draws[1][1:]   # BC1 reads (g1, g2) only
     calls = _plant_poles(monkeypatch, nonreduced, "verify_pieri_bc", every=False)
-    cases = cli.bc_cases(config)
+    cases = cli.bc_cases(config, {})
     # the rank and multiplicities of each call after the planted pole, in
     # call order, and the (g, g1, g2) each case's detail records
     bc = {n: build_root_system("BC", n) for n in draws}
@@ -791,5 +792,5 @@ def test_campaign_gives_up_after_24_poles(module, name, driver, monkeypatch):
     calls = _plant_poles(monkeypatch, module, name, every=True)
     config = cli.CampaignConfig(systems=(("A", 1),), samples=1, height_bound=Q(0))
     with pytest.raises(RuntimeError, match="no pole-free sample"):
-        driver(config)
+        driver(config, {})
     assert len(calls) == 24

@@ -169,7 +169,7 @@ def test_opdam_product_matches_fraction_reference(system):
                 if list(p) == sorted(p, reverse=True)]
         samples = []
     else:
-        _cases, (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1))
+        _cases, (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1), {})
         datum, lams, samples = res["datum"], [lam for _g, lam in res["cache"]], [res["mults"]]
     rng = random.Random(f"opdam:{system}")
     samples += [sample_multiplicities(datum, rng) for _ in range(3)]
@@ -181,8 +181,9 @@ def test_opdam_product_matches_fraction_reference(system):
 
 @pytest.mark.parametrize("fam,rank", PIERI_SYSTEMS + (("BC", 1), ("BC", 2), ("BC", 3)))
 def test_leading_rows_match_fraction_reference(fam, rank):
-    # the rows cleared once per sample against the factor-by-factor product,
-    # at every dominant lambda of height <= 4, two samples on one datum
+    # the rows of the sample record, d (<rho_g,a^vee>, m_a, g_a) per root
+    # cleared once per sample, against the factor-by-factor product at every
+    # dominant lambda of height <= 4, two samples on one datum
     from oracles import fraction_opdam
     datum = build_root_system(fam, rank)
     rng = random.Random(f"lead-rows:{fam}{rank}")
@@ -190,21 +191,24 @@ def test_leading_rows_match_fraction_reference(fam, rank):
         for lam in datum.dominant_weights_up_to_height(4):
             assert opdam_leading_coefficient(datum, mults, lam) == \
                 fraction_opdam(datum, mults, lam), (fam, rank, lam)
-        assert mults._lead_rows is not None
+        record = mults._record
+        cols = datum.pairings(datum.rho(mults)), mults.factor_values, mults.root_values
+        assert record.rows == [tuple(x * record.d for x in row) for row in zip(*cols)]
 
 
 def test_leading_rows_without_the_half_root_term_disagree(bc2):
-    # negative control: the cleared rows with g_{a/2}/2 dropped from b no
-    # longer give the leading coefficient of the BC2 polynomial
+    # negative control: the record's rows with g_{a/2}/2 dropped from M
+    # (M = G on the doubled roots) no longer give the leading coefficient
+    # of the BC2 polynomial
     mults = sample_multiplicities(bc2, random.Random("lead-half"))
     lam = (Q(2), Q(1))
     poly = jacobi_polynomial(bc2, mults, lam)
     assert poly.leading_coefficient() == opdam_leading_coefficient(bc2, mults, lam)
-    d, rows = mults._lead_rows
-    g, half = mults.root_values, bc2.half_root_index
-    assert any(half[i] is not None for i, _b, _g in rows)
-    mults._lead_rows = d, [(i, b if half[i] is None else b - (Q(g[half[i]], 2) * d).numerator, gi)
-                           for i, b, gi in rows]
+    record, half = mults._record, bc2.half_root_index
+    assert any(half[i] is not None for i in bc2.positive_indices)
+    mults._record = record._replace(rows=[row if h is None else (row[0], row[2], row[2])
+                                          for row, h in zip(record.rows, half)])
+    assert mults._record.rows != record.rows
     assert poly.leading_coefficient() != opdam_leading_coefficient(bc2, mults, lam)
 
 

@@ -248,7 +248,7 @@ def test_pieri_bc_builds_multiplicities_once_per_triple(monkeypatch):
     monkeypatch.setattr(nonreduced, "verify_pieri_bc",
                         lambda datum, mults, *args, **kw: seen.append((datum.rank, mults))
                         or verify(datum, mults, *args, **kw))
-    cases = cli.bc_cases(cli.CampaignConfig(samples=2))
+    cases = cli.bc_cases(cli.CampaignConfig(samples=2), {})
     assert all(c["status"] == "pass" for c in cases)
     samples = list(dict.fromkeys(seen))   # (rank, mults) per sample, in call order
     assert [n for n, _mults in samples] == [1, 1, 2, 2]

@@ -413,7 +413,7 @@ def test_rho_on_labels_matches_vector_half_sum(fam, rank):
         m = Multiplicities(datum, values)
         want = half_weighted_sum(datum, lambda a: multiplicity_of(m, a))
         assert datum.rho(m) == want
-        got, ref = datum.rho_labels(m), fresh.labels(want)
+        got, ref = datum.rho(m).labels, fresh.labels(want)
         assert got == ref and list(map(type, got)) == list(map(type, ref))
         assert datum.labels(datum.rho(m)) is got and datum.labels(want) == got
 
@@ -692,11 +692,12 @@ def test_memos_are_keyed_by_labels(fam, rank):
                 for (_g, mu), poly in cache.items():
                     assert verify_eigen(datum, mults, mu, poly).ok
     assert _fraction_keyed_memos(datum) == set()
-    # an orbit is memoized once, under the labels of its dominant element
+    # an orbit is walked once, under the labels of its dominant element:
+    # repeated weyl_orbit calls read the orbit memo and add nothing to it
     orbit = datum.weyl_orbit(omega)
-    entries = len(datum._orbits)
+    walks = dict(datum._walks)
     assert all(datum.weyl_orbit(nu) == orbit for nu in orbit)
-    assert len(datum._orbits) == entries
+    assert datum._walks == walks and all(datum._walks[k] is v for k, v in walks.items())
 
 
 # -- a vector the datum made is a Weight that carries its labels -------------
@@ -830,6 +831,27 @@ def test_sampled_points_leave_the_vector_memo_as_it_was():
         quasi_identity_value(datum, mults, omega, xi)
         assert xi.row is not None
     assert datum._vectors == before
+
+
+def test_sampled_points_leave_the_pairing_memo_as_it_was():
+    # a sampled point carries the pairing row its pole test read, so that a
+    # check at it writes no _pairings row (the memo grew from 2 to 104 rows
+    # over 5,000 draws, one per integral point): 500 draws, each followed
+    # by the half-sum identity, leave _pairings at its size before them.
+    # Some of the draws are integral, and each row is the one the labels give
+    datum = build_root_system("B", 2)
+    rng = random.Random(7)
+    mults = sample_multiplicities(datum, rng)
+    omega = datum.quasi_minuscule_weight()
+    quasi_identity_value(datum, mults, omega, sample_spectral_point(datum, rng))
+    before, integral = dict(datum._pairings), 0
+    for _ in range(500):
+        xi = sample_spectral_point(datum, rng)
+        integral += all(type(x) is int for x in xi.labels)
+        assert xi.row == datum.label_pairings(tuple(map(Q, xi.labels)))
+        quasi_identity_value(datum, mults, omega, xi)
+    assert integral > 0
+    assert datum._pairings == before
 
 
 @pytest.mark.parametrize("fam,rank", [("B", 2), ("G", 2)])

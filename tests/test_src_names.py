@@ -45,7 +45,7 @@ BENCH_ONLY = {
 ANY = "*"   # the owner of a use that cannot be resolved
 
 # parameters with a default, dataclass fields and argparse options in src/
-SETTABLE_BOUND = 135
+SETTABLE_BOUND = 127
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):

@@ -198,7 +198,7 @@ def _campaign_polynomials(system):
         assert verify_pieri(datum, mults, datum.fundamental_weights[1],
                             (Q(0),) * datum.dim, cache=cache).ok
         return [(datum, mults, poly) for poly in cache.values()]
-    _cases, (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1))
+    _cases, (res,) = pieri_cases(CampaignConfig(systems=((fam, rank),), samples=1), {})
     return [(res["datum"], res["mults"], poly) for poly in res["cache"].values()]
 
 

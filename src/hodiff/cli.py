@@ -31,7 +31,7 @@ HOMOGENEITY_SYSTEMS = (("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2
 
 # frozen spectral/base points for the confluence suite; pairings are kept
 # small because the t=30 deviation floor of a quasi-minuscule shift term is
-# about 3*exp(-15), only 8% under the 1e-6 bound
+# about 3*exp(-15), only 8% under the bound whittaker.CONFLUENCE_TOL
 CONFLUENCE_CASES = {
     ("A", 1): {"xi": (Q(1, 40),), "x": (0.3, -0.3)},
     ("A", 2): {"xi": (Q(1, 40), Q(-1, 80)), "x": (0.25, -0.1, -0.15)},
@@ -69,9 +69,10 @@ class CampaignConfig:
     seed: int = 20150801
     suites: tuple = tuple(SUITE_READS)
     perturb: str | None = None
-    # bounds of the float suites: class constants, not fields, as no caller sets them
-    tol_de = 1e-9
-    tol_confluence = 1e-6
+    # bounds of the float suites: class constants, not fields, as no caller
+    # sets them; the DE and confluence bounds are named where they are checked
+    tol_de = rankone.DE_TOL
+    tol_confluence = whittaker.CONFLUENCE_TOL
     tol_whittaker = 1e-6
     tol_asym = 1e-4
 
@@ -94,9 +95,9 @@ def _eigen_case(name: str, datum: RootDatum, mults: Multiplicities, lam, poly) -
 
 def _datum(data: dict, family: str, rank: int) -> RootDatum:
     """The datum of (family, rank) in data, built there on first use.
-    ``run_campaign`` owns the one data dict it hands to every suite driver,
-    so the memos on a datum (orbits, saturated sets, string tables, Pieri
-    index) serve every suite and die with the campaign."""
+    ``run_campaign`` hands the dict it is given (``verify`` parses --omega on
+    it too) to every suite driver, so the memos on a datum (orbits, saturated
+    sets, string tables, Pieri index) serve every suite and die with it."""
     if (family, rank) not in data:
         data[family, rank] = build_root_system(family, rank)
     return data[family, rank]
@@ -324,9 +325,9 @@ def rankone_cases(config: CampaignConfig, data: dict):
 # -- campaign assembly -----------------------------------------------------------
 
 
-def run_campaign(config: CampaignConfig) -> dict:
-    """The ``hodiff/1`` report of the selected suites, in report order."""
-    data, cases = {}, []
+def run_campaign(config: CampaignConfig, data: dict) -> dict:
+    """The ``hodiff/1`` report of the selected suites, in report order, on data (``_datum``)."""
+    cases = []
     if "pieri" in config.suites or "eigen" in config.suites:
         pieri, samples = pieri_cases(config, data)
         if "pieri" in config.suites:
@@ -481,13 +482,14 @@ def cmd_verify(args) -> int:
         height = None
     if height is None or not 0 <= height <= MAX_HEIGHT:
         raise ValueError(f"--height must be a rational between 0 and {MAX_HEIGHT}")
+    data = {}
     if args.omega:
-        datum = build_root_system(args.family, args.rank)
+        datum = _datum(data, args.family, args.rank)
         omegas = (datum.labels(_parse_omega(datum, args.omega)),)
     report = run_campaign(CampaignConfig(
         systems=systems, omegas=omegas, height_bound=height,
         samples=samples, seed=seed, suites=suites,
-        perturb=args.perturb or None))
+        perturb=args.perturb or None), data)
     _emit(report, args.out)
     return EXIT_PASS if report["n_fail"] == 0 else EXIT_FAIL
 
@@ -644,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", type=float, default=1.0 / 3.0)
     p.add_argument("--xi", default=",".join(str(v) for v in DE_XI_GRID))
     p.add_argument("--x", default=",".join(str(v) for v in DE_X_GRID))
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=rankone.DE_TOL)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep_rank_one)
@@ -656,8 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", required=True,
                    help="rational fundamental-weight coefficients")
     p.add_argument("--x", required=True, help="float coordinates of the base point")
-    p.add_argument("--t", default="10,20,30")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--t", default=",".join(map(str, whittaker.CONFLUENCE_T)))
+    p.add_argument("--tol", type=float, default=whittaker.CONFLUENCE_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_whittaker_limits)
     return parser

@@ -107,8 +107,7 @@ def _pattern(datum: RootDatum, top: tuple) -> tuple:
                 if (p := at.get(string[j])) is not None:
                     for i in range(j):
                         acc[p][rep[string[i]], datum.root_orbit_ids[r]] += k - 2 * i
-        norms = [datum.norm_sq(orbit[0]) for orbit in datum.root_orbits]
-        q = math.lcm(*(n.denominator for n in norms))
+        q = math.lcm(*(n.denominator for n in datum.orbit_norms))
         sg = [[q * sum(map(mul, s, col)) for col in zip(*datum.weight_gram)]
               for s in datum._orbit_label_sums]
         rows = tuple((tuple((p, o, k) for (p, o), k in acc[i].items()),
@@ -118,7 +117,7 @@ def _pattern(datum: RootDatum, top: tuple) -> tuple:
         counts = Counter(sat.values())
         found = datum.jacobi_memo[top] = (
             doms, rows, [counts[m] for m in doms],
-            [(n * q).numerator * datum.weight_gram_den for n in norms])
+            [(n * q).numerator * datum.weight_gram_den for n in datum.orbit_norms])
     return found
 
 

@@ -88,8 +88,7 @@ def bc_multiplicities(datum: RootDatum, g, g1, g2) -> Multiplicities:
     """Attach (g, g1, g2) to the orbits of the nonreduced datum by length:
     squared length 2 -> g, 1 -> g1, 4 -> g2.  Rank one has no g orbit."""
     by_norm = {Q(2): g, Q(1): g1, Q(4): g2}
-    return Multiplicities(datum, [by_norm[datum.norm_sq(orbit[0])]
-                                  for orbit in datum.root_orbits])
+    return Multiplicities(datum, [by_norm[norm] for norm in datum.orbit_norms])
 
 
 @dataclass
@@ -158,7 +157,7 @@ def rearrangement_gap(datum: RootDatum, mults: Multiplicities, xi):
     length as ``bc_multiplicities`` attaches them; identically zero, checked
     at rational points as a guard on signs and sum structure."""
     n = datum.rank
-    by_norm = {datum.norm_sq(orbit[0]): x for orbit, x in zip(datum.root_orbits, mults.values)}
+    by_norm = dict(zip(datum.orbit_norms, mults.values))
     gs = (by_norm.get(2), by_norm[1], by_norm[4])
     gap = coeff_U_Kp(datum, mults, tuple(range(n)), 1, xi)
     neg = tuple(-x for x in xi)

@@ -24,6 +24,7 @@ SERIES_TOL = 1e-15
 SERIES_MAX_TERMS = 100_000
 AGREEMENT_TOL = 1e-11
 X_MAX = 8.0   # keeps the transformed-series argument far enough from 1
+DE_TOL = 1e-9   # the bound on verify_de's relative residuals
 BC1_S_VALUES = (Q(1, 4), Q(5, 3), Q(7, 2))   # where bc1_crosscheck compares the two sides
 
 
@@ -133,9 +134,9 @@ def shift_coefficients(g1, g2, xi):
 class SweepReport:
     g1: float
     g2: float
+    tol: float
     rows: list = field(default_factory=list)   # (xi, x, residual)
     skipped: list = field(default_factory=list)
-    tol: float = 1e-9
 
     @property
     def ok(self):
@@ -153,7 +154,7 @@ class SweepReport:
                 "skipped": self.skipped}
 
 
-def verify_de(g1, g2, xi_grid, x_grid, tol=1e-9) -> SweepReport:
+def verify_de(g1, g2, xi_grid, x_grid, tol=DE_TOL) -> SweepReport:
     """Relative residuals of the rank-one difference equation over a (xi, x)
     grid, skipping coefficient poles (ValueError if no xi is free of them).
     Each condition of ``HypergeometricParams`` reads (g1, g2), xi or x alone,

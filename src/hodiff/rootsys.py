@@ -173,22 +173,24 @@ class RootDatum:
     The roots and the label tables are fixed at construction, from integer rows
     over one denominator (the Cartan matrix, its inverse and the duality check
     of the fundamental weights included), and so is ``root_perms``, from which
-    the Pieri index carries its factor lists down the Weyl descent.  One label
-    descent (``_dominant_orbit``) finds every Weyl and parabolic orbit and |W|
-    (``weyl_order``); one bounded scan of labels (``_bounded_labels``) finds
-    the small weights and the weights up to a height.  Results are memoized on
-    the instance when first asked for, under integer labels: the vectors and
-    pairing rows of weights, the orbit memo (``orbit_labels``, each dominant
-    label's W-orbit walked once and shared, ``weyl_orbit`` sorting it per
-    call, and each ``parabolic_orbit``), dominance intervals, saturated
-    maps, their alpha-string tables, Jacobi recursion patterns (``jacobi_memo``),
-    and for a small weight omega its Pieri index (``index_memo``, BC's
-    included) and E_omega on labels (``expansion_label_memo``; for BC the
-    E_ell of ``nonreduced`` under the int ell), and the confluent limit's
-    etas (``eta_memo``).  The memos live and die with the datum; each entry
-    is a pure function of its key, so threads sharing an instance can at
-    worst compute it twice.  rho_g and the integers of the exact checks are
-    kept once per sample, on ``Multiplicities``.
+    the Pieri index carries its factor lists down the Weyl descent, and
+    |alpha|^2 per root and per root orbit (``root_norms``, ``orbit_norms``).
+    One label descent (``_dominant_orbit``) finds every Weyl and parabolic
+    orbit and |W| (``weyl_order``); one greedy descent (``_greedy``) finds a
+    label's dominant element and word; one bounded scan of labels
+    (``_bounded_labels``) finds the small weights and the weights up to a
+    height.  Results are memoized on the instance when first asked for, under
+    integer labels: the vectors and pairing rows of weights, the orbit memo
+    (``orbit_labels``, each dominant label's W-orbit walked once and shared,
+    ``weyl_orbit`` sorting it per call, and each ``parabolic_orbit``),
+    dominance intervals, saturated maps, their alpha-string tables, Jacobi
+    recursion patterns (``jacobi_memo``), and for a small weight omega its
+    Pieri index (``index_memo``, BC's included) and E_omega on labels
+    (``expansion_label_memo``; for BC the E_ell of ``nonreduced`` under the int
+    ell), and the confluent limit's etas (``eta_memo``).  The memos live and
+    die with the datum; each entry is a pure function of its key, so threads
+    sharing an instance can at worst compute it twice.  rho_g and the integers
+    of the exact checks are kept once per sample, on ``Multiplicities``.
     """
 
     def __init__(self, family: str, rank: int):
@@ -243,7 +245,7 @@ class RootDatum:
         # |alpha_k|^2 = snum_k / sden and <alpha_k, alpha> = l_k |alpha_k|^2 / 2,
         # the integer t(n) = sum_k n_k l_k snum_k is 2 sden |alpha|^2
         label_of = {tuple(sum(map(mul, l, col)) // cden for col in zip(*cinv)): l
-                    for top in dict.fromkeys(self._make_dominant(row)[0] for row in self.cartan)
+                    for top in dict.fromkeys(self._greedy(row, {})[0] for row in self.cartan)
                     for l in self.orbit_labels(top)}
         twice_of = {n: sum(map(mul, map(mul, n, l), snum)) for n, l in label_of.items()}
         if family == "BC":
@@ -268,7 +270,7 @@ class RootDatum:
             tuple(index[_step(l, l[j], row)] for l in self.root_labels)
             for j, row in enumerate(self.cartan))
         twice = tuple(map(twice_of.get, order))
-        # |alpha|^2 per root, read by index (``norm_sq`` for a root vector)
+        # |alpha|^2 per root, read by index
         self.root_norms: tuple[Q, ...] = tuple(Q(t, 2 * sden) for t in twice)
         self.positive_indices: tuple[int, ...] = tuple(
             i for i, n in enumerate(order) if min(n) >= 0)
@@ -321,6 +323,8 @@ class RootDatum:
             tuple(map(self.roots.__getitem__, orb)) for orb in orbits)
         ids = {i: k for k, orb in enumerate(orbits) for i in orb}
         self.root_orbit_ids: tuple[int, ...] = tuple(ids[i] for i in range(len(self.roots)))
+        # |alpha|^2 per root orbit, read by orbit index
+        self.orbit_norms: tuple[Q, ...] = tuple(self.root_norms[orb[0]] for orb in orbits)
         # per root orbit, the label sum of its positive roots (``rho``)
         positive = set(self.positive_indices)
         self._orbit_label_sums = tuple(tuple(map(sum, zip(*(
@@ -338,11 +342,6 @@ class RootDatum:
         """alpha's index in ``roots`` or None, found by its labels."""
         i = self._label_roots.get(self.labels(alpha))
         return None if i is None or self.roots[i] != alpha else i
-
-    def norm_sq(self, alpha: Vector) -> Q:
-        """<alpha, alpha>, read from ``root_norms`` when alpha is a root."""
-        i = self._root_at(alpha)
-        return self.inner(alpha, alpha) if i is None else self.root_norms[i]
 
     def pairing(self, v: Vector, alpha: Vector) -> Q:
         """<v, alpha^vee>, exact for any two vectors of the realization: read
@@ -427,27 +426,17 @@ class RootDatum:
             found = self._walks[top] = self._dominant_orbit(top)
         return found
 
-    def _make_dominant(self, l: tuple, J=None):
-        """Greedy reflection at the least s_j, j in J (J None: every simple
-        root), with a negative label; (result, the j in the order applied).
-        For J None the steps, reversed, are a reduced word for the shortest w
-        with w l dominant (checked by brute force in the tests)."""
-        J = range(self.rank) if J is None else J
-        steps = []
-        while True:
-            i = next((j for j in J if l[j] < 0), None)
-            if i is None:
-                return l, steps
-            l = _step(l, l[i], self.cartan[i])
-            steps.append(i)
-
-    def _greedy(self, l: tuple, memo: dict) -> tuple:
-        """``_make_dominant(l)`` as (result, its steps reversed), memoized in
-        memo: the greedy chains of one orbit share their tails."""
+    def _greedy(self, l: tuple, memo: dict, J=None) -> tuple:
+        """Greedy reflection at the least s_j, j in J (J None: all), with a
+        negative label: (result, word of the steps, last first), memoized in
+        memo (one per J), as the chains of an orbit share their tails.  For J
+        None the word is reduced, of the shortest w with w l dominant
+        (checked by brute force in the tests)."""
         found = memo.get(l)
         if found is None:
-            i = next((j for j, k in enumerate(l) if k < 0), None)
-            plus, w = (l, ()) if i is None else self._greedy(_step(l, l[i], self.cartan[i]), memo)
+            i = next((j for j in (range(self.rank) if J is None else J) if l[j] < 0), None)
+            plus, w = (l, ()) if i is None else self._greedy(
+                _step(l, l[i], self.cartan[i]), memo, J)
             found = memo[l] = (plus, w if i is None else w + (i,))
         return found
 
@@ -469,7 +458,7 @@ class RootDatum:
         (top, l), in the orbit memo, so the Pieri index and E_omega share it."""
         if (found := self._walks.get((top, l))) is None:
             J = [j for j, k in enumerate(top) if k == 0]
-            found = self._walks[top, l] = self._dominant_orbit(self._make_dominant(l, J)[0], J)
+            found = self._walks[top, l] = self._dominant_orbit(self._greedy(l, {}, J)[0], J)
         return found
 
     # -- construction helpers ----------------------------------------------
@@ -516,7 +505,7 @@ class RootDatum:
     def weyl_orbit(self, v: Vector) -> tuple[Vector, ...]:
         """Full W-orbit of a weight, sorted: the labels the orbit memo holds
         for its dominant element (``orbit_labels``), as vectors."""
-        top, _ = self._make_dominant(self.weight_labels(v))
+        top = self._greedy(self.weight_labels(v), {})[0]
         return tuple(map(self.from_labels, sorted(self.orbit_labels(top), key=self._vector_key)))
 
     def stabilizer_roots(self, v: Vector) -> tuple[Vector, ...]:
@@ -527,15 +516,15 @@ class RootDatum:
         """Orbit W_v(eta) of eta under the stabilizer of v, sorted.  With
         w v = v+ dominant, W_v = w^{-1} W_J w for W_J the stabilizer of v+
         (``parabolic_orbit``), so W_v(eta) = w^{-1} W_J (w eta)."""
-        top, steps = self._make_dominant(self.labels(v))
-        # w is the word steps[::-1] and w^{-1} the word steps
-        orbit = self.parabolic_orbit(top, self._apply_word(steps[::-1], self.labels(eta)))
-        return tuple(sorted(self.from_labels(self._apply_word(steps, u)) for u in orbit))
+        top, word = self._greedy(self.labels(v), {})
+        # w^{-1} is the word reversed
+        orbit = self.parabolic_orbit(top, self._apply_word(word, self.labels(eta)))
+        return tuple(sorted(self.from_labels(self._apply_word(word[::-1], u)) for u in orbit))
 
     def stabilizer_orbits(self, top: tuple) -> dict:
         """For each nu of P(omega), omega with dominant labels top, parents
         first: labels of nu -> (labels of nu+, word of w, step, etas), w the
-        shortest element with w nu = nu+ (``_make_dominant``), step None at
+        shortest element with w nu = nu+ (``_greedy``), step None at
         nu = nu+ and else (u, j) with s_j u = nu, and etas the labels of
         W_nu(w^{-1} omega), parents first, mapped to their steps: those of
         ``parabolic_orbit`` at nu = nu+, else (x, j) with x an eta of u.

@@ -143,8 +143,7 @@ def sample_record(datum: RootDatum, mults: Multiplicities) -> SampleRecord:
         rho = datum.rho(mults)
         cols = datum.pairings(rho), mults.factor_values, mults.root_values
         d = math.lcm(*(x.denominator for col in cols for x in col))
-        weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
-                   for o, orbit in enumerate(datum.root_orbits)]
+        weights = [g * norm / 2 for g, norm in zip(mults.values, datum.orbit_norms)]
         n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
         r = math.lcm(*(x.denominator for x in rho.labels))
         mults._record = SampleRecord(

@@ -92,11 +92,6 @@ class SqrtRational:
         return f"{self.coeff}*sqrt({self.rad})"
 
 
-def eta_alpha(datum: RootDatum, alpha: Vector) -> SqrtRational:
-    """eta = sqrt(2 / <alpha,alpha>); equals 1 when |alpha|^2 = 2."""
-    return SqrtRational(1, Q(2) / datum.norm_sq(alpha))
-
-
 def _inner_float(datum: RootDatum, u, x) -> float:
     xf = [float(v) for v in x]
     if datum.gram is None:
@@ -121,10 +116,10 @@ def multiplicities_at(datum: RootDatum, t: float) -> Multiplicities:
 
 
 def orbit_etas(datum: RootDatum) -> tuple:
-    """eta per root orbit, in the order of ``root_orbits`` (memoized on the
-    datum)."""
+    """eta = sqrt(2 / |alpha|^2) per root orbit, in the order of
+    ``root_orbits``; 1 where |alpha|^2 = 2 (memoized on the datum)."""
     if datum.eta_memo is None:
-        datum.eta_memo = tuple(eta_alpha(datum, orbit[0]) for orbit in datum.root_orbits)
+        datum.eta_memo = tuple(SqrtRational(1, 2 / norm) for norm in datum.orbit_norms)
     return datum.eta_memo
 
 
@@ -167,13 +162,17 @@ def coeff_Ubar(datum: RootDatum, nu: Vector, eta_wt: Vector, xi):
 
 # -- the three coefficient limits ---------------------------------------------
 
+CONFLUENCE_T = (10.0, 20.0, 30.0)   # the couplings t verify_confluence steps through
+CONFLUENCE_TOL = 1e-6               # the bound on its deviations at the last t
+
+
 @dataclass
 class ConfluenceReport:
     system: str
     omega: Vector
     t_list: tuple
+    tol: float
     rows: list = field(default_factory=list)
-    tol: float = 1e-6
 
     @property
     def ok(self):
@@ -200,7 +199,7 @@ def _deviation_row(family, label, devs, t_list, tol, limit):
 
 
 def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
-                      t_list=(10.0, 20.0, 30.0), tol=1e-6) -> ConfluenceReport:
+                      t_list=CONFLUENCE_T, tol=CONFLUENCE_TOL) -> ConfluenceReport:
     """Deviation of the scaled finite-coupling data from its limit.
 
     Three families are checked for each term of the index set: the shift
@@ -359,7 +358,6 @@ class WhittakerA1:
     loses at the largest x = 2 e^{-u/2}: both sums in one fixed-point pass
     of ``_bessel_sums``, GUARD_BITS finer, each rounded to nearest back.  An
     integer order, 0/0 there, is moved by 10^-(ORACLE_DPS+10).
-    matching_radius, the upper end of U_RANGE, keeps the report schema.
     """
 
     def __init__(self, zeta: float, points):
@@ -385,7 +383,6 @@ class WhittakerA1:
                     to_fixed(z._mpf_, wp), to_fixed(a_mp._mpf_, wp), wp))
                 phi = scale * (e * r_minus * i_minus - r_plus * i_plus / e)
                 self._log_phi[u] = float(mpmath.log(phi)) if phi > 0 else math.nan
-        self.matching_radius = hi
 
     def log_value(self, u: float) -> float:
         if u not in self._log_phi:
@@ -402,16 +399,16 @@ class RankOneWhittakerReport:
 
     winv_deviation is 0.0 by construction: the oracle is even in zeta, so
     the -zeta construction is the zeta one.  The field is kept so the report
-    schema stays fixed, as is matching_radius, the upper end of the oracle's
-    u-range.  asymptotic_deviation compares phi(U_ASYM) with the two-term
-    form Gamma(a) e^{au/2} + Gamma(-a) e^{-au/2}.
+    schema stays fixed, as is matching_radius, the upper end of U_RANGE.
+    asymptotic_deviation compares phi(U_ASYM) with the two-term form
+    Gamma(a) e^{au/2} + Gamma(-a) e^{-au/2}.
     """
     zeta: float
     matching_radius: float
-    max_residual_min: float = math.inf
-    max_residual_qmin: float = math.inf
-    winv_deviation: float = math.inf
-    asymptotic_deviation: float = math.inf
+    max_residual_min: float
+    max_residual_qmin: float
+    winv_deviation: float
+    asymptotic_deviation: float
     rows: list = field(default_factory=list)
 
     def ok(self, tol_de, tol_winv, tol_asym):
@@ -435,7 +432,7 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
 
     |zeta| must lie at least 0.05 from every integer: Gamma(-a) and the
     1/zeta coefficients degenerate there, while the oracle itself is finite
-    at integer order.  Each distinct |zeta + s| is evaluated once.  The
+    at integer order.  One oracle is built per shift s = -2, ..., 2.  The
     oracle is even in zeta, so the -zeta construction is the zeta one and
     winv_deviation is 0.0 by construction.  datum is an A1 datum (built
     for the call when not given).
@@ -453,20 +450,14 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
     alpha = datum.positive_roots[0]
     xi = tuple(Q(zeta) * c for c in omega)
 
-    # one oracle per distinct |zeta + s|, zeta's own first: only it is read
-    # at U_ASYM (|zeta - 1| is |zeta| at zeta = 1/2)
-    solved = {abs(zeta): WhittakerA1(zeta, U_GRID + (U_ASYM,))}
-    for s in (-2, -1, 1, 2):
-        if abs(zeta + s) not in solved:
-            solved[abs(zeta + s)] = WhittakerA1(zeta + s, U_GRID)
-    orac = {s: solved[abs(zeta + s)] for s in (-2, -1, 0, 1, 2)}
-    orac_neg = solved[abs(-zeta)]
+    orac = {s: WhittakerA1(zeta + s, U_GRID) for s in (-2, -1, 1, 2)}
+    orac[0] = WhittakerA1(zeta, U_GRID + (U_ASYM,))   # the one read at U_ASYM
 
     v_up, v_dn, v_up2, v_dn2 = (float(coeff_Vbar(datum, nu, xi))
                                 for nu in (omega, vneg(omega), alpha, vneg(alpha)))
 
     rows = []
-    res_min = res_qmin = winv = 0.0
+    res_min = res_qmin = 0.0
     for u in U_GRID:
         f0 = orac[0].value(u)
         lhs = v_up * orac[1].value(u) + v_dn * orac[-1].value(u)
@@ -475,14 +466,12 @@ def rank_one_whittaker_check(zeta: float, datum: RootDatum | None = None
         lhs2 = v_up2 * (orac[2].value(u) - f0) + v_dn2 * (orac[-2].value(u) - f0)
         rhs2 = math.exp(u) * f0
         r2 = _rel(abs(lhs2 - rhs2), max(abs(lhs2), abs(rhs2)))
-        w = _rel(abs(orac_neg.value(u) - f0), abs(f0))
-        res_min, res_qmin, winv = (x if math.isnan(x) else max(m, x) for m, x in
-                                   ((res_min, r1), (res_qmin, r2), (winv, w)))
+        res_min, res_qmin = (x if math.isnan(x) else max(m, x) for m, x in
+                             ((res_min, r1), (res_qmin, r2)))
         rows.append({"u": u, "residual_min": r1, "residual_qmin": r2})
 
     two_term = (math.gamma(a) * math.exp(0.5 * a * U_ASYM)
                 + math.gamma(-a) * math.exp(-0.5 * a * U_ASYM))
     asym = abs(_rel(orac[0].value(U_ASYM), two_term) - 1.0)
-    return RankOneWhittakerReport(zeta, orac[0].matching_radius, res_min, res_qmin,
-                                  winv, asym, rows)
+    return RankOneWhittakerReport(zeta, U_RANGE[1], res_min, res_qmin, 0.0, asym, rows)
 

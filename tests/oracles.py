@@ -38,7 +38,9 @@ Then the exact Pieri path before its per-sample and per-orbit memos:
 - ``every_u_pieri_terms``: ``pieri_terms`` on that table, evaluating the U
   lists of every term, excluded ones too;
 - ``orbitwise_expansion_labels``: E_omega on labels with ``parabolic_orbit``
-  walked once per orbit element and each W-orbit walked afresh.
+  walked once per orbit element and each W-orbit walked afresh;
+- ``greedy_dominant``: the greedy descent to a dominant label as a loop,
+  with no memo of the chains it shares (``scan_pieri_index`` reads it).
 
 Then come vector-side forms of what the package computes on labels, each
 taking the root datum first:
@@ -47,7 +49,8 @@ taking the root datum first:
   of roots, by the generic search (the package enumerates stabilizer
   orbits as parabolic orbits);
 - ``dominant_representative``: v+ and the word of the shortest w with
-  w v = v+;
+  w v = v+, as vectors (read from ``RootDatum._greedy``, so that a brute
+  force over words checks the package);
 - ``simple_coefficients``, ``height``, ``dominance_leq`` and ``rho_vee``:
   simple-root coordinates and their sum, the dominance order, and rho^vee
   as a vector;
@@ -90,7 +93,7 @@ from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
 from hodiff.rootsys import Multiplicities, vadd, weight_str
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _is_invariant,
                             expansion_E_omega, require_exact)
-from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar, eta_alpha
+from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar
 
 
 def tuple_walk_jacobi(datum, mults, lam):
@@ -171,7 +174,7 @@ def string_walk_apply_L(datum, mults, terms):
             if s != 0:
                 raise InternalConsistencyError(
                     f"division by 1 - e^-{datum.roots[i]} left remainder {s}")
-    weights = [mults.values[o] * datum.norm_sq(orbit[0]) / 2
+    weights = [mults.values[o] * datum.inner(orbit[0], orbit[0]) / 2
                for o, orbit in enumerate(datum.root_orbits)]
     n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
     weighted = [((w * n).numerator, acc) for w, acc in zip(weights, sums) if acc]
@@ -383,7 +386,7 @@ def stepwise_limit(datum, factors, xi):
     z = datum.pairings(xi)
     total = SqrtRational(1)
     for i, s, e in factors:
-        eta = eta_alpha(datum, datum.roots[i])
+        eta = SqrtRational(1, 2 / datum.inner(datum.roots[i], datum.roots[i]))
         total = total * (eta if e > 0 else -eta) / (z[i] + 1 if s else z[i])
     return total
 
@@ -485,7 +488,7 @@ def scan_pieri_index(datum, omega):
     out = []
     for nu in sorted(datum.saturated_map(omega)):
         l = datum.labels(nu)
-        plus, steps = datum._make_dominant(l)
+        plus, steps = greedy_dominant(datum, l)
         word = tuple(steps[::-1])
         start = datum.from_labels(datum._apply_word(steps, datum.labels(omega)))
         etas = tuple(map(datum.labels, datum.stabilizer_orbit(nu, start)))
@@ -553,11 +556,25 @@ def orbit_under_reflections(datum, gen_roots, v):
     return tuple(sorted(map(datum.from_labels, seen)))
 
 
+def greedy_dominant(datum, l, J=None):
+    """Greedy reflection of labels l at the least s_j, j in J (J None:
+    every simple root), with a negative label, as a loop with no memo:
+    (result, the j in the order applied)."""
+    J = range(datum.rank) if J is None else J
+    steps = []
+    while True:
+        i = next((j for j in J if l[j] < 0), None)
+        if i is None:
+            return l, steps
+        l = tuple(a - l[i] * b for a, b in zip(l, datum.cartan[i]))
+        steps.append(i)
+
+
 def dominant_representative(datum, v):
-    """(v+, word for the shortest w with w(v) = v+ dominant), v in the span:
-    greedy reflection at the least simple root with a negative pairing."""
-    l, steps = datum._make_dominant(datum.labels(v))
-    return datum.from_labels(l), tuple(reversed(steps))
+    """(v+, word for the shortest w with w(v) = v+ dominant), v in the span,
+    as the package's greedy descent (``RootDatum._greedy``) finds them."""
+    l, word = datum._greedy(datum.labels(v), {})
+    return datum.from_labels(l), word
 
 
 def simple_coefficients(datum, v):
@@ -585,7 +602,7 @@ def dominance_leq(datum, mu, lam):
 
 def rho_vee(datum):
     """rho^vee = (1/2) sum_{alpha > 0} alpha^vee, alpha^vee = 2 alpha / |alpha|^2."""
-    return half_weighted_sum(datum, lambda a: 2 / datum.norm_sq(a))
+    return half_weighted_sum(datum, lambda a: 2 / datum.inner(a, a))
 
 
 def eval_at(datum, p, x):

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1-3 and 5-10 read the ``hodiff/1`` report of the default campaign,
-``cli.run_campaign(cli.CampaignConfig())``, built once for the module: the
+``cli.run_campaign(cli.CampaignConfig(), {})``, built once for the module: the
 report that ``hodiff verify`` writes, as ``test_report_is_what_verify_writes``
 checks.  A criterion passes on the status of its cases and reads the numbers
 it prints from their detail, so a case's pass/fail rule is written once, in
@@ -30,7 +30,7 @@ def _line(num, ok, text):
 def campaign():
     """The default campaign's report, and the seconds it took."""
     t0 = time.perf_counter()
-    report = cli.run_campaign(cli.CampaignConfig())
+    report = cli.run_campaign(cli.CampaignConfig(), {})
     return report, time.perf_counter() - t0
 
 

@@ -13,6 +13,7 @@ from hodiff import cli, diffeq, jacobi, nonreduced
 from hodiff.diffeq import PoleAtSpectralPoint, verify_pieri
 from hodiff.rootsys import Multiplicities, RootDatum, build_root_system, weight_str
 from hodiff.weylalg import InternalConsistencyError
+from oracles import greedy_dominant
 
 
 def run(args):
@@ -487,9 +488,24 @@ def test_default_campaign_exit_zero(tmp_path):
     assert payload["n_fail"] == 0 and payload["n_cases"] > 600
 
 
-def test_campaign_builds_each_root_datum_once(monkeypatch):
+def test_float_bounds_have_one_source():
+    # the CLI defaults and the campaign read the bounds and the t grid that
+    # rankone and whittaker name beside their checks
+    from hodiff import rankone, whittaker
+    parse = cli.build_parser().parse_args
+    sweep = parse(["sweep-rank-one"])
+    limits = parse(["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
+                    "--xi", "1/40", "--x", "0.3,-0.3"])
+    assert sweep.tol == rankone.DE_TOL == cli.CampaignConfig.tol_de
+    assert limits.tol == whittaker.CONFLUENCE_TOL == cli.CampaignConfig.tol_confluence
+    assert tuple(cli._parse_float_list("--t", limits.t)) == whittaker.CONFLUENCE_T
+    assert (rankone.DE_TOL, whittaker.CONFLUENCE_TOL) == (1e-9, 1e-6)
+
+
+def test_campaign_builds_each_root_datum_once(monkeypatch, tmp_path):
     # run_campaign hands one datum per (family, rank) to every suite driver:
-    # the nine systems of the default campaign are each built exactly once
+    # the nine systems of the default campaign are each built exactly once,
+    # and verify parses --omega on the datum its campaign then runs on
     built = []
     init = RootDatum.__init__
 
@@ -498,9 +514,13 @@ def test_campaign_builds_each_root_datum_once(monkeypatch):
         init(self, family, rank)
 
     monkeypatch.setattr(RootDatum, "__init__", counting)
-    assert cli.run_campaign(cli.CampaignConfig())["n_fail"] == 0
+    assert cli.run_campaign(cli.CampaignConfig(), {})["n_fail"] == 0
     assert sorted(built) == [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("BC", 1),
                              ("BC", 2), ("C", 3), ("D", 4), ("G", 2)]
+    built.clear()
+    assert cli.main(["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
+                     "--omega", "1,0", "--samples", "1", "--out", str(tmp_path / "r.json")]) == 0
+    assert built == [("B", 2)]
 
 
 def _named_caller(frame) -> str:
@@ -532,7 +552,7 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(RootDatum, "_dominant_orbit", counting_walk)
     monkeypatch.setattr(RootDatum, "parabolic_orbit", counting_parabolic)
-    assert cli.run_campaign(cli.CampaignConfig())["n_fail"] == 0
+    assert cli.run_campaign(cli.CampaignConfig(), {})["n_fail"] == 0
     assert set(walks.values()) == {1} and len(walks) == 110
     assert set(parabolic.values()) == {1}
     reduced = [d for d, *_ in parabolic if d.family != "BC"]
@@ -543,6 +563,30 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
                                for top in datum.expansion_label_memo if isinstance(top, tuple))
     assert Counter(caller for *_key, caller in read) == {
         "expansion_labels": 27, "stabilizer_orbits": 34}
+
+
+def test_parabolic_greedy_matches_the_loop(monkeypatch):
+    # for every (top, l) the campaign hands to parabolic_orbit, the memoized
+    # greedy descent in W_J, J the zero labels of top, is the plain loop on
+    # every label of l's W-orbit (the campaign's l are dominant, so its own
+    # descents are empty): the same labels, and the word its steps reversed
+    calls = set()
+    parabolic_orbit = RootDatum.parabolic_orbit
+
+    def recording(self, top, l):
+        calls.add((self, top, l))
+        return parabolic_orbit(self, top, l)
+
+    monkeypatch.setattr(RootDatum, "parabolic_orbit", recording)
+    assert cli.run_campaign(cli.CampaignConfig(), {})["n_fail"] == 0
+    assert len(calls) == 34
+    for datum, top, l in calls:
+        assert min(l) >= 0
+        J = [j for j, k in enumerate(top) if k == 0]
+        memo = {}
+        for u in datum.orbit_labels(l):
+            plus, steps = greedy_dominant(datum, u, J)
+            assert datum._greedy(u, memo, J) == (plus, tuple(reversed(steps)))
 
 
 def test_campaigns_leave_no_root_data_alive(tmp_path):

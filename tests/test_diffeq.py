@@ -231,7 +231,7 @@ def test_pieri_index_matches_row_scan(fam, rank, i):
     # on a fresh datum, the factor lists carried down the Weyl descent by
     # the root permutations are the scans of each nu's and eta's pairing
     # row, and the etas, words and nu+ are those of stabilizer_orbit and
-    # _make_dominant, order included
+    # the greedy descent, order included
     datum = build_root_system(fam, rank)
     omega = datum.fundamental_weights[i - 1]
     index = [(e.nu_labels, e.word, e.plus_labels, e.eta_labels, e.v_factors, e.u_factors)

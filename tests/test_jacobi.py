@@ -104,7 +104,7 @@ def test_bc1_opdam_halving_convention(bc1):
     # the doubled root contributes the halved multiplicity of its half
     g1, g2v = Q(5, 11), Q(9, 4)
     by_norm = {Q(1): g1, Q(4): g2v}   # e_1 and 2e_1
-    mults = Multiplicities(bc1, [by_norm[bc1.norm_sq(orbit[0])] for orbit in bc1.root_orbits])
+    mults = Multiplicities(bc1, [by_norm[bc1.inner(orbit[0], orbit[0])] for orbit in bc1.root_orbits])
     lam = (Q(1),)
     lead = opdam_leading_coefficient(bc1, mults, lam)
     rho = g1 / 2 + g2v

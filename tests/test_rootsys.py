@@ -277,7 +277,7 @@ def test_quasi_minuscule_weights(a2, b2, c3, g2):
     assert b2.quasi_minuscule_weight() == (Q(1), Q(0))
     assert c3.quasi_minuscule_weight() == (Q(1), Q(1), Q(0))
     theta_s = g2.quasi_minuscule_weight()
-    assert g2.norm_sq(theta_s) == Q(2, 3)  # short-root normalization
+    assert g2.inner(theta_s, theta_s) == Q(2, 3)  # short-root normalization
 
 
 def test_rho_vectors(a1, bc2):
@@ -320,7 +320,7 @@ def test_multiplicities_validation(b2):
     m = constant_multiplicities(b2, Q(2, 3))
     assert all(multiplicity_of(m, a) == Q(2, 3) for a in b2.roots)
     by_norm = {Q(1): Q(1, 2), Q(2): Q(5)}   # short and long orbit
-    m = Multiplicities(b2, [by_norm[b2.norm_sq(orbit[0])] for orbit in b2.root_orbits])
+    m = Multiplicities(b2, [by_norm[b2.inner(orbit[0], orbit[0])] for orbit in b2.root_orbits])
     assert multiplicity_of(m, (Q(0), Q(1))) == Q(1, 2)
     assert multiplicity_of(m, (Q(1), Q(-1))) == Q(5)
 
@@ -339,7 +339,7 @@ def test_label_kernel_matches_gram_form(fam, rank):
         table = datum.pairings(v)
         assert len(table) == len(datum.roots)
         for i, alpha in enumerate(datum.roots):
-            gram = 2 * datum.inner(v, alpha) / datum.norm_sq(alpha)
+            gram = 2 * datum.inner(v, alpha) / datum.inner(alpha, alpha)
             assert table[i] == gram, (v, alpha)
             assert datum.pairing(v, alpha) == gram
     for i, alpha in enumerate(datum.roots):
@@ -353,6 +353,10 @@ def test_label_kernel_matches_gram_form(fam, rank):
         form = sum(a * b * g for a, row in zip(l, datum.weight_gram)
                    for b, g in zip(l, row))
         assert Q(form, datum.weight_gram_den) == datum.inner(v, v), v
+    # |alpha|^2 per root orbit, for every root of the orbit
+    assert len(datum.orbit_norms) == len(datum.root_orbits)
+    for norm, orbit in zip(datum.orbit_norms, datum.root_orbits):
+        assert all(norm == datum.inner(a, a) for a in orbit)
 
 
 @pytest.mark.parametrize("fam,rank", [("B", 2), ("G", 2), ("BC", 2)])
@@ -629,7 +633,7 @@ def test_label_kernel_matches_the_gram_form_property(fam, rank, data):
 
 @pytest.mark.parametrize("fam,rank", LABEL_SYSTEMS + (("F", 4), ("E", 6)))
 def test_pairing_reads_made_roots_by_labels(fam, rank, monkeypatch):
-    # pairing and norm_sq find a root the datum made by its labels, an equal
+    # pairing finds a root the datum made by its labels, an equal
     # copy by its labels and coordinates, and a made weight that is no root
     # by the Gram form; all agree, and the made roots cost no Fraction hash
     datum = build_root_system(fam, rank)
@@ -642,11 +646,9 @@ def test_pairing_reads_made_roots_by_labels(fam, rank, monkeypatch):
         assert copy is not a
         want = 2 * datum.inner(rho, a) / datum.inner(a, a)
         assert datum.pairing(rho, a) == datum.pairing(rho, copy) == want
-        assert datum.norm_sq(a) == datum.norm_sq(copy) == datum.inner(a, a)
     hashes = []
     monkeypatch.setattr(Q, "__hash__", lambda q: hashes.append(q) or hash(q.numerator))
     assert [datum.pairing(rho, a) for a in datum.roots] == list(datum.pairings(rho))
-    assert [datum.norm_sq(a) for a in datum.roots] == list(datum.root_norms)
     assert hashes == []
 
 
@@ -791,7 +793,8 @@ def test_a_weight_read_by_another_type_gets_that_types_labels():
         assert c3.labels(v) == c3.labels(copy) == tuple(
             2 * c3.inner(v, a) / c3.inner(a, a) for a in c3.simple_roots)
         assert c3.pairings(v) == c3.pairings(copy)
-        assert c3.norm_sq(v) == c3.norm_sq(copy) == c3.inner(v, v)
+        # pairing looks v up among the C3 roots by its C3 labels
+        assert c3.pairing(v, v) == c3.pairing(copy, copy) == 2
         assert b3.labels(v) is v.labels and b3.pairings(v) is row == b3.pairings(copy)
 
 

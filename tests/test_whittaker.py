@@ -19,9 +19,9 @@ from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, pie
 from hodiff.rootsys import vadd, vneg
 from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, WhittakerA1,
                               coeff_Ubar, coeff_Vbar, ebar,
-                              eta_alpha, g_of_t, homogeneity_gap, limit_product,
+                              g_of_t, homogeneity_gap, limit_product,
                               homogeneity_identity, limit_table, multiplicities_at,
-                              rank_one_whittaker_check, verify_confluence)
+                              orbit_etas, rank_one_whittaker_check, verify_confluence)
 from oracles import multiplicity_of, rho_vee, vscale
 
 # the campaign's bounds on a rank-one report, in the order RankOneWhittakerReport.ok reads them
@@ -49,6 +49,11 @@ def test_sqrt_rational_canonicalization():
     with pytest.raises(ValueError):
         SqrtRational(1, 0)
     assert not SqrtRational(1, 6).is_rational()
+
+
+def eta_alpha(datum, alpha) -> SqrtRational:
+    """The eta of the orbit of the root alpha, as ``orbit_etas`` holds it."""
+    return orbit_etas(datum)[datum.root_orbit_ids[datum.roots.index(alpha)]]
 
 
 def test_eta_values(a1, b2, c3, g2):
@@ -540,7 +545,8 @@ def test_vanishing_or_infinite_phi_is_a_failed_case(log_phi, monkeypatch, tmp_pa
     rep = rank_one_whittaker_check(1.3)
     assert all(math.isnan(row["residual_min"]) and math.isnan(row["residual_qmin"])
                for row in rep.rows)
-    assert math.isnan(rep.winv_deviation) and not rep.ok(*RANK_ONE_TOLS)
+    assert math.isnan(rep.max_residual_min) and math.isnan(rep.max_residual_qmin)
+    assert not rep.ok(*RANK_ONE_TOLS)
     assert cli.main(["verify", "--suite", "whittaker", "--out", str(tmp_path / "w.json")]) == 1
 
 
@@ -699,7 +705,7 @@ def test_rank_one_whittaker_report(monkeypatch):
 
     monkeypatch.setattr(wh, "WhittakerA1", Counting)
     rep = rank_one_whittaker_check(1.3)
-    # one oracle per distinct |zeta + s|; -zeta shares the zeta one
+    # one oracle per shift s; -zeta shares the zeta one
     assert len(built) == 5
     assert rep.max_residual_min <= 1e-6
     assert rep.max_residual_qmin <= 1e-6

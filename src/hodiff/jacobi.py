@@ -8,7 +8,7 @@ datum and lambda alone: that pattern is read once from the alpha-string
 table of P(lambda) and memoized on the datum, and each multiplicity sample
 solves it in integers.  Two independent checks guard the construction: the
 closed-form leading coefficient, and the exact eigencheck through the
-division-based operator action.
+division-based operator action, read on the same alpha-string table.
 
 A polynomial is held on Dynkin labels: the labels of lambda and one
 coefficient per labels of a dominant mu <= lambda.  Its realization vectors
@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from operator import mul
 
 from .rootsys import Multiplicities, RootDatum, Vector
-from .weylalg import ExpPoly, _q_str, apply_L_labels, exp_to_json, require_exact, sample_record
+from .weylalg import ExpPoly, _apply_L_table, _q_str, exp_to_json, require_exact, sample_record
 
 
 class JacobiPolynomial:
@@ -216,18 +216,18 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
                  poly: JacobiPolynomial | None = None) -> EigenReport:
     """Assert L P_lambda equals E(rho+lam) P_lambda with zero residual.
 
-    The check runs in integers: with D the lcm of the coefficient
-    denominators, L(D P) = E (D P) is compared key by key, and only a
-    nonzero difference is divided back into the residual.
+    The check runs in integers on the string table ``_pattern`` built for P
+    (``weylalg._apply_L_table``, no tops search): L(D P) = E (D P), D clearing
+    the coefficients and E from lam, is compared at every label in one pass.
     """
     poly = poly or jacobi_polynomial(datum, mults, lam)
     ev = _shifted_eigenvalue(datum, mults, datum.labels(lam))
     d, cleared = poly.cleared_terms()
-    n, image = apply_L_labels(datum, mults, cleared)
+    table = datum.string_table((poly.top,))
+    n, coef, image = _apply_L_table(datum, mults, [poly.top], table, cleared)
     residual, num, den = {}, n * ev.numerator, ev.denominator
-    for l, v in image.items():
-        r = v * den - num * cleared.get(l, 0)
-        if r:
+    for l, v, c in zip(table.index, image, coef):
+        if r := v * den - num * c:
             residual[datum.from_labels(l)] = Q(r, n * den * d)
     return EigenReport(system=datum.name, lam=lam, g=mults.key(),
                        eigenvalue=ev, ok=not residual,

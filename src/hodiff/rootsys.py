@@ -452,13 +452,12 @@ class RootDatum:
         return tuple(sum(map(mul, row, l)) for row in self._fund_rows)
 
     def parabolic_orbit(self, top: tuple, l: tuple) -> dict:
-        """Labels of the orbit of l under W_J, J the zero labels of the
-        dominant labels top: W_J is the stabilizer of top (Humphreys,
-        Reflection Groups and Coxeter Groups, 1.10-1.12).  Walked once per
-        (top, l), in the orbit memo, so the Pieri index and E_omega share it."""
+        """Labels of the W_J-orbit of l, nonnegative on J, the zero labels of
+        the dominant labels top (W_J: the stabilizer of top, Humphreys 1.10-1.12),
+        walked once per (top, l) in the orbit memo the Pieri index and E_omega share."""
         if (found := self._walks.get((top, l))) is None:
             J = [j for j, k in enumerate(top) if k == 0]
-            found = self._walks[top, l] = self._dominant_orbit(self._greedy(l, {}, J)[0], J)
+            found = self._walks[top, l] = self._dominant_orbit(l, J)
         return found
 
     # -- construction helpers ----------------------------------------------
@@ -513,13 +512,14 @@ class RootDatum:
         return tuple(a for a, k in zip(self.roots, self.pairings(v)) if k == 0)
 
     def stabilizer_orbit(self, v: Vector, eta: Vector) -> tuple[Vector, ...]:
-        """Orbit W_v(eta) of eta under the stabilizer of v, sorted.  With
-        w v = v+ dominant, W_v = w^{-1} W_J w for W_J the stabilizer of v+
-        (``parabolic_orbit``), so W_v(eta) = w^{-1} W_J (w eta)."""
-        top, word = self._greedy(self.labels(v), {})
-        # w^{-1} is the word reversed
-        orbit = self.parabolic_orbit(top, self._apply_word(word, self.labels(eta)))
-        return tuple(sorted(self.from_labels(self._apply_word(word[::-1], u)) for u in orbit))
+        """Orbit W_v(eta) of eta under the stabilizer of v, sorted.  With w v =
+        v+ dominant, W_v = w^{-1} W_J w for W_J the stabilizer of v+, so W_v(eta)
+        = w^{-1} W_J u, u = w eta made nonnegative on J (``parabolic_orbit``)."""
+        top, word = self._greedy(self.labels(v), {})   # w^{-1} is the word reversed
+        J = [j for j, k in enumerate(top) if k == 0]
+        u = self._greedy(self._apply_word(word, self.labels(eta)), {}, J)[0]
+        orbit = self.parabolic_orbit(top, u)
+        return tuple(sorted(self.from_labels(self._apply_word(word[::-1], x)) for x in orbit))
 
     def stabilizer_orbits(self, top: tuple) -> dict:
         """For each nu of P(omega), omega with dominant labels top, parents

@@ -153,23 +153,11 @@ def sample_record(datum: RootDatum, mults: Multiplicities) -> SampleRecord:
     return mults._record
 
 
-def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
-    """(n, image) with image[l] = n (L p)[l] for every label l of the string
-    table, p the W-invariant element given by its label-keyed terms.
-
-    L = Laplacian + sum_{alpha>0} g_alpha (1+e^{-alpha})/(1-e^{-alpha}) d_alpha.
-    The rational factor acts by exact division: (1+e^{-alpha}) d_alpha p is
-    divisible by (1-e^{-alpha}) because d_alpha p is antisymmetric under the
-    reflection in alpha.
-
-    The alpha-strings come from ``RootDatum.string_table`` of tops, the
-    maximal dominant labels of the support (for a Jacobi polynomial P_lam,
-    lam alone).  p is W-invariant if each simple reflection's permutation of
-    the table's W-stable set S fixes its coefficient list (a zero coefficient
-    is no term).  If not, or if a label lies outside S, ``_is_invariant``
-    picks the error: ValueError if p is not invariant, else fatal.  Before
-    the table is built, p is refused (ValueError) if s_j l carries another
-    coefficient than l for a dominant label l of the support.
+def _apply_L_table(datum: RootDatum, mults: Multiplicities, tops: list, table, terms: dict):
+    """(n, coef, image) in ``table.index`` order, the ``string_table`` of tops, for
+    p given by its label-keyed terms (coef).  A label outside S, the table's labels,
+    or a simple reflection's permutation of S moving coef (zero is no term) is
+    refused; ``_is_invariant`` picks ValueError if p is not invariant, else fatal.
     Down a string of top pairing k, with s = 0 above its top, each label
     with coefficient c sets s = s_above + k c, k falling by 2 per label, and
     gains h = s + s_above in the quotient; the last s is the remainder, and a
@@ -182,18 +170,8 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
     quotients are weighted by g_alpha |alpha|^2 / 2 (<nu, alpha> = k
     |alpha|^2 / 2), the Laplacian term is <nu, nu> by the Gram form, and n
     clears their denominators, so integer terms give an integer image (n and
-    the weights: ``sample_record``).
-    """
+    the weights: ``sample_record``)."""
     record = sample_record(datum, mults)
-    dominant = [l for l in terms if min(l) >= 0]
-    if any(k and terms.get(_step(l, k, row), 0) != terms[l]
-           for l in dominant for k, row in zip(l, datum.cartan)):
-        raise ValueError("apply_L requires a W-invariant argument")
-    tops = []   # by falling height, l is maximal unless below an earlier top
-    for l in sorted(dominant, reverse=True, key=lambda l: sum(map(mul, datum.height_row, l))):
-        if not any(l in datum.saturated_labels(t) for t in tops):
-            tops.append(l)
-    table = datum.string_table(tuple(sorted(tops)))
     coef = [terms.get(l, 0) for l in table.index]
     outside = sorted(terms.keys() - table.index.keys())
     if outside or any(list(map(coef.__getitem__, perm)) != coef for perm in table.perms):
@@ -224,7 +202,34 @@ def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
         if s != 0:
             raise InternalConsistencyError(
                 f"division by 1 - e^-{weight_str(datum.roots[r])} left remainder {s}")
-    return record.n, dict(zip(table.index, image))
+    return record.n, coef, image
+
+
+def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
+    """(n, image) with image[l] = n (L p)[l] for every label l of the string
+    table, p the W-invariant element given by its label-keyed terms.
+
+    L = Laplacian + sum_{alpha>0} g_alpha (1+e^{-alpha})/(1-e^{-alpha}) d_alpha.
+    The rational factor acts by exact division: (1+e^{-alpha}) d_alpha p is
+    divisible by (1-e^{-alpha}) because d_alpha p is antisymmetric under the
+    reflection in alpha.
+
+    The alpha-strings come from ``RootDatum.string_table`` of tops, the
+    maximal dominant labels of the support (for P_lam, lam alone), searched
+    after p is refused (ValueError) if s_j l carries another coefficient than
+    l for a dominant label l of the support; the rest: ``_apply_L_table``."""
+    require_exact(mults)
+    dominant = [l for l in terms if min(l) >= 0]
+    if any(k and terms.get(_step(l, k, row), 0) != terms[l]
+           for l in dominant for k, row in zip(l, datum.cartan)):
+        raise ValueError("apply_L requires a W-invariant argument")
+    tops = []   # by falling height, l is maximal unless below an earlier top
+    for l in sorted(dominant, reverse=True, key=lambda l: sum(map(mul, datum.height_row, l))):
+        if not any(l in datum.saturated_labels(t) for t in tops):
+            tops.append(l)
+    table = datum.string_table(tuple(sorted(tops)))
+    n, _coef, image = _apply_L_table(datum, mults, tops, table, terms)
+    return n, dict(zip(table.index, image))
 
 
 def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:

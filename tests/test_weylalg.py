@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg
 from hodiff.cli import PIERI_SYSTEMS
@@ -335,9 +336,22 @@ def test_apply_l_planted_remainder_names_its_root(system, top, k, monkeypatch):
     # first k >= 3 string whose closed-form remainder sum_i (k - 2i) c_i is
     # nonzero is the one named
     from hodiff import weylalg
-    from hodiff.rootsys import _step, weight_str
     datum = _datum(system)
     table = datum.string_table((top,))
+    terms, message = _planted_remainder(datum, table, k, monkeypatch)
+    g = constant_multiplicities(datum, Q(2, 5))
+    with pytest.raises(weylalg.InternalConsistencyError) as err:
+        apply_L_labels(datum, g, terms)
+    assert str(err.value) == message
+
+
+def _planted_remainder(datum, table, k, monkeypatch):
+    """(terms, message): m_top over the labels of table, every coefficient 1
+    with one moved by one, and the remainder error the string division must
+    raise on it once datum.string_table serves table with its reflection
+    permutations (and, for k >= 3, its k <= 2 columns) emptied, as it does
+    from here on (see ``test_apply_l_planted_remainder_names_its_root``)."""
+    from hodiff.rootsys import _step, weight_str
     labels = list(table.index)
     cut = {"perms": ()} if k == 2 else {"perms": (), "tops": (), "bottoms": (), "ends": ()}
     monkeypatch.setattr(datum, "string_table", lambda tops: table._replace(**cut))
@@ -356,10 +370,8 @@ def test_apply_l_planted_remainder_names_its_root(system, top, k, monkeypatch):
                   if labels[i] not in near)] += 1
         r, rem = next((r, s) for r, kk, idx in table.strings
                       if (s := sum((kk - 2 * i) * coef[j] for i, j in enumerate(idx))))
-    g = constant_multiplicities(datum, Q(2, 5))
-    with pytest.raises(weylalg.InternalConsistencyError) as err:
-        apply_L_labels(datum, g, dict(zip(labels, coef)))
-    assert str(err.value) == f"division by 1 - e^-{weight_str(datum.roots[r])} left remainder {rem}"
+    return (dict(zip(labels, coef)),
+            f"division by 1 - e^-{weight_str(datum.roots[r])} left remainder {rem}")
 
 
 @pytest.mark.parametrize("system", ["F4", "E6", "BC2"])
@@ -426,3 +438,186 @@ def test_apply_l_explicit_zero_coefficient(a2):
     assert apply_L_labels(a2, g, with_zero) == apply_L_labels(a2, g, terms)
     with pytest.raises(ValueError, match="W-invariant"):
         apply_L_labels(a2, g, {**terms, (3, -3): 0})
+
+
+# -- the eigencheck on its polynomial's own string table ------------------------
+
+
+def _recording_table_core(monkeypatch):
+    """Patch the operator core that ``verify_eigen`` calls to record each
+    call's (datum, mults, table, terms, result)."""
+    from hodiff import jacobi
+    calls, core = [], jacobi._apply_L_table
+
+    def recording(datum, mults, tops, table, terms):
+        calls.append((datum, mults, table, terms, core(datum, mults, tops, table, terms)))
+        return calls[-1][-1]
+    monkeypatch.setattr(jacobi, "_apply_L_table", recording)
+    return calls
+
+
+def test_eigencheck_image_matches_both_operator_paths(monkeypatch, corrupted):
+    # the image verify_eigen forms on the polynomial's table, for every
+    # polynomial a one-sample default campaign eigenchecks and for the small
+    # fundamentals of F4 and E6 (each also corrupted, off the eigenspace),
+    # equals apply_L_labels' image after its tops search and the per-call
+    # string walk of the oracles
+    from oracles import string_walk_apply_L
+
+    from hodiff import cli
+    from hodiff.jacobi import jacobi_polynomial, verify_eigen
+    calls = _recording_table_core(monkeypatch)
+    report = cli.run_campaign(cli.CampaignConfig(samples=1, suites=("pieri", "eigen")), {})
+    eigen = [c for c in report["cases"] if c["case"].startswith("eigen/")]
+    assert eigen and report["n_fail"] == 0 and len(calls) == len(eigen)
+    for system in ("F4", "E6"):
+        datum = _datum(system)
+        mults = constant_multiplicities(datum, Q(4, 9))
+        for omega in datum.small_fundamental_weights():
+            poly = jacobi_polynomial(datum, mults, omega)
+            assert verify_eigen(datum, mults, omega, poly).ok
+            # a corrupted m_omega, omega minuscule, is still an eigenvector
+            bad = verify_eigen(datum, mults, omega, corrupted(poly))
+            assert bad.ok == (len(poly.label_coeffs) == 1)
+    assert {c[0].name for c in calls} >= {"F4", "E6", "A1", "G2", "BC2"}
+    for datum, mults, table, terms, (n, coef, image) in calls:
+        assert coef == [terms.get(l, 0) for l in table.index]
+        assert apply_L_labels(datum, mults, terms) == (n, dict(zip(table.index, image)))
+        walked_n, walked = string_walk_apply_L(datum, mults, terms)
+        assert n == walked_n
+        assert ({l: v for l, v in zip(table.index, image) if v}
+                == {l: v for l, v in walked.items() if v})
+
+
+def _cleared_poly(system):
+    """(datum, mults, poly, d, terms) for P at the first small fundamental."""
+    from hodiff.jacobi import jacobi_polynomial
+    datum = _datum(system)
+    mults = constant_multiplicities(datum, Q(4, 9))
+    poly = jacobi_polynomial(datum, mults, datum.small_fundamental_weights()[0])
+    d, terms = poly.cleared_terms()
+    return datum, mults, poly, d, terms
+
+
+def _with_terms(poly, d, terms):
+    """A copy of poly whose cleared expansion reads terms."""
+    from hodiff.jacobi import JacobiPolynomial
+    bad = JacobiPolynomial(poly.datum, poly.mults, poly.top, poly.label_coeffs)
+    bad._cleared = d, terms
+    return bad
+
+
+@pytest.mark.parametrize("system", ["F4", "E6", "BC2"])
+def test_eigencheck_refuses_a_moved_coefficient(system):
+    # with no check before the table, each non-dominant coefficient moved by
+    # one is caught by the table's reflection permutations: ValueError
+    from hodiff.jacobi import verify_eigen
+    datum, mults, poly, d, terms = _cleared_poly(system)
+    changed = [l for l in terms if min(l) < 0]
+    assert changed
+    for l in changed:
+        with pytest.raises(ValueError, match="W-invariant"):
+            verify_eigen(datum, mults, poly.lam, _with_terms(poly, d, {**terms, l: terms[l] + 1}))
+
+
+@pytest.mark.parametrize("system", ["F4", "E6", "BC2"])
+def test_eigencheck_refuses_labels_outside_the_table(system):
+    # the W-orbit of 2 lam added to P_lam is W-invariant, so the labels outside
+    # P(lam) are fatal, not bad input
+    from hodiff import weylalg
+    from hodiff.jacobi import verify_eigen
+    datum, mults, poly, d, terms = _cleared_poly(system)
+    far = {l: 1 for l in datum.orbit_labels(tuple(2 * x for x in poly.top))}
+    assert not far.keys() & terms.keys()
+    with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
+        verify_eigen(datum, mults, poly.lam, _with_terms(poly, d, {**terms, **far}))
+
+
+@pytest.mark.parametrize("system, top, k", [("B2", (1, 0), 2), ("F4", (0, 0, 0, 1), 2),
+                                            ("G2", (0, 1), 3)])
+def test_eigencheck_planted_remainder_names_its_root(system, top, k, monkeypatch):
+    # the remainder controls of apply_L_labels, through verify_eigen: the
+    # polynomial is built first, then its table is served with its gates cut
+    from hodiff import weylalg
+    from hodiff.jacobi import jacobi_polynomial, verify_eigen
+    datum = _datum(system)
+    mults = constant_multiplicities(datum, Q(2, 5))
+    poly = jacobi_polynomial(datum, mults, datum.from_labels(top))
+    terms, message = _planted_remainder(datum, datum.string_table((top,)), k, monkeypatch)
+    with pytest.raises(weylalg.InternalConsistencyError) as err:
+        verify_eigen(datum, mults, poly.lam, _with_terms(poly, 1, terms))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("system", ["B2", "G2", "F4", "E6", "BC2"])
+def test_eigencheck_of_another_lambda_fails(system):
+    # E(rho_g + lam) is taken from lam, not from the polynomial: a polynomial
+    # checked under another small weight leaves the residual (E_P - E) P, at
+    # every label of the table, unless the two eigenvalues agree (E6's
+    # omega_1 and omega_6)
+    from hodiff.jacobi import _shifted_eigenvalue, verify_eigen
+    datum, mults, poly, _d, _terms = _cleared_poly(system)
+    lams = ((Q(0),) * datum.dim, *datum.small_dominant_weights())
+    own = _shifted_eigenvalue(datum, mults, poly.top)
+    failed = 0
+    for lam in lams:
+        report = verify_eigen(datum, mults, lam, poly)
+        gap = own - _shifted_eigenvalue(datum, mults, datum.labels(lam))
+        assert report.ok == (gap == 0)
+        assert report.residual == exp_to_json(poly.exp_poly().scale(gap))
+        failed += not report.ok
+    assert 0 < failed < len(lams)
+
+
+@pytest.mark.parametrize("system", ["A2", "G2", "F4", "E6", "BC2"])
+def test_eigencheck_reads_the_table_the_pattern_built(system, monkeypatch):
+    # verify_eigen on a polynomial jacobi_polynomial built adds no string
+    # table and no saturated set, and reads the table under (top,) alone:
+    # it does no search for the tops of the support
+    from hodiff.jacobi import jacobi_polynomial, verify_eigen
+    datum = _datum(system)
+    mults = constant_multiplicities(datum, Q(3, 7))
+    for omega in datum.small_dominant_weights():
+        poly = jacobi_polynomial(datum, mults, omega)
+        tables, sats = dict(datum._string_tables), dict(datum._sat_label_cache)
+        assert verify_eigen(datum, mults, omega, poly).ok
+        assert datum._string_tables == tables and datum._sat_label_cache == sats
+    read, table = [], datum.string_table
+    monkeypatch.setattr(datum, "string_table", lambda tops: read.append(tops) or table(tops))
+    monkeypatch.setattr(datum, "saturated_labels", None)
+    assert verify_eigen(datum, mults, omega, poly).ok
+    assert read == [(poly.top,)]
+
+
+@pytest.mark.parametrize("system", ["A2", "B2", "G2"])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_apply_l_labels_is_w_invariant_and_triangular_property(system, data):
+    # p an integer combination of orbit sums m_mu, mu <= top: L p is
+    # W-invariant, supported in the saturated sets of the mu it holds, so in
+    # P(top), and at each maximal such mu reads n c_mu E(rho_g + mu); the
+    # operator core on the table of P(top) gives the same image
+    from hodiff.jacobi import _shifted_eigenvalue
+    from hodiff.weylalg import _apply_L_table, _is_invariant
+    datum = _datum(system)
+    top = data.draw(st.tuples(*[st.integers(0, 2)] * datum.rank), label="top")
+    doms = datum.below_labels(top)
+    coef = data.draw(st.lists(st.integers(-3, 3), min_size=len(doms), max_size=len(doms)),
+                     label="c_mu")
+    mults = Multiplicities(datum, data.draw(st.lists(
+        st.sampled_from([Q(1, 3), Q(2, 5), Q(1), Q(7, 4)]),
+        min_size=len(datum.root_orbits), max_size=len(datum.root_orbits)), label="g"))
+    held = {mu: c for mu, c in zip(doms, coef) if c}
+    terms = {l: c for mu, c in held.items() for l in datum.orbit_labels(mu)}
+    n, image = apply_L_labels(datum, mults, terms)
+    nonzero = {l: v for l, v in image.items() if v}
+    assert _is_invariant(datum, nonzero)
+    assert nonzero.keys() <= set().union(*map(datum.saturated_labels, held)) \
+        <= datum.saturated_labels(top).keys()
+    for mu, c in held.items():
+        if not any(mu in datum.saturated_labels(nu) for nu in held if nu != mu):
+            assert image[mu] == n * c * _shifted_eigenvalue(datum, mults, mu)
+    table = datum.string_table((top,))
+    core_n, core_coef, core_image = _apply_L_table(datum, mults, [top], table, terms)
+    assert core_n == n and core_coef == [terms.get(l, 0) for l in table.index]
+    assert {l: v for l, v in zip(table.index, core_image) if v} == nonzero

@@ -510,12 +510,12 @@ def cmd_coeffs(args) -> int:
     terms = []
     for entry in diffeq.pieri_index(datum, omega):
         v_factors, per_eta = diffeq.symbolic_factors(datum, entry)
-        term = {"nu": [_q_str(v) for v in entry.nu],
-                "nu_plus": [_q_str(v) for v in entry.nu_plus],
+        term = {"nu": [_q_str(v) for v in datum.from_labels(entry.nu_labels)],
+                "nu_plus": [_q_str(v) for v in datum.from_labels(entry.plus_labels)],
                 "word": list(entry.word),
                 "v_factors": v_factors,
-                "etas": [{"eta": [_q_str(v) for v in eta], "u_factors": uf}
-                         for eta, uf in zip(entry.etas, per_eta)]}
+                "etas": [{"eta": [_q_str(v) for v in datum.from_labels(eta)], "u_factors": uf}
+                         for eta, uf in zip(entry.eta_labels, per_eta)]}
         if args.format == "latex":
             term["v_latex"] = "".join(
                 _factor_latex(r) + "/" + _factor_latex(r, denom=True)

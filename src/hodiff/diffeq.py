@@ -29,6 +29,7 @@ from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_
 PERTURB_U_SIGN = "u-sign"
 PERTURB_V_DROP = "v-drop-pairing2"
 PERTURBATIONS = (PERTURB_U_SIGN, PERTURB_V_DROP)
+MAX_SPECTRAL_DRAWS = 200   # ``sample_spectral_point`` gives up after this many
 
 
 class PoleAtSpectralPoint(ArithmeticError):
@@ -181,18 +182,13 @@ def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi
 @dataclass(frozen=True)
 class PieriTermIndex:
     """One nu with its shortest dominating word and the stabilizer orbit of
-    eta, on labels, and the factor lists of V_nu and of each U_{nu,eta}; the
-    vectors are built when read, by ``RootDatum.vector_of`` (not the datum)."""
-    vector_of: object = field(repr=False, compare=False)
+    eta, on labels only, and the factor lists of V_nu and of each U_{nu,eta}."""
     nu_labels: tuple
     word: tuple
     plus_labels: tuple
     eta_labels: tuple
     v_factors: tuple
     u_factors: tuple
-    nu = property(lambda e: e.vector_of(e.nu_labels))
-    nu_plus = property(lambda e: e.vector_of(e.plus_labels))
-    etas = property(lambda e: tuple(map(e.vector_of, e.eta_labels)))
 
 
 IndexCacheInfo = namedtuple("IndexCacheInfo", "hits misses")
@@ -216,9 +212,8 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
         _index_counts["hits"] += 1
         return found
     _index_counts["misses"] += 1
-    omega = datum.from_labels(top)
-    if not datum.is_small(omega):
-        raise ValueError(f"{weight_str(omega)} is not small")
+    if datum._top_pairing(top) > 2:
+        raise ValueError(f"{weight_str(datum.from_labels(top))} is not small")
     # ``support_codes`` from the pairing rows of omega and each nu+ only: s_j
     # permutes the roots (``root_perms``), so s_j u has u's codes moved by perm_j
     perms = [tuple(2 * p + s for p in perm for s in (0, 1)) for perm in datum.root_perms]
@@ -239,7 +234,7 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     for l in sorted(orbits, key=key):
         (plus, word, _step, _etas), (v, own) = orbits[l], codes[l]
         order = tuple(sorted(own, key=key))
-        entries.append(PieriTermIndex(datum.vector_of, l, word, plus, order, _factors(v_table, v),
+        entries.append(PieriTermIndex(l, word, plus, order, _factors(v_table, v),
                                       tuple(_factors(u_table, own[x]) for x in order)))
     found = datum.index_memo[top] = tuple(entries)
     return found
@@ -249,7 +244,7 @@ pieri_index.cache_info = lambda: IndexCacheInfo(**_index_counts)
 
 
 def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
-                lam: tuple, perturb: str | None = None):
+                lam: tuple, perturb: str | None):
     """Surviving (entry, eta labels, U*V) triples at the spectral point
     rho_g + lambda, for lam the labels of a dominant lambda and entry the
     ``PieriTermIndex`` of nu.
@@ -274,9 +269,9 @@ def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
             out.extend((entry, eta, Q(u_num * v_num, u_den * v_den))
                        for eta, (u_num, u_den) in zip(entry.eta_labels, us))
         elif v_num and perturb is None:
-            raise InternalConsistencyError(
-                f"V did not vanish at the excluded shift nu={weight_str(entry.nu)}, "
-                f"lambda labels {lam}: V={Q(v_num, v_den)}")
+            nu = weight_str(datum.from_labels(entry.nu_labels))
+            raise InternalConsistencyError(f"V did not vanish at the excluded shift nu={nu}, "
+                                           f"lambda labels {lam}: V={Q(v_num, v_den)}")
     return out
 
 
@@ -303,7 +298,7 @@ class PieriReport:
 
 
 def poly_cache_get(cache, datum, mults, lam) -> JacobiPolynomial:
-    key = (mults.key(), lam)
+    key = (mults.values, lam)
     poly = cache.get(key)
     if poly is None:
         poly = cache[key] = jacobi_polynomial(datum, mults, lam)
@@ -311,19 +306,20 @@ def poly_cache_get(cache, datum, mults, lam) -> JacobiPolynomial:
 
 
 def pieri_residual(datum: RootDatum, e_form: LabelForm, poly: JacobiPolynomial,
-                   shifted, top: tuple) -> ExpPoly:
+                   shifted, top: tuple) -> dict:
     """e_poly * P_lambda - sum c P_lambda' over the (P_lambda', c) in shifted,
-    for e_form the ``LabelForm`` of e_poly (TypeError for anything else) and
-    top the labels of a dominant weight.
+    keyed by labels (empty exactly when the identity holds), for e_form the
+    ``LabelForm`` of e_poly (TypeError for anything else) and top the labels
+    of a dominant weight.
 
     Both sides are W-invariant, so the difference is compared only at the
     dominant mu <= top, in integers on the cleared terms (d, N) of each
     polynomial: L times it is sum_a e_a N_lambda(mu - a) L/d_lambda -
     sum c_num L/(c_den d') N'(mu), L the lcm of d_lambda and every c_den d'.
-    A nonzero value is divided by L and expanded over the orbit of mu.  The
-    candidate set covers both supports: every lambda', and lambda + a for
-    every dominant exponent a of e_poly, must be <= top, and P(lambda) + P(a)
-    lies in P(lambda + a).
+    A nonzero value is divided by L and set on each label of the orbit of mu
+    (``orbit_labels``).  The candidate set covers both supports: every
+    lambda', and lambda + a for every dominant exponent a of e_poly, must be
+    <= top, and P(lambda) + P(a) lies in P(lambda + a).
     """
     if not isinstance(e_form, LabelForm):
         raise TypeError("E must be a LabelForm, whose invariance is checked")
@@ -356,20 +352,21 @@ def pieri_residual(datum: RootDatum, e_form: LabelForm, poly: JacobiPolynomial,
             if v:
                 r -= f * v
         if r:
-            residual.update(dict.fromkeys(datum.weyl_orbit(datum.from_labels(m)), Q(r, L)))
-    return ExpPoly(residual)
+            residual.update(dict.fromkeys(datum.orbit_labels(m), Q(r, L)))
+    return residual
 
 
 def pieri_check(datum: RootDatum, mults: Multiplicities, omega: Vector, lam: Vector,
                 e_form: LabelForm, perturb: str | None, cache: dict) -> tuple:
     """(terms, residual): the ``pieri_terms`` of omega at the dominant lambda
-    and the ``pieri_residual`` of e_form times P_lambda against them, below
-    lambda + omega.  lambda's labels are read once, and each shift is their
-    sum with the labels of nu.  Each distinct shift is built once, in cache,
-    and asked of it once, through a map local to the call keyed by the
-    labels of nu; cache keys stay (multiplicities, lambda's ``Weight``)."""
+    and the label-keyed ``pieri_residual`` of e_form times P_lambda against
+    them, below lambda + omega.  lambda's labels are read once, and each
+    shift is their sum with the labels of nu.  Each distinct shift is built
+    once, in cache, and asked of it once, through a map local to the call
+    keyed by the labels of nu; cache keys stay (the multiplicities' values,
+    lambda's ``Weight``)."""
     top = datum.dominant_labels(lam)
-    terms = pieri_terms(datum, mults, omega, top, perturb=perturb)
+    terms = pieri_terms(datum, mults, omega, top, perturb)
     poly = poly_cache_get(cache, datum, mults, datum.from_labels(top))
     polys = {l: poly_cache_get(cache, datum, mults, datum.from_labels(tuple(map(add, top, l))))
              for l in {e.nu_labels: None for e, _eta, _c in terms}}
@@ -388,10 +385,10 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
                                   perturb, {} if cache is None else cache)
     return PieriReport(
         system=datum.name,
-        omega=omega, lam=lam, g=mults.key(),
-        ok=residual.is_zero(),
+        omega=omega, lam=lam, g=mults.values,
+        ok=not residual,
         n_terms=len(terms),
-        residual=exp_to_json(residual),
+        residual=exp_to_json(datum, residual),
     )
 
 
@@ -435,7 +432,8 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
         checks.append({"check": name, "ok": bool(ok)})
 
     entries = pieri_index(datum, omega)
-    zero = (Q(0),) * datum.dim
+    orbit = datum.orbit_labels(datum.dominant_labels(omega)).keys()
+    nus = {e.nu_labels for e in entries}
     value = _evaluator(datum, mults, xi)
 
     def unit_u(e):
@@ -443,19 +441,17 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
 
     if datum.is_minuscule(omega):
         kind = "minuscule"
-        orbit = set(datum.weyl_orbit(omega))
-        record("index set is the full orbit", {e.nu for e in entries} == orbit)
-        record("single eta per term", all(e.etas == (e.nu,) for e in entries))
+        record("index set is the full orbit", nus == orbit)
+        record("single eta per term", all(e.eta_labels == (e.nu_labels,) for e in entries))
         record("all U factors equal 1", all(map(unit_u, entries)))
         record("E_omega equals the plain orbit sum",
                expansion_E_omega(datum, omega) == orbit_sum(datum, omega))
     elif datum.is_quasi_minuscule(omega):
         kind = "quasi-minuscule"
-        orbit = set(datum.weyl_orbit(omega))
-        record("index set is orbit plus origin",
-               {e.nu for e in entries} == orbit | {zero})
+        record("index set is orbit plus origin", nus == orbit | {(0,) * datum.rank})
         record("orbit terms have trivial eta and unit U",
-               all(e.etas == (e.nu,) and unit_u(e) for e in entries if e.nu != zero))
+               all(e.eta_labels == (e.nu_labels,) and unit_u(e)
+                   for e in entries if any(e.nu_labels)))
         m0 = Q(len(orbit))
         record("E_omega equals orbit sum plus its value at zero",
                expansion_E_omega(datum, omega)
@@ -477,12 +473,12 @@ def sample_multiplicities(datum: RootDatum, rng) -> Multiplicities:
     return Multiplicities(datum, values)
 
 
-def sample_spectral_point(datum: RootDatum, rng, max_tries: int = 200):
+def sample_spectral_point(datum: RootDatum, rng):
     """Rational xi = sum_i c_i omega_i with every <xi,a^vee> away from 0 and
     -1 (pole-free): the labels c_i drawn (numerator, then denominator), their
     ``label_pairings`` tested, xi built once by ``vector_of`` and carrying
     that row, so neither memo of the datum keeps a sampled point."""
-    for _ in range(max_tries):
+    for _ in range(MAX_SPECTRAL_DRAWS):
         c = tuple(Q(rng.randint(-24, 24), rng.randint(2, 9)) for _ in range(datum.rank))
         row = datum.label_pairings(c)
         if all(z not in (0, -1) for z in row):

@@ -213,14 +213,14 @@ def _shifted_eigenvalue(datum: RootDatum, mults: Multiplicities, l: tuple) -> Q:
 
 
 def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
-                 poly: JacobiPolynomial | None = None) -> EigenReport:
+                 poly: JacobiPolynomial) -> EigenReport:
     """Assert L P_lambda equals E(rho+lam) P_lambda with zero residual.
 
     The check runs in integers on the string table ``_pattern`` built for P
     (``weylalg._apply_L_table``, no tops search): L(D P) = E (D P), D clearing
     the coefficients and E from lam, is compared at every label in one pass.
+    The residual is keyed by labels until the report writes it (``exp_to_json``).
     """
-    poly = poly or jacobi_polynomial(datum, mults, lam)
     ev = _shifted_eigenvalue(datum, mults, datum.labels(lam))
     d, cleared = poly.cleared_terms()
     table = datum.string_table((poly.top,))
@@ -228,7 +228,6 @@ def verify_eigen(datum: RootDatum, mults: Multiplicities, lam: Vector,
     residual, num, den = {}, n * ev.numerator, ev.denominator
     for l, v, c in zip(table.index, image, coef):
         if r := v * den - num * c:
-            residual[datum.from_labels(l)] = Q(r, n * den * d)
-    return EigenReport(system=datum.name, lam=lam, g=mults.key(),
-                       eigenvalue=ev, ok=not residual,
-                       residual=exp_to_json(ExpPoly(residual)))
+            residual[l] = Q(r, n * den * d)
+    return EigenReport(system=datum.name, lam=lam, g=mults.values,
+                       eigenvalue=ev, ok=not residual, residual=exp_to_json(datum, residual))

@@ -81,7 +81,7 @@ def expansion_E_ell(n: int, ell: int) -> ExpPoly:
                         for s in (1, 0, -1)})
 
     return sum((math.prod(map(basis_factor, J), start=ExpPoly.constant(1, n))
-                for J in itertools.combinations(range(n), ell)), ExpPoly.zero())
+                for J in itertools.combinations(range(n), ell)), ExpPoly({}))
 
 
 def bc_multiplicities(datum: RootDatum, g, g1, g2) -> Multiplicities:
@@ -108,23 +108,22 @@ class BcPieriReport:
 
 
 def verify_pieri_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam,
-                    perturb: str | None = None, cache: dict | None = None) -> BcPieriReport:
+                    perturb: str | None, cache: dict) -> BcPieriReport:
     """Exact Pieri identity for the nonreduced system at xi = rho_g + lam, as
     ``diffeq.verify_pieri``: ``pieri_check`` of omega = e_1 + ... + e_ell
     against E_ell, whose ``LabelForm`` is memoized on the datum under ell
     (an int, so apart from the label tuples of ``expansion_labels``), and
     lam must be dominant (a partition).  n_terms counts the surviving shifts
-    nu.  cache defaults to a dict local to the call."""
+    nu; the residual is keyed by labels until the report writes it."""
     n = datum.rank
     e_form = datum.expansion_label_memo.get(ell)
     if e_form is None:
         e_form = datum.expansion_label_memo[ell] = label_form(datum, expansion_E_ell(n, ell))
     omega = tuple(Q(int(k < ell)) for k in range(n))
-    terms, residual = pieri_check(datum, mults, omega, lam, e_form, perturb,
-                                  {} if cache is None else cache)
-    return BcPieriReport(n, ell, lam, ok=residual.is_zero(),
+    terms, residual = pieri_check(datum, mults, omega, lam, e_form, perturb, cache)
+    return BcPieriReport(n, ell, lam, ok=not residual,
                          n_terms=len({e.nu_labels for e, _eta, _c in terms}),
-                         residual=exp_to_json(residual))
+                         residual=exp_to_json(datum, residual))
 
 
 def _check_den(value, n: int, root: dict, which="<xi,a^vee>"):

@@ -480,9 +480,6 @@ class RootDatum:
             raise ValueError(f"{weight_str(v)} is not in the weight lattice of {self}")
         return l
 
-    def is_dominant(self, v: Vector) -> bool:
-        return all(x >= 0 for x in self.labels(v))
-
     def dominant_labels(self, v: Vector) -> tuple:
         """Labels of a dominant weight; ValueError otherwise."""
         l = self.weight_labels(v)
@@ -642,17 +639,17 @@ class RootDatum:
 
     # -- small weights ---------------------------------------------------------
 
-    def _top_pairing(self, omega: Vector):
-        """The largest <omega, alpha^vee> over alpha > 0, omega dominant: its
-        pairing with the highest coroot."""
-        return sum(map(mul, self._top_coroot, self.dominant_labels(omega)))
+    def _top_pairing(self, l: tuple):
+        """The largest <omega, alpha^vee> over alpha > 0, for omega with
+        dominant labels l: its pairing with the highest coroot."""
+        return sum(map(mul, self._top_coroot, l))
 
     def is_small(self, omega: Vector) -> bool:
         """All pairings with positive coroots at most 2."""
-        return self._top_pairing(omega) <= 2
+        return self._top_pairing(self.dominant_labels(omega)) <= 2
 
     def is_minuscule(self, omega: Vector) -> bool:
-        return self._top_pairing(omega) <= 1
+        return self._top_pairing(self.dominant_labels(omega)) <= 1
 
     def is_quasi_minuscule(self, omega: Vector) -> bool:
         omega = self.check_dominant(omega)
@@ -685,7 +682,7 @@ class RootDatum:
     def quasi_minuscule_weight(self) -> Vector:
         """The dominant root with all other pairings at most 1."""
         for a in self.positive_roots:
-            if self.is_dominant(a) and self.is_quasi_minuscule(a):
+            if min(a.labels) >= 0 and self.is_quasi_minuscule(a):
                 return a
         raise ValueError("no quasi-minuscule weight found")
 
@@ -731,9 +728,6 @@ class Multiplicities:
         self.factor_values = tuple(x if h is None else x + g[h] / 2
                                    for x, h in zip(g, datum.half_root_index))
         self._rho = self._record = None
-
-    def key(self):
-        return tuple(self.values)
 
     def __repr__(self):
         return f"Multiplicities({self.values})"

@@ -2,11 +2,12 @@
 
 An ExpPoly is a finite formal sum  sum_nu c_nu e^nu  with rational
 coefficients, exponents being weights in a fixed realization: the vector
-form, for the public API and reports.  The exact engines work on the label
-form instead, terms keyed by the Dynkin labels of their exponents
-(``apply_L_labels``, ``LabelForm``, ``expansion_labels``).  The
-hypergeometric operator acts on W-invariant elements through exact
-polynomial division, so the result carries no truncation error at all.
+form, for the public API.  The exact engines, their residuals included,
+work on the label form instead, terms keyed by the Dynkin labels of their
+exponents (``apply_L_labels``, ``LabelForm``, ``expansion_labels``), and
+reach vectors only in a report (``exp_to_json``).  The hypergeometric
+operator acts on W-invariant elements through exact polynomial division,
+so the result carries no truncation error at all.
 """
 
 from __future__ import annotations
@@ -28,27 +29,16 @@ class ExpPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for nu, c in terms.items():
-                if c != 0:
-                    clean[nu] = c if isinstance(c, (Q, float)) else Q(c)
+    def __init__(self, terms: dict):
+        clean = {nu: c if isinstance(c, (Q, float)) else Q(c) for nu, c in terms.items() if c != 0}
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *args):
         raise AttributeError("ExpPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls({})
-
-    @classmethod
     def constant(cls, c, dim: int) -> "ExpPoly":
         return cls({(Q(0),) * dim: Q(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def value_at_zero(self) -> Q:
         """Evaluation at x = 0, i.e. the sum of all coefficients."""
@@ -60,15 +50,7 @@ class ExpPoly:
             out[nu] = out.get(nu, Q(0)) + c
         return ExpPoly(out)
 
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        out = dict(self.terms)
-        for nu, c in other.terms.items():
-            out[nu] = out.get(nu, Q(0)) - c
-        return ExpPoly(out)
-
     def scale(self, c) -> "ExpPoly":
-        if c == 0:
-            return ExpPoly.zero()
         return ExpPoly({nu: c * v for nu, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -80,9 +62,6 @@ class ExpPoly:
                 key = vadd(nu, mu)
                 out[key] = out.get(key, Q(0)) + c * d
         return ExpPoly(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def __eq__(self, other):
         return isinstance(other, ExpPoly) and self.terms == other.terms
@@ -269,7 +248,7 @@ def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
     top = datum.dominant_labels(omega)
     found = datum.expansion_label_memo.get(top)
     if found is None:
-        if not datum.is_small(datum.from_labels(top)):
+        if datum._top_pairing(top) > 2:
             raise ValueError(f"{weight_str(datum.from_labels(top))} is not small "
                              "(some pairing exceeds 2)")
         found = datum.expansion_label_memo[top] = LabelForm(datum, {
@@ -285,7 +264,8 @@ def expansion_E_omega(datum: RootDatum, omega: Vector) -> ExpPoly:
                     for l, c in expansion_labels(datum, omega).terms.items()})
 
 
-def exp_to_json(p: ExpPoly):
-    """Canonical serialization: sorted list of weight/coefficient records."""
-    return [{"weight": [_q_str(x) for x in nu], "coeff": _q_str(c)}
-            for nu, c in sorted(p.terms.items())]
+def exp_to_json(datum: RootDatum, terms: dict):
+    """Canonical serialization of label-keyed Fraction terms: weight/coefficient
+    records, the one place a residual's labels become vectors, sorted by them."""
+    return [{"weight": [_q_str(x) for x in datum.from_labels(l)], "coeff": _q_str(terms[l])}
+            for l in sorted(terms, key=datum._vector_key)]

@@ -45,7 +45,7 @@ class SqrtRational:
 
     __slots__ = ("coeff", "rad")
 
-    def __init__(self, coeff, rad=1):
+    def __init__(self, coeff, rad):
         coeff, rad = Q(coeff), Q(rad)
         if rad <= 0:
             raise ValueError("radicand must be positive")

@@ -1,11 +1,7 @@
-from fractions import Fraction as Q
-
 import pytest
 
-from hodiff.jacobi import JacobiPolynomial
 from hodiff.rootsys import build_root_system
-from hodiff.weylalg import ExpPoly
-from oracles import height
+from oracles import corrupted_copy
 
 
 @pytest.fixture(scope="session")
@@ -59,20 +55,12 @@ def bc2():
 
 
 def _reference_residual(e_poly, poly, shifted):
-    """e_poly * P - sum c P' by full ExpPoly products over every orbit."""
-    rhs = ExpPoly.zero()
+    """e_poly * P - sum c P' by full ExpPoly products over every orbit, keyed
+    by the labels of its exponents, as ``pieri_residual`` keys its own."""
+    diff = e_poly * poly.exp_poly()
     for p, c in shifted:
-        rhs = rhs + p.exp_poly().scale(c)
-    return e_poly * poly.exp_poly() - rhs
-
-
-def _corrupted(poly, delta=Q(1, 7)):
-    """poly with its lowest coefficient moved by delta (still W-invariant)."""
-    datum = poly.datum
-    coeffs = dict(poly.label_coeffs)
-    mu = min(coeffs, key=lambda m: height(datum, datum.from_labels(m)))
-    coeffs[mu] += delta
-    return JacobiPolynomial(datum, poly.mults, poly.top, coeffs)
+        diff = diff + p.exp_poly().scale(-c)
+    return {poly.datum.weight_labels(nu): c for nu, c in diff.terms.items()}
 
 
 @pytest.fixture(scope="session")
@@ -82,4 +70,4 @@ def reference_residual():
 
 @pytest.fixture(scope="session")
 def corrupted():
-    return _corrupted
+    return corrupted_copy

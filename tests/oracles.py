@@ -54,8 +54,9 @@ taking the root datum first:
 - ``simple_coefficients``, ``height``, ``dominance_leq`` and ``rho_vee``:
   simple-root coordinates and their sum, the dominance order, and rho^vee
   as a vector;
-- ``eval_at`` and ``exp_from_json``: an ExpPoly evaluated at a point and
-  read back from its ``exp_to_json`` form;
+- ``eval_at``, ``exp_from_json`` and ``vector_exp_to_json``: an ExpPoly
+  evaluated at a point, read back from ``exp_to_json`` records, and written
+  as them from its vectors (as ``exp_to_json`` did before it took labels);
 - ``vector_sample_spectral_point``: a sampled spectral point summed as a
   Fraction vector over the fundamental weights, its pole test reading the
   labels back through the Gram form (the package draws the labels).
@@ -66,9 +67,12 @@ Then the rank-one Toda oracle as it was before its fixed-point sums:
   ``mpmath.hyp0f1`` calls per point, at the same precision and integer
   order shift.
 
-Last, a constructor and a per-point residual only the tests use:
+Last, constructors, views and a per-point residual only the tests use:
 
 - ``constant_multiplicities``: the same multiplicity g on every root orbit;
+- ``corrupted_copy``: a Jacobi polynomial with one coefficient moved;
+- ``term_vectors``: nu, nu+ and the etas of a ``PieriTermIndex`` entry as
+  vectors (the entry holds their labels only);
 - ``de_residual``: the rank-one difference-equation residual at one point
   from three ``gauss_2f1_jacobi`` calls, each with its own
   ``HypergeometricParams`` (``rankone.verify_de`` shares that work over its
@@ -86,11 +90,11 @@ import mpmath
 from hodiff import whittaker
 from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, integer_product, perturbed,
                            pieri_index, scaled_table)
-from hodiff.jacobi import jacobi_polynomial
+from hodiff.jacobi import JacobiPolynomial, jacobi_polynomial
 from hodiff.nonreduced import SignedSubset, bc_multiplicities, signed_subsets
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
-from hodiff.rootsys import Multiplicities, vadd, weight_str
+from hodiff.rootsys import Multiplicities, _q_str, vadd, weight_str
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _is_invariant,
                             expansion_E_omega, require_exact)
 from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar
@@ -384,7 +388,7 @@ def stepwise_limit(datum, factors, xi):
     """``whittaker.limit_product`` at rational xi, one SqrtRational
     operation per factor."""
     z = datum.pairings(xi)
-    total = SqrtRational(1)
+    total = SqrtRational(1, 1)
     for i, s, e in factors:
         eta = SqrtRational(1, 2 / datum.inner(datum.roots[i], datum.roots[i]))
         total = total * (eta if e > 0 else -eta) / (z[i] + 1 if s else z[i])
@@ -413,19 +417,20 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
         devs.append(abs(val - limit) / abs(limit))
     rows = [row("E", "E_omega", devs, limit)]
     for entry in pieri_index(datum, omega):
-        rate_v = float(datum.inner(entry.nu_plus, rv))
-        vbar = float(coeff_Vbar(datum, entry.nu, xi))
+        nu, nu_plus, etas = term_vectors(datum, entry)
+        rate_v = float(datum.inner(nu_plus, rv))
+        vbar = float(coeff_Vbar(datum, nu, xi))
         devs = [abs(math.exp(-t * rate_v) * coeff_V(
-                    datum, whittaker.multiplicities_at(datum, t), entry.nu, xi) - vbar) / abs(vbar)
+                    datum, whittaker.multiplicities_at(datum, t), nu, xi) - vbar) / abs(vbar)
                 for t in t_list]
-        rows.append(row("V", f"nu={entry.nu}", devs, vbar))
-        rate_u = float(datum.inner(omega, rv) - datum.inner(entry.nu_plus, rv))
-        for eta_wt in entry.etas:
-            ubar = float(coeff_Ubar(datum, entry.nu, eta_wt, xi))
+        rows.append(row("V", f"nu={nu}", devs, vbar))
+        rate_u = float(datum.inner(omega, rv) - datum.inner(nu_plus, rv))
+        for eta_wt in etas:
+            ubar = float(coeff_Ubar(datum, nu, eta_wt, xi))
             devs = [abs(math.exp(-t * rate_u) * coeff_U(
-                        datum, whittaker.multiplicities_at(datum, t), entry.nu, eta_wt, xi)
+                        datum, whittaker.multiplicities_at(datum, t), nu, eta_wt, xi)
                         - ubar) / abs(ubar) for t in t_list]
-            rows.append(row("U", f"nu={entry.nu}, eta={eta_wt}", devs, ubar))
+            rows.append(row("U", f"nu={nu}, eta={eta_wt}", devs, ubar))
     return rows
 
 
@@ -520,7 +525,8 @@ def every_u_pieri_terms(datum, mults, omega, lam, perturb=None):
                        for eta, (u_num, u_den) in zip(entry.eta_labels, us))
         elif v_num and perturb is None:
             raise InternalConsistencyError(
-                f"V did not vanish at the excluded shift nu={weight_str(entry.nu)}, "
+                f"V did not vanish at the excluded shift "
+                f"nu={weight_str(datum.from_labels(entry.nu_labels))}, "
                 f"lambda labels {lam}: V={Q(v_num, v_den)}")
     return out
 
@@ -625,6 +631,12 @@ def exp_from_json(items):
                     for item in items})
 
 
+def vector_exp_to_json(p):
+    """The ``weylalg.exp_to_json`` records of an ExpPoly, sorted by vector."""
+    return [{"weight": [_q_str(x) for x in nu], "coeff": _q_str(c)}
+            for nu, c in sorted(p.terms.items())]
+
+
 def vector_sample_spectral_point(datum, rng, max_tries=200):
     """Rational xi with every <xi,a^vee> away from 0 and -1, as
     ``diffeq.sample_spectral_point`` draws it: per fundamental weight a
@@ -642,6 +654,23 @@ def vector_sample_spectral_point(datum, rng, max_tries=200):
 def constant_multiplicities(datum, g):
     """Multiplicities with the value g on every root orbit of datum."""
     return Multiplicities(datum, [g] * len(datum.root_orbits))
+
+
+def corrupted_copy(poly, delta=Q(1, 7)):
+    """poly with its lowest coefficient moved by delta: still W-invariant, and
+    off the eigenspace unless poly has that one coefficient alone (P_0, and
+    P_omega for omega minuscule, are one orbit sum, which the move only scales)."""
+    datum = poly.datum
+    coeffs = dict(poly.label_coeffs)
+    mu = min(coeffs, key=lambda m: height(datum, datum.from_labels(m)))
+    coeffs[mu] += delta
+    return JacobiPolynomial(datum, poly.mults, poly.top, coeffs)
+
+
+def term_vectors(datum, entry) -> tuple:
+    """(nu, nu+, etas) of a ``PieriTermIndex`` entry, as vectors of datum."""
+    return (datum.from_labels(entry.nu_labels), datum.from_labels(entry.plus_labels),
+            tuple(map(datum.from_labels, entry.eta_labels)))
 
 
 def de_residual(g1, g2, xi, x) -> float:

@@ -13,7 +13,7 @@ from hodiff import cli, diffeq, jacobi, nonreduced
 from hodiff.diffeq import PoleAtSpectralPoint, verify_pieri
 from hodiff.rootsys import Multiplicities, RootDatum, build_root_system, weight_str
 from hodiff.weylalg import InternalConsistencyError
-from oracles import greedy_dominant
+from oracles import corrupted_copy, greedy_dominant
 
 
 def run(args):
@@ -289,16 +289,31 @@ def _bc_reports(n, lam, gs):
         datum = build_root_system("BC", n)
         mults, drawn = nonreduced.bc_multiplicities(datum, *gs), dict(
             zip(("g", "g1", "g2"), map(str, gs)))
-        reports = [{**nonreduced.verify_pieri_bc(datum, mults, ell, lam).to_dict(), **drawn}
+        reports = [{**nonreduced.verify_pieri_bc(datum, mults, ell, lam, None, {}).to_dict(),
+                    **drawn}
                    for ell in range(1, n + 1)]
         assert all(r["status"] == "pass" for r in reports)
         return json.dumps(reports, sort_keys=True).encode()
     return produce
 
 
+def _corrupted_eigen_case(family, rank, labels, g):
+    # the eigen suite's case for P_lambda with its lowest coefficient moved,
+    # which leaves a residual, as cli._eigen_case writes it
+    def produce(_tmp_path):
+        datum = build_root_system(family, rank)
+        mults = Multiplicities(datum, g)
+        lam = datum.weight_from_fundamental(labels)
+        bad = corrupted_copy(jacobi.jacobi_polynomial(datum, mults, lam))
+        case = cli._eigen_case("eigen", datum, mults, lam, bad)
+        assert case["status"] == "fail"
+        return json.dumps(case, sort_keys=True).encode()
+    return produce
+
+
 F4_G = (Q(3, 7), Q(5, 11))
 
-# (producer of the bytes, their sha256).  The first fourteen are free of floats.
+# (producer of the bytes, their sha256).  The first sixteen are free of floats.
 # The rest hold float output, so their bytes also pin the platform libm's
 # exp, sqrt and sinh: the confluence suites, the rank-one sweep (its residual
 # bits) and the full default report.
@@ -338,6 +353,11 @@ PINNED_OUTPUTS = (
     # BC3, which the campaign does not reach: the first |J| = 3 terms
     (_bc_reports(3, (2, 1, 0), (Q(3, 7), Q(5, 11), Q(9, 4))),
      "ee9278887015373ea1e96b5559ea58aba831773d2a9c8aac4244afd9b3e4ec75"),
+    # the residual writers of a failing BC report and a failing eigencheck
+    (_cli_output(["verify", "--suite", "bc", "--samples", "1", "--perturb", "u-sign"], 1),
+     "2f8f0c1b674f2d27384b41cf980e59ecfc7c5466e9106e02899ffc6b5a43f06b"),
+    (_corrupted_eigen_case("B", 2, (1, 1), (Q(3, 7), Q(5, 11))),
+     "6367bbfd592d28684e5ca2da3268046a61c220624b11e826b89c3d3b799d834f"),
     (_cli_output(["verify", "--suite", "whittaker"], 0),
      "9a6d172aac12bf46fa9ac1303d2684bfe46c6ee7925010dd54a83ae7c9148b3a"),
     (_cli_output(["whittaker-limits", "--family", "G", "--rank", "2", "--omega", "1,0",
@@ -359,7 +379,7 @@ PINNED_OUTPUTS = (
 PINNED_IDS = ["exact-suites", "u-sign", "v-drop-pairing2", "coeffs-g2", "coeffs-e6-omega2",
               "coeffs-f4-omega4", "pieri-f4-omega1", "pieri-f4-omega4", "pieri-e6-omega1",
               "pieri-e6-omega2", "pieri-f4-omega1-u-sign", "pieri-e8-omega8",
-              "pieri-e8-omega8-u-sign", "bc3-lam210",
+              "pieri-e8-omega8-u-sign", "bc3-lam210", "bc-u-sign", "eigen-b2-corrupted",
               "whittaker-suite", "whittaker-limits-g2", "whittaker-limits-c3",
               "rankone-suite", "sweep-rank-one-csv", "default-report"]
 

@@ -1,7 +1,7 @@
 import gc
 import random
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as Q
 
 import pytest
@@ -22,7 +22,7 @@ from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             label_form, sample_record)
 from oracles import (constant_multiplicities, dominant_representative, every_u_pieri_terms,
                      fraction_point_table, height, orbit_under_reflections, scan_pieri_index,
-                     vector_sample_spectral_point, vscale)
+                     term_vectors, vector_sample_spectral_point, vscale)
 from weyl_words import apply_word, inverse_word
 
 
@@ -156,7 +156,7 @@ def test_pieri_terms_pole_names_root_and_denominator(a1):
     alpha = a1.positive_roots[0]
     zero = (Q(0),) * a1.dim
     with pytest.raises(PoleAtSpectralPoint) as exc:
-        pieri_terms(a1, constant_multiplicities(a1, Q(1)), alpha, a1.labels(zero))
+        pieri_terms(a1, constant_multiplicities(a1, Q(1)), alpha, a1.labels(zero), None)
     assert exc.value.alpha == vscale(-1, alpha)
     assert exc.value.which == "1+<xi,a^vee>"
 
@@ -165,19 +165,19 @@ def test_pieri_terms_requires_exact_multiplicities(a2):
     zero = (Q(0),) * a2.dim
     with pytest.raises(ValueError, match="exact multiplicities required"):
         pieri_terms(a2, constant_multiplicities(a2, 0.5),
-                    a2.fundamental_weights[0], a2.labels(zero))
+                    a2.fundamental_weights[0], a2.labels(zero), None)
 
 
 def test_pieri_index_structure(a2):
     theta = a2.quasi_minuscule_weight()
-    entries = pieri_index(a2, theta)
+    entries = [term_vectors(a2, e) for e in pieri_index(a2, theta)]
     zero = (Q(0),) * a2.dim
-    assert {e.nu for e in entries} == set(a2.weyl_orbit(theta)) | {zero}
-    for e in entries:
-        if e.nu == zero:
-            assert set(e.etas) == set(a2.weyl_orbit(theta))
+    assert {nu for nu, _plus, _etas in entries} == set(a2.weyl_orbit(theta)) | {zero}
+    for nu, _plus, etas in entries:
+        if nu == zero:
+            assert set(etas) == set(a2.weyl_orbit(theta))
         else:
-            assert e.etas == (e.nu,)
+            assert etas == (nu,)
     with pytest.raises(ValueError):
         pieri_index(a2, vscale(3, a2.fundamental_weights[0]))
 
@@ -201,13 +201,14 @@ def test_pieri_index_matches_generic_stabilizer_search(fam, rank):
     for omega in datum.small_dominant_weights():
         before = pieri_index.cache_info()
         index = pieri_index(datum, omega)
-        assert [e.nu for e in index] == sorted(datum.saturated_map(omega))
+        assert [term_vectors(datum, e)[0] for e in index] == sorted(datum.saturated_map(omega))
         for e in index:
-            assert (e.nu_plus, e.word) == dominant_representative(datum, e.nu)
-            etas = orbit(e.nu, apply_word(datum, inverse_word(e.word), omega))
-            assert e.etas == etas, (omega, e.nu)
-            assert e.v_factors == term_factors(datum, e.nu)
-            assert e.u_factors == tuple(term_factors(datum, e.nu, eta) for eta in etas)
+            nu, plus, held = term_vectors(datum, e)
+            assert (plus, e.word) == dominant_representative(datum, nu)
+            etas = orbit(nu, apply_word(datum, inverse_word(e.word), omega))
+            assert held == etas, (omega, nu)
+            assert e.v_factors == term_factors(datum, nu)
+            assert e.u_factors == tuple(term_factors(datum, nu, eta) for eta in etas)
         assert pieri_index(datum, omega) is index
         after = pieri_index.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
@@ -240,9 +241,9 @@ def test_pieri_index_matches_row_scan(fam, rank, i):
 
 
 def test_dropped_datum_is_freed_without_a_cyclic_collection():
-    # the Pieri index lives in the datum's memo and builds its vectors by
-    # vector_of, which does not hold the datum, so after verify_pieri a
-    # dropped datum is freed by reference counting
+    # the Pieri index lives in the datum's memo and holds labels only, not
+    # the datum, so after verify_pieri a dropped datum is freed by reference
+    # counting
     gc.disable()
     try:
         datum = build_root_system("F", 4)
@@ -256,18 +257,18 @@ def test_dropped_datum_is_freed_without_a_cyclic_collection():
         gc.enable()
 
 
-def test_held_index_reads_its_vectors_after_the_datum_is_dropped():
+def test_held_index_outlives_its_datum():
+    # a held index keeps its labels when its datum is freed, and a fresh
+    # datum of the type turns them into the vectors the first one gave
     datum = build_root_system("A", 2)
     omega = datum.quasi_minuscule_weight()
     index = pieri_index(datum, omega)
-    vector = datum.from_labels
-    expected = [(vector(e.nu_labels), vector(e.plus_labels), tuple(map(vector, e.eta_labels)))
-                for e in index]
-    del vector
+    expected = [term_vectors(datum, e) for e in index]
     ref = weakref.ref(datum)
     del datum
     assert ref() is None
-    assert [(e.nu, e.nu_plus, e.etas) for e in index] == expected
+    fresh = build_root_system("A", 2)
+    assert [term_vectors(fresh, e) for e in index] == expected
 
 
 @pytest.mark.slow
@@ -293,10 +294,10 @@ def test_rank_one_pieri_collapses_to_doubling(a1):
     # coefficient 2, the reflected shift being killed by the vanishing factor
     g, w, alpha, _ = _a1_setup(a1)
     zero = (Q(0),) * a1.dim
-    terms = pieri_terms(a1, g, w, a1.labels(zero))
+    terms = pieri_terms(a1, g, w, a1.labels(zero), None)
     assert len(terms) == 1
     entry, eta, coeff = terms[0]
-    assert entry.nu == w and coeff == 2
+    assert a1.from_labels(entry.nu_labels) == w and coeff == 2
     rep = verify_pieri(a1, g, w, zero)
     assert rep.ok and rep.residual == []
 
@@ -315,15 +316,15 @@ def test_pieri_term_sum_is_order_independent(b2):
     g = Multiplicities(b2, [Q(3, 7), Q(5, 11)])
     omega = b2.quasi_minuscule_weight()
     lam = b2.fundamental_weights[1]
-    terms = pieri_terms(b2, g, omega, b2.labels(lam))
+    terms = pieri_terms(b2, g, omega, b2.labels(lam), None)
     rng = random.Random(5)
     shuffled = terms[:]
     rng.shuffle(shuffled)
     cache = {}
     def rhs(term_list):
-        acc = ExpPoly.zero()
+        acc = ExpPoly({})
         for entry, _eta, c in term_list:
-            key = vadd(lam, entry.nu)
+            key = vadd(lam, b2.from_labels(entry.nu_labels))
             poly = cache.get(key)
             if poly is None:
                 poly = cache[key] = jacobi_polynomial(b2, g, key).exp_poly()
@@ -380,10 +381,10 @@ def test_excluded_shift_vanishing(b2):
         try:
             for lam_coeffs in ((0, 0), (1, 0), (0, 1)):
                 lam = b2.weight_from_fundamental(lam_coeffs)
-                surviving = {e.nu for e, _eta, _c in
-                             pieri_terms(b2, mults, omega, b2.labels(lam))}
+                surviving = {b2.from_labels(e.nu_labels) for e, _eta, _c in
+                             pieri_terms(b2, mults, omega, b2.labels(lam), None)}
                 expected = {nu for nu in b2.saturated_map(omega)
-                            if b2.is_dominant(vadd(lam, nu))}
+                            if min(b2.labels(vadd(lam, nu))) >= 0}
                 assert surviving == expected
         except PoleAtSpectralPoint:
             continue  # non-generic draw; resample as production callers do
@@ -430,7 +431,7 @@ def test_every_single_factor_edit_breaks_pieri(system, request, monkeypatch):
     checked = 0
     for omega in datum.small_fundamental_weights():
         index = pieri_index(datum, omega)
-        k = max(abs(l) for e in index for l in datum.labels(e.nu))
+        k = max(abs(l) for e in index for l in e.nu_labels)
         lam = datum.weight_from_fundamental([k] * datum.rank)
         while True:
             mults = sample_multiplicities(datum, rng)
@@ -446,7 +447,7 @@ def test_every_single_factor_edit_breaks_pieri(system, request, monkeypatch):
                 with monkeypatch.context() as mp:
                     mp.setattr(diffeq, "pieri_index", lambda _d, _o: edited)
                     report = verify_pieri(datum, mults, omega, lam, cache=cache)
-                assert not report.ok, (omega, entry.nu, mutant)
+                assert not report.ok, (omega, entry.nu_labels, mutant)
                 checked += 1
     assert checked > 0
 
@@ -464,16 +465,18 @@ class _PoleDraws:
 
 
 @pytest.mark.parametrize("fam,rank", PIERI_SYSTEMS)
-def test_label_sampler_matches_the_vector_sampler(fam, rank):
+def test_label_sampler_matches_the_vector_sampler(fam, rank, monkeypatch):
     # the labels are drawn in the order of the vector sampler's coefficients,
     # so both return equal points and leave the Random in the same state, or
-    # both give up after max_tries
+    # both give up after max_tries (the package's MAX_SPECTRAL_DRAWS, 200)
     datum = build_root_system(fam, rank)
+    assert diffeq.MAX_SPECTRAL_DRAWS == 200
     for seed in range(50):
         for max_tries in (1, 200):
+            monkeypatch.setattr(diffeq, "MAX_SPECTRAL_DRAWS", max_tries)
             got, want = random.Random(seed), random.Random(seed)
             try:
-                xi = sample_spectral_point(datum, got, max_tries)
+                xi = sample_spectral_point(datum, got)
             except RuntimeError as exc:
                 with pytest.raises(RuntimeError, match=str(exc)):
                     vector_sample_spectral_point(datum, want, max_tries)
@@ -483,8 +486,9 @@ def test_label_sampler_matches_the_vector_sampler(fam, rank):
                 assert known == read and list(map(type, known)) == list(map(type, read))
             assert got.getstate() == want.getstate()
     got, want = _PoleDraws(), _PoleDraws()
+    monkeypatch.setattr(diffeq, "MAX_SPECTRAL_DRAWS", 7)
     with pytest.raises(RuntimeError, match="could not sample a pole-free spectral point"):
-        sample_spectral_point(datum, got, 7)
+        sample_spectral_point(datum, got)
     with pytest.raises(RuntimeError, match="could not sample a pole-free spectral point"):
         vector_sample_spectral_point(datum, want, 7)
     assert got.draws == want.draws == 7 * 2 * rank
@@ -493,7 +497,7 @@ def test_label_sampler_matches_the_vector_sampler(fam, rank):
 def test_sampler_determinism(c3):
     m1 = sample_multiplicities(c3, random.Random("s"))
     m2 = sample_multiplicities(c3, random.Random("s"))
-    assert m1.key() == m2.key()
+    assert m1.values == m2.values
     xi1 = sample_spectral_point(c3, random.Random("x"))
     xi2 = sample_spectral_point(c3, random.Random("x"))
     assert xi1 == xi2
@@ -505,10 +509,10 @@ def _pieri_sides(datum, omega, lam, tag, perturb=None):
     while True:
         mults = sample_multiplicities(datum, rng)
         try:
-            terms = pieri_terms(datum, mults, omega, datum.labels(lam), perturb=perturb)
+            terms = pieri_terms(datum, mults, omega, datum.labels(lam), perturb)
         except PoleAtSpectralPoint:
             continue
-        shifted = [(jacobi_polynomial(datum, mults, vadd(lam, e.nu)), c)
+        shifted = [(jacobi_polynomial(datum, mults, vadd(lam, datum.from_labels(e.nu_labels))), c)
                    for e, _eta, c in terms]
         return jacobi_polynomial(datum, mults, lam), shifted
 
@@ -522,13 +526,13 @@ def test_pieri_residual_matches_product_reference(system, request,
     poly, shifted = _pieri_sides(datum, omega, lam, f"residual:{system}")
     e_poly = expansion_E_omega(datum, omega)
     top = datum.labels(vadd(lam, omega))
-    assert pieri_residual(datum, label_form(datum, e_poly), poly, shifted, top).is_zero()
+    assert pieri_residual(datum, label_form(datum, e_poly), poly, shifted, top) == {}
     # corrupt the shifted polynomial with the highest weight
     i = max(range(len(shifted)), key=lambda j: height(datum, shifted[j][0].lam))
     bad = list(shifted)
     bad[i] = (corrupted(shifted[i][0]), shifted[i][1])
     got = pieri_residual(datum, label_form(datum, e_poly), poly, bad, top)
-    assert not got.is_zero()
+    assert got
     assert got == reference_residual(e_poly, poly, bad)
 
 
@@ -540,7 +544,7 @@ def test_pieri_residual_matches_reference_under_perturbation(b2, perturb,
     poly, shifted = _pieri_sides(b2, omega, lam, "perturbed", perturb)
     e_poly = expansion_E_omega(b2, omega)
     got = pieri_residual(b2, label_form(b2, e_poly), poly, shifted, b2.labels(vadd(lam, omega)))
-    assert not got.is_zero()
+    assert got
     assert got == reference_residual(e_poly, poly, shifted)
 
 
@@ -589,11 +593,13 @@ def test_pieri_index_serves_bc(bc2):
     # +-e_j, the etas of the origin are the +-e_j, and each of its U lists
     # carries U_{K,1}'s sign (-1)^1 in its one alpha/2 entry (g sign -2)
     index = pieri_index(bc2, (Q(1), Q(0)))
-    assert [e.nu for e in index] == sorted([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-    origin, = (e for e in index if e.nu == (0, 0))
-    assert origin.etas == tuple(sorted([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    assert [term_vectors(bc2, e)[0] for e in index] == sorted(
+        [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    origin, = (e for e in index if not any(e.nu_labels))
+    _nu, _plus, etas = term_vectors(bc2, origin)
+    assert etas == tuple(sorted([(1, 0), (-1, 0), (0, 1), (0, -1)]))
     halves = set(bc2.half_root_index)
-    for eta, factors in zip(origin.etas, origin.u_factors):
+    for eta, factors in zip(etas, origin.u_factors):
         assert [f for f in factors if f[0] in halves] == [(bc2.roots.index(eta), 1, -2)]
 
 
@@ -608,8 +614,8 @@ def test_verify_pieri_without_cache_builds_each_shift_once(system, request, monk
     real = diffeq.jacobi_polynomial
     monkeypatch.setattr(diffeq, "jacobi_polynomial",
                         lambda d, m, mu: built.append(mu) or real(d, m, mu))
-    terms = pieri_terms(datum, mults, omega, datum.labels(lam))
-    shifts = {vadd(lam, e.nu) for e, _eta, _c in terms}
+    terms = pieri_terms(datum, mults, omega, datum.labels(lam), None)
+    shifts = {vadd(lam, datum.from_labels(e.nu_labels)) for e, _eta, _c in terms}
     assert len(terms) > len(shifts)
     assert verify_pieri(datum, mults, omega, lam).ok
     assert sorted(built) == sorted(shifts | {lam})
@@ -624,9 +630,9 @@ def test_verify_pieri_cache_keeps_its_vector_form(b2):
     lam = b2.fundamental_weights[1]
     cache = {}
     assert verify_pieri(b2, mults, b2.quasi_minuscule_weight(), lam, cache=cache).ok
-    assert (mults.key(), lam) in cache and len(cache) > 1
+    assert (mults.values, lam) in cache and len(cache) > 1
     for (g, mu), poly in cache.items():
-        assert g == mults.key() and poly.lam == mu
+        assert g == mults.values and poly.lam == mu
         assert all(type(x) is Q for x in mu)
         assert sorted(poly.coeffs) == sorted(b2.dominant_below(mu))
         assert all(type(c) is Q for c in poly.coeffs.values())
@@ -648,7 +654,7 @@ def test_pieri_residual_matches_reference_with_every_polynomial_corrupted(
     for bad_poly in (poly, corrupted(poly, Q(-5, 11))):
         bad = [(corrupted(p, Q(i + 1, 3 * i + 7)), c) for i, (p, c) in enumerate(shifted)]
         got = pieri_residual(datum, label_form(datum, e_poly), bad_poly, bad, top)
-        assert not got.is_zero()
+        assert got
         assert got == reference_residual(e_poly, bad_poly, bad)
 
 
@@ -770,3 +776,27 @@ def test_pieri_terms_with_a_zero_table_entry_raise_as_the_reference(fam, rank):
                                            omegas=datum.small_dominant_weights())
              for g in (Q(1), Q(1, 2))]
     assert sum(z for _p, z in found) > 0 and sum(p for p, _z in found) > 0
+
+
+def test_exact_checks_keep_labels_until_the_report(b2, bc2, corrupted, monkeypatch):
+    # a failing Pieri check (reduced and BC) and a failing eigencheck write
+    # their residuals without building an ExpPoly on the way, once the memo
+    # of E_ell holds its label form; an index entry holds labels only
+    from hodiff.nonreduced import verify_pieri_bc
+    mults = Multiplicities(b2, [Q(3, 7), Q(5, 11)])
+    omega, lam = b2.quasi_minuscule_weight(), b2.fundamental_weights[1]
+    bc_mults = Multiplicities(bc2, [Q(3, 7), Q(5, 11), Q(9, 4)])
+    assert verify_pieri_bc(bc2, bc_mults, 2, (Q(1), Q(0)), None, {}).ok
+    top = vadd(*b2.fundamental_weights)   # P_top has two coefficients
+    poly = corrupted(jacobi_polynomial(b2, mults, top))
+    built = []
+    real = ExpPoly.__init__
+    monkeypatch.setattr(ExpPoly, "__init__", lambda p, terms: built.append(p) or real(p, terms))
+    reports = [verify_pieri(b2, mults, omega, lam, perturb=PERTURB_U_SIGN),
+               verify_pieri_bc(bc2, bc_mults, 2, (Q(1), Q(0)), PERTURB_U_SIGN, {}),
+               verify_eigen(b2, mults, top, poly)]
+    assert not any(rep.ok for rep in reports) and all(rep.residual for rep in reports)
+    assert built == []
+    assert [f.name for f in fields(diffeq.PieriTermIndex)] == [
+        "nu_labels", "word", "plus_labels", "eta_labels", "v_factors", "u_factors"]
+    assert not any(isinstance(v, property) for v in vars(diffeq.PieriTermIndex).values())

@@ -11,9 +11,9 @@ from hodiff.diffeq import sample_multiplicities
 from hodiff.jacobi import (jacobi_polynomial, opdam_leading_coefficient,
                            verify_eigen)
 from hodiff.rootsys import Multiplicities, build_root_system, vadd
-from hodiff.weylalg import (ExpPoly, apply_L, eigenvalue_E, exp_to_json,
-                            is_w_invariant)
-from oracles import constant_multiplicities, dominance_leq, tuple_walk_jacobi, vscale
+from hodiff.weylalg import ExpPoly, apply_L, eigenvalue_E, is_w_invariant
+from oracles import (constant_multiplicities, dominance_leq, tuple_walk_jacobi,
+                     vector_exp_to_json, vscale)
 from test_rootsys import TABLE
 
 G_SAMPLES = (Q(3, 7), Q(5, 11), Q(9, 4))
@@ -72,11 +72,11 @@ def test_unit_normalization_and_invariance(b2):
 def test_eigencheck_exact(a2, b2):
     g = constant_multiplicities(a2, Q(3, 7))
     lam = vadd(*a2.fundamental_weights)
-    report = verify_eigen(a2, g, lam)
+    report = verify_eigen(a2, g, lam, jacobi_polynomial(a2, g, lam))
     assert report.ok and report.residual == []
     gb = Multiplicities(b2, [Q(5, 11), Q(9, 4)])
     lam = vscale(2, b2.fundamental_weights[0])
-    assert verify_eigen(b2, gb, lam).ok
+    assert verify_eigen(b2, gb, lam, jacobi_polynomial(b2, gb, lam)).ok
 
 
 def test_leading_coefficient_two_routes_agree():
@@ -130,14 +130,15 @@ def test_cleared_eigencheck_residual_matches_public_path(system, request, corrup
     mults = sample_multiplicities(datum, random.Random(f"eigen:{system}"))
     lam = ((Q(2), Q(1)) if datum.family == "BC"
            else datum.weight_from_fundamental([1] * datum.rank))
-    assert verify_eigen(datum, mults, lam).ok
-    bad = corrupted(jacobi_polynomial(datum, mults, lam))
+    good = jacobi_polynomial(datum, mults, lam)
+    assert verify_eigen(datum, mults, lam, good).ok
+    bad = corrupted(good)
     report = verify_eigen(datum, mults, lam, bad)
     p = bad.exp_poly()
     ev = eigenvalue_E(datum, mults, vadd(datum.rho(mults), lam))
-    expected = apply_L(datum, mults, p) - p.scale(ev)
-    assert not report.ok and not expected.is_zero()
-    assert report.residual == exp_to_json(expected)
+    expected = apply_L(datum, mults, p) + p.scale(-ev)
+    assert not report.ok and expected.terms
+    assert report.residual == vector_exp_to_json(expected)
 
 
 def test_exact_entry_points_reject_float_multiplicities(a2):

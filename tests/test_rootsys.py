@@ -188,9 +188,9 @@ def test_dominant_representative_minimal_brute_force(a2, b2):
         for nu in sorted(probes):
             plus, word = dominant_representative(datum, nu)
             assert apply_word(datum, word, nu) == plus
-            assert datum.is_dominant(plus)
+            assert min(datum.labels(plus)) >= 0
             best = min(len(w) for w in elems.values()
-                       if datum.is_dominant(apply_word(datum, w, nu)))
+                       if min(datum.labels(apply_word(datum, w, nu))) >= 0)
             assert len(word) == best, (nu, word)
 
 
@@ -683,7 +683,7 @@ def test_memos_are_keyed_by_labels(fam, rank):
         mults = bc_multiplicities(datum, Q(1, 3), Q(2, 5), Q(3, 7))
         for ell in (1, 2):
             for lam in ((0, 0), (1, 0), (2, 1)):
-                assert verify_pieri_bc(datum, mults, ell, tuple(map(Q, lam))).ok
+                assert verify_pieri_bc(datum, mults, ell, tuple(map(Q, lam)), None, {}).ok
         omega = (Q(1), Q(0))
     else:
         mults = Multiplicities(datum, [Q(k + 2, 7) for k in range(len(datum.root_orbits))])

@@ -10,7 +10,7 @@ from hodiff.cli import PIERI_SYSTEMS
 from hodiff.weylalg import (ExpPoly, apply_L, apply_L_labels, eigenvalue_E, exp_to_json,
                             expansion_E_omega, expansion_labels, is_w_invariant, orbit_sum)
 from oracles import (constant_multiplicities, eval_at, exp_from_json, orbitwise_expansion_labels,
-                     vscale)
+                     vector_exp_to_json, vscale)
 
 
 def test_orbit_sum_basics(a1, a2):
@@ -31,9 +31,9 @@ def test_exppoly_ring_ops(a2):
     q = orbit_sum(a2, w2)
     assert p + q == q + p
     assert p * q == q * p
-    assert (p - p).is_zero()
+    assert p + p.scale(-1) == ExpPoly({})
     assert p * ExpPoly.constant(1, a2.dim) == p
-    assert p.scale(Q(2, 3)) == Q(2, 3) * p
+    assert p.scale(Q(2, 3)) == p * Q(2, 3)
     assert (p * q).value_at_zero() == p.value_at_zero() * q.value_at_zero()
 
 
@@ -55,7 +55,7 @@ def test_multiplication_agrees_with_evaluation(a2, b2):
 
 def test_apply_l_annihilates_constants(a2):
     g = constant_multiplicities(a2, Q(3, 7))
-    assert apply_L(a2, g, ExpPoly.constant(5, a2.dim)).is_zero()
+    assert apply_L(a2, g, ExpPoly.constant(5, a2.dim)) == ExpPoly({})
 
 
 def test_apply_l_rejects_non_invariant(a2):
@@ -131,8 +131,9 @@ def test_expansion_e_omega_rejects_non_small(a2, g2):
 def test_json_roundtrip_canonical(a2):
     p = orbit_sum(a2, a2.quasi_minuscule_weight()).scale(Q(-3, 7)) \
         + ExpPoly.constant(Q(1, 2), a2.dim)
-    blob = exp_to_json(p)
-    assert blob == sorted(blob, key=lambda item: item["weight"])
+    blob = exp_to_json(a2, {a2.weight_labels(nu): c for nu, c in p.terms.items()})
+    assert blob == sorted(blob, key=lambda item: [Q(w) for w in item["weight"]])
+    assert blob == vector_exp_to_json(p)
     assert exp_from_json(blob) == p
 
 
@@ -207,13 +208,19 @@ def _campaign_polynomials(system):
                                     "BC1", "BC2", "E6", "F4"])
 def test_string_tables_match_per_call_walk(system, corrupted):
     # the alpha-string tables against the per-call walk they replace, on
-    # each polynomial and on a corrupted copy of it (off the eigenspace)
+    # each polynomial and on a corrupted copy of it, which is off the
+    # eigenspace exactly when P has more than one coefficient (the move only
+    # scales P_0 and a minuscule P_omega, which are one orbit sum)
     from oracles import string_walk_apply_L
+
+    from hodiff.jacobi import verify_eigen
     polys = _campaign_polynomials(system)
     assert polys
     for datum, mults, poly in polys:
         top = datum.dominant_labels(poly.lam)
-        for p in (poly, corrupted(poly)):
+        bad = corrupted(poly)
+        assert verify_eigen(datum, mults, poly.lam, bad).ok == (len(poly.label_coeffs) == 1)
+        for p in (poly, bad):
             _d, terms = p.cleared_terms()
             n, image = apply_L_labels(datum, mults, terms)
             assert set(image) == set(datum.saturated_labels(top))
@@ -459,7 +466,8 @@ def _recording_table_core(monkeypatch):
 def test_eigencheck_image_matches_both_operator_paths(monkeypatch, corrupted):
     # the image verify_eigen forms on the polynomial's table, for every
     # polynomial a one-sample default campaign eigenchecks and for the small
-    # fundamentals of F4 and E6 (each also corrupted, off the eigenspace),
+    # fundamentals of F4 and E6 (each also corrupted, which leaves a
+    # minuscule P_omega, one orbit sum, on the eigenspace),
     # equals apply_L_labels' image after its tops search and the per-call
     # string walk of the oracles
     from oracles import string_walk_apply_L
@@ -564,7 +572,7 @@ def test_eigencheck_of_another_lambda_fails(system):
         report = verify_eigen(datum, mults, lam, poly)
         gap = own - _shifted_eigenvalue(datum, mults, datum.labels(lam))
         assert report.ok == (gap == 0)
-        assert report.residual == exp_to_json(poly.exp_poly().scale(gap))
+        assert report.residual == vector_exp_to_json(poly.exp_poly().scale(gap))
         failed += not report.ok
     assert 0 < failed < len(lams)
 

@@ -22,7 +22,7 @@ from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, WhittakerA1,
                               g_of_t, homogeneity_gap, limit_product,
                               homogeneity_identity, limit_table, multiplicities_at,
                               orbit_etas, rank_one_whittaker_check, verify_confluence)
-from oracles import multiplicity_of, rho_vee, vscale
+from oracles import multiplicity_of, rho_vee, term_vectors, vscale
 
 # the campaign's bounds on a rank-one report, in the order RankOneWhittakerReport.ok reads them
 RANK_ONE_TOLS = (CampaignConfig.tol_whittaker, CampaignConfig.tol_whittaker,
@@ -227,8 +227,9 @@ def test_confluence_rows_equal_the_per_t_path(request):
             checked += len(rep.rows)
         for entry in pieri_index(datum, omega):
             lists = (entry.v_factors,) + entry.u_factors
-            assert lists == ((term_factors(datum, entry.nu),) + tuple(
-                term_factors(datum, entry.nu, eta) for eta in entry.etas))
+            nu, _plus, etas = term_vectors(datum, entry)
+            assert lists == ((term_factors(datum, nu),) + tuple(
+                term_factors(datum, nu, eta) for eta in etas))
             for factors in lists:
                 assert limit_product(datum, factors, xi) == stepwise_limit(
                     datum, factors, xi)
@@ -310,8 +311,8 @@ def test_confluence_rows_read_the_pieri_index(b2, monkeypatch):
         index = pieri_index(b2, omega)
         rows = {r["term"]: r for r in verify_confluence(b2, omega, xi, x).rows}
         for n, entry in enumerate(index):
-            labels = [f"nu={entry.nu}"] + [f"nu={entry.nu}, eta={eta}"
-                                           for eta in entry.etas]
+            nu, _plus, etas = term_vectors(b2, entry)
+            labels = [f"nu={nu}"] + [f"nu={nu}, eta={eta}" for eta in etas]
             lists = (entry.v_factors,) + entry.u_factors
             for k, factors in enumerate(lists):
                 for edit in _single_edits(factors):
@@ -321,7 +322,7 @@ def test_confluence_rows_read_the_pieri_index(b2, monkeypatch):
                         mp.setattr(wh, "pieri_index",
                                    lambda _d, _o: index[:n] + (mutant,) + index[n + 1:])
                         got = {r["term"]: r for r in verify_confluence(b2, omega, xi, x).rows}
-                    assert got[labels[k]] != rows[labels[k]], (omega, entry.nu, k, edit)
+                    assert got[labels[k]] != rows[labels[k]], (omega, nu, k, edit)
                     assert {t: r for t, r in got.items() if t != labels[k]} == {
                         t: r for t, r in rows.items() if t != labels[k]}
                     checked += 1

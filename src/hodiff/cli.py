@@ -44,6 +44,7 @@ DE_X_GRID = (0.2, 0.6, 1.1, 1.7, 2.5)
 RR_PARAMETER_PAIRS = ((Q(1, 2), Q(1, 3)), (Q(3, 7), Q(9, 4)))
 BC1_CROSS_PAIRS = ((Q(1, 2), Q(1, 3)), (Q(5, 11), Q(9, 4)))
 WHITTAKER_ZETA = 1.3
+_encode_str = json.encoder.encode_basestring_ascii   # a str's JSON text, as json.dumps writes it
 # `verify` rejects a campaign that would check nothing (no samples, a
 # negative height) and one larger than these caps
 MAX_HEIGHT = 6
@@ -63,7 +64,7 @@ SUITE_READS = {
 @dataclass
 class CampaignConfig:
     systems: tuple = PIERI_SYSTEMS
-    omegas: tuple | None = None   # None: all small fundamentals per system
+    omegas: tuple | None = None   # dominant weights; None: all small fundamentals per system
     height_bound: Q = Q(4)
     samples: int = 3
     seed: int = 20150801
@@ -127,29 +128,25 @@ def pieri_cases(config: CampaignConfig, data: dict):
     cases, samples = [], []
     for family, rank in config.systems:
         datum = _datum(data, family, rank)
-        if config.omegas is None:
-            omegas = datum.small_fundamental_weights()
-        else:
-            omegas = tuple(datum.check_dominant(
-                datum.weight_from_fundamental(coeffs)) for coeffs in config.omegas)
+        omegas = config.omegas or datum.small_fundamental_weights()
         lams = datum.dominant_weights_up_to_height(config.height_bound)
 
-        def run(mults, _d=datum, _o=omegas, _l=lams):
+        def run(mults):
             # fresh cache per attempt: a pole retry must not leak
             # polynomials built with the discarded multiplicities
             cache = {}
             reports = []
-            for omega in _o:
-                for lam in _l:
+            for omega in omegas:
+                for lam in lams:
                     reports.append(diffeq.verify_pieri(
-                        _d, mults, omega, lam,
+                        datum, mults, omega, lam,
                         perturb=config.perturb, cache=cache))
             return reports, cache
 
         for s in range(config.samples):
             mults, (reports, cache) = _sample_with_retry(
                 f"{config.seed}:{datum.name}:{s}",
-                lambda rng, _d=datum: diffeq.sample_multiplicities(_d, rng), run)
+                lambda rng: diffeq.sample_multiplicities(datum, rng), run)
             cases += [_case(f"pieri/{rep.system}/omega={weight_str(rep.omega)}"
                             f"/lam={weight_str(rep.lam)}/s{s}", rep.ok, rep.to_dict())
                       for rep in reports]
@@ -163,7 +160,7 @@ def eigen_cases(config: CampaignConfig, samples: list, data: dict):
     1 and 2 data."""
     jobs = [(res["datum"], res["mults"], res["sample"], lam, poly) for res in samples
             for (_g, lam), poly in sorted(res["cache"].items(),
-                                          key=lambda kv, d=res["datum"]: d._vector_key(kv[1].top))]
+                                          key=lambda kv: res["datum"]._vector_key(kv[1].top))]
     for rank, lams in ((1, [(0,), (1,), (2,)]), (2, [(1, 0), (1, 1), (2, 1)])):
         datum = _datum(data, "BC", rank)
         rng = random.Random(f"{config.seed}:bc-eigen:{rank}")
@@ -188,12 +185,12 @@ def bc_cases(config: CampaignConfig, data: dict):
     for n, ells in ((1, (1,)), (2, (1, 2))):
         datum = _datum(data, "BC", n)
 
-        def run(gs, _d=datum, _e=ells):
+        def run(gs):
             # fresh cache per attempt, as in pieri_cases
-            mults, cache = nonreduced.bc_multiplicities(_d, *gs), {}
-            return [nonreduced.verify_pieri_bc(_d, mults, ell, lam,
+            mults, cache = nonreduced.bc_multiplicities(datum, *gs), {}
+            return [nonreduced.verify_pieri_bc(datum, mults, ell, lam,
                                                perturb=config.perturb, cache=cache)
-                    for ell in _e for lam in parts[_d.rank]]
+                    for ell in ells for lam in parts[n]]
 
         for s in range(config.samples):
             gs, reports = _sample_with_retry(
@@ -226,7 +223,7 @@ def quasi_cases(config: CampaignConfig, data: dict):
     for family, rank in PIERI_SYSTEMS:
         datum = _datum(data, family, rank)
         omega = datum.quasi_minuscule_weight()
-        m0 = Q(len(datum.weyl_orbit(omega)))
+        m0 = Q(len(datum.orbit_labels(datum.labels(omega))))
         rng = random.Random(f"{config.seed}:quasi:{datum.name}")
         mults = diffeq.sample_multiplicities(datum, rng)
         rows = []
@@ -392,7 +389,7 @@ class OutputError(Exception):
     """The file named by --out cannot be written."""
 
 
-def _json_chunks(x, pre, nl, out, _encode_str=json.encoder.encode_basestring_ascii) -> list:
+def _json_chunks(x, pre, nl, out) -> list:
     """out with x appended as json.dumps(x, indent=2, sort_keys=True) writes it
     at line break and indent nl, pre (separator and key) joined to its first
     chunk, save that a NaN or infinite float is the JSON string "NaN",
@@ -485,7 +482,7 @@ def cmd_verify(args) -> int:
     data = {}
     if args.omega:
         datum = _datum(data, args.family, args.rank)
-        omegas = (datum.labels(_parse_omega(datum, args.omega)),)
+        omegas = (_parse_omega(datum, args.omega),)
     report = run_campaign(CampaignConfig(
         systems=systems, omegas=omegas, height_bound=height,
         samples=samples, seed=seed, suites=suites,
@@ -621,15 +618,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="comma list from " + ",".join(SUITE_READS))
     p.add_argument("--family")
     p.add_argument("--rank", type=int)
-    p.add_argument("--omega", default=None,
-                   help="explicit weight for the pieri suite instead of "
-                        "all small fundamentals (fundamental coefficients)")
-    p.add_argument("--height", default=None,
-                   help="height bound on lambda for the pieri and eigen suites (default 4)")
-    p.add_argument("--samples", type=int, help="samples per system (default 3)")
-    p.add_argument("--seed", type=int, help="default 20150801")
-    p.add_argument("--perturb", default=None,
-                   help="negative-control hook: u-sign or v-drop-pairing2")
+    p.add_argument("--omega", help="explicit weight for the pieri suite instead of "
+                   "all small fundamentals (fundamental coefficients)")
+    p.add_argument("--height", help="height bound on lambda for the pieri and eigen "
+                   f"suites (default {CampaignConfig.height_bound})")
+    p.add_argument("--samples", type=int,
+                   help=f"samples per system (default {CampaignConfig.samples})")
+    p.add_argument("--seed", type=int, help=f"default {CampaignConfig.seed}")
+    p.add_argument("--perturb", help="negative-control hook: "
+                   + " or ".join(diffeq.PERTURBATIONS))
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -642,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("sweep-rank-one", help="residual sweep of the scalar identity")
-    p.add_argument("--g1", type=float, default=0.5)
-    p.add_argument("--g2", type=float, default=1.0 / 3.0)
+    p.add_argument("--g1", type=float, default=DE_PARAMETER_PAIRS[0][0])
+    p.add_argument("--g2", type=float, default=DE_PARAMETER_PAIRS[0][1])
     p.add_argument("--xi", default=",".join(str(v) for v in DE_XI_GRID))
     p.add_argument("--x", default=",".join(str(v) for v in DE_X_GRID))
     p.add_argument("--tol", type=float, default=rankone.DE_TOL)

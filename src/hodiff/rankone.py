@@ -25,6 +25,7 @@ SERIES_MAX_TERMS = 100_000
 AGREEMENT_TOL = 1e-11
 X_MAX = 8.0   # keeps the transformed-series argument far enough from 1
 DE_TOL = 1e-9   # the bound on verify_de's relative residuals
+HIGHPREC_DPS = 50   # the working digits of series_2f1_highprec
 BC1_S_VALUES = (Q(1, 4), Q(5, 3), Q(7, 2))   # where bc1_crosscheck compares the two sides
 
 
@@ -88,9 +89,9 @@ def _to_mpf(v):
     return mpmath.mpf(v)
 
 
-def series_2f1_highprec(a, b, c, z, dps: int = 50):
-    """Independent oracle: mpmath's hyp2f1 at dps decimal digits."""
-    with mpmath.workdps(dps):
+def series_2f1_highprec(a, b, c, z):
+    """Independent oracle: mpmath's hyp2f1 at HIGHPREC_DPS decimal digits."""
+    with mpmath.workdps(HIGHPREC_DPS):
         return mpmath.hyp2f1(*map(_to_mpf, (a, b, c, z)))
 
 
@@ -154,7 +155,7 @@ class SweepReport:
                 "skipped": self.skipped}
 
 
-def verify_de(g1, g2, xi_grid, x_grid, tol=DE_TOL) -> SweepReport:
+def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     """Relative residuals of the rank-one difference equation over a (xi, x)
     grid, skipping coefficient poles (ValueError if no xi is free of them).
     Each condition of ``HypergeometricParams`` reads (g1, g2), xi or x alone,

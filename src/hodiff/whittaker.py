@@ -133,13 +133,10 @@ def limit_table(datum: RootDatum, z: tuple) -> list:
             for x, eta in zip(z, (etas[k] for k in datum.root_orbit_ids))]
 
 
-def limit_product(datum: RootDatum, factors: tuple, xi, table=None) -> SqrtRational:
+def limit_product(datum: RootDatum, factors: tuple, table: list) -> SqrtRational:
     """Product of +-eta/(s+z), by the sign of e, over a factor list of
     ``diffeq.term_factors``: the g -> oo limit of each factor over g.  One
-    SqrtRational of the integer products of a ``limit_table`` of xi (made
-    here when not given), a float entry of xi read as its exact binary value."""
-    if table is None:
-        table = limit_table(datum, datum.pairings(tuple(map(Q, xi))))
+    SqrtRational of the integer products of a ``limit_table`` of xi."""
     num = den = rad = 1
     for i, s, e in factors:
         w = table[i][s]
@@ -151,13 +148,16 @@ def limit_product(datum: RootDatum, factors: tuple, xi, table=None) -> SqrtRatio
 
 def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
     """Limit shift coefficient: product of eta/z over positive pairings and
-    eta/(1+z) over pairings equal to 2, exact."""
-    return limit_product(datum, term_factors(datum, nu), xi)
+    eta/(1+z) over pairings equal to 2, exact (a float entry of xi read as
+    its exact binary value)."""
+    return limit_product(datum, term_factors(datum, nu),
+                         limit_table(datum, datum.pairings(tuple(map(Q, xi)))))
 
 
 def coeff_Ubar(datum: RootDatum, nu: Vector, eta_wt: Vector, xi):
-    """Limit stabilizer coefficient; the pairing-2 factor carries -eta."""
-    return limit_product(datum, term_factors(datum, nu, eta_wt), xi)
+    """Limit stabilizer coefficient (xi as in ``coeff_Vbar``); pairing 2 carries -eta."""
+    return limit_product(datum, term_factors(datum, nu, eta_wt),
+                         limit_table(datum, datum.pairings(tuple(map(Q, xi)))))
 
 
 # -- the three coefficient limits ---------------------------------------------
@@ -209,7 +209,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     must decrease along t_list, which must increase strictly, and end below
     tol; the base point x has ``datum.dim`` coordinates.  The factor lists
     of ``pieri_index`` are evaluated on one ``float_table`` of xi's exact
-    pairings (a float entry read as its binary value, as ``limit_product``
+    pairings (a float entry read as its binary value, as ``coeff_Vbar``
     reads it), at g(t) formed once per t.  The growth rate <nu, rho^vee> is
     half the sum of nu's positive-root pairings (rho^vee is half the sum of
     the positive coroots), read from the memoized pairing row of nu's labels.
@@ -256,7 +256,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         rows += [("U", f"nu={nu}, eta={datum.from_labels(eta)}", factors, rate_u)
                  for eta, factors in zip(entry.eta_labels, entry.u_factors)]
         for family, label, factors, rate in rows:
-            bar = float(limit_product(datum, factors, xi, limits))
+            bar = float(limit_product(datum, factors, limits))
             devs = [_rel(abs(math.exp(-t * rate) * factor_product(datum, factors, table, g)
                              - bar), abs(bar)) for t, g in zip(t_list, g_list)]
             report.rows.append(_deviation_row(family, label, devs, t_list, tol, bar))

@@ -385,8 +385,8 @@ def fraction_factor_product(datum, factors, xi, g):
 
 
 def stepwise_limit(datum, factors, xi):
-    """``whittaker.limit_product`` at rational xi, one SqrtRational
-    operation per factor."""
+    """``whittaker.limit_product`` on the ``limit_table`` of rational xi,
+    one SqrtRational operation per factor."""
     z = datum.pairings(xi)
     total = SqrtRational(1, 1)
     for i, s, e in factors:

@@ -86,6 +86,24 @@ def test_sweep_rank_one(tmp_path, capsys):
     assert lines[0] == "xi,x,residual" and len(lines) == 3
 
 
+def test_cli_defaults_are_the_campaigns(capsys):
+    # a bare sweep-rank-one is the campaign's first rankone/de-sweep case,
+    # and verify --help names the defaults the campaign runs with
+    assert run(["sweep-rank-one"]) == 0
+    sweep = json.loads(capsys.readouterr().out)["sweep"]
+    config = cli.CampaignConfig(suites=("rankone",))
+    first = next(case for case in cli.run_campaign(config, {})["cases"]
+                 if case["case"].startswith("rankone/de-sweep/"))
+    assert sweep == json.loads(json.dumps(first["detail"]))
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {cli.CampaignConfig.height_bound})" in text
+    assert f"(default {cli.CampaignConfig.samples})" in text
+    assert f"default {cli.CampaignConfig.seed}" in text
+    assert all(name in text for name in diffeq.PERTURBATIONS)
+
+
 @pytest.mark.parametrize("option,value", [
     ("--x", "nan,0.5"), ("--x", "inf"), ("--xi", "nan"), ("--xi", "0.3,-inf"),
     ("--g1", "nan"), ("--g1", "inf"), ("--g2", "nan"),

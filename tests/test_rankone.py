@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodiff import rankone
 from hodiff.cli import DE_PARAMETER_PAIRS, DE_X_GRID, DE_XI_GRID
-from hodiff.rankone import (HypergeometricError, HypergeometricParams,
+from hodiff.rankone import (DE_TOL, HypergeometricError, HypergeometricParams,
                             bc1_crosscheck,
                             de_coefficients_match_rr,
                             gauss_2f1_jacobi, jacobi_poly_1d, recurrence_rr,
@@ -37,11 +37,13 @@ def test_terminating_spectral_value_is_constant():
         assert abs(gauss_2f1_jacobi(p) - 1.0) < 1e-14
 
 
-def test_frozen_high_precision_spot_value():
+def test_frozen_high_precision_spot_value(monkeypatch):
     import mpmath
+    # five guard digits over the 50 compared
+    monkeypatch.setattr(rankone, "HIGHPREC_DPS", 55)
     with mpmath.workdps(55):
         z = -mpmath.sinh(mpmath.mpf(11) / 20) ** 2
-        val = series_2f1_highprec(Q(-19, 60), Q(89, 60), Q(4, 3), z, dps=55)
+        val = series_2f1_highprec(Q(-19, 60), Q(89, 60), Q(4, 3), z)
         assert mpmath.nstr(val, 50) == SPOT_50
     fast = gauss_2f1_jacobi(HypergeometricParams(0.5, 1 / 3, 0.9, 1.1))
     assert abs(fast - float(mpmath.mpf(SPOT_50))) <= 1e-12 * float(mpmath.mpf(SPOT_50))
@@ -66,17 +68,17 @@ def test_de_residual_grid():
     xi_grid = (0.3, 0.77, 1.2, 2.6, 3.9)
     x_grid = (0.2, 0.6, 1.1, 1.7, 2.5)
     for g1, g2 in ((0.5, 1 / 3), (1.25, 3 / 7)):
-        rep = verify_de(g1, g2, xi_grid, x_grid)
+        rep = verify_de(g1, g2, xi_grid, x_grid, DE_TOL)
         assert rep.ok and rep.max_residual() <= 1e-9
         assert len(rep.rows) == 25 and not rep.skipped
 
 
 def test_de_pole_skip():
-    rep = verify_de(0.5, 1 / 3, (0.5, 0.77), (0.2,))
+    rep = verify_de(0.5, 1 / 3, (0.5, 0.77), (0.2,), DE_TOL)
     assert len(rep.skipped) == 1 and len(rep.rows) == 1
     # a grid of poles only would check nothing, its x unvalidated
     with pytest.raises(ValueError, match="every xi"):
-        verify_de(0.5, 1 / 3, (0.5, -0.5, 0.0), (9.0,))
+        verify_de(0.5, 1 / 3, (0.5, -0.5, 0.0), (9.0,), DE_TOL)
 
 
 def test_de_trivial_at_origin():
@@ -100,7 +102,7 @@ def test_sweep_rows_equal_the_per_point_oracle_bit_for_bit(grid):
     pairs = list(DE_PARAMETER_PAIRS) + [
         (rng.uniform(0.1, 3.0), rng.uniform(0.05, 2.0)) for _ in range(20)]
     for g1, g2 in pairs:
-        rep = verify_de(g1, g2, xi_grid, x_grid)
+        rep = verify_de(g1, g2, xi_grid, x_grid, DE_TOL)
         expected = [(xi, x, de_residual(g1, g2, xi, x).hex())
                     for xi in xi_grid if not _is_pole(xi) for x in x_grid]
         assert [(xi, x, r.hex()) for xi, x, r in rep.rows] == expected, (g1, g2)
@@ -114,7 +116,7 @@ def test_sweep_sums_every_series_of_the_per_point_checks(monkeypatch):
     real = rankone.series_2f1
     monkeypatch.setattr(rankone, "series_2f1",
                         lambda *args: calls.append(args) or real(*args))
-    verify_de(0.5, 1 / 3, DE_XI_GRID + (0.5,), DE_X_GRID)
+    verify_de(0.5, 1 / 3, DE_XI_GRID + (0.5,), DE_X_GRID, DE_TOL)
     in_disk = sum(math.sinh(x / 2) ** 2 < 0.8 for x in DE_X_GRID)
     assert in_disk == 3
     assert len(calls) == len(DE_XI_GRID) * (
@@ -127,9 +129,9 @@ def test_sweep_keeps_the_series_pfaff_cross_check(monkeypatch):
     real = rankone.series_2f1
     monkeypatch.setattr(rankone, "series_2f1", lambda a, b, c, z: real(a, b, c, z)
                         * (1 + 1e-9 if z < 0 else 1))
-    verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5,))
+    verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5,), DE_TOL)
     with pytest.raises(HypergeometricError, match="disagreement"):
-        verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5, 0.6))
+        verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5, 0.6), DE_TOL)
 
 
 @pytest.mark.parametrize("g1,g2,xi_grid,x_grid", [
@@ -145,7 +147,7 @@ def test_sweep_keeps_the_series_pfaff_cross_check(monkeypatch):
 def test_sweep_rejects_bad_parameters_mid_grid(g1, g2, xi_grid, x_grid):
     # each HypergeometricParams check still runs for every x and every shift
     with pytest.raises(ValueError):
-        verify_de(g1, g2, xi_grid, x_grid)
+        verify_de(g1, g2, xi_grid, x_grid, DE_TOL)
 
 
 def test_recurrence_exact():

@@ -20,7 +20,9 @@ exist in ``src/``, and its post-call hooks must find what they read.
 
 So are the number of settable values in ``src/`` (``SETTABLE_BOUND``) and
 its line count (``SRC_LINE_BOUND``): a change that adds a knob or grows
-``src/`` raises the bound and says why.
+``src/`` raises the bound and says why.  Each default in ``src/`` must have
+two values in use: some call in ``src/`` or ``bench/`` relies on it and
+some call overrides it (``unused_defaults``).
 """
 
 import ast
@@ -46,7 +48,7 @@ BENCH_ONLY = {
 ANY = "*"   # the owner of a use that cannot be resolved
 
 # parameters with a default, dataclass fields and argparse options in src/
-SETTABLE_BOUND = 119
+SETTABLE_BOUND = 108
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
 SRC_LINE_BOUND = 3355
@@ -237,3 +239,82 @@ def test_settable_values_do_not_grow():
 def test_src_lines_do_not_grow():
     lines = {path.name: path.read_bytes().count(b"\n") for path in sorted(SRC.glob("*.py"))}
     assert sum(lines.values()) <= SRC_LINE_BOUND, lines
+
+
+def unused_defaults(src: Path, callers: list) -> list:
+    """(file:line, function, parameter, why) of each default under src that
+    the calls under src and callers do not both rely on and override.
+
+    A call is matched to a definition by name; a call read as an attribute
+    binds the first parameter of a method (a function defined in a class
+    body, not a staticmethod).  A call that passes ``*args`` or ``**kwargs``
+    settles nothing.  A lambda has no name to be called by, so a default of
+    a lambda (a value captured by default) is never in use."""
+    defaults = []   # (where, name, parameter, positional index or None, method)
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and "staticmethod" not in [getattr(d, "id", None) for d in f.decorator_list]}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            name = getattr(node, "name", "<lambda>")
+            where = f"{path.name}:{node.lineno}"
+            first = len(positional) - len(args.defaults)
+            defaults += [(where, name, positional[i].arg, i, id(node) in methods)
+                         for i in range(first, len(positional))]
+            defaults += [(where, name, arg.arg, None, False)
+                         for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    calls = {}   # name -> [(read as an attribute, number of positional arguments, keywords)]
+    for root in [src, *callers]:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call) \
+                        or any(isinstance(a, ast.Starred) for a in node.args) \
+                        or any(k.arg is None for k in node.keywords):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append((isinstance(node.func, ast.Attribute),
+                                                       len(node.args),
+                                                       {k.arg for k in node.keywords}))
+    found = []
+    for where, name, param, index, method in defaults:
+        relied = overridden = False
+        for bound, n_args, keywords in calls.get(name, []):   # none for "<lambda>"
+            if method and not bound:
+                continue
+            sets = param in keywords or (index is not None and index - method < n_args)
+            overridden, relied = overridden or sets, relied or not sets
+        if not (relied and overridden):
+            found.append((where, name, param,
+                          "never overridden" if relied else "never relied on"))
+    return found
+
+
+def test_every_default_has_two_values_in_use():
+    # a default that every call relies on is a constant, and one that every
+    # call overrides is a required parameter; the benchmark's calls count,
+    # its tests included, as it calls src/ through the same signatures
+    bench = SRC.parent.parent / "bench"
+    assert unused_defaults(SRC, [bench]) == []
+
+
+def test_unused_defaults_are_found(tmp_path):
+    # b and c are each relied on by one call and overridden by the other,
+    # and the method's p too, through its bound first parameter; d is
+    # single-valued, y dead, and the lambda's captured r has no call at all;
+    # a call with *args settles nothing
+    (tmp_path / "m.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n"
+        "def g(x, y=0):\n    return x\n"
+        "class K:\n    def m(self, p=1):\n        return p\n"
+        "f(1, 2)\nf(1, c=5)\ng(1, 2)\ng(*[1])\n"
+        "K().m()\nK().m(2)\n"
+        "h = lambda q, r=1: q\n")
+    assert [(name, param, why) for _where, name, param, why in unused_defaults(tmp_path, [])] == [
+        ("f", "d", "never overridden"), ("g", "y", "never relied on"),
+        ("<lambda>", "r", "never relied on")]

@@ -225,13 +225,14 @@ def test_confluence_rows_equal_the_per_t_path(request):
             assert rep.ok
             assert rep.rows == per_t_confluence_rows(datum, omega, xi, x, t_list)
             checked += len(rep.rows)
+        table = limit_table(datum, datum.pairings(xi))
         for entry in pieri_index(datum, omega):
             lists = (entry.v_factors,) + entry.u_factors
             nu, _plus, etas = term_vectors(datum, entry)
             assert lists == ((term_factors(datum, nu),) + tuple(
                 term_factors(datum, nu, eta) for eta in etas))
             for factors in lists:
-                assert limit_product(datum, factors, xi) == stepwise_limit(
+                assert limit_product(datum, factors, table) == stepwise_limit(
                     datum, factors, xi)
                 for t in FINE_T:
                     g = multiplicities_at(datum, t).root_values
@@ -258,7 +259,7 @@ def test_confluence_limits_equal_the_stepwise_limit(request):
         assert len(rows) == len(lists)
         for row, factors in zip(rows, lists):
             exact = stepwise_limit(datum, factors, xi)
-            assert limit_product(datum, factors, xi, table) == exact
+            assert limit_product(datum, factors, table) == exact
             assert row["limit"] == float(exact)
             checked += 1
     assert checked > 50
@@ -285,7 +286,7 @@ def test_confluence_limit_poles_name_the_factor(request):
         lists = _factor_lists(datum, omega)
         for xi in points:
             table = limit_table(datum, datum.pairings(xi))
-            got = [outcome(limit_product, datum, f, xi, table) for f in lists]
+            got = [outcome(limit_product, datum, f, table) for f in lists]
             want = [outcome(fraction_factor_product, datum, f, xi, g) for f in lists]
             want = [w if isinstance(w, str) else stepwise_limit(datum, f, xi)
                     for w, f in zip(want, lists)]
@@ -594,14 +595,14 @@ def test_a_wrong_number_from_a_float_kernel_is_a_failed_case(kernel, fault, monk
 
 def test_limit_product_reads_the_half_root_sign(bc2):
     # a BC U list's alpha/2 entry -(1+z+g)/(1+z) tends to -eta/(1+z), as a
-    # -g entry does: the limits at xi and at xi's floats agree on it, and
-    # the limit holds one minus sign per such entry
+    # -g entry does: the limits at xi and (through coeff_Ubar) at xi's floats
+    # agree on it, and the limit holds one minus sign per such entry
     xi, nu, eta = (Q(7, 5), Q(2, 9)), (0, 0), (1, 0)
     factors = term_factors(bc2, nu, eta)
     assert [f[2] for f in factors].count(-2) == 1
-    exact = limit_product(bc2, factors, xi)
-    assert float(exact) < 0
-    assert math.isclose(float(exact), float(limit_product(bc2, factors, tuple(map(float, xi)))),
+    exact = limit_product(bc2, factors, limit_table(bc2, bc2.pairings(xi)))
+    assert float(exact) < 0 and exact == coeff_Ubar(bc2, nu, eta, xi)
+    assert math.isclose(float(exact), float(coeff_Ubar(bc2, nu, eta, tuple(map(float, xi)))),
                         rel_tol=1e-14)
 
 

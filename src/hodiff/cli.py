@@ -541,19 +541,13 @@ def _parse_float_list(option: str, text: str, increasing: bool = False) -> list:
     return values
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"--tol: {tol} is not a finite positive number")
-
-
 def cmd_sweep_rank_one(args) -> int:
     for option, g in (("--g1", args.g1), ("--g2", args.g2)):
         if not math.isfinite(g):
             raise ValueError(f"{option}: {g} is not finite")
-    _check_tol(args.tol)
     xi_grid = _parse_float_list("--xi", args.xi)
     x_grid = _parse_float_list("--x", args.x)
-    report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=args.tol)
+    report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=rankone.DE_TOL)
     if args.csv:
         lines = ["xi,x,residual"] + [f"{xi},{x},{r:.6e}" for xi, x, r in report.rows]
         _emit("\n".join(lines) + "\n", args.out)
@@ -575,7 +569,6 @@ def cmd_whittaker_limits(args) -> int:
     x = _parse_float_list("--x", args.x)
     if len(x) != datum.dim:
         raise ValueError(f"--x: need {datum.dim} base-point coordinates")
-    _check_tol(args.tol)
     far = "--x: the base point is too far out for float arithmetic"
     try:   # e^<nu,x> on P(omega) peaks on W omega; e^<omega,x> is the limit
         max(whittaker.ebar(datum, v, x) for v in datum.weyl_orbit(omega))
@@ -585,8 +578,7 @@ def cmd_whittaker_limits(args) -> int:
         raise ValueError(far)
     t_list = _parse_float_list("--t", args.t, increasing=True)
     try:
-        report = whittaker.verify_confluence(datum, omega, xi, x,
-                                             t_list=t_list, tol=args.tol)
+        report = whittaker.verify_confluence(datum, omega, xi, x, t_list=t_list)
         # dressed-limit prefactors, logged for inspection only
         norms = [{"t": t, "log_gamma_prefactor":
                   whittaker.log_normalization_constant(datum, t)} for t in t_list]
@@ -643,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", type=float, default=DE_PARAMETER_PAIRS[0][1])
     p.add_argument("--xi", default=",".join(str(v) for v in DE_XI_GRID))
     p.add_argument("--x", default=",".join(str(v) for v in DE_X_GRID))
-    p.add_argument("--tol", type=float, default=rankone.DE_TOL)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep_rank_one)
@@ -656,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational fundamental-weight coefficients")
     p.add_argument("--x", required=True, help="float coordinates of the base point")
     p.add_argument("--t", default=",".join(map(str, whittaker.CONFLUENCE_T)))
-    p.add_argument("--tol", type=float, default=whittaker.CONFLUENCE_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_whittaker_limits)
     return parser

@@ -22,8 +22,7 @@ from operator import add, sub
 from .jacobi import JacobiPolynomial, jacobi_polynomial
 from .rootsys import Multiplicities, RootDatum, Vector, _exact, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_to_json,
-                      expansion_E_omega, expansion_labels, is_exact, orbit_sum,
-                      sample_record)
+                      expansion_E_omega, expansion_labels, orbit_sum, sample_record)
 
 # test hooks for the negative controls; never set in normal operation
 PERTURB_U_SIGN = "u-sign"
@@ -157,14 +156,9 @@ def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> f
 
 def _evaluator(datum: RootDatum, mults: Multiplicities, xi):
     """The product of a factor list at xi with m (``factor_values``), as a
-    function of the list: on integers over one ``scaled_table`` for exact
-    multiplicities, by ``factor_product`` on one ``float_table`` for float ones."""
-    z, g = datum.pairings(xi), mults.factor_values
-    if is_exact(mults):
-        table = scaled_table(z, g)
-        return lambda factors: Q(*integer_product(datum, factors, table))
-    table = float_table(z)
-    return lambda factors: factor_product(datum, factors, table, g)
+    function of the list: on integers over one ``scaled_table``."""
+    table = scaled_table(datum.pairings(xi), mults.factor_values)
+    return lambda factors: Q(*integer_product(datum, factors, table))
 
 
 def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi):

@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from operator import mul
 
 from .rootsys import Multiplicities, RootDatum, Vector
-from .weylalg import ExpPoly, _apply_L_table, _q_str, exp_to_json, require_exact, sample_record
+from .weylalg import ExpPoly, _apply_L_table, _q_str, exp_to_json, sample_record
 
 
 class JacobiPolynomial:
@@ -68,7 +68,7 @@ class JacobiPolynomial:
 
     def to_json(self):
         return {"lambda": [_q_str(x) for x in self.lam],
-                "g": [_q_str(Q(v)) for v in self.mults.values],
+                "g": [_q_str(v) for v in self.mults.values],
                 "coeffs": [{"mu": [_q_str(x) for x in mu], "c": _q_str(c)}
                            for mu, c in sorted(self.coeffs.items())]}
 
@@ -137,7 +137,6 @@ def jacobi_polynomial(datum: RootDatum, mults: Multiplicities,
     the lcm d of their denominators, and each c_mu is one integer sum over
     its pattern row, reduced once.
     """
-    require_exact(mults)
     doms, rows, counts, weights = _pattern(datum, datum.dominant_labels(lam))
     d = math.lcm(*(v.denominator for v in mults.values))
     gd = [v.numerator * (d // v.denominator) for v in mults.values]

@@ -13,7 +13,7 @@ root, every root's coroot coefficients c_i(alpha) = <omega_i, alpha^vee>, and
 per simple reflection the permutation of the roots (``root_perms``).  Then
 <v, alpha^vee> = sum_i c_i l_i and s_alpha(l) = l - <v, alpha^vee>
 labels(alpha).  A W-stable label set S gets a ``string_table``: its
-alpha-strings and, for the W-invariance check of ``apply_L_labels``, per
+alpha-strings and, for the W-invariance check of ``weylalg.apply_L``, per
 simple reflection a permutation of S, both found on packed integer codes.
 A vector the datum made is a ``Weight``, a tuple carrying its labels, its
 type's name (which alone fixes them) and, once read, its pairing row; any
@@ -330,26 +330,17 @@ class RootDatum:
         self._orbit_label_sums = tuple(tuple(map(sum, zip(*(
             self.root_labels[i] for i in orb if i in positive)))) for orb in orbits)
 
-    # -- bilinear form ------------------------------------------------------
-
-    def inner(self, u: Vector, v: Vector) -> Q:
-        if self.gram is None:
-            return sum(a * b for a, b in zip(u, v, strict=True))
-        return sum(u[i] * self.gram[i][j] * v[j]
-                   for i in range(self.dim) for j in range(self.dim))
-
     def _root_at(self, alpha: Vector):
         """alpha's index in ``roots`` or None, found by its labels."""
         i = self._label_roots.get(self.labels(alpha))
         return None if i is None or self.roots[i] != alpha else i
 
     def pairing(self, v: Vector, alpha: Vector) -> Q:
-        """<v, alpha^vee>, exact for any two vectors of the realization: read
-        from the label kernel (``pairings``) when alpha is a root (``_root_at``),
-        else 2 <v, alpha> / <alpha, alpha> by the Gram form."""
+        """<v, alpha^vee> for a root alpha (``_root_at``; ValueError for any
+        other vector), read from the label kernel (``pairings``)."""
         i = self._root_at(alpha)
         if i is None:
-            return 2 * self.inner(v, alpha) / self.inner(alpha, alpha)
+            raise ValueError(f"{weight_str(alpha)} is not a root of {self}")
         return self.pairings(v)[i]
 
     # -- the label kernel -----------------------------------------------------
@@ -695,10 +686,10 @@ class RootDatum:
 
     def rho(self, mults: "Multiplicities") -> Weight:
         """rho_g = (1/2) sum_{alpha > 0} g_alpha alpha as a Weight (memoized on
-        mults), its labels half of sum_o Q(g_o) times the integer label sum of
-        the positive roots of orbit o, exact for float g too."""
+        mults), its labels half of sum_o g_o times the integer label sum of
+        the positive roots of orbit o."""
         if mults._rho is None:
-            mults._rho = self.vector_of(tuple(_exact(sum(map(mul, map(Q, mults.values), col)) / 2)
+            mults._rho = self.vector_of(tuple(_exact(Q(sum(map(mul, mults.values, col)), 2))
                                               for col in zip(*self._orbit_label_sums)))
         return mults._rho
 
@@ -707,7 +698,7 @@ class RootDatum:
 
 
 class Multiplicities:
-    """Orbit-constant root multiplicities g_alpha > 0 (exact or float).
+    """Orbit-constant root multiplicities g_alpha > 0, each an int or a Fraction.
 
     ``root_values`` holds one value per root in ``datum.roots`` order, and
     ``factor_values`` the m_a = g_a + g_{a/2}/2 that a's coefficient factors
@@ -720,12 +711,14 @@ class Multiplicities:
         if len(values) != len(datum.root_orbits):
             raise ValueError(f"expected {len(datum.root_orbits)} orbit values, "
                              f"got {len(values)}")
+        if not all(isinstance(v, (int, Q)) for v in values):
+            raise ValueError("exact multiplicities required")
         if not all(v > 0 for v in values):
             raise ValueError("multiplicities must be positive")
         self.datum = datum
         self.values = values
         self.root_values = g = tuple(values[i] for i in datum.root_orbit_ids)
-        self.factor_values = tuple(x if h is None else x + g[h] / 2
+        self.factor_values = tuple(x if h is None else x + Q(g[h], 2)
                                    for x, h in zip(g, datum.half_root_index))
         self._rho = self._record = None
 

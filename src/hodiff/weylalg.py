@@ -4,7 +4,7 @@ An ExpPoly is a finite formal sum  sum_nu c_nu e^nu  with rational
 coefficients, exponents being weights in a fixed realization: the vector
 form, for the public API.  The exact engines, their residuals included,
 work on the label form instead, terms keyed by the Dynkin labels of their
-exponents (``apply_L_labels``, ``LabelForm``, ``expansion_labels``), and
+exponents (``_apply_L_table``, ``LabelForm``, ``expansion_labels``), and
 reach vectors only in a report (``exp_to_json``).  The hypergeometric
 operator acts on W-invariant elements through exact polynomial division,
 so the result carries no truncation error at all.
@@ -16,8 +16,7 @@ import math
 from fractions import Fraction as Q
 from operator import add, itemgetter, mul
 
-from .rootsys import (Multiplicities, RootDatum, SampleRecord, Vector, _q_str, _step, vadd,
-                      weight_str)
+from .rootsys import Multiplicities, RootDatum, SampleRecord, Vector, _q_str, vadd, weight_str
 
 
 class InternalConsistencyError(RuntimeError):
@@ -53,9 +52,7 @@ class ExpPoly:
     def scale(self, c) -> "ExpPoly":
         return ExpPoly({nu: c * v for nu, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, ExpPoly):
-            return self.scale(other)
+    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
         out = {}
         for nu, c in self.terms.items():
             for mu, d in other.terms.items():
@@ -94,30 +91,12 @@ def is_w_invariant(datum: RootDatum, p: ExpPoly) -> bool:
     return _is_invariant(datum, {datum.weight_labels(nu): c for nu, c in p.terms.items()})
 
 
-def eigenvalue_E(datum: RootDatum, mults: Multiplicities, xi: Vector):
-    """E(xi) = <xi,xi> - <rho_g,rho_g>."""
-    rho = datum.rho(mults)
-    return datum.inner(xi, xi) - datum.inner(rho, rho)
-
-
-def is_exact(mults: Multiplicities) -> bool:
-    """Every multiplicity is an int or a Fraction."""
-    return all(isinstance(v, (int, Q)) for v in mults.values)
-
-
-def require_exact(mults: Multiplicities) -> None:
-    """ValueError unless every multiplicity is an int or a Fraction."""
-    if not is_exact(mults):
-        raise ValueError("exact multiplicities required")
-
-
 def sample_record(datum: RootDatum, mults: Multiplicities) -> SampleRecord:
     """The integers of an exact sample, built once on mults: d clears each z =
     <rho_g,a^vee>, m_a and g_a, rows holds (d z, d m_a, d g_a) per root (read
     by ``point_table`` and the leading product); n clears the Gram form and each
     g_o |a_o|^2 / 2, weights are those times n, lap = n / ``weight_gram_den``
-    (``apply_L_labels``); r clears rho_g's labels, rho2 holds them times 2 r."""
-    require_exact(mults)
+    (``_apply_L_table``); r clears rho_g's labels, rho2 holds them times 2 r."""
     if mults._record is None:
         rho = datum.rho(mults)
         cols = datum.pairings(rho), mults.factor_values, mults.root_values
@@ -184,39 +163,23 @@ def _apply_L_table(datum: RootDatum, mults: Multiplicities, tops: list, table, t
     return record.n, coef, image
 
 
-def apply_L_labels(datum: RootDatum, mults: Multiplicities, terms: dict):
-    """(n, image) with image[l] = n (L p)[l] for every label l of the string
-    table, p the W-invariant element given by its label-keyed terms.
+def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
+    """Exact action of the hypergeometric operator on a W-invariant element.
 
     L = Laplacian + sum_{alpha>0} g_alpha (1+e^{-alpha})/(1-e^{-alpha}) d_alpha.
     The rational factor acts by exact division: (1+e^{-alpha}) d_alpha p is
     divisible by (1-e^{-alpha}) because d_alpha p is antisymmetric under the
     reflection in alpha.
 
-    The alpha-strings come from ``RootDatum.string_table`` of tops, the
-    maximal dominant labels of the support (for P_lam, lam alone), searched
-    after p is refused (ValueError) if s_j l carries another coefficient than
-    l for a dominant label l of the support; the rest: ``_apply_L_table``."""
-    require_exact(mults)
-    dominant = [l for l in terms if min(l) >= 0]
-    if any(k and terms.get(_step(l, k, row), 0) != terms[l]
-           for l in dominant for k, row in zip(l, datum.cartan)):
-        raise ValueError("apply_L requires a W-invariant argument")
-    tops = []   # by falling height, l is maximal unless below an earlier top
-    for l in sorted(dominant, reverse=True, key=lambda l: sum(map(mul, datum.height_row, l))):
-        if not any(l in datum.saturated_labels(t) for t in tops):
-            tops.append(l)
-    table = datum.string_table(tuple(sorted(tops)))
+    p is read on labels, and its alpha-strings come from the ``string_table``
+    of the dominant labels of its support, whose saturated sets make up the
+    same S as those of its maximal ones; ``_apply_L_table`` refuses a p that
+    is not W-invariant (ValueError)."""
+    terms = {datum.weight_labels(nu): c for nu, c in p.terms.items()}
+    tops = tuple(sorted(l for l in terms if min(l) >= 0))
+    table = datum.string_table(tops)
     n, _coef, image = _apply_L_table(datum, mults, tops, table, terms)
-    return n, dict(zip(table.index, image))
-
-
-def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
-    """Exact action of the hypergeometric operator on a W-invariant element
-    (see ``apply_L_labels``); exact multiplicities are required."""
-    n, image = apply_L_labels(
-        datum, mults, {datum.weight_labels(nu): c for nu, c in p.terms.items()})
-    return ExpPoly({datum.from_labels(l): Q(v) / n for l, v in image.items()})
+    return ExpPoly({datum.from_labels(l): Q(v) / n for l, v in zip(table.index, image)})
 
 
 class LabelForm:

@@ -5,7 +5,7 @@ or ``pieri_index`` and replace each (s+z+-g)/(s+z) by +-eta/(s+z) with
 eta = sqrt(2/|alpha|^2): each limit is one exact square root of a rational,
 a float xi read as its binary value, rounded once where a float check
 reads it.  The couplings g(t) of the strong-coupling branch come from
-``multiplicities_at``.
+``couplings_at``, one float per root.
 The rank-one eigenfunction of the open Toda chain is evaluated from its
 closed form, the Macdonald function 2 K_zeta(2 e^{-u/2}), at extended
 precision; the difference equations are checked against it.
@@ -110,9 +110,11 @@ def g_of_t(eta, t: float) -> float:
     return (1.0 + math.sqrt(1.0 + 4.0 * eta2 * math.exp(t))) / 2.0
 
 
-def multiplicities_at(datum: RootDatum, t: float) -> Multiplicities:
-    """Orbit-wise g(t) on the strong-coupling branch."""
-    return Multiplicities(datum, [g_of_t(eta, t) for eta in orbit_etas(datum)])
+def couplings_at(datum: RootDatum, t: float) -> tuple:
+    """g(t) per root, in the order of ``roots``: the strong-coupling branch
+    ``g_of_t`` at the eta of the root's orbit."""
+    g = [g_of_t(eta, t) for eta in orbit_etas(datum)]
+    return tuple(g[k] for k in datum.root_orbit_ids)
 
 
 def orbit_etas(datum: RootDatum) -> tuple:
@@ -151,12 +153,6 @@ def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
     eta/(1+z) over pairings equal to 2, exact (a float entry of xi read as
     its exact binary value)."""
     return limit_product(datum, term_factors(datum, nu),
-                         limit_table(datum, datum.pairings(tuple(map(Q, xi)))))
-
-
-def coeff_Ubar(datum: RootDatum, nu: Vector, eta_wt: Vector, xi):
-    """Limit stabilizer coefficient (xi as in ``coeff_Vbar``); pairing 2 carries -eta."""
-    return limit_product(datum, term_factors(datum, nu, eta_wt),
                          limit_table(datum, datum.pairings(tuple(map(Q, xi)))))
 
 
@@ -247,7 +243,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
 
     z = datum.pairings(tuple(map(Q, xi)))
     table, limits = float_table(z), limit_table(datum, z)
-    g_list = [multiplicities_at(datum, t).root_values for t in t_list]
+    g_list = [couplings_at(datum, t) for t in t_list]
     for entry in pieri_index(datum, omega):
         rate_plus = rate_of(entry.plus_labels)
         rate_u = float(rate_omega - rate_plus)
@@ -268,14 +264,17 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
 
     Inspection helper only: the constant itself overflows once t is large
     (the multiplicities grow like e^{t/2}), so it is reported in log form.
+    The pairings z = <rho_g, alpha^vee> = (1/2) sum_o g_o <S_o, alpha^vee>, S_o
+    the sum of the positive roots of orbit o, are formed exactly at the
+    binary values of the g_o and rounded once.
     """
-    mults = multiplicities_at(datum, t)
-    rho_pairs = datum.pairings(datum.rho(mults))
+    g = couplings_at(datum, t)
+    orbit_g = dict(zip(datum.root_orbit_ids, map(Q, g)))   # by orbit index
+    rows = [datum.label_pairings(s) for s in datum._orbit_label_sums]
     total = 0.0
     for i in datum.positive_indices:
-        z = float(rho_pairs[i])
-        g = mults.root_values[i]
-        total += math.lgamma(z) + math.lgamma(g) - math.lgamma(z + g)
+        z = float(sum(orbit_g[k] * row[i] for k, row in enumerate(rows)) / 2)
+        total += math.lgamma(z) + math.lgamma(g[i]) - math.lgamma(z + g[i])
     return total
 
 

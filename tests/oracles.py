@@ -27,9 +27,9 @@ way the package did before its tables and cleared integers:
   coefficient at float g with each s+z an exact Fraction, and its g -> oo
   limit with one SqrtRational operation per factor;
 - ``per_t_confluence_rows``: the rows of the confluence check from one
-  ``coeff_V``/``coeff_U`` call per term and t, one ``coeff_Vbar``/
-  ``coeff_Ubar`` call per term, and the E_omega inner products with
-  ``rho_vee`` per t.
+  ``factor_product`` per factor list and t, on the float table of xi and the
+  couplings ``whittaker.couplings_at`` of t, one ``limit_product`` per
+  factor list, and the E_omega inner products with ``rho_vee`` per t.
 
 Then the exact Pieri path before its per-sample and per-orbit memos:
 
@@ -51,6 +51,10 @@ taking the root datum first:
 - ``dominant_representative``: v+ and the word of the shortest w with
   w v = v+, as vectors (read from ``RootDatum._greedy``, so that a brute
   force over words checks the package);
+- ``inner`` and ``eigenvalue_E``: the Gram form on realization
+  coordinates, and E(xi) = <xi,xi> - <rho_g,rho_g> by it (the package pairs
+  on labels, and reads E(rho_g + lambda) through the fundamental-weight Gram
+  form, ``jacobi._shifted_eigenvalue``);
 - ``simple_coefficients``, ``height``, ``dominance_leq`` and ``rho_vee``:
   simple-root coordinates and their sum, the dominance order, and rho^vee
   as a vector;
@@ -88,16 +92,16 @@ from operator import add, mul
 import mpmath
 
 from hodiff import whittaker
-from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, integer_product, perturbed,
-                           pieri_index, scaled_table)
+from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, integer_product,
+                           perturbed, pieri_index, scaled_table, term_factors)
 from hodiff.jacobi import JacobiPolynomial, jacobi_polynomial
 from hodiff.nonreduced import SignedSubset, bc_multiplicities, signed_subsets
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
 from hodiff.rootsys import Multiplicities, _q_str, vadd, weight_str
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _is_invariant,
-                            expansion_E_omega, require_exact)
-from hodiff.whittaker import SqrtRational, coeff_Ubar, coeff_Vbar
+                            expansion_E_omega)
+from hodiff.whittaker import SqrtRational, couplings_at, limit_product, limit_table
 
 
 def tuple_walk_jacobi(datum, mults, lam):
@@ -106,7 +110,6 @@ def tuple_walk_jacobi(datum, mults, lam):
     falling height, c_mu = 2 sum_{alpha>0} g_alpha sum_{j>=1}
     <mu + j alpha, alpha> c~_{mu+j alpha} / (E(rho+lam) - E(rho+mu)),
     then everything divided by P(0)."""
-    require_exact(mults)
     top = datum.dominant_labels(lam)
     sat = datum.saturated_labels(top)
     height_row = datum.height_row
@@ -149,9 +152,9 @@ def tuple_walk_jacobi(datum, mults, lam):
 
 
 def string_walk_apply_L(datum, mults, terms):
-    """(n, image) with image[l] = n (L p)[l], as ``weylalg.apply_L_labels``
-    gives it, from a per-call walk over the strings of the support."""
-    require_exact(mults)
+    """(n, image) with image[l] = n (L p)[l], the numerators of
+    ``weylalg.apply_L`` of the W-invariant p with label-keyed terms, from a
+    per-call walk over the strings of the support."""
     if not _is_invariant(datum, terms):
         raise ValueError("apply_L requires a W-invariant argument")
     sums = [{} for _ in datum.root_orbits]
@@ -178,7 +181,7 @@ def string_walk_apply_L(datum, mults, terms):
             if s != 0:
                 raise InternalConsistencyError(
                     f"division by 1 - e^-{datum.roots[i]} left remainder {s}")
-    weights = [mults.values[o] * datum.inner(orbit[0], orbit[0]) / 2
+    weights = [mults.values[o] * inner(datum, orbit[0], orbit[0]) / 2
                for o, orbit in enumerate(datum.root_orbits)]
     n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
     weighted = [((w * n).numerator, acc) for w, acc in zip(weights, sums) if acc]
@@ -390,21 +393,21 @@ def stepwise_limit(datum, factors, xi):
     z = datum.pairings(xi)
     total = SqrtRational(1, 1)
     for i, s, e in factors:
-        eta = SqrtRational(1, 2 / datum.inner(datum.roots[i], datum.roots[i]))
+        eta = SqrtRational(1, 2 / inner(datum, datum.roots[i], datum.roots[i]))
         total = total * (eta if e > 0 else -eta) / (z[i] + 1 if s else z[i])
     return total
 
 
 def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
     """The rows of ``whittaker.verify_confluence``, every coefficient
-    evaluated afresh at ``whittaker.multiplicities_at(datum, t)``."""
+    evaluated afresh at ``whittaker.couplings_at(datum, t)``."""
     rv = rho_vee(datum)
     t_list = tuple(map(float, t_list))
 
     def row(family, label, devs, limit):
         return whittaker._deviation_row(family, label, devs, t_list, tol, limit)
 
-    rate_omega = datum.inner(omega, rv)
+    rate_omega = inner(datum, omega, rv)
     e_poly = expansion_E_omega(datum, omega)
     limit = whittaker.ebar(datum, omega, x)
     devs = []
@@ -412,25 +415,26 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
         val = 0.0
         for nu, c in e_poly.terms.items():
             expo = whittaker._inner_float(datum, nu, x) + t * float(
-                datum.inner(nu, rv) - rate_omega)
+                inner(datum, nu, rv) - rate_omega)
             val += float(c) * math.exp(expo)
         devs.append(abs(val - limit) / abs(limit))
     rows = [row("E", "E_omega", devs, limit)]
+    z = datum.pairings(tuple(map(Q, xi)))
+
+    def deviations(factors, rate):
+        bar = float(limit_product(datum, factors, limit_table(datum, z)))
+        return [abs(math.exp(-t * rate) * factor_product(
+                    datum, factors, float_table(z), couplings_at(datum, t)) - bar) / abs(bar)
+                for t in t_list], bar
+
     for entry in pieri_index(datum, omega):
         nu, nu_plus, etas = term_vectors(datum, entry)
-        rate_v = float(datum.inner(nu_plus, rv))
-        vbar = float(coeff_Vbar(datum, nu, xi))
-        devs = [abs(math.exp(-t * rate_v) * coeff_V(
-                    datum, whittaker.multiplicities_at(datum, t), nu, xi) - vbar) / abs(vbar)
-                for t in t_list]
-        rows.append(row("V", f"nu={nu}", devs, vbar))
-        rate_u = float(datum.inner(omega, rv) - datum.inner(nu_plus, rv))
+        rate_v = float(inner(datum, nu_plus, rv))
+        rows.append(row("V", f"nu={nu}", *deviations(term_factors(datum, nu), rate_v)))
+        rate_u = float(inner(datum, omega, rv) - inner(datum, nu_plus, rv))
         for eta_wt in etas:
-            ubar = float(coeff_Ubar(datum, nu, eta_wt, xi))
-            devs = [abs(math.exp(-t * rate_u) * coeff_U(
-                        datum, whittaker.multiplicities_at(datum, t), nu, eta_wt, xi)
-                        - ubar) / abs(ubar) for t in t_list]
-            rows.append(row("U", f"nu={nu}, eta={eta_wt}", devs, ubar))
+            rows.append(row("U", f"nu={nu}, eta={eta_wt}",
+                            *deviations(term_factors(datum, nu, eta_wt), rate_u)))
     return rows
 
 
@@ -514,7 +518,6 @@ def fraction_point_table(datum, mults, lam):
 def every_u_pieri_terms(datum, mults, omega, lam, perturb=None):
     """``pieri_terms`` with the U lists of every term evaluated before the
     term is kept or its V's vanishing asserted."""
-    require_exact(mults)
     table = fraction_point_table(datum, mults, lam)
     out = []
     for entry in pieri_index(datum, omega):
@@ -606,9 +609,23 @@ def dominance_leq(datum, mu, lam):
     return datum.dominant_labels(mu) in datum.below_labels(datum.dominant_labels(lam))
 
 
+def inner(datum, u, v):
+    """<u, v> on realization coordinates, by the Gram matrix where the datum
+    has one (G2), else the standard form."""
+    if datum.gram is None:
+        return sum(a * b for a, b in zip(u, v, strict=True))
+    return sum(u[i] * datum.gram[i][j] * v[j] for i in range(datum.dim) for j in range(datum.dim))
+
+
+def eigenvalue_E(datum, mults, xi):
+    """E(xi) = <xi,xi> - <rho_g,rho_g> by the Gram form."""
+    rho = datum.rho(mults)
+    return inner(datum, xi, xi) - inner(datum, rho, rho)
+
+
 def rho_vee(datum):
     """rho^vee = (1/2) sum_{alpha > 0} alpha^vee, alpha^vee = 2 alpha / |alpha|^2."""
-    return half_weighted_sum(datum, lambda a: 2 / datum.inner(a, a))
+    return half_weighted_sum(datum, lambda a: 2 / inner(datum, a, a))
 
 
 def eval_at(datum, p, x):

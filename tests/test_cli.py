@@ -223,20 +223,11 @@ def test_whittaker_limits_command(capsys):
      "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15", "--t", "1e6"],
     ["sweep-rank-one", "--xi", "0.5,-0.5", "--x", "9"],
     ["sweep-rank-one", "--xi", "0.5", "--x", "0.2"],
-    ["sweep-rank-one", "--tol", "nan"],
-    ["sweep-rank-one", "--tol", "-1"],
-    ["sweep-rank-one", "--tol", "0"],
-    ["sweep-rank-one", "--tol", "inf"],
-    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
-     "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "nan"],
-    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
-     "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "inf"],
     ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
      "--xi", "1/40", "--x", "1e300,0"],
 ], ids=["x-out-of-domain", "x-out-of-domain-mid-grid", "series-pole",
         "spectral-pole", "t-overflow", "every-xi-a-pole-x-out-of-domain",
-        "every-xi-a-pole", "tol-nan", "tol-negative", "tol-zero", "tol-inf",
-        "limits-tol-nan", "limits-tol-inf", "limits-x-overflow"])
+        "every-xi-a-pole", "limits-x-overflow"])
 def test_numeric_commands_reject_bad_input(args, capsys):
     # a domain error, a pole, an overflow or a grid with no pole-free xi (so
     # nothing checked) is bad input: exit 2 with a one-line message and no
@@ -245,6 +236,21 @@ def test_numeric_commands_reject_bad_input(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-rank-one", "--tol", "1e-3"],
+    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
+     "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "1e-3"],
+], ids=["sweep-rank-one", "whittaker-limits"])
+def test_numeric_commands_take_no_tol(args, capsys):
+    # a check's bound is a constant (rankone.DE_TOL, whittaker.CONFLUENCE_TOL),
+    # as in verify: --tol is an unknown option, a usage error with exit 2
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --tol 1e-3" in captured.err
 
 
 def test_verify_small_campaign_and_determinism(tmp_path):
@@ -386,6 +392,14 @@ PINNED_OUTPUTS = (
      "6d70876c81e96cc6323e5c784aa802445be3e30dabfe8c6644ae7b5b70b53257"),
     (_cli_output(["verify", "--suite", "rankone"], 0),
      "bb0fab5dd657579d145819cc8253a7ba226127ab7dd6743177fa8f6fc11b4d5b"),
+    # both float suites in one campaign, and B2's minuscule omega_2 off the
+    # campaign's confluence points; the g(t) couplings of verify_confluence
+    # and log_normalization_constant's rho_g pairings reach these bytes
+    (_cli_output(["verify", "--suite", "whittaker,rankone"], 0),
+     "b43820ffa029bbf026e8d84a1cca0baa4f5e6bd6876a939e7dc01a73182f54bc"),
+    (_cli_output(["whittaker-limits", "--family", "B", "--rank", "2", "--omega", "0,1",
+                  "--xi", "1/31,-1/71", "--x", "0.2,-0.35"], 0),
+     "ea63a50f87fb29d7139840fddeaf6d82d4bb8a82650b259d4e36160a4b2f6425"),
     (_cli_output(["sweep-rank-one", "--csv"], 0),
      "9b52b09d0a0af7207fe7aa7aae08e4ba69fccd8764b015ec02c7456e5bb2f3ad"),
     # the default campaign, all six suites (about 1 s)
@@ -399,7 +413,8 @@ PINNED_IDS = ["exact-suites", "u-sign", "v-drop-pairing2", "coeffs-g2", "coeffs-
               "pieri-e6-omega2", "pieri-f4-omega1-u-sign", "pieri-e8-omega8",
               "pieri-e8-omega8-u-sign", "bc3-lam210", "bc-u-sign", "eigen-b2-corrupted",
               "whittaker-suite", "whittaker-limits-g2", "whittaker-limits-c3",
-              "rankone-suite", "sweep-rank-one-csv", "default-report"]
+              "rankone-suite", "whittaker-rankone-suites", "whittaker-limits-b2-omega2",
+              "sweep-rank-one-csv", "default-report"]
 
 
 @pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS, ids=PINNED_IDS)
@@ -526,17 +541,21 @@ def test_default_campaign_exit_zero(tmp_path):
     assert payload["n_fail"] == 0 and payload["n_cases"] > 600
 
 
-def test_float_bounds_have_one_source():
-    # the CLI defaults and the campaign read the bounds and the t grid that
+def test_float_bounds_have_one_source(capsys):
+    # the subcommands and the campaign read the bounds and the t grid that
     # rankone and whittaker name beside their checks
     from hodiff import rankone, whittaker
-    parse = cli.build_parser().parse_args
-    sweep = parse(["sweep-rank-one"])
-    limits = parse(["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
-                    "--xi", "1/40", "--x", "0.3,-0.3"])
-    assert sweep.tol == rankone.DE_TOL == cli.CampaignConfig.tol_de
-    assert limits.tol == whittaker.CONFLUENCE_TOL == cli.CampaignConfig.tol_confluence
-    assert tuple(cli._parse_float_list("--t", limits.t)) == whittaker.CONFLUENCE_T
+    sweep = ["sweep-rank-one"]
+    limits = ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
+              "--xi", "1/40", "--x", "0.3,-0.3"]
+    assert run(sweep) == 0
+    assert json.loads(capsys.readouterr().out)["sweep"]["tol"] \
+        == rankone.DE_TOL == cli.CampaignConfig.tol_de
+    assert run(limits) == 0
+    assert json.loads(capsys.readouterr().out)["confluence"]["tol"] \
+        == whittaker.CONFLUENCE_TOL == cli.CampaignConfig.tol_confluence
+    limits_t = cli.build_parser().parse_args(limits).t
+    assert tuple(cli._parse_float_list("--t", limits_t)) == whittaker.CONFLUENCE_T
     assert (rankone.DE_TOL, whittaker.CONFLUENCE_TOL) == (1e-9, 1e-6)
 
 

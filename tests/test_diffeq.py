@@ -9,8 +9,8 @@ import pytest
 import hodiff.diffeq as diffeq
 from hodiff.cli import PIERI_SYSTEMS
 from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
-                           PoleAtSpectralPoint, coeff_U, coeff_V,
-                           integer_product, perturbed, pieri_index,
+                           PoleAtSpectralPoint, coeff_U, coeff_V, factor_product,
+                           float_table, integer_product, perturbed, pieri_index,
                            pieri_residual, pieri_terms, quasi_identity_value,
                            sample_multiplicities, sample_spectral_point,
                            scaled_table, specialization_consistency,
@@ -62,22 +62,22 @@ def test_pole_raises(a1):
     minus_one = vscale(Q(-1), w)  # pairing -1 hits the affine denominator
     with pytest.raises(PoleAtSpectralPoint):
         coeff_V(a1, g, alpha, minus_one)
-    # float multiplicities: the float table keeps the pole test exact
-    g_float = constant_multiplicities(a1, 0.375)
+    # float couplings: the float table keeps the pole test exact
+    g_float = (0.375,) * len(a1.roots)
     with pytest.raises(PoleAtSpectralPoint, match=r"denominator <xi"):
-        coeff_V(a1, g_float, w, zero_xi)
+        factor_product(a1, term_factors(a1, w), float_table(a1.pairings(zero_xi)), g_float)
     with pytest.raises(PoleAtSpectralPoint, match=r"denominator 1\+<xi"):
-        coeff_V(a1, g_float, alpha, minus_one)
+        factor_product(a1, term_factors(a1, alpha), float_table(a1.pairings(minus_one)), g_float)
 
 
 
 def test_coefficients_read_a_float_xi_as_its_binary_value(b2):
     # coeff_V and coeff_U read a float entry of xi by Fraction, as the limit
-    # coefficients do, at exact and at float multiplicities alike
+    # coefficients do, at Fraction and at int multiplicities alike
     w1 = b2.fundamental_weights[0]
     origin = (Q(0),) * b2.dim
     xi, exact = (0.3, 0.2), (Q(0.3), Q(0.2))
-    for mults in (Multiplicities(b2, [Q(1, 3), Q(2, 5)]), Multiplicities(b2, [0.5, 0.25])):
+    for mults in (Multiplicities(b2, [Q(1, 3), Q(2, 5)]), Multiplicities(b2, [1, 2])):
         assert coeff_V(b2, mults, w1, xi) == coeff_V(b2, mults, w1, exact)
         assert coeff_U(b2, mults, origin, w1, xi) == coeff_U(b2, mults, origin, w1, exact)
     assert isinstance(coeff_V(b2, Multiplicities(b2, [Q(1, 3), Q(2, 5)]), w1, xi), Q)

@@ -11,9 +11,9 @@ from hodiff.diffeq import sample_multiplicities
 from hodiff.jacobi import (jacobi_polynomial, opdam_leading_coefficient,
                            verify_eigen)
 from hodiff.rootsys import Multiplicities, build_root_system, vadd
-from hodiff.weylalg import ExpPoly, apply_L, eigenvalue_E, is_w_invariant
-from oracles import (constant_multiplicities, dominance_leq, tuple_walk_jacobi,
-                     vector_exp_to_json, vscale)
+from hodiff.weylalg import ExpPoly, apply_L, is_w_invariant
+from oracles import (constant_multiplicities, dominance_leq, eigenvalue_E, inner,
+                     tuple_walk_jacobi, vector_exp_to_json, vscale)
 from test_rootsys import TABLE
 
 G_SAMPLES = (Q(3, 7), Q(5, 11), Q(9, 4))
@@ -104,7 +104,7 @@ def test_bc1_opdam_halving_convention(bc1):
     # the doubled root contributes the halved multiplicity of its half
     g1, g2v = Q(5, 11), Q(9, 4)
     by_norm = {Q(1): g1, Q(4): g2v}   # e_1 and 2e_1
-    mults = Multiplicities(bc1, [by_norm[bc1.inner(orbit[0], orbit[0])] for orbit in bc1.root_orbits])
+    mults = Multiplicities(bc1, [by_norm[inner(bc1, orbit[0], orbit[0])] for orbit in bc1.root_orbits])
     lam = (Q(1),)
     lead = opdam_leading_coefficient(bc1, mults, lam)
     rho = g1 / 2 + g2v
@@ -141,16 +141,19 @@ def test_cleared_eigencheck_residual_matches_public_path(system, request, corrup
     assert report.residual == vector_exp_to_json(expected)
 
 
-def test_exact_entry_points_reject_float_multiplicities(a2):
-    floats = constant_multiplicities(a2, 0.5)
+def test_exact_entry_points_reject_float_multiplicities(a2, b2):
+    # a float multiplicity is refused where multiplicities are made, so no
+    # exact entry point can be handed one; ints and Fractions are exact
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        constant_multiplicities(a2, 0.5)
+    with pytest.raises(ValueError, match="exact multiplicities required"):
+        Multiplicities(b2, (Q(1, 2), 0.5))
     lam = a2.fundamental_weights[0]
-    with pytest.raises(ValueError, match="exact multiplicities required"):
-        jacobi_polynomial(a2, floats, lam)
-    poly = jacobi_polynomial(a2, constant_multiplicities(a2, Q(1, 2)), lam)
-    with pytest.raises(ValueError, match="exact multiplicities required"):
-        verify_eigen(a2, floats, lam, poly)
-    with pytest.raises(ValueError, match="exact multiplicities required"):
-        opdam_leading_coefficient(a2, floats, lam)
+    for g in (1, Q(1, 2)):
+        mults = constant_multiplicities(a2, g)
+        poly = jacobi_polynomial(a2, mults, lam)
+        assert verify_eigen(a2, mults, lam, poly).ok
+        assert poly.leading_coefficient() == opdam_leading_coefficient(a2, mults, lam)
 
 
 @pytest.mark.parametrize("system", ["A1", "A2", "A3", "B2", "C3", "D4", "G2", "BC1", "BC2"])

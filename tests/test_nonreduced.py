@@ -13,8 +13,8 @@ from hodiff import cli, nonreduced
 from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp, coeff_V_signed,
                                expansion_E_ell, rank_one_shift_coefficient,
                                rearrangement_gap, signed_subsets, verify_pieri_bc)
-from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, pieri_index, pieri_residual,
-                           pieri_terms, term_factors)
+from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, factor_product, float_table,
+                           pieri_index, pieri_residual, pieri_terms, term_factors)
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import build_root_system
 from hodiff.weylalg import ExpPoly, label_form
@@ -383,15 +383,17 @@ def test_coeff_v_and_u_give_the_bc_coefficients(bc2):
 
 
 def test_float_multiplicities_read_the_half_root_sign(bc2):
-    # the float path of coeff_V/coeff_U reads the alpha/2 rule as the exact
-    # one does: at the floats of GS, U_{K,1} is the float of the exact value
+    # the float path, factor_product on a float row of factor_values, reads
+    # the alpha/2 rule as the exact one does: U_{K,1} is the float of the
+    # exact value
     xi = (Q(7, 5), Q(2, 9))
-    floats = bc_multiplicities(bc2, *map(float, GS))
+    mults = _m(bc2)
+    table, floats = float_table(bc2.pairings(xi)), tuple(map(float, mults.factor_values))
     for nu, eta in (((0, 0), (1, 0)), ((0, 0), (0, -1)), ((1, 0), (0, 1)), ((0, 0), None)):
-        exact, got = ((coeff_V(bc2, m, nu, xi) if eta is None else coeff_U(bc2, m, nu, eta, xi))
-                      for m in (_m(bc2), floats))
+        exact = coeff_V(bc2, mults, nu, xi) if eta is None else coeff_U(bc2, mults, nu, eta, xi)
+        got = factor_product(bc2, term_factors(bc2, nu, eta), table, floats)
         assert math.isclose(got, float(exact), rel_tol=1e-13), (nu, eta)
-    assert coeff_U(bc2, floats, (0, 0), (1, 0), xi) < 0
+    assert factor_product(bc2, term_factors(bc2, (0, 0), (1, 0)), table, floats) < 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

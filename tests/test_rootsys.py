@@ -18,7 +18,7 @@ from hodiff.jacobi import verify_eigen
 from hodiff.nonreduced import bc_multiplicities, verify_pieri_bc
 from hodiff.rootsys import Multiplicities, Weight, build_root_system, vadd, vneg, weight_str
 from oracles import (constant_multiplicities, dominance_leq, dominant_representative,
-                     half_weighted_sum, height, invert_rational_matrix, multiplicity_of,
+                     half_weighted_sum, height, inner, invert_rational_matrix, multiplicity_of,
                      orbit_under_reflections, rho_vee, simple_coefficients, vscale)
 from weyl_words import apply_word, inverse_word
 
@@ -277,7 +277,7 @@ def test_quasi_minuscule_weights(a2, b2, c3, g2):
     assert b2.quasi_minuscule_weight() == (Q(1), Q(0))
     assert c3.quasi_minuscule_weight() == (Q(1), Q(1), Q(0))
     theta_s = g2.quasi_minuscule_weight()
-    assert g2.inner(theta_s, theta_s) == Q(2, 3)  # short-root normalization
+    assert inner(g2, theta_s, theta_s) == Q(2, 3)  # short-root normalization
 
 
 def test_rho_vectors(a1, bc2):
@@ -297,10 +297,10 @@ def test_rho_vee(a2):
     rv = rho_vee(a2)
     # rho_vee pairs to 1 with every simple root
     for a in a2.simple_roots:
-        assert a2.inner(rv, a) == 1
+        assert inner(a2, rv, a) == 1
     # and <omega_i, rho_vee> = 1 for fundamental weights
     for w in a2.fundamental_weights:
-        assert a2.inner(w, rv) == 1
+        assert inner(a2, w, rv) == 1
 
 
 def test_dominant_weights_up_to_height(a1, c3):
@@ -320,7 +320,7 @@ def test_multiplicities_validation(b2):
     m = constant_multiplicities(b2, Q(2, 3))
     assert all(multiplicity_of(m, a) == Q(2, 3) for a in b2.roots)
     by_norm = {Q(1): Q(1, 2), Q(2): Q(5)}   # short and long orbit
-    m = Multiplicities(b2, [by_norm[b2.inner(orbit[0], orbit[0])] for orbit in b2.root_orbits])
+    m = Multiplicities(b2, [by_norm[inner(b2, orbit[0], orbit[0])] for orbit in b2.root_orbits])
     assert multiplicity_of(m, (Q(0), Q(1))) == Q(1, 2)
     assert multiplicity_of(m, (Q(1), Q(-1))) == Q(5)
 
@@ -339,7 +339,7 @@ def test_label_kernel_matches_gram_form(fam, rank):
         table = datum.pairings(v)
         assert len(table) == len(datum.roots)
         for i, alpha in enumerate(datum.roots):
-            gram = 2 * datum.inner(v, alpha) / datum.inner(alpha, alpha)
+            gram = 2 * inner(datum, v, alpha) / inner(datum, alpha, alpha)
             assert table[i] == gram, (v, alpha)
             assert datum.pairing(v, alpha) == gram
     for i, alpha in enumerate(datum.roots):
@@ -352,11 +352,11 @@ def test_label_kernel_matches_gram_form(fam, rank):
         l = datum.labels(v)
         form = sum(a * b * g for a, row in zip(l, datum.weight_gram)
                    for b, g in zip(l, row))
-        assert Q(form, datum.weight_gram_den) == datum.inner(v, v), v
+        assert Q(form, datum.weight_gram_den) == inner(datum, v, v), v
     # |alpha|^2 per root orbit, for every root of the orbit
     assert len(datum.orbit_norms) == len(datum.root_orbits)
     for norm, orbit in zip(datum.orbit_norms, datum.root_orbits):
-        assert all(norm == datum.inner(a, a) for a in orbit)
+        assert all(norm == inner(datum, a, a) for a in orbit)
 
 
 @pytest.mark.parametrize("fam,rank", [("B", 2), ("G", 2), ("BC", 2)])
@@ -386,9 +386,11 @@ def test_orbit_stabilizer_exceptional(fam, rank):
 
 
 def test_root_values_follow_orbits(b2, bc2):
-    for datum in (b2, bc2):
-        values = [Q(k + 1, 7) for k in range(len(datum.root_orbits))]
+    # for Fraction and int multiplicities alike; m_alpha stays exact
+    for datum, exact in itertools.product((b2, bc2), (Q(1, 7), 1)):
+        values = [(k + 1) * exact for k in range(len(datum.root_orbits))]
         m = Multiplicities(datum, values)
+        assert all(isinstance(x, (int, Q)) for x in m.factor_values)
         assert m.root_values == tuple(multiplicity_of(m, a) for a in datum.roots)
         assert datum.rho(m) is datum.rho(m)
         assert datum.rho(m) == half_weighted_sum(datum, lambda a: multiplicity_of(m, a))
@@ -408,12 +410,12 @@ EVERY_TYPE = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 
 @pytest.mark.parametrize("fam,rank", EVERY_TYPE)
 def test_rho_on_labels_matches_vector_half_sum(fam, rank):
     # rho_g from the orbit label sums is the half-sum of g_alpha alpha over
-    # the positive roots, for exact multiplicities and for floats (each read
-    # as its exact value); its labels are those a fresh datum reads off the
-    # vector, ints where integral, and the Weight rho_g carries them
+    # the positive roots, for Fraction multiplicities and for ints; its labels
+    # are those a fresh datum reads off the vector, ints where integral, and
+    # the Weight rho_g carries them
     datum, fresh = build_root_system(fam, rank), build_root_system(fam, rank)
     n = len(datum.root_orbits)
-    for values in ([Q(2 * k + 3, 7) for k in range(n)], [0.3 + 1.1 * k for k in range(n)]):
+    for values in ([Q(2 * k + 3, 7) for k in range(n)], [2 * k + 1 for k in range(n)]):
         m = Multiplicities(datum, values)
         want = half_weighted_sum(datum, lambda a: multiplicity_of(m, a))
         assert datum.rho(m) == want
@@ -434,7 +436,7 @@ def test_root_permutations_are_the_simple_reflections(fam, rank):
         assert sorted(perm) == list(range(len(datum.roots)))
         assert all(perm[perm[r]] == r for r in range(len(perm)))
         for r, a in enumerate(datum.roots):
-            k = 2 * datum.inner(a, alpha) / datum.inner(alpha, alpha)
+            k = 2 * inner(datum, a, alpha) / inner(datum, alpha, alpha)
             assert datum.roots[perm[r]] == tuple(x - k * y for x, y in zip(a, alpha))
         assert datum.roots[perm[datum.roots.index(alpha)]] == vneg(alpha)
         others = {r for r in positive if datum.roots[r] not in (alpha, vscale(2, alpha))}
@@ -624,7 +626,7 @@ def test_label_kernel_matches_the_gram_form_property(fam, rank, data):
     datum = build_root_system(fam, rank)
     v = data.draw(st.tuples(*[RATIONALS] * datum.dim))
     assert datum.label_pairings(datum.labels(v)) == tuple(
-        2 * datum.inner(v, a) / datum.inner(a, a) for a in datum.roots)
+        2 * inner(datum, v, a) / inner(datum, a, a) for a in datum.roots)
     coeffs = data.draw(st.tuples(*[RATIONALS] * rank))
     w = tuple(sum(c * a[d] for c, a in zip(coeffs, datum.simple_roots))
               for d in range(datum.dim))
@@ -633,19 +635,23 @@ def test_label_kernel_matches_the_gram_form_property(fam, rank, data):
 
 @pytest.mark.parametrize("fam,rank", LABEL_SYSTEMS + (("F", 4), ("E", 6)))
 def test_pairing_reads_made_roots_by_labels(fam, rank, monkeypatch):
-    # pairing finds a root the datum made by its labels, an equal
-    # copy by its labels and coordinates, and a made weight that is no root
-    # by the Gram form; all agree, and the made roots cost no Fraction hash
+    # pairing finds a root the datum made by its labels, and an equal copy
+    # by its labels and coordinates; both agree with the Gram form, a made
+    # weight that is no root is refused, and the made roots cost no Fraction
+    # hash
     datum = build_root_system(fam, rank)
     rho = datum.rho(Multiplicities(datum, [Q(k + 2, 7) for k in range(len(datum.root_orbits))]))
     others = [w for w in datum.fundamental_weights if datum.labels(w) not in datum.root_labels]
     if fam == "A":   # off the root span, with a root's labels: no root
         others += [tuple(x + 1 for x in a) for a in datum.roots]
-    for a in datum.roots + tuple(others):
+    for a in datum.roots:
         copy = tuple(list(a))
         assert copy is not a
-        want = 2 * datum.inner(rho, a) / datum.inner(a, a)
+        want = 2 * inner(datum, rho, a) / inner(datum, a, a)
         assert datum.pairing(rho, a) == datum.pairing(rho, copy) == want
+    for a in others:
+        with pytest.raises(ValueError, match="is not a root"):
+            datum.pairing(rho, a)
     hashes = []
     monkeypatch.setattr(Q, "__hash__", lambda q: hashes.append(q) or hash(q.numerator))
     assert [datum.pairing(rho, a) for a in datum.roots] == list(datum.pairings(rho))
@@ -717,10 +723,10 @@ def _off_span(datum):
     """A nonzero vector orthogonal to every root, or None if the roots span
     the realization: e_k less its projection onto the root span."""
     simples = datum.simple_roots
-    inverse = invert_rational_matrix([[datum.inner(a, b) for b in simples] for a in simples])
+    inverse = invert_rational_matrix([[inner(datum, a, b) for b in simples] for a in simples])
     for k in range(datum.dim):
         e = tuple(Q(int(d == k)) for d in range(datum.dim))
-        c = [sum(r * datum.inner(b, e) for r, b in zip(row, simples)) for row in inverse]
+        c = [sum(r * inner(datum, b, e) for r, b in zip(row, simples)) for row in inverse]
         u = tuple(e[d] - sum(x * a[d] for x, a in zip(c, simples)) for d in range(datum.dim))
         if any(u):
             return u
@@ -791,10 +797,16 @@ def test_a_weight_read_by_another_type_gets_that_types_labels():
     for v in made:
         copy, row = tuple(list(v)), b3.pairings(v)
         assert c3.labels(v) == c3.labels(copy) == tuple(
-            2 * c3.inner(v, a) / c3.inner(a, a) for a in c3.simple_roots)
+            2 * inner(c3, v, a) / inner(c3, a, a) for a in c3.simple_roots)
         assert c3.pairings(v) == c3.pairings(copy)
-        # pairing looks v up among the C3 roots by its C3 labels
-        assert c3.pairing(v, v) == c3.pairing(copy, copy) == 2
+        # pairing looks v up among the C3 roots by its C3 labels, and
+        # refuses v where it is no C3 root (the short e_i, the weights)
+        if v in c3.roots:
+            assert c3.pairing(v, v) == c3.pairing(copy, copy) == 2
+        else:
+            for alpha in (v, copy):
+                with pytest.raises(ValueError, match="is not a root"):
+                    c3.pairing(alpha, alpha)
         assert b3.labels(v) is v.labels and b3.pairings(v) is row == b3.pairings(copy)
 
 

@@ -7,10 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from hodiff.rootsys import Multiplicities, build_root_system, vadd, vneg
 from hodiff.cli import PIERI_SYSTEMS
-from hodiff.weylalg import (ExpPoly, apply_L, apply_L_labels, eigenvalue_E, exp_to_json,
-                            expansion_E_omega, expansion_labels, is_w_invariant, orbit_sum)
-from oracles import (constant_multiplicities, eval_at, exp_from_json, orbitwise_expansion_labels,
-                     vector_exp_to_json, vscale)
+from hodiff.weylalg import (ExpPoly, _apply_L_table, apply_L, exp_to_json, expansion_E_omega,
+                            expansion_labels, is_w_invariant, orbit_sum)
+from oracles import (constant_multiplicities, eigenvalue_E, eval_at, exp_from_json,
+                     orbitwise_expansion_labels, vector_exp_to_json, vscale)
+
+
+def _exp(datum, terms):
+    """The ExpPoly of label-keyed terms."""
+    return ExpPoly({datum.from_labels(l): Q(c) for l, c in terms.items()})
+
+
+def _divided(datum, n, image):
+    """The ExpPoly image / n of label-keyed integer numerators."""
+    return ExpPoly({datum.from_labels(l): Q(v, n) for l, v in image.items()})
 
 
 def test_orbit_sum_basics(a1, a2):
@@ -33,7 +43,7 @@ def test_exppoly_ring_ops(a2):
     assert p * q == q * p
     assert p + p.scale(-1) == ExpPoly({})
     assert p * ExpPoly.constant(1, a2.dim) == p
-    assert p.scale(Q(2, 3)) == p * Q(2, 3)
+    assert p.scale(Q(2, 3)) == p * ExpPoly.constant(Q(2, 3), a2.dim)
     assert (p * q).value_at_zero() == p.value_at_zero() * q.value_at_zero()
 
 
@@ -152,9 +162,8 @@ def test_apply_l_untelescoped_string_is_fatal(a2, monkeypatch):
     # negative control for the string division: let a non-invariant element
     # past the invariance gates; the alpha_2-string of e^{omega_1} +
     # e^{s_1 omega_1} does not sum to zero, so the exact division must refuse
-    # rather than truncate.  Its dominant label passes the check made before
-    # the table; with _is_invariant alone patched, the table's reflections
-    # still catch it.
+    # rather than truncate.  With _is_invariant alone patched, the table's
+    # reflections still catch it.
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
     g = constant_multiplicities(a2, Q(3, 7))
@@ -222,11 +231,12 @@ def test_string_tables_match_per_call_walk(system, corrupted):
         assert verify_eigen(datum, mults, poly.lam, bad).ok == (len(poly.label_coeffs) == 1)
         for p in (poly, bad):
             _d, terms = p.cleared_terms()
-            n, image = apply_L_labels(datum, mults, terms)
-            assert set(image) == set(datum.saturated_labels(top))
+            table = datum.string_table((top,))
+            n, _coef, image = _apply_L_table(datum, mults, [top], table, terms)
+            assert set(table.index) == set(datum.saturated_labels(top))
             walked_n, walked = string_walk_apply_L(datum, mults, terms)
             assert n == walked_n
-            nonzero = {l: v for l, v in image.items() if v}
+            nonzero = {l: v for l, v in zip(table.index, image) if v}
             assert nonzero == {l: v for l, v in walked.items() if v}
     # one table per saturated set: each keyed by its top alone
     for datum in {id(d): d for d, _m, _p in polys}.values():
@@ -236,30 +246,36 @@ def test_string_tables_match_per_call_walk(system, corrupted):
 def test_apply_l_support_outside_string_table_is_fatal(a2, monkeypatch):
     # a non-invariant element let past the gate may leave the table: e^{-omega_1}
     # has no dominant exponent, and e^{s_1(omega_1 + omega_2)} lies outside
-    # P(omega_1), added to m_{omega_1} (which passes the check on dominant labels)
+    # P(omega_1), added to m_{omega_1}
     from hodiff import weylalg
     monkeypatch.setattr(weylalg, "_is_invariant", lambda datum, terms: True)
     g = constant_multiplicities(a2, Q(3, 7))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
         apply_L(a2, g, ExpPoly({vneg(a2.fundamental_weights[0]): Q(1)}))
     with pytest.raises(weylalg.InternalConsistencyError, match="outside"):
-        apply_L_labels(a2, g, {(1, 0): 1, (-1, 1): 1, (0, -1): 1, (-1, 2): 1})
+        apply_L(a2, g, _exp(a2, {(1, 0): 1, (-1, 1): 1, (0, -1): 1, (-1, 2): 1}))
 
 
-def test_string_table_keyed_by_maximal_dominant_labels():
-    # the key is the maximal dominant labels of the support: m_lam + m_mu,
-    # mu < lam, reuses the table of P(lam), while omega_1 and omega_2 of B2
-    # (in different cosets of the root lattice) are both maximal
+def test_string_table_of_a_support_spans_its_maximal_labels():
+    # apply_L keys its table by the dominant labels of the support, and the
+    # union S of their saturated sets is that of the maximal ones: m_lam +
+    # m_mu, mu < lam, is read on the labels of P(lam), while omega_1 and
+    # omega_2 of B2 (in different cosets of the root lattice) are both maximal
     b2 = build_root_system("B", 2)
     g = constant_multiplicities(b2, Q(2, 5))
     w1, w2 = b2.fundamental_weights
     lam = vadd(w1, w2)
+    top = b2.dominant_labels(lam)
     for mu in b2.dominant_below(lam):
         apply_L(b2, g, orbit_sum(b2, lam) + orbit_sum(b2, mu))
-    assert list(b2._string_tables) == [(b2.dominant_labels(lam),)]
+        key = tuple(sorted({top, b2.dominant_labels(mu)}))
+        assert b2._string_tables[key].index.keys() == b2.saturated_labels(top).keys()
+    assert len(b2._string_tables) == len(b2.dominant_below(lam))
     apply_L(b2, g, orbit_sum(b2, w1) + orbit_sum(b2, w2))
-    assert tuple(sorted(map(b2.dominant_labels, (w1, w2)))) in b2._string_tables
-    assert len(b2._string_tables) == 2
+    key = tuple(sorted(map(b2.dominant_labels, (w1, w2))))
+    assert b2._string_tables[key].index.keys() == \
+        b2.saturated_labels(key[0]).keys() | b2.saturated_labels(key[1]).keys()
+    assert not b2.saturated_labels(key[0]).keys() & b2.saturated_labels(key[1]).keys()
 
 
 TABLE_SYSTEMS = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6",
@@ -338,17 +354,15 @@ def test_apply_l_planted_remainder_names_its_root(system, top, k, monkeypatch):
     # is the bottom of the first k = 2 string, and the first unequal end pair
     # of the k <= 2 columns is that string; for k >= 3 (G2) no label lies on
     # k >= 3 strings alone, so the k <= 2 columns are emptied too, the moved
-    # label is the first on a k >= 3 string that no simple reflection of a
-    # dominant label reaches (the check made before the table), and the
-    # first k >= 3 string whose closed-form remainder sum_i (k - 2i) c_i is
-    # nonzero is the one named
+    # label is the first on a k >= 3 string, and the first k >= 3 string whose
+    # closed-form remainder sum_i (k - 2i) c_i is nonzero is the one named
     from hodiff import weylalg
     datum = _datum(system)
     table = datum.string_table((top,))
     terms, message = _planted_remainder(datum, table, k, monkeypatch)
     g = constant_multiplicities(datum, Q(2, 5))
     with pytest.raises(weylalg.InternalConsistencyError) as err:
-        apply_L_labels(datum, g, terms)
+        apply_L(datum, g, _exp(datum, terms))
     assert str(err.value) == message
 
 
@@ -358,7 +372,7 @@ def _planted_remainder(datum, table, k, monkeypatch):
     raise on it once datum.string_table serves table with its reflection
     permutations (and, for k >= 3, its k <= 2 columns) emptied, as it does
     from here on (see ``test_apply_l_planted_remainder_names_its_root``)."""
-    from hodiff.rootsys import _step, weight_str
+    from hodiff.rootsys import weight_str
     labels = list(table.index)
     cut = {"perms": ()} if k == 2 else {"perms": (), "tops": (), "bottoms": (), "ends": ()}
     monkeypatch.setattr(datum, "string_table", lambda tops: table._replace(**cut))
@@ -371,10 +385,7 @@ def _planted_remainder(datum, table, k, monkeypatch):
                       if coef[t] != coef[b])
         assert (r, rem) == (table.ends[i][0], -2)
     else:
-        near = {_step(l, l[j], row) for l in labels if min(l) >= 0
-                for j, row in enumerate(datum.cartan)}
-        coef[next(i for _r, _k, idx in table.strings for i in idx
-                  if labels[i] not in near)] += 1
+        coef[table.strings[0][2][0]] += 1
         r, rem = next((r, s) for r, kk, idx in table.strings
                       if (s := sum((kk - 2 * i) * coef[j] for i, j in enumerate(idx))))
     return (dict(zip(labels, coef)),
@@ -384,11 +395,8 @@ def _planted_remainder(datum, table, k, monkeypatch):
 @pytest.mark.parametrize("system", ["F4", "E6", "BC2"])
 def test_apply_l_rejects_one_changed_coefficient(system, monkeypatch):
     # a cleared P_lam with one non-dominant coefficient moved by one, or set
-    # to zero, is not W-invariant: ValueError.  At a simple reflection of a
-    # dominant label the check made before the table refuses it; elsewhere
-    # the table's permutations decide, and _is_invariant is called only to
-    # choose the error
-    from hodiff.rootsys import _step
+    # to zero, is not W-invariant: ValueError.  The table's permutations
+    # decide, and _is_invariant is called only to choose the error
     from hodiff import weylalg
     from hodiff.jacobi import jacobi_polynomial
     datum = _datum(system)
@@ -398,53 +406,55 @@ def test_apply_l_rejects_one_changed_coefficient(system, monkeypatch):
     check = weylalg._is_invariant
     monkeypatch.setattr(weylalg, "_is_invariant",
                         lambda datum, terms: calls.append(1) or check(datum, terms))
-    apply_L_labels(datum, mults, terms)
+    apply_L(datum, mults, _exp(datum, terms))
     assert not calls
     changed = [l for l in terms if min(l) < 0]
-    near = {_step(l, k, row) for l in terms if min(l) >= 0
-            for k, row in zip(l, datum.cartan) if k}
-    assert changed and set(changed) - near
+    assert changed
     for l in changed:
         for c in (terms[l] + 1, 0):
             with pytest.raises(ValueError, match="W-invariant"):
-                apply_L_labels(datum, mults, {**terms, l: c})
-    assert len(calls) == 2 * len(set(changed) - near)
+                apply_L(datum, mults, _exp(datum, {**terms, l: c}))
+    assert len(calls) == 2 * len(changed)
 
 
 @pytest.mark.parametrize("system,top", [("F4", (1, 1, 1, 1)), ("E6", (1, 0, 0, 0, 0, 1)),
                                         ("BC2", (1, 2))])
-def test_apply_l_refuses_before_building_tables(system, top):
-    # a dominant label whose simple reflections are missing is refused
-    # before its saturated set or alpha-string table is built; valid calls
-    # still match the per-call string walk
+def test_apply_l_refuses_a_partial_orbit(system, top):
+    # a dominant label whose simple reflections are missing, or carry
+    # another coefficient, is refused; valid calls match the per-call string
+    # walk
     from oracles import string_walk_apply_L
 
     from hodiff.jacobi import jacobi_polynomial
     from hodiff.rootsys import _step
     datum = _datum(system)
     mults = constant_multiplicities(datum, Q(4, 9))
-    for bad in ({top: 1}, {top: 1, _step(top, top[0], datum.cartan[0]): 1}):
+    for bad in ({top: 1}, {top: 1, _step(top, top[0], datum.cartan[0]): 1},
+                {l: 1 + (l == top) for l in datum.orbit_labels(top)}):
         with pytest.raises(ValueError, match="W-invariant"):
-            apply_L_labels(datum, mults, bad)
-    assert datum._string_tables == {} and datum._sat_label_cache == {}
+            apply_L(datum, mults, _exp(datum, bad))
     for omega in datum.small_dominant_weights():
         _d, terms = jacobi_polynomial(datum, mults, omega).cleared_terms()
-        assert apply_L_labels(datum, mults, terms) == string_walk_apply_L(datum, mults, terms)
+        assert apply_L(datum, mults, _exp(datum, terms)) == \
+            _divided(datum, *string_walk_apply_L(datum, mults, terms))
 
 
 def test_apply_l_explicit_zero_coefficient(a2):
-    # a zero coefficient is no term: on a label of the table's set S it
+    # a zero coefficient is no term of the operator core's label-keyed
+    # input (an ExpPoly holds none): on a label of the table's set S it
     # changes nothing, although _is_invariant, which compares dict entries,
     # rejects it while its reflections are absent; a label outside S is
     # refused even at coefficient zero
     from hodiff.weylalg import _is_invariant
     g = constant_multiplicities(a2, Q(3, 7))
+    table = a2.string_table(((2, 0),))
     terms = {l: 1 for l, m in a2.saturated_labels((2, 0)).items() if m == (2, 0)}
     with_zero = {**terms, (1, -1): 0}          # s_2 omega_2, in P(2 omega_1)
     assert not _is_invariant(a2, with_zero)
-    assert apply_L_labels(a2, g, with_zero) == apply_L_labels(a2, g, terms)
+    assert _apply_L_table(a2, g, [(2, 0)], table, with_zero) == \
+        _apply_L_table(a2, g, [(2, 0)], table, terms)
     with pytest.raises(ValueError, match="W-invariant"):
-        apply_L_labels(a2, g, {**terms, (3, -3): 0})
+        _apply_L_table(a2, g, [(2, 0)], table, {**terms, (3, -3): 0})
 
 
 # -- the eigencheck on its polynomial's own string table ------------------------
@@ -468,8 +478,8 @@ def test_eigencheck_image_matches_both_operator_paths(monkeypatch, corrupted):
     # polynomial a one-sample default campaign eigenchecks and for the small
     # fundamentals of F4 and E6 (each also corrupted, which leaves a
     # minuscule P_omega, one orbit sum, on the eigenspace),
-    # equals apply_L_labels' image after its tops search and the per-call
-    # string walk of the oracles
+    # equals apply_L's image on the table of its support's dominant labels
+    # and the per-call string walk of the oracles
     from oracles import string_walk_apply_L
 
     from hodiff import cli
@@ -490,7 +500,8 @@ def test_eigencheck_image_matches_both_operator_paths(monkeypatch, corrupted):
     assert {c[0].name for c in calls} >= {"F4", "E6", "A1", "G2", "BC2"}
     for datum, mults, table, terms, (n, coef, image) in calls:
         assert coef == [terms.get(l, 0) for l in table.index]
-        assert apply_L_labels(datum, mults, terms) == (n, dict(zip(table.index, image)))
+        assert apply_L(datum, mults, _exp(datum, terms)) == \
+            _divided(datum, n, dict(zip(table.index, image)))
         walked_n, walked = string_walk_apply_L(datum, mults, terms)
         assert n == walked_n
         assert ({l: v for l, v in zip(table.index, image) if v}
@@ -544,7 +555,7 @@ def test_eigencheck_refuses_labels_outside_the_table(system):
 @pytest.mark.parametrize("system, top, k", [("B2", (1, 0), 2), ("F4", (0, 0, 0, 1), 2),
                                             ("G2", (0, 1), 3)])
 def test_eigencheck_planted_remainder_names_its_root(system, top, k, monkeypatch):
-    # the remainder controls of apply_L_labels, through verify_eigen: the
+    # the remainder controls of apply_L, through verify_eigen: the
     # polynomial is built first, then its table is served with its gates cut
     from hodiff import weylalg
     from hodiff.jacobi import jacobi_polynomial, verify_eigen
@@ -601,12 +612,13 @@ def test_eigencheck_reads_the_table_the_pattern_built(system, monkeypatch):
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_apply_l_labels_is_w_invariant_and_triangular_property(system, data):
-    # p an integer combination of orbit sums m_mu, mu <= top: L p is
-    # W-invariant, supported in the saturated sets of the mu it holds, so in
-    # P(top), and at each maximal such mu reads n c_mu E(rho_g + mu); the
-    # operator core on the table of P(top) gives the same image
+    # p an integer combination of orbit sums m_mu, mu <= top, read by apply_L
+    # on its labels: L p is W-invariant, supported in the saturated sets of
+    # the mu it holds, so in P(top), and at each maximal such mu reads
+    # c_mu E(rho_g + mu); the operator core on the table of P(top) gives the
+    # same image over its n
     from hodiff.jacobi import _shifted_eigenvalue
-    from hodiff.weylalg import _apply_L_table, _is_invariant
+    from hodiff.weylalg import _is_invariant
     datum = _datum(system)
     top = data.draw(st.tuples(*[st.integers(0, 2)] * datum.rank), label="top")
     doms = datum.below_labels(top)
@@ -617,15 +629,15 @@ def test_apply_l_labels_is_w_invariant_and_triangular_property(system, data):
         min_size=len(datum.root_orbits), max_size=len(datum.root_orbits)), label="g"))
     held = {mu: c for mu, c in zip(doms, coef) if c}
     terms = {l: c for mu, c in held.items() for l in datum.orbit_labels(mu)}
-    n, image = apply_L_labels(datum, mults, terms)
-    nonzero = {l: v for l, v in image.items() if v}
+    image = apply_L(datum, mults, _exp(datum, terms))
+    nonzero = {datum.weight_labels(nu): c for nu, c in image.terms.items()}
     assert _is_invariant(datum, nonzero)
     assert nonzero.keys() <= set().union(*map(datum.saturated_labels, held)) \
         <= datum.saturated_labels(top).keys()
     for mu, c in held.items():
         if not any(mu in datum.saturated_labels(nu) for nu in held if nu != mu):
-            assert image[mu] == n * c * _shifted_eigenvalue(datum, mults, mu)
+            assert nonzero.get(mu, 0) == c * _shifted_eigenvalue(datum, mults, mu)
     table = datum.string_table((top,))
     core_n, core_coef, core_image = _apply_L_table(datum, mults, [top], table, terms)
-    assert core_n == n and core_coef == [terms.get(l, 0) for l in table.index]
-    assert {l: v for l, v in zip(table.index, core_image) if v} == nonzero
+    assert core_coef == [terms.get(l, 0) for l in table.index]
+    assert _divided(datum, core_n, dict(zip(table.index, core_image))) == image

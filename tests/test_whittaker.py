@@ -18,11 +18,11 @@ from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, pie
                            sample_multiplicities, term_factors)
 from hodiff.rootsys import vadd, vneg
 from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, WhittakerA1,
-                              coeff_Ubar, coeff_Vbar, ebar,
+                              coeff_Vbar, couplings_at, ebar,
                               g_of_t, homogeneity_gap, limit_product,
-                              homogeneity_identity, limit_table, multiplicities_at,
+                              homogeneity_identity, limit_table,
                               orbit_etas, rank_one_whittaker_check, verify_confluence)
-from oracles import multiplicity_of, rho_vee, term_vectors, vscale
+from oracles import half_weighted_sum, rho_vee, term_vectors, vscale
 
 # the campaign's bounds on a rank-one report, in the order RankOneWhittakerReport.ok reads them
 RANK_ONE_TOLS = (CampaignConfig.tol_whittaker, CampaignConfig.tol_whittaker,
@@ -68,6 +68,13 @@ def test_eta_values(a1, b2, c3, g2):
     assert eta_alpha(g2, short_g2) == SqrtRational(1, 3)
 
 
+def _ubar(datum, nu, eta, xi):
+    """The g -> oo limit of U_{nu,eta} over g at xi, a float entry of xi read
+    as its binary value."""
+    return limit_product(datum, term_factors(datum, nu, eta),
+                         limit_table(datum, datum.pairings(tuple(map(Q, xi)))))
+
+
 def test_vbar_ubar_rank_one(a1):
     w = a1.fundamental_weights[0]
     alpha = a1.positive_roots[0]
@@ -77,9 +84,9 @@ def test_vbar_ubar_rank_one(a1):
     assert coeff_Vbar(a1, vneg(w), xi) == -Q(3, 5)
     assert coeff_Vbar(a1, alpha, xi) == 1 / (z * (1 + z))
     zero = (Q(0),) * a1.dim
-    assert coeff_Ubar(a1, zero, alpha, xi) == -1 / (z * (1 + z))
+    assert _ubar(a1, zero, alpha, xi) == -1 / (z * (1 + z))
     # regular nu: empty stabilizer product
-    assert coeff_Ubar(a1, w, w, xi) == 1
+    assert _ubar(a1, w, w, xi) == 1
 
 
 def test_vbar_exact_rational_simply_laced(a2):
@@ -148,8 +155,8 @@ def test_confluence_guards_and_multiplicities_at(a2, bc2, g2):
                  if w not in g2.small_fundamental_weights()][0]
     with pytest.raises(ValueError, match=r" is not small$"):
         verify_confluence(g2, long_fund, (Q(1, 3),) * g2.dim, (0.1,) * g2.dim)
-    m = multiplicities_at(a2, 10.0)
-    assert all(v > 1 for v in m.values)
+    g = couplings_at(a2, 10.0)
+    assert len(g) == len(a2.roots) and all(v > 1 for v in g)
 
 
 def test_confluence_rank_one_explicit(a1):
@@ -235,7 +242,7 @@ def test_confluence_rows_equal_the_per_t_path(request):
                 assert limit_product(datum, factors, table) == stepwise_limit(
                     datum, factors, xi)
                 for t in FINE_T:
-                    g = multiplicities_at(datum, t).root_values
+                    g = couplings_at(datum, t)
                     assert (factor_product(datum, factors, float_table(datum.pairings(xi)), g)
                             == fraction_factor_product(datum, factors, xi, g))
     assert checked > 100
@@ -282,7 +289,7 @@ def test_confluence_limit_poles_name_the_factor(request):
         grid = itertools.product((-2, -1, Q(-1, 2), Q(1, 2), 1), repeat=datum.rank)
         points = [datum.weight_from_fundamental(labels) for labels in grid]
         points = [xi for xi in points if {0, -1} & set(datum.pairings(xi))][:4]
-        g = multiplicities_at(datum, 10.0).root_values
+        g = couplings_at(datum, 10.0)
         lists = _factor_lists(datum, omega)
         for xi in points:
             table = limit_table(datum, datum.pairings(xi))
@@ -595,14 +602,14 @@ def test_a_wrong_number_from_a_float_kernel_is_a_failed_case(kernel, fault, monk
 
 def test_limit_product_reads_the_half_root_sign(bc2):
     # a BC U list's alpha/2 entry -(1+z+g)/(1+z) tends to -eta/(1+z), as a
-    # -g entry does: the limits at xi and (through coeff_Ubar) at xi's floats
+    # -g entry does: the limits at xi and at xi's floats
     # agree on it, and the limit holds one minus sign per such entry
     xi, nu, eta = (Q(7, 5), Q(2, 9)), (0, 0), (1, 0)
     factors = term_factors(bc2, nu, eta)
     assert [f[2] for f in factors].count(-2) == 1
     exact = limit_product(bc2, factors, limit_table(bc2, bc2.pairings(xi)))
-    assert float(exact) < 0 and exact == coeff_Ubar(bc2, nu, eta, xi)
-    assert math.isclose(float(exact), float(coeff_Ubar(bc2, nu, eta, tuple(map(float, xi)))),
+    assert float(exact) < 0 and exact == _ubar(bc2, nu, eta, xi)
+    assert math.isclose(float(exact), float(_ubar(bc2, nu, eta, tuple(map(float, xi)))),
                         rel_tol=1e-14)
 
 
@@ -684,12 +691,12 @@ def test_log_normalization_helpers(a2):
     from hodiff.whittaker import log_normalization_constant
     # small t keeps everything in double range: compare with direct gammas
     t = -2.0
-    mults = multiplicities_at(a2, t)
-    rho = a2.rho(mults)
+    g_of_root = dict(zip(a2.roots, couplings_at(a2, t)))
+    rho = half_weighted_sum(a2, g_of_root.get)
     direct = 1.0
     for alpha in a2.positive_roots:
         z = float(a2.pairing(rho, alpha))
-        g = multiplicity_of(mults, alpha)
+        g = g_of_root[alpha]
         direct *= math.gamma(z) * math.gamma(g) / math.gamma(z + g)
     assert abs(log_normalization_constant(a2, t) - math.log(direct)) < 1e-9
     # large t stays finite in log form

@@ -653,10 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """The one error exit: bad input (a ValueError or an ArithmeticError) and
-    an unwritable --out print one line and return 2; other errors propagate."""
-    args = build_parser().parse_args(argv)
+    """The one error exit: bad input (an unknown option, a ValueError, an ArithmeticError)
+    and an unwritable --out print one line and return 2; other errors propagate."""
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     except (ValueError, ArithmeticError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

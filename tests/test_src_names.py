@@ -54,7 +54,7 @@ ANY = "*"   # the owner of a use that cannot be resolved
 SETTABLE_BOUND = 106
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
-SRC_LINE_BOUND = 3290
+SRC_LINE_BOUND = 3292
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):

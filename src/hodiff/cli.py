@@ -589,8 +589,15 @@ def cmd_whittaker_limits(args) -> int:
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input, so it leaves through ``main``'s one exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hodiff",
         description="Exact and numeric verification of spectral difference "
                     "equations attached to root systems.")
@@ -653,12 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """The one error exit: bad input (an unknown option, a ValueError, an ArithmeticError)
+    """The one error exit: bad input (a usage error, a ValueError, an ArithmeticError)
     and an unwritable --out print one line and return 2; other errors propagate."""
-    args, unknown = build_parser().parse_known_args(argv)
     try:
-        if unknown:
-            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ArithmeticError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,12 +172,16 @@ def apply_L(datum: RootDatum, mults: Multiplicities, p: ExpPoly) -> ExpPoly:
     reflection in alpha.
 
     p is read on labels, and its alpha-strings come from the ``string_table``
-    of the dominant labels of its support, whose saturated sets make up the
-    same S as those of its maximal ones; ``_apply_L_table`` refuses a p that
-    is not W-invariant (ValueError)."""
+    of tops, the maximal dominant labels of its support (for P_lam, lam
+    alone); ``_apply_L_table`` refuses a p that is not W-invariant
+    (ValueError)."""
     terms = {datum.weight_labels(nu): c for nu, c in p.terms.items()}
-    tops = tuple(sorted(l for l in terms if min(l) >= 0))
-    table = datum.string_table(tops)
+    tops = []   # by falling height, l is maximal unless below an earlier top
+    for l in sorted((l for l in terms if min(l) >= 0), reverse=True,
+                    key=lambda l: sum(map(mul, datum.height_row, l))):
+        if not any(l in datum.saturated_labels(t) for t in tops):
+            tops.append(l)
+    table = datum.string_table(tuple(sorted(tops)))
     n, _coef, image = _apply_L_table(datum, mults, tops, table, terms)
     return ExpPoly({datum.from_labels(l): Q(v) / n for l, v in zip(table.index, image)})
 

@@ -264,17 +264,14 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
 
     Inspection helper only: the constant itself overflows once t is large
     (the multiplicities grow like e^{t/2}), so it is reported in log form.
-    The pairings z = <rho_g, alpha^vee> = (1/2) sum_o g_o <S_o, alpha^vee>, S_o
-    the sum of the positive roots of orbit o, are formed exactly at the
-    binary values of the g_o and rounded once.
     """
-    g = couplings_at(datum, t)
-    orbit_g = dict(zip(datum.root_orbit_ids, map(Q, g)))   # by orbit index
-    rows = [datum.label_pairings(s) for s in datum._orbit_label_sums]
+    mults = Multiplicities(datum, [Q(g_of_t(eta, t)) for eta in orbit_etas(datum)])
+    rho_pairs = datum.pairings(datum.rho(mults))
     total = 0.0
     for i in datum.positive_indices:
-        z = float(sum(orbit_g[k] * row[i] for k, row in enumerate(rows)) / 2)
-        total += math.lgamma(z) + math.lgamma(g[i]) - math.lgamma(z + g[i])
+        z = float(rho_pairs[i])
+        g = mults.root_values[i]
+        total += math.lgamma(z) + math.lgamma(g) - math.lgamma(z + g)
     return total
 
 

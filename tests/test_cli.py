@@ -232,33 +232,30 @@ def test_whittaker_limits_command(capsys):
     ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
      "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "inf"],
     ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
+     "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "1e-3"],
+    ["sweep-rank-one", "--tol", "1e-3"],
+    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
      "--xi", "1/40", "--x", "1e300,0"],
+    ["whittaker-limits", "--rank", "1", "--omega", "1", "--xi", "1/40", "--x", "0.3"],
+    ["whittaker-limits", "--family", "A", "--rank", "x", "--omega", "1",
+     "--xi", "1/40", "--x", "0.3"],
 ], ids=["x-out-of-domain", "x-out-of-domain-mid-grid", "series-pole",
         "spectral-pole", "t-overflow", "every-xi-a-pole-x-out-of-domain",
         "every-xi-a-pole", "tol-nan", "tol-negative", "tol-zero", "tol-inf",
-        "limits-tol-nan", "limits-tol-inf", "limits-x-overflow"])
+        "limits-tol-nan", "limits-tol-inf", "limits-tol-usable", "tol-usable",
+        "limits-x-overflow", "limits-no-family", "limits-rank-not-int"])
 def test_numeric_commands_reject_bad_input(args, capsys):
     # a domain error, a pole, an overflow, a grid with no pole-free xi (so
-    # nothing checked) or an option the subcommand does not take (--tol) is
-    # bad input: exit 2 with a one-line message and no traceback
+    # nothing checked) or a usage error is bad input: exit 2 with a one-line
+    # message and no traceback.  A check's bound is a constant
+    # (rankone.DE_TOL, whittaker.CONFLUENCE_TOL), as in verify, so --tol is
+    # an unknown option at any value (the tol rows)
     assert run(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("args", [
-    ["sweep-rank-one", "--tol", "1e-3"],
-    ["whittaker-limits", "--family", "A", "--rank", "1", "--omega", "1",
-     "--xi", "1/40", "--x", "0.3,-0.3", "--tol", "1e-3"],
-], ids=["sweep-rank-one", "whittaker-limits"])
-def test_numeric_commands_take_no_tol(args, capsys):
-    # a check's bound is a constant (rankone.DE_TOL, whittaker.CONFLUENCE_TOL),
-    # as in verify: --tol is an unknown option even at a usable value
-    assert run(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: unrecognized arguments: --tol 1e-3\n"
+    if "--tol" in args:
+        assert captured.err == f"error: unrecognized arguments: --tol {args[-1]}\n"
 
 
 def test_verify_small_campaign_and_determinism(tmp_path):
@@ -522,10 +519,19 @@ def test_verify_invalid_inputs(capsys):
         assert run(["verify", *bad]) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, bad
-    # --jobs was removed; it is an unknown argument, refused in one line
+    # --jobs was removed; it is an unknown argument, refused in one line, as
+    # is every other usage error
     capsys.readouterr()
     assert run(["verify", "--jobs", "2"]) == 2
     assert capsys.readouterr().err == "error: unrecognized arguments: --jobs 2\n"
+    for bad, message in ((["verify", "--samples", "x"], "argument --samples: invalid int"),
+                         (["coeffs", "--family", "A", "--rank", "2", "--omega", "1,0",
+                           "--format", "xml"], "argument --format: invalid choice"),
+                         (["coeffs", "--family", "A"], "the following arguments are required"),
+                         ([], "the following arguments are required: command")):
+        assert run(bad) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, bad
 
 
 def test_verify_explicit_omega(tmp_path, capsys):

@@ -7,8 +7,7 @@ from .jacobi import (jacobi_polynomial, opdam_leading_coefficient, verify_eigen,
                      JacobiPolynomial)
 from .diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, pieri_terms,
                      verify_pieri, specialization_consistency)
-from .nonreduced import (SignedSubset, coeff_U_Kp, coeff_V_signed,
-                         expansion_E_ell, verify_pieri_bc)
+from .nonreduced import coeff_U_Kp, coeff_V_signed, expansion_E_ell, verify_pieri_bc
 from .rankone import (HypergeometricParams, gauss_2f1_jacobi, recurrence_rr,
                       verify_de)
 from .whittaker import (coeff_Vbar, g_of_t, homogeneity_identity,
@@ -23,8 +22,7 @@ __all__ = [
     "JacobiPolynomial",
     "PoleAtSpectralPoint", "coeff_U", "coeff_V", "pieri_terms",
     "verify_pieri", "specialization_consistency",
-    "SignedSubset", "coeff_U_Kp", "coeff_V_signed", "expansion_E_ell",
-    "verify_pieri_bc",
+    "coeff_U_Kp", "coeff_V_signed", "expansion_E_ell", "verify_pieri_bc",
     "HypergeometricParams", "gauss_2f1_jacobi", "recurrence_rr", "verify_de",
     "coeff_Vbar", "g_of_t", "homogeneity_identity", "rank_one_whittaker_check",
     "verify_confluence",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 from operator import add, sub
@@ -277,7 +277,7 @@ class PieriReport:
     g: tuple
     ok: bool
     n_terms: int
-    residual: list = field(default_factory=list)
+    residual: list
 
     def to_dict(self):
         return {
@@ -408,7 +408,7 @@ class ConsistencyReport:
     omega: Vector
     kind: str
     ok: bool
-    checks: list = field(default_factory=list)
+    checks: list
 
     def to_dict(self):
         return {"system": self.system, "omega": [_q_str(x) for x in self.omega],

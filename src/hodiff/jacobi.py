@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
 
@@ -194,7 +194,7 @@ class EigenReport:
     g: tuple
     eigenvalue: Q
     ok: bool
-    residual: list = field(default_factory=list)
+    residual: list
 
     def to_dict(self):
         return {"system": self.system, "lambda": [_q_str(x) for x in self.lam],

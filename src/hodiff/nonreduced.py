@@ -3,57 +3,36 @@
 On the BC_n datum (g on e_j +- e_k, g1 on e_j, g2 on 2e_j) the coefficients
 are the reduced ones, ``diffeq.coeff_V``/``coeff_U`` read with
 m_a = g_a + g_{a/2}/2 (``Multiplicities.factor_values``) by the alpha/2 rule
-of ``diffeq.term_factors``, and the Pieri terms at omega = e_1 + ... + e_l
-are those of ``diffeq.pieri_index``, checked against E_l by
-``verify_pieri_bc``, which takes what ``diffeq.verify_pieri`` takes: the
-datum, multiplicities (``bc_multiplicities``) and a negative-control edit.
-The hyperoctahedral Jacobi polynomials come from the generic recursion applied
-to the BC datum, whose operator contains both the e_j and 2e_j strings.
+of ``diffeq.term_factors``, a shift being its row e_{eps J}.  The Pieri terms
+at omega = e_1 + ... + e_l are those of ``diffeq.pieri_index``, and
+``verify_pieri_bc`` checks them as ``diffeq.verify_pieri`` does, against the
+one E_omega builder ``weylalg.expansion_labels``, twisted on BC into the
+displayed E_l (``expansion_E_ell``, which the bc suite compares with it).
+The hyperoctahedral Jacobi polynomials come from the generic recursion
+applied to the BC datum, whose operator contains both the e_j and 2e_j
+strings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .diffeq import PoleAtSpectralPoint, coeff_U, coeff_V, pieri_check
 from .rootsys import Multiplicities, RootDatum
-from .weylalg import ExpPoly, exp_to_json, label_form
+from .weylalg import ExpPoly, exp_to_json, expansion_labels
 
 
-@dataclass(frozen=True)
-class SignedSubset:
-    """A subset J of coordinate slots with a sign attached to each."""
-    indices: tuple      # strictly increasing, 0-based
-    signs: tuple        # matching +1/-1 entries
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.signs):
-            raise ValueError("indices and signs must align")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("indices must be strictly increasing")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-
-    def shift_vector(self, n: int):
-        """e_{eps J} = sum over J of eps_j e_j, in integers."""
-        signs = dict(zip(self.indices, self.signs))
-        return tuple(signs.get(k, 0) for k in range(n))
-
-
-def signed_subsets(indices):
-    """All sign assignments over each subset of the given index tuple."""
-    for signs in itertools.product((1, -1), repeat=len(indices)):
-        yield SignedSubset(tuple(indices), signs)
-
-
-def coeff_V_signed(datum: RootDatum, mults: Multiplicities, subset: SignedSubset, xi):
-    """Shift coefficient of the signed subset J on BC_n: ``coeff_V`` of
-    e_{eps J}, singleton factors on J, cross factors against the complement
-    and +g pair factors inside J."""
-    return coeff_V(datum, mults, subset.shift_vector(datum.rank), xi)
+def coeff_V_signed(datum: RootDatum, mults: Multiplicities, row, xi):
+    """Shift coefficient of the signed subset J on BC_n, given by its row
+    e_{eps J} (length n, entries in {-1, 0, 1}; else ValueError): ``coeff_V``,
+    singleton factors on J, cross factors against the complement and +g pair
+    factors inside J."""
+    if len(row) != datum.rank or any(s not in (-1, 0, 1) for s in row):
+        raise ValueError(f"{row} is not a signed subset row of length {datum.rank}")
+    return coeff_V(datum, mults, row, xi)
 
 
 def coeff_U_Kp(datum: RootDatum, mults: Multiplicities, K, p: int, xi):
@@ -66,8 +45,8 @@ def coeff_U_Kp(datum: RootDatum, mults: Multiplicities, K, p: int, xi):
         raise ValueError(f"p={p} out of range for |K|={len(K)}")
     n = datum.rank
     nu = tuple(int(k not in K) for k in range(n))
-    return sum(coeff_U(datum, mults, nu, sub.shift_vector(n), xi)
-               for I in itertools.combinations(K, p) for sub in signed_subsets(I))
+    return sum(coeff_U(datum, mults, nu, eta, xi) for I in itertools.combinations(K, p)
+               for eta in itertools.product(*((1, -1) if k in I else (0,) for k in range(n))))
 
 
 def expansion_E_ell(n: int, ell: int) -> ExpPoly:
@@ -98,7 +77,7 @@ class BcPieriReport:
     lam: tuple
     ok: bool
     n_terms: int
-    residual: list = field(default_factory=list)
+    residual: list
 
     def to_dict(self):
         return {"n": self.n, "ell": self.ell,
@@ -111,17 +90,14 @@ def verify_pieri_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam,
                     perturb: str | None, cache: dict) -> BcPieriReport:
     """Exact Pieri identity for the nonreduced system at xi = rho_g + lam, as
     ``diffeq.verify_pieri``: ``pieri_check`` of omega = e_1 + ... + e_ell
-    against E_ell, whose ``LabelForm`` is memoized on the datum under ell
-    (an int, so apart from the label tuples of ``expansion_labels``), and
-    lam must be dominant (a partition).  n_terms counts the surviving shifts
-    nu; the residual is keyed by labels until the report writes it."""
-    n = datum.rank
-    e_form = datum.expansion_label_memo.get(ell)
-    if e_form is None:
-        e_form = datum.expansion_label_memo[ell] = label_form(datum, expansion_E_ell(n, ell))
-    omega = tuple(Q(int(k < ell)) for k in range(n))
-    terms, residual = pieri_check(datum, mults, omega, lam, e_form, perturb, cache)
-    return BcPieriReport(n, ell, lam, ok=not residual,
+    against E_omega of ``expansion_labels`` (the twisted E_omega, which on BC
+    is the displayed E_ell), and lam must be dominant (a partition).  n_terms
+    counts the surviving shifts nu; the residual is keyed by labels until
+    the report writes it."""
+    omega = tuple(Q(int(k < ell)) for k in range(datum.rank))
+    terms, residual = pieri_check(datum, mults, omega, lam, expansion_labels(datum, omega),
+                                  perturb, cache)
+    return BcPieriReport(datum.rank, ell, lam, ok=not residual,
                          n_terms=len({e.nu_labels for e, _eta, _c in terms}),
                          residual=exp_to_json(datum, residual))
 
@@ -150,15 +126,13 @@ def rank_one_shift_coefficient(n: int, gs, j: int, xi):
     return total
 
 
-def rearrangement_gap(datum: RootDatum, mults: Multiplicities, xi):
-    """U_{full,1}(xi) + sum_j (V_j(xi) + V_j(-xi)) on BC_n given by datum, V_j
-    by ``rank_one_shift_coefficient`` of the (g, g1, g2) of mults, read by
-    length as ``bc_multiplicities`` attaches them; identically zero, checked
-    at rational points as a guard on signs and sum structure."""
+def rearrangement_gap(datum: RootDatum, gs, xi):
+    """U_{full,1}(xi) + sum_j (V_j(xi) + V_j(-xi)) on BC_n given by datum, U
+    on the multiplicities ``bc_multiplicities`` attaches gs = (g, g1, g2) by,
+    V_j by ``rank_one_shift_coefficient``; identically zero, checked at
+    rational points as a guard on signs and sum structure."""
     n = datum.rank
-    by_norm = dict(zip(datum.orbit_norms, mults.values))
-    gs = (by_norm.get(2), by_norm[1], by_norm[4])
-    gap = coeff_U_Kp(datum, mults, tuple(range(n)), 1, xi)
+    gap = coeff_U_Kp(datum, bc_multiplicities(datum, *gs), tuple(range(n)), 1, xi)
     neg = tuple(-x for x in xi)
     for j in range(n):
         gap += rank_one_shift_coefficient(n, gs, j, xi)

@@ -137,7 +137,7 @@ class SweepReport:
     g2: float
     tol: float
     rows: list = field(default_factory=list)   # (xi, x, residual)
-    skipped: list = field(default_factory=list)
+    skipped: list = field(default_factory=list, init=False)
 
     @property
     def ok(self):

@@ -185,9 +185,8 @@ class RootDatum:
     ``weyl_orbit`` sorting it per call, and each ``parabolic_orbit``),
     dominance intervals, saturated maps, their alpha-string tables, Jacobi
     recursion patterns (``jacobi_memo``), and for a small weight omega its
-    Pieri index (``index_memo``, BC's included) and E_omega on labels
-    (``expansion_label_memo``; for BC the E_ell of ``nonreduced`` under the int
-    ell), and the confluent limit's etas (``eta_memo``).  The memos live and
+    Pieri index and E_omega on labels (``index_memo``, ``expansion_label_memo``,
+    BC's included), and the confluent limit's etas (``eta_memo``).  The memos live and
     die with the datum; each entry is a pure function of its key, so threads
     sharing an instance can at worst compute it twice.  rho_g and the integers
     of the exact checks are kept once per sample, on ``Multiplicities``.

@@ -4,10 +4,11 @@ An ExpPoly is a finite formal sum  sum_nu c_nu e^nu  with rational
 coefficients, exponents being weights in a fixed realization: the vector
 form, for the public API.  The exact engines, their residuals included,
 work on the label form instead, terms keyed by the Dynkin labels of their
-exponents (``_apply_L_table``, ``LabelForm``, ``expansion_labels``), and
-reach vectors only in a report (``exp_to_json``).  The hypergeometric
-operator acts on W-invariant elements through exact polynomial division,
-so the result carries no truncation error at all.
+exponents (``_apply_L_table``, ``LabelForm``, and ``expansion_labels``, the
+one E_omega builder, BC's twisted one too), and reach vectors only in a
+report (``exp_to_json``).  The hypergeometric operator acts on W-invariant
+elements through exact polynomial division, so the result carries no
+truncation error at all.
 """
 
 from __future__ import annotations
@@ -209,17 +210,23 @@ def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
 
     E_omega = sum over dominant mu <= omega of |W_mu(omega)| m_mu, the
     coefficient being the orbit size of omega under the stabilizer of mu
-    (``parabolic_orbit``, once per mu), built on labels in the order of the
-    vectors and checked once: memoized under omega's labels (``expansion_label_memo``).
-    """
+    (``parabolic_orbit``, once per mu), on a datum with doubled roots (BC)
+    times (-1)^(sum omega - sum mu), sums of e-coordinates (from ``_vector_key``):
+    the twist x -> x + i pi (1, ..., 1), which makes E_{e_1+...+e_l} BC's E_l.
+    Built on labels in the order of the vectors and checked once: memoized
+    under omega's labels (``expansion_label_memo``)."""
     top = datum.dominant_labels(omega)
     found = datum.expansion_label_memo.get(top)
     if found is None:
         if datum._top_pairing(top) > 2:
             raise ValueError(f"{weight_str(datum.from_labels(top))} is not small "
                              "(some pairing exceeds 2)")
+        twist = any(i is not None for i in datum.half_root_index)
+        e_sum = sum(datum._vector_key(top))
         found = datum.expansion_label_memo[top] = LabelForm(datum, {
-            l: n for mu in datum.below_labels(top) for n in [len(datum.parabolic_orbit(mu, top))]
+            l: n for mu in datum.below_labels(top)
+            for n in [len(datum.parabolic_orbit(mu, top)) * (-1) ** (
+                twist and (e_sum - sum(datum._vector_key(mu))) // datum._fund_den % 2)]
             for l in sorted(datum.orbit_labels(mu), key=datum._vector_key)})
     return found
 

@@ -95,7 +95,7 @@ from hodiff import whittaker
 from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, integer_product,
                            perturbed, pieri_index, scaled_table, term_factors)
 from hodiff.jacobi import JacobiPolynomial, jacobi_polynomial
-from hodiff.nonreduced import SignedSubset, bc_multiplicities, signed_subsets
+from hodiff.nonreduced import bc_multiplicities
 from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
                             shift_coefficients)
 from hodiff.rootsys import Multiplicities, _q_str, vadd, weight_str
@@ -221,14 +221,21 @@ def _check_den(value, what):
     return value
 
 
-def fraction_signed_product(gs, subset, others, xi, pair_g):
+def signed_rows(n, J):
+    """The rows e_{eps J} of the signed subsets of the slots J: +-1 on J, 0
+    elsewhere, each sign assignment once."""
+    return list(itertools.product(*((1, -1) if k in J else (0,) for k in range(n))))
+
+
+def fraction_signed_product(gs, row, others, xi, pair_g):
     """The BC signed-subset product in the slot coordinates of the displayed
-    formula, factor by factor: V of subset (pair_g = g) or one term of U
-    (pair_g = -g), singleton factors on its slots, cross factors against
-    others and pair factors inside it; a pole is named by its slot form."""
+    formula, factor by factor: V of the signed subset with row e_{eps J}
+    (pair_g = g) or one term of U (pair_g = -g), singleton factors on its
+    slots, cross factors against others and pair factors inside it; a pole
+    is named by its slot form."""
     g, g1, g2 = gs
     total = Q(1)
-    slots = list(zip(subset.indices, subset.signs))
+    slots = [(j, s) for j, s in enumerate(row) if s]
     for j, s in slots:
         xj = xi[j]
         total *= (s * xj + Q(1, 2) * g1 + g2) * (1 + 2 * s * xj + g1) / (
@@ -251,10 +258,10 @@ def is_partition(v) -> bool:
 
 
 def per_call_pieri_terms_bc(n, gs, ell, lam, xi):
-    """The (signed subset, shifted partition, U*V) triples of the BC Pieri
+    """The (shift row, shifted partition, U*V) triples of the BC Pieri
     identity at ell, one per surviving shift (the package's terms summed
     over the etas of each nu), the signed subsets, complements, shift
-    vectors and every product made afresh on each call, in Fractions, at xi
+    rows and every product made afresh on each call, in Fractions, at xi
     (rho_g + lam for the package's terms), raising at a pole wherever the
     package does, with the pole named in slot form."""
     gs, lam, xi = tuple(map(Q, gs)), tuple(map(Q, lam)), tuple(map(Q, xi))
@@ -268,17 +275,17 @@ def per_call_pieri_terms_bc(n, gs, ell, lam, xi):
             u = Q(0)
             for I in itertools.combinations(K, p):
                 rest = [k for k in K if k not in I]
-                for signs in itertools.product((1, -1), repeat=p):
-                    u += fraction_signed_product(gs, SignedSubset(I, signs), rest, xi, -gs[0])
+                for row in signed_rows(n, I):
+                    u += fraction_signed_product(gs, row, rest, xi, -gs[0])
             u *= (-1) ** p
-            for sub in signed_subsets(J):
-                v = fraction_signed_product(gs, sub, K, xi, gs[0])
-                shifted = tuple(a + Q(b) for a, b in zip(lam, sub.shift_vector(n)))
+            for row in signed_rows(n, J):
+                v = fraction_signed_product(gs, row, K, xi, gs[0])
+                shifted = tuple(a + Q(b) for a, b in zip(lam, row))
                 if is_partition(shifted):
-                    terms.append((sub, shifted, u * v))
+                    terms.append((row, shifted, u * v))
                 elif v != 0:
                     raise InternalConsistencyError(
-                        f"V did not vanish at excluded shift {sub} for lam={lam}")
+                        f"V did not vanish at excluded shift {row} for lam={lam}")
     return terms
 
 
@@ -306,21 +313,20 @@ def bc_u_factors(datum, K, p):
     of K, J the complement of K."""
     n = datum.rank
     nu = tuple(int(k not in K) for k in range(n))
-    return tuple(bc_factors(datum, nu, sub.shift_vector(n))
-                 for I in itertools.combinations(K, p) for sub in signed_subsets(I))
+    return tuple(bc_factors(datum, nu, row)
+                 for I in itertools.combinations(K, p) for row in signed_rows(n, I))
 
 
 def pieri_bc_index(datum, ell):
     """Per J of at most ell slots: (K, p, U's ``bc_u_factors``, per signed
-    subset of J its ``SignedSubset``, integer shift row and V's
-    ``bc_factors``), K the complement of J and p = ell - |J|."""
+    subset of J its integer shift row and V's ``bc_factors``), K the
+    complement of J and p = ell - |J|."""
     n, found = datum.rank, []
     for size in range(ell + 1):
         for J in itertools.combinations(range(n), size):
             K = tuple(k for k in range(n) if k not in J)
-            rows = [(sub, sub.shift_vector(n)) for sub in signed_subsets(J)]
             found.append((K, ell - size, bc_u_factors(datum, K, ell - size),
-                          tuple((sub, row, bc_factors(datum, row)) for sub, row in rows)))
+                          tuple((row, bc_factors(datum, row)) for row in signed_rows(n, J))))
     return tuple(found)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hodiff import cli, diffeq, jacobi, nonreduced
+from hodiff import cli, diffeq, jacobi, nonreduced, weylalg
 from hodiff.diffeq import PoleAtSpectralPoint, verify_pieri
 from hodiff.rootsys import Multiplicities, RootDatum, build_root_system, weight_str
 from hodiff.weylalg import InternalConsistencyError
@@ -606,7 +606,7 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
     # memo: 110 walks in a default campaign, where each caller walking its
     # own made 500), and so is each parabolic orbit, which the Pieri index
     # and E_omega share: one per (mu, omega), 27 on the reduced data, where
-    # each walking its own made 54, and 7 for BC's index at e_1 + ... + e_l
+    # each walking its own made 54, and 7 for BC's at e_1 + ... + e_l
     walks, parabolic, read = Counter(), Counter(), Counter()
     dominant_orbit, parabolic_orbit = RootDatum._dominant_orbit, RootDatum.parabolic_orbit
 
@@ -628,12 +628,14 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
     assert set(parabolic.values()) == {1}
     reduced = [d for d, *_ in parabolic if d.family != "BC"]
     assert (len(reduced), len(parabolic) - len(reduced)) == (27, 7)
-    # one per dominant mu <= omega, for each E_omega the campaign built,
-    # read by both expansion_labels and stabilizer_orbits
-    assert len(reduced) == sum(len(datum.below_labels(top)) for datum in set(reduced)
-                               for top in datum.expansion_label_memo if isinstance(top, tuple))
+    # one per dominant mu <= omega, for each E_omega the campaign built (BC's
+    # twisted one too, every memo key a label tuple), read by both
+    # expansion_labels and stabilizer_orbits
+    data = {d for d, *_ in parabolic}
+    assert len(parabolic) == sum(len(datum.below_labels(top)) for datum in data
+                                 for top in datum.expansion_label_memo)
     assert Counter(caller for *_key, caller in read) == {
-        "expansion_labels": 27, "stabilizer_orbits": 34}
+        "expansion_labels": 34, "stabilizer_orbits": 34}
 
 
 def test_parabolic_greedy_matches_the_loop(monkeypatch):
@@ -830,6 +832,29 @@ def test_bc_suite_negative_controls_fail(perturb, failing, tmp_path):
     assert all(c["status"] == "pass" for c in pieri
                if "/".join(c["case"].split("/")[1:3]) not in failing)
     assert [c["status"] for c in cases if c not in pieri] == ["pass"]
+
+
+def test_bc_suite_checks_the_displayed_expansion(monkeypatch, tmp_path):
+    # the Pieri cases read the twisted E_omega of expansion_labels; the
+    # displayed product E_ell is compared with it once per (n, ell), in the
+    # status of the coefficient-form case, so an E_ell without its signs
+    # fails that case alone
+    real = nonreduced.expansion_E_ell
+    monkeypatch.setattr(nonreduced, "expansion_E_ell", lambda n, ell: weylalg.ExpPoly(
+        {nu: abs(c) for nu, c in real(n, ell).terms.items()}))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "bc", "--out", str(out)]) == 1
+    assert [c["case"] for c in json.loads(out.read_text())["cases"]
+            if c["status"] == "fail"] == ["bc/rank-one-coefficient-form"]
+
+
+def test_bc_suite_redraws_a_displayed_form_pole(tmp_path):
+    # seed 562 draws xi = (5, 5) among the displayed-form points, a pole of
+    # BC2 at the root e_1 - e_2; the suite draws again from the same stream
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "bc", "--seed", "562", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["cases"][-1]["detail"]["rows"]
+    assert len(rows) == 5 and all(a != b for a, b in (r["xi"] for r in rows))
 
 
 @pytest.mark.parametrize("error,code", [

@@ -10,15 +10,14 @@ from operator import add
 import pytest
 
 from hodiff import cli, nonreduced
-from hodiff.nonreduced import (SignedSubset, bc_multiplicities, coeff_U_Kp, coeff_V_signed,
-                               expansion_E_ell, rank_one_shift_coefficient,
-                               rearrangement_gap, signed_subsets, verify_pieri_bc)
+from hodiff.nonreduced import (bc_multiplicities, coeff_U_Kp, coeff_V_signed, expansion_E_ell,
+                               rank_one_shift_coefficient, rearrangement_gap, verify_pieri_bc)
 from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, factor_product, float_table,
-                           pieri_index, pieri_residual, pieri_terms, term_factors)
+                           pieri_check, pieri_index, pieri_residual, pieri_terms, term_factors)
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import build_root_system
-from hodiff.weylalg import ExpPoly, label_form
-from oracles import multiplicity_of, term_vectors
+from hodiff.weylalg import ExpPoly, expansion_labels, label_form
+from oracles import multiplicity_of, orbitwise_expansion_labels, signed_rows, term_vectors
 
 GS = (Q(3, 7), Q(5, 11), Q(9, 4))
 
@@ -43,21 +42,16 @@ def _bc_terms(datum, mults, ell, lam):
     return out
 
 
-def test_signed_subset_validation():
-    with pytest.raises(ValueError):
-        SignedSubset((0, 1), (1,))
-    with pytest.raises(ValueError):
-        SignedSubset((1, 0), (1, 1))
-    with pytest.raises(ValueError):
-        SignedSubset((0,), (2,))
-    sub = SignedSubset((0, 2), (1, -1))
-    assert sub.shift_vector(3) == (Q(1), Q(0), Q(-1))
-    assert len(list(signed_subsets((0, 1)))) == 4
-
-
 def test_empty_subset_gives_unit(bc2):
     xi = (Q(7, 5), Q(2, 9))
-    assert coeff_V_signed(bc2, _m(bc2), SignedSubset((), ()), xi) == 1
+    assert coeff_V_signed(bc2, _m(bc2), (0, 0), xi) == 1
+
+
+@pytest.mark.parametrize("row", [(1,), (1, 0, 0), (2, 0), (1, Q(1, 2))])
+def test_signed_subset_row_is_checked(bc2, row):
+    # a signed subset is its row e_{eps J}: n entries in {-1, 0, 1}
+    with pytest.raises(ValueError, match="is not a signed subset row of length 2"):
+        coeff_V_signed(bc2, _m(bc2), row, (Q(7, 5), Q(2, 9)))
 
 
 def test_rank_one_v_matches_scalar_shift_coefficients(bc1):
@@ -68,18 +62,18 @@ def test_rank_one_v_matches_scalar_shift_coefficients(bc1):
     for l in range(4):
         xi_l = g1 / 2 + g2 + l
         up, dn = shift_coefficients(g1, g2, xi_l)
-        assert coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (1,)), (xi_l,)) == up
-        assert coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (-1,)), (xi_l,)) == dn
+        assert coeff_V_signed(bc1, _m(bc1), (1,), (xi_l,)) == up
+        assert coeff_V_signed(bc1, _m(bc1), (-1,), (xi_l,)) == dn
 
 
 def test_singleton_coefficient_matches_displayed_form(bc1, bc2):
     # frozen displayed form for one positive slot at rank one and two
     g, g1, g2 = GS
     x1 = Q(7, 5)
-    v = coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (1,)), (x1,))
+    v = coeff_V_signed(bc1, _m(bc1), (1,), (x1,))
     assert v == (x1 + g1 / 2 + g2) * (1 + 2 * x1 + g1) / (x1 * (1 + 2 * x1))
     x = (Q(7, 5), Q(2, 9))
-    v = coeff_V_signed(bc2, _m(bc2), SignedSubset((0,), (1,)), x)
+    v = coeff_V_signed(bc2, _m(bc2), (1, 0), x)
     expected = (x[0] + g1 / 2 + g2) * (1 + 2 * x[0] + g1) \
         / (x[0] * (1 + 2 * x[0])) \
         * (x[0] + x[1] + g) / (x[0] + x[1]) \
@@ -92,7 +86,7 @@ def test_pair_factor_signs(bc2):
     # inside-J pair factors carry +g in both numerators for V
     x = (Q(7, 5), Q(2, 9))
     g, g1, g2 = GS
-    v = coeff_V_signed(bc2, _m(bc2), SignedSubset((0, 1), (1, 1)), x)
+    v = coeff_V_signed(bc2, _m(bc2), (1, 1), x)
     s = x[0] + x[1]
     singles = (x[0] + g1 / 2 + g2) * (1 + 2 * x[0] + g1) / (x[0] * (1 + 2 * x[0])) \
         * (x[1] + g1 / 2 + g2) * (1 + 2 * x[1] + g1) / (x[1] * (1 + 2 * x[1]))
@@ -142,6 +136,37 @@ def test_expansion_e_ell(bc1, bc2):
         expansion_E_ell(2, 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_twisted_expansion_is_the_displayed_product(n):
+    # E_omega of expansion_labels at omega = e_1 + ... + e_ell, its m_mu
+    # twisted by (-1)^(sum omega - sum mu) on BC, is the displayed product of
+    # 4 sinh^2(x_j/2), at every ell, and memoized under omega's labels
+    datum = build_root_system("BC", n)
+    for ell in range(1, n + 1):
+        got, plain = (f(datum, _omega(n, ell)) for f in (expansion_labels,
+                                                         orbitwise_expansion_labels))
+        assert got.terms == label_form(datum, expansion_E_ell(n, ell)).terms
+        assert got.terms == {l: (-1) ** int(ell - sum(datum.from_labels(l))) * c
+                             for l, c in plain.terms.items()}
+    assert set(datum.expansion_label_memo) == {datum.labels(_omega(n, ell))
+                                               for ell in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_untwisted_expansion_leaves_a_residual(n):
+    # negative control on the twist: the plain E_omega of the reduced systems
+    # (the orbit sums, no sign) fails the BC identity at every ell, where
+    # the twisted form passes
+    datum, lam, cache = build_root_system("BC", n), tuple(Q(n - k) for k in range(n)), {}
+    mults = _m(datum)
+    for ell in range(1, n + 1):
+        omega = _omega(n, ell)
+        for e_form, fails in ((expansion_labels(datum, omega), False),
+                              (orbitwise_expansion_labels(datum, omega), True)):
+            _terms, residual = pieri_check(datum, mults, omega, lam, e_form, None, cache)
+            assert bool(residual) is fails, (ell, fails)
+
+
 def test_expansion_hyperoctahedral_invariance():
     e = expansion_E_ell(3, 2)
     # invariance under coordinate permutations and sign flips
@@ -154,14 +179,12 @@ def test_pieri_term_multiset_invariance(bc2):
     # the multiset of V values over all signed singletons is stable under
     # permuting and sign-flipping the spectral coordinates
     xi, mults = (Q(7, 5), Q(2, 9)), _m(bc2)
-    vals = sorted(coeff_V_signed(bc2, mults, sub, xi)
-                  for J in [(0,), (1,)] for sub in signed_subsets(J))
+    rows = signed_rows(2, (0,)) + signed_rows(2, (1,))
+    vals = sorted(coeff_V_signed(bc2, mults, row, xi) for row in rows)
     xi_perm = (xi[1], xi[0])
-    vals_perm = sorted(coeff_V_signed(bc2, mults, sub, xi_perm)
-                       for J in [(0,), (1,)] for sub in signed_subsets(J))
+    vals_perm = sorted(coeff_V_signed(bc2, mults, row, xi_perm) for row in rows)
     xi_flip = (-xi[0], xi[1])
-    vals_flip = sorted(coeff_V_signed(bc2, mults, sub, xi_flip)
-                       for J in [(0,), (1,)] for sub in signed_subsets(J))
+    vals_flip = sorted(coeff_V_signed(bc2, mults, row, xi_flip) for row in rows)
     assert vals == vals_perm == vals_flip
 
 
@@ -169,13 +192,13 @@ def test_rearrangement_identity_at_rational_points(bc1, bc2):
     rng = random.Random("j1")
     for _ in range(5):
         xi = (Q(rng.randint(1, 40), 7), Q(rng.randint(41, 80), 9))
-        assert rearrangement_gap(bc2, _m(bc2), xi) == 0
-    assert rearrangement_gap(bc1, _m(bc1), (Q(7, 5),)) == 0
+        assert rearrangement_gap(bc2, GS, xi) == 0
+    assert rearrangement_gap(bc1, GS, (Q(7, 5),)) == 0
 
 
 def test_pole_detection(bc2):
     with pytest.raises(PoleAtSpectralPoint):
-        coeff_V_signed(bc2, _m(bc2), SignedSubset((0,), (1,)), (Q(2, 9), Q(2, 9)))
+        coeff_V_signed(bc2, _m(bc2), (1, 0), (Q(2, 9), Q(2, 9)))
 
 
 @pytest.mark.parametrize("xi,root,which", [
@@ -189,7 +212,7 @@ def test_pole_messages_name_the_root(bc2, xi, root, which):
     # by the Fraction form of the displayed single-shift coefficient
     message = f"denominator {which} vanishes at root ({root})"
     for coefficient in (
-            lambda: coeff_V_signed(bc2, _m(bc2), SignedSubset((0,), (1,)), xi),
+            lambda: coeff_V_signed(bc2, _m(bc2), (1, 0), xi),
             lambda: coeff_U_Kp(bc2, _m(bc2), (0, 1), 1, xi),
             lambda: rank_one_shift_coefficient(2, GS, 0, xi)):
         with pytest.raises(PoleAtSpectralPoint) as got:
@@ -219,7 +242,7 @@ def test_pieri_bc_rank_one_seed(bc1):
     g1, g2 = GS[1], GS[2]
     rho1 = g1 / 2 + g2
     xi = (rho1,)
-    assert coeff_V_signed(bc1, _m(bc1), SignedSubset((0,), (-1,)), xi) == 0
+    assert coeff_V_signed(bc1, _m(bc1), (-1,), xi) == 0
 
 
 def test_pieri_bc_spec_case(bc2):
@@ -253,8 +276,10 @@ def test_pieri_bc_builds_multiplicities_once_per_triple(monkeypatch):
     assert all(c["status"] == "pass" for c in cases)
     samples = list(dict.fromkeys(seen))   # (rank, mults) per sample, in call order
     assert [n for n, _mults in samples] == [1, 1, 2, 2]
-    # the one build after these four is the rank-one coefficient rows'
-    assert [mults for _n, mults in samples] == built[:4] and len(built) == 5
+    # the builds after these four are the rank-one coefficient rows': one
+    # for V, then one per rearrangement_gap, which reads (g, g1, g2) through
+    # bc_multiplicities, at each of the five points
+    assert [mults for _n, mults in samples] == built[:4] and len(built) == 4 + 1 + 5
     assert len(seen) == 2 * 4 + 2 * 2 * 10   # (ell, lam) calls per sample: 4 on BC1, 20 on BC2
 
 
@@ -328,18 +353,18 @@ def _check_signed_products(n):
         for size in range(n + 1):
             for J in itertools.combinations(range(n), size):
                 K = tuple(k for k in range(n) if k not in J)
-                for sub in signed_subsets(J):
-                    check(lambda: coeff_V_signed(datum, mults, sub, xi),
-                          lambda: fraction_signed_product(gs, sub, K, xi, gs[0]))
+                for row in signed_rows(n, J):
+                    check(lambda: coeff_V_signed(datum, mults, row, xi),
+                          lambda: fraction_signed_product(gs, row, K, xi, gs[0]))
                 nu = tuple(int(k in J) for k in range(n))
                 for p in range(len(K) + 1):
-                    subs = [(sub, [k for k in K if k not in I])
-                            for I in itertools.combinations(K, p) for sub in signed_subsets(I)]
-                    for sub, rest in subs:
-                        check(lambda: coeff_U(datum, mults, nu, sub.shift_vector(n), xi),
-                              lambda: (-1) ** p * fraction_signed_product(gs, sub, rest, xi, -gs[0]))
+                    subs = [(row, [k for k in K if k not in I])
+                            for I in itertools.combinations(K, p) for row in signed_rows(n, I)]
+                    for row, rest in subs:
+                        check(lambda: coeff_U(datum, mults, nu, row, xi), lambda: (-1) ** p
+                              * fraction_signed_product(gs, row, rest, xi, -gs[0]))
                     check(lambda: coeff_U_Kp(datum, mults, K, p, xi), lambda: (-1) ** p * sum(
-                        fraction_signed_product(gs, sub, rest, xi, -gs[0]) for sub, rest in subs))
+                        fraction_signed_product(gs, row, rest, xi, -gs[0]) for row, rest in subs))
     # every kind of pole: e_j shifted, 2e_j, and e_j +- e_k from rank 2
     assert seen == {(Q(1), "1+<xi,a^vee>"), (Q(4), "<xi,a^vee>")} | (
         {(Q(2), "<xi,a^vee>"), (Q(2), "1+<xi,a^vee>")} if n > 1 else set())
@@ -373,13 +398,13 @@ def test_coeff_v_and_u_give_the_bc_coefficients(bc2):
     xi, mults = (Q(7, 5), Q(2, 9)), _m(bc2)
     v = coeff_V(bc2, mults, (1, 0), xi)
     assert v == Q(78044382, 14597737) == rank_one_shift_coefficient(2, GS, 0, xi)
-    assert v == coeff_V_signed(bc2, mults, SignedSubset((0,), (1,)), xi)
+    assert v == coeff_V_signed(bc2, mults, (1, 0), xi)
     for K in ((0,), (1,), (0, 1)):
         nu = tuple(int(k not in K) for k in range(2))
         for p in range(len(K) + 1):
-            assert sum(coeff_U(bc2, mults, nu, sub.shift_vector(2), xi)
+            assert sum(coeff_U(bc2, mults, nu, row, xi)
                        for I in itertools.combinations(K, p)
-                       for sub in signed_subsets(I)) == coeff_U_Kp(bc2, mults, K, p, xi)
+                       for row in signed_rows(2, I)) == coeff_U_Kp(bc2, mults, K, p, xi)
 
 
 def test_float_multiplicities_read_the_half_root_sign(bc2):
@@ -408,15 +433,14 @@ def test_index_matches_the_signed_subset_builders(n):
     for ell in range(1, n + 1):
         index = {e.nu_labels: e for e in pieri_index(datum, _omega(n, ell))}
         want = {datum.labels(row): (K, p, u, v)
-                for K, p, u, subs in pieri_bc_index(datum, ell) for _sub, row, v in subs}
+                for K, p, u, subs in pieri_bc_index(datum, ell) for row, v in subs}
         assert index.keys() == want.keys()
         for labels, (K, p, u, v) in want.items():
             entry = index[labels]
             assert entry.v_factors == v
             nu, _plus, etas = term_vectors(datum, entry)
             assert sorted(tuple(a - b for a, b in zip(eta, nu)) for eta in etas) \
-                == sorted(sub.shift_vector(n) for I in itertools.combinations(K, p)
-                          for sub in signed_subsets(I))
+                == sorted(row for I in itertools.combinations(K, p) for row in signed_rows(n, I))
             assert [sum(f[2] == -2 for f in us) for us in entry.u_factors] == [p] * len(u)
             assert Counter(tuple(f[:2] + (1,) if f[2] == -2 else f for f in us)
                            for us in entry.u_factors) == Counter(u)

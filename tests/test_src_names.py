@@ -23,9 +23,10 @@ exist in ``src/``, and its post-call hooks must find what they read.
 
 So are the number of settable values in ``src/`` (``SETTABLE_BOUND``) and
 its line count (``SRC_LINE_BOUND``): a change that adds a knob or grows
-``src/`` raises the bound and says why.  Each default in ``src/`` must have
-two values in use: some call in ``src/`` or ``bench/`` relies on it and
-some call overrides it (``unused_defaults``).
+``src/`` raises the bound and says why.  Each default in ``src/``, a
+dataclass field's included, must have two values in use: some call in
+``src/`` or ``bench/`` relies on it and some call overrides it
+(``unused_defaults``).
 """
 
 import ast
@@ -53,10 +54,10 @@ BENCH_ONLY = {
 ANY = "*"   # the owner of a use that cannot be resolved
 
 # parameters with a default, dataclass fields and argparse options in src/
-SETTABLE_BOUND = 106
+SETTABLE_BOUND = 104
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
-SRC_LINE_BOUND = 3298
+SRC_LINE_BOUND = 3283
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):
@@ -232,6 +233,12 @@ def test_traced_spans_that_read_zero(tmp_path, monkeypatch):
                     "rootsys.stabilizer_roots", "weylalg.apply_L"}
 
 
+def _is_dataclass(node) -> bool:
+    """The class node is decorated with ``@dataclass``, called or not."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def settable_values(src: Path) -> Counter:
     """Counts, over the modules under src, of the values a caller can set:
     parameters with a default (of functions and lambdas), the annotated
@@ -243,9 +250,7 @@ def settable_values(src: Path) -> Counter:
                 args = node.args
                 counts["default"] += len(args.defaults) + sum(
                     d is not None for d in args.kw_defaults)
-            elif isinstance(node, ast.ClassDef) and any(
-                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
-                    for d in node.decorator_list):
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 counts["field"] += sum(isinstance(b, ast.AnnAssign) for b in node.body)
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
                 counts["option"] += 1
@@ -282,16 +287,32 @@ def unused_defaults(src: Path, callers: list) -> list:
 
     A call is matched to a definition by name; a call read as an attribute
     binds the first parameter of a method (a function defined in a class
-    body, not a staticmethod).  A call that passes ``*args`` or ``**kwargs``
-    settles nothing.  A lambda has no name to be called by, so a default of
-    a lambda (a value captured by default) is never in use."""
+    body, not a staticmethod).  A ``@dataclass`` is called by its class
+    name, its fields in order as the positional parameters, and a field
+    with ``init=False`` is none; a ``replace`` call (``dataclasses.replace``
+    builds a copy through the constructor) overrides each field it names, of
+    any dataclass, and relies on none.  A call that passes ``*args`` or
+    ``**kwargs`` settles nothing.  A lambda has no name to be called by, so
+    a default of a lambda (a value captured by default) is never in use."""
     defaults = []   # (where, name, parameter, positional index or None, method)
+    fields = set()   # (dataclass, field) of each field default
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                    for f in c.body if isinstance(f, ast.FunctionDef)
                    and "staticmethod" not in [getattr(d, "id", None) for d in f.decorator_list]}
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                init = []   # (field, it has a default), in order
+                for f in (f for f in node.body if isinstance(f, ast.AnnAssign)):
+                    made = getattr(getattr(f.value, "func", None), "id", None) == "field"
+                    kw = {k.arg: k.value for k in f.value.keywords} if made else {}
+                    if getattr(kw.get("init"), "value", True) is not False:
+                        init.append((f, f.value is not None and (
+                            not made or bool({"default", "default_factory"} & kw.keys()))))
+                defaults += [(f"{path.name}:{f.lineno}", node.name, f.target.id, i, False)
+                             for i, (f, default) in enumerate(init) if default]
+                fields |= {(node.name, f.target.id) for f, default in init if default}
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             args = node.args
@@ -318,7 +339,8 @@ def unused_defaults(src: Path, callers: list) -> list:
                                                        {k.arg for k in node.keywords}))
     found = []
     for where, name, param, index, method in defaults:
-        relied = overridden = False
+        relied, overridden = False, (name, param) in fields and any(
+            param in keywords for _bound, _n_args, keywords in calls.get("replace", []))
         for bound, n_args, keywords in calls.get(name, []):   # none for "<lambda>"
             if method and not bound:
                 continue
@@ -342,14 +364,23 @@ def test_unused_defaults_are_found(tmp_path):
     # b and c are each relied on by one call and overridden by the other,
     # and the method's p too, through its bound first parameter; d is
     # single-valued, y dead, and the lambda's captured r has no call at all;
-    # a call with *args settles nothing
+    # a call with *args settles nothing.  The dataclass D is called by name:
+    # its fields u (a field() with no default) and e (init=False) take no
+    # default, e no position either, so the fifth argument sets z; v is set
+    # by a replace call alone, and w is single-valued
     (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass, field\n"
         "def f(a, b=1, c=2, *, d=3):\n    return a\n"
         "def g(x, y=0):\n    return x\n"
         "class K:\n    def m(self, p=1):\n        return p\n"
+        "@dataclass\nclass D:\n    a: int\n    u: int = field(repr=False)\n"
+        "    b: int = 0\n    c: list = field(default_factory=list)\n"
+        "    e: list = field(default_factory=list, init=False)\n"
+        "    z: int = 1\n    v: int = 3\n    w: int = field(default=2)\n"
         "f(1, 2)\nf(1, c=5)\ng(1, 2)\ng(*[1])\n"
-        "K().m()\nK().m(2)\n"
+        "K().m()\nK().m(2)\nD(1, 0)\nD(1, 0, 2, [], 5)\nreplace(D(1, 0), v=4)\n"
         "h = lambda q, r=1: q\n")
     assert [(name, param, why) for _where, name, param, why in unused_defaults(tmp_path, [])] == [
         ("f", "d", "never overridden"), ("g", "y", "never relied on"),
+        ("D", "w", "never overridden"),
         ("<lambda>", "r", "never relied on")]

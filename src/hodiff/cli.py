@@ -205,8 +205,7 @@ def bc_cases(config: CampaignConfig, data: dict):
             drawn = dict(zip(("g", "g1", "g2"), map(str, gs)))
             cases += [_case(f"bc/n={rep.n}/ell={rep.ell}/lam={weight_str(rep.lam)}/s{s}",
                             rep.ok, {**rep.to_dict(), **drawn}) for rep in reports]
-    # rank-one coefficient match with the displayed single-shift form, at
-    # points redrawn while one is a pole of BC2 (xi_1 = xi_2)
+    # rank-one coefficient match with the displayed form, at pole-free points
     rows = []
     rng = random.Random(f"{config.seed}:bc-j1")
     bc2, gs = _datum(data, "BC", 2), (Q(3, 7), Q(5, 11), Q(9, 4))

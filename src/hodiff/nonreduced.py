@@ -8,9 +8,8 @@ at omega = e_1 + ... + e_l are those of ``diffeq.pieri_index``, and
 ``verify_pieri_bc`` checks them as ``diffeq.verify_pieri`` does, against the
 one E_omega builder ``weylalg.expansion_labels``, twisted on BC into the
 displayed E_l (``expansion_E_ell``, which the bc suite compares with it).
-The hyperoctahedral Jacobi polynomials come from the generic recursion
-applied to the BC datum, whose operator contains both the e_j and 2e_j
-strings.
+The generic Jacobi recursion applied to the BC datum, whose operator holds
+both the e_j and 2e_j strings, gives the hyperoctahedral polynomials.
 """
 
 from __future__ import annotations
@@ -94,6 +93,8 @@ def verify_pieri_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam,
     is the displayed E_ell), and lam must be dominant (a partition).  n_terms
     counts the surviving shifts nu; the residual is keyed by labels until
     the report writes it."""
+    if not 1 <= ell <= datum.rank:
+        raise ValueError(f"ell={ell} out of range for rank {datum.rank}")
     omega = tuple(Q(int(k < ell)) for k in range(datum.rank))
     terms, residual = pieri_check(datum, mults, omega, lam, expansion_labels(datum, omega),
                                   perturb, cache)

@@ -233,6 +233,13 @@ def test_partition_check(bc2):
         assert str(got.value) == message
 
 
+@pytest.mark.parametrize("ell", [0, 3])
+def test_ell_out_of_range_is_refused(bc2, ell):
+    # omega = e_1 + ... + e_ell needs 1 <= ell <= n
+    with pytest.raises(ValueError, match=f"ell={ell} out of range for rank 2"):
+        verify_pieri_bc(bc2, _m(bc2), ell, (Q(1), Q(0)), None, {})
+
+
 def test_pieri_bc_rank_one_seed(bc1):
     # lam = 0 reduces to the seed identity of the scalar three-term recurrence
     rep = verify_pieri_bc(bc1, _m(bc1), 1, (Q(0),), None, {})

@@ -95,7 +95,7 @@ def verify_pieri_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam,
     the report writes it."""
     if not 1 <= ell <= datum.rank:
         raise ValueError(f"ell={ell} out of range for rank {datum.rank}")
-    omega = tuple(Q(int(k < ell)) for k in range(datum.rank))
+    omega = datum.from_labels(datum.labels(tuple(Q(int(k < ell)) for k in range(datum.rank))))
     terms, residual = pieri_check(datum, mults, omega, lam, expansion_labels(datum, omega),
                                   perturb, cache)
     return BcPieriReport(datum.rank, ell, lam, ok=not residual,

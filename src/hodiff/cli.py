@@ -384,10 +384,12 @@ def _parse_lambda(datum: RootDatum, option: str, text: str):
 
 
 def _parse_omega(datum: RootDatum, text: str):
-    """The dominant weight of --omega, which must be small."""
+    """The dominant weight of --omega, which must be small (``small_labels``)."""
     omega = _parse_lambda(datum, "--omega", text)
-    if not datum.is_small(omega):
-        raise ValueError(f"--omega: {weight_str(omega)} is not small (a pairing exceeds 2)")
+    try:
+        datum.small_labels(omega)
+    except ValueError as exc:
+        raise ValueError(f"--omega: {exc}") from None
     return omega
 
 

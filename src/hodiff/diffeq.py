@@ -200,14 +200,12 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     over the signed (l - |J|)-subsets I of the complement K of J: V_nu and
     the U lists of the BC equation, whose U_{K,l-|J|} is the sum over the
     etas, the sign (-1)^{l-|J|} in the e=-2 entries of the alpha/2 rule."""
-    top = datum.dominant_labels(omega)
+    top = datum.small_labels(omega)
     found = datum.index_memo.get(top)
     if found is not None:
         _index_counts["hits"] += 1
         return found
     _index_counts["misses"] += 1
-    if datum._top_pairing(top) > 2:
-        raise ValueError(f"{weight_str(datum.from_labels(top))} is not small")
     # ``support_codes`` from the pairing rows of omega and each nu+ only: s_j
     # permutes the roots (``root_perms``), so s_j u has u's codes moved by perm_j
     perms = [tuple(2 * p + s for p in perm for s in (0, 1)) for perm in datum.root_perms]

@@ -177,9 +177,9 @@ class RootDatum:
     |alpha|^2 per root and per root orbit (``root_norms``, ``orbit_norms``).
     One label descent (``_dominant_orbit``) finds every Weyl and parabolic
     orbit and |W| (``weyl_order``); one greedy descent (``_greedy``) finds a
-    label's dominant element and word; one bounded scan of labels
-    (``_bounded_labels``) finds the small weights and the weights up to a
-    height.  Results are memoized on the instance when first asked for, under
+    label's dominant element and word; one bounded scan of labels finds the
+    small weights and the weights up to a height, and ``small_labels`` alone
+    refuses a weight that is not small.  Results are memoized when asked, under
     integer labels: the vectors and pairing rows of weights, the orbit memo
     (``orbit_labels``, each dominant label's W-orbit walked once and shared,
     ``weyl_orbit`` sorting it per call, and each ``parabolic_orbit``),
@@ -289,7 +289,7 @@ class RootDatum:
                                      for row in self.coroot_coefficients for c in row)
         # the coroot coefficients of the highest coroot, which bound those of
         # every positive coroot: <v, alpha^vee> <= top_coroot . l for v
-        # dominant with labels l (``is_small``, ``small_dominant_weights``)
+        # dominant with labels l (``small_labels``, ``small_dominant_weights``)
         self._top_coroot = max(
             (self.coroot_coefficients[i] for i in self.positive_indices), key=sum)
 
@@ -634,20 +634,18 @@ class RootDatum:
         dominant labels l: its pairing with the highest coroot."""
         return sum(map(mul, self._top_coroot, l))
 
-    def is_small(self, omega: Vector) -> bool:
-        """All pairings with positive coroots at most 2."""
-        return self._top_pairing(self.dominant_labels(omega)) <= 2
-
     def is_minuscule(self, omega: Vector) -> bool:
         return self._top_pairing(self.dominant_labels(omega)) <= 1
 
+    def small_labels(self, omega: Vector) -> tuple:
+        """Labels of a dominant omega pairing at most 2 with each coroot; else ValueError."""
+        l = self.dominant_labels(omega)
+        if self._top_pairing(l) > 2:
+            raise ValueError(f"{weight_str(omega)} is not small (a pairing exceeds 2)")
+        return l
+
     def is_quasi_minuscule(self, omega: Vector) -> bool:
-        omega = self.check_dominant(omega)
-        j = self._root_at(omega)
-        if j is None:
-            return False
-        p = self.pairings(omega)
-        return all(p[i] <= 1 for i in self.positive_indices if i != j)
+        return self.dominant_labels(omega) == self.quasi_minuscule_weight().labels
 
     def small_fundamental_weights(self) -> tuple[Vector, ...]:
         small = set(self._bounded_labels(self._top_coroot, 2))   # weights only (BC)
@@ -669,12 +667,9 @@ class RootDatum:
         return tuple(sorted(self.from_labels(l)
                             for l in self._bounded_labels(self._top_coroot, 2) if any(l)))
 
-    def quasi_minuscule_weight(self) -> Vector:
-        """The dominant root with all other pairings at most 1."""
-        for a in self.positive_roots:
-            if min(a.labels) >= 0 and self.is_quasi_minuscule(a):
-                return a
-        raise ValueError("no quasi-minuscule weight found")
+    def quasi_minuscule_weight(self) -> Weight:
+        """The highest short root: the dominant root of the shortest root orbit."""
+        return min((n, a) for n, a in zip(self.root_norms, self.roots) if min(a.labels) >= 0)[1]
 
     def dominant_weights_up_to_height(self, bound) -> tuple[Vector, ...]:
         """Dominant weights whose simple-root height is <= bound."""

@@ -17,7 +17,8 @@ import math
 from fractions import Fraction as Q
 from operator import add, itemgetter, mul
 
-from .rootsys import Multiplicities, RootDatum, SampleRecord, Vector, _q_str, vadd, weight_str
+from .rootsys import (Multiplicities, RootDatum, SampleRecord, Vector, _q_str, _step, vadd,
+                      weight_str)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -82,7 +83,7 @@ def _is_invariant(datum: RootDatum, terms: dict) -> bool:
     """Label-keyed terms are fixed by every simple reflection."""
     for l, c in terms.items():
         for k, row in zip(l, datum.cartan):
-            if k and terms.get(tuple(a - k * b for a, b in zip(l, row))) != c:
+            if k and terms.get(_step(l, k, row)) != c:
                 return False
     return True
 
@@ -215,12 +216,9 @@ def expansion_labels(datum: RootDatum, omega: Vector) -> LabelForm:
     the twist x -> x + i pi (1, ..., 1), which makes E_{e_1+...+e_l} BC's E_l.
     Built on labels in the order of the vectors and checked once: memoized
     under omega's labels (``expansion_label_memo``)."""
-    top = datum.dominant_labels(omega)
+    top = datum.small_labels(omega)
     found = datum.expansion_label_memo.get(top)
     if found is None:
-        if datum._top_pairing(top) > 2:
-            raise ValueError(f"{weight_str(datum.from_labels(top))} is not small "
-                             "(some pairing exceeds 2)")
         twist = any(i is not None for i in datum.half_root_index)
         e_sum = sum(datum._vector_key(top))
         found = datum.expansion_label_memo[top] = LabelForm(datum, {

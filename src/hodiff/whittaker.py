@@ -22,7 +22,7 @@ from mpmath.libmp import to_fixed
 
 from .diffeq import coeff_U, coeff_V  # noqa: F401 -- kept beside their limits
 from .diffeq import PoleAtSpectralPoint, factor_product, float_table, pieri_index, term_factors
-from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg, weight_str
+from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg
 from .weylalg import _q_str, expansion_labels
 
 
@@ -212,9 +212,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     """
     if datum.family == "BC":
         raise ValueError("the confluent limit is defined for reduced systems")
-    small = datum.check_dominant(omega)
-    if not datum.is_small(small):
-        raise ValueError(f"{weight_str(omega)} is not small")
+    small = datum.from_labels(datum.small_labels(omega))
     if len(x) != datum.dim:
         raise ValueError(f"x: need {datum.dim} base-point coordinates, got {len(x)}")
 
@@ -284,10 +282,8 @@ def homogeneity_identity(datum: RootDatum, omega: Vector, mu: Vector) -> bool:
     <omega,a^vee> over positive roots with <mu,a^vee> > 0 agree orbit by
     orbit, hence for every orbit-constant multiplicity assignment.
     """
-    omega = datum.check_dominant(omega)
+    omega = datum.from_labels(datum.small_labels(omega))
     mu = datum.check_dominant(mu)
-    if not datum.is_small(omega):
-        raise ValueError(f"{weight_str(omega)} is not small")
     lhs = [0] * len(datum.root_orbits)
     rhs = [0] * len(datum.root_orbits)
     mu_pairs, omega_pairs = datum.pairings(mu), datum.pairings(omega)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from hodiff.rootsys import build_root_system
@@ -71,3 +73,21 @@ def reference_residual():
 @pytest.fixture(scope="session")
 def corrupted():
     return corrupted_copy
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """A failing hypothesis property makes the hypothesis pytest plugin import
+    its patch writer here, and with it libcst, whose import warns
+    (mypy_extensions' TypedDict).  Under ``filterwarnings = error`` that
+    warning ended the whole session in an INTERNALERROR instead of reporting
+    the failure, so the module is imported first with that warning ignored."""
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                                    DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:   # no libcst: the plugin writes no patch
+                pass
+    yield

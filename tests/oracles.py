@@ -29,7 +29,11 @@ way the package did before its tables and cleared integers:
 - ``per_t_confluence_rows``: the rows of the confluence check from one
   ``factor_product`` per factor list and t, on the float table of xi and the
   couplings ``whittaker.couplings_at`` of t, one ``limit_product`` per
-  factor list, and the E_omega inner products with ``rho_vee`` per t.
+  factor list, and the E_omega inner products with ``rho_vee`` per t;
+- ``searched_quasi_minuscule_weight`` and ``pairing_quasi_minuscule``: the
+  quasi-minuscule weight found by searching the positive roots for the
+  dominant one whose every other positive-coroot pairing is at most 1 (the
+  package takes the dominant root of the shortest root orbit).
 
 Then the exact Pieri path before its per-sample and per-orbit memos:
 
@@ -74,6 +78,8 @@ Then the rank-one Toda oracle as it was before its fixed-point sums:
 Last, constructors, views and a per-point residual only the tests use:
 
 - ``constant_multiplicities``: the same multiplicity g on every root orbit;
+- ``pole_free_rationals``: rationals drawn by a hypothesis ``draw`` at which
+  no factor list has a pole, by construction;
 - ``corrupted_copy``: a Jacobi polynomial with one coefficient moved;
 - ``term_vectors``: nu, nu+ and the etas of a ``PieriTermIndex`` entry as
   vectors (the entry holds their labels only);
@@ -90,6 +96,7 @@ from fractions import Fraction as Q
 from operator import add, mul
 
 import mpmath
+from hypothesis import strategies as st
 
 from hodiff import whittaker
 from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, integer_product,
@@ -551,6 +558,24 @@ def orbitwise_expansion_labels(datum, omega):
         for l in sorted(datum._dominant_orbit(mu), key=datum._vector_key)})
 
 
+def pairing_quasi_minuscule(datum, omega) -> bool:
+    """omega is a dominant root pairing at most 1 with every other positive coroot."""
+    omega = datum.check_dominant(omega)
+    j = datum._root_at(omega)
+    if j is None:
+        return False
+    p = datum.pairings(omega)
+    return all(p[i] <= 1 for i in datum.positive_indices if i != j)
+
+
+def searched_quasi_minuscule_weight(datum):
+    """The first positive root that is ``pairing_quasi_minuscule``."""
+    for a in datum.positive_roots:
+        if min(a.labels) >= 0 and pairing_quasi_minuscule(datum, a):
+            return a
+    raise ValueError("no quasi-minuscule weight found")
+
+
 def orbit_under_reflections(datum, gen_roots, v):
     """Orbit of v (in the root span) under the reflections in gen_roots,
     sorted: the generic label search over every generator."""
@@ -677,6 +702,18 @@ def vector_sample_spectral_point(datum, rng, max_tries=200):
 def constant_multiplicities(datum, g):
     """Multiplicities with the value g on every root orbit of datum."""
     return Multiplicities(datum, [g] * len(datum.root_orbits))
+
+
+def pole_free_rationals(draw, count: int) -> tuple:
+    """count rationals k_i + a_i / p^(i+1), 0 < a_i < p, p a prime in 5..13,
+    drawn by a hypothesis ``draw``.  No integer combination of them with
+    coefficients c, |c_i| < p, not all 0, is an integer: times p^(j+1), j the
+    last i with c_i != 0, it is c_j a_j mod p.  So as labels (coroot
+    coefficients at most 3 through G2) or as BC coordinates (pairings xi_j,
+    2 xi_j, xi_j +- xi_k) they make no z or 1 + z of a factor list 0."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    return tuple(draw(st.integers(-4, 4)) + Q(draw(st.integers(1, p - 1)), p ** (i + 1))
+                 for i in range(count))
 
 
 def corrupted_copy(poly, delta=Q(1, 7)):

@@ -2,10 +2,13 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,19 @@ from oracles import corrupted_copy, greedy_dominant
 
 def run(args):
     return cli.main(args)
+
+
+def test_module_entry_point_matches_main(capsys):
+    # python -m hodiff.cli exits with main's code and writes main's bytes
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    args = ["verify", "--suite", "rankone"]
+    proc = subprocess.run([sys.executable, "-m", "hodiff.cli", *args],
+                          capture_output=True, env=env, timeout=300)
+    code = cli.main(args)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())
+    assert code == 0 and b'"rankone/de-sweep/' in proc.stdout
 
 
 def test_jacobi_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hodiff.diffeq as diffeq
 from hodiff.cli import PIERI_SYSTEMS
@@ -21,8 +22,8 @@ from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             expansion_E_omega, expansion_labels, is_w_invariant,
                             label_form, sample_record)
 from oracles import (constant_multiplicities, dominant_representative, every_u_pieri_terms,
-                     fraction_point_table, height, orbit_under_reflections, scan_pieri_index,
-                     term_vectors, vector_sample_spectral_point, vscale)
+                     fraction_point_table, height, orbit_under_reflections, pole_free_rationals,
+                     scan_pieri_index, term_vectors, vector_sample_spectral_point, vscale)
 from weyl_words import apply_word, inverse_word
 
 
@@ -352,6 +353,23 @@ def test_quasi_identity_sampled(a2, b2):
             assert quasi_identity_value(datum, mults, omega, xi) == expect
 
 
+POSITIVE = st.fractions(min_value=Q(1, 12), max_value=6, max_denominator=12)
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 2), ("B", 2), ("G", 2)])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_quasi_identity_is_the_orbit_size_property(fam, rank, data):
+    # at random exact multiplicities and a pole-free xi (no pairing of xi
+    # is an integer, by the construction of pole_free_rationals)
+    datum = build_root_system(fam, rank)
+    mults = Multiplicities(datum, [data.draw(POSITIVE) for _ in datum.root_orbits])
+    xi = datum.from_labels(pole_free_rationals(data.draw, rank))
+    assert not any(type(z) is int for z in datum.pairings(xi))
+    omega = datum.quasi_minuscule_weight()
+    assert quasi_identity_value(datum, mults, omega, xi) == len(datum.weyl_orbit(omega))
+
+
 def test_specialization_consistency(a2, b2):
     rng = random.Random("spec-consistency")
     for datum in (a2, b2):
@@ -660,19 +678,25 @@ def test_pieri_residual_matches_reference_with_every_polynomial_corrupted(
         assert got == reference_residual(e_poly, bad_poly, bad)
 
 
-def test_weights_in_error_messages_print_as_p_over_q(a2, g2):
-    # every refusal that names a weight prints it as (p/q,...), as the
-    # report case names do, never as Fraction reprs
+@pytest.mark.parametrize("entry", ["pieri_index", "expansion_labels", "verify_confluence",
+                                   "homogeneity_identity"])
+def test_every_entry_refuses_a_weight_that_is_not_small_in_one_text(entry, g2):
+    # RootDatum.small_labels owns the rule and its message; a weight prints
+    # as (p/q,...), as the report case names do, never as Fraction reprs
     from hodiff.whittaker import homogeneity_identity, verify_confluence
     omega2 = g2.fundamental_weights[1]   # pairs 3 with a coroot
     zero = (Q(0),) * g2.dim
-    for refuse in (lambda: pieri_index(g2, omega2),
-                   lambda: expansion_labels(g2, omega2),
-                   lambda: verify_confluence(g2, omega2, zero, (0.0,) * g2.dim),
-                   lambda: homogeneity_identity(g2, omega2, zero)):
-        with pytest.raises(ValueError) as exc:
-            refuse()
-        assert str(exc.value).startswith("(3/1,2/1) is not small")
+    refuse = {"pieri_index": lambda: pieri_index(g2, omega2),
+              "expansion_labels": lambda: expansion_labels(g2, omega2),
+              "verify_confluence": lambda: verify_confluence(g2, omega2, zero, (0.0,) * g2.dim),
+              "homogeneity_identity": lambda: homogeneity_identity(g2, omega2, zero)}[entry]
+    with pytest.raises(ValueError) as exc:
+        refuse()
+    assert str(exc.value) == "(3/1,2/1) is not small (a pairing exceeds 2)"
+
+
+def test_weights_in_error_messages_print_as_p_over_q(a2):
+    # every other refusal that names a weight prints it as (p/q,...) too
     mults = constant_multiplicities(a2, Q(1, 3))
     xi = a2.weight_from_fundamental([Q(1, 5), Q(2, 7)])
     w1 = a2.fundamental_weights[0]

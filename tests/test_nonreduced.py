@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodiff import cli, nonreduced
 from hodiff.nonreduced import (bc_multiplicities, coeff_U_Kp, coeff_V_signed, expansion_E_ell,
@@ -17,7 +18,8 @@ from hodiff.diffeq import (PoleAtSpectralPoint, coeff_U, coeff_V, factor_product
 from hodiff.jacobi import jacobi_polynomial
 from hodiff.rootsys import build_root_system
 from hodiff.weylalg import ExpPoly, expansion_labels, label_form
-from oracles import multiplicity_of, orbitwise_expansion_labels, signed_rows, term_vectors
+from oracles import (multiplicity_of, orbitwise_expansion_labels, pole_free_rationals,
+                     signed_rows, term_vectors)
 
 GS = (Q(3, 7), Q(5, 11), Q(9, 4))
 
@@ -194,6 +196,18 @@ def test_rearrangement_identity_at_rational_points(bc1, bc2):
         xi = (Q(rng.randint(1, 40), 7), Q(rng.randint(41, 80), 9))
         assert rearrangement_gap(bc2, GS, xi) == 0
     assert rearrangement_gap(bc1, GS, (Q(7, 5),)) == 0
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_rearrangement_gap_is_zero_property(rank, data):
+    # at random positive (g, g1, g2) and a pole-free xi: no xi_j, 2 xi_j or
+    # xi_j +- xi_k is an integer, by the construction of pole_free_rationals
+    positive = st.fractions(min_value=Q(1, 12), max_value=6, max_denominator=12)
+    gs = tuple(data.draw(positive) for _ in range(3))
+    xi = pole_free_rationals(data.draw, rank)
+    assert rearrangement_gap(build_root_system("BC", rank), gs, xi) == 0
 
 
 def test_pole_detection(bc2):

@@ -64,6 +64,12 @@ def test_series_divergence_guard():
         series_2f1(0.3, 1.7, 1.2, 1.05)
 
 
+def test_series_term_cap_guard():
+    # finite terms that fall off like k^-0.2 never meet the stop test
+    with pytest.raises(HypergeometricError, match="within the term cap$"):
+        series_2f1(0.3, 1.7, 1.2, 1 - 1e-7)
+
+
 def test_de_residual_grid():
     xi_grid = (0.3, 0.77, 1.2, 2.6, 3.9)
     x_grid = (0.2, 0.6, 1.1, 1.7, 2.5)
@@ -156,6 +162,11 @@ def test_recurrence_exact():
             for s in (Q(1, 4), Q(5, 3)):
                 lhs, rhs = recurrence_rr(g1, g2, l, s)
                 assert lhs == rhs, (g1, g2, l, s)
+
+
+def test_recurrence_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="^l must be a nonnegative integer$"):
+        recurrence_rr(Q(1, 2), Q(1, 3), -1, Q(1, 4))
 
 
 def test_recurrence_l0_two_term():

@@ -19,7 +19,8 @@ from hodiff.nonreduced import bc_multiplicities, verify_pieri_bc
 from hodiff.rootsys import Multiplicities, Weight, build_root_system, vadd, vneg, weight_str
 from oracles import (constant_multiplicities, dominance_leq, dominant_representative,
                      half_weighted_sum, height, inner, invert_rational_matrix, multiplicity_of,
-                     orbit_under_reflections, rho_vee, simple_coefficients, vscale)
+                     orbit_under_reflections, pairing_quasi_minuscule, rho_vee,
+                     searched_quasi_minuscule_weight, simple_coefficients, vscale)
 from weyl_words import apply_word, inverse_word
 
 # classical counts used as an oracle only; the library computes its orders
@@ -107,6 +108,12 @@ def test_group_order_matches_regular_orbit():
         if fam == "BC":
             reg = vscale(2, reg)  # fundamental combos may leave the lattice
         assert len(datum.weyl_orbit(reg)) == datum.weyl_order()
+
+
+def test_weight_from_fundamental_refuses_a_wrong_count(a2):
+    for coeffs in ([1], [1, 0, 2]):
+        with pytest.raises(ValueError, match="^need 2 fundamental coefficients$"):
+            a2.weight_from_fundamental(coeffs)
 
 
 def test_invalid_family_rank_rejected():
@@ -280,6 +287,24 @@ def test_quasi_minuscule_weights(a2, b2, c3, g2):
     assert inner(g2, theta_s, theta_s) == Q(2, 3)  # short-root normalization
 
 
+QUASI_FAMILIES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+                  ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
+                  ("E", 6), ("E", 7), ("E", 8), ("BC", 1), ("BC", 2), ("BC", 3)]
+
+
+@pytest.mark.parametrize("fam,rank", QUASI_FAMILIES)
+def test_quasi_minuscule_weight_matches_the_pairing_search(fam, rank):
+    # the dominant root of the shortest orbit is the dominant root whose other
+    # pairings are at most 1, and is_quasi_minuscule agrees with that search
+    # on every small dominant weight
+    datum = build_root_system(fam, rank)
+    qm = datum.quasi_minuscule_weight()
+    assert qm == searched_quasi_minuscule_weight(datum)
+    assert [datum.is_quasi_minuscule(w) for w in datum.small_dominant_weights()] == [
+        pairing_quasi_minuscule(datum, w) for w in datum.small_dominant_weights()]
+    assert datum.is_quasi_minuscule(qm)
+
+
 def test_rho_vectors(a1, bc2):
     g = constant_multiplicities(a1, Q(3, 7))
     rho = a1.rho(g)
@@ -443,6 +468,11 @@ def test_root_permutations_are_the_simple_reflections(fam, rank):
         assert {perm[r] for r in others} == others
 
 
+def _pairs_at_most_2(datum, w) -> bool:
+    """The definition of a small weight: every positive-coroot pairing at most 2."""
+    return max(datum.pairings(w)[i] for i in datum.positive_indices) <= 2
+
+
 def _small_labels(datum):
     """Labels of the nonzero small dominant weights: those pairing at most 2
     with the highest coroot, which bounds every positive coroot
@@ -455,7 +485,7 @@ def _small_labels(datum):
         top = max((datum.coroot_coefficients[i] for i in datum.positive_indices), key=sum)
         labels = [l for l in itertools.product(range(3), repeat=datum.rank)
                   if any(l) and sum(map(mul, top, l)) <= 2]
-    assert labels and all(datum.is_small(datum.from_labels(l)) for l in labels)
+    assert labels and all(_pairs_at_most_2(datum, datum.from_labels(l)) for l in labels)
     return labels
 
 
@@ -470,14 +500,14 @@ def test_small_dominant_weights_match_scan(fam, rank):
 def test_small_fundamental_weights_are_weights(fam, rank):
     # the small fundamental weights, in order; on BC_n only e_1 + ... + e_k,
     # k < n, are weights (omega_n = (1/2, ..., 1/2) is not, and used to
-    # raise), elsewhere every fundamental weight that is_small admits
+    # raise), elsewhere every fundamental weight pairing at most 2 with each coroot
     datum = build_root_system(fam, rank)
     got = datum.small_fundamental_weights()
     if fam == "BC":
         assert got == tuple(tuple(Q(int(i < k)) for i in range(rank)) for k in range(1, rank))
         assert datum.fundamental_weights[-1] == (Q(1, 2),) * rank
     else:
-        assert got == tuple(w for w in datum.fundamental_weights if datum.is_small(w))
+        assert got == tuple(w for w in datum.fundamental_weights if _pairs_at_most_2(datum, w))
     assert all(datum.weight_labels(w) for w in got)
     assert set(got) <= set(datum.small_dominant_weights())
 

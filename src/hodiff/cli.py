@@ -373,14 +373,15 @@ def _parse_rational_list(option: str, text: str, count: int):
 
 
 def _parse_lambda(datum: RootDatum, option: str, text: str):
+    """The dominant weight of text: BC's coordinates, else fundamental labels."""
     coeffs = _parse_rational_list(option, text, None)
     if len(coeffs) != datum.rank:
         raise ValueError(f"{option}: need {datum.rank} coefficients for {datum.name}")
-    if datum.family == "BC":
-        lam = tuple(coeffs)
-    else:
-        lam = datum.weight_from_fundamental(coeffs)
-    return datum.check_dominant(lam)
+    lam = tuple(coeffs) if datum.family == "BC" else datum.weight_from_fundamental(coeffs)
+    labels = datum.weight_labels(lam)
+    if min(labels) < 0:
+        raise ValueError(f"{option}: ({''.join(text.split())}) is not dominant")
+    return datum.from_labels(labels)
 
 
 def _parse_omega(datum: RootDatum, text: str):

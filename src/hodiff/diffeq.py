@@ -1,13 +1,13 @@
 """Spectral difference-equation coefficients and their exact Pieri check.
 
-At the discrete spectral points rho_g + lambda the difference equation for
-a small weight omega collapses to a Pieri identity between products and
-shifted Jacobi polynomials; that identity is verified here in exact rational
-arithmetic, for the reduced systems and for BC_n at omega = e_1 + ... + e_l
+The coefficients A_nu = V_nu * sum_eta U_{nu,eta} are evaluated in one place,
+``coefficients``, on the integer table of any exact xi.  At the spectral
+points rho_g + lambda the equation for a small omega collapses to a Pieri
+identity between products and shifted Jacobi polynomials, verified here
+exactly for the reduced systems and for BC_n at omega = e_1 + ... + e_l
 (``nonreduced``) alike: one index and one factor-list rule, with the alpha/2
 rule of BC applied where support codes become factor entries (``_entries``).
-Poles of the coefficient products are surfaced as explicit errors so that
-callers can resample multiplicities.
+A pole raises, so that callers can resample multiplicities.
 """
 
 from __future__ import annotations
@@ -154,23 +154,18 @@ def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> f
     return total
 
 
-def _evaluator(datum: RootDatum, mults: Multiplicities, xi):
-    """The product of a factor list at xi with m (``factor_values``), as a
-    function of the list: on integers over one ``scaled_table``."""
-    table = scaled_table(datum.pairings(xi), mults.factor_values)
-    return lambda factors: Q(*integer_product(datum, factors, table))
-
-
 def coeff_V(datum: RootDatum, mults: Multiplicities, nu: Vector, xi):
     """Product of (z+g)/z over roots with positive pairing against nu, times
     (1+z+g)/(1+z) over roots pairing exactly 2, z = <xi,a^vee> (float xi read exactly)."""
-    return _evaluator(datum, mults, tuple(map(Q, xi)))(term_factors(datum, nu))
+    table = scaled_table(datum.pairings(tuple(map(Q, xi))), mults.factor_values)
+    return Q(*integer_product(datum, term_factors(datum, nu), table))
 
 
 def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi):
     """Like coeff_V but over the stabilizer subsystem of nu, with the sign of
     g flipped in the pairing-2 factor."""
-    return _evaluator(datum, mults, tuple(map(Q, xi)))(term_factors(datum, nu, eta))
+    table = scaled_table(datum.pairings(tuple(map(Q, xi))), mults.factor_values)
+    return Q(*integer_product(datum, term_factors(datum, nu, eta), table))
 
 
 @dataclass(frozen=True)
@@ -235,28 +230,39 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
 pieri_index.cache_info = lambda: IndexCacheInfo(**_index_counts)
 
 
+def coefficients(datum: RootDatum, entries, table: list, perturb: str | None):
+    """A_nu = V_nu * sum_eta U_{nu,eta} on an integer table (``point_table``
+    or ``scaled_table``): per ``PieriTermIndex`` entry, (entry, V_nu's
+    ``integer_product``, a lazy map of the U_{nu,eta} products in eta order),
+    every list ``perturbed``.  A U list is multiplied, and its pole raised,
+    only when read."""
+    def product(factors):
+        return integer_product(datum, perturbed(factors, perturb), table)
+
+    for entry in entries:
+        yield entry, product(entry.v_factors), map(product, entry.u_factors)
+
+
 def pieri_terms(datum: RootDatum, mults: Multiplicities, omega: Vector,
                 lam: tuple, perturb: str | None):
     """Surviving (entry, eta labels, U*V) triples at the spectral point
     rho_g + lambda, for lam the labels of a dominant lambda and entry the
     ``PieriTermIndex`` of nu.
 
-    Every factor list is evaluated on integers over the ``point_table`` of
-    the point, and each surviving term becomes one Fraction.  Terms whose
-    shift leaves the dominant cone must carry an exactly vanishing V factor;
-    that vanishing is asserted, and a pole anywhere in the term list raises
-    for a multiplicity resample; with no zero in the table (no pole), an
-    excluded term's U lists are skipped.  Exact multiplicities are required.
+    The ``coefficients`` of omega's index on the ``point_table`` of the
+    point, each surviving term one Fraction.  Terms whose shift leaves the
+    dominant cone must carry an exactly vanishing V factor; that vanishing is
+    asserted, and a pole anywhere in the term list raises for a multiplicity
+    resample; with no zero in the table (no pole), an excluded term's U lists
+    are not read.  Exact multiplicities are required.
     """
     table = point_table(datum, mults, lam)
     poles = not all(w and w1 for w, w1, _g in table)
     out = []
-    for entry in pieri_index(datum, omega):
-        v_num, v_den = integer_product(
-            datum, perturbed(entry.v_factors, perturb), table)
+    for entry, (v_num, v_den), us in coefficients(datum, pieri_index(datum, omega), table, perturb):
         kept = all(a + b >= 0 for a, b in zip(lam, entry.nu_labels))
-        us = [integer_product(datum, perturbed(f, perturb), table)
-              for f in entry.u_factors] if kept or poles else ()
+        if poles:
+            us = list(us)
         if kept:
             out.extend((entry, eta, Q(u_num * v_num, u_den * v_den))
                        for eta, (u_num, u_den) in zip(entry.eta_labels, us))
@@ -386,18 +392,15 @@ def verify_pieri(datum: RootDatum, mults: Multiplicities, omega: Vector,
 
 def quasi_identity_value(datum: RootDatum, mults: Multiplicities,
                          omega: Vector, xi):
-    """(1/2) sum over the orbit of (V_nu + U_{0,nu}) at a pole-free point;
-    equals the orbit size for a quasi-minuscule omega.  V_nu is read from
-    the ``pieri_index`` term of each orbit element nu, U_{0,nu} from the
-    origin's term, whose etas are the orbit; one evaluator of xi for all."""
+    """(1/2) sum_nu A_nu at a pole-free point xi, the order-0 sum of the
+    ``coefficients`` of omega on one ``scaled_table``: for a quasi-minuscule
+    omega the sum over the orbit of (V_nu + U_{0,nu}), as V_0 = 1 and each
+    orbit term's U is 1, which equals the orbit size."""
     if not datum.is_quasi_minuscule(omega):
         raise ValueError(f"{weight_str(omega)} is not quasi-minuscule")
-    value = _evaluator(datum, mults, xi)
-    total = 0
-    for entry in pieri_index(datum, omega):
-        total += (sum(map(value, entry.u_factors)) if not any(entry.nu_labels)
-                  else value(entry.v_factors))
-    return total / 2
+    table = scaled_table(datum.pairings(xi), mults.factor_values)
+    return sum(Q(*v) * sum(Q(*u) for u in us) for _e, v, us
+               in coefficients(datum, pieri_index(datum, omega), table, None)) / 2
 
 
 @dataclass
@@ -425,24 +428,22 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
 
     entries = pieri_index(datum, omega)
     orbit = datum.orbit_labels(datum.dominant_labels(omega)).keys()
-    nus = {e.nu_labels for e in entries}
-    value = _evaluator(datum, mults, xi)
-
-    def unit_u(e):
-        return all(value(f) == 1 for f in e.u_factors)
+    table = scaled_table(datum.pairings(xi), mults.factor_values)
+    unit = {e.nu_labels: all(n == d for n, d in us)   # per nu: every U is 1
+            for e, _v, us in coefficients(datum, entries, table, None)}
 
     if datum.is_minuscule(omega):
         kind = "minuscule"
-        record("index set is the full orbit", nus == orbit)
+        record("index set is the full orbit", unit.keys() == orbit)
         record("single eta per term", all(e.eta_labels == (e.nu_labels,) for e in entries))
-        record("all U factors equal 1", all(map(unit_u, entries)))
+        record("all U factors equal 1", all(unit.values()))
         record("E_omega equals the plain orbit sum",
                expansion_E_omega(datum, omega) == orbit_sum(datum, omega))
     elif datum.is_quasi_minuscule(omega):
         kind = "quasi-minuscule"
-        record("index set is orbit plus origin", nus == orbit | {(0,) * datum.rank})
+        record("index set is orbit plus origin", unit.keys() == orbit | {(0,) * datum.rank})
         record("orbit terms have trivial eta and unit U",
-               all(e.eta_labels == (e.nu_labels,) and unit_u(e)
+               all(e.eta_labels == (e.nu_labels,) and unit[e.nu_labels]
                    for e in entries if any(e.nu_labels)))
         m0 = Q(len(orbit))
         record("E_omega equals orbit sum plus its value at zero",
@@ -452,17 +453,14 @@ def specialization_consistency(datum: RootDatum, mults: Multiplicities,
                quasi_identity_value(datum, mults, omega, xi) == m0)
     else:
         raise ValueError(f"{weight_str(omega)} is neither minuscule nor quasi-minuscule")
-    return ConsistencyReport(
-        system=datum.name, omega=omega, kind=kind,
-        ok=all(c["ok"] for c in checks), checks=checks)
+    return ConsistencyReport(system=datum.name, omega=omega, kind=kind,
+                             ok=all(c["ok"] for c in checks), checks=checks)
 
 
 def sample_multiplicities(datum: RootDatum, rng) -> Multiplicities:
     """One deterministic positive rational value per root orbit."""
-    values = []
-    for _ in datum.root_orbits:
-        values.append(Q(rng.randint(1, 12), rng.randint(2, 13)))
-    return Multiplicities(datum, values)
+    return Multiplicities(datum, [Q(rng.randint(1, 12), rng.randint(2, 13))
+                                  for _ in datum.root_orbits])
 
 
 def sample_spectral_point(datum: RootDatum, rng):

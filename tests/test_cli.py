@@ -190,10 +190,31 @@ def test_non_small_omega_rejected_naming_the_option(args, capsys):
 @pytest.mark.parametrize("args,message", [
     (["jacobi", "--family", "A", "--rank", "2", "--lambda", "1/2,0", "--g", "1/2"],
      "(1/3,-1/6,-1/6) is not in the weight lattice of RootDatum(A2)"),
-    (["coeffs", "--family", "G", "--rank", "2", "--omega=-1,0"],
-     "(-2/1,-1/1) is not dominant"),
-], ids=["jacobi-off-lattice", "coeffs-not-dominant"])
+], ids=["jacobi-off-lattice"])
 def test_weights_in_errors_print_as_p_over_q(args, message, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["jacobi", "--family", "A", "--rank", "2", "--lambda=-1,1", "--g", "1/2"],
+     "--lambda: (-1,1) is not dominant"),
+    (["verify", "--suite", "pieri", "--family", "A", "--rank", "2", "--omega=-1,1"],
+     "--omega: (-1,1) is not dominant"),
+    (["coeffs", "--family", "G", "--rank", "2", "--omega=-1,0"],
+     "--omega: (-1,0) is not dominant"),
+    (["jacobi", "--family", "BC", "--rank", "2", "--lambda", "1, 2", "--g", "1/2"],
+     "--lambda: (1,2) is not dominant"),
+    (["jacobi", "--family", "A", "--rank", "2", "--lambda=-1/2,0", "--g", "1/2"],
+     "(-1/3,1/6,1/6) is not in the weight lattice of RootDatum(A2)"),
+], ids=["jacobi-lambda", "verify-omega", "coeffs-not-dominant", "jacobi-bc-partition",
+        "lattice-first"])
+def test_not_dominant_names_the_option_and_the_coefficients_typed(args, message, capsys):
+    # a weight off the dominant cone is refused naming its option, with the
+    # coefficients as typed (BC's coordinates), not the realization; a weight
+    # off the lattice is refused as such, before its dominance is checked
     assert run(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import hodiff.diffeq as diffeq
 from hodiff.cli import PIERI_SYSTEMS
 from hodiff.diffeq import (PERTURB_U_SIGN, PERTURB_V_DROP, PERTURBATIONS,
-                           PoleAtSpectralPoint, coeff_U, coeff_V, factor_product,
+                           PoleAtSpectralPoint, coeff_U, coeff_V, coefficients, factor_product,
                            float_table, integer_product, perturbed, pieri_index,
                            pieri_residual, pieri_terms, quasi_identity_value,
                            sample_multiplicities, sample_spectral_point,
@@ -84,14 +84,15 @@ def test_coefficients_read_a_float_xi_as_its_binary_value(b2):
     assert isinstance(coeff_V(b2, Multiplicities(b2, [Q(1, 3), Q(2, 5)]), w1, xi), Q)
 
 def _reference_product(datum, factors, z, g):
-    """A factor-list product one Fraction factor at a time."""
+    """A factor-list product one Fraction factor at a time: (w + e*g)/w,
+    w = z + s, or -(w + g)/w for BC's e = -2 entries."""
     total = Q(1)
     for i, s, e in factors:
         w = z[i] + s
         if w == 0:
             raise PoleAtSpectralPoint(datum.roots[i],
                                       "1+<xi,a^vee>" if s else "<xi,a^vee>")
-        total *= (w + e * g[i]) / w
+        total *= (-(w + g[i]) if e == -2 else w + e * g[i]) / w
     return total
 
 
@@ -112,29 +113,52 @@ def _every_factor_list(datum):
                     yield perturbed(factors, perturb)
 
 
-@pytest.mark.parametrize("system", ["a2", "b2", "g2", "c3", "d4", "f4"])
+def _engine_lists(datum, table, perturb):
+    """(factor list, product or pole) per V and U list that ``coefficients``
+    yields over every small weight's index, edited by perturb: one entry at
+    a time, so that a pole in one V leaves the next entries, and each U read
+    from the lazy map, which goes on after a pole in the U before it."""
+    for omega in datum.small_dominant_weights():
+        for entry in pieri_index(datum, omega):
+            try:
+                (_entry, v, us), = coefficients(datum, (entry,), table, perturb)
+            except PoleAtSpectralPoint as exc:
+                yield entry.v_factors, ("pole", exc.alpha, exc.which)
+                continue
+            yield entry.v_factors, Q(*v)
+            for factors in entry.u_factors:
+                yield factors, _outcome(lambda: Q(*next(us)))
+
+
+@pytest.mark.parametrize("system", ["a2", "b2", "g2", "c3", "d4", "f4", "bc2"])
 def test_integer_product_matches_fraction_reference(system, request):
+    # integer_product on each list, and the coefficients engine on each
+    # index, against the Fraction reference of the same (edited) list
     datum = request.getfixturevalue(system)
     rng = random.Random(f"integer-product:{system}")
     mults = sample_multiplicities(datum, rng)
     xi = sample_spectral_point(datum, rng)
-    z, g = datum.pairings(xi), mults.root_values
+    z, g = datum.pairings(xi), mults.factor_values
     table = scaled_table(z, g)
     checked = 0
     for factors in _every_factor_list(datum):
         got = Q(*integer_product(datum, factors, table))
         assert got == _reference_product(datum, factors, z, g), factors
         checked += 1
+    for perturb in (None, *PERTURBATIONS):
+        for factors, got in _engine_lists(datum, table, perturb):
+            assert got == _reference_product(datum, perturbed(factors, perturb), z, g), factors
+            checked += 1
     assert checked > 0
 
 
-@pytest.mark.parametrize("system", ["a2", "b2", "g2", "c3"])
+@pytest.mark.parametrize("system", ["a2", "b2", "g2", "c3", "bc2"])
 def test_integer_product_poles_match_reference(system, request):
     # at xi = 0, -omega_j and -rho (all labels -1, so only 1+z vanishes)
-    # every pole of the reference is raised by the integer evaluator at the
-    # same root and denominator
+    # every pole of the reference is raised by the integer evaluator, and
+    # by the coefficients engine, at the same root and denominator
     datum = request.getfixturevalue(system)
-    g = sample_multiplicities(datum, random.Random(f"poles:{system}")).root_values
+    g = sample_multiplicities(datum, random.Random(f"poles:{system}")).factor_values
     points = [(Q(0),) * datum.dim,
               datum.weight_from_fundamental([-1] * datum.rank)]
     points += [vscale(-1, w) for w in datum.fundamental_weights]
@@ -148,6 +172,11 @@ def test_integer_product_poles_match_reference(system, request):
             assert got == want, (xi, factors)
             if isinstance(want, tuple):
                 kinds.add(want[2])
+        for perturb in (None, *PERTURBATIONS):
+            for factors, got in _engine_lists(datum, table, perturb):
+                edited = perturbed(factors, perturb)
+                assert got == _outcome(lambda: _reference_product(datum, edited, z, g)), \
+                    (xi, perturb, factors)
     assert kinds == {"<xi,a^vee>", "1+<xi,a^vee>"}
 
 
@@ -334,6 +363,53 @@ def test_pieri_term_sum_is_order_independent(b2):
             acc = acc + poly.scale(c)
         return acc
     assert rhs(terms) == rhs(shuffled)
+
+
+ORDER_ZERO_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2), ("C", 3),
+                      ("D", 4), ("F", 4), ("BC", 1), ("BC", 2), ("BC", 3)]
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137)
+
+
+def _order_zero_sum(datum, mults, omega, xi, perturb):
+    """sum_nu A_nu(xi) over every nu of omega's index, by ``coefficients``."""
+    table = scaled_table(datum.pairings(xi), mults.factor_values)
+    return sum(Q(*v) * sum(Q(*u) for u in us)
+               for _e, v, us in coefficients(datum, pieri_index(datum, omega), table, perturb))
+
+
+@pytest.mark.parametrize("family,rank", ORDER_ZERO_SYSTEMS)
+def test_coefficients_sum_to_e_omega_at_zero(family, rank):
+    """At x = 0 the equation sum_nu A_nu(xi) F(xi + nu, x) = E_omega(x) F(xi, x)
+    reads sum_nu A_nu(xi) = E_omega(0), the coefficient sum of
+    ``expansion_labels`` (on BC the twisted form), as F(., 0) = 1.  Checked
+    exactly at 3 samples per small dominant weight (on BC each e_1 + ... +
+    e_l): g = a/q per root orbit, q in {7, 11, 13, 17}, 1 <= a <= 40, g != 1,
+    and xi with labels a_i/p_i + k_i, p_i distinct primes >= 101,
+    0 < a_i < p_i, |k_i| <= 3, so that no pairing of xi is an integer.
+
+    Each ``--perturb`` edit breaks the sum on every sample but at three
+    blind spots: a minuscule omega, whose lists hold no entry either edit
+    changes; u-sign at BC l = 1, whose U lists hold only the alpha/2 entries
+    it leaves alone; and g = 1, not drawn here, at which edited sums were
+    seen to equal E_omega(0) (A3 omega_1 + omega_3, D4 2 omega_3)."""
+    datum = build_root_system(family, rank)
+    for omega in datum.small_dominant_weights():
+        e0 = sum(expansion_labels(datum, omega).terms.values())
+        blind = {p for p in PERTURBATIONS if datum.is_minuscule(omega)
+                 or p == PERTURB_U_SIGN and family == "BC" and sum(omega) == 1}
+        rng = random.Random(f"order-zero:{datum.name}:{omega}")
+        for _ in range(3):
+            gs = []
+            for _orbit in datum.root_orbits:
+                q = rng.choice((7, 11, 13, 17))
+                gs.append(Q(rng.choice([a for a in range(1, 41) if a != q]), q))
+            mults = Multiplicities(datum, gs)
+            xi = datum.from_labels(tuple(Q(rng.randint(1, p - 1), p) + rng.randint(-3, 3)
+                                         for p in rng.sample(PRIMES, rank)))
+            assert _order_zero_sum(datum, mults, omega, xi, None) == e0, (omega, gs, xi)
+            for perturb in PERTURBATIONS:
+                held = _order_zero_sum(datum, mults, omega, xi, perturb) == e0
+                assert held == (perturb in blind), (omega, perturb, gs, xi)
 
 
 def test_quasi_identity_rank_one_frozen(a1):

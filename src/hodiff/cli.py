@@ -1,11 +1,12 @@
 """Command-line entry point: construction, verification campaigns, reports.
 
-Each suite driver returns its cases of the report, and ``run_campaign``
-joins them into the ``hodiff/1`` report that ``hodiff verify`` writes; the
-acceptance gate reads that same report, so a case's pass/fail rule is
-written once, here.  Reports are JSON with canonical key order and contain
-no timing data, so identical seeds give byte-identical output; exit codes
-are 0 (all checks pass), 1 (a check failed), 2 (invalid invocation).
+Each suite driver returns its cases of the report, ``run_campaign`` yields
+them suite by suite, and ``hodiff verify`` writes each case of its
+``hodiff/1`` report as it is checked, then the tallies; the acceptance gate
+reads that same report, so a case's pass/fail rule is written once, here.
+Reports are JSON with canonical key order and contain no timing data, so
+identical seeds give byte-identical output; exit codes are 0 (all checks
+pass), 1 (a check failed), 2 (invalid invocation or unwritable output).
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
+from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import chain
 from operator import eq
 
 from . import diffeq, jacobi, nonreduced, rankone, whittaker
@@ -328,27 +333,46 @@ def rankone_cases(config: CampaignConfig, data: dict):
 # -- campaign assembly -----------------------------------------------------------
 
 
-def run_campaign(config: CampaignConfig, data: dict) -> dict:
-    """The ``hodiff/1`` report of the selected suites, in report order, on data (``_datum``)."""
-    cases = []
+def run_campaign(config: CampaignConfig, data: dict):
+    """The cases of the selected suites, yielded in report order as each
+    suite ends, on data (``_datum``); the Pieri samples die once the eigen
+    suite has read them."""
     if "pieri" in config.suites or "eigen" in config.suites:
         pieri, samples = pieri_cases(config, data)
         if "pieri" in config.suites:
-            cases += pieri
-        if "eigen" in config.suites:
-            cases += eigen_cases(config, samples, data)
+            yield from pieri
+        del pieri
+        eigen = eigen_cases(config, samples, data) if "eigen" in config.suites else ()
+        del samples
+        yield from eigen
     if "bc" in config.suites:
-        cases += bc_cases(config, data)
+        yield from bc_cases(config, data)
     if "quasi" in config.suites:
-        cases += quasi_cases(config, data)
+        yield from quasi_cases(config, data)
     if "whittaker" in config.suites:
-        cases += confluence_cases(config, data) + homogeneity_cases(config, data)
-        cases += whittaker_rank_one_case(config, data)
+        yield from confluence_cases(config, data)
+        yield from homogeneity_cases(config, data)
+        yield from whittaker_rank_one_case(config, data)
     if "rankone" in config.suites:
-        cases += rankone_cases(config, data)
-    failures = [c["case"] for c in cases if c["status"] != "pass"]
-    return {"schema": SCHEMA, "n_cases": len(cases), "n_pass": len(cases) - len(failures),
-            "n_fail": len(failures), "failures": failures, "cases": cases}
+        yield from rankone_cases(config, data)
+
+
+def _report_chunks(cases, failures: list):
+    """The ``hodiff/1`` report of cases as ``_emit``'s text chunks: the
+    "cases" list written case by case, then the failures (also appended to
+    failures) and counts tallied meanwhile, whose keys sort after it."""
+    n, pre = 0, '{\n  "cases": ['
+    for case in cases:
+        yield from _json_chunks(case, pre + "\n    ", "\n    ")
+        n, pre = n + 1, ","
+        if case["status"] != "pass":
+            failures.append(case["case"])
+    yield "\n  ]" if n else pre + "]"
+    tallies = {"failures": failures, "n_cases": n, "n_fail": len(failures),
+               "n_pass": n - len(failures), "schema": SCHEMA}
+    for key in sorted(tallies):
+        yield from _json_chunks(tallies[key], f',\n  "{key}": ', "\n  ")
+    yield "\n}\n"
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -395,53 +419,73 @@ def _parse_omega(datum: RootDatum, text: str):
 
 
 class OutputError(Exception):
-    """The file named by --out cannot be written."""
+    """The output cannot be written: the file named by --out, or a closed stdout."""
 
 
-def _json_chunks(x, pre, nl, out) -> list:
-    """out with x appended as json.dumps(x, indent=2, sort_keys=True) writes it
-    at line break and indent nl, pre (separator and key) joined to its first
-    chunk, save that a NaN or infinite float is the JSON string "NaN",
+def _json_chunks(x, pre, nl):
+    """The text chunks of x as json.dumps(x, indent=2, sort_keys=True) writes
+    it at line break and indent nl, pre (separator and key) joined to its
+    first chunk, save that a NaN or infinite float is the JSON string "NaN",
     "Infinity" or "-Infinity", so that a failing report is strict JSON too;
     json.dumps writes only {}, [] and subclasses, and raises TypeError for a
     value that JSON cannot hold."""
     t = type(x)
     if t is str:
-        out.append(pre + _encode_str(x))
+        yield pre + _encode_str(x)
     elif t is int or t is float and math.isfinite(x):
-        out.append(pre + t.__repr__(x))
+        yield pre + t.__repr__(x)
     elif t is bool or x is None:
-        out.append(pre + ("null" if x is None else "true" if x else "false"))
+        yield pre + ("null" if x is None else "true" if x else "false")
     elif isinstance(x, float) and not math.isfinite(x):
-        out.append(f'{pre}"{json.dumps(x)}"')
+        yield f'{pre}"{json.dumps(x)}"'
     elif isinstance(x, (dict, list, tuple)) and x:
         keyed, inner = isinstance(x, dict), nl + "  "
         pre += ("{" if keyed else "[") + inner
         for k, v in sorted(x.items()) if keyed else enumerate(x):
             if keyed:   # json quotes the text of a key that is no str
                 pre += (_encode_str(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
-            _json_chunks(v, pre, inner, out)
+            yield from _json_chunks(v, pre, inner)
             pre = "," + inner
-        out.append(nl + ("}" if keyed else "]"))
+        yield nl + ("}" if keyed else "]")
     else:
-        out.append(pre + json.dumps(x))
-    return out
+        yield pre + json.dumps(x)
 
 
 def _emit(payload, out_path):
-    """payload as canonical JSON, json.dumps(payload, indent=2, sort_keys=True)
-    and a newline written in one pass (a str as it is), to out_path or stdout."""
-    text = (payload if isinstance(payload, str)
-            else "".join(_json_chunks(payload, "", "\n", [])) + "\n")
-    if out_path:
+    """payload written to out_path or stdout chunk by chunk, as each chunk is
+    made: an iterator is text chunks (the verify report, a CSV), any other
+    payload a JSON value, which is written as json.dumps(payload, indent=2,
+    sort_keys=True) and a newline (see ``_json_chunks``).  A write that fails,
+    to --out or to a closed stdout, raises OutputError; a payload that raises
+    leaves no file at out_path."""
+    chunks = payload if isinstance(payload, Iterator) else chain(
+        _json_chunks(payload, "", "\n"), ("\n",))
+    target = f"--out: cannot write {out_path}" if out_path else "cannot write to stdout"
+
+    def failed(exc):
+        return OutputError(f"{target}: {exc.strerror or exc}")
+
+    try:
+        fh = open(out_path, "w") if out_path else sys.stdout
+    except OSError as exc:
+        raise failed(exc) from None
+    try:
+        for chunk in chunks:   # an error of the payload's own is no OutputError
+            try:
+                fh.write(chunk)
+            except OSError as exc:
+                raise failed(exc) from None
         try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
+            fh.close() if out_path else fh.flush()
         except OSError as exc:
-            raise OutputError(f"--out: cannot write {out_path}: "
-                              f"{exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+            raise failed(exc) from None
+    except BaseException:
+        if out_path:
+            with suppress(OSError):
+                fh.close()
+            if os.path.isfile(out_path):   # a device or a pipe stays
+                os.remove(out_path)
+        raise
 
 
 def cmd_jacobi(args) -> int:
@@ -492,12 +536,12 @@ def cmd_verify(args) -> int:
     if args.omega:
         datum = _datum(data, args.family, args.rank)
         omegas = (_parse_omega(datum, args.omega),)
-    report = run_campaign(CampaignConfig(
+    failures = []
+    _emit(_report_chunks(run_campaign(CampaignConfig(
         systems=systems, omegas=omegas, height_bound=height,
         samples=samples, seed=seed, suites=suites,
-        perturb=args.perturb or None), data)
-    _emit(report, args.out)
-    return EXIT_PASS if report["n_fail"] == 0 else EXIT_FAIL
+        perturb=args.perturb or None), data), failures), args.out)
+    return EXIT_FAIL if failures else EXIT_PASS
 
 
 def _factor_latex(row, denom=False):
@@ -558,8 +602,8 @@ def cmd_sweep_rank_one(args) -> int:
     x_grid = _parse_float_list("--x", args.x)
     report = rankone.verify_de(args.g1, args.g2, xi_grid, x_grid, tol=rankone.DE_TOL)
     if args.csv:
-        lines = ["xi,x,residual"] + [f"{xi},{x},{r:.6e}" for xi, x, r in report.rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(chain(["xi,x,residual\n"],
+                    (f"{xi},{x},{r:.6e}\n" for xi, x, r in report.rows)), args.out)
     else:
         _emit({"schema": SCHEMA, "sweep": report.to_dict()}, args.out)
     return EXIT_PASS if report.ok else EXIT_FAIL
@@ -670,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """The one error exit: bad input (a usage error, a ValueError, an ArithmeticError)
-    and an unwritable --out print one line and return 2; other errors propagate."""
+    and an output that cannot be written (OutputError) print one line and
+    return 2; other errors propagate."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -1,12 +1,13 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1-3 and 5-10 read the ``hodiff/1`` report of the default campaign,
-``cli.run_campaign(cli.CampaignConfig(), {})``, built once for the module: the
-report that ``hodiff verify`` writes, as ``test_report_is_what_verify_writes``
-checks.  A criterion passes on the status of its cases and reads the numbers
-it prints from their detail, so a case's pass/fail rule is written once, in
-the campaign.  All tolerances are pinned here; exact checks assert identical
-rational objects, never closeness.
+Criteria 1-3 and 5-10 read the ``hodiff/1`` report that the default
+``hodiff verify`` writes, built once for the module: the cases of
+``cli.run_campaign(cli.CampaignConfig(), {})`` and their tallies, as
+``test_report_is_what_verify_writes`` checks.  A criterion passes on the
+status of its cases and reads the numbers it prints from their detail, so a
+case's pass/fail rule is written once, in the campaign.  All tolerances are
+pinned here; exact checks assert identical rational objects, never
+closeness.
 """
 
 import json
@@ -27,11 +28,15 @@ def _line(num, ok, text):
 
 
 @pytest.fixture(scope="module")
-def campaign():
-    """The default campaign's report, and the seconds it took."""
+def campaign(tmp_path_factory):
+    """The report the default ``hodiff verify`` writes, and the seconds it took."""
+    out = tmp_path_factory.mktemp("campaign") / "report.json"
     t0 = time.perf_counter()
-    report = cli.run_campaign(cli.CampaignConfig(), {})
-    return report, time.perf_counter() - t0
+    code = cli.main(["verify", "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    report = json.loads(out.read_text())
+    assert code == (cli.EXIT_FAIL if report["n_fail"] else cli.EXIT_PASS)
+    return report, elapsed
 
 
 def _cases(report, suite):
@@ -43,11 +48,14 @@ def _passed(cases):
     return bool(cases) and all(c["status"] == "pass" for c in cases)
 
 
-def test_report_is_what_verify_writes(campaign, tmp_path):
+def test_report_is_what_verify_writes(campaign):
+    # the cases run_campaign yields, then their tallies
     report, _elapsed = campaign
-    out = tmp_path / "report.json"
-    assert cli.main(["verify", "--out", str(out)]) == 0
-    assert json.loads(out.read_text()) == report
+    cases = list(cli.run_campaign(cli.CampaignConfig(), {}))
+    failures = [c["case"] for c in cases if c["status"] != "pass"]
+    assert report == {"schema": cli.SCHEMA, "n_cases": len(cases),
+                      "n_pass": len(cases) - len(failures), "n_fail": len(failures),
+                      "failures": failures, "cases": cases}
 
 
 def test_criterion_1_exact_pieri_suite(campaign):

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -6,7 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -108,7 +111,7 @@ def test_cli_defaults_are_the_campaigns(capsys):
     assert run(["sweep-rank-one"]) == 0
     sweep = json.loads(capsys.readouterr().out)["sweep"]
     config = cli.CampaignConfig(suites=("rankone",))
-    first = next(case for case in cli.run_campaign(config, {})["cases"]
+    first = next(case for case in cli.run_campaign(config, {})
                  if case["case"].startswith("rankone/de-sweep/"))
     assert sweep == json.loads(json.dumps(first["detail"]))
     with pytest.raises(SystemExit):
@@ -468,12 +471,13 @@ def _canonical(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emitted(payload, tmp_path, capsys):
-    """The text _emit writes for payload to --out, and to stdout."""
+def _emitted(payload, tmp_path, capsys, streamed=False):
+    """The text _emit writes for payload to --out, and to stdout; if
+    streamed, payload is a list of chunks, handed to _emit as an iterator."""
     out = tmp_path / "emitted.json"
-    cli._emit(payload, str(out))
+    cli._emit(iter(payload) if streamed else payload, str(out))
     capsys.readouterr()
-    cli._emit(payload, None)
+    cli._emit(iter(payload) if streamed else payload, None)
     return out.read_text(), capsys.readouterr().out
 
 
@@ -484,15 +488,26 @@ PINNED_COMMANDS = {name: p for name, (p, _digest) in zip(PINNED_IDS, PINNED_OUTP
 
 @pytest.mark.parametrize("produce", PINNED_COMMANDS.values(), ids=PINNED_COMMANDS)
 def test_writer_matches_json_on_every_pinned_command(produce, tmp_path, capsys, monkeypatch):
+    # a JSON value is written as json.dumps writes it; a stream of chunks
+    # (the verify report, sweep-rank-one's CSV) is recorded as _emit reads
+    # it, and its text, save the CSV's, is json.dumps of the same content
     payloads = []
     emit = cli._emit
-    monkeypatch.setattr(cli, "_emit", lambda payload, out_path: (
-        payloads.append(payload), emit(payload, out_path)))
+
+    def recording(payload, out_path):
+        streamed = isinstance(payload, Iterator)
+        payload = list(payload) if streamed else payload
+        payloads.append((streamed, payload))
+        emit(iter(payload) if streamed else payload, out_path)
+
+    monkeypatch.setattr(cli, "_emit", recording)
     produce(tmp_path)
     assert len(payloads) == 1
-    payload, = payloads
-    want = payload if isinstance(payload, str) else _canonical(payload)
-    assert _emitted(payload, tmp_path, capsys) == (want, want)
+    (streamed, payload), = payloads
+    want = "".join(payload) if streamed else _canonical(payload)
+    if streamed and not want.startswith("xi,x,residual\n"):
+        assert want == _canonical(json.loads(want))
+    assert _emitted(payload, tmp_path, capsys, streamed) == (want, want)
 
 
 def _nonfinite_as_strings(x):
@@ -622,7 +637,7 @@ def test_campaign_builds_each_root_datum_once(monkeypatch, tmp_path):
         init(self, family, rank)
 
     monkeypatch.setattr(RootDatum, "__init__", counting)
-    assert cli.run_campaign(cli.CampaignConfig(), {})["n_fail"] == 0
+    assert all(c["status"] == "pass" for c in cli.run_campaign(cli.CampaignConfig(), {}))
     assert sorted(built) == [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("BC", 1),
                              ("BC", 2), ("C", 3), ("D", 4), ("G", 2)]
     built.clear()
@@ -660,7 +675,7 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(RootDatum, "_dominant_orbit", counting_walk)
     monkeypatch.setattr(RootDatum, "parabolic_orbit", counting_parabolic)
-    assert cli.run_campaign(cli.CampaignConfig(), {})["n_fail"] == 0
+    assert all(c["status"] == "pass" for c in cli.run_campaign(cli.CampaignConfig(), {}))
     assert set(walks.values()) == {1} and len(walks) == 110
     assert set(parabolic.values()) == {1}
     reduced = [d for d, *_ in parabolic if d.family != "BC"]
@@ -688,7 +703,7 @@ def test_parabolic_greedy_matches_the_loop(monkeypatch):
         return parabolic_orbit(self, top, l)
 
     monkeypatch.setattr(RootDatum, "parabolic_orbit", recording)
-    assert cli.run_campaign(cli.CampaignConfig(), {})["n_fail"] == 0
+    assert all(c["status"] == "pass" for c in cli.run_campaign(cli.CampaignConfig(), {}))
     assert len(calls) == 34
     for datum, top, l in calls:
         assert min(l) >= 0
@@ -796,6 +811,92 @@ def test_unwritable_out_path_names_the_option(args, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: --out: cannot write {path}: ")
     assert captured.err.count("\n") == 1
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "rankone"],
+    ["sweep-rank-one"],
+    ["sweep-rank-one", "--csv"],
+], ids=["verify", "json", "csv"])
+def test_closed_stdout_is_an_output_error(args, monkeypatch, capsys):
+    # a stdout closed early is an output that cannot be written, like an
+    # unwritable --out: exit 2 with one line, no traceback
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: cannot write to stdout: Broken pipe\n"
+
+
+def test_stdout_closed_by_its_reader_exits_2():
+    # `hodiff verify | head -c 10`: the default report (about 360 KB) fills
+    # the pipe, the reader leaves after 10 bytes, and the writer stops with
+    # one line and exit 2, not a traceback or the interpreter's exit-time
+    # flush error
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    with subprocess.Popen([sys.executable, "-m", "hodiff.cli", "verify"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b'{\n  "cases'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (2, b"error: cannot write to stdout: Broken pipe\n")
+
+
+def test_failed_campaign_leaves_no_report(monkeypatch, tmp_path):
+    # the report is written as it is checked; a suite that raises after the
+    # first cases were written leaves no partial report at --out
+    path = tmp_path / "r.json"
+    opened = []
+
+    def broken(config, data):
+        opened.append(path.exists())
+        raise InternalConsistencyError("a suite failed mid-campaign")
+
+    monkeypatch.setattr(cli, "rankone_cases", broken)
+    with pytest.raises(InternalConsistencyError):
+        run(["verify", "--suite", "quasi,rankone", "--out", str(path)])
+    assert opened == [True] and not path.exists()
+
+
+def test_writer_holds_no_whole_text(tmp_path):
+    # _emit writes each chunk as it is made: writing a JSON value or a
+    # report stream whose text is over 1 MB grows the traced peak by less
+    # than 10 % of the text (joining the chunks first took more than 100 %)
+    cases = [cli._case(f"case/{i}", i % 7 != 0, {"row": [i, i / 3, str(Q(i, 7))] * 4})
+             for i in range(4000)]
+    path = tmp_path / "big.json"
+    for payload in ({"cases": cases}, lambda: cli._report_chunks(iter(cases), [])):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli._emit(payload() if callable(payload) else payload, str(path))
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 1 << 20 and grown < size // 10, (size, grown)
+
+
+def test_u_sign_control_at_g_one_is_on_minuscule_weights():
+    # at g = 1 the u-sign control breaks no exact Pieri check, so a
+    # default-campaign pieri sample that draws some g = 1 (at the default
+    # seed, A2 s1 alone) must be on a system whose checked omega are all
+    # minuscule, where neither control loses a case: a new seed or sampler
+    # that puts g = 1 on another system fails here
+    config = cli.CampaignConfig()
+    _cases, samples = cli.pieri_cases(config, {})
+    at_one = [(s["datum"], s["sample"]) for s in samples if 1 in s["mults"].values]
+    for datum, _s in at_one:
+        omegas = config.omegas or datum.small_fundamental_weights()
+        assert all(datum.is_minuscule(w) for w in omegas), datum.name
 
 
 # which suite's drivers read which verify option, written out here apart

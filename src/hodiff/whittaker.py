@@ -164,6 +164,8 @@ CONFLUENCE_TOL = 1e-6               # the bound on its deviations at the last t
 
 @dataclass
 class ConfluenceReport:
+    """Outcome of ``verify_confluence``.  A row holds its deviations as a
+    tuple in ``t_list`` order; ``to_dict`` makes the {"t", "deviation"} pairs."""
     system: str
     omega: Vector
     t_list: tuple
@@ -177,7 +179,9 @@ class ConfluenceReport:
     def to_dict(self):
         return {"system": self.system, "omega": [_q_str(x) for x in self.omega],
                 "t": list(self.t_list), "tol": self.tol,
-                "status": "pass" if self.ok else "fail", "rows": self.rows}
+                "status": "pass" if self.ok else "fail",
+                "rows": [dict(row, deviations=[{"t": t, "deviation": d} for t, d in zip(
+                    self.t_list, row["deviations"], strict=True)]) for row in self.rows]}
 
 
 def _rel(diff, scale):
@@ -185,13 +189,12 @@ def _rel(diff, scale):
     return diff / scale if scale else math.nan
 
 
-def _deviation_row(family, label, devs, t_list, tol, limit):
+def _deviation_row(family, label, devs, tol, limit):
     ok = devs[-1] <= tol and all(
         later < earlier or later < 1e-12
         for earlier, later in zip(devs, devs[1:]))
     return {"family": family, "term": label, "ok": ok, "limit": limit,
-            "deviations": [{"t": t, "deviation": d}
-                           for t, d in zip(t_list, devs)]}
+            "deviations": tuple(devs)}
 
 
 def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
@@ -237,7 +240,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         for a, b, c in terms:
             val += c * math.exp(a + t * b)
         devs.append(_rel(abs(val - limit), abs(limit)))
-    report.rows.append(_deviation_row("E", "E_omega", devs, t_list, tol, limit))
+    report.rows.append(_deviation_row("E", "E_omega", devs, tol, limit))
 
     z = datum.pairings(tuple(map(Q, xi)))
     table, limits = float_table(z), limit_table(datum, z)
@@ -253,7 +256,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
             bar = float(limit_product(datum, factors, limits))
             devs = [_rel(abs(math.exp(-t * rate) * factor_product(datum, factors, table, g)
                              - bar), abs(bar)) for t, g in zip(t_list, g_list)]
-            report.rows.append(_deviation_row(family, label, devs, t_list, tol, bar))
+            report.rows.append(_deviation_row(family, label, devs, tol, bar))
     return report
 
 

@@ -418,7 +418,7 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
     t_list = tuple(map(float, t_list))
 
     def row(family, label, devs, limit):
-        return whittaker._deviation_row(family, label, devs, t_list, tol, limit)
+        return whittaker._deviation_row(family, label, devs, tol, limit)
 
     rate_omega = inner(datum, omega, rv)
     e_poly = expansion_E_omega(datum, omega)

@@ -445,6 +445,11 @@ PINNED_OUTPUTS = (
     (_cli_output(["whittaker-limits", "--family", "B", "--rank", "2", "--omega", "0,1",
                   "--xi", "1/31,-1/71", "--x", "0.2,-0.35"], 0),
      "ea63a50f87fb29d7139840fddeaf6d82d4bb8a82650b259d4e36160a4b2f6425"),
+    # A2's quasi-minuscule omega_1 + omega_2 on the benchmark's seven-point t grid
+    (_cli_output(["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,1",
+                  "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15",
+                  "--t", "6,10,14,18,22,26,30"], 0),
+     "904f1f560c22e986e1558b67d4b310ed9618e7cde157cd4cc87baaca9dc41d90"),
     (_cli_output(["sweep-rank-one", "--csv"], 0),
      "9b52b09d0a0af7207fe7aa7aae08e4ba69fccd8764b015ec02c7456e5bb2f3ad"),
     # the default campaign, all six suites (about 1 s)
@@ -459,7 +464,7 @@ PINNED_IDS = ["exact-suites", "u-sign", "v-drop-pairing2", "coeffs-g2", "coeffs-
               "pieri-e8-omega8-u-sign", "bc3-lam210", "bc-u-sign", "eigen-b2-corrupted",
               "whittaker-suite", "whittaker-limits-g2", "whittaker-limits-c3",
               "rankone-suite", "whittaker-rankone-suites", "whittaker-limits-b2-omega2",
-              "sweep-rank-one-csv", "default-report"]
+              "whittaker-limits-a2-t-grid", "sweep-rank-one-csv", "default-report"]
 
 
 @pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS, ids=PINNED_IDS)

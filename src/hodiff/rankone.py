@@ -15,8 +15,10 @@ bit-identical to those of three ``gauss_2f1_jacobi`` calls per point.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from itertools import product
 
 import mpmath
 
@@ -100,6 +102,8 @@ def _checked_2f1(a, b, c, z, w) -> float:
     (1-z)^{-a} 2F1(a, c-b; c; w), always convergent.  For |z| < 0.8 the
     plain series is also summed and the two must agree to 1e-11."""
     pfaff = (1.0 - z) ** (-a) * series_2f1(a, c - b, c, w)
+    if not math.isfinite(pfaff):   # as (1-z)^{-a} raises when it alone overflows
+        raise OverflowError(f"2F1({a}, {b}; {c}; {z}) is beyond the float range")
     if abs(z) < 0.8:
         plain = series_2f1(a, b, c, z)
         if abs(plain - pfaff) > AGREEMENT_TOL * max(1.0, abs(pfaff)):
@@ -131,37 +135,58 @@ def shift_coefficients(g1, g2, xi):
     return up, dn
 
 
+class SweepRows(Sequence):
+    """The (xi, x, residual) rows of a sweep, read from its non-pole xis, its x
+    grid and its float list of residuals, xi by xi; a slice is a list of rows."""
+    __slots__ = ("xis", "xs", "residuals")
+
+    def __init__(self, xis, xs, residuals):
+        self.xis, self.xs, self.residuals = xis, xs, residuals
+
+    def __len__(self):
+        return len(self.residuals)
+
+    def __iter__(self):
+        return ((xi, x, r) for (xi, x), r in zip(product(self.xis, self.xs), self.residuals))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        k, j = divmod(range(len(self.residuals))[i], len(self.xs))
+        return self.xis[k], self.xs[j], self.residuals[i]
+
+
 @dataclass
 class SweepReport:
+    """Outcome of ``verify_de``; ``rows`` is any sequence of (xi, x, residual)."""
     g1: float
     g2: float
     tol: float
-    rows: list = field(default_factory=list)   # (xi, x, residual)
+    rows: Sequence
     skipped: list = field(default_factory=list, init=False)
 
     @property
     def ok(self):
         return all(r[2] <= self.tol for r in self.rows)
 
-    def max_residual(self):
-        return max((r[2] for r in self.rows), default=0.0)
+    def max_residual(self):   # NaN if any residual is NaN
+        return max((r[2] for r in self.rows), key=lambda r: (math.isnan(r), r), default=0.0)
 
     def to_dict(self):
         return {"g1": self.g1, "g2": self.g2, "tol": self.tol,
                 "status": "pass" if self.ok else "fail",
                 "max_residual": self.max_residual(),
-                "rows": [{"xi": xi, "x": x, "residual": r}
-                         for xi, x, r in self.rows],
+                "rows": [{"xi": xi, "x": x, "residual": r} for xi, x, r in self.rows],
                 "skipped": self.skipped}
 
 
 def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     """Relative residuals of the rank-one difference equation over a (xi, x)
-    grid, skipping coefficient poles (ValueError if no xi is free of them).
-    Each condition of ``HypergeometricParams`` reads (g1, g2), xi or x alone,
-    so each x (at the first xi that is no pole) and each shift xi, xi+1, xi-1
-    is checked once."""
-    report = SweepReport(g1=g1, g2=g2, tol=tol)
+    grid, one float per point behind ``SweepRows``; coefficient poles are skipped
+    (ValueError if every xi is one), and a shifted value or a side beyond the float
+    range raises HypergeometricError.  Each ``HypergeometricParams`` condition reads
+    (g1, g2), xi or x alone, so each x and each shift xi, xi+-1 is checked once."""
+    report = SweepReport(g1=g1, g2=g2, tol=tol, rows=SweepRows([], tuple(x_grid), []))
     points = None   # (x, s, z, w) per x
     for xi in xi_grid:
         if min(abs(xi), abs(xi - 0.5), abs(xi + 0.5)) < 1e-9:
@@ -171,16 +196,21 @@ def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
             points = []
             for x in x_grid:
                 HypergeometricParams(g1, g2, xi, x)
-                s = math.sinh(x / 2) ** 2
-                z = -s
-                points.append((x, s, z, z / (z - 1.0)))
+                z = -math.sinh(x / 2) ** 2
+                points.append((x, -z, z, z / (z - 1.0)))
+        report.rows.xis.append(xi)
         up, dn = shift_coefficients(g1, g2, xi)
         shifts = [HypergeometricParams(g1, g2, v, 0.0).abc for v in (xi, xi + 1, xi - 1)]
         for x, s, z, w in points:
-            f0, fp, fm = [_checked_2f1(a, b, c, z, w) for a, b, c in shifts]
-            lhs = up * (fp - f0) + dn * (fm - f0)
-            rhs = 4 * s * f0
-            report.rows.append((xi, x, abs(lhs - rhs) / max(1.0, abs(rhs))))
+            try:
+                f0, fp, fm = [_checked_2f1(a, b, c, z, w) for a, b, c in shifts]
+                lhs = up * (fp - f0) + dn * (fm - f0)
+                rhs = 4 * s * f0
+                if not math.isfinite(lhs - rhs) and all(map(math.isfinite, (f0, fp, fm))):
+                    raise OverflowError("a side is beyond the float range")
+            except OverflowError as exc:
+                raise HypergeometricError(f"the equation overflows at xi = {xi}, x = {x}") from exc
+            report.rows.residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
     if points is None:
         raise ValueError("every xi of the grid is a coefficient pole")
     return report

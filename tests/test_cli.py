@@ -138,6 +138,17 @@ def test_sweep_rank_one_rejects_non_finite_input(option, value, capsys):
     assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("xi_grid,xi", [("89.976", "89.976"), ("0.3,107.3", "107.3"),
+                                        ("109.3", "109.3")])
+def test_sweep_rank_one_refuses_an_overflow(xi_grid, xi, capsys):
+    # a point whose shifted values overflow is a domain error named by its
+    # xi and x: exit 2 with one line, not a failing report with a NaN row
+    assert run(["sweep-rank-one", "--xi", xi_grid, "--x", "1,7.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the equation overflows at xi = {xi}, x = 7.9\n"
+
+
 @pytest.mark.parametrize("option,value", [("--x", "nan,-0.1,-0.15"),
                                           ("--t", "10,inf")])
 def test_whittaker_limits_rejects_non_finite_input(option, value, capsys):
@@ -452,6 +463,9 @@ PINNED_OUTPUTS = (
      "904f1f560c22e986e1558b67d4b310ed9618e7cde157cd4cc87baaca9dc41d90"),
     (_cli_output(["sweep-rank-one", "--csv"], 0),
      "9b52b09d0a0af7207fe7aa7aae08e4ba69fccd8764b015ec02c7456e5bb2f3ad"),
+    # the JSON report keeps every bit of each residual, which the CSV's .6e drops
+    (_cli_output(["sweep-rank-one"], 0),
+     "88ef475e89f44136feedbd944fbc4648db4a17be8f26cbb08803020e3d291a82"),
     # the default campaign, all six suites (about 1 s)
     (_cli_output(["verify"], 0),
      "5d26317e324f1d639bbb8c64e3b0835cc54374f8516e8519e8faad7b76447505"),
@@ -464,7 +478,8 @@ PINNED_IDS = ["exact-suites", "u-sign", "v-drop-pairing2", "coeffs-g2", "coeffs-
               "pieri-e8-omega8-u-sign", "bc3-lam210", "bc-u-sign", "eigen-b2-corrupted",
               "whittaker-suite", "whittaker-limits-g2", "whittaker-limits-c3",
               "rankone-suite", "whittaker-rankone-suites", "whittaker-limits-b2-omega2",
-              "whittaker-limits-a2-t-grid", "sweep-rank-one-csv", "default-report"]
+              "whittaker-limits-a2-t-grid", "sweep-rank-one-csv", "sweep-rank-one-json",
+              "default-report"]
 
 
 @pytest.mark.parametrize("produce,digest", PINNED_OUTPUTS, ids=PINNED_IDS)

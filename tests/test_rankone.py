@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -154,6 +157,88 @@ def test_sweep_rejects_bad_parameters_mid_grid(g1, g2, xi_grid, x_grid):
     # each HypergeometricParams check still runs for every x and every shift
     with pytest.raises(ValueError):
         verify_de(g1, g2, xi_grid, x_grid, DE_TOL)
+
+
+@pytest.mark.parametrize("xi", [89.976, 107.3, 109.3],
+                         ids=["sides-overflow", "values-overflow", "prefactor-overflows"])
+def test_sweep_refuses_a_point_beyond_the_float_range(xi):
+    # at x = 7.9: for xi = 89.976 the three shifted values are finite but a
+    # side of the equation is not; for 107.3 the Pfaff prefactor times the
+    # series is inf at all three shifts, so both differences were inf - inf
+    # and the row a NaN residual; for 109.3 the prefactor (1-z)^{-a} of the
+    # shift xi+1 overflows as it is raised.  Each is a domain error at that
+    # point, not a failing residual, and the point one x lower is fine
+    with pytest.raises(HypergeometricError,
+                       match=rf"^the equation overflows at xi = {xi}, x = 7\.9$"):
+        verify_de(0.5, 1 / 3, (0.3, xi), (1.0, 7.9), DE_TOL)
+    assert verify_de(0.5, 1 / 3, (0.3, xi), (1.0,), DE_TOL).ok
+
+
+def test_kernel_refuses_a_value_beyond_the_float_range():
+    # the point value that the sweep's xi = 107.3 row reads was inf
+    with pytest.raises(OverflowError, match="beyond the float range"):
+        gauss_2f1_jacobi(HypergeometricParams(0.5, 1 / 3, 107.3, 7.9))
+
+
+def test_sweep_max_residual_is_nan_if_any_residual_is():
+    # max() keeps a NaN only when it comes first; the report's maximum does
+    # not hide one wherever it sits, and the report fails
+    rep = verify_de(0.5, 1 / 3, DE_XI_GRID, DE_X_GRID, DE_TOL)
+    for k in (0, 7, len(rep.rows) - 1):
+        rows = list(rep.rows)
+        rows[k] = rows[k][:2] + (math.nan,)
+        bad = replace(rep, rows=rows)
+        assert math.isnan(bad.max_residual()) and not bad.ok, k
+        assert math.isnan(bad.to_dict()["max_residual"])
+    assert replace(rep, rows=[]).max_residual() == 0.0
+    assert rep.max_residual() == max(r for _xi, _x, r in rep.rows)
+
+
+def test_sweep_rows_read_as_a_sequence_of_triples():
+    # the report keeps the non-pole xis, the x grid and one float per point;
+    # its rows read as the (xi, x, residual) triples, xi by xi
+    g1, g2, x_grid = 0.5, 1 / 3, (0.2, 1.1, 2.5)
+    rep = verify_de(g1, g2, (0.3, 0.5, 0.77, 1.2), x_grid, DE_TOL)
+    triples = [(xi, x, de_residual(g1, g2, xi, x)) for xi in (0.3, 0.77, 1.2) for x in x_grid]
+    rows = rep.rows
+    assert type(rows.residuals) is list and all(type(r) is float for r in rows.residuals)
+    assert len(rows) == 9 and list(rows) == triples and [*iter(rows)] == triples
+    assert [rows[k] for k in range(-9, 9)] == triples + triples
+    assert rows[0] == triples[0] and rows[-1] == triples[-1]
+    assert type(rows[:-1]) is list and rows[:-1] == triples[:-1] and rows[::4] == triples[::4]
+    assert rows[5:2] == [] and list(reversed(rows)) == triples[::-1]
+    for k in (9, -10):
+        with pytest.raises(IndexError):
+            rows[k]
+    # the benchmark's corrupted copy: rows replaced by a plain list (replace
+    # starts the init=False skipped list empty)
+    bad = replace(rep, rows=rep.rows[:-1] + [(0.3, 0.2, 1e-6)])
+    assert not bad.ok and bad.max_residual() == 1e-6 and rep.ok
+    assert bad.to_dict() == dict(
+        rep.to_dict(), status="fail", max_residual=1e-6, skipped=[],
+        rows=rep.to_dict()["rows"][:-1] + [{"xi": 0.3, "x": 0.2, "residual": 1e-6}])
+
+
+def test_sweep_report_retains_its_residuals_as_numbers():
+    # traced growth while 40 default-grid reports are built and kept, after
+    # a sweep that sets the allocator's free lists.  Reports whose rows are
+    # (xi, x, residual) tuples read about 2,700 B each; one float per point
+    # behind the row view reads about 1,250 B
+    verify_de(0.5, 1 / 3, DE_XI_GRID, DE_X_GRID, DE_TOL)
+    kept = [None] * 40
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(len(kept)):
+            g1, g2 = DE_PARAMETER_PAIRS[k % 2]
+            kept[k] = verify_de(g1, g2, DE_XI_GRID, DE_X_GRID, DE_TOL)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert all(len(rep.rows) == 25 for rep in kept)
+    assert retained < 1_700 * len(kept), retained / len(kept)
 
 
 def test_recurrence_exact():

@@ -57,7 +57,7 @@ ANY = "*"   # the owner of a use that cannot be resolved
 SETTABLE_BOUND = 104
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
-SRC_LINE_BOUND = 3319
+SRC_LINE_BOUND = 3349
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):

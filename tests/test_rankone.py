@@ -223,7 +223,7 @@ def test_sweep_report_retains_its_residuals_as_numbers():
     # traced growth while 40 default-grid reports are built and kept, after
     # a sweep that sets the allocator's free lists.  Reports whose rows are
     # (xi, x, residual) tuples read about 2,700 B each; one float per point
-    # behind the row view reads about 1,250 B
+    # behind the row view reads about 1,200 B
     verify_de(0.5, 1 / 3, DE_XI_GRID, DE_X_GRID, DE_TOL)
     kept = [None] * 40
     gc.disable()

@@ -112,13 +112,14 @@ def _check_den(value, n: int, root: dict, which="<xi,a^vee>"):
 
 
 def rank_one_shift_coefficient(n: int, gs, j: int, xi):
-    """The displayed single-shift coefficient, in Fractions: the singleton
-    factor at slot j times the cross factors against every other slot, each
-    denominator named by its root (xi_j: 2e_j; 1 + 2xi_j: e_j, shifted;
-    xi_j +- xi_k: e_j +- e_k)."""
+    """The displayed single-shift coefficient, exact on exact input and a float
+    (1/2 read as 0.5) at a float xi_j: the singleton factor at slot j times
+    the cross factors against every other slot, each denominator named by its
+    root (xi_j: 2e_j; 1 + 2xi_j: e_j, shifted; xi_j +- xi_k: e_j +- e_k).  At
+    n = 1 it is the rank-one equation's up coefficient, its down one at -xi."""
     g, g1, g2 = gs
     x = xi[j]
-    total = (x + Q(1, 2) * g1 + g2) * (1 + 2 * x + g1) / (
+    total = (x + (0.5 if isinstance(x, float) else Q(1, 2)) * g1 + g2) * (1 + 2 * x + g1) / (
         _check_den(x, n, {j: 2}) * _check_den(1 + 2 * x, n, {j: 1}, "1+<xi,a^vee>"))
     for k, y in enumerate(xi[:n]):
         if k != j:

@@ -9,18 +9,23 @@ pins spot values independently of both.  Point values and the residual
 sweep ``verify_de`` share one checked kernel, ``_checked_2f1``.  The sweep
 forms sinh^2(x/2), z and z/(z-1) once per x and the shift coefficients once
 per xi, in the float order of a per-point evaluation, so its residuals are
-bit-identical to those of three ``gauss_2f1_jacobi`` calls per point.
+bit-identical to those of three ``gauss_2f1_jacobi`` calls per point.  The
+coefficients are the BC_1 case of the displayed BC_n one,
+``nonreduced.rank_one_shift_coefficient``, at xi (up) and -xi (down).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
 
 import mpmath
+
+from .jacobi import jacobi_polynomial
+from .nonreduced import bc_multiplicities, rank_one_shift_coefficient
 
 SERIES_TOL = 1e-15
 SERIES_MAX_TERMS = 100_000
@@ -121,20 +126,6 @@ def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
     return _checked_2f1(a, b, c, z, z / (z - 1.0))
 
 
-def shift_coefficients(g1, g2, xi):
-    """The two rational coefficients of the rank-one spectral identity.
-
-    Poles at xi in {0, +-1/2}; exact when the inputs are exact.
-    """
-    half = Q(1, 2) if isinstance(xi, Q) else 0.5
-    for d in (xi, 1 + 2 * xi, -1 + 2 * xi):
-        if d == 0:
-            raise ZeroDivisionError("coefficient pole at this spectral value")
-    up = (xi + g1 * half + g2) * (1 + 2 * xi + g1) / (xi * (1 + 2 * xi))
-    dn = (xi - g1 * half - g2) * (-1 + 2 * xi - g1) / (xi * (-1 + 2 * xi))
-    return up, dn
-
-
 class SweepRows(Sequence):
     """The (xi, x, residual) rows of a sweep, read from its non-pole xis, its x
     grid and its float list of residuals, xi by xi; a slice is a list of rows."""
@@ -163,7 +154,7 @@ class SweepReport:
     g2: float
     tol: float
     rows: Sequence
-    skipped: list = field(default_factory=list, init=False)
+    skipped: list
 
     @property
     def ok(self):
@@ -186,7 +177,7 @@ def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     (ValueError if every xi is one), and a shifted value or a side beyond the float
     range raises HypergeometricError.  Each ``HypergeometricParams`` condition reads
     (g1, g2), xi or x alone, so each x and each shift xi, xi+-1 is checked once."""
-    report = SweepReport(g1=g1, g2=g2, tol=tol, rows=SweepRows([], tuple(x_grid), []))
+    report = SweepReport(g1, g2, tol, SweepRows([], tuple(x_grid), []), skipped=[])
     points = None   # (x, s, z, w) per x
     for xi in xi_grid:
         if min(abs(xi), abs(xi - 0.5), abs(xi + 0.5)) < 1e-9:
@@ -199,7 +190,7 @@ def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
                 z = -math.sinh(x / 2) ** 2
                 points.append((x, -z, z, z / (z - 1.0)))
         report.rows.xis.append(xi)
-        up, dn = shift_coefficients(g1, g2, xi)
+        up, dn = (rank_one_shift_coefficient(1, (None, g1, g2), 0, (v,)) for v in (xi, -xi))
         shifts = [HypergeometricParams(g1, g2, v, 0.0).abc for v in (xi, xi + 1, xi - 1)]
         for x, s, z, w in points:
             try:
@@ -265,7 +256,8 @@ def de_coefficients_match_rr(g1: Q, g2: Q, l: int) -> bool:
     four times the recurrence coefficients (the quadratic-argument factor;
     at l = 0 both down coefficients are 0)."""
     g1, g2 = Q(g1), Q(g2)
-    up, dn = shift_coefficients(g1, g2, g1 / 2 + g2 + l)
+    xi = g1 / 2 + g2 + l
+    up, dn = (rank_one_shift_coefficient(1, (None, g1, g2), 0, (v,)) for v in (xi, -xi))
     c_up, c_dn = _rr_coefficients(g1, g2, l)
     return up == 4 * c_up and dn == 4 * c_dn
 
@@ -274,9 +266,6 @@ def bc1_crosscheck(g1: Q, g2: Q, l: int, datum) -> bool:
     """The BC_1 polynomial from the general recursion agrees exactly with the
     terminating series at each s of ``BC1_S_VALUES`` (the change of variable
     to s) on the BC1 datum."""
-    from .jacobi import jacobi_polynomial
-    from .nonreduced import bc_multiplicities
-
     mults = bc_multiplicities(datum, Q(1), Q(g1), Q(g2))
     poly = jacobi_polynomial(datum, mults, (Q(l),))
     for s in BC1_S_VALUES:

@@ -186,10 +186,10 @@ class RootDatum:
     dominance intervals, saturated maps, their alpha-string tables, Jacobi
     recursion patterns (``jacobi_memo``), and for a small weight omega its
     Pieri index and E_omega on labels (``index_memo``, ``expansion_label_memo``,
-    BC's included), and the confluent limit's etas (``eta_memo``).  The memos live and
-    die with the datum; each entry is a pure function of its key, so threads
-    sharing an instance can at worst compute it twice.  rho_g and the integers
-    of the exact checks are kept once per sample, on ``Multiplicities``.
+    BC's included).  The memos live and die with the datum; each entry is a
+    pure function of its key, so threads sharing an instance can at worst
+    compute it twice.  The integers of the exact checks, rho_g's among them,
+    are kept once per sample, on ``Multiplicities``.
     """
 
     def __init__(self, family: str, rank: int):
@@ -303,8 +303,8 @@ class RootDatum:
             2 * cden * sden, [[cinv[j][i] * snum[i] for j in range(rank)] for i in range(rank)])
 
         # memos, the orbit memo _walks (made before the roots) among them,
-        # under integer labels or sets of root indices; the last four are filled
-        # by jacobi._pattern, diffeq.pieri_index, weylalg and whittaker.orbit_etas
+        # under integer labels or sets of root indices; the last three are filled
+        # by jacobi._pattern, diffeq.pieri_index and weylalg
         self._vectors: dict[tuple, Weight] = {}
         self._pairings: dict[tuple, tuple] = {}
         self._dominant_below_cache: dict[tuple, tuple[tuple, ...]] = {}
@@ -313,7 +313,6 @@ class RootDatum:
         self.jacobi_memo: dict[tuple, tuple] = {}
         self.index_memo: dict[tuple, tuple] = {}
         self.expansion_label_memo: dict[tuple, object] = {}
-        self.eta_memo: tuple | None = None
         self.fundamental_weights: tuple[Vector, ...] = tuple(
             self.from_labels(tuple(int(i == j) for j in range(rank))) for i in range(rank))
 
@@ -679,13 +678,11 @@ class RootDatum:
     # -- rho vectors -----------------------------------------------------------
 
     def rho(self, mults: "Multiplicities") -> Weight:
-        """rho_g = (1/2) sum_{alpha > 0} g_alpha alpha as a Weight (memoized on
-        mults), its labels half of sum_o g_o times the integer label sum of
-        the positive roots of orbit o."""
-        if mults._rho is None:
-            mults._rho = self.vector_of(tuple(_exact(Q(sum(map(mul, mults.values, col)), 2))
-                                              for col in zip(*self._orbit_label_sums)))
-        return mults._rho
+        """rho_g = (1/2) sum_{alpha > 0} g_alpha alpha as a Weight, its labels
+        half of sum_o g_o times the integer label sum of the positive roots of
+        orbit o."""
+        return self.vector_of(tuple(_exact(Q(sum(map(mul, mults.values, col)), 2))
+                                    for col in zip(*self._orbit_label_sums)))
 
     def __repr__(self):
         return f"RootDatum({self.name})"
@@ -696,8 +693,8 @@ class Multiplicities:
 
     ``root_values`` holds one value per root in ``datum.roots`` order, and
     ``factor_values`` the m_a = g_a + g_{a/2}/2 that a's coefficient factors
-    read (m_a = g_a where a/2 is no root, as on every reduced system); rho_g
-    (``_rho``) and the per-sample record (``_record``) are built once each.
+    read (m_a = g_a where a/2 is no root, as on every reduced system); the
+    per-sample record (``_record``) is built once.
     """
 
     def __init__(self, datum: RootDatum, values):
@@ -714,7 +711,7 @@ class Multiplicities:
         self.root_values = g = tuple(values[i] for i in datum.root_orbit_ids)
         self.factor_values = tuple(x if h is None else x + Q(g[h], 2)
                                    for x, h in zip(g, datum.half_root_index))
-        self._rho = self._record = None
+        self._record = None
 
     def __repr__(self):
         return f"Multiplicities({self.values})"

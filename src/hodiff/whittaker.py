@@ -119,10 +119,8 @@ def couplings_at(datum: RootDatum, t: float) -> tuple:
 
 def orbit_etas(datum: RootDatum) -> tuple:
     """eta = sqrt(2 / |alpha|^2) per root orbit, in the order of
-    ``root_orbits``; 1 where |alpha|^2 = 2 (memoized on the datum)."""
-    if datum.eta_memo is None:
-        datum.eta_memo = tuple(SqrtRational(1, 2 / norm) for norm in datum.orbit_norms)
-    return datum.eta_memo
+    ``root_orbits``; 1 where |alpha|^2 = 2."""
+    return tuple(SqrtRational(1, 2 / norm) for norm in datum.orbit_norms)
 
 
 def limit_table(datum: RootDatum, z: tuple) -> list:
@@ -357,7 +355,6 @@ class WhittakerA1:
 
     def __init__(self, zeta: float, points):
         a = abs(float(zeta))
-        self.zeta = float(zeta)
         lo, hi = U_RANGE
         u_eval = {float(u) for u in points}
         if not all(lo <= u <= hi for u in u_eval):

@@ -23,6 +23,9 @@ way the package did before its tables and cleared integers:
   Pochhammer products per term, and ``bc1_orbit_sum_in_s`` and
   ``coefficient_list_bc1_crosscheck``: m_k(s) from the coefficient list of
   the Chebyshev polynomial T_k, per k and s;
+- ``shift_coefficients``: the rank-one equation's up and down coefficients,
+  each written out (the package reads both from the BC_n coefficient
+  ``nonreduced.rank_one_shift_coefficient`` at n = 1 and +-xi);
 - ``fraction_factor_product`` and ``stepwise_limit``: a finite-coupling
   coefficient at float g with each s+z an exact Fraction, and its g -> oo
   limit with one SqrtRational operation per factor;
@@ -85,8 +88,8 @@ Last, constructors, views and a per-point residual only the tests use:
   vectors (the entry holds their labels only);
 - ``de_residual``: the rank-one difference-equation residual at one point
   from three ``gauss_2f1_jacobi`` calls, each with its own
-  ``HypergeometricParams`` (``rankone.verify_de`` shares that work over its
-  grid).
+  ``HypergeometricParams``, and ``shift_coefficients`` (``rankone.verify_de``
+  shares that work over its grid).
 """
 
 import itertools
@@ -103,8 +106,7 @@ from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, int
                            perturbed, pieri_index, scaled_table, term_factors)
 from hodiff.jacobi import JacobiPolynomial, jacobi_polynomial
 from hodiff.nonreduced import bc_multiplicities
-from hodiff.rankone import (HypergeometricParams, gauss_2f1_jacobi,
-                            shift_coefficients)
+from hodiff.rankone import HypergeometricParams, gauss_2f1_jacobi
 from hodiff.rootsys import Multiplicities, _q_str, vadd, weight_str
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _is_invariant,
                             expansion_E_omega)
@@ -731,6 +733,20 @@ def term_vectors(datum, entry) -> tuple:
     """(nu, nu+, etas) of a ``PieriTermIndex`` entry, as vectors of datum."""
     return (datum.from_labels(entry.nu_labels), datum.from_labels(entry.plus_labels),
             tuple(map(datum.from_labels, entry.eta_labels)))
+
+
+def shift_coefficients(g1, g2, xi):
+    """The two rational coefficients of the rank-one spectral identity, each
+    written out: the reference for ``nonreduced.rank_one_shift_coefficient``
+    at n = 1 and +-xi.  Poles at xi in {0, +-1/2}; exact when the inputs are
+    exact."""
+    half = Q(1, 2) if isinstance(xi, Q) else 0.5
+    for d in (xi, 1 + 2 * xi, -1 + 2 * xi):
+        if d == 0:
+            raise ZeroDivisionError("coefficient pole at this spectral value")
+    up = (xi + g1 * half + g2) * (1 + 2 * xi + g1) / (xi * (1 + 2 * xi))
+    dn = (xi - g1 * half - g2) * (-1 + 2 * xi - g1) / (xi * (-1 + 2 * xi))
+    return up, dn
 
 
 def de_residual(g1, g2, xi, x) -> float:

@@ -57,13 +57,13 @@ def test_signed_subset_row_is_checked(bc2, row):
 
 
 def test_rank_one_v_matches_scalar_shift_coefficients(bc1):
-    # same rational function as the scalar identity coefficients, hence
-    # (after the factor-of-four regrouping) the recurrence coefficients
-    from hodiff.rankone import shift_coefficients
+    # same rational function as the scalar identity coefficients, the
+    # displayed one at xi (up) and -xi (down), hence (after the factor-of-four
+    # regrouping) the recurrence coefficients
     g1, g2 = GS[1], GS[2]
     for l in range(4):
         xi_l = g1 / 2 + g2 + l
-        up, dn = shift_coefficients(g1, g2, xi_l)
+        up, dn = (rank_one_shift_coefficient(1, GS, 0, (v,)) for v in (xi_l, -xi_l))
         assert coeff_V_signed(bc1, _m(bc1), (1,), (xi_l,)) == up
         assert coeff_V_signed(bc1, _m(bc1), (-1,), (xi_l,)) == dn
 

@@ -10,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from hodiff import rankone
 from hodiff.cli import DE_PARAMETER_PAIRS, DE_X_GRID, DE_XI_GRID
+from hodiff.diffeq import PoleAtSpectralPoint
+from hodiff.nonreduced import rank_one_shift_coefficient
 from hodiff.rankone import (DE_TOL, HypergeometricError, HypergeometricParams,
                             bc1_crosscheck,
                             de_coefficients_match_rr,
                             gauss_2f1_jacobi, jacobi_poly_1d, recurrence_rr,
                             SERIES_MAX_TERMS, SERIES_TOL, series_2f1,
-                            series_2f1_highprec, shift_coefficients,
-                            verify_de)
+                            series_2f1_highprec, verify_de)
 from oracles import (bc1_orbit_sum_in_s, coefficient_list_bc1_crosscheck, de_residual,
-                     pochhammer_jacobi_poly_1d)
+                     pochhammer_jacobi_poly_1d, shift_coefficients)
 
 # spot value pinned at 50 digits, by a brute-force series summation and by
 # mpmath's hyp2f1, for the parameter point (g1, g2, xi, x) =
@@ -210,13 +211,21 @@ def test_sweep_rows_read_as_a_sequence_of_triples():
     for k in (9, -10):
         with pytest.raises(IndexError):
             rows[k]
-    # the benchmark's corrupted copy: rows replaced by a plain list (replace
-    # starts the init=False skipped list empty)
+    # the benchmark's corrupted copy: rows replaced by a plain list, the
+    # skipped pole kept
     bad = replace(rep, rows=rep.rows[:-1] + [(0.3, 0.2, 1e-6)])
     assert not bad.ok and bad.max_residual() == 1e-6 and rep.ok
     assert bad.to_dict() == dict(
-        rep.to_dict(), status="fail", max_residual=1e-6, skipped=[],
+        rep.to_dict(), status="fail", max_residual=1e-6, skipped=rep.skipped,
         rows=rep.to_dict()["rows"][:-1] + [{"xi": 0.3, "x": 0.2, "residual": 1e-6}])
+
+
+def test_replaced_sweep_keeps_its_skipped_poles():
+    # dataclasses.replace builds the copy through the constructor, which
+    # takes the skipped list: the pole 0.5 stays listed
+    rep = verify_de(0.5, 1 / 3, (0.3, 0.5, 0.77, 1.2), (0.2, 1.1), DE_TOL)
+    for copy in (replace(rep, rows=list(rep.rows)[:-1]), replace(rep, rows=[])):
+        assert copy.to_dict()["skipped"] == [{"xi": 0.5, "reason": "coefficient pole"}]
 
 
 def test_sweep_report_retains_its_residuals_as_numbers():
@@ -291,11 +300,55 @@ def test_de_coefficients_match_sees_either_recurrence_coefficient(monkeypatch):
             assert not de_coefficients_match_rr(Q(1, 2), Q(1, 3), l)
 
 
+def _up_dn(g1, g2, xi):
+    """The rank-one up and down coefficients as the package reads them."""
+    return tuple(rank_one_shift_coefficient(1, (None, g1, g2), 0, (v,)) for v in (xi, -xi))
+
+
+def _near_poles(rng, n):
+    """n floats within 1e-3 of 0 or +-1/2 but at least 1e-8 from them, outside
+    the sweep's 1e-9 skip; each side of each pole."""
+    return [p + s * rng.uniform(1e-8, 1e-3) for _ in range(n)
+            for p in (0.0, 0.5, -0.5) for s in (1, -1)]
+
+
+def test_rank_one_coefficients_equal_the_written_out_pair_bit_for_bit():
+    # up(-xi) is the written-out down coefficient with every rounding negated,
+    # so the two agree to the bit on floats, and exactly on Fractions
+    rng = random.Random("rank-one-coefficient")
+    xis = [rng.uniform(-6.0, 6.0) for _ in range(2000)] + _near_poles(rng, 200) + list(DE_XI_GRID)
+    pairs = list(DE_PARAMETER_PAIRS) + [
+        (rng.uniform(0.01, 4.0), rng.uniform(0.01, 3.0)) for _ in range(20)]
+    for g1, g2 in pairs:
+        for xi in xis:
+            if _is_pole(xi):
+                continue
+            got = _up_dn(g1, g2, xi)
+            assert [v.hex() for v in got] == [v.hex() for v in shift_coefficients(g1, g2, xi)], (
+                g1, g2, xi)
+    for _ in range(400):
+        g1, g2 = (Q(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(2))
+        xi = Q(rng.randint(-90, 90), rng.randint(1, 30))
+        if xi in (0, Q(1, 2), Q(-1, 2)):
+            continue
+        got = _up_dn(g1, g2, xi)
+        assert got == shift_coefficients(g1, g2, xi) and all(type(v) is Q for v in got), (
+            g1, g2, xi)
+
+
 def test_shift_coefficient_poles():
-    with pytest.raises(ZeroDivisionError):
-        shift_coefficients(Q(1, 2), Q(1, 3), Q(0))
-    with pytest.raises(ZeroDivisionError):
-        shift_coefficients(Q(1, 2), Q(1, 3), Q(1, 2))
+    # up has its poles at xi = 0 (the root 2e_1) and xi = -1/2 (e_1, in the
+    # shifted factor); down, read at -xi, has its own at xi = 1/2
+    g1, g2 = Q(1, 2), Q(1, 3)
+    for xi, alpha, which in ((Q(0), (2,), "<xi,a^vee>"), (Q(-1, 2), (1,), "1+<xi,a^vee>")):
+        with pytest.raises(PoleAtSpectralPoint) as pole:
+            rank_one_shift_coefficient(1, (None, g1, g2), 0, (xi,))
+        assert (pole.value.alpha, pole.value.which) == (alpha, which)
+    with pytest.raises(PoleAtSpectralPoint) as pole:
+        _up_dn(g1, g2, Q(1, 2))
+    assert (pole.value.alpha, pole.value.which) == ((1,), "1+<xi,a^vee>")
+    assert rank_one_shift_coefficient(1, (None, g1, g2), 0, (Q(1, 2),)) == (
+        (Q(1, 2) + g1 / 2 + g2) * (2 + g1))
 
 
 def test_chebyshev_substitution():

@@ -17,6 +17,11 @@ definition of that name.  A class derived from a class of another module
 (``argparse.ArgumentParser``) uses each of its methods that the base
 defines, since the base calls them (argparse calls ``error``).
 
+Every attribute that ``src/`` stores on an object must be read as an
+attribute there too, matched by name as the uses above that cannot be typed
+are; what only the tests or the benchmark read is listed in
+``READ_OUTSIDE`` with a file that reads it.
+
 The names the benchmark's trace patches are guarded too: every target in the
 ``SPANS`` and ``COUNTERS`` tables of ``bench/tracer.py`` (read as text) must
 exist in ``src/``, and its post-call hooks must find what they read.
@@ -53,11 +58,19 @@ BENCH_ONLY = {
 
 ANY = "*"   # the owner of a use that cannot be resolved
 
+# attribute stored in src/ and read only outside it -> a file that reads it
+READ_OUTSIDE = {
+    "alpha": "tests/test_diffeq.py",   # the PoleAtSpectralPoint payload
+    "which": "tests/test_diffeq.py",
+    "simple_roots": "tests/test_rootsys.py",
+    "cache_info": "bench/tracer.py",
+}
+
 # parameters with a default, dataclass fields and argparse options in src/
 SETTABLE_BOUND = 104
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
-SRC_LINE_BOUND = 3349
+SRC_LINE_BOUND = 3333
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):
@@ -173,6 +186,69 @@ def test_bench_only_names_are_read_by_their_bench_file():
     root = SRC.parent.parent
     for name, reader in BENCH_ONLY.items():
         assert name in (root / reader).read_text(), (name, reader)
+
+
+def _stores(target):
+    """The nodes a store to target binds, tuple and starred targets unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [node for elt in target.elts for node in _stores(elt)]
+    return _stores(target.value) if isinstance(target, ast.Starred) else [target]
+
+
+def unread_attributes(src: Path) -> list:
+    """(file:line, name) of the first store of each attribute that the
+    modules under src store on an object (``x.name = ...``, annotated or
+    augmented, tuple targets included) and read as an attribute nowhere
+    there; a read matches a store by name alone."""
+    stored, read = {}, set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assign):
+                targets = [t for target in node.targets for t in _stores(target)]
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = _stores(node.target)
+            else:
+                targets = []
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            for t in targets:
+                if isinstance(t, ast.Attribute):
+                    stored.setdefault(t.attr, f"{path.name}:{t.lineno}")
+    return sorted((where, name) for name, where in stored.items() if name not in read)
+
+
+def test_every_stored_attribute_is_read_in_src():
+    unread = unread_attributes(SRC)
+    unexpected = [(where, name) for where, name in unread if name not in READ_OUTSIDE]
+    assert not unexpected, f"stored in src/ but read only outside it: {unexpected}"
+    # a listed attribute that gains a reader in src/ leaves the list
+    assert {name for _where, name in unread} == set(READ_OUTSIDE)
+
+
+def test_read_outside_attributes_are_read_by_their_file():
+    root = SRC.parent.parent
+    for name, reader in READ_OUTSIDE.items():
+        assert f".{name}" in (root / reader).read_text(), (name, reader)
+
+
+def test_unread_attributes_are_found(tmp_path):
+    # self stores a, b and c by a tuple and a starred target, g by an
+    # annotated one, and d plainly and augmented (which reads d only to store
+    # it again); a is read through another object, by name a read of the
+    # stored one, f is read in another module, and e is only deleted
+    (tmp_path / "m.py").write_text(
+        "class A:\n"
+        "    def __init__(self, x):\n"
+        "        self.a, (self.b, *self.c) = x, (1, 2)\n"
+        "        self.g: int = 0\n"
+        "        self.d = 0\n"
+        "        self.d += 1\n"
+        "        del self.e\n"
+        "        self.f = 1\n"
+        "def use(other):\n    return other.a\n")
+    (tmp_path / "n.py").write_text("def read(o):\n    return o.f\n")
+    assert unread_attributes(tmp_path) == [
+        ("m.py:3", "b"), ("m.py:3", "c"), ("m.py:4", "g"), ("m.py:5", "d")]
 
 
 def _tracer_table(name: str) -> tuple:

@@ -409,10 +409,11 @@ def _parse_lambda(datum: RootDatum, option: str, text: str):
 
 
 def _parse_omega(datum: RootDatum, text: str):
-    """The dominant weight of --omega, which must be small (``small_labels``)."""
+    """The dominant weight of --omega: small (``small_labels``) and nonzero."""
     omega = _parse_lambda(datum, "--omega", text)
     try:
-        datum.small_labels(omega)
+        if not any(datum.small_labels(omega)):
+            raise ValueError(f"{weight_str(omega)} is zero: its one term has no factor to check")
     except ValueError as exc:
         raise ValueError(f"--omega: {exc}") from None
     return omega
@@ -515,10 +516,10 @@ def cmd_verify(args) -> int:
     unknown = set(suites) - set(SUITE_READS)
     if unknown or not suites:
         raise ValueError(f"unknown or empty suite selection {sorted(unknown)}")
-    if args.perturb and args.perturb not in diffeq.PERTURBATIONS:
-        raise ValueError(f"unknown perturbation {args.perturb}")
+    if args.perturb is not None and args.perturb not in diffeq.PERTURBATIONS:
+        raise ValueError(f"--perturb: {args.perturb!r} is not {' or '.join(diffeq.PERTURBATIONS)}")
     for option, value in (("--height", args.height), ("--samples", args.samples),
-                          ("--seed", args.seed), ("--perturb", args.perturb or None)):
+                          ("--seed", args.seed), ("--perturb", args.perturb)):
         readers = [suite for suite, reads in SUITE_READS.items() if option in reads]
         if value is not None and not set(readers) & set(suites):
             raise ValueError(f"{option}: read only by the suites {', '.join(readers)}")
@@ -540,15 +541,15 @@ def cmd_verify(args) -> int:
     _emit(_report_chunks(run_campaign(CampaignConfig(
         systems=systems, omegas=omegas, height_bound=height,
         samples=samples, seed=seed, suites=suites,
-        perturb=args.perturb or None), data), failures), args.out)
+        perturb=args.perturb), data), failures), args.out)
     return EXIT_FAIL if failures else EXIT_PASS
 
 
-def _factor_latex(row, denom=False):
-    shift = "" if row["shift"] == 0 else "1+"
-    g = "" if denom else (" + g" if row["g_sign"] > 0 else " - g")
+def _factor_latex(row):
+    """A factor row of ``coeffs`` as (s+<xi,a^vee> +- g)/(s+<xi,a^vee>)."""
     alpha = ",".join(row["alpha"])
-    return f"({shift}\\langle\\xi,({alpha})^\\vee\\rangle{g})"
+    den = f"{'' if row['shift'] == 0 else '1+'}\\langle\\xi,({alpha})^\\vee\\rangle"
+    return f"({den}{' + g' if row['g_sign'] > 0 else ' - g'})/({den})"
 
 
 def cmd_coeffs(args) -> int:
@@ -557,19 +558,21 @@ def cmd_coeffs(args) -> int:
         raise ValueError("coeffs lists the reduced-system factor lists; "
                          "the BC equation is checked by the bc suite")
     omega = _parse_omega(datum, args.omega)
+
+    def rows(factors):   # a factor list's (root, shift, g sign) entries as JSON rows
+        return [{"alpha": [_q_str(x) for x in datum.roots[i]], "shift": s, "g_sign": e}
+                for i, s, e in factors]
+
     terms = []
     for entry in diffeq.pieri_index(datum, omega):
-        v_factors, per_eta = diffeq.symbolic_factors(datum, entry)
         term = {"nu": [_q_str(v) for v in datum.from_labels(entry.nu_labels)],
                 "nu_plus": [_q_str(v) for v in datum.from_labels(entry.plus_labels)],
                 "word": list(entry.word),
-                "v_factors": v_factors,
-                "etas": [{"eta": [_q_str(v) for v in datum.from_labels(eta)], "u_factors": uf}
-                         for eta, uf in zip(entry.eta_labels, per_eta)]}
+                "v_factors": rows(entry.v_factors),
+                "etas": [{"eta": [_q_str(v) for v in datum.from_labels(eta)], "u_factors": rows(f)}
+                         for eta, f in zip(entry.eta_labels, entry.u_factors)]}
         if args.format == "latex":
-            term["v_latex"] = "".join(
-                _factor_latex(r) + "/" + _factor_latex(r, denom=True)
-                for r in v_factors)
+            term["v_latex"] = "".join(map(_factor_latex, term["v_factors"]))
         terms.append(term)
     payload = {"schema": SCHEMA, "system": datum.name,
                "omega": [_q_str(v) for v in omega],

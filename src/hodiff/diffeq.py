@@ -1,13 +1,13 @@
 """Spectral difference-equation coefficients and their exact Pieri check.
 
 The coefficients A_nu = V_nu * sum_eta U_{nu,eta} are evaluated in one place,
-``coefficients``, on the integer table of any exact xi.  At the spectral
-points rho_g + lambda the equation for a small omega collapses to a Pieri
-identity between products and shifted Jacobi polynomials, verified here
+``coefficients``, on the integer table of any exact xi.  At rho_g + lambda
+(on the sample's ``Multiplicities.record``) the equation for a small omega is
+a Pieri identity between products and shifted Jacobi polynomials, checked
 exactly for the reduced systems and for BC_n at omega = e_1 + ... + e_l
-(``nonreduced``) alike: one index and one factor-list rule, with the alpha/2
-rule of BC applied where support codes become factor entries (``_entries``).
-A pole raises, so that callers can resample multiplicities.
+(``nonreduced``) alike: one index and one factor-list rule, with BC's alpha/2
+rule applied where support codes become factor entries (``_entries``).  A pole
+raises ``PoleAtSpectralPoint`` (its root and shift), so callers can resample.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import add, sub
 from .jacobi import JacobiPolynomial, jacobi_polynomial
 from .rootsys import Multiplicities, RootDatum, Vector, _exact, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_to_json,
-                      expansion_E_omega, expansion_labels, orbit_sum, sample_record)
+                      expansion_E_omega, expansion_labels, orbit_sum)
 
 # test hooks for the negative controls; never set in normal operation
 PERTURB_U_SIGN = "u-sign"
@@ -32,13 +32,14 @@ MAX_SPECTRAL_DRAWS = 200   # ``sample_spectral_point`` gives up after this many
 
 
 class PoleAtSpectralPoint(ArithmeticError):
-    """A coefficient denominator vanished at the requested spectral point."""
+    """A coefficient denominator s+<xi,a^vee> vanished at the requested spectral
+    point, at the root alpha and the shift s (0 or 1), which ``which`` names."""
 
-    def __init__(self, alpha, which):
+    def __init__(self, alpha, shift):
         self.alpha = alpha
-        self.which = which
+        self.which = "1+<xi,a^vee>" if shift else "<xi,a^vee>"
         root = ",".join(map(str, alpha))
-        super().__init__(f"denominator {which} vanishes at root ({root})")
+        super().__init__(f"denominator {self.which} vanishes at root ({root})")
 
 
 def support_codes(row, within=None) -> list:
@@ -113,7 +114,7 @@ def scaled_table(z: tuple, g: tuple) -> list:
 
 def point_table(datum: RootDatum, mults: Multiplicities, lam: tuple) -> list:
     """The ``scaled_table`` of rho_g + lambda on the sample's d (lambda pairs integrally)."""
-    record = sample_record(datum, mults)
+    record = mults.record()
     return [(z + record.d * k, z + record.d * (k + 1), m)
             for (z, m, _g), k in zip(record.rows, datum.label_pairings(lam))]
 
@@ -127,8 +128,7 @@ def integer_product(datum: RootDatum, factors: tuple, table: list):
         row = table[i]
         w = row[s]
         if not w:
-            raise PoleAtSpectralPoint(datum.roots[i],
-                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+            raise PoleAtSpectralPoint(datum.roots[i], s)
         num *= w + row[2] if e > 0 else w - row[2] if e == -1 else -w - row[2]
         den *= w
     return num, den
@@ -148,8 +148,7 @@ def factor_product(datum: RootDatum, factors: tuple, table: list, g: tuple) -> f
     for i, s, e in factors:
         w = table[i][s]
         if w is None:
-            raise PoleAtSpectralPoint(datum.roots[i],
-                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+            raise PoleAtSpectralPoint(datum.roots[i], s)
         total *= (w + g[i] if e > 0 else w - g[i] if e == -1 else -w - g[i]) / w
     return total
 
@@ -476,13 +475,3 @@ def sample_spectral_point(datum: RootDatum, rng):
             xi.row = row
             return xi
     raise RuntimeError("could not sample a pole-free spectral point")
-
-
-def symbolic_factors(datum: RootDatum, entry: PieriTermIndex):
-    """The factor lists of one term as JSON rows (root, shift, g sign), for
-    report emission: V's list and one U list per eta."""
-    def rows(factors):
-        return [{"alpha": [_q_str(x) for x in datum.roots[i]], "shift": s,
-                 "g_sign": e} for i, s, e in factors]
-
-    return rows(entry.v_factors), [rows(f) for f in entry.u_factors]

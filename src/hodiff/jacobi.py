@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from operator import mul
 
 from .rootsys import Multiplicities, RootDatum, Vector
-from .weylalg import ExpPoly, _apply_L_table, _q_str, exp_to_json, sample_record
+from .weylalg import ExpPoly, _apply_L_table, _q_str, exp_to_json
 
 
 class JacobiPolynomial:
@@ -171,9 +171,9 @@ def opdam_leading_coefficient(datum: RootDatum, mults: Multiplicities,
     (z + g_{a/2}/2 + j) / (z + g_a + g_{a/2}/2 + j), z = <rho_g,a^vee>, with
     g_{a/2}/2 = m_a - g_a (``factor_values``), 0 when a/2 is not a root.
     Empty product for lam = 0.  On the rows (Z, M, G) = d (z, m_a, g_a) of
-    the ``sample_record`` each factor reads (Z+M-G+j)/(Z+M+j), j stepping by d.
+    the sample's ``record`` each factor reads (Z+M-G+j)/(Z+M+j), j stepping by d.
     """
-    record = sample_record(datum, mults)
+    record = mults.record()
     d, lam_pairs = record.d, datum.label_pairings(datum.dominant_labels(lam))
     num = den = 1
     for i in datum.positive_indices:
@@ -204,8 +204,8 @@ class EigenReport:
 
 def _shifted_eigenvalue(datum: RootDatum, mults: Multiplicities, l: tuple) -> Q:
     """E(rho_g + v) = <v, v + 2 rho_g> for v with labels l, through the
-    fundamental-weight Gram form over r, which clears rho_g's labels (``sample_record``)."""
-    record = sample_record(datum, mults)
+    fundamental-weight Gram form over r, which clears rho_g's labels (``Multiplicities.record``)."""
+    record = mults.record()
     shifted = [record.r * a + b for a, b in zip(l, record.rho2)]
     return Q(sum(a * sum(map(mul, row, shifted)) for a, row in zip(l, datum.weight_gram)),
              record.r * datum.weight_gram_den)

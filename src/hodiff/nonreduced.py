@@ -103,11 +103,11 @@ def verify_pieri_bc(datum: RootDatum, mults: Multiplicities, ell: int, lam,
                          residual=exp_to_json(datum, residual))
 
 
-def _check_den(value, n: int, root: dict, which="<xi,a^vee>"):
-    """value, unless it is 0: then a pole named as ``integer_product`` names
-    it, at the BC_n root sum_k root[k] e_k."""
+def _check_den(value, n: int, root: dict, shift=0):
+    """value, unless it is 0: then a pole at the BC_n root sum_k root[k] e_k
+    and the shift of its denominator, as ``integer_product`` raises it."""
     if value == 0:
-        raise PoleAtSpectralPoint(tuple(root.get(k, 0) for k in range(n)), which)
+        raise PoleAtSpectralPoint(tuple(root.get(k, 0) for k in range(n)), shift)
     return value
 
 
@@ -120,7 +120,7 @@ def rank_one_shift_coefficient(n: int, gs, j: int, xi):
     g, g1, g2 = gs
     x = xi[j]
     total = (x + (0.5 if isinstance(x, float) else Q(1, 2)) * g1 + g2) * (1 + 2 * x + g1) / (
-        _check_den(x, n, {j: 2}) * _check_den(1 + 2 * x, n, {j: 1}, "1+<xi,a^vee>"))
+        _check_den(x, n, {j: 2}) * _check_den(1 + 2 * x, n, {j: 1}, 1))
     for k, y in enumerate(xi[:n]):
         if k != j:
             total *= (x + y + g) * (x - y + g) / (

@@ -35,7 +35,7 @@ from operator import mul
 
 Vector = tuple[Q, ...]
 StringTable = namedtuple("StringTable", "index quad perms tops bottoms ends own mids strings")
-SampleRecord = namedtuple("SampleRecord", "d rows n weights lap r rho2")   # ``sample_record``
+SampleRecord = namedtuple("SampleRecord", "d rows n weights lap r rho2")  # Multiplicities.record
 
 REDUCED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 FAMILIES = REDUCED_FAMILIES + ("BC",)
@@ -119,7 +119,9 @@ class Weight(tuple):
 
 
 def _combine(rows, den: int, kind: str, l: tuple) -> Weight:
-    return Weight((Q(sum(map(mul, row, l)), den) for row in rows), kind, l)
+    c = math.lcm(*(x.denominator for x in l))   # clears l: integer dot products
+    nums = [x.numerator * (c // x.denominator) for x in l]
+    return Weight((Q(sum(map(mul, row, nums)), den * c) for row in rows), kind, l)
 
 
 def _reduced(den: int, rows):
@@ -693,8 +695,8 @@ class Multiplicities:
 
     ``root_values`` holds one value per root in ``datum.roots`` order, and
     ``factor_values`` the m_a = g_a + g_{a/2}/2 that a's coefficient factors
-    read (m_a = g_a where a/2 is no root, as on every reduced system); the
-    per-sample record (``_record``) is built once.
+    read (m_a = g_a where a/2 is no root, as on every reduced system);
+    ``record`` builds the sample's integers on ``datum`` once.
     """
 
     def __init__(self, datum: RootDatum, values):
@@ -712,6 +714,26 @@ class Multiplicities:
         self.factor_values = tuple(x if h is None else x + Q(g[h], 2)
                                    for x, h in zip(g, datum.half_root_index))
         self._record = None
+
+    def record(self) -> SampleRecord:
+        """The integers of this exact sample on its datum, built once: d clears each
+        z = <rho_g,a^vee>, m_a and g_a, rows holds (d z, d m_a, d g_a) per root (read
+        by ``diffeq.point_table`` and the leading product); n clears the Gram form and
+        each g_o |a_o|^2 / 2, weights are those times n, lap = n / ``weight_gram_den``
+        (``weylalg._apply_L_table``); r clears rho_g's labels, rho2 holds them times 2 r."""
+        if self._record is None:
+            datum = self.datum
+            rho = datum.rho(self)
+            cols = datum.pairings(rho), self.factor_values, self.root_values
+            d = math.lcm(*(x.denominator for col in cols for x in col))
+            weights = [g * norm / 2 for g, norm in zip(self.values, datum.orbit_norms)]
+            n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
+            r = math.lcm(*(x.denominator for x in rho.labels))
+            self._record = SampleRecord(
+                d, [tuple(x.numerator * (d // x.denominator) for x in row) for row in zip(*cols)],
+                n, [(w * n).numerator for w in weights], n // datum.weight_gram_den,
+                r, [2 * (x * r).numerator for x in rho.labels])
+        return self._record
 
     def __repr__(self):
         return f"Multiplicities({self.values})"

@@ -7,18 +7,17 @@ work on the label form instead, terms keyed by the Dynkin labels of their
 exponents (``_apply_L_table``, ``LabelForm``, and ``expansion_labels``, the
 one E_omega builder, BC's twisted one too), and reach vectors only in a
 report (``exp_to_json``).  The hypergeometric operator acts on W-invariant
-elements through exact polynomial division, so the result carries no
+elements through exact polynomial division, on the integers the sample
+builds once (``Multiplicities.record``), so the result carries no
 truncation error at all.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction as Q
 from operator import add, itemgetter, mul
 
-from .rootsys import (Multiplicities, RootDatum, SampleRecord, Vector, _q_str, _step, vadd,
-                      weight_str)
+from .rootsys import Multiplicities, RootDatum, Vector, _q_str, _step, vadd, weight_str
 
 
 class InternalConsistencyError(RuntimeError):
@@ -93,26 +92,6 @@ def is_w_invariant(datum: RootDatum, p: ExpPoly) -> bool:
     return _is_invariant(datum, {datum.weight_labels(nu): c for nu, c in p.terms.items()})
 
 
-def sample_record(datum: RootDatum, mults: Multiplicities) -> SampleRecord:
-    """The integers of an exact sample, built once on mults: d clears each z =
-    <rho_g,a^vee>, m_a and g_a, rows holds (d z, d m_a, d g_a) per root (read
-    by ``point_table`` and the leading product); n clears the Gram form and each
-    g_o |a_o|^2 / 2, weights are those times n, lap = n / ``weight_gram_den``
-    (``_apply_L_table``); r clears rho_g's labels, rho2 holds them times 2 r."""
-    if mults._record is None:
-        rho = datum.rho(mults)
-        cols = datum.pairings(rho), mults.factor_values, mults.root_values
-        d = math.lcm(*(x.denominator for col in cols for x in col))
-        weights = [g * norm / 2 for g, norm in zip(mults.values, datum.orbit_norms)]
-        n = math.lcm(datum.weight_gram_den, *(w.denominator for w in weights))
-        r = math.lcm(*(x.denominator for x in rho.labels))
-        mults._record = SampleRecord(
-            d, [tuple(x.numerator * (d // x.denominator) for x in row) for row in zip(*cols)],
-            n, [(w * n).numerator for w in weights], n // datum.weight_gram_den,
-            r, [2 * (x * r).numerator for x in rho.labels])
-    return mults._record
-
-
 def _apply_L_table(datum: RootDatum, mults: Multiplicities, tops: list, table, terms: dict):
     """(n, coef, image) in ``table.index`` order, the ``string_table`` of tops, for
     p given by its label-keyed terms (coef).  A label outside S, the table's labels,
@@ -130,8 +109,8 @@ def _apply_L_table(datum: RootDatum, mults: Multiplicities, tops: list, table, t
     quotients are weighted by g_alpha |alpha|^2 / 2 (<nu, alpha> = k
     |alpha|^2 / 2), the Laplacian term is <nu, nu> by the Gram form, and n
     clears their denominators, so integer terms give an integer image (n and
-    the weights: ``sample_record``)."""
-    record = sample_record(datum, mults)
+    the weights: ``Multiplicities.record``)."""
+    record = mults.record()
     coef = [terms.get(l, 0) for l in table.index]
     outside = sorted(terms.keys() - table.index.keys())
     if outside or any(list(map(coef.__getitem__, perm)) != coef for perm in table.perms):

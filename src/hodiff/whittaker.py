@@ -141,7 +141,7 @@ def limit_product(datum: RootDatum, factors: tuple, table: list) -> SqrtRational
     for i, s, e in factors:
         w = table[i][s]
         if not w:
-            raise PoleAtSpectralPoint(datum.roots[i], "1+<xi,a^vee>" if s else "<xi,a^vee>")
+            raise PoleAtSpectralPoint(datum.roots[i], s)
         num, den, rad = (num if e > 0 else -num) * w[0], den * w[1], rad * w[2]
     return SqrtRational(Q(num, den), rad)
 

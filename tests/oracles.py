@@ -226,7 +226,7 @@ def fraction_opdam(datum, mults, lam):
 
 def _check_den(value, what):
     if value == 0:
-        raise PoleAtSpectralPoint(what, "denominator")
+        raise PoleAtSpectralPoint((what,), int(what.startswith("1")))
     return value
 
 
@@ -396,8 +396,7 @@ def fraction_factor_product(datum, factors, xi, g):
     for i, s, e in factors:
         w = z[i] + 1 if s else z[i]
         if w == 0:
-            raise PoleAtSpectralPoint(datum.roots[i],
-                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+            raise PoleAtSpectralPoint(datum.roots[i], s)
         total *= (w + g[i] if e > 0 else w - g[i]) / w
     return total
 

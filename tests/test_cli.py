@@ -571,7 +571,17 @@ def test_verify_invalid_inputs(capsys):
     assert run(["verify", "--suite", "bogus"]) == 2
     assert run(["verify", "--family", "A"]) == 2  # missing rank
     assert run(["verify", "--suite", "pieri", "--family", "Z", "--rank", "1"]) == 2
-    assert run(["verify", "--suite", "pieri", "--perturb", "nope"]) == 2
+    # a negative control that names no edit, or edits a term with no
+    # factor (omega = 0), could only pass: both are refused, naming the option
+    for bad, option in ((["--suite", "pieri", "--perturb", "nope"], "--perturb"),
+                        (["--suite", "pieri", "--perturb", ""], "--perturb"),
+                        (["--suite", "rankone", "--perturb", ""], "--perturb"),
+                        (["--suite", "pieri", "--family", "B", "--rank", "2", "--omega", "0,0",
+                          "--perturb", "u-sign"], "--omega")):
+        capsys.readouterr()
+        assert run(["verify", *bad]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, bad
     # a campaign that would check nothing, or one past the size limits, is
     # rejected before it starts, with a one-line message
     for bad in (["--samples", "0"], ["--samples", "-2"], ["--samples", "11"],
@@ -1042,7 +1052,7 @@ def _plant_poles(monkeypatch, module, name, every):
     def patched(*args, **kwargs):
         calls.append(args)
         if every or len(calls) == 1:
-            raise PoleAtSpectralPoint((1, -1), "planted")
+            raise PoleAtSpectralPoint((1, -1), 0)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, patched)

@@ -20,7 +20,8 @@ from hodiff.jacobi import jacobi_polynomial, verify_eigen
 from hodiff.rootsys import Multiplicities, build_root_system, vadd
 from hodiff.weylalg import (ExpPoly, InternalConsistencyError, LabelForm,
                             expansion_E_omega, expansion_labels, is_w_invariant,
-                            label_form, sample_record)
+                            label_form)
+from hodiff.whittaker import limit_product, limit_table
 from oracles import (constant_multiplicities, dominant_representative, every_u_pieri_terms,
                      fraction_point_table, height, orbit_under_reflections, pole_free_rationals,
                      scan_pieri_index, term_vectors, vector_sample_spectral_point, vscale)
@@ -71,6 +72,26 @@ def test_pole_raises(a1):
         factor_product(a1, term_factors(a1, alpha), float_table(a1.pairings(minus_one)), g_float)
 
 
+@pytest.mark.parametrize("shift", [0, 1])
+def test_every_product_names_a_table_zero_alike(b2, shift):
+    # the exact, float and limit products raise one pole per table zero:
+    # each root's shift-s factor over pairings that put s+z at 0 there only
+    g = tuple(Q(k + 2, 5) for k in range(len(b2.roots)))
+    for i, alpha in enumerate(b2.roots):
+        z = tuple(Q(-shift) if k == i else Q(k + 1, 3) for k in range(len(b2.roots)))
+        factors = ((i, shift, 1),)
+        seen = []
+        for product in (lambda: integer_product(b2, factors, scaled_table(z, g)),
+                        lambda: factor_product(b2, factors, float_table(z), tuple(map(float, g))),
+                        lambda: limit_product(b2, factors, limit_table(b2, z))):
+            with pytest.raises(PoleAtSpectralPoint) as exc:
+                product()
+            seen.append((exc.value.alpha, exc.value.which, str(exc.value)))
+        which = "1+<xi,a^vee>" if shift else "<xi,a^vee>"
+        root = ",".join(map(str, alpha))
+        assert seen == [(alpha, which, f"denominator {which} vanishes at root ({root})")] * 3
+
+
 
 def test_coefficients_read_a_float_xi_as_its_binary_value(b2):
     # coeff_V and coeff_U read a float entry of xi by Fraction, as the limit
@@ -90,8 +111,7 @@ def _reference_product(datum, factors, z, g):
     for i, s, e in factors:
         w = z[i] + s
         if w == 0:
-            raise PoleAtSpectralPoint(datum.roots[i],
-                                      "1+<xi,a^vee>" if s else "<xi,a^vee>")
+            raise PoleAtSpectralPoint(datum.roots[i], s)
         total *= (-(w + g[i]) if e == -2 else w + e * g[i]) / w
     return total
 
@@ -818,14 +838,14 @@ def _assert_terms_match_reference(datum, mults, lams, perturbs=(None,), omegas=N
 def test_sample_record_is_built_once_per_sample(b2):
     # every exact check of one sample reads the same record, kept on it
     mults = sample_multiplicities(b2, random.Random("record"))
-    record = sample_record(b2, mults)
+    record = mults.record()
     assert mults._record is record
     lam = b2.fundamental_weights[0]
     poly = jacobi_polynomial(b2, mults, lam)
     assert verify_pieri(b2, mults, lam, lam).ok and verify_eigen(b2, mults, lam, poly).ok
-    assert sample_record(b2, mults) is record
+    assert mults.record() is record
     with pytest.raises(ValueError, match="exact multiplicities required"):
-        sample_record(b2, constant_multiplicities(b2, 0.5))
+        constant_multiplicities(b2, 0.5).record()
 
 
 def test_pieri_residual_keeps_one_shift_list_per_mu():

@@ -61,16 +61,15 @@ ANY = "*"   # the owner of a use that cannot be resolved
 # attribute stored in src/ and read only outside it -> a file that reads it
 READ_OUTSIDE = {
     "alpha": "tests/test_diffeq.py",   # the PoleAtSpectralPoint payload
-    "which": "tests/test_diffeq.py",
     "simple_roots": "tests/test_rootsys.py",
     "cache_info": "bench/tracer.py",
 }
 
 # parameters with a default, dataclass fields and argparse options in src/
-SETTABLE_BOUND = 104
+SETTABLE_BOUND = 103
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
-SRC_LINE_BOUND = 3333
+SRC_LINE_BOUND = 3326
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):

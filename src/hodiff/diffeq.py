@@ -20,7 +20,7 @@ from functools import cache
 from operator import add, sub
 
 from .jacobi import JacobiPolynomial, jacobi_polynomial
-from .rootsys import Multiplicities, RootDatum, Vector, _exact, weight_str
+from .rootsys import Multiplicities, RootDatum, Vector, _exact, _step, weight_str
 from .weylalg import (ExpPoly, InternalConsistencyError, LabelForm, _q_str, exp_to_json,
                       expansion_E_omega, expansion_labels, orbit_sum)
 
@@ -169,8 +169,8 @@ def coeff_U(datum: RootDatum, mults: Multiplicities, nu: Vector, eta: Vector, xi
 
 @dataclass(frozen=True)
 class PieriTermIndex:
-    """One nu with its shortest dominating word and the stabilizer orbit of
-    eta, on labels only, and the factor lists of V_nu and of each U_{nu,eta}."""
+    """One nu of P(omega) on labels, its shortest word w with w nu = nu+, nu+,
+    the etas of W_nu(w^{-1} omega) sorted, and the lists of V_nu and each U_{nu,eta}."""
     nu_labels: tuple
     word: tuple
     plus_labels: tuple
@@ -185,8 +185,11 @@ _index_counts = {"hits": 0, "misses": 0}
 
 def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     """Index set of the difference equation: nu in P(omega) with the orbit
-    W_nu(w_nu^{-1} omega) attached to each (``stabilizer_orbits``) and the
-    factor lists of nu and eta, carried down the same Weyl descent.
+    W_nu(w_nu^{-1} omega) attached to each and the factor lists of nu and
+    eta, in one walk down each W-orbit of P(omega), parents first
+    (``orbit_labels``).  W_nu(w^{-1} omega) = w^{-1} W_J omega for W_J the
+    stabilizer of nu+ (omega is dominant), so W_J omega is walked at nu+
+    (``parabolic_orbit``) and the etas of s_j u are s_j of those of u.
     Memoized on the datum under omega's labels (``index_memo``);
     ``pieri_index.cache_info()`` counts that memo's hits and misses over
     every datum.  On BC_n at omega = e_1 + ... + e_l the nu are the signed
@@ -203,22 +206,23 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     # ``support_codes`` from the pairing rows of omega and each nu+ only: s_j
     # permutes the roots (``root_perms``), so s_j u has u's codes moved by perm_j
     perms = [tuple(2 * p + s for p in perm for s in (0, 1)) for perm in datum.root_perms]
-    omega_row, orbits, codes = datum.label_pairings(top), datum.stabilizer_orbits(top), {}
-    for l, (_plus, _word, step, etas) in orbits.items():
-        own = {}
-        if step is None:
-            row = datum.label_pairings(l)
-            v, source = support_codes(row), own
-        else:
-            (v, source), j = codes[step[0]], step[1]
-            v = sorted(map(perms[j].__getitem__, v))
-        for x, up in etas.items():   # up: None at omega, else (an eta of source, j)
-            own[x] = (support_codes(omega_row, row) if up is None
-                      else sorted(map(perms[up[1]].__getitem__, source[up[0]])))
-        codes[l] = v, own
+    omega_row, cartan, words, sets = datum.label_pairings(top), datum.cartan, {}, {}
+    for plus in datum.below_labels(top):
+        for l, step in datum.orbit_labels(plus).items():
+            if step is None:   # own: eta -> its U codes, parents first
+                v, own = support_codes(row := datum.label_pairings(l)), {}
+                for x, up in datum.parabolic_orbit(plus, top).items():
+                    own[x] = (support_codes(omega_row, row) if up is None
+                              else sorted(map(perms[up[1]].__getitem__, own[up[0]])))
+            else:
+                (u, j), move = step, perms[step[1]].__getitem__
+                v = sorted(map(move, sets[u][2]))
+                own = {_step(x, x[j], cartan[j]): sorted(map(move, c))
+                       for x, c in sets[u][3].items()}
+            sets[l] = (*datum._greedy(l, words), v, own)
     (v_table, u_table), key, entries = _entries(datum.half_root_index), cache(datum._vector_key), []
-    for l in sorted(orbits, key=key):
-        (plus, word, _step, _etas), (v, own) = orbits[l], codes[l]
+    for l in sorted(sets, key=key):
+        plus, word, v, own = sets[l]
         order = tuple(sorted(own, key=key))
         entries.append(PieriTermIndex(l, word, plus, order, _factors(v_table, v),
                                       tuple(_factors(u_table, own[x]) for x in order)))

@@ -174,8 +174,8 @@ class RootDatum:
 
     The roots and the label tables are fixed at construction, from integer rows
     over one denominator (the Cartan matrix, its inverse and the duality check
-    of the fundamental weights included), and so is ``root_perms``, from which
-    the Pieri index carries its factor lists down the Weyl descent, and
+    of the fundamental weights included), and so is ``root_perms``, by which
+    ``diffeq.pieri_index`` moves its factor lists down each orbit walk, and
     |alpha|^2 per root and per root orbit (``root_norms``, ``orbit_norms``).
     One label descent (``_dominant_orbit``) finds every Weyl and parabolic
     orbit and |W| (``weyl_order``); one greedy descent (``_greedy``) finds a
@@ -508,30 +508,6 @@ class RootDatum:
         u = self._greedy(self._apply_word(word, self.labels(eta)), {}, J)[0]
         orbit = self.parabolic_orbit(top, u)
         return tuple(sorted(self.from_labels(self._apply_word(word[::-1], x)) for x in orbit))
-
-    def stabilizer_orbits(self, top: tuple) -> dict:
-        """For each nu of P(omega), omega with dominant labels top, parents
-        first: labels of nu -> (labels of nu+, word of w, step, etas), w the
-        shortest element with w nu = nu+ (``_greedy``), step None at
-        nu = nu+ and else (u, j) with s_j u = nu, and etas the labels of
-        W_nu(w^{-1} omega), parents first, mapped to their steps: those of
-        ``parabolic_orbit`` at nu = nu+, else (x, j) with x an eta of u.
-        Sorted by ``_vector_key``, nu and the etas are in vector order.
-
-        As omega is dominant, W_nu(w^{-1} omega) = w^{-1} W_J omega with W_J
-        the stabilizer of nu+, for any w with w nu = nu+.  So the set of
-        s_j nu is s_j applied to the set of nu: W_J omega is found once per
-        nu+ (``parabolic_orbit``) and carried down the descent from nu+."""
-        sets, words = {}, {}
-        for plus in self.below_labels(top):
-            for l, step in self.orbit_labels(plus).items():
-                if step is None:
-                    etas = self.parabolic_orbit(plus, top)
-                else:
-                    u, j = step
-                    etas = {_step(x, x[j], self.cartan[j]): (x, j) for x in sets[u][3]}
-                sets[l] = (*self._greedy(l, words), step, etas)
-        return sets
 
     def weyl_order(self) -> int:
         """|W| as the product over k of |W_{J_k} omega_k|, J_k = {0, ..., k}:

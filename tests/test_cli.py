@@ -712,12 +712,12 @@ def test_campaign_walks_each_orbit_once(monkeypatch):
     assert (len(reduced), len(parabolic) - len(reduced)) == (27, 7)
     # one per dominant mu <= omega, for each E_omega the campaign built (BC's
     # twisted one too, every memo key a label tuple), read by both
-    # expansion_labels and stabilizer_orbits
+    # expansion_labels and pieri_index
     data = {d for d, *_ in parabolic}
     assert len(parabolic) == sum(len(datum.below_labels(top)) for datum in data
                                  for top in datum.expansion_label_memo)
     assert Counter(caller for *_key, caller in read) == {
-        "expansion_labels": 34, "stabilizer_orbits": 34}
+        "expansion_labels": 34, "pieri_index": 34}
 
 
 def test_parabolic_greedy_matches_the_loop(monkeypatch):

@@ -456,7 +456,7 @@ class RootDatum:
     def _root_orbit_indices(self):
         """Sorted root indices of each W-orbit of roots: one orbit per
         dominant root, in the order of those roots."""
-        tops = sorted((l for l in self.root_labels if min(l) >= 0), key=self.from_labels)
+        tops = sorted((l for l in self.root_labels if min(l) >= 0), key=self._vector_key)
         return [sorted(map(self._label_roots.get, self.orbit_labels(t))) for t in tops]
 
     # -- lattice membership --------------------------------------------------
@@ -537,8 +537,7 @@ class RootDatum:
                     if min(m) >= 0 and m not in seen:
                         seen.add(m)
                         stack.append(m)
-            found = self._dominant_below_cache[top] = tuple(
-                sorted(seen, key=self.from_labels))
+            found = self._dominant_below_cache[top] = tuple(sorted(seen, key=self._vector_key))
         return found
 
     def dominant_below(self, lam: Vector) -> tuple[Vector, ...]:

@@ -276,35 +276,31 @@ def log_normalization_constant(datum: RootDatum, t: float) -> float:
 
 # -- growth-rate identity -------------------------------------------------------
 
-def homogeneity_identity(datum: RootDatum, omega: Vector, mu: Vector) -> bool:
-    """Exact orbit-wise equality of the two growth-rate sums.
-
-    For dominant mu < omega with omega small, the sums of <mu,a^vee> and of
-    <omega,a^vee> over positive roots with <mu,a^vee> > 0 agree orbit by
-    orbit, hence for every orbit-constant multiplicity assignment.
-    """
-    omega = datum.from_labels(datum.small_labels(omega))
-    mu = datum.check_dominant(mu)
-    lhs = [0] * len(datum.root_orbits)
-    rhs = [0] * len(datum.root_orbits)
+def _homogeneity_sums(datum: RootDatum, omega: Vector, mu: Vector) -> tuple:
+    """Per root orbit, the sums of <mu,a^vee> and <omega,a^vee> over a > 0 with <mu,a^vee> > 0."""
+    lhs, rhs = [0] * len(datum.root_orbits), [0] * len(datum.root_orbits)
     mu_pairs, omega_pairs = datum.pairings(mu), datum.pairings(omega)
     for i in datum.positive_indices:
         if mu_pairs[i] > 0:
             lhs[datum.root_orbit_ids[i]] += mu_pairs[i]
             rhs[datum.root_orbit_ids[i]] += omega_pairs[i]
+    return lhs, rhs
+
+
+def homogeneity_identity(datum: RootDatum, omega: Vector, mu: Vector) -> bool:
+    """Exact orbit-wise equality of the two growth-rate sums: for dominant
+    mu < omega with omega small, they agree orbit by orbit, hence for every
+    orbit-constant multiplicity assignment (``_homogeneity_sums``)."""
+    omega = datum.from_labels(datum.small_labels(omega))
+    lhs, rhs = _homogeneity_sums(datum, omega, datum.check_dominant(mu))
     return lhs == rhs
 
 
 def homogeneity_gap(datum: RootDatum, mults: Multiplicities,
                     omega: Vector, mu: Vector) -> Q:
-    """Difference of the two weighted sums at a concrete multiplicity choice."""
-    gap = Q(0)
-    mu_pairs, omega_pairs = datum.pairings(mu), datum.pairings(omega)
-    for i in datum.positive_indices:
-        k = mu_pairs[i]
-        if k > 0:
-            gap += mults.root_values[i] * (k - omega_pairs[i])
-    return gap
+    """The weighted difference sum_o g_o (lhs_o - rhs_o) of ``_homogeneity_sums``."""
+    lhs, rhs = _homogeneity_sums(datum, omega, mu)
+    return sum((g * (a - b) for g, a, b in zip(mults.values, lhs, rhs)), Q(0))
 
 
 # -- rank-one oracle -------------------------------------------------------------

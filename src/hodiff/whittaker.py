@@ -22,7 +22,7 @@ from mpmath.libmp import to_fixed
 
 from .diffeq import coeff_U, coeff_V  # noqa: F401 -- kept beside their limits
 from .diffeq import PoleAtSpectralPoint, factor_product, float_table, pieri_index, term_factors
-from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg
+from .rootsys import Multiplicities, RootDatum, Vector, build_root_system, vneg, weight_str
 from .weylalg import _q_str, expansion_labels
 
 
@@ -246,9 +246,9 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     for entry in pieri_index(datum, omega):
         rate_plus = rate_of(entry.plus_labels)
         rate_u = float(rate_omega - rate_plus)
-        nu = datum.from_labels(entry.nu_labels)
+        nu = weight_str(datum.from_labels(entry.nu_labels))
         rows = [("V", f"nu={nu}", entry.v_factors, float(rate_plus))]
-        rows += [("U", f"nu={nu}, eta={datum.from_labels(eta)}", factors, rate_u)
+        rows += [("U", f"nu={nu}, eta={weight_str(datum.from_labels(eta))}", factors, rate_u)
                  for eta, factors in zip(entry.eta_labels, entry.u_factors)]
         for family, label, factors, rate in rows:
             bar = float(limit_product(datum, factors, limits))

@@ -444,10 +444,11 @@ def per_t_confluence_rows(datum, omega, xi, x, t_list, tol=1e-6):
     for entry in pieri_index(datum, omega):
         nu, nu_plus, etas = term_vectors(datum, entry)
         rate_v = float(inner(datum, nu_plus, rv))
-        rows.append(row("V", f"nu={nu}", *deviations(term_factors(datum, nu), rate_v)))
+        rows.append(row("V", f"nu={weight_str(nu)}",
+                        *deviations(term_factors(datum, nu), rate_v)))
         rate_u = float(inner(datum, omega, rv) - inner(datum, nu_plus, rv))
         for eta_wt in etas:
-            rows.append(row("U", f"nu={nu}, eta={eta_wt}",
+            rows.append(row("U", f"nu={weight_str(nu)}, eta={weight_str(eta_wt)}",
                             *deviations(term_factors(datum, nu, eta_wt), rate_u)))
     return rows
 

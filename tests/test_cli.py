@@ -438,29 +438,31 @@ PINNED_OUTPUTS = (
      "2f8f0c1b674f2d27384b41cf980e59ecfc7c5466e9106e02899ffc6b5a43f06b"),
     (_corrupted_eigen_case("B", 2, (1, 1), (Q(3, 7), Q(5, 11))),
      "6367bbfd592d28684e5ca2da3268046a61c220624b11e826b89c3d3b799d834f"),
+    # the confluence rows (this suite, whittaker-limits and the default report)
+    # label their terms with weight_str, as nu=(p/q,...), eta=(p/q,...)
     (_cli_output(["verify", "--suite", "whittaker"], 0),
-     "9a6d172aac12bf46fa9ac1303d2684bfe46c6ee7925010dd54a83ae7c9148b3a"),
+     "6d7d715a52a4745fb1c3cf06974507afa029788c9bf2aacf08c66b44f9484d18"),
     (_cli_output(["whittaker-limits", "--family", "G", "--rank", "2", "--omega", "1,0",
                   "--xi", "1/31,-1/71", "--x", "0.2,-0.35"], 0),
-     "ea71fda7d68395e5e88b902623b5c485216ffca01313fc28be8bd51b4cb1fe7f"),
+     "9595bb8ac251cb409181ccb0aca0268bf2d2843d472daef816d385cc70b163c0"),
     (_cli_output(["whittaker-limits", "--family", "C", "--rank", "3", "--omega", "1,0,0",
                   "--xi", "1/31,-1/71,1/53", "--x", "0.2,-0.35,0.1"], 0),
-     "6d70876c81e96cc6323e5c784aa802445be3e30dabfe8c6644ae7b5b70b53257"),
+     "9c634bbda84de62e542af646bd6835b6945937180935d1496ea4589456186eaa"),
     (_cli_output(["verify", "--suite", "rankone"], 0),
      "bb0fab5dd657579d145819cc8253a7ba226127ab7dd6743177fa8f6fc11b4d5b"),
     # both float suites in one campaign, and B2's minuscule omega_2 off the
     # campaign's confluence points; the g(t) couplings of verify_confluence
     # and log_normalization_constant's rho_g pairings reach these bytes
     (_cli_output(["verify", "--suite", "whittaker,rankone"], 0),
-     "b43820ffa029bbf026e8d84a1cca0baa4f5e6bd6876a939e7dc01a73182f54bc"),
+     "3a66e2774e6f640bf2cdf907260f272e816f279d2142f39723e77b5ea48a56fd"),
     (_cli_output(["whittaker-limits", "--family", "B", "--rank", "2", "--omega", "0,1",
                   "--xi", "1/31,-1/71", "--x", "0.2,-0.35"], 0),
-     "ea63a50f87fb29d7139840fddeaf6d82d4bb8a82650b259d4e36160a4b2f6425"),
+     "a36b2f4bc4f239b790dd23d448e02f73baf1509744e31e471949ed1ed2616b01"),
     # A2's quasi-minuscule omega_1 + omega_2 on the benchmark's seven-point t grid
     (_cli_output(["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,1",
                   "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15",
                   "--t", "6,10,14,18,22,26,30"], 0),
-     "904f1f560c22e986e1558b67d4b310ed9618e7cde157cd4cc87baaca9dc41d90"),
+     "06506a9e5b8ab99583f5fbdffdbf8db1a290f8f5081445263f54a2e4e96626ef"),
     (_cli_output(["sweep-rank-one", "--csv"], 0),
      "9b52b09d0a0af7207fe7aa7aae08e4ba69fccd8764b015ec02c7456e5bb2f3ad"),
     # the JSON report keeps every bit of each residual, which the CSV's .6e drops
@@ -468,7 +470,7 @@ PINNED_OUTPUTS = (
      "88ef475e89f44136feedbd944fbc4648db4a17be8f26cbb08803020e3d291a82"),
     # the default campaign, all six suites (about 1 s)
     (_cli_output(["verify"], 0),
-     "5d26317e324f1d639bbb8c64e3b0835cc54374f8516e8519e8faad7b76447505"),
+     "cd455e58e0eb71416a5f893810bb8729395426d8f327cb039670f125bc4f5e86"),
 )
 
 

@@ -18,7 +18,7 @@ import hodiff
 from hodiff.cli import CONFLUENCE_CASES, CampaignConfig
 from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, pieri_index,
                            sample_multiplicities, term_factors)
-from hodiff.rootsys import vadd, vneg
+from hodiff.rootsys import vadd, vneg, weight_str
 from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, WhittakerA1,
                               coeff_Vbar, couplings_at, ebar,
                               g_of_t, homogeneity_gap, limit_product,
@@ -234,6 +234,8 @@ def test_confluence_rows_equal_the_per_t_path(request):
             rep = verify_confluence(datum, omega, xi, x, t_list=t_list)
             assert rep.ok
             assert rep.rows == per_t_confluence_rows(datum, omega, xi, x, t_list)
+            # labels print weights as weight_str does (p/q), never as reprs
+            assert not any("Fraction" in row["term"] for row in rep.rows)
             checked += len(rep.rows)
         table = limit_table(datum, datum.pairings(xi))
         for entry in pieri_index(datum, omega):
@@ -323,7 +325,8 @@ def test_confluence_rows_read_the_pieri_index(b2, monkeypatch):
         rows = {r["term"]: r for r in verify_confluence(b2, omega, xi, x).rows}
         for n, entry in enumerate(index):
             nu, _plus, etas = term_vectors(b2, entry)
-            labels = [f"nu={nu}"] + [f"nu={nu}, eta={eta}" for eta in etas]
+            labels = [f"nu={weight_str(nu)}"] + [f"nu={weight_str(nu)}, eta={weight_str(eta)}"
+                                                 for eta in etas]
             lists = (entry.v_factors,) + entry.u_factors
             for k, factors in enumerate(lists):
                 for edit in _single_edits(factors):

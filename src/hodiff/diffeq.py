@@ -210,12 +210,14 @@ def pieri_index(datum: RootDatum, omega: Vector) -> tuple[PieriTermIndex, ...]:
     for plus in datum.below_labels(top):
         for l, step in datum.orbit_labels(plus).items():
             if step is None:   # own: eta -> its U codes, parents first
-                v, own = support_codes(row := datum.label_pairings(l)), {}
+                row, own = datum.label_pairings(l), {}
+                v = support_codes(row)
                 for x, up in datum.parabolic_orbit(plus, top).items():
                     own[x] = (support_codes(omega_row, row) if up is None
                               else sorted(map(perms[up[1]].__getitem__, own[up[0]])))
             else:
-                (u, j), move = step, perms[step[1]].__getitem__
+                u, j = step
+                move = perms[j].__getitem__
                 v = sorted(map(move, sets[u][2]))
                 own = {_step(x, x[j], cartan[j]): sorted(map(move, c))
                        for x, c in sets[u][3].items()}

@@ -18,7 +18,7 @@ import hodiff
 from hodiff.cli import CONFLUENCE_CASES, CampaignConfig
 from hodiff.diffeq import (PoleAtSpectralPoint, factor_product, float_table, pieri_index,
                            sample_multiplicities, term_factors)
-from hodiff.rootsys import vadd, vneg, weight_str
+from hodiff.rootsys import Multiplicities, vadd, vneg, weight_str
 from hodiff.whittaker import (U_ASYM, U_GRID, SqrtRational, WhittakerA1,
                               coeff_Vbar, couplings_at, ebar,
                               g_of_t, homogeneity_gap, limit_product,
@@ -411,7 +411,7 @@ def test_confluence_refuses_a_base_point_of_the_wrong_length(request, name, n):
 def test_homogeneity_identity(a2, b2, d4):
     w1, w2 = a2.fundamental_weights
     # mu = omega: the two sums coincide trivially
-    assert homogeneity_identity(a2, vscale(2, w1), vscale(2, w1)) or True
+    assert homogeneity_identity(a2, vscale(2, w1), vscale(2, w1))
     # a nontrivial pair worked out by hand: omega = 2 w1, mu = w2
     assert homogeneity_identity(a2, vscale(2, w1), w2)
     # mu = 0 empties both sums
@@ -420,6 +420,15 @@ def test_homogeneity_identity(a2, b2, d4):
     # B2: omega = 2 w2 = e1 + e2, mu = w1 = e1 (mixed orbits)
     assert homogeneity_identity(b2, vscale(2, b2.fundamental_weights[1]),
                                 b2.fundamental_weights[0])
+    # negative controls, mu not below omega: A2 omega = 2 w1, mu = w1 has sums
+    # 2 and 4, so the gap is -2 g; B2 omega = e1, mu = e1 + e2 has long sums
+    # 2 and 1 and short sums 4 and 2, so the gap is g_long + 2 g_short
+    assert not homogeneity_identity(a2, vscale(2, w1), w1)
+    assert homogeneity_gap(a2, Multiplicities(a2, (Q(3, 7),)), vscale(2, w1), w1) == Q(-6, 7)
+    e1, e12 = b2.fundamental_weights[0], vscale(2, b2.fundamental_weights[1])
+    assert not homogeneity_identity(b2, e1, e12)
+    short_long = Multiplicities(b2, (Q(3, 7), Q(5, 11)))
+    assert homogeneity_gap(b2, short_long, e1, e12) == Q(5, 11) + 2 * Q(3, 7)
     rng = random.Random("homog-test")
     for datum in (a2, b2, d4):
         samples = [sample_multiplicities(datum, rng) for _ in range(3)]

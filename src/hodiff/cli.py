@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import suppress
@@ -390,7 +391,8 @@ def _parse_rational_list(option: str, text: str, count: int):
         except ValueError:
             raise ValueError(f"{option}: {part!r} is not a rational number") from None
     if count is not None and len(values) not in (1, count):
-        raise ValueError(f"{option}: expected 1 or {count} comma-separated values")
+        wanted = "1 value" if count == 1 else f"1 or {count} comma-separated values"
+        raise ValueError(f"{option}: expected {wanted}")
     if count is not None and len(values) == 1:
         values = values * count
     return values
@@ -646,7 +648,13 @@ def cmd_whittaker_limits(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is bad input, so it leaves through ``main``'s one exit."""
+    """A usage error is bad input, so it leaves through ``main``'s one exit.
+    An argument that starts with a minus sign and a digit or a point, such as
+    ``-1/40,1/80`` or ``-.3``, is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
     def error(self, message):
         raise ValueError(message)

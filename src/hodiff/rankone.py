@@ -9,7 +9,8 @@ pins spot values independently of both.  Point values and the residual
 sweep ``verify_de`` share one checked kernel, ``_checked_2f1``.  The sweep
 forms sinh^2(x/2), z and z/(z-1) once per x and the shift coefficients once
 per xi, in the float order of a per-point evaluation, so its residuals are
-bit-identical to those of three ``gauss_2f1_jacobi`` calls per point.  The
+bit-identical to those of three ``gauss_2f1_jacobi`` calls per point; a report
+keeps them as packed doubles, 8 B each, behind its row view.  The
 coefficients are the BC_1 case of the displayed BC_n one,
 ``nonreduced.rank_one_shift_coefficient``, at xi (up) and -xi (down).
 """
@@ -17,6 +18,7 @@ coefficients are the BC_1 case of the displayed BC_n one,
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -128,7 +130,8 @@ def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
 
 class SweepRows(Sequence):
     """The (xi, x, residual) rows of a sweep, read from its non-pole xis, its x
-    grid and its float list of residuals, xi by xi; a slice is a list of rows."""
+    grid and its residuals as packed doubles (an ``array('d')``), xi by xi; a
+    slice is a list of rows."""
     __slots__ = ("xis", "xs", "residuals")
 
     def __init__(self, xis, xs, residuals):
@@ -149,7 +152,8 @@ class SweepRows(Sequence):
 
 @dataclass
 class SweepReport:
-    """Outcome of ``verify_de``; ``rows`` is any sequence of (xi, x, residual)."""
+    """Outcome of ``verify_de``, whose ``rows`` read the residuals as packed
+    doubles through ``SweepRows``; any sequence of (xi, x, residual) serves."""
     g1: float
     g2: float
     tol: float
@@ -173,11 +177,11 @@ class SweepReport:
 
 def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     """Relative residuals of the rank-one difference equation over a (xi, x)
-    grid, one float per point behind ``SweepRows``; coefficient poles are skipped
+    grid, one packed double per point behind ``SweepRows``; coefficient poles are skipped
     (ValueError if every xi is one), and a shifted value or a side beyond the float
     range raises HypergeometricError.  Each ``HypergeometricParams`` condition reads
     (g1, g2), xi or x alone, so each x and each shift xi, xi+-1 is checked once."""
-    report = SweepReport(g1, g2, tol, SweepRows([], tuple(x_grid), []), skipped=[])
+    report = SweepReport(g1, g2, tol, SweepRows([], tuple(x_grid), array("d")), skipped=[])
     points = None   # (x, s, z, w) per x
     for xi in xi_grid:
         if min(abs(xi), abs(xi - 0.5), abs(xi + 0.5)) < 1e-9:

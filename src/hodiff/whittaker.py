@@ -14,6 +14,7 @@ precision; the difference equations are checked against it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction as Q
 
@@ -162,8 +163,9 @@ CONFLUENCE_TOL = 1e-6               # the bound on its deviations at the last t
 
 @dataclass
 class ConfluenceReport:
-    """Outcome of ``verify_confluence``.  A row holds its deviations as a
-    tuple in ``t_list`` order; ``to_dict`` makes the {"t", "deviation"} pairs."""
+    """Outcome of ``verify_confluence``.  A row holds its deviations as packed
+    doubles (an ``array('d')``) in ``t_list`` order; ``to_dict`` makes the
+    {"t", "deviation"} pairs."""
     system: str
     omega: Vector
     t_list: tuple
@@ -192,7 +194,7 @@ def _deviation_row(family, label, devs, tol, limit):
         later < earlier or later < 1e-12
         for earlier, later in zip(devs, devs[1:]))
     return {"family": family, "term": label, "ok": ok, "limit": limit,
-            "deviations": tuple(devs)}
+            "deviations": array("d", devs)}
 
 
 def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
@@ -203,11 +205,12 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     polynomial against the single exponential, the V products against the
     eta/z products, and the U products against their signed limits; each
     with the exponential rescaling by the dominant growth rate.  Deviations
-    must decrease along t_list, which must increase strictly, and end below
-    tol; the base point x has ``datum.dim`` coordinates.  The factor lists
-    of ``pieri_index`` are evaluated on one ``float_table`` of xi's exact
-    pairings (a float entry read as its binary value, as ``coeff_Vbar``
-    reads it), at g(t) formed once per t.  The growth rate <nu, rho^vee> is
+    must decrease along t_list, which must be nonempty, finite and strictly
+    increasing (else ValueError), and end below tol; the base point x has
+    ``datum.dim`` coordinates.  The factor lists of ``pieri_index`` are
+    evaluated on one ``float_table`` of xi's exact pairings (a float entry
+    read as its binary value, as ``coeff_Vbar`` reads it), at g(t) formed
+    once per t.  The growth rate <nu, rho^vee> is
     half the sum of nu's positive-root pairings (rho^vee is half the sum of
     the positive coroots), read from the memoized pairing row of nu's labels.
     """
@@ -222,6 +225,8 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         return Q(sum(pairs[i] for i in datum.positive_indices), 2)
 
     t_list = tuple(float(t) for t in t_list)
+    if not t_list or not all(map(math.isfinite, t_list)):
+        raise ValueError(f"t_list {list(t_list)} is empty or not finite")
     if any(later <= earlier for earlier, later in zip(t_list, t_list[1:])):
         raise ValueError(f"t_list {list(t_list)} is not strictly increasing")
     report = ConfluenceReport(system=datum.name,

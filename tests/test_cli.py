@@ -187,6 +187,27 @@ def test_float_lists_rejected_naming_the_option(args, option, capsys):
     assert captured.err.startswith(f"error: {option}: ") and captured.err.count("\n") == 1
 
 
+def test_a_value_list_may_start_with_a_minus_sign(capsys):
+    # a list whose first entry is negative is the option's value, as in the
+    # --opt=value form, which gives the same bytes; an option followed by
+    # another option still has no value
+    limits = ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0"]
+    for args, option in (
+            (limits + ["--xi", "-1/40,1/80", "--x", "0.25,-0.1,-0.15"], "--xi"),
+            (limits + ["--xi", "1/40,-1/80", "--x", "-0.25,0.1,0.15"], "--x"),
+            (["sweep-rank-one", "--xi", "-0.3,0.77"], "--xi")):
+        k = args.index(option)
+        assert run(args) == 0, args
+        spaced = capsys.readouterr()
+        assert run(args[:k] + [f"{option}={args[k + 1]}"] + args[k + 2:]) == 0, args
+        assert capsys.readouterr() == spaced and spaced.err == ""
+    rows = json.loads(spaced.out)["sweep"]["rows"]
+    assert [r["xi"] for r in rows[::len(cli.DE_X_GRID)]] == [-0.3, 0.77]
+    for args in (limits + ["--xi", "--x", "0.25,-0.1,-0.15"], ["sweep-rank-one", "--xi", "--x", "0.2"]):
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", "error: argument --xi: expected one argument\n")
+
+
 @pytest.mark.parametrize("args", [
     ["whittaker-limits", "--family", "G", "--rank", "2", "--omega", "0,1",
      "--xi", "1/31,-1/71", "--x", "0.2,-0.35"],
@@ -817,12 +838,14 @@ X_A2 = ["--x", "0.25,-0.1,-0.15"]
      "expected 1 or 2 comma-separated values"),
     (WHITTAKER_A2 + ["--omega", "1,0", "--xi", "1,2,3"] + X_A2, "--xi",
      "expected 1 or 2 comma-separated values"),
+    (["jacobi", "--family", "A", "--rank", "2", "--lambda", "1,0", "--g", "1/2,2/3"], "--g",
+     "expected 1 value"),
     (["verify", "--suite", "pieri", "--family", "A", "--rank", "2",
       "--omega", "1,0,0"], "--omega", "need 2 coefficients for A2"),
 ], ids=["verify-omega", "coeffs-omega", "jacobi-lambda", "jacobi-g",
         "whittaker-omega", "whittaker-xi", "jacobi-g-nan", "jacobi-lambda-word",
         "jacobi-lambda-empty", "coeffs-omega-word", "whittaker-xi-word",
-        "jacobi-g-count", "whittaker-xi-count", "verify-omega-count"])
+        "jacobi-g-count", "whittaker-xi-count", "jacobi-g-one-orbit", "verify-omega-count"])
 def test_zero_denominator_names_the_option(args, option, message, capsys):
     assert run(args) == 2
     captured = capsys.readouterr()

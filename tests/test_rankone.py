@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -196,13 +197,14 @@ def test_sweep_max_residual_is_nan_if_any_residual_is():
 
 
 def test_sweep_rows_read_as_a_sequence_of_triples():
-    # the report keeps the non-pole xis, the x grid and one float per point;
-    # its rows read as the (xi, x, residual) triples, xi by xi
+    # the report keeps the non-pole xis, the x grid and one packed double per
+    # point; its rows read as the (xi, x, residual) triples, xi by xi
     g1, g2, x_grid = 0.5, 1 / 3, (0.2, 1.1, 2.5)
     rep = verify_de(g1, g2, (0.3, 0.5, 0.77, 1.2), x_grid, DE_TOL)
     triples = [(xi, x, de_residual(g1, g2, xi, x)) for xi in (0.3, 0.77, 1.2) for x in x_grid]
     rows = rep.rows
-    assert type(rows.residuals) is list and all(type(r) is float for r in rows.residuals)
+    assert type(rows.residuals) is array and rows.residuals.typecode == "d"
+    assert all(type(r) is float for r in rows.residuals)
     assert len(rows) == 9 and list(rows) == triples and [*iter(rows)] == triples
     assert [rows[k] for k in range(-9, 9)] == triples + triples
     assert rows[0] == triples[0] and rows[-1] == triples[-1]
@@ -231,8 +233,8 @@ def test_replaced_sweep_keeps_its_skipped_poles():
 def test_sweep_report_retains_its_residuals_as_numbers():
     # traced growth while 40 default-grid reports are built and kept, after
     # a sweep that sets the allocator's free lists.  Reports whose rows are
-    # (xi, x, residual) tuples read about 2,700 B each; one float per point
-    # behind the row view reads about 1,200 B
+    # (xi, x, residual) tuples read about 2,700 B each; one boxed float per
+    # point behind the row view about 1,200 B, one packed double about 580 B
     verify_de(0.5, 1 / 3, DE_XI_GRID, DE_X_GRID, DE_TOL)
     kept = [None] * 40
     gc.disable()
@@ -247,7 +249,7 @@ def test_sweep_report_retains_its_residuals_as_numbers():
         tracemalloc.stop()
         gc.enable()
     assert all(len(rep.rows) == 25 for rep in kept)
-    assert retained < 1_700 * len(kept), retained / len(kept)
+    assert retained < 800 * len(kept), retained / len(kept)
 
 
 def test_recurrence_exact():

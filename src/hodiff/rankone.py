@@ -177,10 +177,10 @@ class SweepReport:
 
 def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     """Relative residuals of the rank-one difference equation over a (xi, x)
-    grid, one packed double per point behind ``SweepRows``; coefficient poles are skipped
-    (ValueError if every xi is one), and a shifted value or a side beyond the float
-    range raises HypergeometricError.  Each ``HypergeometricParams`` condition reads
-    (g1, g2), xi or x alone, so each x and each shift xi, xi+-1 is checked once."""
+    grid, one packed double per point behind ``SweepRows``; coefficient poles are
+    skipped (ValueError if every xi is one), and a shifted value or a side beyond the
+    float range raises HypergeometricError.  Each ``HypergeometricParams`` condition
+    reads (g1, g2), xi or x alone, so each x and each shift xi, xi+-1 is checked once."""
     report = SweepReport(g1, g2, tol, SweepRows([], tuple(x_grid), array("d")), skipped=[])
     points = None   # (x, s, z, w) per x
     for xi in xi_grid:

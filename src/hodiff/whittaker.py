@@ -210,9 +210,9 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     ``datum.dim`` coordinates.  The factor lists of ``pieri_index`` are
     evaluated on one ``float_table`` of xi's exact pairings (a float entry
     read as its binary value, as ``coeff_Vbar`` reads it), at g(t) formed
-    once per t.  The growth rate <nu, rho^vee> is
-    half the sum of nu's positive-root pairings (rho^vee is half the sum of
-    the positive coroots), read from the memoized pairing row of nu's labels.
+    once per t.  The growth rate <nu, rho^vee> is half the sum of nu's
+    positive-root pairings (rho^vee is half the sum of the positive
+    coroots), read from the memoized pairing row of nu's labels.
     """
     if datum.family == "BC":
         raise ValueError("the confluent limit is defined for reduced systems")

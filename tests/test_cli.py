@@ -203,7 +203,8 @@ def test_a_value_list_may_start_with_a_minus_sign(capsys):
         assert capsys.readouterr() == spaced and spaced.err == ""
     rows = json.loads(spaced.out)["sweep"]["rows"]
     assert [r["xi"] for r in rows[::len(cli.DE_X_GRID)]] == [-0.3, 0.77]
-    for args in (limits + ["--xi", "--x", "0.25,-0.1,-0.15"], ["sweep-rank-one", "--xi", "--x", "0.2"]):
+    for args in (limits + ["--xi", "--x", "0.25,-0.1,-0.15"],
+                 ["sweep-rank-one", "--xi", "--x", "0.2"]):
         assert run(args) == 2
         assert capsys.readouterr() == ("", "error: argument --xi: expected one argument\n")
 

@@ -6,11 +6,14 @@ moderate x.  Evaluation therefore goes through the Pfaff transformation,
 whose argument z/(z-1) always lies in [0,1); the plain series is kept as a
 cross-check on its own domain, and mpmath's hyp2f1 at extended precision
 pins spot values independently of both.  Point values and the residual
-sweep ``verify_de`` share one checked kernel, ``_checked_2f1``.  The sweep
-forms sinh^2(x/2), z and z/(z-1) once per x and the shift coefficients once
-per xi, in the float order of a per-point evaluation, so its residuals are
-bit-identical to those of three ``gauss_2f1_jacobi`` calls per point; a report
-keeps them as packed doubles, 8 B each, behind its row view.  The
+sweep ``verify_de`` share one checked kernel, ``_checked_2f1``, whose series
+take c and their term denominators (c + k)(k + 1) from a ``SeriesDenominators``
+table: the series of a sweep share c = 1/2 + g1 + g2 and one table, and a
+point value's table stores none.  The sweep forms sinh^2(x/2), z and z/(z-1)
+once per x and the shift coefficients once per xi, in the float order of a
+per-point evaluation, so its residuals are bit-identical to those of three
+``gauss_2f1_jacobi`` calls per point; a report keeps them as packed doubles,
+8 B each, behind its row view.  The
 coefficients are the BC_1 case of the displayed BC_n one,
 ``nonreduced.rank_one_shift_coefficient``, at xi (up) and -xi (down).
 """
@@ -68,27 +71,61 @@ class HypergeometricParams:
         return a, b, c
 
 
-def series_2f1(a, b, c, z) -> float:
-    """Plain power series; only trustworthy for |z| < 1."""
-    term = 1.0
-    total = 1.0
-    k = 0.0   # a float counter: a + k is the same float as with an int k
-    for _ in range(SERIES_MAX_TERMS):
+class SeriesDenominators:
+    """The term denominators (c + k)(k + 1.0) of every Gauss series with lower
+    parameter c, as (k, d) pairs with a float k, ``chunk`` pairs to each list
+    of ``chunks``; ``grow`` adds a list, up to SERIES_MAX_TERMS pairs.  A table
+    of chunk 0 holds none, and its series form each denominator in place."""
+    __slots__ = ("c", "chunk", "chunks")
+
+    def __init__(self, c, chunk):
+        self.c, self.chunk, self.chunks = c, chunk, []
+        if chunk:
+            self.grow()
+
+    def grow(self):
+        n = len(self.chunks) * self.chunk   # each list but one at the cap is full
+        if ks := range(n, min(n + self.chunk, SERIES_MAX_TERMS)):
+            c = self.c
+            self.chunks.append([(k, (c + k) * (k + 1.0)) for k in map(float, ks)])
+
+
+def series_2f1(a, b, table, z) -> float:
+    """Plain power series 2F1(a, b; c; z), only trustworthy for |z| < 1; c and
+    the term denominators come from ``table``, which gains a chunk when the
+    series reads through its last, and past a table that cannot grow the
+    series forms them in place, as the same floats."""
+    term = total = 1.0
+    k, lo, hi = -1.0, -SERIES_TOL, SERIES_TOL
+    for chunk in table.chunks:
+        for k, d in chunk:
+            term *= (a + k) * (b + k) / d * z
+            total += term
+            # |term| <= SERIES_TOL * max(1, |total|) by signs, a NaN total read as |total| <= 1
+            if (lo * total <= term <= hi * total if total > 1.0 else
+                    hi * total <= term <= lo * total if total < -1.0 else lo <= term <= hi):
+                return _last_term(a, b, table.c, z, k, term, total)
+        if chunk is table.chunks[-1]:   # appended before this loop reads past it
+            table.grow()
+    c = table.c
+    for _ in range(int(k) + 1, SERIES_MAX_TERMS):
+        k += 1.0   # a float counter: a + k is the same float as with an int k
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
-        t = abs(term)
-        # t <= SERIES_TOL * max(1, |total|); an overflowed total stays non-finite
-        if t <= SERIES_TOL or t <= SERIES_TOL * abs(total):
-            if not math.isfinite(total):
-                break
-            # one extra term to make the stop robust near sign alternation
-            term *= (a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z
-            total += term
-            return total
-        k += 1.0
+        if (lo * total <= term <= hi * total if total > 1.0 else
+                hi * total <= term <= lo * total if total < -1.0 else lo <= term <= hi):
+            return _last_term(a, b, c, z, k, term, total)
     if not math.isfinite(total):
         raise HypergeometricError(f"series overflow at argument {z}")
     raise HypergeometricError("series did not converge within the term cap")
+
+
+def _last_term(a, b, c, z, k, term, total) -> float:
+    """The sum at the stop after term k, with one extra term to make the stop
+    robust near sign alternation; an overflowed total stays non-finite."""
+    if not math.isfinite(total):
+        raise HypergeometricError(f"series overflow at argument {z}")
+    return total + term * ((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
 
 
 def _to_mpf(v):
@@ -104,15 +141,16 @@ def series_2f1_highprec(a, b, c, z):
         return mpmath.hyp2f1(*map(_to_mpf, (a, b, c, z)))
 
 
-def _checked_2f1(a, b, c, z, w) -> float:
-    """2F1(a, b; c; z) for z <= 0 and w = z/(z-1), by the Pfaff route
-    (1-z)^{-a} 2F1(a, c-b; c; w), always convergent.  For |z| < 0.8 the
-    plain series is also summed and the two must agree to 1e-11."""
-    pfaff = (1.0 - z) ** (-a) * series_2f1(a, c - b, c, w)
+def _checked_2f1(a, b, table, z, w) -> float:
+    """2F1(a, b; c; z) for z <= 0 and w = z/(z-1), c = ``table.c``, by the
+    Pfaff route (1-z)^{-a} 2F1(a, c-b; c; w), always convergent.  For |z| < 0.8
+    the plain series is also summed and the two must agree to 1e-11; both
+    read ``table``."""
+    pfaff = (1.0 - z) ** (-a) * series_2f1(a, table.c - b, table, w)
     if not math.isfinite(pfaff):   # as (1-z)^{-a} raises when it alone overflows
-        raise OverflowError(f"2F1({a}, {b}; {c}; {z}) is beyond the float range")
+        raise OverflowError(f"2F1({a}, {b}; {table.c}; {z}) is beyond the float range")
     if abs(z) < 0.8:
-        plain = series_2f1(a, b, c, z)
+        plain = series_2f1(a, b, table, z)
         if abs(plain - pfaff) > AGREEMENT_TOL * max(1.0, abs(pfaff)):
             raise HypergeometricError(
                 f"series/Pfaff disagreement {plain} vs {pfaff} at z={z}")
@@ -122,10 +160,11 @@ def _checked_2f1(a, b, c, z, w) -> float:
 
 def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
     """Value of the rank-one spectral kernel at (xi, x): ``_checked_2f1`` at
-    z = -sinh^2(x/2)."""
+    z = -sinh^2(x/2), on a table of chunk 0: a point reads each denominator
+    at most twice, too few to repay storing it."""
     a, b, c = params.abc
     z = -math.sinh(params.x / 2) ** 2
-    return _checked_2f1(a, b, c, z, z / (z - 1.0))
+    return _checked_2f1(a, b, SeriesDenominators(c, 0), z, z / (z - 1.0))
 
 
 class SweepRows(Sequence):
@@ -177,28 +216,36 @@ class SweepReport:
 
 def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     """Relative residuals of the rank-one difference equation over a (xi, x)
-    grid, one packed double per point behind ``SweepRows``; coefficient poles are
-    skipped (ValueError if every xi is one), and a shifted value or a side beyond the
-    float range raises HypergeometricError.  Each ``HypergeometricParams`` condition
-    reads (g1, g2), xi or x alone, so each x and each shift xi, xi+-1 is checked once."""
-    report = SweepReport(g1, g2, tol, SweepRows([], tuple(x_grid), array("d")), skipped=[])
-    points = None   # (x, s, z, w) per x
+    grid, one packed double per point behind ``SweepRows``; an empty grid is
+    a ValueError naming it, coefficient poles are skipped (ValueError if every
+    xi is one), and a shifted value or a side beyond the float range raises
+    HypergeometricError.  Each ``HypergeometricParams`` condition reads (g1, g2),
+    xi or x alone, so each x and each shift xi, xi+-1 is checked once.  Every
+    series of the sweep has c = 1/2 + g1 + g2, so all read one
+    ``SeriesDenominators``, 64 pairs to a chunk, which ends with the call."""
+    xi_grid, x_grid = tuple(xi_grid), tuple(x_grid)
+    for name, grid in (("xi", xi_grid), ("x", x_grid)):
+        if not grid:
+            raise ValueError(f"the {name} grid is empty")
+    report = SweepReport(g1, g2, tol, SweepRows([], x_grid, array("d")), skipped=[])
+    table = None
     for xi in xi_grid:
         if min(abs(xi), abs(xi - 0.5), abs(xi + 0.5)) < 1e-9:
             report.skipped.append({"xi": xi, "reason": "coefficient pole"})
             continue
-        if points is None:
-            points = []
+        if table is None:
+            points = []   # (x, s, z, w) per x
             for x in x_grid:
                 HypergeometricParams(g1, g2, xi, x)
                 z = -math.sinh(x / 2) ** 2
                 points.append((x, -z, z, z / (z - 1.0)))
+            table = SeriesDenominators(0.5 + g1 + g2, 64)   # abc's c
         report.rows.xis.append(xi)
         up, dn = (rank_one_shift_coefficient(1, (None, g1, g2), 0, (v,)) for v in (xi, -xi))
         shifts = [HypergeometricParams(g1, g2, v, 0.0).abc for v in (xi, xi + 1, xi - 1)]
         for x, s, z, w in points:
             try:
-                f0, fp, fm = [_checked_2f1(a, b, c, z, w) for a, b, c in shifts]
+                f0, fp, fm = [_checked_2f1(a, b, table, z, w) for a, b, _ in shifts]
                 lhs = up * (fp - f0) + dn * (fm - f0)
                 rhs = 4 * s * f0
                 if not math.isfinite(lhs - rhs) and all(map(math.isfinite, (f0, fp, fm))):
@@ -206,7 +253,7 @@ def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
             except OverflowError as exc:
                 raise HypergeometricError(f"the equation overflows at xi = {xi}, x = {x}") from exc
             report.rows.residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
-    if points is None:
+    if table is None:
         raise ValueError("every xi of the grid is a coefficient pole")
     return report
 

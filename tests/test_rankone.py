@@ -13,8 +13,8 @@ from hodiff import rankone
 from hodiff.cli import DE_PARAMETER_PAIRS, DE_X_GRID, DE_XI_GRID
 from hodiff.diffeq import PoleAtSpectralPoint
 from hodiff.nonreduced import rank_one_shift_coefficient
-from hodiff.rankone import (DE_TOL, HypergeometricError, HypergeometricParams,
-                            bc1_crosscheck,
+from hodiff.rankone import (DE_TOL, X_MAX, HypergeometricError, HypergeometricParams,
+                            SeriesDenominators, bc1_crosscheck,
                             de_coefficients_match_rr,
                             gauss_2f1_jacobi, jacobi_poly_1d, recurrence_rr,
                             SERIES_MAX_TERMS, SERIES_TOL, series_2f1,
@@ -64,15 +64,27 @@ def test_pfaff_and_series_agree_inside_disk():
     assert math.isfinite(big)
 
 
-def test_series_divergence_guard():
+def _size(table):
+    return sum(map(len, table.chunks))
+
+
+def _series(a, b, c, z, chunk=16):
+    """``series_2f1`` on a fresh table for c; chunk 0 forms every
+    denominator in place."""
+    return series_2f1(a, b, SeriesDenominators(c, chunk), z)
+
+
+@pytest.mark.parametrize("chunk", [0, 16])
+def test_series_divergence_guard(chunk):
     with pytest.raises(HypergeometricError):
-        series_2f1(0.3, 1.7, 1.2, 1.05)
+        _series(0.3, 1.7, 1.2, 1.05, chunk)
 
 
-def test_series_term_cap_guard():
+@pytest.mark.parametrize("chunk", [0, 16])
+def test_series_term_cap_guard(chunk):
     # finite terms that fall off like k^-0.2 never meet the stop test
     with pytest.raises(HypergeometricError, match="within the term cap$"):
-        series_2f1(0.3, 1.7, 1.2, 1 - 1e-7)
+        _series(0.3, 1.7, 1.2, 1 - 1e-7, chunk)
 
 
 def test_de_residual_grid():
@@ -90,6 +102,15 @@ def test_de_pole_skip():
     # a grid of poles only would check nothing, its x unvalidated
     with pytest.raises(ValueError, match="every xi"):
         verify_de(0.5, 1 / 3, (0.5, -0.5, 0.0), (9.0,), DE_TOL)
+
+
+@pytest.mark.parametrize("grid", ["xi", "x"])
+def test_sweep_refuses_an_empty_grid(grid):
+    # an empty x grid used to pass with zero rows, an empty xi grid to read
+    # as a grid of poles
+    grids = {"xi": DE_XI_GRID, "x": DE_X_GRID, grid: ()}
+    with pytest.raises(ValueError, match=f"^the {grid} grid is empty$"):
+        verify_de(0.5, 1 / 3, grids["xi"], grids["x"], DE_TOL)
 
 
 def test_de_trivial_at_origin():
@@ -138,11 +159,67 @@ def test_sweep_keeps_the_series_pfaff_cross_check(monkeypatch):
     # a plain series (argument z < 0) off by 1e-9 must trip the agreement
     # check inside the sweep, at an x inside the disk
     real = rankone.series_2f1
-    monkeypatch.setattr(rankone, "series_2f1", lambda a, b, c, z: real(a, b, c, z)
+    monkeypatch.setattr(rankone, "series_2f1", lambda a, b, table, z: real(a, b, table, z)
                         * (1 + 1e-9 if z < 0 else 1))
     verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5,), DE_TOL)
     with pytest.raises(HypergeometricError, match="disagreement"):
         verify_de(0.5, 1 / 3, DE_XI_GRID, (2.5, 0.6), DE_TOL)
+
+
+def _tables_read(monkeypatch):
+    """The tables the series of later calls read, in call order."""
+    tables = []
+    real = rankone.series_2f1
+    monkeypatch.setattr(rankone, "series_2f1",
+                        lambda a, b, table, z: tables.append(table) or real(a, b, table, z))
+    return tables
+
+
+def test_a_sweep_reads_one_table_of_at_most_256_pairs(monkeypatch):
+    # all 120 series of a default-grid sweep read one table of their c,
+    # which grows only as far as the longest series reads
+    tables = _tables_read(monkeypatch)
+    rng = random.Random("rank-one-sweep-table")
+    pairs = list(DE_PARAMETER_PAIRS) + [
+        (rng.uniform(0.1, 3.0), rng.uniform(0.05, 2.0)) for _ in range(20)]
+    for g1, g2 in pairs:
+        tables.clear()
+        verify_de(g1, g2, DE_XI_GRID, DE_X_GRID, DE_TOL)
+        assert len(tables) == 120 and len({id(t) for t in tables}) == 1
+        assert tables[0].c == HypergeometricParams(g1, g2, 0.3, 0.0).abc[2]
+        assert _size(tables[0]) <= 256, (g1, g2, _size(tables[0]))
+
+
+def test_sweep_to_the_domain_edge_equals_the_reference_sums(monkeypatch):
+    # out to |x| = X_MAX the shared table grows through many chunks, and
+    # every residual equals, bit for bit, the per-point residual with each
+    # series summed by the reference loop, its denominators formed in place
+    xi_grid, x_grid = (0.3, -1.3, 2.6), (-X_MAX, -2.5, 0.2, 1.7, X_MAX)
+    for g1, g2 in DE_PARAMETER_PAIRS:
+        tables = _tables_read(monkeypatch)
+        rows = list(verify_de(g1, g2, xi_grid, x_grid, DE_TOL).rows)
+        assert len(tables[0].chunks) > 100 and len({id(t) for t in tables}) == 1
+        monkeypatch.setattr(rankone, "series_2f1", lambda a, b, table, z:
+                            _series_2f1_reference(a, b, table.c, z))
+        expected = [(xi, x, de_residual(g1, g2, xi, x).hex()) for xi in xi_grid for x in x_grid]
+        assert [(xi, x, r.hex()) for xi, x, r in rows] == expected, (g1, g2)
+        monkeypatch.undo()
+
+
+def test_a_sweep_keeps_no_table():
+    # the table of a sweep to X_MAX, about 3 MB of pairs, is gone when the
+    # sweep returns; its report stays
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = verify_de(0.5, 1 / 3, (0.3, 2.6), (0.2, X_MAX), DE_TOL)
+        gc.collect()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 4
+    assert peak > 2_000_000 and kept < 20_000, (peak, kept)
 
 
 @pytest.mark.parametrize("g1,g2,xi_grid,x_grid", [
@@ -457,9 +534,11 @@ def _outcome(fn, *args):
 @given(st.floats(-4.0, 6.0), st.floats(-4.0, 6.0),
        st.floats(0.5, 6.0), st.floats(-0.99, 0.99))
 def test_series_stop_test_matches_reference(a, b, c, z):
-    # the same float bit for bit, or the same error
-    assert (_outcome(series_2f1, a, b, c, z)
-            == _outcome(_series_2f1_reference, a, b, c, z)), (a, b, c, z)
+    # the same float bit for bit, or the same error, from stored and from
+    # in-place denominators
+    expected = _outcome(_series_2f1_reference, a, b, c, z)
+    for chunk in (0, 16):
+        assert _outcome(_series, a, b, c, z, chunk) == expected, (a, b, c, z, chunk)
 
 
 def test_series_stop_test_on_sweep_parameters():
@@ -470,9 +549,10 @@ def test_series_stop_test_on_sweep_parameters():
         for x in (0.2, 0.6, 1.1, 1.7, 2.5, 4.0, 8.0):
             z = -math.sinh(x / 2) ** 2
             w = z / (z - 1.0)
-            assert series_2f1(a, c - b, c, w) == _series_2f1_reference(a, c - b, c, w)
-            if abs(z) < 0.8:
-                assert series_2f1(a, b, c, z) == _series_2f1_reference(a, b, c, z)
+            for chunk in (0, 16):
+                assert _series(a, c - b, c, w, chunk) == _series_2f1_reference(a, c - b, c, w)
+                if abs(z) < 0.8:
+                    assert _series(a, b, c, z, chunk) == _series_2f1_reference(a, b, c, z)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -489,7 +569,78 @@ def test_kernel_matches_mpmath_hyp2f1(g1, g2, xi, x):
     assert abs(gauss_2f1_jacobi(params) - ref) <= 1e-12 * abs(ref), params
 
 
-def test_series_overflow_raises_like_reference():
-    new = _outcome(series_2f1, 0.3, 1.7, 1.2, 1.05)
+@pytest.mark.parametrize("chunk", [0, 16])
+def test_series_overflow_raises_like_reference(chunk):
+    new = _outcome(_series, 0.3, 1.7, 1.2, 1.05, chunk)
     assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, 1.05)
     assert new[0] is HypergeometricError and "overflow" in new[1]
+
+
+@pytest.mark.parametrize("chunk", [0, 16])
+def test_series_nan_argument_raises_like_reference(chunk):
+    # a NaN total never meets the stop test: the series runs to the term cap,
+    # then names the overflow, as the reference does at its first term
+    new = _outcome(_series, 0.3, 1.7, 1.2, math.nan, chunk)
+    assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, math.nan)
+    assert new[0] is HypergeometricError and "overflow" in new[1]
+
+
+def test_term_cap_keeps_no_table():
+    # the capped series reads SERIES_MAX_TERMS pairs, about 11 MB, and none
+    # of them outlives the table the caller drops
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = SeriesDenominators(1.2, 64)
+        with pytest.raises(HypergeometricError, match="within the term cap$"):
+            series_2f1(0.3, 1.7, table, 1 - 1e-7)
+        assert _size(table) == SERIES_MAX_TERMS
+        del table
+        gc.collect()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak > 8_000_000 and kept < 20_000, (peak, kept)
+
+
+def test_a_table_grows_a_chunk_at_a_time_as_far_as_read():
+    table = SeriesDenominators(1.2, 16)
+    assert _size(table) == 16
+    series_2f1(0.3, 1.7, table, 0.01)   # a few terms: no growth
+    assert len(table.chunks) == 1
+    series_2f1(0.3, 1.7, table, 0.9)
+    assert len(table.chunks) > 12 and all(len(chunk) == 16 for chunk in table.chunks)
+    assert [pair for chunk in table.chunks for pair in chunk] == [
+        (k, (1.2 + k) * (k + 1.0)) for k in map(float, range(_size(table)))]
+
+
+def test_a_table_serves_only_its_own_c():
+    # c is read from the table alone, so no call can pair a table with
+    # another c; two tables read in turn on one argument keep their own sums
+    import inspect
+    assert list(inspect.signature(series_2f1).parameters) == ["a", "b", "table", "z"]
+    assert list(inspect.signature(rankone._checked_2f1).parameters) == [
+        "a", "b", "table", "z", "w"]
+    tables = {c: SeriesDenominators(c, 16) for c in (1.2, 1.2 + 2 ** -40, 3.7)}
+    for z in (0.3, -0.7, 0.95):
+        for c, table in tables.items():
+            assert table.c == c
+            assert series_2f1(0.3, 1.7, table, z) == _series_2f1_reference(0.3, 1.7, c, z)
+    for c, table in tables.items():
+        assert all(d == (c + k) * (k + 1.0) for chunk in table.chunks for k, d in chunk)
+
+
+def test_a_point_value_reads_one_table_that_stores_nothing(monkeypatch):
+    # both series of a point inside the disk read one table of their c, of
+    # chunk 0: a point reads a denominator at most twice, too few to repay
+    # storing it
+    tables = _tables_read(monkeypatch)
+    params = HypergeometricParams(0.5, 1 / 3, 0.77, 0.6)
+    value = gauss_2f1_jacobi(params)
+    assert len(tables) == 2 and tables[0] is tables[1]
+    assert tables[0].c == params.abc[2] and tables[0].chunks == []
+    monkeypatch.undo()
+    a, b, c = params.abc
+    z = -math.sinh(params.x / 2) ** 2
+    assert value == (1.0 - z) ** (-a) * _series_2f1_reference(a, c - b, c, z / (z - 1.0))

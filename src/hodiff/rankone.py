@@ -7,13 +7,13 @@ whose argument z/(z-1) always lies in [0,1); the plain series is kept as a
 cross-check on its own domain, and mpmath's hyp2f1 at extended precision
 pins spot values independently of both.  Point values and the residual
 sweep ``verify_de`` share one checked kernel, ``_checked_2f1``, whose series
-take c and their term denominators (c + k)(k + 1) from a ``SeriesDenominators``
-table: the series of a sweep share c = 1/2 + g1 + g2 and one table, and a
-point value's table stores none.  The sweep forms sinh^2(x/2), z and z/(z-1)
-once per x and the shift coefficients once per xi, in the float order of a
-per-point evaluation, so its residuals are bit-identical to those of three
-``gauss_2f1_jacobi`` calls per point; a report keeps them as packed doubles,
-8 B each, behind its row view.  The
+take c and their term denominators (c + k)(k + 1) from a
+``SeriesDenominators`` table: the series of a sweep share c = 1/2 + g1 + g2
+and one table, and a point value's two series share one of their own.  The
+sweep forms sinh^2(x/2), z and z/(z-1) once per x and the shift coefficients
+once per xi, in the float order of a per-point evaluation, so its residuals
+are bit-identical to those of three ``gauss_2f1_jacobi`` calls per point; a
+report keeps them as packed doubles, 8 B each, behind its row view.  The
 coefficients are the BC_1 case of the displayed BC_n one,
 ``nonreduced.rank_one_shift_coefficient``, at xi (up) and -xi (down).
 """
@@ -34,6 +34,7 @@ from .nonreduced import bc_multiplicities, rank_one_shift_coefficient
 
 SERIES_TOL = 1e-15
 SERIES_MAX_TERMS = 100_000
+SERIES_CHUNK = 64   # the pairs a SeriesDenominators table adds at a time
 AGREEMENT_TOL = 1e-11
 X_MAX = 8.0   # keeps the transformed-series argument far enough from 1
 DE_TOL = 1e-9   # the bound on verify_de's relative residuals
@@ -73,19 +74,17 @@ class HypergeometricParams:
 
 class SeriesDenominators:
     """The term denominators (c + k)(k + 1.0) of every Gauss series with lower
-    parameter c, as (k, d) pairs with a float k, ``chunk`` pairs to each list
-    of ``chunks``; ``grow`` adds a list, up to SERIES_MAX_TERMS pairs.  A table
-    of chunk 0 holds none, and its series form each denominator in place."""
-    __slots__ = ("c", "chunk", "chunks")
+    parameter c, as (k, d) pairs with a float k, SERIES_CHUNK pairs to each
+    list of ``chunks``; ``grow`` adds a list, up to SERIES_MAX_TERMS pairs."""
+    __slots__ = ("c", "chunks")
 
-    def __init__(self, c, chunk):
-        self.c, self.chunk, self.chunks = c, chunk, []
-        if chunk:
-            self.grow()
+    def __init__(self, c):
+        self.c, self.chunks = c, []
+        self.grow()
 
     def grow(self):
-        n = len(self.chunks) * self.chunk   # each list but one at the cap is full
-        if ks := range(n, min(n + self.chunk, SERIES_MAX_TERMS)):
+        n = len(self.chunks) * SERIES_CHUNK   # each list but one at the cap is full
+        if ks := range(n, min(n + SERIES_CHUNK, SERIES_MAX_TERMS)):
             c = self.c
             self.chunks.append([(k, (c + k) * (k + 1.0)) for k in map(float, ks)])
 
@@ -93,10 +92,9 @@ class SeriesDenominators:
 def series_2f1(a, b, table, z) -> float:
     """Plain power series 2F1(a, b; c; z), only trustworthy for |z| < 1; c and
     the term denominators come from ``table``, which gains a chunk when the
-    series reads through its last, and past a table that cannot grow the
-    series forms them in place, as the same floats."""
-    term = total = 1.0
-    k, lo, hi = -1.0, -SERIES_TOL, SERIES_TOL
+    series reads through its last."""
+    c, term, total = table.c, 1.0, 1.0
+    lo, hi = -SERIES_TOL, SERIES_TOL
     for chunk in table.chunks:
         for k, d in chunk:
             term *= (a + k) * (b + k) / d * z
@@ -104,28 +102,16 @@ def series_2f1(a, b, table, z) -> float:
             # |term| <= SERIES_TOL * max(1, |total|) by signs, a NaN total read as |total| <= 1
             if (lo * total <= term <= hi * total if total > 1.0 else
                     hi * total <= term <= lo * total if total < -1.0 else lo <= term <= hi):
-                return _last_term(a, b, table.c, z, k, term, total)
+                if not math.isfinite(total):
+                    raise HypergeometricError(f"series overflow at argument {z}")
+                # one extra term to make the stop robust near sign alternation; its
+                # denominator is not the next pair's, as (c + k) + 1 may round apart
+                return total + term * ((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
         if chunk is table.chunks[-1]:   # appended before this loop reads past it
             table.grow()
-    c = table.c
-    for _ in range(int(k) + 1, SERIES_MAX_TERMS):
-        k += 1.0   # a float counter: a + k is the same float as with an int k
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if (lo * total <= term <= hi * total if total > 1.0 else
-                hi * total <= term <= lo * total if total < -1.0 else lo <= term <= hi):
-            return _last_term(a, b, c, z, k, term, total)
     if not math.isfinite(total):
         raise HypergeometricError(f"series overflow at argument {z}")
     raise HypergeometricError("series did not converge within the term cap")
-
-
-def _last_term(a, b, c, z, k, term, total) -> float:
-    """The sum at the stop after term k, with one extra term to make the stop
-    robust near sign alternation; an overflowed total stays non-finite."""
-    if not math.isfinite(total):
-        raise HypergeometricError(f"series overflow at argument {z}")
-    return total + term * ((a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * z)
 
 
 def _to_mpf(v):
@@ -160,11 +146,10 @@ def _checked_2f1(a, b, table, z, w) -> float:
 
 def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
     """Value of the rank-one spectral kernel at (xi, x): ``_checked_2f1`` at
-    z = -sinh^2(x/2), on a table of chunk 0: a point reads each denominator
-    at most twice, too few to repay storing it."""
+    z = -sinh^2(x/2), on a table of its own."""
     a, b, c = params.abc
     z = -math.sinh(params.x / 2) ** 2
-    return _checked_2f1(a, b, SeriesDenominators(c, 0), z, z / (z - 1.0))
+    return _checked_2f1(a, b, SeriesDenominators(c), z, z / (z - 1.0))
 
 
 class SweepRows(Sequence):
@@ -222,7 +207,7 @@ def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     HypergeometricError.  Each ``HypergeometricParams`` condition reads (g1, g2),
     xi or x alone, so each x and each shift xi, xi+-1 is checked once.  Every
     series of the sweep has c = 1/2 + g1 + g2, so all read one
-    ``SeriesDenominators``, 64 pairs to a chunk, which ends with the call."""
+    ``SeriesDenominators``, which ends with the call."""
     xi_grid, x_grid = tuple(xi_grid), tuple(x_grid)
     for name, grid in (("xi", xi_grid), ("x", x_grid)):
         if not grid:
@@ -239,7 +224,7 @@ def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
                 HypergeometricParams(g1, g2, xi, x)
                 z = -math.sinh(x / 2) ** 2
                 points.append((x, -z, z, z / (z - 1.0)))
-            table = SeriesDenominators(0.5 + g1 + g2, 64)   # abc's c
+            table = SeriesDenominators(0.5 + g1 + g2)   # abc's c
         report.rows.xis.append(xi)
         up, dn = (rank_one_shift_coefficient(1, (None, g1, g2), 0, (v,)) for v in (xi, -xi))
         shifts = [HypergeometricParams(g1, g2, v, 0.0).abc for v in (xi, xi + 1, xi - 1)]

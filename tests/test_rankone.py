@@ -17,7 +17,7 @@ from hodiff.rankone import (DE_TOL, X_MAX, HypergeometricError, HypergeometricPa
                             SeriesDenominators, bc1_crosscheck,
                             de_coefficients_match_rr,
                             gauss_2f1_jacobi, jacobi_poly_1d, recurrence_rr,
-                            SERIES_MAX_TERMS, SERIES_TOL, series_2f1,
+                            SERIES_CHUNK, SERIES_MAX_TERMS, SERIES_TOL, series_2f1,
                             series_2f1_highprec, verify_de)
 from oracles import (bc1_orbit_sum_in_s, coefficient_list_bc1_crosscheck, de_residual,
                      pochhammer_jacobi_poly_1d, shift_coefficients)
@@ -68,23 +68,20 @@ def _size(table):
     return sum(map(len, table.chunks))
 
 
-def _series(a, b, c, z, chunk=16):
-    """``series_2f1`` on a fresh table for c; chunk 0 forms every
-    denominator in place."""
-    return series_2f1(a, b, SeriesDenominators(c, chunk), z)
+def _series(a, b, c, z):
+    """``series_2f1`` on a fresh table for c."""
+    return series_2f1(a, b, SeriesDenominators(c), z)
 
 
 def test_series_divergence_guard():
-    for chunk in (0, 16):
-        with pytest.raises(HypergeometricError):
-            _series(0.3, 1.7, 1.2, 1.05, chunk)
+    with pytest.raises(HypergeometricError):
+        _series(0.3, 1.7, 1.2, 1.05)
 
 
 def test_series_term_cap_guard():
     # finite terms that fall off like k^-0.2 never meet the stop test
-    for chunk in (0, 16):
-        with pytest.raises(HypergeometricError, match="within the term cap$"):
-            _series(0.3, 1.7, 1.2, 1 - 1e-7, chunk)
+    with pytest.raises(HypergeometricError, match="within the term cap$"):
+        _series(0.3, 1.7, 1.2, 1 - 1e-7)
 
 
 def test_de_residual_grid():
@@ -534,11 +531,9 @@ def _outcome(fn, *args):
 @given(st.floats(-4.0, 6.0), st.floats(-4.0, 6.0),
        st.floats(0.5, 6.0), st.floats(-0.99, 0.99))
 def test_series_stop_test_matches_reference(a, b, c, z):
-    # the same float bit for bit, or the same error, from stored and from
-    # in-place denominators
-    expected = _outcome(_series_2f1_reference, a, b, c, z)
-    for chunk in (0, 16):
-        assert _outcome(_series, a, b, c, z, chunk) == expected, (a, b, c, z, chunk)
+    # the same float bit for bit, or the same error
+    assert (_outcome(_series, a, b, c, z)
+            == _outcome(_series_2f1_reference, a, b, c, z)), (a, b, c, z)
 
 
 def test_series_stop_test_on_sweep_parameters():
@@ -549,10 +544,9 @@ def test_series_stop_test_on_sweep_parameters():
         for x in (0.2, 0.6, 1.1, 1.7, 2.5, 4.0, 8.0):
             z = -math.sinh(x / 2) ** 2
             w = z / (z - 1.0)
-            for chunk in (0, 16):
-                assert _series(a, c - b, c, w, chunk) == _series_2f1_reference(a, c - b, c, w)
-                if abs(z) < 0.8:
-                    assert _series(a, b, c, z, chunk) == _series_2f1_reference(a, b, c, z)
+            assert _series(a, c - b, c, w) == _series_2f1_reference(a, c - b, c, w)
+            if abs(z) < 0.8:
+                assert _series(a, b, c, z) == _series_2f1_reference(a, b, c, z)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -570,19 +564,17 @@ def test_kernel_matches_mpmath_hyp2f1(g1, g2, xi, x):
 
 
 def test_series_overflow_raises_like_reference():
-    for chunk in (0, 16):
-        new = _outcome(_series, 0.3, 1.7, 1.2, 1.05, chunk)
-        assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, 1.05)
-        assert new[0] is HypergeometricError and "overflow" in new[1]
+    new = _outcome(_series, 0.3, 1.7, 1.2, 1.05)
+    assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, 1.05)
+    assert new[0] is HypergeometricError and "overflow" in new[1]
 
 
 def test_series_nan_argument_raises_like_reference():
     # a NaN total never meets the stop test: the series runs to the term cap,
     # then names the overflow, as the reference does at its first term
-    for chunk in (0, 16):
-        new = _outcome(_series, 0.3, 1.7, 1.2, math.nan, chunk)
-        assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, math.nan)
-        assert new[0] is HypergeometricError and "overflow" in new[1]
+    new = _outcome(_series, 0.3, 1.7, 1.2, math.nan)
+    assert new == _outcome(_series_2f1_reference, 0.3, 1.7, 1.2, math.nan)
+    assert new[0] is HypergeometricError and "overflow" in new[1]
 
 
 def test_term_cap_keeps_no_table():
@@ -592,7 +584,7 @@ def test_term_cap_keeps_no_table():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = SeriesDenominators(1.2, 64)
+        table = SeriesDenominators(1.2)
         with pytest.raises(HypergeometricError, match="within the term cap$"):
             series_2f1(0.3, 1.7, table, 1 - 1e-7)
         assert _size(table) == SERIES_MAX_TERMS
@@ -605,12 +597,12 @@ def test_term_cap_keeps_no_table():
 
 
 def test_a_table_grows_a_chunk_at_a_time_as_far_as_read():
-    table = SeriesDenominators(1.2, 16)
-    assert _size(table) == 16
+    table = SeriesDenominators(1.2)
+    assert _size(table) == SERIES_CHUNK
     series_2f1(0.3, 1.7, table, 0.01)   # a few terms: no growth
     assert len(table.chunks) == 1
     series_2f1(0.3, 1.7, table, 0.9)
-    assert len(table.chunks) > 12 and all(len(chunk) == 16 for chunk in table.chunks)
+    assert len(table.chunks) > 4 and all(len(chunk) == SERIES_CHUNK for chunk in table.chunks)
     assert [pair for chunk in table.chunks for pair in chunk] == [
         (k, (1.2 + k) * (k + 1.0)) for k in map(float, range(_size(table)))]
 
@@ -622,7 +614,7 @@ def test_a_table_serves_only_its_own_c():
     assert list(inspect.signature(series_2f1).parameters) == ["a", "b", "table", "z"]
     assert list(inspect.signature(rankone._checked_2f1).parameters) == [
         "a", "b", "table", "z", "w"]
-    tables = {c: SeriesDenominators(c, 16) for c in (1.2, 1.2 + 2 ** -40, 3.7)}
+    tables = {c: SeriesDenominators(c) for c in (1.2, 1.2 + 2 ** -40, 3.7)}
     for z in (0.3, -0.7, 0.95):
         for c, table in tables.items():
             assert table.c == c
@@ -630,17 +622,3 @@ def test_a_table_serves_only_its_own_c():
     for c, table in tables.items():
         assert all(d == (c + k) * (k + 1.0) for chunk in table.chunks for k, d in chunk)
 
-
-def test_a_point_value_reads_one_table_that_stores_nothing(monkeypatch):
-    # both series of a point inside the disk read one table of their c, of
-    # chunk 0: a point reads a denominator at most twice, too few to repay
-    # storing it
-    tables = _tables_read(monkeypatch)
-    params = HypergeometricParams(0.5, 1 / 3, 0.77, 0.6)
-    value = gauss_2f1_jacobi(params)
-    assert len(tables) == 2 and tables[0] is tables[1]
-    assert tables[0].c == params.abc[2] and tables[0].chunks == []
-    monkeypatch.undo()
-    a, b, c = params.abc
-    z = -math.sinh(params.x / 2) ** 2
-    assert value == (1.0 - z) ** (-a) * _series_2f1_reference(a, c - b, c, z / (z - 1.0))

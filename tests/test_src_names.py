@@ -71,7 +71,7 @@ READ_OUTSIDE = {
 SETTABLE_BOUND = 103
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
-SRC_LINE_BOUND = 3367
+SRC_LINE_BOUND = 3352
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):

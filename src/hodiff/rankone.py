@@ -58,18 +58,19 @@ class HypergeometricParams:
         for name in ("g1", "g2", "xi", "x"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)} is not finite")
-        c = 0.5 + self.g1 + self.g2
-        if c <= 0 and abs(c - round(c)) < 1e-12:
+        if (c := self.abc[2]) <= 0 and abs(c - round(c)) < 1e-12:
             raise ValueError("series denominator parameter is a nonpositive integer")
         if abs(self.x) > X_MAX:
             raise ValueError(f"|x| > {X_MAX} exceeds the configured domain")
 
     @property
     def abc(self):
-        a = -self.xi + self.g1 / 2 + self.g2
-        b = self.xi + self.g1 / 2 + self.g2
-        c = 0.5 + self.g1 + self.g2
-        return a, b, c
+        return spectral_abc(self.g1, self.g2, self.xi)
+
+
+def spectral_abc(g1, g2, xi) -> tuple:
+    """(a, b, c) of the Gauss series of the rank-one kernel at (g1, g2, xi)."""
+    return -xi + g1 / 2 + g2, xi + g1 / 2 + g2, 0.5 + g1 + g2
 
 
 class SeriesDenominators:
@@ -154,8 +155,8 @@ def gauss_2f1_jacobi(params: HypergeometricParams) -> float:
 
 class SweepRows(Sequence):
     """The (xi, x, residual) rows of a sweep, read from its non-pole xis, its x
-    grid and its residuals as packed doubles (an ``array('d')``), xi by xi; a
-    slice is a list of rows."""
+    grid and its residuals as packed doubles (an ``array('d')``), xi by xi;
+    an index or a slice reads them through one list of rows."""
     __slots__ = ("xis", "xs", "residuals")
 
     def __init__(self, xis, xs, residuals):
@@ -168,10 +169,7 @@ class SweepRows(Sequence):
         return ((xi, x, r) for (xi, x), r in zip(product(self.xis, self.xs), self.residuals))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        k, j = divmod(range(len(self.residuals))[i], len(self.xs))
-        return self.xis[k], self.xs[j], self.residuals[i]
+        return list(self)[i]
 
 
 @dataclass
@@ -205,41 +203,40 @@ def verify_de(g1, g2, xi_grid, x_grid, tol) -> SweepReport:
     a ValueError naming it, coefficient poles are skipped (ValueError if every
     xi is one), and a shifted value or a side beyond the float range raises
     HypergeometricError.  Each ``HypergeometricParams`` condition reads (g1, g2),
-    xi or x alone, so each x and each shift xi, xi+-1 is checked once.  Every
-    series of the sweep has c = 1/2 + g1 + g2, so all read one
-    ``SeriesDenominators``, which ends with the call."""
+    xi or x alone, so each x and each kept xi is checked once.  Each shift xi,
+    xi+-1 is one ``spectral_abc``; its series read one ``SeriesDenominators``
+    of c = 1/2 + g1 + g2 for the sweep, which ends with the call."""
     xi_grid, x_grid = tuple(xi_grid), tuple(x_grid)
     for name, grid in (("xi", xi_grid), ("x", x_grid)):
         if not grid:
             raise ValueError(f"the {name} grid is empty")
     report = SweepReport(g1, g2, tol, SweepRows([], x_grid, array("d")), skipped=[])
-    table = None
     for xi in xi_grid:
         if min(abs(xi), abs(xi - 0.5), abs(xi + 0.5)) < 1e-9:
             report.skipped.append({"xi": xi, "reason": "coefficient pole"})
-            continue
-        if table is None:
-            points = []   # (x, s, z, w) per x
-            for x in x_grid:
-                HypergeometricParams(g1, g2, xi, x)
-                z = -math.sinh(x / 2) ** 2
-                points.append((x, -z, z, z / (z - 1.0)))
-            table = SeriesDenominators(0.5 + g1 + g2)   # abc's c
-        report.rows.xis.append(xi)
+        else:
+            report.rows.xis.append(xi)
+    if not (xis := report.rows.xis):
+        raise ValueError("every xi of the grid is a coefficient pole")
+    for x in x_grid:
+        HypergeometricParams(g1, g2, xis[0], x)
+    for xi in xis[1:]:
+        HypergeometricParams(g1, g2, xi, x_grid[0])
+    points = [(x, z, z / (z - 1.0)) for x in x_grid for z in [-math.sinh(x / 2) ** 2]]
+    table = SeriesDenominators(0.5 + g1 + g2)   # spectral_abc's c
+    for xi in xis:
         up, dn = (rank_one_shift_coefficient(1, (None, g1, g2), 0, (v,)) for v in (xi, -xi))
-        shifts = [HypergeometricParams(g1, g2, v, 0.0).abc for v in (xi, xi + 1, xi - 1)]
-        for x, s, z, w in points:
+        shifts = [spectral_abc(g1, g2, v) for v in (xi, xi + 1, xi - 1)]
+        for x, z, w in points:
             try:
                 f0, fp, fm = [_checked_2f1(a, b, table, z, w) for a, b, _ in shifts]
                 lhs = up * (fp - f0) + dn * (fm - f0)
-                rhs = 4 * s * f0
+                rhs = -4 * z * f0
                 if not math.isfinite(lhs - rhs) and all(map(math.isfinite, (f0, fp, fm))):
                     raise OverflowError("a side is beyond the float range")
             except OverflowError as exc:
                 raise HypergeometricError(f"the equation overflows at xi = {xi}, x = {x}") from exc
             report.rows.residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
-    if table is None:
-        raise ValueError("every xi of the grid is a coefficient pole")
     return report
 
 

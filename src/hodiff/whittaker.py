@@ -2,9 +2,9 @@
 
 The limiting coefficients read the factor lists of ``diffeq.term_factors``
 or ``pieri_index`` and replace each (s+z+-g)/(s+z) by +-eta/(s+z) with
-eta = sqrt(2/|alpha|^2): each limit is one exact square root of a rational,
-a float xi read as its binary value, rounded once where a float check
-reads it.  The couplings g(t) of the strong-coupling branch come from
+eta = sqrt(2/|alpha|^2): each limit is an exact ``SqrtRational`` pair
+(coeff, rad), the value coeff * sqrt(rad), a float xi read as its binary
+value; it is floated, rounded once, where a check reads it.  The couplings g(t) of the strong-coupling branch come from
 ``couplings_at``, one float per root.
 The rank-one eigenfunction of the open Toda chain is evaluated from its
 closed form, the Macdonald function 2 K_zeta(2 e^{-u/2}), at extended
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction as Q
+from operator import mul
 
 import mpmath
 from mpmath.libmp import to_fixed
@@ -41,56 +43,20 @@ def _square_part(n: int) -> tuple[int, int]:
     return a, s * n
 
 
-class SqrtRational:
-    """Exact value coeff * sqrt(rad) with rational coeff and squarefree rad."""
+class SqrtRational(namedtuple("SqrtRational", "coeff rad")):
+    """Exact value coeff * sqrt(rad): a rational coeff and a squarefree integer
+    rad, 1 where coeff is 0, so that equal values are equal pairs."""
+    __slots__ = ()
 
-    __slots__ = ("coeff", "rad")
-
-    def __init__(self, coeff, rad):
+    def __new__(cls, coeff, rad):
         coeff, rad = Q(coeff), Q(rad)
         if rad <= 0:
             raise ValueError("radicand must be positive")
-        m = rad.numerator * rad.denominator
-        a, s = _square_part(m)
-        object.__setattr__(self, "coeff", coeff * Q(a, rad.denominator))
-        object.__setattr__(self, "rad", s)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SqrtRational is immutable")
-
-    def is_rational(self) -> bool:
-        return self.rad == 1 or self.coeff == 0
-
-    def __mul__(self, other):
-        if isinstance(other, SqrtRational):
-            return SqrtRational(self.coeff * other.coeff, Q(self.rad * other.rad))
-        return SqrtRational(self.coeff * Q(other), Q(self.rad))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SqrtRational):
-            inv = SqrtRational(Q(1, other.coeff * other.rad), Q(other.rad))
-            return self * inv
-        return SqrtRational(self.coeff / Q(other), Q(self.rad))
-
-    def __neg__(self):
-        return SqrtRational(-self.coeff, Q(self.rad))
-
-    def __eq__(self, other):
-        if isinstance(other, SqrtRational):
-            return self.coeff == other.coeff and (self.rad == other.rad
-                                                  or self.coeff == 0)
-        return self.is_rational() and self.coeff == other
-
-    def __hash__(self):
-        return hash((self.coeff, self.rad if self.coeff else 1))
+        a, s = _square_part(rad.numerator * rad.denominator)
+        return super().__new__(cls, coeff * Q(a, rad.denominator), s if coeff else 1)
 
     def __float__(self):
         return float(self.coeff) * math.sqrt(self.rad)
-
-    def __repr__(self):
-        return f"{self.coeff}*sqrt({self.rad})"
 
 
 def _inner_float(datum: RootDatum, u, x) -> float:
@@ -137,7 +103,7 @@ def limit_table(datum: RootDatum, z: tuple) -> list:
 def limit_product(datum: RootDatum, factors: tuple, table: list) -> SqrtRational:
     """Product of +-eta/(s+z), by the sign of e, over a factor list of
     ``diffeq.term_factors``: the g -> oo limit of each factor over g.  One
-    SqrtRational of the integer products of a ``limit_table`` of xi."""
+    normalized (coeff, rad) of the integer products of a ``limit_table`` of xi."""
     num = den = rad = 1
     for i, s, e in factors:
         w = table[i][s]
@@ -147,7 +113,7 @@ def limit_product(datum: RootDatum, factors: tuple, table: list) -> SqrtRational
     return SqrtRational(Q(num, den), rad)
 
 
-def coeff_Vbar(datum: RootDatum, nu: Vector, xi):
+def coeff_Vbar(datum: RootDatum, nu: Vector, xi) -> SqrtRational:
     """Limit shift coefficient: product of eta/z over positive pairings and
     eta/(1+z) over pairings equal to 2, exact (a float entry of xi read as
     its exact binary value)."""
@@ -210,9 +176,9 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
     ``datum.dim`` coordinates.  The factor lists of ``pieri_index`` are
     evaluated on one ``float_table`` of xi's exact pairings (a float entry
     read as its binary value, as ``coeff_Vbar`` reads it), at g(t) formed
-    once per t.  The growth rate <nu, rho^vee> is half the sum of nu's
-    positive-root pairings (rho^vee is half the sum of the positive
-    coroots), read from the memoized pairing row of nu's labels.
+    once per t.  The growth rate <nu, rho^vee> is nu's height, as rho^vee
+    pairs 1 with every simple root: read from nu's labels by
+    ``datum.height_row``.
     """
     if datum.family == "BC":
         raise ValueError("the confluent limit is defined for reduced systems")
@@ -221,8 +187,7 @@ def verify_confluence(datum: RootDatum, omega: Vector, xi, x,
         raise ValueError(f"x: need {datum.dim} base-point coordinates, got {len(x)}")
 
     def rate_of(l) -> Q:
-        pairs = datum.label_pairings(l)
-        return Q(sum(pairs[i] for i in datum.positive_indices), 2)
+        return Q(sum(map(mul, datum.height_row, l)), datum.height_den)
 
     t_list = tuple(float(t) for t in t_list)
     if not t_list or not all(map(math.isfinite, t_list)):

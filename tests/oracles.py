@@ -28,7 +28,7 @@ way the package did before its tables and cleared integers:
   ``nonreduced.rank_one_shift_coefficient`` at n = 1 and +-xi);
 - ``fraction_factor_product`` and ``stepwise_limit``: a finite-coupling
   coefficient at float g with each s+z an exact Fraction, and its g -> oo
-  limit with one SqrtRational operation per factor;
+  limit renormalized to one ``SqrtRational`` pair after each factor;
 - ``per_t_confluence_rows``: the rows of the confluence check from one
   ``factor_product`` per factor list and t, on the float table of xi and the
   couplings ``whittaker.couplings_at`` of t, one ``limit_product`` per
@@ -403,12 +403,14 @@ def fraction_factor_product(datum, factors, xi, g):
 
 def stepwise_limit(datum, factors, xi):
     """``whittaker.limit_product`` on the ``limit_table`` of rational xi,
-    one SqrtRational operation per factor."""
+    one normalized ``SqrtRational`` pair (coeff, rad) per factor, each eta
+    from the root's own inner product."""
     z = datum.pairings(xi)
     total = SqrtRational(1, 1)
     for i, s, e in factors:
         eta = SqrtRational(1, 2 / inner(datum, datum.roots[i], datum.roots[i]))
-        total = total * (eta if e > 0 else -eta) / (z[i] + 1 if s else z[i])
+        coeff = (eta.coeff if e > 0 else -eta.coeff) / (z[i] + 1 if s else z[i])
+        total = SqrtRational(total.coeff * coeff, total.rad * eta.rad)
     return total
 
 

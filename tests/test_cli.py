@@ -1028,6 +1028,34 @@ def test_bc_suite_negative_controls_fail(perturb, failing, tmp_path):
     assert [c["status"] for c in cases if c not in pieri] == ["pass"]
 
 
+CONTROL_SYSTEMS = {("pieri", s) for s in ("A1", "A2", "A3", "B2", "C3", "D4", "G2")} | {
+    ("bc", "n=1"), ("bc", "n=2"), ("bc", "rank-one-coefficient-form")}
+CONTROL_PIERI = {("pieri", "B2"): 18, ("pieri", "C3"): 18, ("pieri", "D4"): 12,
+                 ("pieri", "G2"): 6}
+CONTROL_CENSUS = {   # failing cases per (suite, system); every other pair fails none
+    "u-sign": {**CONTROL_PIERI, ("bc", "n=2"): 30},
+    "v-drop-pairing2": {**CONTROL_PIERI, ("bc", "n=1"): 12, ("bc", "n=2"): 60},
+}
+
+
+@pytest.mark.parametrize("perturb", CONTROL_CENSUS)
+def test_control_census(perturb, tmp_path):
+    # which cases of the default pieri and bc campaigns each control fails,
+    # by suite and system: u-sign 84 of the 397 cases, v-drop-pairing2 126,
+    # both none on A1-A3 or in the coefficient-form row, which reads no
+    # --perturb; a control that comes to miss a case, or to fail one more,
+    # moves a count
+    out = tmp_path / "r.json"
+    assert run(["verify", "--suite", "pieri,bc", "--perturb", perturb, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    systems = Counter(tuple(c["case"].split("/")[:2]) for c in report["cases"])
+    failing = Counter(tuple(c["case"].split("/")[:2]) for c in report["cases"]
+                      if c["status"] != "pass")
+    assert set(systems) == CONTROL_SYSTEMS and report["n_cases"] == sum(systems.values()) == 397
+    assert failing == CONTROL_CENSUS[perturb]
+    assert report["n_fail"] == sum(failing.values()) == len(report["failures"])
+
+
 def test_bc_suite_checks_the_displayed_expansion(monkeypatch, tmp_path):
     # the Pieri cases read the twisted E_omega of expansion_labels; the
     # displayed product E_ell is compared with it once per (n, ell), in the

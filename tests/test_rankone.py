@@ -230,7 +230,8 @@ def test_a_sweep_keeps_no_table():
 ], ids=["x-past-bound", "x-below-bound", "x-nan", "xi-nan", "xi-inf",
         "c-zero", "c-minus-two"])
 def test_sweep_rejects_bad_parameters_mid_grid(g1, g2, xi_grid, x_grid):
-    # each HypergeometricParams check still runs for every x and every shift
+    # each HypergeometricParams check runs once for every x and every kept
+    # xi, before any series, so a bad value anywhere in a grid is refused
     with pytest.raises(ValueError):
         verify_de(g1, g2, xi_grid, x_grid, DE_TOL)
 

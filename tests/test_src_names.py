@@ -32,14 +32,28 @@ its line count (``SRC_LINE_BOUND``): a change that adds a knob or grows
 dataclass field's included, must have two values in use: some call in
 ``src/`` or ``bench/`` relies on it and some call overrides it
 (``unused_defaults``).
+
+The name guard matches names without types and exempts dunders, so a method
+that only the tests call passes it.  The reach guard (``-m slow``) runs the
+program (``PROGRAM_RUNS``: every subcommand, both B2 controls, an unwritable
+--out and a usage error) under ``sys.setprofile`` and requires each function,
+method and lambda of ``src/`` to be entered by a run, unless it is a
+``BENCH_ONLY`` name or ``UNREACHED`` gives the reason no run enters it.
 """
 
 import argparse
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hodiff"
 
@@ -71,7 +85,7 @@ READ_OUTSIDE = {
 SETTABLE_BOUND = 103
 
 # lines of src/hodiff/*.py, as ``wc -l`` counts them
-SRC_LINE_BOUND = 3352
+SRC_LINE_BOUND = 3314
 
 
 def _scan(tree, classes: set, defined: list, used: set, where: str):
@@ -461,3 +475,133 @@ def test_unused_defaults_are_found(tmp_path):
         ("f", "d", "never overridden"), ("g", "y", "never relied on"),
         ("D", "w", "never overridden"),
         ("<lambda>", "r", "never relied on")]
+
+
+# The program runs of the reach guard: (exit code, ``hodiff`` arguments), the
+# --out files left to the runner ({out}, {missing}); one child process runs all
+PROGRAM_RUNS = (
+    (0, ["verify", "--out", "{out}"]),
+    (1, ["verify", "--suite", "pieri", "--family", "B", "--rank", "2", "--perturb", "u-sign",
+         "--out", "{out}"]),
+    (1, ["verify", "--suite", "pieri", "--family", "B", "--rank", "2",
+         "--perturb", "v-drop-pairing2", "--out", "{out}"]),
+    (2, ["verify", "--suite", "rankone", "--out", "{missing}"]),   # _emit's failed
+    (2, ["verify", "--samples", "many"]),   # a usage error
+    (0, ["jacobi", "--family", "B", "--rank", "2", "--lambda", "1,1", "--g", "1/2,1/3",
+         "--out", "{out}"]),
+    (0, ["coeffs", "--family", "G", "--rank", "2", "--omega", "1,0", "--format", "latex",
+         "--out", "{out}"]),
+    (0, ["sweep-rank-one", "--csv", "--out", "{out}"]),
+    (0, ["whittaker-limits", "--family", "A", "--rank", "2", "--omega", "1,0",
+         "--xi", "1/40,-1/80", "--x", "0.25,-0.1,-0.15", "--out", "{out}"]),
+)
+
+# functions of src/ that no program run enters, by module and qualified name
+# (a lambda bound to a name by that name), besides the BENCH_ONLY names
+UNREACHED = {
+    "rootsys.RootDatum._root_at": "only the bench-only pairing reads it",
+    "rootsys.RootDatum._apply_word": "only the bench-only stabilizer_orbit and "
+                                     "stabilizer_roots read it",
+    "weylalg.apply_L.<locals>.<lambda>": "the sort key of the bench-only apply_L",
+    "diffeq.pieri_index.cache_info": "the memo's counts, read by bench/tracer.py",
+    "rankone.SweepRows.__len__": "an abstract method of Sequence",
+    "rankone.SweepRows.__getitem__": "an abstract method of Sequence",
+    "rootsys.RootDatum.__repr__": "the datum as a reader sees it",
+    "rootsys.Multiplicities.__repr__": "the multiplicities as a reader sees them",
+    "weylalg.ExpPoly.__repr__": "the polynomial as a reader sees it",
+    "rootsys.Weight.__reduce__": "a weight pickled or copied as its plain tuple",
+    "weylalg.ExpPoly.__setattr__": "the guard of a frozen ExpPoly",
+}
+
+_REACH_CHILD = """
+import json, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+from hodiff import cli
+codes = [cli.main(args) for args in json.loads(sys.argv[1])]
+sys.setprofile(None)
+print(json.dumps([codes, [(c.co_filename, c.co_firstlineno, c.co_name) for c in entered]]))
+"""
+
+
+def program_functions(src: Path) -> dict:
+    """(file name, first line, code name) -> ``module.qualname`` of every
+    function, method and lambda under src, as its code object names it: a
+    decorated function starts at its first decorator, and a lambda bound to
+    a name (``f.attr = lambda: ...``) is named by that name."""
+    found = {}
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, ast.ClassDef):
+                inner = f"{prefix}{child.name}."
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                found[(f"{module}.py", line, child.name)] = f"{module}.{prefix}{child.name}"
+                inner = f"{prefix}{child.name}.<locals>."
+            elif isinstance(child, ast.Lambda):
+                bound = isinstance(node, ast.Assign) and node.value is child
+                name = ast.unparse(node.targets[0]) if bound else f"{prefix}<lambda>"
+                found[(f"{module}.py", child.lineno, "<lambda>")] = f"{module}.{name}"
+                inner = f"{prefix}<lambda>.<locals>."
+            walk(child, module, inner)
+
+    for path in sorted(src.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return found
+
+
+def unreached_functions(src: Path, runs, tmp_path: Path) -> list:
+    """``module.qualname`` of each function, method or lambda under src that
+    none of runs enters, the runs made by ``cli.main`` in one child process
+    under ``sys.setprofile`` (its imports included); each run must exit with
+    its code."""
+    args = [[a.format(out=tmp_path / "out", missing=tmp_path / "missing" / "r.json")
+             for a in run] for _code, run in runs]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _REACH_CHILD, json.dumps(args)], env=env,
+                          capture_output=True, text=True, check=True)
+    codes, entered = json.loads(proc.stdout)
+    assert codes == [code for code, _run in runs], proc.stderr
+    entered = {(Path(f).name, line, name) for f, line, name in entered
+               if Path(f).resolve().parent == src.resolve()}
+    return sorted(name for key, name in program_functions(src).items() if key not in entered)
+
+
+def test_program_functions_are_keyed_as_their_code(tmp_path):
+    # a method, a decorated function (its code starts at the decorator), a
+    # function nested in it, a lambda in that and a lambda bound to an
+    # attribute: each is keyed as its code object names it
+    (tmp_path / "m.py").write_text(
+        "import functools\n"
+        "class A:\n    def f(self):\n        return 1\n"
+        "@functools.cache\ndef g():\n"
+        "    def h():\n        return sorted([2, 1], key=lambda v: -v)\n"
+        "    return h\n"
+        "g.info = lambda: 0\n")
+    spec = importlib.util.spec_from_file_location("m", tmp_path / "m.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    h = module.g()
+    codes = [module.A.f.__code__, module.g.__wrapped__.__code__, h.__code__,
+             module.g.info.__code__] + [c for c in h.__code__.co_consts if inspect.iscode(c)]
+    found = program_functions(tmp_path)
+    assert {(Path(c.co_filename).name, c.co_firstlineno, c.co_name) for c in codes} == set(found)
+    assert sorted(found.values()) == [
+        "m.A.f", "m.g", "m.g.<locals>.h", "m.g.<locals>.h.<locals>.<lambda>", "m.g.info"]
+
+
+@pytest.mark.slow
+def test_every_function_in_src_is_entered_by_a_program_run(tmp_path):
+    # the name guard exempts dunders and matches names without types, so a
+    # method that only the tests call (an operator, say) passes it; here each
+    # function, method and lambda of src/ must be entered by one of the
+    # program runs, unless the benchmark alone reads it or UNREACHED says why
+    unreached = unreached_functions(SRC, PROGRAM_RUNS, tmp_path)
+    unexpected = [q for q in unreached
+                  if q not in UNREACHED and q.rsplit(".", 1)[-1] not in BENCH_ONLY]
+    assert not unexpected, f"no program run enters: {unexpected}"
+    # an exempt function that a run comes to enter leaves the list
+    assert set(UNREACHED) <= set(unreached), set(UNREACHED) - set(unreached)

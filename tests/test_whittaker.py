@@ -32,8 +32,8 @@ RANK_ONE_TOLS = (CampaignConfig.tol_whittaker, CampaignConfig.tol_whittaker,
 
 
 def rational(s: SqrtRational) -> Q:
-    """The rational value of s, which must be rational."""
-    assert s.is_rational(), s
+    """The rational value of s, which must be rational (radicand 1)."""
+    assert s.rad == 1, s
     return s.coeff
 
 
@@ -44,13 +44,23 @@ def test_sqrt_rational_canonicalization():
     half = SqrtRational(1, Q(1, 2))
     assert half == SqrtRational(Q(1, 2), 2)
     assert abs(float(half) - 1 / math.sqrt(2)) < 1e-15
-    prod = SqrtRational(1, 2) * SqrtRational(1, 3)
-    assert prod == SqrtRational(1, 6)
-    assert rational(SqrtRational(1, 2) * SqrtRational(1, 2)) == 2
-    assert rational(SqrtRational(2, 3) / SqrtRational(1, 3)) == 2
     with pytest.raises(ValueError):
         SqrtRational(1, 0)
-    assert not SqrtRational(1, 6).is_rational()
+    assert SqrtRational(1, 6).rad == 6
+
+
+def test_sqrt_rational_is_a_normalized_pair():
+    # equal values are equal (coeff, rad) pairs, a zero's radicand read as 1,
+    # so tuple equality and hashing serve; the pair is immutable, and the
+    # class adds only its normalizing constructor and its float
+    assert SqrtRational(0, 3) == SqrtRational(0, Q(1, 5)) == (0, 1)
+    assert SqrtRational(Q(3, 4), Q(8, 9)) == (Q(1, 2), 2)
+    assert len({SqrtRational(1, 8), SqrtRational(2, 2), SqrtRational(4, Q(1, 2))}) == 1
+    assert float(SqrtRational(-2, 3)) == -2 * math.sqrt(3)
+    with pytest.raises(AttributeError):
+        SqrtRational(1, 2).coeff = 2
+    assert not hasattr(SqrtRational(1, 2), "__dict__")
+    assert {k for k, v in vars(SqrtRational).items() if callable(v)} == {"__new__", "__float__"}
 
 
 def eta_alpha(datum, alpha) -> SqrtRational:
@@ -82,13 +92,13 @@ def test_vbar_ubar_rank_one(a1):
     alpha = a1.positive_roots[0]
     z = Q(5, 3)
     xi = vscale(z, w)
-    assert coeff_Vbar(a1, w, xi) == Q(3, 5)
-    assert coeff_Vbar(a1, vneg(w), xi) == -Q(3, 5)
-    assert coeff_Vbar(a1, alpha, xi) == 1 / (z * (1 + z))
+    assert coeff_Vbar(a1, w, xi) == SqrtRational(Q(3, 5), 1)
+    assert coeff_Vbar(a1, vneg(w), xi) == SqrtRational(-Q(3, 5), 1)
+    assert coeff_Vbar(a1, alpha, xi) == SqrtRational(1 / (z * (1 + z)), 1)
     zero = (Q(0),) * a1.dim
-    assert _ubar(a1, zero, alpha, xi) == -1 / (z * (1 + z))
+    assert _ubar(a1, zero, alpha, xi) == SqrtRational(-1 / (z * (1 + z)), 1)
     # regular nu: empty stabilizer product
-    assert _ubar(a1, w, w, xi) == 1
+    assert _ubar(a1, w, w, xi) == SqrtRational(1, 1)
 
 
 def test_vbar_exact_rational_simply_laced(a2):
@@ -98,7 +108,7 @@ def test_vbar_exact_rational_simply_laced(a2):
     xi = sample_spectral_point(a2, rng)
     for nu in a2.weyl_orbit(theta):
         val = coeff_Vbar(a2, nu, xi)
-        assert isinstance(val, SqrtRational) and val.is_rational()
+        assert isinstance(val, SqrtRational) and val.rad == 1
 
 
 def test_vbar_depends_only_on_pairings(a2):
@@ -118,7 +128,7 @@ def test_vbar_float_path(a1):
     for zeta in (0.65, 0.7, 1.7):
         z = Q(zeta)
         xi = tuple(zeta * float(c) for c in w)
-        assert coeff_Vbar(a1, w, xi) == 1 / z
+        assert coeff_Vbar(a1, w, xi) == SqrtRational(1 / z, 1)
         assert float(coeff_Vbar(a1, alpha, xi)) == float(1 / (z * (1 + z))), zeta
 
 
@@ -226,7 +236,7 @@ def test_confluence_rows_equal_the_per_t_path(request):
     # the sweep over the index lists, one float table and g(t) once per t
     # gives the bits of one coeff_V/coeff_U call per term and t; those in
     # turn give the bits of the Fraction-per-factor product, and the limits
-    # the value of the SqrtRational-per-factor product
+    # the value of the pair-per-factor product
     from oracles import fraction_factor_product, per_t_confluence_rows, stepwise_limit
     checked = 0
     for datum, omega, xi, x in _reference_cases(request):
@@ -261,7 +271,7 @@ def _factor_lists(datum, omega):
 
 def test_confluence_limits_equal_the_stepwise_limit(request):
     # each row's limit, from one limit_table per call, is the float of the
-    # SqrtRational-per-factor product, and the table-fed product its value
+    # pair-per-factor product, and the table-fed product its value
     from oracles import stepwise_limit
     checked = 0
     for datum, omega, xi, x in _reference_cases(request):

@@ -3,9 +3,9 @@
 The limiting coefficients read the factor lists of ``diffeq.term_factors``
 or ``pieri_index`` and replace each (s+z+-g)/(s+z) by +-eta/(s+z) with
 eta = sqrt(2/|alpha|^2): each limit is an exact ``SqrtRational`` pair
-(coeff, rad), the value coeff * sqrt(rad), a float xi read as its binary
-value; it is floated, rounded once, where a check reads it.  The couplings g(t) of the strong-coupling branch come from
-``couplings_at``, one float per root.
+(coeff, rad) for coeff * sqrt(rad), a float xi read as its binary value,
+floated once where a check reads it.  The couplings g(t) of the
+strong-coupling branch come from ``couplings_at``, one float per root.
 The rank-one eigenfunction of the open Toda chain is evaluated from its
 closed form, the Macdonald function 2 K_zeta(2 e^{-u/2}), at extended
 precision; the difference equations are checked against it.
